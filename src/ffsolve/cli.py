@@ -26,6 +26,7 @@ from .indpoly import (
     weighted_independence_polynomial,
 )
 from .models import (
+    MODEL_COUPLING_COUNT,
     Hamiltonian,
     generate_model,
     junction_graph,
@@ -115,9 +116,8 @@ def _load_input(cfg: RunConfig) -> tuple[Hamiltonian | None, WeightedGraph]:
         raise ParseError("provide an input file or --model")
     couplings = cfg.couplings
     if couplings is None and cfg.seed is not None:
-        counts = {"h5": 5, "h6": 6, "back_to_back": 6}
-        if cfg.model in counts:
-            count = counts[cfg.model]
+        if cfg.model in MODEL_COUPLING_COUNT:
+            count = MODEL_COUPLING_COUNT[cfg.model]
         elif cfg.model == "chain":
             count = cfg.k
         elif cfg.model == "junction":

@@ -40,7 +40,14 @@ _ZERO_DETECT_REL = 1e-10
 
 def iter_independent_set_masks(graph: WeightedGraph,
                                max_size: int | None = None) -> Iterator[int]:
-    """All independent sets as bitmasks, including the empty set."""
+    """All independent sets as bitmasks, including the empty set.
+
+    Exponential in the graph size, so kept for small graphs only: as a
+    reference in tests (through ``independent_sets``), and for the operator
+    sums of ``solver.charge`` and ``solver.transfer``, which need each set
+    itself rather than the weighted counts that
+    ``weighted_independence_polynomial`` computes.
+    """
     limit = graph.n if max_size is None else max_size
 
     def rec(candidates: int, current: int, size: int):
@@ -116,20 +123,88 @@ class IndependencePolynomial:
 
 
 def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolynomial:
-    """c_k accumulated with compensated summation over the k-vertex sets."""
-    buckets: list[list[float]] = [[] for _ in range(graph.n + 1)]
-    for mask in iter_independent_set_masks(graph):
-        prod = 1.0
-        m = mask
-        while m:
-            low = m & -m
-            prod *= graph.weights[low.bit_length() - 1]
-            m ^= low
-        buckets[mask.bit_count()].append(prod)
-    coeffs = [math.fsum(b) for b in buckets]
+    """c_k by memoized vertex elimination over remaining-vertex bitmasks.
+
+    With v the lowest vertex of the remaining set S,
+
+        P(S) = P(S - v) + x w_v P(S - N[v]),
+
+    and P of a disconnected S is the product over its components.  Each
+    distinct S is evaluated once, so a chain takes n + 1 states, and a
+    graph whose vertex order leaves at most p earlier vertices adjacent to
+    later ones takes at most about n 2^p.  The recursion runs on an
+    explicit stack, so its depth is not bounded by Python's recursion
+    limit.  All terms are nonnegative, so no cancellation occurs.
+    """
+    adj = graph.adj
+    weights = graph.weights
+    # vertices within distance two of v: the boundary left by removing N[v]
+    reach2 = []
+    for v in range(graph.n):
+        m = graph.closed_adj(v)
+        for u in graph.neighbors[v]:
+            m |= adj[u]
+        reach2.append(m)
+
+    memo: dict[int, list[float]] = {0: [1.0]}
+    # entries (S, hint, plan): every component of S meets ``hint``; plan is
+    # None on the first visit, then (v or None for a split, child, child)
+    full = graph.full_mask
+    stack: list[tuple[int, int, tuple | None]] = [(full, full, None)]
+    while stack:
+        s, hint, plan = stack.pop()
+        if plan is None:
+            if s in memo:
+                continue
+            comp = _split_component(adj, s, hint)
+            if comp:
+                v = None
+                children = ((comp, comp & -comp), (s & ~comp, hint & ~comp))
+            else:
+                low = s & -s
+                v = low.bit_length() - 1
+                minus_v, minus_nv = s ^ low, s & ~graph.closed_adj(v)
+                children = ((minus_v, adj[v] & minus_v), (minus_nv, reach2[v] & minus_nv))
+            stack.append((s, hint, (v, children[0][0], children[1][0])))
+            stack.extend((c, c_hint, None) for c, c_hint in children if c not in memo)
+            continue
+        v, a_mask, b_mask = plan
+        a, b = memo[a_mask], memo[b_mask]
+        if v is None:
+            out = [0.0] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        else:
+            w = weights[v]
+            out = a + [0.0] * (len(b) + 1 - len(a))
+            for i, cb in enumerate(b):
+                out[i + 1] += w * cb
+        memo[s] = out
+
+    coeffs = memo[full]
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return IndependencePolynomial(tuple(coeffs))
+
+
+def _split_component(adj: tuple[int, ...], s: int, hint: int) -> int:
+    """0 when S is connected, else one connected component of S.
+
+    ``hint`` is a nonempty subset of S that meets every component of S, so
+    S is connected as soon as one component is seen to hold all of it; the
+    search stops there instead of visiting the whole of S.
+    """
+    if not hint & (hint - 1):
+        return 0
+    comp = frontier = hint & -hint
+    while frontier and hint & ~comp:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & s & ~comp
+        comp |= new
+        frontier |= new
+    return comp if hint & ~comp else 0
 
 
 def verify_clique_recurrence(graph: WeightedGraph, clique: Iterable[int],

@@ -315,7 +315,7 @@ def back_to_back_model(a=1.0, b=1.0, c=1.0, d=1.0, e=1.0, f=1.0) -> Hamiltonian:
     ], n=3)
 
 
-_MODEL_COUPLING_COUNT = {"h5": 5, "h6": 6, "back_to_back": 6}
+MODEL_COUPLING_COUNT = {"h5": 5, "h6": 6, "back_to_back": 6}
 
 
 def generate_model(name: str, couplings=None, n_cells: int | None = None,
@@ -324,7 +324,7 @@ def generate_model(name: str, couplings=None, n_cells: int | None = None,
     """Dispatch by family name: h5, h6, chain, junction, back_to_back."""
     name = name.lower()
     if name in ("h5", "h6", "back_to_back"):
-        count = _MODEL_COUPLING_COUNT[name]
+        count = MODEL_COUPLING_COUNT[name]
         if couplings is None:
             couplings = [1.0] * count
         if len(couplings) != count:

@@ -7,6 +7,7 @@ stay independent of the bitset search paths they are used to validate.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from ffsolve.graphs import WeightedGraph
@@ -73,3 +74,16 @@ def naive_is_simplicial_clique(g: WeightedGraph, kset) -> bool:
         if any(not g.has_edge(a, b) for a, b in itertools.combinations(kv, 2)):
             return False
     return True
+
+
+def naive_independence_polynomial(g: WeightedGraph) -> list[float]:
+    """c_k = sum over the independent k-subsets of their weight products,
+    with trailing zero coefficients dropped."""
+    coeffs = [0.0] * (g.n + 1)
+    for size in range(g.n + 1):
+        for subset in itertools.combinations(range(g.n), size):
+            if not any(g.has_edge(a, b) for a, b in itertools.combinations(subset, 2)):
+                coeffs[size] += math.prod(g.weights[v] for v in subset)
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs

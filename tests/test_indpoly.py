@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import cycle_graph, naive_has_claw, random_graph
+from conftest import cycle_graph, naive_has_claw, naive_independence_polynomial, random_graph
 from ffsolve.errors import ComplexRootError
 from ffsolve.graphs import WeightedGraph, bits, frustration_graph, maximal_cliques
 from ffsolve.indpoly import (
@@ -90,6 +90,39 @@ def test_h6_polynomial_matches_printed_quartic():
 def test_single_vertex_polynomial():
     g = WeightedGraph(1, weights=[2.5])
     assert weighted_independence_polynomial(g).coeffs == (1.0, 2.5)
+
+
+def test_polynomial_against_subset_oracle():
+    """Elimination DP against naive subset sums, relabelled at random too."""
+    rng = random.Random(107)
+    for trial in range(150):
+        n = rng.randint(1, 12)
+        # sparse draws give disconnected graphs and isolated vertices
+        g = random_graph(rng, n, rng.choice([0.0, 0.1, 0.25, 0.5, 0.8]), weighted=True)
+        weights = [0.0 if rng.random() < 0.15 else w for w in g.weights]
+        g = WeightedGraph(n, g.edges(), weights=weights)
+        want = naive_independence_polynomial(g)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        shuffled = WeightedGraph(n, [(perm[i], perm[j]) for i, j in g.edges()],
+                                 weights=[weights[perm.index(v)] for v in range(n)])
+        for graph in (g, shuffled):
+            got = weighted_independence_polynomial(graph).coeffs
+            assert len(got) == len(want), trial
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-12 * b, trial
+
+
+def test_polynomial_on_long_path_matches_closed_form():
+    """A 1,200-vertex path: c_k = C(n - k + 1, k), beyond any recursion
+    limit and far beyond set enumeration."""
+    n = 1200
+    poly = weighted_independence_polynomial(
+        WeightedGraph(n, [(i, i + 1) for i in range(n - 1)]))
+    assert poly.alpha == n // 2
+    for k, c in enumerate(poly.coeffs):
+        exact = math.comb(n - k + 1, k)
+        assert abs(c - exact) <= 1e-12 * exact
 
 
 def test_polynomial_basics():

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from conftest import (
@@ -14,13 +15,14 @@ from conftest import (
 )
 from ffsolve.errors import SearchBudgetError
 from ffsolve.graphs import WeightedGraph, frustration_graph
-from ffsolve.models import chain_model, h6_model
+from ffsolve.models import chain_model, h6_model, junction_graph
 from ffsolve.recognition import (
     classify,
     find_claw,
     find_even_hole,
     find_simplicial_cliques,
     find_twins,
+    is_chordal,
 )
 
 
@@ -80,6 +82,34 @@ def test_even_hole_budget_raises():
     g = random_graph(random.Random(1), 12, 0.5)
     with pytest.raises(SearchBudgetError):
         find_even_hole(g, budget=3)
+
+
+def _tree_line_graph(rng: random.Random, edges: int) -> WeightedGraph:
+    tree = [(rng.randrange(v), v) for v in range(1, edges + 1)]
+    return WeightedGraph(edges, [(i, j) for i, j in itertools.combinations(range(edges), 2)
+                                 if set(tree[i]) & set(tree[j])])
+
+
+def test_chordal_graphs_need_no_hole_search():
+    graphs = [frustration_graph(chain_model(16, 3)),
+              frustration_graph(chain_model(6, 6)),
+              junction_graph((3, 2, 2), 3),
+              _tree_line_graph(random.Random(5), 30)]
+    for g in graphs:
+        assert is_chordal(g)
+        assert find_even_hole(g, budget=0) is None
+
+
+def test_is_chordal_against_networkx():
+    rng = random.Random(47)
+    chordal = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.9))
+        ref = nx.Graph(g.edges())
+        ref.add_nodes_from(range(g.n))
+        assert is_chordal(g) == nx.is_chordal(ref)
+        chordal += is_chordal(g)
+    assert 60 < chordal < 240
 
 
 def test_simplicial_cliques_on_c5():
