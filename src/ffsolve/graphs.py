@@ -77,12 +77,6 @@ class WeightedGraph:
                 return False
         return True
 
-    def is_independent(self, mask: int) -> bool:
-        for v in bits(mask):
-            if self.adj[v] & mask:
-                return False
-        return True
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
@@ -122,9 +116,6 @@ class WeightedGraph:
 
     def remove_closed_neighborhood(self, v: int) -> tuple["WeightedGraph", list[int]]:
         return self.remove_set(bits(self.closed_adj(v)))
-
-    def subgraph_from_mask(self, mask: int) -> tuple["WeightedGraph", list[int]]:
-        return self.induced_subgraph(bits(mask))
 
 
 def frustration_graph(hamiltonian) -> WeightedGraph:

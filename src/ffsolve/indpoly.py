@@ -38,35 +38,28 @@ _ZERO_DETECT_REL = 1e-10
 
 # -- independent sets ------------------------------------------------------
 
-def iter_independent_set_masks(graph: WeightedGraph,
-                               max_size: int | None = None) -> Iterator[int]:
-    """All independent sets as bitmasks, including the empty set.
+def iter_independent_set_masks(graph: WeightedGraph) -> Iterator[int]:
+    """All independent sets as bitmasks, including the empty set, each after
+    a subset one smaller.
 
     Exponential in the graph size, so kept for small graphs only: as a
-    reference in tests (through ``independent_sets``), and for the operator
-    sums of ``solver.charge`` and ``solver.transfer``, which need each set
-    itself rather than the weighted counts that
-    ``weighted_independence_polynomial`` computes.
+    reference in tests (through ``independent_sets``), and for the charges
+    of ``solver.transfer``, which need each set itself rather than the
+    weighted counts that ``weighted_independence_polynomial`` computes.
     """
-    limit = graph.n if max_size is None else max_size
-
-    def rec(candidates: int, current: int, size: int):
+    def rec(candidates: int, current: int):
         yield current
-        if size == limit:
-            return
         for v in bits(candidates):
             above = ~((1 << (v + 1)) - 1)
-            yield from rec(candidates & above & ~graph.adj[v],
-                           current | (1 << v), size + 1)
+            yield from rec(candidates & above & ~graph.adj[v], current | (1 << v))
 
-    yield from rec(graph.full_mask, 0, 0)
+    yield from rec(graph.full_mask, 0)
 
 
-def independent_sets(graph: WeightedGraph,
-                     max_size: int | None = None) -> dict[int, list[tuple[int, ...]]]:
+def independent_sets(graph: WeightedGraph) -> dict[int, list[tuple[int, ...]]]:
     """Independent sets grouped by size, each as a sorted vertex tuple."""
     grouped: dict[int, list[tuple[int, ...]]] = {}
-    for mask in iter_independent_set_masks(graph, max_size):
+    for mask in iter_independent_set_masks(graph):
         vs = tuple(bits(mask))
         grouped.setdefault(len(vs), []).append(vs)
     return grouped

@@ -33,7 +33,7 @@ from .errors import DenseCapError, TermBudgetError
 
 PRUNE_TOL = 1e-14
 TERM_CAP = 10**7
-DENSE_QUBIT_CAP = 14
+DENSE_QUBIT_CAP = 13
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _AXIS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -65,14 +65,6 @@ class PauliTerm:
     @property
     def phase(self) -> complex:
         return _PHASES[self.phase_pow]
-
-    @property
-    def x_bits(self) -> tuple[int, ...]:
-        return tuple((self.x >> q) & 1 for q in range(self.n))
-
-    @property
-    def z_bits(self) -> tuple[int, ...]:
-        return tuple((self.z >> q) & 1 for q in range(self.n))
 
     @property
     def is_identity(self) -> bool:
@@ -195,6 +187,11 @@ class OperatorSum:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
+    def abs_sum(self) -> float:
+        """Pauli 1-norm sum |c|.  Every string has operator norm 1, so this
+        bounds the operator norm from above."""
+        return sum(abs(c) for c in self.terms.values())
+
     def is_zero(self, tol: float = PRUNE_TOL) -> bool:
         return self.max_abs_coeff() <= tol
 
@@ -233,15 +230,12 @@ class OperatorSum:
         """Hermitian conjugate (canonical strings are Hermitian)."""
         return OperatorSum(self.n, {k: c.conjugate() for k, c in self.terms.items()})
 
-    # -- products -------------------------------------------------------
 
-    def __matmul__(self, other: "OperatorSum") -> "OperatorSum":
-        return opsum_mul(self, other)
-
-
-def opsum_mul(a: OperatorSum, b: OperatorSum,
-              term_cap: int = TERM_CAP, prune_tol: float = PRUNE_TOL) -> OperatorSum:
-    """Distributive product with exact phase folding; result pruned."""
+def _product(a: OperatorSum, b: OperatorSum, parity: int | None, factor: float,
+             term_cap: int, prune_tol: float) -> OperatorSum:
+    """factor * sum of the string products a_i b_j, over every pair when
+    ``parity`` is None, else over the pairs whose symplectic product has
+    that parity (1: anticommuting, 0: commuting)."""
     a._check(b)
     if len(a.terms) * len(b.terms) > term_cap:
         raise TermBudgetError(
@@ -249,47 +243,35 @@ def opsum_mul(a: OperatorSum, b: OperatorSum,
         )
     acc: dict[tuple[int, int], complex] = {}
     for (x1, z1), c1 in a.terms.items():
+        fc1 = factor * c1  # same order as factor * c1 * c2 * phase
         for (x2, z2), c2 in b.terms.items():
+            if parity is not None and (
+                    ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1) != parity:
+                continue
             key = (x1 ^ x2, z1 ^ z2)
-            c = c1 * c2 * _PHASES[_product_phase_pow(x1, z1, x2, z2)]
+            c = fc1 * c2 * _PHASES[_product_phase_pow(x1, z1, x2, z2)]
             acc[key] = acc.get(key, 0.0) + c
             if len(acc) > term_cap:
                 raise TermBudgetError(f"accumulated term count exceeds cap {term_cap}")
     return OperatorSum(a.n, acc, prune_tol=prune_tol)
+
+
+def opsum_mul(a: OperatorSum, b: OperatorSum,
+              term_cap: int = TERM_CAP, prune_tol: float = PRUNE_TOL) -> OperatorSum:
+    """Distributive product with exact phase folding; result pruned."""
+    return _product(a, b, None, 1.0, term_cap, prune_tol)
 
 
 def opsum_comm(a: OperatorSum, b: OperatorSum,
                term_cap: int = TERM_CAP, prune_tol: float = PRUNE_TOL) -> OperatorSum:
     """Commutator [a, b]; only anticommuting string pairs contribute."""
-    a._check(b)
-    acc: dict[tuple[int, int], complex] = {}
-    for (x1, z1), c1 in a.terms.items():
-        for (x2, z2), c2 in b.terms.items():
-            if (((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1) == 0:
-                continue
-            key = (x1 ^ x2, z1 ^ z2)
-            c = 2.0 * c1 * c2 * _PHASES[_product_phase_pow(x1, z1, x2, z2)]
-            acc[key] = acc.get(key, 0.0) + c
-            if len(acc) > term_cap:
-                raise TermBudgetError(f"accumulated term count exceeds cap {term_cap}")
-    return OperatorSum(a.n, acc, prune_tol=prune_tol)
+    return _product(a, b, 1, 2.0, term_cap, prune_tol)
 
 
 def opsum_anticomm(a: OperatorSum, b: OperatorSum,
                    term_cap: int = TERM_CAP, prune_tol: float = PRUNE_TOL) -> OperatorSum:
     """Anticommutator {a, b}; only commuting string pairs contribute."""
-    a._check(b)
-    acc: dict[tuple[int, int], complex] = {}
-    for (x1, z1), c1 in a.terms.items():
-        for (x2, z2), c2 in b.terms.items():
-            if (((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1) == 1:
-                continue
-            key = (x1 ^ x2, z1 ^ z2)
-            c = 2.0 * c1 * c2 * _PHASES[_product_phase_pow(x1, z1, x2, z2)]
-            acc[key] = acc.get(key, 0.0) + c
-            if len(acc) > term_cap:
-                raise TermBudgetError(f"accumulated term count exceeds cap {term_cap}")
-    return OperatorSum(a.n, acc, prune_tol=prune_tol)
+    return _product(a, b, 0, 2.0, term_cap, prune_tol)
 
 
 # -- dense backend -----------------------------------------------------
@@ -306,18 +288,6 @@ def _parity_vector(n: int, z: int) -> np.ndarray:
         zz >>= 1
         q += 1
     return par
-
-
-def term_to_dense(n: int, x: int, z: int, coeff: complex = 1.0) -> np.ndarray:
-    """Dense matrix of coeff * sigma(x, z)."""
-    dim = 1 << n
-    cols = np.arange(dim)
-    rows = cols ^ x
-    signs = 1.0 - 2.0 * _parity_vector(n, z)
-    vals = coeff * _PHASES[(x & z).bit_count() & 3] * signs
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, cols] = vals
-    return mat
 
 
 def to_dense(a: OperatorSum | PauliTerm, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:

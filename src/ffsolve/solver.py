@@ -33,7 +33,6 @@ from .paulis import (
     opsum_anticomm,
     opsum_comm,
     opsum_mul,
-    to_dense,
 )
 
 
@@ -41,41 +40,16 @@ def _term_opsums(h: Hamiltonian) -> list[OperatorSum]:
     return [OperatorSum.from_term(t, c) for c, t in h.terms]
 
 
-def _set_product(h: Hamiltonian, mask: int) -> tuple[float, PauliTerm]:
-    """Product of the Hamiltonian terms in an independent set.
-
-    The factors commute, so the order is immaterial; couplings multiply
-    into a real prefactor and the Pauli product keeps an exact phase.
-    """
-    coeff = 1.0
-    prod = PauliTerm.identity(h.n)
-    for v in bits(mask):
-        c, t = h.terms[v]
-        coeff *= c
-        prod = multiply(prod, t)
-    return coeff, prod
-
-
 def charge(h: Hamiltonian, k: int, graph: WeightedGraph | None = None) -> OperatorSum:
     """Independent-set charge: sum over k-vertex independent sets of the
     products of the corresponding terms.  k=0 gives the identity, k=1 the
     Hamiltonian itself."""
-    if graph is None:
-        graph = frustration_graph(h)
     if k < 0:
         raise ValueError("charge order must be nonnegative")
-    acc: dict[tuple[int, int], complex] = {}
-    count = 0
-    for mask in iter_independent_set_masks(graph, max_size=k):
-        if mask.bit_count() != k:
-            continue
-        count += 1
-        coeff, prod = _set_product(h, mask)
-        key = (prod.x, prod.z)
-        acc[key] = acc.get(key, 0.0) + coeff * prod.phase
-    if count == 0:
+    charges = transfer(h, graph).charges
+    if k >= len(charges):
         raise ValueError(f"no independent sets of size {k}")
-    return OperatorSum(h.n, acc)
+    return charges[k]
 
 
 @dataclass(frozen=True)
@@ -109,21 +83,28 @@ class TransferOperator:
 
 
 def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOperator:
+    """All charges Q^(0)..Q^(alpha) from one pass over the independent sets.
+
+    The factors of each set commute, so their order is immaterial;
+    couplings multiply into a real prefactor and the Pauli product keeps an
+    exact phase.
+    """
     if graph is None:
         graph = frustration_graph(h)
-    grouped: dict[int, list[int]] = {}
+    accs: list[dict[tuple[int, int], complex]] = []
     for mask in iter_independent_set_masks(graph):
-        grouped.setdefault(mask.bit_count(), []).append(mask)
-    alpha = max(grouped)
-    charges = []
-    for k in range(alpha + 1):
-        acc: dict[tuple[int, int], complex] = {}
-        for mask in grouped.get(k, ()):
-            coeff, prod = _set_product(h, mask)
-            key = (prod.x, prod.z)
-            acc[key] = acc.get(key, 0.0) + coeff * prod.phase
-        charges.append(OperatorSum(h.n, acc))
-    return TransferOperator(h.n, tuple(charges))
+        k = mask.bit_count()
+        if k == len(accs):  # each set comes after a subset one smaller
+            accs.append({})
+        coeff = 1.0
+        prod = PauliTerm.identity(h.n)
+        for v in bits(mask):
+            c, t = h.terms[v]
+            coeff *= c
+            prod = multiply(prod, t)
+        key = (prod.x, prod.z)
+        accs[k][key] = accs[k].get(key, 0.0) + coeff * prod.phase
+    return TransferOperator(h.n, tuple(OperatorSum(h.n, acc) for acc in accs))
 
 
 def sub_hamiltonian(h: Hamiltonian, vertices: Iterable[int]) -> Hamiltonian | None:
@@ -385,7 +366,8 @@ def higher_hamiltonian(h: Hamiltonian, k: int,
 
 def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
                                ks: Sequence[int], u: float) -> float:
-    """Dense operator-norm residual of the simplicial-clique identity
+    """Pauli 1-norm residual, an upper bound on the operator norm, of the
+    simplicial-clique identity
 
     T(u) (1 + u sum_{v in ks} h_v) chi T(-u)
         = P(-u^2) (1 - u sum_{v in ks} h_v) chi .
@@ -399,7 +381,7 @@ def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
     lhs = opsum_mul(opsum_mul(t.evaluate(u), ident + u * hsum),
                     opsum_mul(chi_op, t.evaluate(-u)))
     rhs = poly.at_minus_u2(u) * opsum_mul(ident - u * hsum, chi_op)
-    return float(np.linalg.norm(to_dense(lhs - rhs), 2))
+    return (lhs - rhs).abs_sum()
 
 
 def zero_eigenvector_residual(mode: IncognitoMode, t: TransferOperator) -> float:

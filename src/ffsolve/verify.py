@@ -16,7 +16,7 @@ from .indpoly import (
     weighted_independence_polynomial,
 )
 from .models import Hamiltonian, back_to_back_model
-from .paulis import OperatorSum, to_dense
+from .paulis import DENSE_QUBIT_CAP, OperatorSum, to_dense
 from .recognition import StructureReport, classify
 from .solver import (
     all_modes,
@@ -32,7 +32,6 @@ from .solver import (
 SPECTRUM_CLUSTER_TOL = 1e-9
 SPECTRUM_MATCH_TOL = 1e-8
 DEFAULT_U_GRID = (0.1, -0.1, 0.37, -0.37, 0.9, -0.9, 1.5, -1.5)
-BRUTE_FORCE_QUBIT_CAP = 14
 
 
 def _cluster(values, tol):
@@ -55,8 +54,8 @@ def brute_force_spectrum(h: Hamiltonian,
     tolerance is scale-free.  Every run self-checks the oracle: the dense
     matrix must be traceless and satisfy tr(H^2) = 2^n sum_j b_j^2.
     """
-    if h.n > BRUTE_FORCE_QUBIT_CAP:
-        raise DenseCapError(f"{h.n} qubits exceeds the oracle cap {BRUTE_FORCE_QUBIT_CAP}")
+    if h.n > DENSE_QUBIT_CAP:
+        raise DenseCapError(f"{h.n} qubits exceeds the oracle cap {DENSE_QUBIT_CAP}")
     scale = max(abs(c) for c in h.couplings())
     mat = to_dense(OperatorSum.from_terms(h.n, h.terms))
     dim = 1 << h.n
@@ -125,7 +124,8 @@ def verify_free(h: Hamiltonian, force: bool = False,
     Refuses (reports not-applicable) when the frustration graph is not
     ECF, unless ``force`` is set; the non-example of the discussion needs
     the forced path, since its free spectrum at equal couplings exists
-    despite claws and even holes.
+    despite claws and even holes.  Above the dense cap the report keeps the
+    synthesized energies and names the cap in ``failure``.
     """
     report = VerificationReport()
     report.tolerances["spectrum_match"] = match_tol
@@ -152,7 +152,11 @@ def verify_free(h: Hamiltonian, force: bool = False,
     report.timings["energies"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    brute = brute_force_spectrum(h)
+    try:
+        brute = brute_force_spectrum(h)
+    except DenseCapError as exc:
+        report.failure = str(exc)
+        return report
     report.timings["diagonalize"] = time.perf_counter() - t0
 
     scale = max(abs(c) for c in h.couplings())

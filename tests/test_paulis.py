@@ -160,13 +160,23 @@ def test_pruning_threshold():
 
 def test_term_cap_is_reported_error():
     big = OperatorSum(6, {(i, 0): 1.0 for i in range(1, 40)})
-    with pytest.raises(TermBudgetError):
-        opsum_mul(big, big, term_cap=100)
+    for product in (opsum_mul, opsum_comm, opsum_anticomm):
+        with pytest.raises(TermBudgetError):
+            product(big, big, term_cap=100)
 
 
 def test_dense_cap():
-    with pytest.raises(DenseCapError):
-        to_dense(OperatorSum.identity(15))
+    for n in (14, 15):
+        with pytest.raises(DenseCapError):
+            to_dense(OperatorSum.identity(n))
+
+
+def test_abs_sum_bounds_operator_norm():
+    rng = random.Random(17)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        a = random_opsum(rng, n, rng.randint(1, 12))
+        assert a.abs_sum() >= np.linalg.norm(to_dense(a), 2) - 1e-12
 
 
 def test_dagger_and_hermiticity_flags():

@@ -301,6 +301,19 @@ def test_fundamental_identity():
         assert check_fundamental_identity(hcext, chic, gksc, u) < 1e-9
 
 
+def test_fundamental_identity_fails_on_wrong_clique():
+    """The residual detects a clique that does not carry the ancilla."""
+    rng = random.Random(31)
+    for h in (h5_model(*[rng.uniform(0.4, 1.7) for _ in range(5)]),
+              chain_model(2, 3, [rng.uniform(0.4, 1.4) for _ in range(3)])):
+        g = frustration_graph(h)
+        ks = min(find_simplicial_cliques(g), key=len)
+        hext, chi = simplicial_extension(h, ks)
+        wrong = next(c for c in maximal_cliques(g) if c != sum(1 << v for v in ks))
+        for u in (0.1, -0.37, 0.9, -1.5):
+            assert check_fundamental_identity(hext, chi, list(bits(wrong)), u) > 1e-6
+
+
 def test_mode_norm_formula():
     """N_j^2 = 16 u_j^2 P_{G-Ks}(-u_j^2) P'(-u_j^2), positive at every root."""
     h = random_h5()

@@ -51,9 +51,16 @@ def test_brute_force_h6_pairing():
 
 
 def test_brute_force_cap():
-    h = chain_model(8, 2)  # 16 qubits
-    with pytest.raises(DenseCapError):
-        brute_force_spectrum(h)
+    for h in (chain_model(7, 2), chain_model(8, 2)):  # 14 and 16 qubits
+        with pytest.raises(DenseCapError):
+            brute_force_spectrum(h)
+
+
+def test_verify_free_above_dense_cap_keeps_energies():
+    rep = verify_free(chain_model(7, 2))  # 14 qubits, ECF
+    assert rep.energies
+    assert "cap" in rep.failure
+    assert rep.passed() is False
 
 
 def test_verify_free_h5_fixed_couplings():
