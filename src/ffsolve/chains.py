@@ -3,9 +3,12 @@
 The independence polynomial of the chain graph on N unit cells obeys a
 k-term recursion whose coefficients are the elementary symmetric
 polynomials of the squared couplings, so everything here works from the
-coupling vector alone.  Dispersion relations and gap scans are finite-N:
-the spectrum is computed at two sizes and the trend decides gapless vs
-gapped.
+coupling vector alone.  The energies come from the root finder every
+graph uses, ``indpoly.roots_by_count``, fed with the sign changes of this
+recursion rather than with the monomial coefficients, which lose the
+roots to rounding beyond a dozen or so cells.  Dispersion relations and
+gap scans are finite-N: the spectrum is computed at two sizes and the
+trend decides gapless vs gapped.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ComplexRootError, ModelError
-from .indpoly import IndependencePolynomial, SingleParticleEnergies
+from .errors import ModelError
+from .indpoly import (IndependencePolynomial, SingleParticleEnergies, roots_by_count,
+                      sign_changes)
 
 GAPLESS_RATIO_MARGIN = 0.1
 
@@ -107,14 +111,16 @@ def boundary_vector(spec: ChainSpec, eps_sq: float) -> np.ndarray:
     """
     e = elementary_symmetric(spec.b2)
     vs = [0.0] * (spec.k - 1) + [eps_sq]  # indices 2-k .. 0 are zeros, then v_1
+    top = abs(eps_sq)
     for s in range(1, spec.n_cells + 1):
         acc = eps_sq * vs[-1]
         for ell in range(1, spec.k + 1):
             acc -= e[ell] * vs[-ell]
         vs.append(acc)
-        top = max(abs(v) for v in vs)
+        top = max(top, abs(acc))
         if top > 1e250:
             vs = [v / top for v in vs]
+            top = 1.0
     return np.array(vs[spec.k - 1:])  # v_1 .. v_{N+1}
 
 
@@ -130,157 +136,53 @@ def verify_boundary(spec: ChainSpec, eps: float, rel_tol: float = 1e-8) -> bool:
     return bool(np.max(np.abs(resid)) <= rel_tol * scale)
 
 
-def _boundary_eval(e: Sequence[float], n_cells: int, ws: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized v_{N+1}(w), its w-derivative, and the accumulated
-    rescaling log, for a vector of w values, via the chain recursion.
+def _chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows v_1..v_{N+1} of the chain recursion at each w in ``ws``, and
+    max_s |v_s| in the scale of the last row.
 
-    The monomial coefficients of the chain polynomial become
-    catastrophically ill-conditioned beyond a few dozen cells (the Horner
-    noise floor exceeds the value scale between adjacent roots), while the
-    forward recursion stays sign-exact, so root bisection works on this
-    evaluation instead.  Values are normalized by the running window
-    maximum, which makes them dimensionless but preserves signs and zeros.
+    Every k cells the last k rows are rescaled by a power of two, which
+    keeps them in float range and changes neither signs nor rounding.
     """
     k = len(e) - 1
-    ws = np.asarray(ws, dtype=float)
-    win = [np.zeros_like(ws) for _ in range(k - 1)] + [ws.copy()]
-    dwin = [np.zeros_like(ws) for _ in range(k - 1)] + [np.ones_like(ws)]
-    log_scale = np.zeros_like(ws)
-    for _ in range(n_cells):
-        nxt = ws * win[-1]
-        dnxt = win[-1] + ws * dwin[-1]
-        for ell in range(1, k + 1):
-            nxt = nxt - e[ell] * win[-ell]
-            dnxt = dnxt - e[ell] * dwin[-ell]
-        win.append(nxt)
-        win.pop(0)
-        dwin.append(dnxt)
-        dwin.pop(0)
-        scale = np.maximum.reduce([np.abs(w) for w in win])
-        scale = np.where(scale > 0, scale, 1.0)
-        with np.errstate(divide="ignore"):
-            log_scale = log_scale + np.log(scale)
-        win = [w / scale for w in win]
-        dwin = [w / scale for w in dwin]
-    return win[-1], dwin[-1], log_scale
-
-
-def _bisect_boundary(e, n, los, his, sls, derivative=False):
-    idx = 1 if derivative else 0
-    for _ in range(90):
-        mid = 0.5 * (los + his)
-        sm = np.sign(_boundary_eval(e, n, mid)[idx])
-        go_right = (sm == sls) | (sm == 0)
-        los = np.where(go_right, mid, los)
-        his = np.where(go_right, his, mid)
-        if np.all(his - los <= 1e-14 * np.maximum(np.abs(los), np.abs(his))):
-            break
-    return 0.5 * (los + his)
-
-
-def _sign_change_roots(e, n, grid, vals, derivative=False):
-    signs = np.sign(vals)
-    flip = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    if len(flip) == 0:
-        return []
-    roots = _bisect_boundary(e, n, grid[flip].copy(), grid[flip + 1].copy(),
-                             signs[flip].copy(), derivative)
-    exact = [float(g) for g, s in zip(grid, signs) if s == 0]
-    return sorted(roots.tolist() + exact)
-
-
-def _chain_w_roots(spec: ChainSpec) -> list[float]:
-    """All N roots of v_{N+1} in w = eps^2.
-
-    Simple roots come from sign changes on a geometric grid.  Pairs that
-    are degenerate to machine precision (dimerized chains split levels
-    exponentially in N) produce no sign change; they are recovered as
-    near-zeros of v at the bracketed roots of dv/dw, counted twice.
-    """
-    e = elementary_symmetric(spec.b2)
-    n = spec.n_cells
-    bound = sum(e)  # Gershgorin row sum of the recursion matrix
-    lo = bound * 1e-18
-    grid = np.unique(np.concatenate([
-        [lo * 1e-4],
-        np.geomspace(lo, bound, max(6 * n, 64)),
-        np.linspace(bound / (4 * n), bound, 4 * n),
-    ]))
-    vals = _boundary_eval(e, n, grid)[0]
-    signs = np.sign(vals)
-
-    def flips(s):
-        return int(np.sum(s[:-1] * s[1:] < 0))
-
-    last = flips(signs)
-    stale = 0
-    while last < n and len(grid) < 200_000 and stale < 2:
-        mids1 = grid[:-1] + (grid[1:] - grid[:-1]) / 3.0
-        mids2 = grid[:-1] + 2.0 * (grid[1:] - grid[:-1]) / 3.0
-        mids = np.concatenate([mids1, mids2])
-        ms = np.sign(_boundary_eval(e, n, mids)[0])
-        grid = np.concatenate([grid, mids])
-        signs = np.concatenate([signs, ms])
-        order = np.argsort(grid)
-        grid, signs = grid[order], signs[order]
-        now = flips(signs)
-        stale = stale + 1 if now == last else 0
-        last = now
-
-    vals, dvals, _ = _boundary_eval(e, n, grid)
-    roots = _sign_change_roots(e, n, grid, vals)
-    missing = n - len(roots)
-    if missing > 0:
-        candidates = []
-        for r in _sign_change_roots(e, n, grid, dvals, derivative=True):
-            if roots and min(abs(r - x) for x in roots) <= 1e-9 * max(abs(r), 1e-300):
-                continue
-            v_here = abs(_boundary_eval(e, n, np.array([r]))[0][0])
-            if v_here <= 1e-8:
-                candidates.append((v_here, r))
-        for v_here, r in sorted(candidates):
-            if missing <= 0:
-                break
-            # even multiplicity from the local log-slope: |v(r+d)| ~ C d^m,
-            # using the true magnitude log|v| = log|v_norm| + accumulated scale
-            delta = 1e-4 * max(abs(r), 1e-12)
-            vn, _, ls = _boundary_eval(e, n, np.array([r + delta, r + 2 * delta]))
-            if np.all(np.abs(vn) > 0):
-                logs = np.log(np.abs(vn)) + ls
-                m_est = (logs[1] - logs[0]) / math.log(2.0)
-                m = max(2, 2 * round(m_est / 2))
-            else:
-                m = 2
-            m = min(m, missing)
-            roots.extend([r] * m)
-            missing -= m
-    return sorted(roots)[: n]
+    coef = -np.array(e[:0:-1])  # -e_k .. -e_1, against rows s-k .. s-1
+    v = np.zeros((n_cells + k, len(ws)))
+    v[k - 1] = ws
+    top = np.abs(ws)
+    for s in range(k, n_cells + k):
+        v[s] = ws * v[s - 1] + coef @ v[s - k:s]
+        if (s + 1) % k == 0 or s == n_cells + k - 1:
+            window = v[s - k + 1:s + 1]
+            peak = np.max(np.abs(window), axis=0)
+            shift = -np.frexp(peak)[1]
+            window[:] = np.ldexp(window, shift)
+            with np.errstate(over="ignore"):  # a history far above the window
+                top = np.ldexp(np.maximum(top, peak), shift)
+    return v[k - 1:], top
 
 
 def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
-    """All N single-particle energies of the chain.
+    """All N single-particle energies of the chain, with multiplicities.
 
-    At desk scale this matches single_particle_energies applied to
-    chain_polynomial; the recursion-based evaluation keeps it accurate
-    for hundreds of cells.  The residual reported is the normalized
-    boundary value |v_{N+1}| / max_s |v_s| at the returned roots.
+    With P_s the polynomial of the first s cells, v_{s+1} = w^(s+1)
+    P_s(-1/w).  The last cell is a simplicial clique, so P_(s-1) and P_s
+    interlace, and the sign changes along v_1..v_{N+1} count the roots
+    w = eps^2 above w.  ``roots_by_count`` isolates the roots with that
+    count; levels that rounding cannot split, as in dimerized chains,
+    share one bracket and come back as one energy with multiplicity.
+    Each bracket gives one energy at its midpoint.  The residual is the
+    largest normalized boundary value |v_{N+1}| / max_s |v_s| at the
+    returned roots.
     """
-    ws = _chain_w_roots(spec)
-    if len(ws) < spec.n_cells:
-        raise ComplexRootError(len(ws), spec.n_cells)
-    merged: list[tuple[float, int]] = []
-    for w in ws:
-        if merged and abs(w - merged[-1][0]) < 1e-9 * abs(w):
-            merged[-1] = (merged[-1][0], merged[-1][1] + 1)
-        else:
-            merged.append((w, 1))
-    energies = tuple((math.sqrt(w), m) for w, m in merged)
-    resid = 0.0
-    for w, _ in merged:
-        v = boundary_vector(spec, w)
-        resid = max(resid, abs(v[-1]) / max(np.max(np.abs(v)), 1e-300))
-    return SingleParticleEnergies(energies, resid)
+    e = elementary_symmetric(spec.b2)
+    n = spec.n_cells
+    # Gershgorin: no eigenvalue of the recursion matrix exceeds its row sum
+    lo, hi, m = roots_by_count(lambda ws: sign_changes(_chain_values(e, n, ws)[0]), n, sum(e))
+    ws = 0.5 * (lo + hi)
+    v, top = _chain_values(e, n, ws)
+    residual = float(np.max(np.abs(v[-1]) / np.maximum(top, 1e-300)))
+    energies = tuple((math.sqrt(w), int(k)) for w, k in zip(ws, m))
+    return SingleParticleEnergies(energies, residual)
 
 
 def dispersion(spec: ChainSpec, momenta: Sequence[float] | None = None

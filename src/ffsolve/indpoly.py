@@ -7,33 +7,39 @@ coefficients are nonnegative.  For claw-free graphs all roots are real
 (and then negative, since the coefficients are positive), and the
 single-particle energies e_j are defined by P(-1/e_j^2) = 0.
 
-Root isolation works on the reversed polynomial in w = e^2, which is
-monic with the same information:
+Roots are isolated by counting.  ``roots_by_count`` bisects (0, hi] on a
+function that counts the roots above a point; for a real-rooted function
+that count is exact, so every bracket it returns holds a known number of
+roots, repeated roots included.  ``single_particle_energies`` counts with
+the Budan-Fourier sign changes of the reversed polynomial in w = e^2,
 
-    R(w) = w^alpha P(-1/w) = sum_m (-1)^(alpha-m) c_(alpha-m) w^m .
+    R(w) = w^alpha P(-1/w) = sum_m (-1)^(alpha-m) c_(alpha-m) w^m ,
 
-Roots of R are exactly the squared energies.  R is resolved with
-bracketed bisection guided by the derivative chain: the real roots of
-each derivative interlace those of the next polynomial up, so every
-root sits in an interval where the polynomial is monotone, and roots of
-even multiplicity (which produce no sign change, e.g. for disjoint
-unions of identical components) show up as zeros at derivative roots.
+and its derivatives; ``chains.chain_energies`` counts with the sign
+changes of the chain recursion.  Every root ``single_particle_energies``
+returns is checked against the rounding noise of R: one that the noise
+could move by more than ROOT_CERT_REL_TOL raises ComplexRootError
+instead, as do complex roots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import ComplexRootError
 from .graphs import WeightedGraph, bits
 
-ROOT_REL_TOL = 1e-12
-MULT_MERGE_REL_TOL = 1e-9
-_ZERO_DETECT_REL = 1e-10
+ROOT_REL_TOL = 1e-15
+# a root is returned only if the rounding bound moves it by at most this
+# much, relative; the bound is a worst case, and on chain polynomials of up
+# to 20 cells the roots it admits were within 1e-9 of 60-digit ones
+ROOT_CERT_REL_TOL = 1e-6
+_NOISE_ULPS = 4       # c in the rounding bound c (alpha + 1) eps sum_m |r_m| s^m
+_BISECT_STEPS = 200   # enough to reach adjacent floats from (0, 1]
 
 
 # -- independent sets ------------------------------------------------------
@@ -229,147 +235,47 @@ def verify_clique_recurrence(graph: WeightedGraph, clique: Iterable[int],
                for a, b in zip(lhs.coeffs, rhs))
 
 
-# -- real-rooted root isolation ---------------------------------------------
+# -- root isolation by counting ---------------------------------------------
 
-def _fujiwara_bound(monic_desc: np.ndarray) -> float:
-    deg = len(monic_desc) - 1
-    best = 0.0
-    for m in range(1, deg + 1):
-        c = abs(monic_desc[m])
-        if c:
-            best = max(best, c ** (1.0 / m))
-    return 2.0 * best + 1e-30
-
-
-def _polyval(coeffs_desc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.polyval(coeffs_desc, x)
+def sign_changes(values: np.ndarray) -> np.ndarray:
+    """Sign changes down each column of ``values``, zeros skipped."""
+    signs = np.sign(values)
+    rows = np.arange(len(signs))[:, None]
+    last = np.maximum.accumulate(np.where(signs != 0, rows, 0), axis=0)
+    filled = np.take_along_axis(signs, last, axis=0)
+    return np.count_nonzero(filled[1:] != filled[:-1], axis=0)
 
 
-def _bisect_many(coeffs_desc, lo, hi, flo_sign, iters=90):
-    """Vectorized bisection on intervals with a sign change."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    sl = np.array(flo_sign, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        sm = np.sign(_polyval(coeffs_desc, mid))
-        go_right = (sm == sl) | (sm == 0)
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-        if np.all((hi - lo) <= ROOT_REL_TOL * np.maximum(np.abs(lo), np.abs(hi))):
-            break
-    return 0.5 * (lo + hi)
+def roots_by_count(count: Callable[[np.ndarray], np.ndarray], n: int, hi: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets (lo, hi] holding the n roots in (0, hi] of a real-rooted function.
 
-
-def _level_roots(coeffs_desc: np.ndarray, droots: list[float], bound: float) -> list[float]:
-    """Roots of one polynomial given the roots of its derivative.
-
-    The polynomial is strictly monotone between consecutive derivative
-    roots, so a sign change there brackets exactly one root.  A root AT a
-    derivative root is a multiple root (multiplicity = derivative
-    multiplicity + 1); it is recognized by comparing the value against the
-    local Taylor scale |p(r +- h) - p(r)| at a spacing-sized h, since the
-    linear term vanishes there.  Monotonicity means a multiple root
-    excludes any further crossing in the two touching intervals.
+    ``count`` maps an array of points w to the number of roots above each;
+    it is taken to be n at 0 and 0 at hi without being called.  Brackets
+    are halved until they are at most ROOT_REL_TOL of their upper
+    end wide, keeping the halves that hold roots.  A midpoint whose count
+    falls outside the counts of its bracket's ends is rounding noise: that
+    bracket is then as tight as the evaluator allows and is kept as it is.
+    Returns ascending arrays lo, hi and m, the number of roots in each.
     """
-    deg = len(coeffs_desc) - 1
-    uniq: list[float] = []
-    mult: list[int] = []
-    for r in sorted(droots):
-        if uniq and abs(r - uniq[-1]) <= 1e-13 * max(abs(r), 1.0):
-            mult[-1] += 1
-        else:
-            uniq.append(r)
-            mult.append(1)
-    if not uniq:
-        return []
-
-    pts = [-bound] + uniq + [bound]
-    vals = _polyval(coeffs_desc, np.array(pts))
-    # outer endpoint signs come from the monic leading term (values there
-    # may overflow for high degree, their signs are still what matters)
-    signs = [math.copysign(1.0, v) if math.isfinite(v) and v != 0 else 0.0 for v in vals]
-    signs[0] = (-1.0) ** deg
-    signs[-1] = 1.0
-
-    # local spacing per derivative root, ignoring the artificial +-bound gaps
-    gaps = [uniq[i + 1] - uniq[i] for i in range(len(uniq) - 1)]
-    fallback = max(max(abs(r) for r in uniq), 1.0)
-    spacing = []
-    for i in range(len(uniq)):
-        near = [g for g in (gaps[i - 1] if i > 0 else None,
-                            gaps[i] if i < len(gaps) else None) if g]
-        spacing.append(0.5 * min(near) if near else fallback)
-
-    uniq_arr = np.array(uniq)
-    h_arr = np.array(spacing)
-    side_vals = _polyval(coeffs_desc, np.concatenate([uniq_arr - h_arr, uniq_arr + h_arr]))
-    zero_flags: list[tuple[int, float]] = []  # (index into pts, |p(r)|)
-    for i in range(1, len(pts) - 1):
-        ref = max(abs(side_vals[i - 1] - vals[i]),
-                  abs(side_vals[len(uniq) + i - 1] - vals[i]))
-        if not math.isfinite(ref):
-            continue
-        if abs(vals[i]) <= _ZERO_DETECT_REL * max(ref, 1e-300):
-            zero_flags.append((i, abs(vals[i])))
-            signs[i] = 0.0
-
-    los, his, sls = [], [], []
-    for i in range(len(pts) - 1):
-        sa, sb = signs[i], signs[i + 1]
-        if sa != 0 and sb != 0 and sa != sb:
-            los.append(pts[i])
-            his.append(pts[i + 1])
-            sls.append(sa)
-
-    roots: list[float] = []
-    budget = deg - len(los)
-    for i, _ in sorted(zero_flags, key=lambda t: t[1]):
-        copies = min(mult[i - 1] + 1, budget)
-        roots.extend([pts[i]] * copies)
-        budget -= copies
-    if los:
-        roots.extend(_bisect_many(coeffs_desc, los, his, sls).tolist())
-    return sorted(roots)[:deg]
-
-
-def real_roots_of_real_rooted(coeffs_ascending) -> list[float]:
-    """All real roots (with multiplicity) of a polynomial expected to be
-    real-rooted, by bisection along the derivative interlacing chain.
-
-    If the polynomial is in fact not real-rooted, fewer roots than the
-    degree are returned; the caller decides whether that is an error.
-    """
-    c = np.array(coeffs_ascending, dtype=float)[::-1]
-    c = np.trim_zeros(c, "f")
-    if len(c) <= 1:
-        return []
-    c = c / c[0]
-    chain = [c]
-    while len(chain[-1]) > 2:
-        der = np.polyder(chain[-1])
-        chain.append(der / der[0])
-    chain.reverse()
-    roots = [-chain[0][1]]
-    for poly in chain[1:]:
-        roots = _level_roots(poly, roots, _fujiwara_bound(poly))
-
-    # Newton polish against the full polynomial, clamped to stay local
-    dc = np.polyder(c)
-    polished = []
-    for r in roots:
-        x = r
-        for _ in range(3):
-            d = np.polyval(dc, x)
-            if d == 0 or not math.isfinite(d):
-                break
-            step = np.polyval(c, x) / d
-            if not math.isfinite(step) or abs(step) > 0.1 * max(abs(x), 1e-12):
-                break
-            x -= step
-        polished.append(x)
-    return sorted(polished)
+    lo, up = np.zeros(1), np.full(1, float(hi))
+    c_lo, c_up = np.full(1, n), np.zeros(1, dtype=int)
+    done = []
+    while len(lo):
+        mid = 0.5 * (lo + up)
+        wide = up - lo > ROOT_REL_TOL * up
+        c_mid = np.full(len(lo), -1)
+        c_mid[wide] = count(mid[wide])
+        split = wide & (c_mid <= c_lo) & (c_mid >= c_up)
+        done.append((lo[~split], up[~split], (c_lo - c_up)[~split]))
+        lo, mid, up, c_lo, c_mid, c_up = (x[split] for x in (lo, mid, up, c_lo, c_mid, c_up))
+        left, right = c_lo > c_mid, c_mid > c_up
+        lo, up = np.concatenate([lo[left], mid[right]]), np.concatenate([mid[left], up[right]])
+        c_lo, c_up = (np.concatenate([c_lo[left], c_mid[right]]),
+                      np.concatenate([c_mid[left], c_up[right]]))
+    lo, up, m = (np.concatenate(parts) for parts in zip(*done))
+    order = np.argsort(lo)
+    return lo[order], up[order], m[order]
 
 
 # -- single-particle energies ------------------------------------------------
@@ -390,32 +296,75 @@ class SingleParticleEnergies:
 
 
 def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEnergies:
-    """Energies e_j > 0 with P(-1/e_j^2) = 0, multiplicity-merged.
+    """Energies e_j > 0 with P(-1/e_j^2) = 0, with multiplicities.
 
-    Raises ComplexRootError when fewer than alpha real roots are isolated,
-    which for a claw-free graph signals a conditioning failure and
-    otherwise means the polynomial has complex roots.
+    The roots w = e^2 of R(w) = w^alpha P(-1/w) are positive and sum to
+    c_1.  They are sought in s = w / 2^p, with 2^p the power of two above
+    c_1, so that the rescaling is exact and the roots lie in (0, 1).  Row
+    j of ``taylor`` holds the coefficients of R^(j)(s) / j!, and the sign
+    changes down the rows count the roots above s (Budan-Fourier, exact
+    for real-rooted R).  Neighbouring brackets between which |R| is within
+    its rounding noise, c (alpha + 1) eps sum_m |r_m| s^m, form a cluster;
+    a cluster of m roots is placed at the simple root of R^(m-1) inside it.
+    The residual is the largest |R(s)| / sum_m |r_m| s^m at the roots.
+
+    Raises ComplexRootError unless, at every cluster, R, ..., R^(m-2)
+    vanish within noise, R^(m-1) changes sign or vanishes within noise, and
+    the noise moves that root by at most ROOT_CERT_REL_TOL.  Otherwise the
+    roots are complex, or rounding hides where they are.
     """
     alpha = poly.alpha
     if alpha < 1:
         raise ValueError("polynomial must have degree >= 1")
-    # reversed polynomial in w = e^2: coefficient of w^m is (-1)^(alpha-m) c_(alpha-m)
-    rev = [(-1.0) ** (alpha - m) * poly.coeffs[alpha - m] for m in range(alpha + 1)]
-    roots = [w for w in real_roots_of_real_rooted(rev) if w > 0]
-    if len(roots) < alpha:
-        raise ComplexRootError(len(roots), alpha)
-    roots = sorted(roots)[:alpha]
+    unit = math.ldexp(1.0, math.frexp(poly.coeffs[1])[1])
+    degree = np.arange(alpha + 1)
+    # R(unit s) / unit^alpha, where s^m has the coefficient
+    # (-1)^(alpha-m) c_(alpha-m) / unit^(alpha-m)
+    r = (np.array(poly.coeffs) * (-1.0 / unit) ** degree)[::-1]
+    taylor = np.array([[math.comb(j + d, j) * r[j + d] if j + d <= alpha else 0.0
+                        for d in degree] for j in degree])
+    rounding = _NOISE_ULPS * (alpha + 1) * np.finfo(float).eps
 
-    merged: list[tuple[float, int]] = []
-    for w in roots:
-        if merged and abs(w - merged[-1][0]) < MULT_MERGE_REL_TOL * abs(w):
-            prev, m = merged[-1]
-            merged[-1] = (prev, m + 1)
-        else:
-            merged.append((w, 1))
-    energies = tuple((math.sqrt(w), m) for w, m in merged)
-    residual = max(abs(poly(-1.0 / (e * e))) for e, _ in energies)
-    return SingleParticleEnergies(energies, residual)
+    def powers(s):
+        return s ** degree[:, None]
+
+    lo, hi, m = roots_by_count(lambda s: sign_changes(taylor @ powers(s)), alpha,
+                               poly.coeffs[1] / unit)
+    gap = 0.5 * (hi[:-1] + lo[1:])
+    joined = np.abs(taylor[0] @ powers(gap)) <= rounding * (np.abs(r) @ powers(gap))
+    starts = np.flatnonzero(np.r_[True, ~joined])
+    a, b, mult = lo[starts], hi[np.r_[starts[1:], len(lo)] - 1], np.add.reduceat(m, starts)
+
+    # bisect each cluster on R^(m-1) down to neighbouring floats
+    cols = np.arange(len(mult))
+
+    def lead(s):
+        return (taylor @ powers(s))[mult - 1, cols]
+
+    fa, fb = lead(a), lead(b)
+    bracketed = fa * fb <= 0
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (a + b)
+        if np.all((mid <= a) | (mid >= b)):
+            break
+        fm = lead(mid)
+        right = np.sign(fm) == np.sign(fa)
+        a, fa = np.where(right, mid, a), np.where(right, fm, fa)
+        b, fb = np.where(right, b, mid), np.where(right, fb, fm)
+    s = np.where(np.abs(fa) < np.abs(fb), a, b)
+
+    t, scale = taylor @ powers(s), np.abs(taylor) @ powers(s)
+    small = np.abs(t) <= rounding * scale
+    vanish = np.all(small | (degree[:, None] >= mult - 1), axis=0)
+    located = bracketed | small[mult - 1, cols]
+    # noise over slope, where the slope of R^(m-1)(s) / (m-1)! is m R^(m)(s) / m!
+    pinned = (rounding * scale[mult - 1, cols]
+              <= ROOT_CERT_REL_TOL * s * mult * np.abs(t[mult, cols]))
+    certified = vanish & located & pinned
+    if not certified.all():
+        raise ComplexRootError(int(mult[certified].sum()), alpha)
+    energies = tuple((math.sqrt(unit * x), int(k)) for x, k in zip(s, mult))
+    return SingleParticleEnergies(energies, float(np.max(np.abs(t[0]) / scale[0])))
 
 
 def free_spectrum(energies: SingleParticleEnergies, n: int,

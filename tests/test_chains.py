@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,8 +98,9 @@ def test_recursion_matrix_eigenvalues_are_squared_energies():
 
 def test_boundary_conditions_at_roots():
     spec = ChainSpec(5, 3, (0.9, 1.1, 0.5))
-    for e, _ in chain_energies(spec).energies:
-        assert verify_boundary(spec, e)
+    for chain in (spec, ChainSpec(240, 4, (0.8, 1.2, 0.5, 1.0))):
+        for e, _ in chain_energies(chain).energies:
+            assert verify_boundary(chain, e)
     # a non-root fails
     assert not verify_boundary(spec, 123.456)
 
@@ -111,6 +113,68 @@ def test_boundary_vector_n1_case():
     assert abs(v[-1]) < 1e-12
     assert verify_boundary(spec, math.sqrt(e1))
     assert not verify_boundary(spec, math.sqrt(e1) + 0.1)
+
+
+def exact_root_count(spec: ChainSpec, w: float) -> int:
+    """Number of squared energies >= w, in exact integer arithmetic.
+
+    With G_i the chain graph on its first i vertices, vertex i is
+    simplicial in G_i, so P(G_(i-1)) interlaces P(G_i) and the sign changes
+    along P(G_0)(x), ..., P(G_n)(x) at x = -1/w count the roots of P(G_n)
+    in [x, 0).  With a_j / d = b2_j / w over a common denominator d, the
+    integers Q_i = d^ceil(i/k) P(G_i)(x) obey
+    Q_i = d^[i = 1 mod k] Q_(i-1) - a_((i-1) mod k) Q_(i-k).
+    """
+    k = spec.k
+    ratios = [Fraction(b) / Fraction(w) for b in spec.b2]
+    d = math.lcm(*(r.denominator for r in ratios))
+    a = [int(r * d) for r in ratios]
+    window = [1] * k  # Q_(i-k) .. Q_(i-1); G_j is empty for j <= 0
+    changes, sign = 0, 1
+    for i in range(spec.n_cells * k):
+        q = window[-1] * (d if i % k == 0 else 1) - a[i % k] * window[0]
+        window = window[1:] + [q]
+        if q:
+            changes += (q > 0) != (sign > 0)
+            sign = q
+    return changes
+
+
+def certify_by_count(spec: ChainSpec, energies, rel: float = 1e-9) -> None:
+    """Each group of energies, widened by ``rel``, holds exactly as many
+    roots as it has members."""
+    groups = []
+    for e in sorted(energies.flat()):
+        if groups and e * (1 - rel) <= groups[-1][1] * (1 + rel):
+            groups[-1][1:] = [e, groups[-1][2] + 1]
+        else:
+            groups.append([e, e, 1])
+    assert sum(size for _, _, size in groups) == spec.n_cells
+    for lo, hi, size in groups:
+        inside = (exact_root_count(spec, (lo * (1 - rel)) ** 2)
+                  - exact_root_count(spec, (hi * (1 + rel)) ** 2))
+        assert inside == size, (lo, hi, size, inside)
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(40, 3, (0.62, 1.31, 0.45)),
+    ChainSpec(100, 4, (0.98, 1.01, 0.29, 0.22)),
+    ChainSpec(240, 4, (1.29, 0.54, 0.50, 1.49)),
+    ChainSpec(120, 2, (0.9999, 0.0001)),           # dimerized
+    ChainSpec(200, 3, (0.4995, 0.4995, 0.001)),
+    ChainSpec(50, 3, (0.0, 0.0, 1.0)),             # decoupled cliques
+])
+def test_chain_energies_certified_by_exact_count(spec):
+    certify_by_count(spec, chain_energies(spec))
+
+
+def test_exact_root_count_is_a_count():
+    spec = ChainSpec(6, 3, (0.9, 1.1, 0.5))
+    ws = sorted(np.linalg.eigvals(recursion_matrix(spec).matrix).real)
+    assert exact_root_count(spec, ws[0] / 2) == 6
+    assert exact_root_count(spec, ws[-1] * 2) == 0
+    for j in range(5):
+        assert exact_root_count(spec, math.sqrt(ws[j] * ws[j + 1])) == 5 - j
 
 
 def test_chain_energies_match_generic_path():
@@ -164,10 +228,11 @@ def test_k2_equal_couplings_gapless():
 
 
 def test_single_nonzero_coupling_gapped():
-    # decoupled cliques: every energy equals |b|
-    spec = ChainSpec(6, 3, (0.0, 0.0, 2.25))
-    en = chain_energies(spec)
-    assert all(abs(e - 1.5) < 1e-9 for e in en.flat())
+    # decoupled cliques: every energy equals |b|, one level of multiplicity N
+    for n_cells, b2, level in ((6, (0.0, 0.0, 2.25), 1.5), (50, (0.0, 0.0, 1.0), 1.0)):
+        en = chain_energies(ChainSpec(n_cells, 3, b2))
+        assert all(abs(e - level) < 1e-9 for e in en.flat())
+        assert len(en.energies) == 1 and en.energies[0][1] == n_cells
     pt = gap_scan(3, [(0.0, 0.0, 2.25)], 10, 20)[0]
     assert not pt.gapless
 

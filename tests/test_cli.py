@@ -55,6 +55,15 @@ def test_solve_single_edge_345(tmp_path, capsys):
     assert abs(doc["result"]["energies"][0][0] - 5.0) < 1e-12
 
 
+def test_solve_root_residual_is_scaled(capsys):
+    """root_residual is |R(w)| / sum_m |r_m| w^m, so it reads near machine
+    precision on a right answer, whatever the size of the coefficients."""
+    for argv in (("--model", "chain", "--N", "10", "--k", "3"), ("--model", "h6")):
+        code, doc = run_json(capsys, "solve", *argv)
+        assert code == 0
+        assert 0.0 <= doc["result"]["root_residual"] <= 1e-12, argv
+
+
 def test_solve_refuses_back_to_back(capsys):
     code, doc = run_json(capsys, "solve", "--model", "back_to_back",
                          "--couplings", "1,0.9,1.1,0.8,1.2,1.05")

@@ -4,9 +4,11 @@ import itertools
 import math
 import random
 
+import mpmath
 import pytest
 
 from conftest import cycle_graph, naive_has_claw, naive_independence_polynomial, random_graph
+from ffsolve.chains import ChainSpec, chain_polynomial
 from ffsolve.errors import ComplexRootError
 from ffsolve.graphs import WeightedGraph, bits, frustration_graph, maximal_cliques
 from ffsolve.indpoly import (
@@ -191,13 +193,47 @@ def test_repeated_root_multiplicity():
     assert poly.coeffs == (1.0, 2.0, 1.0)
     en = single_particle_energies(poly)
     assert en.energies == ((1.0, 2),)
-    # three disjoint: multiplicity 3
-    g3 = WeightedGraph(3, weights=[1.0, 1.0, 1.0])
-    en3 = single_particle_energies(weighted_independence_polynomial(g3))
-    assert en3.energies[0][1] == 3
+    # three, four and six disjoint: multiplicity 3, 4 and 6
+    for copies in (3, 4, 6):
+        disjoint = WeightedGraph(copies, weights=[1.0] * copies)
+        en_copies = single_particle_energies(weighted_independence_polynomial(disjoint))
+        assert en_copies.energies[0][1] == copies
     # mixed: (1+x)^2 (1+4x), roots x = -1 (double) and -1/4, so eps = 1, 1, 2
     en_mixed = single_particle_energies(IndependencePolynomial((1.0, 6.0, 9.0, 4.0)))
     assert [(round(e, 9), m) for e, m in en_mixed.energies] == [(1.0, 2), (2.0, 1)]
+
+
+def _exact_chain_energies(n_cells, b2):
+    """Energies of the chain by 80-digit mpmath: the polynomial vertex by
+    vertex, P(G_i) = P(G_(i-1)) + x w_i P(G_(i-k)), then polyroots."""
+    k = len(b2)
+    with mpmath.workdps(80):
+        polys = [[mpmath.mpf(1)]] * k  # P of G_(1-k) .. G_0, all empty graphs
+        for i in range(n_cells * k):
+            a, b = polys[-1], polys[-k]
+            new = list(a) + [mpmath.mpf(0)] * (len(b) + 1 - len(a))
+            for j, c in enumerate(b):
+                new[j + 1] += mpmath.mpf(b2[i % k]) * c
+            polys = polys[1:] + [new]
+        roots = mpmath.polyroots(polys[-1][::-1], maxsteps=400, extraprec=400)
+        return sorted(float(1 / mpmath.sqrt(-mpmath.re(x))) for x in roots)
+
+
+@pytest.mark.parametrize("n_cells,b2", [(10, (1.0, 0.49, 1.69)), (20, (1.0, 0.49, 1.69)),
+                                        (22, (1.0, 0.49, 1.69)), (40, (1.0, 0.49, 1.69)),
+                                        (17, (0.3, 0.9, 0.5))])
+def test_generic_path_is_right_or_refuses(n_cells, b2):
+    """Chain polynomials lose their roots to rounding as alpha grows: each
+    alpha either matches the exact energies to 1e-8 or raises."""
+    poly = chain_polynomial(ChainSpec(n_cells, len(b2), b2))
+    try:
+        got = single_particle_energies(poly).flat()
+    except ComplexRootError:
+        assert n_cells != 10  # well conditioned: must be solved
+        return
+    want = _exact_chain_energies(n_cells, b2)
+    assert len(got) == len(want)
+    assert max(abs(a - b) / b for a, b in zip(got, want)) <= 1e-8
 
 
 def test_claw_free_real_rootedness():
