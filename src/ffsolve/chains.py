@@ -97,6 +97,16 @@ class RecursionMatrix:
                     m[s, sp] = el
         return m
 
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """matrix @ v from the k+1 diagonals, O(size k)."""
+        out = np.zeros(self.size)
+        for ell, el in enumerate(self.entries):
+            shift = ell - 1  # diagonal ell holds m[s, s - shift]
+            lo, hi = max(0, shift), min(self.size, self.size + shift)
+            if lo < hi:
+                out[lo:hi] += el * v[lo - shift:hi - shift]
+        return out
+
 
 def recursion_matrix(spec: ChainSpec) -> RecursionMatrix:
     return RecursionMatrix(spec.n_cells, elementary_symmetric(spec.b2))
@@ -131,13 +141,13 @@ def verify_boundary(spec: ChainSpec, eps: float, rel_tol: float = 1e-8) -> bool:
     if abs(v[-1]) > rel_tol * scale:
         return False
     interior = v[:-1]
-    resid = recursion_matrix(spec).matrix @ interior - (eps * eps) * interior
+    resid = recursion_matrix(spec).matvec(interior) - (eps * eps) * interior
     # row N of the matrix product assumes v_{N+1} = 0, which we just checked
     return bool(np.max(np.abs(resid)) <= rel_tol * scale)
 
 
-def _chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows v_1..v_{N+1} of the chain recursion at each w in ``ws``, and
     max_s |v_s| in the scale of the last row.
 
@@ -177,9 +187,9 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     e = elementary_symmetric(spec.b2)
     n = spec.n_cells
     # Gershgorin: no eigenvalue of the recursion matrix exceeds its row sum
-    lo, hi, m = roots_by_count(lambda ws: sign_changes(_chain_values(e, n, ws)[0]), n, sum(e))
+    lo, hi, m = roots_by_count(lambda ws: sign_changes(chain_values(e, n, ws)[0]), n, sum(e))
     ws = 0.5 * (lo + hi)
-    v, top = _chain_values(e, n, ws)
+    v, top = chain_values(e, n, ws)
     residual = float(np.max(np.abs(v[-1]) / np.maximum(top, 1e-300)))
     energies = tuple((math.sqrt(w), int(k)) for w, k in zip(ws, m))
     return SingleParticleEnergies(energies, residual)

@@ -17,6 +17,35 @@ both bits are set.  The fixed multiplication convention is XZ = -iY
 complex coefficients, with phases folded into the coefficients.  All
 values are immutable after construction and every operation is pure.
 
+Products
+--------
+Every product of sums runs through one numpy kernel.  A sum is packed
+once, on first use, into uint64 word arrays with one column per term:
+x and z in ceil(n/64) words each, and the sort key x | z << n in
+ceil(2n/64) words (so up to 32 qubits sort on one word); every word
+count has at least one word, and any n is supported.  Coefficients are
+stored for X^x Z^z, that is c i^|x & z|, because
+
+    X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1 ^ x2) Z^(z1 ^ z2) ,
+
+so a pair needs one XOR per key word and the parity of one popcount
+(``np.bitwise_count``); the factor i^-|x3 & z3| back to sigma(x3, z3)
+is applied once per distinct output string.  Together these give the
+phase (|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|) mod 4 of ``multiply``.
+Commutators and anticommutators keep only the pairs whose symplectic
+product |x1&z2| + |z1&x2| is odd or even.
+
+Pairs are formed in blocks of about 2^16 (rows of ``a`` against all of
+``b``, or slices of ``b`` when it alone is longer), so memory stays flat
+whatever the sizes; the pair count is checked against ``TERM_CAP``
+before anything is allocated.  Each block is reduced by one sort on the
+key, and the running sums enter the next block's reduction as entries
+of their own.  The reduction is on (string, grade): ``graded_mul``
+multiplies lists of parts a_j and b_k and sums each pair into grade
+j + k, which gives every coefficient M_m = sum_{j+k=m} a_j b_k of a
+product of two polynomials in one pass; a plain product is the case of
+one part on each side.
+
 Basis-state convention for the dense backend: qubit q corresponds to bit
 q of the computational-basis index (little-endian), so Z on qubit 0 of a
 one-qubit system is diag(1, -1).
@@ -25,7 +54,8 @@ one-qubit system is diag(1, -1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from itertools import compress
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +64,7 @@ from .errors import DenseCapError, TermBudgetError
 PRUNE_TOL = 1e-14
 TERM_CAP = 10**7
 DENSE_QUBIT_CAP = 13
+_CHUNK_PAIRS = 1 << 16
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _AXIS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -137,7 +168,7 @@ class OperatorSum:
     dropped at construction.  Instances are treated as immutable.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_packed")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, int], complex] | None = None,
                  prune_tol: float = PRUNE_TOL):
@@ -148,6 +179,30 @@ class OperatorSum:
                 if abs(c) > prune_tol:
                     clean[key] = complex(c)
         self.terms = clean
+        self._packed: _Packed | None = None
+
+    @classmethod
+    def _of_clean(cls, n: int, terms: dict[tuple[int, int], complex]) -> "OperatorSum":
+        """Wrap a dict of complex coefficients that are already pruned."""
+        out = cls.__new__(cls)
+        out.n, out.terms, out._packed = n, terms, None
+        return out
+
+    def _pack(self) -> "_Packed":
+        """The terms as word arrays, built on first use and kept: the sum
+        does not change."""
+        if self._packed is None:
+            strings = list(self.terms)
+            t, n = len(strings), self.n
+            xs = [x for x, _ in strings]
+            zs = [z for _, z in strings]
+            words = _words([x | z << n for x, z in strings] + xs + zs, 2 * n)
+            w = _word_count(n)
+            self._packed = _Packed(
+                words[:, :t], words[:w, t:2 * t], words[:w, 2 * t:],
+                np.array([c * _PHASES[(x & z).bit_count() & 3]
+                          for (x, z), c in self.terms.items()], dtype=complex))
+        return self._packed
 
     # -- constructors -------------------------------------------------
 
@@ -231,29 +286,184 @@ class OperatorSum:
         return OperatorSum(self.n, {k: c.conjugate() for k, c in self.terms.items()})
 
 
+class _Packed(NamedTuple):
+    """The terms of a sum as uint64 word arrays, one column per term.
+
+    ``key`` holds the 2n bits of x | z << n, the key the reduction sorts on;
+    ``x`` and ``z`` hold x and z, which the sign and the parity read.
+    ``coef`` is the coefficient of X^x Z^z, that is c i^|x & z|.
+    """
+
+    key: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    coef: np.ndarray
+
+
+def _word_count(bits: int) -> int:
+    return max(1, -(-bits // 64))
+
+
+def _words(values: list[int], bits: int) -> np.ndarray:
+    """Ints below 2^bits as an array of shape (words, len(values)), word w
+    holding bits 64w..64w+63."""
+    count = _word_count(bits)
+    data = b"".join(v.to_bytes(8 * count, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, count).T.copy()
+
+
+def _odd_overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Parity of |u_i & v_j| for every pair of columns, as a bool matrix."""
+    acc = np.bitwise_and.outer(u[0], v[0])
+    for uw, vw in zip(u[1:], v[1:]):
+        acc ^= np.bitwise_and.outer(uw, vw)
+    return (np.bitwise_count(acc) & 1).view(bool)
+
+
+def _order(*rows: np.ndarray) -> np.ndarray:
+    """Permutation that sorts entries by rows[0], then rows[1], and so on.
+
+    Least significant row first; only the passes after the first need to
+    be stable, so one row is one plain argsort.
+    """
+    order = np.argsort(rows[-1])
+    for row in rows[-2::-1]:
+        order = order[np.argsort(row[order], kind="stable")]
+    return order
+
+
+def _starts(*rows: np.ndarray) -> np.ndarray:
+    """Mask of the sorted entries where some row differs from the entry before."""
+    start = np.zeros(len(rows[0]), dtype=bool)
+    start[:1] = True
+    for row in rows:
+        start[1:] |= row[1:] != row[:-1]
+    return start
+
+
+def _reduce(key: np.ndarray, grade: np.ndarray,
+            coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the coefficients of entries with equal (key, grade)."""
+    order = _order(grade, *key)  # a uint16 grade sorts by radix, stably
+    key, grade = key[:, order], grade[order]
+    first = np.flatnonzero(_starts(grade, *key))
+    return key[:, first], grade[first], np.add.reduceat(coef[order], first)
+
+
+def _stack(parts: Sequence[OperatorSum]) -> tuple[_Packed, np.ndarray]:
+    """The terms of all parts as one packed set, and each term's grade: the
+    index of its part."""
+    grade = np.repeat(np.arange(len(parts), dtype=np.uint16), [len(p) for p in parts])
+    if len(parts) == 1:  # nothing to join
+        return parts[0]._pack(), grade
+    packed = _Packed(*(np.concatenate(arrays, axis=-1)
+                       for arrays in zip(*(p._pack() for p in parts))))
+    return packed, grade
+
+
+def _kernel(a_parts: Sequence[OperatorSum], b_parts: Sequence[OperatorSum],
+            parity: int | None, term_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Key columns, grades and X^x Z^z coefficients of the products a_j b_k
+    summed on (string, j + k): over every pair when ``parity`` is None, else
+    over the pairs whose symplectic product has that parity (1:
+    anticommuting, 0: commuting)."""
+    a, a_grade = _stack(a_parts)
+    b, b_grade = _stack(b_parts)
+    na, nb = len(a.coef), len(b.coef)
+    if na * nb > term_cap:
+        raise TermBudgetError(f"product of {na} x {nb} term pairs exceeds cap {term_cap}")
+    sums = (np.zeros((len(a.key), 0), dtype=np.uint64),  # the product of no pairs
+            np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=complex))
+    cols = min(max(nb, 1), _CHUNK_PAIRS)
+    rows = _CHUNK_PAIRS // cols
+    for i in range(0, na, rows):
+        ia = slice(i, i + rows)
+        for j in range(0, nb, cols):
+            jb = slice(j, j + cols)
+            # X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2)
+            odd = _odd_overlap(a.z[:, ia], b.x[:, jb])
+            pair_coef = np.multiply.outer(a.coef[ia], b.coef[jb])
+            np.negative(pair_coef, out=pair_coef, where=odd)
+            pair_grade = np.add.outer(a_grade[ia], b_grade[jb])
+            pair_key = (a.key[:, ia, None] ^ b.key[:, None, jb]).reshape(len(a.key), -1)
+            if parity is None:
+                pairs = (pair_key, pair_grade.ravel(), pair_coef.ravel())
+            else:
+                keep = (odd ^ _odd_overlap(a.x[:, ia], b.z[:, jb])) == bool(parity)
+                pairs = (pair_key[:, keep.ravel()], pair_grade[keep], pair_coef[keep])
+            if i or j:  # the running sums join the reduction as entries of their own
+                pairs = [np.concatenate(arrays, axis=-1) for arrays in zip(sums, pairs)]
+            sums = _reduce(*pairs)
+    return sums
+
+
+def _strings(n: int, key: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """(x, z) of each key column, and the factor i^-|x & z| that turns a
+    coefficient of X^x Z^z into one of sigma(x, z)."""
+    values = key[0].tolist()
+    for w, col in enumerate(key[1:], 1):
+        values = [v | c << (64 * w) for v, c in zip(values, col.tolist())]
+    mask = (1 << n) - 1
+    strings = [(v & mask, v >> n) for v in values]
+    phase = np.array([_PHASES[-(x & z).bit_count() & 3] for x, z in strings], dtype=complex)
+    return strings, phase
+
+
 def _product(a: OperatorSum, b: OperatorSum, parity: int | None, factor: float,
              term_cap: int, prune_tol: float) -> OperatorSum:
     """factor * sum of the string products a_i b_j, over every pair when
-    ``parity`` is None, else over the pairs whose symplectic product has
-    that parity (1: anticommuting, 0: commuting)."""
+    ``parity`` is None, else over the pairs with that symplectic parity."""
     a._check(b)
-    if len(a.terms) * len(b.terms) > term_cap:
-        raise TermBudgetError(
-            f"product of {len(a.terms)} x {len(b.terms)} term pairs exceeds cap {term_cap}"
-        )
-    acc: dict[tuple[int, int], complex] = {}
-    for (x1, z1), c1 in a.terms.items():
-        fc1 = factor * c1  # same order as factor * c1 * c2 * phase
-        for (x2, z2), c2 in b.terms.items():
-            if parity is not None and (
-                    ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1) != parity:
-                continue
-            key = (x1 ^ x2, z1 ^ z2)
-            c = fc1 * c2 * _PHASES[_product_phase_pow(x1, z1, x2, z2)]
-            acc[key] = acc.get(key, 0.0) + c
-            if len(acc) > term_cap:
-                raise TermBudgetError(f"accumulated term count exceeds cap {term_cap}")
-    return OperatorSum(a.n, acc, prune_tol=prune_tol)
+    key, _, coef = _kernel([a], [b], parity, term_cap)
+    coef = factor * coef
+    keep = np.abs(coef) > prune_tol
+    strings, phase = _strings(a.n, key[:, keep])
+    return OperatorSum._of_clean(a.n, dict(zip(strings, (coef[keep] * phase).tolist())))
+
+
+class GradedSum(NamedTuple):
+    """sum_m u^m M_m over one list of Pauli strings; column m of ``matrix``
+    holds the coefficients of M_m."""
+
+    n: int
+    strings: list[tuple[int, int]]
+    matrix: np.ndarray
+
+    def evaluate(self, u: float) -> OperatorSum:
+        """sum_m u^m M_m, pruned."""
+        coef = self.matrix @ u ** np.arange(self.matrix.shape[1])
+        keep = np.abs(coef) > PRUNE_TOL
+        return OperatorSum._of_clean(
+            self.n, dict(zip(compress(self.strings, keep), coef[keep].tolist())))
+
+
+def graded_mul(a_parts: Sequence[OperatorSum],
+               b_parts: Sequence[OperatorSum]) -> GradedSum:
+    """M_m = sum_{j+k=m} a_j b_k for every m, from one pass over the term pairs.
+
+    For a(u) = sum_j u^j a_j and b(u) = sum_k u^k b_k, ``evaluate(u)`` is
+    the product a(u) b(u) at any u.  Strings that cancel in every M_m are
+    summed away once, before any u is chosen; each M_m is pruned at
+    ``PRUNE_TOL`` like any product.
+    """
+    if not a_parts or not b_parts:
+        raise ValueError("graded product needs at least one part on each side")
+    if len(a_parts) + len(b_parts) > 1 << 16:  # grades are uint16
+        raise ValueError(f"graded product of {len(a_parts)} x {len(b_parts)} parts")
+    n = a_parts[0].n
+    for p in (*a_parts, *b_parts):
+        a_parts[0]._check(p)
+    key, grade, coef = _kernel(a_parts, b_parts, None, TERM_CAP)
+    keep = np.abs(coef) > PRUNE_TOL
+    key, grade, coef = key[:, keep], grade[keep], coef[keep]
+    order = _order(*key)
+    key, grade, coef = key[:, order], grade[order], coef[order]
+    start = _starts(*key)
+    row = np.cumsum(start) - 1
+    strings, phase = _strings(n, key[:, start])
+    matrix = np.zeros((len(strings), len(a_parts) + len(b_parts) - 1), dtype=complex)
+    matrix[row, grade] = coef * phase[row]
+    return GradedSum(n, strings, matrix)
 
 
 def opsum_mul(a: OperatorSum, b: OperatorSum,

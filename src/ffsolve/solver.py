@@ -8,6 +8,15 @@ the ladder relations read [H, psi_j] = +2 e_j psi_j and
 reconstructed as sum_j e_j [psi_j, psi_j^dagger].  The three statements
 are a package: flipping which member of the pair is called psi_j flips
 the first two and negates the third.
+
+The modes are read from one polynomial in u.  With T(u) = sum_k (-u)^k Q_k,
+
+    psi(u) = T(-u) chi T(u) = sum_{j,k} u^(j+k) Q_j chi (-1)^k Q_k
+           = sum_m u^m M_m ,
+
+and ``paulis.graded_mul`` builds every M_m from one pass over the term
+pairs (Q_j chi, (-1)^k Q_k).  The strings that cancel in psi(u) for
+every u cancel in the M_m, once; each mode is then psi(u_j) / N_j.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .models import Hamiltonian
 from .paulis import (
     OperatorSum,
     PauliTerm,
+    graded_mul,
     multiply,
     opsum_anticomm,
     opsum_comm,
@@ -248,25 +258,25 @@ class IncognitoMode:
 class _ModeContext:
     """Shared data for building all modes of one extended Hamiltonian."""
 
-    def __init__(self, hext: Hamiltonian, chi: PauliTerm,
-                 energies: SingleParticleEnergies):
-        self.hext = hext
-        self.chi = chi
-        self.graph = frustration_graph(hext)
-        self.transfer = transfer(hext, self.graph)
-        self.poly = weighted_independence_polynomial(self.graph)
+    def __init__(self, hext: Hamiltonian, chi: PauliTerm):
+        graph = frustration_graph(hext)
+        self.poly = weighted_independence_polynomial(graph)
         ks = clique_from_mode(hext, chi)
         if not ks:
             raise NotSimplicialError("chi commutes with every Hamiltonian term")
-        reduced, _ = self.graph.remove_set(ks)
+        reduced, _ = graph.remove_set(ks)
         self.poly_minus_ks = weighted_independence_polynomial(reduced)
-        self.energies = energies
+        chi_op = OperatorSum.from_term(chi)
+        charges = transfer(hext, graph).charges
+        self.psi = graded_mul([opsum_mul(q, chi_op) for q in charges],
+                              [(-1.0) ** k * q for k, q in enumerate(charges)])
 
 
 def incognito_mode(hext: Hamiltonian, chi: PauliTerm, index: int,
                    energies: SingleParticleEnergies,
                    _ctx: _ModeContext | None = None) -> IncognitoMode:
-    """Build mode ``index`` (0-based into the ascending energy list).
+    """Build mode ``index`` (0-based into the ascending energy list):
+    psi(u_j) / N_j, with psi(u) the graded product of the module docstring.
 
     Requires the energy to be simple: the normalization involves the
     derivative of the independence polynomial at the root, which vanishes
@@ -279,7 +289,7 @@ def incognito_mode(hext: Hamiltonian, chi: PauliTerm, index: int,
         if m > 1 and abs(e - flat[index]) <= 1e-9 * e:
             raise DegenerateModeError(
                 f"energy {e:.12g} has multiplicity {m}; mode construction refused")
-    ctx = _ctx or _ModeContext(hext, chi, energies)
+    ctx = _ctx or _ModeContext(hext, chi)
     eps = flat[index]
     u = 1.0 / eps
     x = -u * u
@@ -289,14 +299,12 @@ def incognito_mode(hext: Hamiltonian, chi: PauliTerm, index: int,
             f"normalization squared is {nsq:.3e} at mode {index}; "
             "expected positive (interlacing of the reduced polynomial)")
     norm = float(np.sqrt(nsq))
-    chi_op = OperatorSum.from_term(chi)
-    op = opsum_mul(opsum_mul(ctx.transfer.evaluate(-u), chi_op), ctx.transfer.evaluate(u))
-    return IncognitoMode(index, u, eps, norm, (1.0 / norm) * op)
+    return IncognitoMode(index, u, eps, norm, (1.0 / norm) * ctx.psi.evaluate(u))
 
 
 def all_modes(hext: Hamiltonian, chi: PauliTerm,
               energies: SingleParticleEnergies) -> list[IncognitoMode]:
-    ctx = _ModeContext(hext, chi, energies)
+    ctx = _ModeContext(hext, chi)
     return [incognito_mode(hext, chi, j, energies, _ctx=ctx)
             for j in range(len(energies.flat()))]
 

@@ -89,6 +89,16 @@ def test_recursion_matrix_shape():
         assert len(set(vals)) == 1
 
 
+def test_recursion_matrix_matvec_is_matrix_product():
+    rng = random.Random(23)
+    for _ in range(200):
+        k = rng.randint(2, 6)
+        spec = ChainSpec(rng.randint(1, 14), k, tuple(rng.uniform(0, 2) for _ in range(k)))
+        rm = recursion_matrix(spec)
+        v = np.array([rng.uniform(-1, 1) for _ in range(spec.n_cells)])
+        assert np.allclose(rm.matvec(v), rm.matrix @ v, rtol=1e-14, atol=1e-14)
+
+
 def test_recursion_matrix_eigenvalues_are_squared_energies():
     spec = ChainSpec(6, 3, (1.0, 0.64, 1.44))
     ev = np.sort(np.linalg.eigvals(recursion_matrix(spec).matrix).real)

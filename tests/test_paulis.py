@@ -1,16 +1,20 @@
 """Pauli algebra: multiplication table, phases, and the dense backend."""
 
+import math
 import random
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from ffsolve import paulis
 from ffsolve.errors import DenseCapError, TermBudgetError
 from ffsolve.paulis import (
+    TERM_CAP,
     OperatorSum,
     PauliTerm,
     commutes,
+    graded_mul,
     multiply,
     opsum_anticomm,
     opsum_comm,
@@ -163,6 +167,111 @@ def test_term_cap_is_reported_error():
     for product in (opsum_mul, opsum_comm, opsum_anticomm):
         with pytest.raises(TermBudgetError):
             product(big, big, term_cap=100)
+
+
+def test_graded_term_cap_counts_all_parts():
+    side = math.isqrt(TERM_CAP) + 1
+    parts = [OperatorSum(12, {(i, 0): 1.0 for i in range(j, side, 2)}) for j in (0, 1)]
+    with pytest.raises(TermBudgetError):
+        graded_mul(parts, parts)
+
+
+# The kernel against a pair-by-pair reference built from ``multiply``
+
+PRODUCTS = ((opsum_mul, None, 1.0), (opsum_comm, 1, 2.0), (opsum_anticomm, 0, 2.0))
+
+
+def pairwise_reference(a, b, parity, factor):
+    """factor * sum over term pairs of multiply(p, q); with ``parity`` 1 only
+    anticommuting pairs, with 0 only commuting ones."""
+    acc = {}
+    for (x1, z1), c1 in a:
+        p = PauliTerm(a.n, x1, z1)
+        for (x2, z2), c2 in b:
+            q = PauliTerm(b.n, x2, z2)
+            if parity is not None and commutes(p, q) == (parity == 1):
+                continue
+            r = multiply(p, q)
+            acc[(r.x, r.z)] = acc.get((r.x, r.z), 0.0) + factor * c1 * c2 * r.phase
+    return OperatorSum(a.n, acc)
+
+
+def assert_matches_reference(got, a, b, parity, factor):
+    want = pairwise_reference(a, b, parity, factor)
+    assert set(k for k, _ in got) == set(k for k, _ in want)
+    scale = max(factor * a.abs_sum() * b.abs_sum(), 1e-300)
+    assert (got - want).max_abs_coeff() <= 1e-13 * scale
+
+
+def edge_opsum(rng, n, nterms):
+    """Random sum over strings on the two lowest and three highest qubits
+    only, so that many products share their low words and differ in the
+    high ones."""
+    spots = sorted({q for q in (0, 1, n - 3, n - 2, n - 1) if 0 <= q < n})
+    terms = {}
+    for _ in range(nterms):
+        x = sum(rng.getrandbits(1) << q for q in spots)
+        z = sum(rng.getrandbits(1) << q for q in spots)
+        terms[(x, z)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return OperatorSum(n, terms)
+
+
+@pytest.mark.parametrize("n", [0, 1, 17, 32, 33, 64, 65, 130])
+def test_kernel_matches_pairwise_reference(n):
+    rng = random.Random(1000 + n)
+    for draw in (random_opsum, edge_opsum) * 3:
+        a = draw(rng, n, rng.randint(1, 25))
+        b = draw(rng, n, rng.randint(1, 25))
+        for product, parity, factor in PRODUCTS:
+            assert_matches_reference(product(a, b), a, b, parity, factor)
+            assert_matches_reference(product(a, a), a, a, parity, factor)
+
+
+def test_kernel_on_empty_sums():
+    rng = random.Random(3)
+    a = random_opsum(rng, 5, 7)
+    empty = OperatorSum.zero(5)
+    for product, _, _ in PRODUCTS:
+        for x, y in ((a, empty), (empty, a), (empty, empty)):
+            assert len(product(x, y)) == 0
+    assert len(graded_mul([empty, a], [empty]).evaluate(0.7)) == 0
+
+
+def test_kernel_across_chunks(monkeypatch):
+    """Sums carried from block to block: 300 x 300 terms on 5 qubits fill
+    two blocks of the real size, and a block of 7 pairs slices ``b`` too."""
+    rng = random.Random(8)
+    a = random_opsum(rng, 5, 300)
+    b = random_opsum(rng, 5, 300)
+    assert len(a) * len(b) > 1 << 16
+    assert_matches_reference(opsum_mul(a, b), a, b, None, 1.0)
+    monkeypatch.setattr(paulis, "_CHUNK_PAIRS", 7)
+    for _ in range(10):
+        a = random_opsum(rng, 33, rng.randint(1, 20))
+        b = random_opsum(rng, 33, rng.randint(1, 20))
+        for product, parity, factor in PRODUCTS:
+            assert_matches_reference(product(a, b), a, b, parity, factor)
+
+
+def test_graded_product_evaluates_to_the_product():
+    rng = random.Random(21)
+    for n in (3, 40, 70):
+        # parts of falling size, as the charges of a transfer operator may be
+        a_parts = [10.0 ** (-3 * j) * random_opsum(rng, n, rng.randint(0, 6))
+                   for j in range(rng.randint(1, 4))]
+        b_parts = [10.0 ** (-3 * k) * random_opsum(rng, n, rng.randint(0, 6))
+                   for k in range(rng.randint(1, 4))]
+        graded = graded_mul(a_parts, b_parts)
+        for u in (0.0, 0.3, -1.7):
+            a_u = sum((u ** j * p for j, p in enumerate(a_parts)), OperatorSum.zero(n))
+            b_u = sum((u ** k * p for k, p in enumerate(b_parts)), OperatorSum.zero(n))
+            want = opsum_mul(a_u, b_u)
+            scale = max(a_u.abs_sum() * b_u.abs_sum(), 1e-300)
+            assert (graded.evaluate(u) - want).max_abs_coeff() <= 1e-13 * scale
+    with pytest.raises(ValueError):
+        graded_mul([], [OperatorSum.identity(2)])
+    with pytest.raises(ValueError):
+        graded_mul([OperatorSum.identity(2)], [OperatorSum.identity(3)])
 
 
 def test_dense_cap():

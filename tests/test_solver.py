@@ -6,9 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from ffsolve.errors import DegenerateModeError, NotSimplicialError
+from ffsolve.errors import ConditioningError, DegenerateModeError, NotSimplicialError
 from ffsolve.graphs import bits, frustration_graph, maximal_cliques
 from ffsolve.indpoly import (
+    SingleParticleEnergies,
     single_particle_energies,
     weighted_independence_polynomial,
 )
@@ -220,6 +221,37 @@ def test_mode_algebra(model):
     assert np.linalg.norm(to_dense(recon) - to_dense(target), 2) < 1e-8
 
 
+@pytest.mark.parametrize("name", ["chain4x3", "chain4x4", "junction111", "h6"])
+def test_modes_equal_the_triple_product(name):
+    """psi_j from the graded product equals (1/N_j) T(-u_j) chi T(u_j)
+    multiplied out mode by mode, and incognito_mode reads the same path."""
+    rng = random.Random(77)
+    h = {"chain4x3": lambda: chain_model(4, 3, [rng.uniform(0.5, 1.5) for _ in range(3)]),
+         "chain4x4": lambda: chain_model(4, 4, [rng.uniform(0.5, 1.5) for _ in range(4)]),
+         "junction111": lambda: junction_model((1, 1, 1), 3,
+                                               [rng.uniform(0.5, 1.5) for _ in range(15)]),
+         "h6": lambda: h6_model(*[rng.uniform(0.4, 1.7) for _ in range(6)])}[name]()
+    _, _, hext, chi, energies, modes = build_solution(h)
+    t = transfer(hext)
+    chi_op = OperatorSum.from_term(chi)
+    assert len(modes) == energies.total
+    for j, m in enumerate(modes):
+        want = (1.0 / m.norm) * opsum_mul(opsum_mul(t.evaluate(-m.u), chi_op), t.evaluate(m.u))
+        assert (m.op - want).max_abs_coeff() <= 1e-12 * want.max_abs_coeff()
+        alone = incognito_mode(hext, chi, j, energies)
+        assert (alone.u, alone.norm) == (m.u, m.norm)
+        assert alone.op.terms == m.op.terms
+
+
+def test_mode_construction_refuses_a_wrong_energy():
+    """A value that is not a root gives a normalization of the wrong sign."""
+    h = chain_model(2, 3, [1.0, 0.7, 1.3])
+    g = frustration_graph(h)
+    hext, chi = simplicial_extension(h, min(find_simplicial_cliques(g), key=len))
+    with pytest.raises(ConditioningError):
+        incognito_mode(hext, chi, 0, SingleParticleEnergies(((0.5, 1),), 0.0))
+
+
 def test_ladder_sign_pair():
     """[H, psi] = +2 eps psi and [H, psi^dag] = -2 eps psi^dag, as a pair."""
     h = random_h5()
@@ -255,6 +287,8 @@ def test_mode_construction_refuses_repeated_roots():
     hext, chi = simplicial_extension(h, ks)
     with pytest.raises(DegenerateModeError):
         incognito_mode(hext, chi, 0, energies)
+    with pytest.raises(DegenerateModeError):
+        all_modes(hext, chi, energies)
     with pytest.raises(DegenerateModeError):
         higher_hamiltonian(h, 2, energies)
 
