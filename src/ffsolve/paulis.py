@@ -44,7 +44,8 @@ of their own.  The reduction is on (string, grade): ``graded_mul``
 multiplies lists of parts a_j and b_k and sums each pair into grade
 j + k, which gives every coefficient M_m = sum_{j+k=m} a_j b_k of a
 product of two polynomials in one pass; a plain product is the case of
-one part on each side.
+one part on each side.  Each M_m is pruned relative to its own scale
+sum_{j+k=m} |a_j| |b_k|, since u^m M_m, not M_m, is what a caller sees.
 
 Basis-state convention for the dense backend: qubit q corresponds to bit
 q of the computational-basis index (little-endian), so Z on qubit 0 of a
@@ -443,8 +444,10 @@ def graded_mul(a_parts: Sequence[OperatorSum],
 
     For a(u) = sum_j u^j a_j and b(u) = sum_k u^k b_k, ``evaluate(u)`` is
     the product a(u) b(u) at any u.  Strings that cancel in every M_m are
-    summed away once, before any u is chosen; each M_m is pruned at
-    ``PRUNE_TOL`` like any product.
+    summed away once, before any u is chosen: an entry of M_m is kept when
+    it exceeds ``PRUNE_TOL`` times the grade's scale sum_{j+k=m} |a_j| |b_k|
+    (sums of absolute coefficients), so the cut does not depend on the
+    scale of the parts; ``evaluate`` prunes its result at ``PRUNE_TOL``.
     """
     if not a_parts or not b_parts:
         raise ValueError("graded product needs at least one part on each side")
@@ -454,7 +457,9 @@ def graded_mul(a_parts: Sequence[OperatorSum],
     for p in (*a_parts, *b_parts):
         a_parts[0]._check(p)
     key, grade, coef = _kernel(a_parts, b_parts, None, TERM_CAP)
-    keep = np.abs(coef) > PRUNE_TOL
+    # M_m scales with its parts, not with u^m M_m: prune against sum |a_j| |b_k|
+    scale = np.convolve([p.abs_sum() for p in a_parts], [p.abs_sum() for p in b_parts])
+    keep = np.abs(coef) > PRUNE_TOL * scale[grade]
     key, grade, coef = key[:, keep], grade[keep], coef[keep]
     order = _order(*key)
     key, grade, coef = key[:, order], grade[order], coef[order]
