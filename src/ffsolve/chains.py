@@ -6,9 +6,10 @@ polynomials of the squared couplings, so everything here works from the
 coupling vector alone.  The energies come from the root finder every
 graph uses, ``indpoly.roots_by_count``, fed with the sign changes of this
 recursion rather than with the monomial coefficients, which lose the
-roots to rounding beyond a dozen or so cells.  Dispersion relations and
-gap scans are finite-N: the spectrum is computed at two sizes and the
-trend decides gapless vs gapped.
+roots to rounding beyond a dozen or so cells, and with the Newton step
+of its last row, whose w-derivative runs alongside it.  Dispersion
+relations and gap scans are finite-N: the spectrum is computed at two
+sizes and the trend decides gapless vs gapped.
 """
 
 from __future__ import annotations
@@ -147,28 +148,37 @@ def verify_boundary(spec: ChainSpec, eps: float, rel_tol: float = 1e-8) -> bool:
 
 
 def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows v_1..v_{N+1} of the chain recursion at each w in ``ws``, and
-    max_s |v_s| in the scale of the last row.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows v_1..v_{N+1} of the chain recursion at each w in ``ws``, the
+    Newton step v_{N+1} / v'_{N+1} in w, and max_s |v_s| in the scale of
+    the last row.
 
-    Every k cells the last k rows are rescaled by a power of two, which
-    keeps them in float range and changes neither signs nor rounding.
+    The w-derivative rows, v'_s = v_{s-1} + w v'_{s-1} - sum_l e_l v'_{s-l},
+    run in the same array as the value rows.  Every k cells the last k
+    rows are rescaled by a power of two, the same for a value row and its
+    derivative, which keeps them in float range and changes neither signs,
+    nor rounding, nor the step.
     """
     k = len(e) - 1
+    m = len(ws)
     coef = -np.array(e[:0:-1])  # -e_k .. -e_1, against rows s-k .. s-1
-    v = np.zeros((n_cells + k, len(ws)))
-    v[k - 1] = ws
+    v = np.zeros((n_cells + k, 2 * m))  # values in columns :m, derivatives in m:
+    v[k - 1] = np.concatenate([ws, np.ones(m)])
+    w2 = np.concatenate([ws, ws])
     top = np.abs(ws)
     for s in range(k, n_cells + k):
-        v[s] = ws * v[s - 1] + coef @ v[s - k:s]
+        v[s] = w2 * v[s - 1] + coef @ v[s - k:s]
+        v[s, m:] += v[s - 1, :m]
         if (s + 1) % k == 0 or s == n_cells + k - 1:
             window = v[s - k + 1:s + 1]
-            peak = np.max(np.abs(window), axis=0)
+            peak = np.max(np.abs(window[:, :m]), axis=0)
             shift = -np.frexp(peak)[1]
-            window[:] = np.ldexp(window, shift)
+            window[:] = np.ldexp(window, np.concatenate([shift, shift]))
             with np.errstate(over="ignore"):  # a history far above the window
                 top = np.ldexp(np.maximum(top, peak), shift)
-    return v[k - 1:], top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = v[-1, :m] / v[-1, m:]
+    return v[k - 1:, :m], step, top
 
 
 def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
@@ -186,10 +196,15 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     """
     e = elementary_symmetric(spec.b2)
     n = spec.n_cells
+
+    def evaluate(ws):
+        v, step, _ = chain_values(e, n, ws)
+        return sign_changes(v), step
+
     # Gershgorin: no eigenvalue of the recursion matrix exceeds its row sum
-    lo, hi, m = roots_by_count(lambda ws: sign_changes(chain_values(e, n, ws)[0]), n, sum(e))
+    lo, hi, m = roots_by_count(evaluate, n, sum(e))
     ws = 0.5 * (lo + hi)
-    v, top = chain_values(e, n, ws)
+    v, _, top = chain_values(e, n, ws)
     residual = float(np.max(np.abs(v[-1]) / np.maximum(top, 1e-300)))
     energies = tuple((math.sqrt(w), int(k)) for w, k in zip(ws, m))
     return SingleParticleEnergies(energies, residual)

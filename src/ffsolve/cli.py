@@ -9,6 +9,7 @@ codes: 0 all applicable checks pass, 1 error or failed checks,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -250,7 +251,10 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("-o", "--output", help="write JSON here (atomic)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it, and
+    building it costs more than many commands."""
     parser = argparse.ArgumentParser(prog="ffsolve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -298,8 +302,7 @@ def _squares_from_flags(args, k: int) -> list[float] | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     cfg = RunConfig(command=args.command)
     for name in ("input", "model", "n_cells", "k", "periodic", "seed",
                  "tol", "budget", "output", "n_large", "vary"):

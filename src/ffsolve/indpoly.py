@@ -7,19 +7,23 @@ coefficients are nonnegative.  For claw-free graphs all roots are real
 (and then negative, since the coefficients are positive), and the
 single-particle energies e_j are defined by P(-1/e_j^2) = 0.
 
-Roots are isolated by counting.  ``roots_by_count`` bisects (0, hi] on a
+Roots are isolated by counting.  ``roots_by_count`` cuts (0, hi] on a
 function that counts the roots above a point; for a real-rooted function
 that count is exact, so every bracket it returns holds a known number of
-roots, repeated roots included.  ``single_particle_energies`` counts with
-the Budan-Fourier sign changes of the reversed polynomial in w = e^2,
+roots, repeated roots included.  It cuts a bracket with several roots
+into thirds and places the two cuts of a bracket with one root around a
+Newton estimate, so the caller returns the Newton step f/f' with each
+count.  ``single_particle_energies`` counts with the Budan-Fourier sign
+changes of the reversed polynomial in w = e^2,
 
     R(w) = w^alpha P(-1/w) = sum_m (-1)^(alpha-m) c_(alpha-m) w^m ,
 
-and its derivatives; ``chains.chain_energies`` counts with the sign
-changes of the chain recursion.  Every root ``single_particle_energies``
-returns is checked against the rounding noise of R: one that the noise
-could move by more than ROOT_CERT_REL_TOL raises ComplexRootError
-instead, as do complex roots.
+and its derivatives, the first of which gives the step;
+``chains.chain_energies`` counts with the sign changes of the chain
+recursion and carries its w-derivative for the step.  Every root
+``single_particle_energies`` returns is checked against the rounding
+noise of R: one that the noise could move by more than ROOT_CERT_REL_TOL
+raises ComplexRootError instead, as do complex roots.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from .errors import ComplexRootError
 from .graphs import WeightedGraph, bits
 
 ROOT_REL_TOL = 1e-15
+# least half-width of a Newton window, relative: a window 0.8 ROOT_REL_TOL
+# wide that holds its root finishes its bracket in one sweep
+_NEWTON_FLOOR = 0.4 * ROOT_REL_TOL
 # a root is returned only if the rounding bound moves it by at most this
 # much, relative; the bound is a worst case, and on chain polynomials of up
 # to 20 cells the roots it admits were within 1e-9 of 60-digit ones
@@ -246,33 +253,82 @@ def sign_changes(values: np.ndarray) -> np.ndarray:
     return np.count_nonzero(filled[1:] != filled[:-1], axis=0)
 
 
-def roots_by_count(count: Callable[[np.ndarray], np.ndarray], n: int, hi: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Brackets (lo, hi] holding the n roots in (0, hi] of a real-rooted function.
+def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                   n: int, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets (lo, hi] holding the n roots in (0, hi] of a real-rooted function f.
 
-    ``count`` maps an array of points w to the number of roots above each;
-    it is taken to be n at 0 and 0 at hi without being called.  Brackets
-    are halved until they are at most ROOT_REL_TOL of their upper
-    end wide, keeping the halves that hold roots.  A midpoint whose count
-    falls outside the counts of its bracket's ends is rounding noise: that
-    bracket is then as tight as the evaluator allows and is kept as it is.
-    Returns ascending arrays lo, hi and m, the number of roots in each.
+    ``evaluate`` maps an array of points w to the number of roots above
+    each and the Newton step f(w) / f'(w) there; the count is taken to be
+    n at 0 and 0 at hi without being called.  Each call, a sweep, cuts
+    every bracket at two points, and every cut keeps its exact count, so
+    every bracket holds a known number of roots, repeated roots included.
+    Brackets are cut until they are at most ROOT_REL_TOL of their upper
+    end wide.
+
+    A bracket with several roots is cut into thirds.  A bracket with one
+    root is cut at g - h and g + h.  Here g is the Newton estimate from
+    the end with the shorter step, and h is twice the spread of the
+    estimates from its two ends, at least 0.4 ROOT_REL_TOL of its upper
+    end, so that a window that holds the root finishes the bracket.  A
+    window that reaches an end keeps its other cut and halves the rest.
+    The bracket is cut into thirds instead when an end has no estimate
+    (0 and hi are never evaluated), when the window holds the whole
+    bracket or cannot put both cuts strictly inside it, and on the sweep
+    after a Newton sweep that left it more than half as wide.
+
+    Counts that come back out of order are rounding noise, and the
+    bracket is as tight as the evaluator allows.  A one-root bracket ends
+    as the span of its noisy cuts: a cut whose count falls outside its
+    ends' counts, or both cuts when they come back swapped, since the
+    root lies in the noise around them.  A bracket with several roots is
+    kept as it is, and so is one that no cut shrinks.  Returns ascending
+    arrays lo, hi and m, the number of roots in each.
     """
     lo, up = np.zeros(1), np.full(1, float(hi))
     c_lo, c_up = np.full(1, n), np.zeros(1, dtype=int)
+    g_lo, g_up = np.full(1, np.nan), np.full(1, np.nan)  # Newton estimates from the ends
+    newton = np.ones(1, dtype=bool)
     done = []
     while len(lo):
-        mid = 0.5 * (lo + up)
-        wide = up - lo > ROOT_REL_TOL * up
-        c_mid = np.full(len(lo), -1)
-        c_mid[wide] = count(mid[wide])
-        split = wide & (c_mid <= c_lo) & (c_mid >= c_up)
-        done.append((lo[~split], up[~split], (c_lo - c_up)[~split]))
-        lo, mid, up, c_lo, c_mid, c_up = (x[split] for x in (lo, mid, up, c_lo, c_mid, c_up))
-        left, right = c_lo > c_mid, c_mid > c_up
-        lo, up = np.concatenate([lo[left], mid[right]]), np.concatenate([mid[left], up[right]])
-        c_lo, c_up = (np.concatenate([c_lo[left], c_mid[right]]),
-                      np.concatenate([c_mid[left], c_up[right]]))
+        width = up - lo
+        one = c_lo - c_up == 1
+        g = np.clip(np.where(np.abs(lo - g_lo) < np.abs(up - g_up), g_lo, g_up), lo, up)
+        h = np.maximum(2.0 * np.abs(g_lo - g_up), _NEWTON_FLOOR * up)
+        a, b = np.maximum(g - h, lo), np.minimum(g + h, up)
+        # a window that reaches an end keeps its other cut and halves the rest
+        q1 = np.where(a > lo, a, 0.5 * (lo + b))
+        q2 = np.where(b < up, b, 0.5 * (a + up))
+        guided = newton & one & ((a > lo) | (b < up)) & (lo < q1) & (q2 < up)
+        p1 = np.where(guided, q1, lo + width / 3)
+        p2 = np.where(guided, q2, up - width / 3)
+        cuts = np.concatenate([p1, p2])
+        counts, steps = evaluate(cuts)
+        c1, c2 = np.split(counts, 2)
+        e1, e2 = np.split(cuts - steps, 2)
+
+        ordered = (c_lo >= c1) & (c1 >= c2) & (c2 >= c_up)
+        noisy = ~ordered
+        # a noisy cut: its count is outside its ends' counts, or the cuts swapped
+        out1, out2 = (c1 > c_lo) | (c1 < c_up), (c2 > c_lo) | (c2 < c_up)
+        swapped = ~out1 & ~out2 & (c1 < c2)
+        n1, n2 = out1 | swapped, out2 | swapped
+        f_lo = np.where(one, np.where(n1, p1, p2), lo)
+        f_up = np.where(one, np.where(n2, p2, p1), up)
+        done.append((f_lo[noisy], f_up[noisy], (c_lo - c_up)[noisy]))
+        # the pieces (lo, p1], (p1, p2] and (p2, up] of the ordered brackets
+        ends = [x[ordered] for x in (lo, p1, p2, up)]
+        cs = [x[ordered] for x in (c_lo, c1, c2, c_up)]
+        gs = [x[ordered] for x in (g_lo, e1, e2, g_up)]
+        parent = np.tile(width[ordered], 3)
+        lo, up = np.concatenate(ends[:3]), np.concatenate(ends[1:])
+        c_lo, c_up = np.concatenate(cs[:3]), np.concatenate(cs[1:])
+        g_lo, g_up = np.concatenate(gs[:3]), np.concatenate(gs[1:])
+        held = c_lo > c_up
+        finished = held & ((up - lo <= ROOT_REL_TOL * up) | (up - lo >= parent))
+        done.append((lo[finished], up[finished], (c_lo - c_up)[finished]))
+        keep = held & ~finished
+        newton = (up - lo <= 0.5 * parent)[keep]
+        lo, up, c_lo, c_up, g_lo, g_up = (x[keep] for x in (lo, up, c_lo, c_up, g_lo, g_up))
     lo, up, m = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(lo)
     return lo[order], up[order], m[order]
@@ -328,8 +384,12 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     def powers(s):
         return s ** degree[:, None]
 
-    lo, hi, m = roots_by_count(lambda s: sign_changes(taylor @ powers(s)), alpha,
-                               poly.coeffs[1] / unit)
+    def evaluate(s):
+        t = taylor @ powers(s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return sign_changes(t), t[0] / t[1]
+
+    lo, hi, m = roots_by_count(evaluate, alpha, poly.coeffs[1] / unit)
     gap = 0.5 * (hi[:-1] + lo[1:])
     joined = np.abs(taylor[0] @ powers(gap)) <= rounding * (np.abs(r) @ powers(gap))
     starts = np.flatnonzero(np.r_[True, ~joined])

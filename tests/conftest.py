@@ -10,7 +10,12 @@ import itertools
 import math
 import random
 
+import numpy as np
+
+from ffsolve import chains, indpoly
 from ffsolve.graphs import WeightedGraph
+
+EPS = float(np.finfo(float).eps)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4,
@@ -87,3 +92,79 @@ def naive_independence_polynomial(g: WeightedGraph) -> list[float]:
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+# -- root isolation ----------------------------------------------------------
+
+def midpoint_roots_by_count(evaluate, n, hi):
+    """Reference for ``indpoly.roots_by_count``: the bisection it replaced.
+
+    Every bracket is halved at its midpoint on the count alone, and one
+    whose midpoint count falls outside its ends' counts is kept as it is.
+    """
+    lo, up = np.zeros(1), np.full(1, float(hi))
+    c_lo, c_up = np.full(1, n), np.zeros(1, dtype=int)
+    done = []
+    while len(lo):
+        mid = 0.5 * (lo + up)
+        wide = up - lo > indpoly.ROOT_REL_TOL * up
+        c_mid = np.full(len(lo), -1)
+        c_mid[wide] = evaluate(mid[wide])[0]
+        split = wide & (c_mid <= c_lo) & (c_mid >= c_up)
+        done.append((lo[~split], up[~split], (c_lo - c_up)[~split]))
+        lo, mid, up, c_lo, c_mid, c_up = (x[split] for x in (lo, mid, up, c_lo, c_mid, c_up))
+        left, right = c_lo > c_mid, c_mid > c_up
+        lo, up = np.concatenate([lo[left], mid[right]]), np.concatenate([mid[left], up[right]])
+        c_lo, c_up = (np.concatenate([c_lo[left], c_mid[right]]),
+                      np.concatenate([c_mid[left], c_up[right]]))
+    lo, up, m = (np.concatenate(parts) for parts in zip(*done))
+    order = np.argsort(lo)
+    return lo[order], up[order], m[order]
+
+
+def use_midpoint_bisection(monkeypatch):
+    """Make both energy paths isolate their roots with the reference bisection."""
+    monkeypatch.setattr(indpoly, "roots_by_count", midpoint_roots_by_count)
+    monkeypatch.setattr(chains, "roots_by_count", midpoint_roots_by_count)
+
+
+def record_sweeps(monkeypatch, module) -> list[int]:
+    """A list that gets the number of points of each evaluation that
+    ``module``'s calls to ``roots_by_count`` make, one entry a sweep."""
+    sweeps = []
+    isolate = module.roots_by_count
+
+    def counted(evaluate, n, hi):
+        def recorded(ws):
+            sweeps.append(len(ws))
+            return evaluate(ws)
+        return isolate(recorded, n, hi)
+
+    monkeypatch.setattr(module, "roots_by_count", counted)
+    return sweeps
+
+
+def certify_groups(count_above, total: int, energies, rel: float = 1e-9) -> None:
+    """Each group of energies, widened by ``rel``, holds exactly as many
+    roots as it has members; ``count_above(w)`` is the exact number of
+    squared energies above w."""
+    groups = []
+    for e in sorted(energies.flat()):
+        if groups and e * (1 - rel) <= groups[-1][1] * (1 + rel):
+            groups[-1][1:] = [e, groups[-1][2] + 1]
+        else:
+            groups.append([e, e, 1])
+    assert sum(size for _, _, size in groups) == total
+    for lo, hi, size in groups:
+        inside = count_above((lo * (1 - rel)) ** 2) - count_above((hi * (1 + rel)) ** 2)
+        assert inside == size, (lo, hi, size, inside)
+
+
+def assert_same_energies(got, want, noise) -> None:
+    """The same multiplicities, and squared energies w that agree to 1e-13
+    relative or to within ``noise(w)``, how far rounding blurs the count
+    around the root at w: two isolators stopped by that noise stop at
+    different points of it."""
+    assert [m for _, m in got.energies] == [m for _, m in want.energies]
+    for (a, _), (b, _) in zip(got.energies, want.energies):
+        assert abs(a * a - b * b) <= 1e-13 * b * b + noise(b * b), (a, b)

@@ -7,6 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import (
+    EPS,
+    assert_same_energies,
+    certify_groups,
+    record_sweeps,
+    use_midpoint_bisection,
+)
+from ffsolve import chains
 from ffsolve.chains import (
     ChainSpec,
     boundary_vector,
@@ -153,17 +161,7 @@ def exact_root_count(spec: ChainSpec, w: float) -> int:
 def certify_by_count(spec: ChainSpec, energies, rel: float = 1e-9) -> None:
     """Each group of energies, widened by ``rel``, holds exactly as many
     roots as it has members."""
-    groups = []
-    for e in sorted(energies.flat()):
-        if groups and e * (1 - rel) <= groups[-1][1] * (1 + rel):
-            groups[-1][1:] = [e, groups[-1][2] + 1]
-        else:
-            groups.append([e, e, 1])
-    assert sum(size for _, _, size in groups) == spec.n_cells
-    for lo, hi, size in groups:
-        inside = (exact_root_count(spec, (lo * (1 - rel)) ** 2)
-                  - exact_root_count(spec, (hi * (1 + rel)) ** 2))
-        assert inside == size, (lo, hi, size, inside)
+    certify_groups(lambda w: exact_root_count(spec, w), spec.n_cells, energies, rel)
 
 
 @pytest.mark.parametrize("spec", [
@@ -176,6 +174,49 @@ def certify_by_count(spec: ChainSpec, energies, rel: float = 1e-9) -> None:
 ])
 def test_chain_energies_certified_by_exact_count(spec):
     certify_by_count(spec, chain_energies(spec))
+
+
+def random_chains(seed: int, count: int) -> list[ChainSpec]:
+    """Chains with k = 2..4 and N <= 240, squared couplings drawn on the
+    unit simplex; every third has one coupling at an edge, 0 or 1e-4."""
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        k = rng.randint(2, 4)
+        b2 = [rng.random() for _ in range(k)]
+        if i % 3 == 0:
+            b2[rng.randrange(k)] = rng.choice((0.0, 1e-4))
+        total = sum(b2)
+        specs.append(ChainSpec(rng.randint(1, 240), k, tuple(b / total for b in b2)))
+    return specs
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(200, 3, (0.5, 0.49, 0.01)),
+    ChainSpec(120, 2, (0.9999, 0.0001)),          # dimerized
+    ChainSpec(50, 3, (0.0, 0.0, 1.0)),            # one root of multiplicity N
+    ChainSpec(240, 4, (0.25, 0.25, 0.25, 0.25)),  # gapless
+] + random_chains(23, 8))
+def test_chain_energies_match_midpoint_bisection(spec, monkeypatch):
+    """Newton-guided cuts give the bisection's levels.  The recursion's
+    counts are exact only up to N roundings at the scale of the largest
+    root, so the lowest levels of a gapless chain agree to N eps w_max."""
+    got = chain_energies(spec)
+    certify_by_count(spec, got)
+    use_midpoint_bisection(monkeypatch)
+    want = chain_energies(spec)
+    w_max = want.energies[-1][0] ** 2
+    assert_same_energies(got, want, lambda w: spec.n_cells * EPS * w_max)
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(240, 3, (1.0, 0.7, 1.3)),
+                                  ChainSpec(240, 4, (1.29, 0.54, 0.50, 1.49))])
+def test_chain_root_sweep_budget(spec, monkeypatch):
+    """At most 30 evaluations of the recursion per solve; bisection took
+    about 60."""
+    sweeps = record_sweeps(monkeypatch, chains)
+    chain_energies(spec)
+    assert len(sweeps) <= 30
 
 
 def test_exact_root_count_is_a_count():

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import ffsolve
 from ffsolve.cli import main
 from ffsolve.models import parse_hamiltonian
 
@@ -156,3 +160,16 @@ def test_config_embedded_everywhere(capsys):
     _, doc = run_json(capsys, "analyze", "--model", "h6")
     cfg = doc["config"]
     assert {"command", "model", "tol", "budget", "seed"} <= set(cfg)
+
+
+def test_commands_back_to_back_match_separate_runs(capsys):
+    """One process reuses its parser from command to command: outputs and
+    exit codes equal those of a fresh process per command."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ffsolve.__file__)))
+    for argv in (["solve", "--model", "h5"], ["dispersion", "--k", "3", "--N", "8"],
+                 ["solve", "--model", "back_to_back"], ["analyze", "--model", "h6"],
+                 ["solve", "--model", "chain", "--N", "15", "--k", "3"]):
+        code, out = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "ffsolve.cli", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv

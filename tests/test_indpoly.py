@@ -3,19 +3,34 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
-from conftest import cycle_graph, naive_has_claw, naive_independence_polynomial, random_graph
+from conftest import (
+    EPS,
+    assert_same_energies,
+    certify_groups,
+    cycle_graph,
+    naive_has_claw,
+    naive_independence_polynomial,
+    random_graph,
+    record_sweeps,
+    use_midpoint_bisection,
+)
+from ffsolve import indpoly
 from ffsolve.chains import ChainSpec, chain_polynomial
 from ffsolve.errors import ComplexRootError
 from ffsolve.graphs import WeightedGraph, bits, frustration_graph, maximal_cliques
 from ffsolve.indpoly import (
+    ROOT_REL_TOL,
     IndependencePolynomial,
     free_spectrum,
     independence_number,
     independent_sets,
+    roots_by_count,
     single_particle_energies,
     verify_clique_recurrence,
     weighted_independence_polynomial,
@@ -267,6 +282,123 @@ def test_root_residuals_small():
             x = -1.0 / (e * e)
             scale = sum(abs(c * x ** k) for k, c in enumerate(poly.coeffs))
             assert abs(poly(x)) <= 1e-11 * scale
+
+
+def exact_count_above(poly: IndependencePolynomial, w: float) -> int:
+    """Squared energies above w: the Budan-Fourier sign changes of P, P',
+    P'', ... at x = -1/w in rational arithmetic, which for a real-rooted P
+    count its roots in (x, 0) exactly."""
+    x = -1 / Fraction(w)
+    coeffs = [Fraction(c) for c in poly.coeffs]
+    values = [sum(math.comb(k, j) * c * x ** (k - j) for k, c in enumerate(coeffs) if k >= j)
+              for j in range(len(coeffs))]
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def rounding_width(poly: IndependencePolynomial, w: float) -> float:
+    """How far rounding can move the root of P at x = -1/w, in w: the
+    rounding bound 4 (alpha + 1) eps sum_k c_k |x|^k over |P'(x)|, times
+    dw/dx = w^2."""
+    x = -1.0 / w
+    noise = 4 * (poly.alpha + 1) * EPS * sum(c * abs(x) ** k for k, c in enumerate(poly.coeffs))
+    return noise / abs(poly.deriv(x)) * w * w
+
+
+def claw_free_polynomials(seed: int, count: int) -> list[IndependencePolynomial]:
+    """Polynomials with 1 <= alpha <= 12 of random weighted claw-free
+    graphs: in turn a small G(n, p) without a claw, and the line graph of
+    a random tree with a few more edges, which is claw-free and has the
+    base's matching number as alpha."""
+    rng = random.Random(seed)
+    polys = []
+    while len(polys) < count:
+        if len(polys) % 2:
+            g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 0.8), weighted=True)
+            if naive_has_claw(g):
+                continue
+        else:
+            nodes = rng.randint(3, 25)
+            base = {(rng.randrange(v), v) for v in range(1, nodes)}
+            base |= {tuple(sorted(rng.sample(range(nodes), 2))) for _ in range(rng.randint(0, 3))}
+            base = sorted(base)
+            edges = [(i, j) for i in range(len(base)) for j in range(i)
+                     if set(base[i]) & set(base[j])]
+            g = WeightedGraph(len(base), edges,
+                              weights=[rng.uniform(0.1, 2.0) for _ in base])
+        poly = weighted_independence_polynomial(g)
+        if 1 <= poly.alpha <= 12:
+            polys.append(poly)
+    return polys
+
+
+def test_generic_roots_match_midpoint_bisection(monkeypatch):
+    """Newton-guided cuts give the bisection's energies, certified by an
+    exact count; near-equal roots agree to within the rounding of P."""
+    polys = claw_free_polynomials(29, 60)
+    assert max(p.alpha for p in polys) >= 8
+    got = [single_particle_energies(p) for p in polys]
+    use_midpoint_bisection(monkeypatch)
+    for poly, energies in zip(polys, got):
+        certify_groups(lambda w: exact_count_above(poly, w), poly.alpha, energies)
+        assert_same_energies(energies, single_particle_energies(poly),
+                             lambda w: rounding_width(poly, w))
+
+
+def test_generic_root_sweep_budget(monkeypatch):
+    """At most 25 evaluations for the polynomial of chain 10x3; bisection
+    took about 60."""
+    sweeps = record_sweeps(monkeypatch, indpoly)
+    single_particle_energies(chain_polynomial(ChainSpec(10, 3, (1.0, 0.7, 1.3))))
+    assert len(sweeps) <= 25
+
+
+@pytest.mark.parametrize("root", [0.3, 1 / 3, 0.7316, 0.5])
+@pytest.mark.parametrize("seed", range(4))
+def test_roots_by_count_stops_in_noise_at_adjacent_floats(root, seed):
+    """A count that rounding garbles on the floats within two ulps of its
+    one root, to values out of range too: the bracket still ends at most
+    ROOT_REL_TOL wide, in that noise."""
+    ulp = math.ulp(root)
+
+    def evaluate(ws):
+        garbled = [random.Random(f"{seed}:{float(w).hex()}").choice((-1, 0, 1, 2)) for w in ws]
+        counts = np.where(np.abs(ws - root) <= 2 * ulp, garbled, (ws < root).astype(int))
+        return counts, ws - root
+
+    lo, hi, m = roots_by_count(evaluate, 1, 1.0)
+    assert m.tolist() == [1]
+    assert hi[0] - lo[0] <= ROOT_REL_TOL * hi[0]
+    assert lo[0] - 2 * ulp <= root <= hi[0] + 2 * ulp
+
+
+def test_roots_by_count_survives_misleading_newton_steps():
+    """Newton steps that all point 1e-3 above the root leave each guided
+    bracket nearly as wide as it was; the next sweep cuts it into thirds."""
+    root = 0.3
+    sweeps = []
+
+    def evaluate(ws):
+        sweeps.append(len(ws))
+        assert len(sweeps) <= 100
+        return (ws < root).astype(int), ws - (root + 1e-3)
+
+    lo, hi, m = roots_by_count(evaluate, 1, 1.0)
+    assert m.tolist() == [1]
+    assert lo[0] < root <= hi[0] and hi[0] - lo[0] <= ROOT_REL_TOL * hi[0]
+
+
+def test_roots_by_count_stops_at_adjacent_subnormals():
+    """Among subnormal floats ROOT_REL_TOL is finer than adjacent floats:
+    the bracket stops when no cut can shrink it."""
+    root = 5e-320
+
+    def evaluate(ws):
+        return (ws < root).astype(int), ws - root
+
+    lo, hi, m = roots_by_count(evaluate, 1, 1e-319)
+    assert m.tolist() == [1]
+    assert lo[0] < root <= hi[0] and hi[0] - lo[0] <= 2 * math.ulp(root)
 
 
 def test_complex_roots_detected():
