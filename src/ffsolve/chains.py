@@ -135,16 +135,17 @@ def boundary_vector(spec: ChainSpec, eps_sq: float) -> np.ndarray:
     return np.array(vs[spec.k - 1:])  # v_1 .. v_{N+1}
 
 
-def verify_boundary(spec: ChainSpec, eps: float, rel_tol: float = 1e-8) -> bool:
-    """Both boundary conditions: v_{N+1} = 0 and R v = eps^2 v componentwise."""
+def verify_boundary(spec: ChainSpec, eps: float) -> bool:
+    """Both boundary conditions, v_{N+1} = 0 and R v = eps^2 v componentwise,
+    to 1e-8 of max_s |v_s|."""
     v = boundary_vector(spec, eps * eps)
     scale = max(np.max(np.abs(v)), 1e-300)
-    if abs(v[-1]) > rel_tol * scale:
+    if abs(v[-1]) > 1e-8 * scale:
         return False
     interior = v[:-1]
     resid = recursion_matrix(spec).matvec(interior) - (eps * eps) * interior
     # row N of the matrix product assumes v_{N+1} = 0, which we just checked
-    return bool(np.max(np.abs(resid)) <= rel_tol * scale)
+    return bool(np.max(np.abs(resid)) <= 1e-8 * scale)
 
 
 def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
@@ -249,16 +250,17 @@ class ScanPoint:
 
 
 def gap_scan(k: int, coupling_grid: Sequence[Sequence[float]], n_small: int,
-             n_large: int, margin: float = GAPLESS_RATIO_MARGIN) -> list[ScanPoint]:
+             n_large: int) -> list[ScanPoint]:
     """Two-size gap trend per grid point.
 
     A point is flagged gapless when the minimum energy shrinks at least
-    as fast as the system grows: gap(N') / gap(N) < N/N' + margin.
+    as fast as the system grows: gap(N') / gap(N) < N/N' +
+    GAPLESS_RATIO_MARGIN.
     """
     if not n_small < n_large:
         raise ModelError("need two sizes N < N'")
     out = []
-    threshold = n_small / n_large + margin
+    threshold = n_small / n_large + GAPLESS_RATIO_MARGIN
     for b2 in coupling_grid:
         b2 = tuple(float(v) for v in b2)
         gap_s = _min_energy(ChainSpec(n_small, k, b2))
@@ -268,15 +270,15 @@ def gap_scan(k: int, coupling_grid: Sequence[Sequence[float]], n_small: int,
     return out
 
 
-def others_equal_grid(k: int, vary_index: int, values: Sequence[float],
-                      total: float = 1.0) -> list[tuple[float, ...]]:
+def others_equal_grid(k: int, vary_index: int,
+                      values: Sequence[float]) -> list[tuple[float, ...]]:
     """Grid where one squared coupling takes each value and the rest split
-    the remaining weight equally (sum of squares normalized to ``total``)."""
+    the remaining weight equally (sum of squares normalized to 1)."""
     grid = []
     for v in values:
-        if not 0 <= v <= total:
-            raise ModelError(f"squared coupling {v} outside [0, {total}]")
-        rest = (total - v) / (k - 1)
+        if not 0 <= v <= 1.0:
+            raise ModelError(f"squared coupling {v} outside [0, 1.0]")
+        rest = (1.0 - v) / (k - 1)
         b2 = [rest] * k
         b2[vary_index] = v
         grid.append(tuple(b2))

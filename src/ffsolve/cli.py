@@ -27,7 +27,7 @@ from .indpoly import (
     weighted_independence_polynomial,
 )
 from .models import (
-    MODEL_COUPLING_COUNT,
+    SMALL_MODELS,
     Hamiltonian,
     generate_model,
     junction_graph,
@@ -80,21 +80,22 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def _emit(cfg: RunConfig, payload: dict):
-    doc = {"config": asdict(cfg), "result": payload}
-    text = json.dumps(doc, indent=2, default=float) + "\n"
+def _write(cfg: RunConfig, text: str):
+    """Write ``text`` atomically to ``-o`` when it is given, else to stdout."""
     if cfg.output:
         _atomic_write(cfg.output, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(cfg: RunConfig, payload: dict):
+    """The run configuration and the result as one line of JSON; without
+    ``indent`` the C encoder writes it."""
+    _write(cfg, json.dumps({"config": asdict(cfg), "result": payload}, default=float) + "\n")
 
 
 def _emit_csv(cfg: RunConfig, header: str, rows: list[str]):
-    text = header + "\n" + "\n".join(rows) + "\n"
-    if cfg.output:
-        _atomic_write(cfg.output, text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, header + "\n" + "\n".join(rows) + "\n")
 
 
 def _draw_couplings(count: int, seed: int) -> list[float]:
@@ -117,8 +118,8 @@ def _load_input(cfg: RunConfig) -> tuple[Hamiltonian | None, WeightedGraph]:
         raise ParseError("provide an input file or --model")
     couplings = cfg.couplings
     if couplings is None and cfg.seed is not None:
-        if cfg.model in MODEL_COUPLING_COUNT:
-            count = MODEL_COUPLING_COUNT[cfg.model]
+        if cfg.model in SMALL_MODELS:
+            count = len(SMALL_MODELS[cfg.model])
         elif cfg.model == "chain":
             count = cfg.k
         elif cfg.model == "junction":
@@ -229,11 +230,7 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 def cmd_generate(cfg: RunConfig) -> int:
     h, _ = _load_input(cfg)
-    text = write_hamiltonian(h)
-    if cfg.output:
-        _atomic_write(cfg.output, text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, write_hamiltonian(h))
     return EXIT_OK
 
 

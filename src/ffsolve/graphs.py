@@ -21,17 +21,12 @@ def bits(mask: int) -> Iterator[int]:
 
 
 class WeightedGraph:
-    """Simple graph with nonnegative vertex weights.
+    """Simple graph with nonnegative vertex weights."""
 
-    ``labels[i]`` tracks the originating Hamiltonian term index through
-    induced-subgraph operations; for a freshly built graph it is ``i``.
-    """
-
-    __slots__ = ("n", "adj", "neighbors", "weights", "labels")
+    __slots__ = ("n", "adj", "neighbors", "weights")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 weights: Sequence[float] | None = None,
-                 labels: Sequence[int] | None = None):
+                 weights: Sequence[float] | None = None):
         self.n = n
         adj = [0] * n
         for i, j in edges:
@@ -50,7 +45,6 @@ class WeightedGraph:
         if any(w < 0 for w in weights):
             raise ValueError("negative vertex weight")
         self.weights = tuple(float(w) for w in weights)
-        self.labels = tuple(labels) if labels is not None else tuple(range(n))
 
     # -- queries -------------------------------------------------------
 
@@ -95,8 +89,8 @@ class WeightedGraph:
         """Subgraph induced by a vertex set.
 
         Returns the subgraph and the list of original indices, so that new
-        vertex i corresponds to old vertex ``mapping[i]``.  Weights and
-        labels are carried through.
+        vertex i corresponds to old vertex ``mapping[i]``.  Weights are
+        carried through.
         """
         keep = sorted(set(vertices))
         for v in keep:
@@ -105,9 +99,7 @@ class WeightedGraph:
         pos = {v: i for i, v in enumerate(keep)}
         edges = [(pos[i], pos[j]) for i in keep for j in self.neighbors[i]
                  if j > i and j in pos]
-        sub = WeightedGraph(len(keep), edges,
-                            weights=[self.weights[v] for v in keep],
-                            labels=[self.labels[v] for v in keep])
+        sub = WeightedGraph(len(keep), edges, weights=[self.weights[v] for v in keep])
         return sub, keep
 
     def remove_set(self, vertices: Iterable[int]) -> tuple["WeightedGraph", list[int]]:
@@ -121,7 +113,7 @@ class WeightedGraph:
 def frustration_graph(hamiltonian) -> WeightedGraph:
     """Frustration graph: vertex per term, edge iff the Paulis anticommute.
 
-    Vertex i carries weight coupling_i**2 and label i.
+    Vertex i is term i and carries the weight coupling_i**2.
     """
     terms = hamiltonian.terms
     n = len(terms)

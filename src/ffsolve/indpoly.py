@@ -213,9 +213,9 @@ def _split_component(adj: tuple[int, ...], s: int, hint: int) -> int:
     return comp if hint & ~comp else 0
 
 
-def verify_clique_recurrence(graph: WeightedGraph, clique: Iterable[int],
-                             rel_tol: float = 1e-10) -> bool:
-    """Check P_G = P_{G-K} + x * sum_{v in K} w_v P_{G-N[v]} coefficientwise.
+def verify_clique_recurrence(graph: WeightedGraph, clique: Iterable[int]) -> bool:
+    """Check P_G = P_{G-K} + x * sum_{v in K} w_v P_{G-N[v]} coefficientwise,
+    to 1e-10 relative.
 
     (In the u variable this is the recurrence P_G(-u^2) = P_{G-K}(-u^2)
     - u^2 sum_v b_v^2 P_{G-N[v]}(-u^2).)  Raises ValueError when K is not
@@ -238,7 +238,7 @@ def verify_clique_recurrence(graph: WeightedGraph, clique: Iterable[int],
             if k + 1 <= lhs.alpha:
                 rhs[k + 1] += graph.weights[v] * c
     scale = max(max(abs(c) for c in lhs.coeffs), 1.0)
-    return all(abs(a - b) <= rel_tol * max(abs(a), abs(b), scale * 1e-6, 1e-300)
+    return all(abs(a - b) <= 1e-10 * max(abs(a), abs(b), scale * 1e-6, 1e-300)
                for a, b in zip(lhs.coeffs, rhs))
 
 
@@ -389,7 +389,9 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
         with np.errstate(divide="ignore", invalid="ignore"):
             return sign_changes(t), t[0] / t[1]
 
-    lo, hi, m = roots_by_count(evaluate, alpha, poly.coeffs[1] / unit)
+    # 1 lies above every root, since they sum to c_1 / unit < 1; hi itself is
+    # never evaluated, so a root at hi (c_1 / unit at alpha = 1) gets no Newton step
+    lo, hi, m = roots_by_count(evaluate, alpha, 1.0)
     gap = 0.5 * (hi[:-1] + lo[1:])
     joined = np.abs(taylor[0] @ powers(gap)) <= rounding * (np.abs(r) @ powers(gap))
     starts = np.flatnonzero(np.r_[True, ~joined])
@@ -427,12 +429,11 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     return SingleParticleEnergies(energies, float(np.max(np.abs(t[0]) / scale[0])))
 
 
-def free_spectrum(energies: SingleParticleEnergies, n: int,
-                  merge_tol: float = 1e-9) -> list[tuple[float, int]]:
+def free_spectrum(energies: SingleParticleEnergies, n: int) -> list[tuple[float, int]]:
     """All levels sum_k (+-e_k) with uniform extra degeneracy 2^(n - alpha).
 
-    Sign patterns whose sums agree within ``merge_tol`` (relative to the
-    energy scale) are merged.  Requires alpha <= n.
+    Sign patterns whose sums agree within 1e-9 (relative to the energy
+    scale) are merged.  Requires alpha <= n.
     """
     eps = energies.flat()
     alpha = len(eps)
@@ -447,7 +448,7 @@ def free_spectrum(energies: SingleParticleEnergies, n: int,
     levels: list[tuple[float, int]] = []
     group: list[float] = []
     for s in sums:
-        if group and abs(s - group[0]) > merge_tol * scale:
+        if group and abs(s - group[0]) > 1e-9 * scale:
             levels.append((math.fsum(group) / len(group), len(group) * base_deg))
             group = []
         group.append(s)

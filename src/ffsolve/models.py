@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ModelError, ParseError
-from .graphs import WeightedGraph, frustration_graph
+from .graphs import WeightedGraph
 from .paulis import PauliTerm
 
 _TOKEN_RE = re.compile(r"^([XYZ])(\d+)$")
@@ -71,9 +71,6 @@ class Hamiltonian:
 
     def couplings(self) -> tuple[float, ...]:
         return tuple(c for c, _ in self.terms)
-
-    def graph(self) -> WeightedGraph:
-        return frustration_graph(self)
 
     def __len__(self):
         return len(self.terms)
@@ -194,30 +191,34 @@ def realize_graph(g: WeightedGraph) -> Hamiltonian:
 
 # -- built-in model families ----------------------------------------------
 
-def h5_model(a=1.0, b=1.0, c=1.0, d=1.0, e=1.0) -> Hamiltonian:
+# the Pauli labels of the terms of the three-qubit models, in order
+SMALL_MODELS = {
+    "h5": ("X0 X1", "Z1", "Y0 Y1 X2", "Y0 Z1", "X0 Z1"),
+    "h6": ("X0 X1", "Z1", "Y0 Y1 X2", "Y0 Z1", "X0 Z1", "Y0 Y1 Z2"),
+    "back_to_back": ("Z1", "Y0 X1", "X0 Y1", "Z0 Y2", "Y0 X2", "Z2"),
+}
+
+
+def _small_model(name: str, couplings) -> Hamiltonian:
+    """Model ``name`` of SMALL_MODELS; couplings None means all of them 1."""
+    labels = SMALL_MODELS[name]
+    if couplings is None:
+        couplings = [1.0] * len(labels)
+    if len(couplings) != len(labels):
+        raise ModelError(f"{name} takes {len(labels)} couplings, got {len(couplings)}")
+    return Hamiltonian.from_pairs(
+        [(c, PauliTerm.from_ops(3, {int(tok[1:]): tok[0] for tok in label.split()}))
+         for c, label in zip(couplings, labels)], n=3)
+
+
+def h5_model(*couplings: float) -> Hamiltonian:
     """Three-qubit five-term model whose frustration graph is a 5-cycle."""
-    mk = PauliTerm.from_ops
-    return Hamiltonian.from_pairs([
-        (a, mk(3, {0: "X", 1: "X"})),
-        (b, mk(3, {1: "Z"})),
-        (c, mk(3, {0: "Y", 1: "Y", 2: "X"})),
-        (d, mk(3, {0: "Y", 1: "Z"})),
-        (e, mk(3, {0: "X", 1: "Z"})),
-    ], n=3)
+    return _small_model("h5", couplings or None)
 
 
-def h6_model(a=1.0, b=1.0, c=1.0, d=1.0, e=1.0, f=1.0) -> Hamiltonian:
+def h6_model(*couplings: float) -> Hamiltonian:
     """The 5-cycle model plus one term; not a line graph, still ECF."""
-    mk = PauliTerm.from_ops
-    pairs = [
-        (a, mk(3, {0: "X", 1: "X"})),
-        (b, mk(3, {1: "Z"})),
-        (c, mk(3, {0: "Y", 1: "Y", 2: "X"})),
-        (d, mk(3, {0: "Y", 1: "Z"})),
-        (e, mk(3, {0: "X", 1: "Z"})),
-        (f, mk(3, {0: "Y", 1: "Y", 2: "Z"})),
-    ]
-    return Hamiltonian.from_pairs(pairs, n=3)
+    return _small_model("h6", couplings or None)
 
 
 def chain_model(n_cells: int, k: int, couplings=None, periodic: bool = False) -> Hamiltonian:
@@ -256,9 +257,9 @@ def chain_model(n_cells: int, k: int, couplings=None, periodic: bool = False) ->
     return Hamiltonian.from_pairs(pairs, n=n)
 
 
-def junction_graph(arm_cells: tuple[int, ...], k: int,
-                   weights=None) -> WeightedGraph:
-    """Frustration graph of a junction: chains attached to a central clique.
+def junction_graph(arm_cells: tuple[int, ...], k: int) -> WeightedGraph:
+    """Frustration graph of a junction: chains attached to a central clique,
+    all vertex weights 1.
 
     The central clique has 2*len(arm_cells) vertices, two per arm, which
     keeps the graph claw-free; each arm is the distance-k chain graph of
@@ -284,11 +285,7 @@ def junction_graph(arm_cells: tuple[int, ...], k: int,
         edges.append((2 * a, base))
         edges.append((2 * a + 1, base))
         nv += arm_len
-    if weights is None:
-        weights = [1.0] * nv
-    if len(weights) != nv:
-        raise ModelError(f"expected {nv} vertex weights, got {len(weights)}")
-    return WeightedGraph(nv, edges, weights=weights)
+    return WeightedGraph(nv, edges)
 
 
 def junction_model(arm_cells: tuple[int, ...], k: int, couplings=None) -> Hamiltonian:
@@ -302,20 +299,9 @@ def junction_model(arm_cells: tuple[int, ...], k: int, couplings=None) -> Hamilt
     return realize_graph(g)
 
 
-def back_to_back_model(a=1.0, b=1.0, c=1.0, d=1.0, e=1.0, f=1.0) -> Hamiltonian:
+def back_to_back_model(*couplings: float) -> Hamiltonian:
     """Three-qubit non-example: its frustration graph has claws and even holes."""
-    mk = PauliTerm.from_ops
-    return Hamiltonian.from_pairs([
-        (a, mk(3, {1: "Z"})),
-        (b, mk(3, {0: "Y", 1: "X"})),
-        (c, mk(3, {0: "X", 1: "Y"})),
-        (d, mk(3, {0: "Z", 2: "Y"})),
-        (e, mk(3, {0: "Y", 2: "X"})),
-        (f, mk(3, {2: "Z"})),
-    ], n=3)
-
-
-MODEL_COUPLING_COUNT = {"h5": 5, "h6": 6, "back_to_back": 6}
+    return _small_model("back_to_back", couplings or None)
 
 
 def generate_model(name: str, couplings=None, n_cells: int | None = None,
@@ -323,14 +309,8 @@ def generate_model(name: str, couplings=None, n_cells: int | None = None,
                    arm_cells=None) -> Hamiltonian:
     """Dispatch by family name: h5, h6, chain, junction, back_to_back."""
     name = name.lower()
-    if name in ("h5", "h6", "back_to_back"):
-        count = MODEL_COUPLING_COUNT[name]
-        if couplings is None:
-            couplings = [1.0] * count
-        if len(couplings) != count:
-            raise ModelError(f"{name} takes {count} couplings, got {len(couplings)}")
-        fn = {"h5": h5_model, "h6": h6_model, "back_to_back": back_to_back_model}[name]
-        return fn(*couplings)
+    if name in SMALL_MODELS:
+        return _small_model(name, couplings)
     if name == "chain":
         if n_cells is None or k is None:
             raise ModelError("chain requires N and k")

@@ -111,7 +111,7 @@ class PauliTerm:
         return cls(n, 0, 0, 0)
 
     @classmethod
-    def from_ops(cls, n: int, ops: Mapping[int, str], phase_pow: int = 0) -> "PauliTerm":
+    def from_ops(cls, n: int, ops: Mapping[int, str]) -> "PauliTerm":
         """Build from a map {qubit index: 'X'|'Y'|'Z'}."""
         x = z = 0
         for q, axis in ops.items():
@@ -120,7 +120,7 @@ class PauliTerm:
             xb, zb = _AXIS[axis.upper()]
             x |= xb << q
             z |= zb << q
-        return cls(n, x, z, phase_pow)
+        return cls(n, x, z)
 
     def label(self) -> str:
         """Human-readable form like 'X0 Y2'; 'I' for the identity."""
@@ -165,19 +165,18 @@ def commutes(p: PauliTerm, q: PauliTerm) -> bool:
 class OperatorSum:
     """Sparse complex-weighted sum of canonical Pauli strings.
 
-    Terms map (x, z) -> coefficient; coefficients below ``prune_tol`` are
-    dropped at construction.  Instances are treated as immutable.
+    Terms map (x, z) -> coefficient; coefficients of at most ``PRUNE_TOL``
+    are dropped at construction.  Instances are treated as immutable.
     """
 
     __slots__ = ("n", "terms", "_packed")
 
-    def __init__(self, n: int, terms: Mapping[tuple[int, int], complex] | None = None,
-                 prune_tol: float = PRUNE_TOL):
+    def __init__(self, n: int, terms: Mapping[tuple[int, int], complex] | None = None):
         self.n = n
         clean: dict[tuple[int, int], complex] = {}
         if terms:
             for key, c in terms.items():
-                if abs(c) > prune_tol:
+                if abs(c) > PRUNE_TOL:
                     clean[key] = complex(c)
         self.terms = clean
         self._packed: _Packed | None = None
@@ -248,8 +247,8 @@ class OperatorSum:
         bounds the operator norm from above."""
         return sum(abs(c) for c in self.terms.values())
 
-    def is_zero(self, tol: float = PRUNE_TOL) -> bool:
-        return self.max_abs_coeff() <= tol
+    def is_zero(self) -> bool:
+        return self.max_abs_coeff() <= PRUNE_TOL
 
     def identity_part(self) -> complex:
         return self.terms.get((0, 0), 0.0)
@@ -363,7 +362,7 @@ def _stack(parts: Sequence[OperatorSum]) -> tuple[_Packed, np.ndarray]:
 
 
 def _kernel(a_parts: Sequence[OperatorSum], b_parts: Sequence[OperatorSum],
-            parity: int | None, term_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            parity: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Key columns, grades and X^x Z^z coefficients of the products a_j b_k
     summed on (string, j + k): over every pair when ``parity`` is None, else
     over the pairs whose symplectic product has that parity (1:
@@ -371,8 +370,8 @@ def _kernel(a_parts: Sequence[OperatorSum], b_parts: Sequence[OperatorSum],
     a, a_grade = _stack(a_parts)
     b, b_grade = _stack(b_parts)
     na, nb = len(a.coef), len(b.coef)
-    if na * nb > term_cap:
-        raise TermBudgetError(f"product of {na} x {nb} term pairs exceeds cap {term_cap}")
+    if na * nb > TERM_CAP:
+        raise TermBudgetError(f"product of {na} x {nb} term pairs exceeds cap {TERM_CAP}")
     sums = (np.zeros((len(a.key), 0), dtype=np.uint64),  # the product of no pairs
             np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=complex))
     cols = min(max(nb, 1), _CHUNK_PAIRS)
@@ -410,14 +409,14 @@ def _strings(n: int, key: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray
     return strings, phase
 
 
-def _product(a: OperatorSum, b: OperatorSum, parity: int | None, factor: float,
-             term_cap: int, prune_tol: float) -> OperatorSum:
+def _product(a: OperatorSum, b: OperatorSum, parity: int | None,
+             factor: float) -> OperatorSum:
     """factor * sum of the string products a_i b_j, over every pair when
     ``parity`` is None, else over the pairs with that symplectic parity."""
     a._check(b)
-    key, _, coef = _kernel([a], [b], parity, term_cap)
+    key, _, coef = _kernel([a], [b], parity)
     coef = factor * coef
-    keep = np.abs(coef) > prune_tol
+    keep = np.abs(coef) > PRUNE_TOL
     strings, phase = _strings(a.n, key[:, keep])
     return OperatorSum._of_clean(a.n, dict(zip(strings, (coef[keep] * phase).tolist())))
 
@@ -456,7 +455,7 @@ def graded_mul(a_parts: Sequence[OperatorSum],
     n = a_parts[0].n
     for p in (*a_parts, *b_parts):
         a_parts[0]._check(p)
-    key, grade, coef = _kernel(a_parts, b_parts, None, TERM_CAP)
+    key, grade, coef = _kernel(a_parts, b_parts, None)
     # M_m scales with its parts, not with u^m M_m: prune against sum |a_j| |b_k|
     scale = np.convolve([p.abs_sum() for p in a_parts], [p.abs_sum() for p in b_parts])
     keep = np.abs(coef) > PRUNE_TOL * scale[grade]
@@ -471,22 +470,19 @@ def graded_mul(a_parts: Sequence[OperatorSum],
     return GradedSum(n, strings, matrix)
 
 
-def opsum_mul(a: OperatorSum, b: OperatorSum,
-              term_cap: int = TERM_CAP, prune_tol: float = PRUNE_TOL) -> OperatorSum:
+def opsum_mul(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     """Distributive product with exact phase folding; result pruned."""
-    return _product(a, b, None, 1.0, term_cap, prune_tol)
+    return _product(a, b, None, 1.0)
 
 
-def opsum_comm(a: OperatorSum, b: OperatorSum,
-               term_cap: int = TERM_CAP, prune_tol: float = PRUNE_TOL) -> OperatorSum:
+def opsum_comm(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     """Commutator [a, b]; only anticommuting string pairs contribute."""
-    return _product(a, b, 1, 2.0, term_cap, prune_tol)
+    return _product(a, b, 1, 2.0)
 
 
-def opsum_anticomm(a: OperatorSum, b: OperatorSum,
-                   term_cap: int = TERM_CAP, prune_tol: float = PRUNE_TOL) -> OperatorSum:
+def opsum_anticomm(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     """Anticommutator {a, b}; only commuting string pairs contribute."""
-    return _product(a, b, 0, 2.0, term_cap, prune_tol)
+    return _product(a, b, 0, 2.0)
 
 
 # -- dense backend -----------------------------------------------------
@@ -505,12 +501,13 @@ def _parity_vector(n: int, z: int) -> np.ndarray:
     return par
 
 
-def to_dense(a: OperatorSum | PauliTerm, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def to_dense(a: OperatorSum | PauliTerm) -> np.ndarray:
     """Dense 2^n matrix of an OperatorSum or a single PauliTerm."""
     if isinstance(a, PauliTerm):
         a = OperatorSum.from_term(a)
-    if a.n > cap:
-        raise DenseCapError(f"dense realization of {a.n} qubits exceeds cap {cap}")
+    if a.n > DENSE_QUBIT_CAP:
+        raise DenseCapError(
+            f"dense realization of {a.n} qubits exceeds cap {DENSE_QUBIT_CAP}")
     dim = 1 << a.n
     mat = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)

@@ -145,23 +145,22 @@ def find_even_hole(graph: WeightedGraph,
     return None
 
 
-def find_simplicial_cliques(graph: WeightedGraph) -> list[tuple[int, ...]]:
-    """All simplicial cliques, as sorted vertex tuples.
+def is_simplicial_clique(graph: WeightedGraph, mask: int) -> bool:
+    """True iff ``mask`` is a nonempty clique K such that for every member
+    v the closed neighborhood of v minus the rest of K induces a clique."""
+    if not mask:
+        return False
+    for v in bits(mask):
+        closed = graph.closed_adj(v)
+        if closed & mask != mask or not graph.is_clique(closed & ~mask | 1 << v):
+            return False
+    return True
 
-    A clique K is simplicial when for every member v the closed
-    neighborhood of v minus the rest of K induces a clique.
-    """
-    out = []
-    for mask in all_cliques(graph):
-        ok = True
-        for v in bits(mask):
-            kv = graph.closed_adj(v) & ~(mask & ~(1 << v))
-            if not graph.is_clique(kv):
-                ok = False
-                break
-        if ok:
-            out.append(tuple(bits(mask)))
-    return out
+
+def find_simplicial_cliques(graph: WeightedGraph) -> list[tuple[int, ...]]:
+    """All simplicial cliques, as sorted vertex tuples."""
+    return [tuple(bits(mask)) for mask in all_cliques(graph)
+            if is_simplicial_clique(graph, mask)]
 
 
 def find_twins(graph: WeightedGraph) -> list[tuple[int, int]]:

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConditioningError, DegenerateModeError, NotSimplicialError
 from .graphs import WeightedGraph, bits, frustration_graph
 from .indpoly import (
-    IndependencePolynomial,
     SingleParticleEnergies,
     iter_independent_set_masks,
     weighted_independence_polynomial,
@@ -44,19 +43,20 @@ from .paulis import (
     opsum_comm,
     opsum_mul,
 )
+from .recognition import is_simplicial_clique
 
 
 def _term_opsums(h: Hamiltonian) -> list[OperatorSum]:
     return [OperatorSum.from_term(t, c) for c, t in h.terms]
 
 
-def charge(h: Hamiltonian, k: int, graph: WeightedGraph | None = None) -> OperatorSum:
+def charge(h: Hamiltonian, k: int) -> OperatorSum:
     """Independent-set charge: sum over k-vertex independent sets of the
     products of the corresponding terms.  k=0 gives the identity, k=1 the
     Hamiltonian itself."""
     if k < 0:
         raise ValueError("charge order must be nonnegative")
-    charges = transfer(h, graph).charges
+    charges = transfer(h).charges
     if k >= len(charges):
         raise ValueError(f"no independent sets of size {k}")
     return charges[k]
@@ -147,15 +147,11 @@ def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph | None = None)
     return worst
 
 
-def transfer_factorization_residual(h: Hamiltonian, u: float,
-                                    t: TransferOperator | None = None,
-                                    poly: IndependencePolynomial | None = None) -> float:
+def transfer_factorization_residual(h: Hamiltonian, u: float) -> float:
     """max coefficient of T(u) T(-u) - P(-u^2) I."""
     graph = frustration_graph(h)
-    if t is None:
-        t = transfer(h, graph)
-    if poly is None:
-        poly = weighted_independence_polynomial(graph)
+    t = transfer(h, graph)
+    poly = weighted_independence_polynomial(graph)
     prod = opsum_mul(t.evaluate(u), t.evaluate(-u))
     expected = poly.at_minus_u2(u) * OperatorSum.identity(h.n)
     return (prod - expected).max_abs_coeff()
@@ -200,16 +196,6 @@ def clique_transfer_recurrence_residual(h: Hamiltonian, clique: Sequence[int],
 
 # -- simplicial extension and modes -------------------------------------------
 
-def _is_simplicial_clique(graph: WeightedGraph, kmask: int) -> bool:
-    if kmask == 0 or not graph.is_clique(kmask):
-        return False
-    for v in bits(kmask):
-        kv = graph.closed_adj(v) & ~(kmask & ~(1 << v))
-        if not graph.is_clique(kv):
-            return False
-    return True
-
-
 def simplicial_extension(h: Hamiltonian, ks: Sequence[int]) -> tuple[Hamiltonian, PauliTerm]:
     """Ancilla construction of the simplicial mode.
 
@@ -223,7 +209,7 @@ def simplicial_extension(h: Hamiltonian, ks: Sequence[int]) -> tuple[Hamiltonian
         if not 0 <= v < len(h.terms):
             raise NotSimplicialError(f"vertex {v} out of range")
         kmask |= 1 << v
-    if not _is_simplicial_clique(graph, kmask):
+    if not is_simplicial_clique(graph, kmask):
         raise NotSimplicialError(f"{sorted(set(ks))} is not a simplicial clique")
     n = h.n + 1
     new_terms = []
@@ -273,8 +259,7 @@ class _ModeContext:
 
 
 def incognito_mode(hext: Hamiltonian, chi: PauliTerm, index: int,
-                   energies: SingleParticleEnergies,
-                   _ctx: _ModeContext | None = None) -> IncognitoMode:
+                   energies: SingleParticleEnergies) -> IncognitoMode:
     """Build mode ``index`` (0-based into the ascending energy list):
     psi(u_j) / N_j, with psi(u) the graded product of the module docstring.
 
@@ -282,6 +267,18 @@ def incognito_mode(hext: Hamiltonian, chi: PauliTerm, index: int,
     derivative of the independence polynomial at the root, which vanishes
     for repeated roots.
     """
+    eps = _simple_energy(energies, index)  # refused before any operator is built
+    return _mode(_ModeContext(hext, chi), index, eps)
+
+
+def all_modes(hext: Hamiltonian, chi: PauliTerm,
+              energies: SingleParticleEnergies) -> list[IncognitoMode]:
+    ctx = _ModeContext(hext, chi)
+    return [_mode(ctx, j, _simple_energy(energies, j)) for j in range(len(energies.flat()))]
+
+
+def _simple_energy(energies: SingleParticleEnergies, index: int) -> float:
+    """Energy ``index`` of the ascending list, refused when it is repeated."""
     flat = energies.flat()
     if not 0 <= index < len(flat):
         raise ValueError(f"mode index {index} out of range")
@@ -289,8 +286,11 @@ def incognito_mode(hext: Hamiltonian, chi: PauliTerm, index: int,
         if m > 1 and abs(e - flat[index]) <= 1e-9 * e:
             raise DegenerateModeError(
                 f"energy {e:.12g} has multiplicity {m}; mode construction refused")
-    ctx = _ctx or _ModeContext(hext, chi)
-    eps = flat[index]
+    return flat[index]
+
+
+def _mode(ctx: _ModeContext, index: int, eps: float) -> IncognitoMode:
+    """Mode ``index``, of energy ``eps``, from the data its Hamiltonian shares."""
     u = 1.0 / eps
     x = -u * u
     nsq = 16.0 * u * u * ctx.poly_minus_ks(x) * ctx.poly.deriv(x)
@@ -300,13 +300,6 @@ def incognito_mode(hext: Hamiltonian, chi: PauliTerm, index: int,
             "expected positive (interlacing of the reduced polynomial)")
     norm = float(np.sqrt(nsq))
     return IncognitoMode(index, u, eps, norm, (1.0 / norm) * ctx.psi.evaluate(u))
-
-
-def all_modes(hext: Hamiltonian, chi: PauliTerm,
-              energies: SingleParticleEnergies) -> list[IncognitoMode]:
-    ctx = _ModeContext(hext, chi)
-    return [incognito_mode(hext, chi, j, energies, _ctx=ctx)
-            for j in range(len(energies.flat()))]
 
 
 def reconstruct(modes: Sequence[IncognitoMode],

@@ -46,8 +46,7 @@ def _cluster(values, tol):
     return levels
 
 
-def brute_force_spectrum(h: Hamiltonian,
-                         cluster_tol: float = SPECTRUM_CLUSTER_TOL) -> list[tuple[float, int]]:
+def brute_force_spectrum(h: Hamiltonian) -> list[tuple[float, int]]:
     """Sorted eigenvalues with multiplicities from dense diagonalization.
 
     Clustering happens after scaling to unit largest coupling so the
@@ -66,7 +65,7 @@ def brute_force_spectrum(h: Hamiltonian,
     if abs(np.linalg.norm(mat, "fro") ** 2 - dim * sum_b2) > 1e-9 * norm:
         raise FFSolveError("oracle self-check failed: tr(H^2) != 2^n sum b^2")
     evals = np.linalg.eigvalsh(mat / scale)
-    return [(v * scale, m) for v, m in _cluster(list(evals), cluster_tol)]
+    return [(v * scale, m) for v, m in _cluster(list(evals), SPECTRUM_CLUSTER_TOL)]
 
 
 @dataclass
@@ -193,8 +192,7 @@ def verify_nonexample_equal_couplings() -> dict:
     }
 
 
-def verify_all(h: Hamiltonian, u_grid=DEFAULT_U_GRID,
-               hole_budget: int | None = None,
+def verify_all(h: Hamiltonian, hole_budget: int | None = None,
                spectrum_tol: float = SPECTRUM_MATCH_TOL) -> VerificationReport:
     """Full pipeline: classify, charges, transfer factorization, simplicial
     extension, fundamental identity, modes, CAR, reconstruction, spectrum.
@@ -236,7 +234,7 @@ def verify_all(h: Hamiltonian, u_grid=DEFAULT_U_GRID,
 
     t0 = time.perf_counter()
     worst = 0.0
-    for u in u_grid:
+    for u in DEFAULT_U_GRID:
         worst = max(worst, transfer_factorization_residual(h, u))
     report.lemma_residuals["transfer_factorization"] = worst
     report.timings["transfer"] = time.perf_counter() - t0
@@ -245,7 +243,7 @@ def verify_all(h: Hamiltonian, u_grid=DEFAULT_U_GRID,
     hext, chi = simplicial_extension(h, ks)
     t0 = time.perf_counter()
     worst = 0.0
-    for u in u_grid:
+    for u in DEFAULT_U_GRID:
         worst = max(worst, check_fundamental_identity(hext, chi, ks, u))
     report.lemma_residuals["fundamental_identity"] = worst
     report.timings["fundamental_identity"] = time.perf_counter() - t0

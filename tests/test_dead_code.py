@@ -1,9 +1,15 @@
-"""Every module-level function, class and method of the package is used.
+"""Every module-level function, class and method of the package is used,
+and every defaulted parameter is set by some call.
 
 A name counts as used when it appears, as a whole word, somewhere in the
 package or the tests other than its own definition and the package's
-re-export list in ``__init__.py``.  Dunder methods are called by the
-interpreter, so they are not checked.
+re-export list in ``__init__.py``.  A method must also be read as an
+attribute (``obj.name``) somewhere, since a bare word such as ``graph``
+occurs everywhere.  A defaulted parameter counts as set when some call of
+a function or method of that name passes it, by keyword or by position;
+the parameters of ``__init__`` are checked against the calls of the
+class.  Dunder methods are called by the interpreter, so they are not
+checked.
 """
 
 import ast
@@ -40,3 +46,83 @@ def test_no_unused_definitions():
             if sum(len(word.findall(text)) for text in texts) <= 1:
                 unused.append(f"{path.name}:{line} {name}")
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def _functions(tree):
+    """(class name or None, node) of the module-level functions and of the
+    methods of module-level classes."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((None, node))
+        if isinstance(node, ast.ClassDef):
+            out += [(node.name, item) for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return out
+
+
+def _trees(paths):
+    return [(p, ast.parse(p.read_text(), filename=str(p))) for p in paths]
+
+
+def _sources():
+    return [p for d in ("src", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_method_is_read_as_an_attribute():
+    read = {node.attr for _, tree in _trees(_sources()) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unused = [f"{path.name}:{fn.lineno} {owner}.{fn.name}"
+              for path, tree in _trees(sorted(PACKAGE.glob("*.py")))
+              for owner, fn in _functions(tree)
+              if owner and not _is_dunder(fn.name) and fn.name not in read]
+    assert not unused, "methods never read as an attribute: " + ", ".join(unused)
+
+
+def _calls():
+    """Called name -> [(positional argument count, keyword names)]; a starred
+    argument passes every position, and ``**`` (keyword None) every keyword."""
+    calls = {}
+    for _, tree in _trees(_sources()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                count = float("inf") if starred else len(node.args)
+                calls.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+    return calls
+
+
+def _defaulted(fn, is_method):
+    """(index among the positional arguments of a call, or None for a
+    keyword-only parameter, name) of every parameter with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in fn.decorator_list)
+    bound = 1 if is_method and not static else 0  # self or cls
+    first = len(positional) - len(args.defaults)
+    out = [(i - bound, positional[i].arg) for i in range(first, len(positional))]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_is_set():
+    calls = _calls()
+    unset = []
+    for path, tree in _trees(sorted(PACKAGE.glob("*.py"))):
+        for owner, fn in _functions(tree):
+            if _is_dunder(fn.name) and fn.name != "__init__":
+                continue
+            sites = calls.get(owner if fn.name == "__init__" else fn.name, [])
+            for index, name in _defaulted(fn, owner is not None):
+                if not any(name in keywords or None in keywords
+                           or index is not None and count > index
+                           for count, keywords in sites):
+                    where = f"{owner}.{fn.name}" if owner else fn.name
+                    unset.append(f"{path.name}:{fn.lineno} {where}({name})")
+    assert not unset, "defaulted parameters no call sets: " + ", ".join(unset)

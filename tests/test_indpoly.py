@@ -353,6 +353,23 @@ def test_generic_root_sweep_budget(monkeypatch):
     assert len(sweeps) <= 25
 
 
+@pytest.mark.parametrize("graph", [
+    WeightedGraph(1, weights=[2.5]),
+    WeightedGraph(2, [(0, 1)], weights=[9.0, 16.0]),
+    WeightedGraph(3, [(0, 1), (0, 2), (1, 2)], weights=[1.0, 0.3, 2.0]),
+])
+def test_single_root_sweep_budget(monkeypatch, graph):
+    """A vertex, an edge and a triangle: alpha = 1, and the one root, c_1,
+    lies strictly below the upper end of the search, which is never
+    evaluated, so a Newton estimate reaches it within 5 evaluations."""
+    sweeps = record_sweeps(monkeypatch, indpoly)
+    energies = single_particle_energies(weighted_independence_polynomial(graph))
+    assert len(sweeps) <= 5
+    ((energy, mult),) = energies.energies
+    assert mult == 1
+    assert math.isclose(energy, math.sqrt(sum(graph.weights)), rel_tol=2 * EPS)
+
+
 @pytest.mark.parametrize("root", [0.3, 1 / 3, 0.7316, 0.5])
 @pytest.mark.parametrize("seed", range(4))
 def test_roots_by_count_stops_in_noise_at_adjacent_floats(root, seed):

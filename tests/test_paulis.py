@@ -162,11 +162,12 @@ def test_pruning_threshold():
     assert len(a) == 1
 
 
-def test_term_cap_is_reported_error():
+def test_term_cap_is_reported_error(monkeypatch):
     big = OperatorSum(6, {(i, 0): 1.0 for i in range(1, 40)})
+    monkeypatch.setattr(paulis, "TERM_CAP", 100)
     for product in (opsum_mul, opsum_comm, opsum_anticomm):
         with pytest.raises(TermBudgetError):
-            product(big, big, term_cap=100)
+            product(big, big)
 
 
 def test_graded_term_cap_counts_all_parts():
