@@ -35,9 +35,9 @@ from .models import (
     parse_hamiltonian,
     write_hamiltonian,
 )
-from .recognition import classify
+from .recognition import HOLE_SEARCH_BUDGET, classify
 from .solver import all_modes, simplicial_extension
-from .verify import verify_all
+from .verify import SPECTRUM_MATCH_TOL, verify_all
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -58,8 +58,8 @@ class RunConfig:
     periodic: bool = False
     arms: list | None = None
     seed: int | None = None
-    tol: float = 1e-8
-    budget: int = 10**8
+    tol: float | None = None
+    budget: int | None = None
     modes: bool = False
     output: str | None = None
     b2: list | None = None
@@ -243,8 +243,9 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--periodic", action="store_true")
     p.add_argument("--arms", help="comma-separated arm lengths (junction)")
     p.add_argument("--seed", type=int, help="draw random couplings")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--budget", type=int, default=10**8, help="even-hole search budget")
+    p.add_argument("--tol", type=float, default=SPECTRUM_MATCH_TOL)
+    p.add_argument("--budget", type=int, default=HOLE_SEARCH_BUDGET,
+                   help="even-hole search budget")
     p.add_argument("-o", "--output", help="write JSON here (atomic)")
 
 

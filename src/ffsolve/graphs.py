@@ -1,8 +1,11 @@
-"""Weighted simple graphs and the frustration graph of a Hamiltonian.
+"""Weighted simple graphs, the frustration graph of a Hamiltonian, and
+the one walk over vertex subsets.
 
 Adjacency is stored twice: as sorted neighbor tuples and as bitset rows
 (Python ints), since the hot loops downstream are neighborhood
 intersections.  Vertex weights are squared Hamiltonian couplings.
+``stable_sets`` walks the vertex sets with no two members joined: on the
+adjacency rows the independent sets, on the complement rows the cliques.
 """
 
 from __future__ import annotations
@@ -147,18 +150,28 @@ def maximal_cliques(graph: WeightedGraph) -> list[int]:
     return out
 
 
+def stable_sets(rows: Sequence[int]) -> Iterator[int]:
+    """Every set of vertices 0..len(rows)-1 with no two members joined in
+    ``rows``, as bitmasks; ``rows[v]`` is the bitmask of the vertices
+    joined to v.
+
+    The empty set comes first, and each set comes after its parent, the
+    set without its highest vertex: the walk is depth first and adds
+    vertices in ascending order.  Exponential in the graph size.
+    """
+    stack = [(0, (1 << len(rows)) - 1)]
+    while stack:
+        current, candidates = stack.pop()
+        yield current
+        children = []
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low  # what is left lies above the new vertex
+            children.append((current | low, candidates & ~rows[low.bit_length() - 1]))
+        stack.extend(reversed(children))
+
+
 def all_cliques(graph: WeightedGraph) -> list[int]:
-    """All nonempty cliques as bitmasks, exhaustively."""
-    out: list[int] = []
-
-    def grow(current: int, candidates: int):
-        for v in bits(candidates):
-            cur = current | (1 << v)
-            out.append(cur)
-            grow(cur, candidates & self_above(v) & graph.adj[v])
-
-    def self_above(v: int) -> int:
-        return ~((1 << (v + 1)) - 1)
-
-    grow(0, graph.full_mask)
-    return out
+    """All nonempty cliques as bitmasks, in the order of ``stable_sets``."""
+    complement = [graph.full_mask ^ graph.closed_adj(v) for v in range(graph.n)]
+    return [mask for mask in stable_sets(complement) if mask]

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ComplexRootError
-from .graphs import WeightedGraph, bits
+from .graphs import WeightedGraph, bits, stable_sets
 
 ROOT_REL_TOL = 1e-15
 # least half-width of a Newton window, relative: a window 0.8 ROOT_REL_TOL
@@ -51,47 +51,20 @@ _BISECT_STEPS = 200   # enough to reach adjacent floats from (0, 1]
 
 # -- independent sets ------------------------------------------------------
 
-def iter_independent_set_masks(graph: WeightedGraph) -> Iterator[int]:
-    """All independent sets as bitmasks, including the empty set, each after
-    a subset one smaller.
-
-    Exponential in the graph size, so kept for small graphs only: as a
-    reference in tests (through ``independent_sets``), and for the charges
-    of ``solver.transfer``, which need each set itself rather than the
-    weighted counts that ``weighted_independence_polynomial`` computes.
-    """
-    def rec(candidates: int, current: int):
-        yield current
-        for v in bits(candidates):
-            above = ~((1 << (v + 1)) - 1)
-            yield from rec(candidates & above & ~graph.adj[v], current | (1 << v))
-
-    yield from rec(graph.full_mask, 0)
-
-
 def independent_sets(graph: WeightedGraph) -> dict[int, list[tuple[int, ...]]]:
-    """Independent sets grouped by size, each as a sorted vertex tuple."""
+    """Independent sets grouped by size, each as a sorted vertex tuple,
+    in the order of ``graphs.stable_sets``; exponential in the graph size."""
     grouped: dict[int, list[tuple[int, ...]]] = {}
-    for mask in iter_independent_set_masks(graph):
+    for mask in stable_sets(graph.adj):
         vs = tuple(bits(mask))
         grouped.setdefault(len(vs), []).append(vs)
     return grouped
 
 
 def independence_number(graph: WeightedGraph) -> int:
-    best = 0
-
-    def rec(candidates: int, size: int):
-        nonlocal best
-        if size + candidates.bit_count() <= best:
-            return
-        best = max(best, size)
-        for v in bits(candidates):
-            above = ~((1 << (v + 1)) - 1)
-            rec(candidates & above & ~graph.adj[v], size + 1)
-
-    rec(graph.full_mask, 0)
-    return best
+    """The size of a largest independent set: the degree of the
+    independence polynomial with every weight 1."""
+    return weighted_independence_polynomial(WeightedGraph(graph.n, graph.edges())).alpha
 
 
 # -- polynomial -------------------------------------------------------------

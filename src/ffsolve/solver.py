@@ -21,18 +21,15 @@ every u cancel in the M_m, once; each mode is then psi(u_j) / N_j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConditioningError, DegenerateModeError, NotSimplicialError
-from .graphs import WeightedGraph, bits, frustration_graph
-from .indpoly import (
-    SingleParticleEnergies,
-    iter_independent_set_masks,
-    weighted_independence_polynomial,
-)
+from .graphs import WeightedGraph, frustration_graph, stable_sets
+from .indpoly import SingleParticleEnergies, weighted_independence_polynomial
 from .models import Hamiltonian
 from .paulis import (
     OperatorSum,
@@ -95,23 +92,24 @@ class TransferOperator:
 def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOperator:
     """All charges Q^(0)..Q^(alpha) from one pass over the independent sets.
 
-    The factors of each set commute, so their order is immaterial;
-    couplings multiply into a real prefactor and the Pauli product keeps an
-    exact phase.
+    ``graphs.stable_sets`` yields each set after its parent, the set
+    without its highest vertex, so a set's coupling product and Pauli
+    product are its parent's times that vertex's term, one ``multiply``
+    per set.  The factors of a set commute, so their order is immaterial.
     """
     if graph is None:
         graph = frustration_graph(h)
-    accs: list[dict[tuple[int, int], complex]] = []
-    for mask in iter_independent_set_masks(graph):
+    sets = stable_sets(graph.adj)
+    made = {next(sets): (1.0, PauliTerm.identity(h.n))}  # the empty set comes first
+    accs: list[dict[tuple[int, int], complex]] = [{(0, 0): 1.0 + 0.0j}]
+    for mask in sets:
+        top = mask.bit_length() - 1
+        c, t = h.terms[top]
+        coeff, prod = made[mask ^ (1 << top)]
+        made[mask] = coeff, prod = coeff * c, multiply(prod, t)
         k = mask.bit_count()
-        if k == len(accs):  # each set comes after a subset one smaller
+        if k == len(accs):
             accs.append({})
-        coeff = 1.0
-        prod = PauliTerm.identity(h.n)
-        for v in bits(mask):
-            c, t = h.terms[v]
-            coeff *= c
-            prod = multiply(prod, t)
         key = (prod.x, prod.z)
         accs[k][key] = accs[k].get(key, 0.0) + coeff * prod.phase
     return TransferOperator(h.n, tuple(OperatorSum(h.n, acc) for acc in accs))
@@ -242,9 +240,15 @@ class IncognitoMode:
 
 
 class _ModeContext:
-    """Shared data for building all modes of one extended Hamiltonian."""
+    """Shared data for building all modes of one extended Hamiltonian,
+    from its couplings divided by ``scale``, the power of two just above
+    the largest |coupling| (exact).  The modes and N_j do not depend on
+    the overall scale, but charges far below 1 fall under ``PRUNE_TOL``.
+    Mode j is then read at u = scale / e_j."""
 
     def __init__(self, hext: Hamiltonian, chi: PauliTerm):
+        self.scale = math.ldexp(1.0, math.frexp(max(abs(c) for c, _ in hext.terms))[1])
+        hext = Hamiltonian(hext.n, tuple((c / self.scale, t) for c, t in hext.terms))
         graph = frustration_graph(hext)
         self.poly = weighted_independence_polynomial(graph)
         ks = clique_from_mode(hext, chi)
@@ -291,7 +295,7 @@ def _simple_energy(energies: SingleParticleEnergies, index: int) -> float:
 
 def _mode(ctx: _ModeContext, index: int, eps: float) -> IncognitoMode:
     """Mode ``index``, of energy ``eps``, from the data its Hamiltonian shares."""
-    u = 1.0 / eps
+    u = ctx.scale / eps  # u_j of the scaled couplings
     x = -u * u
     nsq = 16.0 * u * u * ctx.poly_minus_ks(x) * ctx.poly.deriv(x)
     if not nsq > 0:
@@ -299,7 +303,7 @@ def _mode(ctx: _ModeContext, index: int, eps: float) -> IncognitoMode:
             f"normalization squared is {nsq:.3e} at mode {index}; "
             "expected positive (interlacing of the reduced polynomial)")
     norm = float(np.sqrt(nsq))
-    return IncognitoMode(index, u, eps, norm, (1.0 / norm) * ctx.psi.evaluate(u))
+    return IncognitoMode(index, 1.0 / eps, eps, norm, (1.0 / norm) * ctx.psi.evaluate(u))
 
 
 def reconstruct(modes: Sequence[IncognitoMode],

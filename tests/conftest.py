@@ -13,7 +13,8 @@ import random
 import numpy as np
 
 from ffsolve import chains, indpoly
-from ffsolve.graphs import WeightedGraph
+from ffsolve.graphs import WeightedGraph, bits, stable_sets
+from ffsolve.paulis import OperatorSum, PauliTerm, multiply
 
 EPS = float(np.finfo(float).eps)
 
@@ -92,6 +93,30 @@ def naive_independence_polynomial(g: WeightedGraph) -> list[float]:
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def per_set_charges(h, graph: WeightedGraph) -> list[dict]:
+    """Reference for ``solver.transfer``: the terms of every charge, with
+    each set's coupling and Pauli products multiplied out from scratch.
+
+    The sets are walked in the order of ``graphs.stable_sets`` and each
+    product is taken in ascending vertex order, so that every coefficient
+    is summed in the same order, and the charges compare equal bit for bit.
+    """
+    accs: list[dict] = []
+    for mask in stable_sets(graph.adj):
+        k = mask.bit_count()
+        if k == len(accs):
+            accs.append({})
+        coeff = 1.0
+        prod = PauliTerm.identity(h.n)
+        for v in bits(mask):
+            c, t = h.terms[v]
+            coeff *= c
+            prod = multiply(prod, t)
+        key = (prod.x, prod.z)
+        accs[k][key] = accs[k].get(key, 0.0) + coeff * prod.phase
+    return [OperatorSum(h.n, acc).terms for acc in accs]
 
 
 # -- root isolation ----------------------------------------------------------

@@ -51,6 +51,15 @@ def test_solve_h5_unit(capsys):
     assert abs(eps[1] - math.sqrt((5 + math.sqrt(5)) / 2)) < 1e-10
 
 
+def test_solve_modes_at_small_couplings(capsys):
+    """Couplings of order 1e-3 give the modes of couplings of order 1."""
+    for couplings in ("1,0.7,1.3", "0.001,0.0007,0.0013"):
+        code, doc = run_json(capsys, "solve", "--modes", "--model", "chain", "--N", "5",
+                             "--k", "3", "--couplings", couplings)
+        assert code == 0
+        assert doc["result"]["mode_term_counts"] == [150] * 5
+
+
 def test_solve_single_edge_345(tmp_path, capsys):
     p = tmp_path / "edge.ham"
     p.write_text("3.0 X0\n4.0 Z0\n")

@@ -1,5 +1,6 @@
 """Every module-level function, class and method of the package is used,
-and every defaulted parameter is set by some call.
+every defaulted parameter is set by some call, and no module uses the
+private names of another.
 
 A name counts as used when it appears, as a whole word, somewhere in the
 package or the tests other than its own definition and the package's
@@ -126,3 +127,26 @@ def test_every_defaulted_parameter_is_set():
                     where = f"{owner}.{fn.name}" if owner else fn.name
                     unset.append(f"{path.name}:{fn.lineno} {where}({name})")
     assert not unset, "defaulted parameters no call sets: " + ", ".join(unset)
+
+
+def test_no_private_name_crosses_modules():
+    """No module of the package imports a ``_private`` name of another one,
+    or reads one as an attribute of an imported module, so private helpers
+    such as the Pauli phase rule stay behind their module's functions."""
+    crossing = []
+    for path, tree in _trees(sorted(PACKAGE.glob("*.py"))):
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "ffsolve"
+                                                     or node.module.startswith("ffsolve.")):
+                for alias in node.names:
+                    if alias.name.startswith("_") and not _is_dunder(alias.name):
+                        crossing.append(f"{path.name}:{node.lineno} {alias.name}")
+                    if not node.module or node.module == "ffsolve":
+                        modules.add(alias.asname or alias.name)  # a module of the package
+        crossing += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in modules and node.attr.startswith("_")
+                     and not _is_dunder(node.attr)]
+    assert not crossing, "private names used across modules: " + ", ".join(crossing)

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import cycle_graph, random_graph
-from ffsolve.graphs import WeightedGraph, frustration_graph, maximal_cliques, bits
+from ffsolve.graphs import (
+    WeightedGraph,
+    all_cliques,
+    bits,
+    frustration_graph,
+    maximal_cliques,
+    stable_sets,
+)
 from ffsolve.models import (
     back_to_back_model,
     chain_model,
@@ -141,3 +148,27 @@ def test_junction_graph_has_hub_clique():
     assert g.n == 12
     hub = (1 << 6) - 1
     assert g.is_clique(hub)
+
+
+def test_stable_sets_against_itertools():
+    """On adjacency rows the independent sets, on complement rows the
+    cliques: each set once, the empty set first, and each set after its
+    parent, the set without its highest vertex."""
+    rng = random.Random(58)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 9), rng.uniform(0.1, 0.9))
+        complement = [g.full_mask ^ g.closed_adj(v) for v in range(g.n)]
+        for rows, joined in ((g.adj, True), (complement, False)):
+            got = list(stable_sets(rows))
+            want = {sum(1 << v for v in sub)
+                    for size in range(g.n + 1)
+                    for sub in itertools.combinations(range(g.n), size)
+                    if all(g.has_edge(a, b) != joined
+                           for a, b in itertools.combinations(sub, 2))}
+            assert len(got) == len(want) and set(got) == want
+            assert got[0] == 0
+            position = {mask: i for i, mask in enumerate(got)}
+            for mask in got[1:]:
+                parent = mask ^ (1 << (mask.bit_length() - 1))
+                assert position[parent] < position[mask]
+        assert all_cliques(g) == list(stable_sets(complement))[1:]

@@ -77,6 +77,20 @@ def test_independent_sets_against_naive():
         assert got == naive
 
 
+def test_independence_number_against_brute_force():
+    """Weights play no part, zero weights included."""
+    rng = random.Random(23)
+    for trial in range(40):
+        n = rng.randint(0, 9)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.8), weighted=True)
+        if trial % 2:
+            g = WeightedGraph(n, g.edges(), weights=[rng.choice([0.0, 1.5]) for _ in range(n)])
+        want = max(size for size in range(n + 1)
+                   for sub in itertools.combinations(range(n), size)
+                   if not any(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2)))
+        assert independence_number(g) == want
+
+
 def test_chain_alpha_is_cell_count():
     for n_cells, k in [(1, 2), (2, 3), (3, 3), (4, 2)]:
         g = frustration_graph(chain_model(n_cells, k))

@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from conftest import naive_has_claw, per_set_charges, random_graph
+from ffsolve import solver
 from ffsolve.errors import ConditioningError, DegenerateModeError, NotSimplicialError
-from ffsolve.graphs import bits, frustration_graph, maximal_cliques
+from ffsolve.graphs import bits, frustration_graph, maximal_cliques, stable_sets
 from ffsolve.indpoly import (
     SingleParticleEnergies,
     single_particle_energies,
@@ -19,6 +21,7 @@ from ffsolve.models import (
     h5_model,
     h6_model,
     junction_model,
+    realize_graph,
 )
 from ffsolve.paulis import OperatorSum, PauliTerm, commutes, opsum_comm, opsum_mul, to_dense
 from ffsolve.recognition import find_simplicial_cliques
@@ -120,6 +123,29 @@ def test_charges_commute_for_claw_free_models():
               junction_model((1, 1, 1), 2, [RNG.uniform(0.5, 1.5) for _ in range(12)])]
     for h in models:
         assert charges_commute_residual(h) < 1e-10
+
+
+def test_transfer_equals_the_per_set_products(monkeypatch):
+    """Each set's product from its parent's gives the charges of the
+    products multiplied out set by set, bit for bit, with one Pauli
+    multiplication per nonempty set."""
+    rng = random.Random(4)
+    models = [chain_model(4, 4, [1.0, 0.7, 1.3, 0.9]), chain_model(5, 3, [1.0, 0.7, 1.3]),
+              junction_model((1, 1, 1), 3, [rng.uniform(0.5, 1.5) for _ in range(15)]),
+              h6_model(1.1, 0.3, 0.9, -0.7, 1.4, 0.6)]
+    while len(models) < 24:
+        g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.8), weighted=True)
+        if not naive_has_claw(g):
+            models.append(realize_graph(g))
+    calls = []
+    multiply = solver.multiply
+    monkeypatch.setattr(solver, "multiply", lambda p, q: calls.append(1) or multiply(p, q))
+    for h in models:
+        g = frustration_graph(h)
+        calls.clear()
+        got = [q.terms for q in transfer(h, g).charges]
+        assert got == per_set_charges(h, g)
+        assert len(calls) == sum(1 for _ in stable_sets(g.adj)) - 1
 
 
 def test_transfer_clique_recurrences_all_forms():
@@ -247,6 +273,27 @@ def test_modes_equal_the_triple_product(name, scale):
         alone = incognito_mode(hext, chi, j, energies)
         assert (alone.u, alone.norm) == (m.u, m.norm)
         assert alone.op.terms == m.op.terms
+
+
+@pytest.mark.parametrize("name", ["chain5x3", "chain4x4", "junction111", "h6"])
+def test_modes_do_not_depend_on_the_coupling_scale(name):
+    """Scaling every coupling by 1e-3 or 1e3 scales the energies and leaves
+    the modes as they are.  At 1e-3 the top charge of chain 5x3 lies below
+    the pruning size, and only a scale-free mode path keeps it."""
+    rng = random.Random(5)
+    make, couplings = {
+        "chain5x3": (lambda b: chain_model(5, 3, b), [1.0, 0.7, 1.3]),
+        "chain4x4": (lambda b: chain_model(4, 4, b), [1.0, 0.7, 1.3, 0.9]),
+        "junction111": (lambda b: junction_model((1, 1, 1), 3, b),
+                        [rng.uniform(0.5, 1.5) for _ in range(15)]),
+        "h6": (lambda b: h6_model(*b), [1.1, 0.3, 0.9, -0.7, 1.4, 0.6])}[name]
+    want = build_solution(make(couplings))[-1]
+    for scale in (1e-3, 1e3):
+        got = build_solution(make([scale * b for b in couplings]))[-1]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.op.terms.keys() == w.op.terms.keys()
+            assert (g.op - w.op).max_abs_coeff() <= 1e-11
 
 
 def test_mode_construction_refuses_a_wrong_energy():
