@@ -1,5 +1,13 @@
-"""Brute-force exact diagonalization oracle and the top-level checks that
-confront the graph-derived solution with ground truth."""
+"""Exact-diagonalization oracle and the top-level checks that confront the
+graph-derived solution with ground truth.
+
+The oracle uses Pauli algebra only, never the frustration graph: it splits
+the Hamiltonian into its Pauli-symmetry sectors and diagonalizes each
+sector's dense block (Bravyi, Gambetta, Mezzacapo and Temme, "Tapering off
+qubits to simulate fermionic Hamiltonians", arXiv:1701.08213, with the
+symplectic Gram-Schmidt of Aaronson and Gottesman, PRA 70, 2004).  Pauli
+strings are symplectic vectors x | z << n here, as Python ints.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +24,7 @@ from .indpoly import (
     weighted_independence_polynomial,
 )
 from .models import Hamiltonian, back_to_back_model
-from .paulis import DENSE_QUBIT_CAP, OperatorSum, to_dense
+from .paulis import DENSE_QUBIT_CAP, OperatorSum, PauliTerm, dense_sums, multiply
 from .recognition import StructureReport, classify
 from .solver import (
     all_modes,
@@ -32,40 +40,161 @@ from .solver import (
 SPECTRUM_CLUSTER_TOL = 1e-9
 SPECTRUM_MATCH_TOL = 1e-8
 DEFAULT_U_GRID = (0.1, -0.1, 0.37, -0.37, 0.9, -0.9, 1.5, -1.5)
+_PHASES = (1.0, 1.0j, -1.0, -1.0j)  # i^k at index k
 
 
-def _cluster(values, tol):
-    levels = []
-    group = [values[0]]
-    for v in values[1:]:
-        if v - group[-1] > tol:
-            levels.append((sum(group) / len(group), len(group)))
-            group = []
-        group.append(v)
-    levels.append((sum(group) / len(group), len(group)))
-    return levels
+def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
+    """(mean, count) of each run of sorted values whose gaps are at most tol."""
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1, [len(values)]))
+    counts = np.diff(bounds)
+    means = np.add.reduceat(values, bounds[:-1]) / counts
+    return list(zip(means.tolist(), counts.tolist()))
 
 
-def brute_force_spectrum(h: Hamiltonian) -> list[tuple[float, int]]:
-    """Sorted eigenvalues with multiplicities from dense diagonalization.
+def _omega(u: int, v: int, n: int) -> int:
+    """1 when the strings x | z << n anticommute, else 0."""
+    return ((u & v >> n) ^ (u >> n & v)).bit_count() & 1
 
-    Clustering happens after scaling to unit largest coupling so the
-    tolerance is scale-free.  Every run self-checks the oracle: the dense
-    matrix must be traceless and satisfy tr(H^2) = 2^n sum_j b_j^2.
+
+def _commutant(n: int, vectors: list[int]) -> list[int]:
+    """A basis of the strings that commute with every vector: the null
+    space, over GF(2), of the rows z | x << n."""
+    rows: list[tuple[int, int]] = []  # (pivot bit, row), reduced: a pivot is set in its row only
+    for v in vectors:
+        r = v >> n | (v & ((1 << n) - 1)) << n
+        for bit, row in rows:
+            if r >> bit & 1:
+                r ^= row
+        if r:
+            bit = r.bit_length() - 1
+            rows = [(b, row ^ r if row >> bit & 1 else row) for b, row in rows]
+            rows.append((bit, r))
+    pivots = {bit for bit, _ in rows}
+    return [1 << f | sum(1 << bit for bit, row in rows if row >> f & 1)
+            for f in range(2 * n) if f not in pivots]
+
+
+def _symplectic_pairs(n: int, vectors: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Symplectic Gram-Schmidt over ``vectors``, taken in order: pairs (u, w)
+    with omega(u, w) = 1 and omega 0 between different pairs, and the
+    vectors left with no partner (zero when ``vectors`` span everything).
+    Every u, paired or not, is its input vector plus vectors taken before it."""
+    rest, pairs, unpaired = list(vectors), [], []
+    while rest:
+        u = rest.pop(0)
+        w = next((w for w in rest if _omega(u, w, n)), None)
+        if w is None:
+            unpaired.append(u)
+            continue
+        rest.remove(w)
+        rest = [r ^ (u if _omega(r, w, n) else 0) ^ (w if _omega(r, u, n) else 0)
+                for r in rest]
+        pairs.append((u, w))
+    return pairs, unpaired
+
+
+def symmetry_generators(h: Hamiltonian) -> list[int]:
+    """Independent generators x | z << n of a largest group of commuting
+    Pauli strings that commute with every term of ``h``.
+
+    Such a group has the same size whichever one is taken: one string of
+    each pair in the commutant's symplectic Gram-Schmidt, and every string
+    left without a partner.
     """
-    if h.n > DENSE_QUBIT_CAP:
-        raise DenseCapError(f"{h.n} qubits exceeds the oracle cap {DENSE_QUBIT_CAP}")
+    pairs, unpaired = _symplectic_pairs(
+        h.n, _commutant(h.n, [t.x | t.z << h.n for _, t in h.terms]))
+    return [u for u, _ in pairs] + unpaired
+
+
+def brute_force_spectrum(h: Hamiltonian, generators: list[int] | None = None
+                         ) -> list[tuple[float, int]]:
+    """Sorted eigenvalues with multiplicities, from exact diagonalization
+    in every Pauli-symmetry sector.
+
+    ``generators`` (those of ``symmetry_generators(h)`` when None) are s
+    commuting symmetries a_0..a_{s-1}.  Symplectic Gram-Schmidt extends
+    them to pairs (a_k, b_k), k < n, that a Clifford maps to (Z_k, X_k).
+    A term sigma(v) then becomes i^-e prod_k Z_k^<v,b_k> X_k^<v,a_k>, where
+    <u,v> is 1 for anticommuting strings and i^e sigma(v) is the product of
+    the a_k^<v,b_k> b_k^<v,a_k> (``paulis.multiply``).  On the first s
+    qubits a term carries Z only, which is the sign lambda_k in the sector
+    where a_k has eigenvalue lambda_k; so each of the 2^s sectors is a block
+    on the other m = n - s qubits, built from the terms' reduced strings
+    and diagonalized a batch at a time.
+
+    Caps, all checked before any block is allocated: m <= DENSE_QUBIT_CAP;
+    the work 2^s 8^m <= 8^DENSE_QUBIT_CAP; and the 2^n eigenvalues are no
+    more than the 4^DENSE_QUBIT_CAP entries of one matrix at the cap.  Every
+    block self-checks the reduction: tr(H_lambda) is 2^m times its identity
+    coefficient, tr(H_lambda^2) is 2^m times the sum of its squared
+    coefficients, and every reduced coefficient is real.  Clustering happens
+    after scaling to unit largest coupling so the tolerance is scale-free.
+    """
+    n = h.n
+    if generators is None:
+        generators = symmetry_generators(h)
+    s, m = len(generators), n - len(generators)
+    if m > DENSE_QUBIT_CAP:
+        raise DenseCapError(f"{m}-qubit symmetry sectors exceed the oracle cap {DENSE_QUBIT_CAP}")
+    if s + 3 * m > 3 * DENSE_QUBIT_CAP or n > 2 * DENSE_QUBIT_CAP:
+        raise DenseCapError(f"2^{s} symmetry sectors of {m} qubits exceed the oracle's "
+                            f"work cap 8^{DENSE_QUBIT_CAP}")
+    pairs, _ = _symplectic_pairs(n, generators + [1 << i for i in range(2 * n)])
+    if len(pairs) != n:
+        raise FFSolveError("oracle self-check failed: no symplectic basis")
+    mask = (1 << n) - 1
+    frame = [(a, b, PauliTerm(n, a & mask, a >> n), PauliTerm(n, b & mask, b >> n))
+             for a, b in pairs]
     scale = max(abs(c) for c in h.couplings())
-    mat = to_dense(OperatorSum.from_terms(h.n, h.terms))
-    dim = 1 << h.n
-    sum_b2 = sum(c * c for c in h.couplings())
-    norm = max(sum_b2 * dim, 1.0)
-    if abs(np.trace(mat)) > 1e-9 * norm:
-        raise FFSolveError("oracle self-check failed: dense matrix is not traceless")
-    if abs(np.linalg.norm(mat, "fro") ** 2 - dim * sum_b2) > 1e-9 * norm:
-        raise FFSolveError("oracle self-check failed: tr(H^2) != 2^n sum b^2")
-    evals = np.linalg.eigvalsh(mat / scale)
-    return [(v * scale, m) for v, m in _cluster(list(evals), SPECTRUM_CLUSTER_TOL)]
+    reduced: dict[tuple[int, int], int] = {}
+    index, sector_bits, coefs = [], [], []
+    for (x, z), c in OperatorSum.from_terms(n, h.terms):
+        v = x | z << n
+        word = PauliTerm.identity(n)  # the product of a_k^zk b_k^xk over k
+        xs = zs = 0
+        for k, (a, b, a_term, b_term) in enumerate(frame):
+            if _omega(v, b, n):
+                zs |= 1 << k
+                word = multiply(word, a_term)
+            if _omega(v, a, n):
+                xs |= 1 << k
+                word = multiply(word, b_term)
+        xr, zr = xs >> s, zs >> s
+        if (word.x, word.z) != (x, z) or xs & ((1 << s) - 1):
+            raise FFSolveError("oracle self-check failed: a term left the symmetry frame")
+        # sigma(v) = i^-e word, and Z^z X^x = i^(x z) sigma(x, z) on each reduced qubit
+        c = c * _PHASES[((xr & zr).bit_count() - word.phase_pow) % 4]
+        if c.imag:
+            raise FFSolveError("oracle self-check failed: a reduced term is not Hermitian")
+        index.append(reduced.setdefault((xr, zr), len(reduced)))
+        sector_bits.append(zs & ((1 << s) - 1))
+        coefs.append(c.real / scale)
+    strings, index = list(reduced), np.array(index)
+    order = np.argsort(index, kind="stable")
+    starts = np.flatnonzero(np.diff(index[order], prepend=-1))
+    sector_bits = np.array(sector_bits, dtype=np.uint64)[order]
+    coefs = np.array(coefs)[order]
+    dim = 1 << m
+    tol = 1e-9 * dim * np.abs(coefs).sum() ** 2
+    identity = reduced.get((0, 0))
+    # a batch holds 2^DENSE_QUBIT_CAP block rows: at most one matrix at the cap
+    batch = max(1, (1 << DENSE_QUBIT_CAP) // dim)
+    evals = []
+    for first in range(0, 1 << s, batch):
+        sectors = np.arange(first, min(first + batch, 1 << s), dtype=np.uint64)
+        # the coefficient of each reduced string in each sector of the batch
+        signs = 1.0 - 2.0 * (np.bitwise_count(sectors[:, None] & sector_bits) & 1)
+        block_coefs = np.add.reduceat(signs * coefs, starts, axis=1)
+        blocks = dense_sums(m, strings, block_coefs)
+        trace = 0.0 if identity is None else dim * block_coefs[:, identity]
+        if np.abs(np.trace(blocks, axis1=1, axis2=2) - trace).max() > tol:
+            raise FFSolveError("oracle self-check failed: tr(H) of a sector block")
+        square = dim * (block_coefs ** 2).sum(axis=1)
+        if np.abs((np.abs(blocks) ** 2).sum(axis=(1, 2)) - square).max() > tol:
+            raise FFSolveError("oracle self-check failed: tr(H^2) of a sector block")
+        evals.append(np.linalg.eigvalsh(blocks).ravel())
+    levels = _cluster(np.sort(np.concatenate(evals)), SPECTRUM_CLUSTER_TOL)
+    return [(v * scale, mult) for v, mult in levels]
 
 
 @dataclass
@@ -81,6 +210,8 @@ class VerificationReport:
     energies: list[tuple[float, int]] | None = None
     lemma_residuals: dict = field(default_factory=dict)
     mode_term_counts: list[int] | None = None
+    symmetry_generators: int | None = None
+    block_qubits: int | None = None
     tolerances: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     failure: str | None = None
@@ -109,6 +240,8 @@ class VerificationReport:
             "energies": [[e, m] for e, m in self.energies] if self.energies else None,
             "lemma_residuals": dict(self.lemma_residuals),
             "mode_term_counts": self.mode_term_counts,
+            "symmetry_generators": self.symmetry_generators,
+            "block_qubits": self.block_qubits,
             "tolerances": dict(self.tolerances),
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
             "failure": self.failure,
@@ -123,8 +256,9 @@ def verify_free(h: Hamiltonian, force: bool = False,
     Refuses (reports not-applicable) when the frustration graph is not
     ECF, unless ``force`` is set; the non-example of the discussion needs
     the forced path, since its free spectrum at equal couplings exists
-    despite claws and even holes.  Above the dense cap the report keeps the
-    synthesized energies and names the cap in ``failure``.
+    despite claws and even holes.  The report records the oracle's symmetry
+    generators s and block size n - s in qubits; above the oracle's caps it
+    keeps the synthesized energies and names the cap in ``failure``.
     """
     report = VerificationReport()
     report.tolerances["spectrum_match"] = match_tol
@@ -151,8 +285,11 @@ def verify_free(h: Hamiltonian, force: bool = False,
     report.timings["energies"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    generators = symmetry_generators(h)
+    report.symmetry_generators = len(generators)
+    report.block_qubits = h.n - len(generators)
     try:
-        brute = brute_force_spectrum(h)
+        brute = brute_force_spectrum(h, generators)
     except DenseCapError as exc:
         report.failure = str(exc)
         return report
@@ -270,6 +407,8 @@ def verify_all(h: Hamiltonian, hole_budget: int | None = None,
     report.spectrum_match = free.spectrum_match
     report.max_level_deviation = free.max_level_deviation
     report.degeneracy_uniform = free.degeneracy_uniform
+    report.symmetry_generators = free.symmetry_generators
+    report.block_qubits = free.block_qubits
     report.timings.update({f"free_{k}": v for k, v in free.timings.items()})
     if free.failure:
         report.failure = free.failure
@@ -278,6 +417,7 @@ def verify_all(h: Hamiltonian, hole_budget: int | None = None,
 
 __all__ = [
     "brute_force_spectrum",
+    "symmetry_generators",
     "verify_free",
     "verify_all",
     "verify_nonexample_equal_couplings",

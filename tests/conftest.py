@@ -14,7 +14,7 @@ import numpy as np
 
 from ffsolve import chains, indpoly
 from ffsolve.graphs import WeightedGraph, bits, stable_sets
-from ffsolve.paulis import OperatorSum, PauliTerm, multiply
+from ffsolve.paulis import OperatorSum, PauliTerm, multiply, to_dense
 
 EPS = float(np.finfo(float).eps)
 
@@ -117,6 +117,13 @@ def per_set_charges(h, graph: WeightedGraph) -> list[dict]:
         key = (prod.x, prod.z)
         accs[k][key] = accs[k].get(key, 0.0) + coeff * prod.phase
     return [OperatorSum(h.n, acc).terms for acc in accs]
+
+
+def full_matrix_spectrum(h) -> np.ndarray:
+    """Reference for ``verify.brute_force_spectrum``: every eigenvalue of
+    the full 2^n matrix of ``h``, ascending, for at most 10 qubits."""
+    assert h.n <= 10, "the full-matrix reference is for small systems"
+    return np.linalg.eigvalsh(to_dense(OperatorSum.from_terms(h.n, h.terms)))
 
 
 # -- root isolation ----------------------------------------------------------
