@@ -51,7 +51,6 @@ from .paulis import (
     OperatorSum,
     PauliTerm,
     commutes,
-    dense_sums,
     multiply,
     opsum_anticomm,
     opsum_comm,
@@ -82,7 +81,6 @@ from .solver import (
 from .verify import (
     VerificationReport,
     brute_force_spectrum,
-    symmetry_generators,
     verify_all,
     verify_free,
     verify_nonexample_equal_couplings,

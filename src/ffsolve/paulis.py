@@ -68,9 +68,6 @@ DENSE_QUBIT_CAP = 13
 _CHUNK_PAIRS = 1 << 16
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-_I_POWERS = np.array(_PHASES * 64)  # i^k at index k, for every uint8 k
-_I_INVERSE = _I_POWERS[-np.arange(256) % 256]  # i^-k at index k
-_WORD_MASK = (1 << 64) - 1
 _AXIS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _AXIS_NAME = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
@@ -195,11 +192,16 @@ class OperatorSum:
         """The terms as word arrays, built on first use and kept: the sum
         does not change."""
         if self._packed is None:
-            n = self.n
-            key = _words([x | z << n for x, z in self.terms], 2 * n)
-            x, z = _split(n, key)
-            coef = np.array(list(self.terms.values()), dtype=complex)
-            self._packed = _Packed(key, x, z, coef * _I_POWERS[_y_count(x, z)])
+            strings = list(self.terms)
+            t, n = len(strings), self.n
+            xs = [x for x, _ in strings]
+            zs = [z for _, z in strings]
+            words = _words([x | z << n for x, z in strings] + xs + zs, 2 * n)
+            w = _word_count(n)
+            self._packed = _Packed(
+                words[:, :t], words[:w, t:2 * t], words[:w, 2 * t:],
+                np.array([c * _PHASES[(x & z).bit_count() & 3]
+                          for (x, z), c in self.terms.items()], dtype=complex))
         return self._packed
 
     # -- constructors -------------------------------------------------
@@ -305,40 +307,9 @@ def _word_count(bits: int) -> int:
 def _words(values: list[int], bits: int) -> np.ndarray:
     """Ints below 2^bits as an array of shape (words, len(values)), word w
     holding bits 64w..64w+63."""
-    return np.array([[v >> s & _WORD_MASK for v in values]
-                     for s in range(0, 64 * _word_count(bits), 64)], dtype=np.uint64)
-
-
-def _split(n: int, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x and z, in the layout of ``_words``, of key columns x | z << n."""
-    q, r = divmod(n, 64)
-    w = q + (r > 0) or 1
-    z = key[q:q + w] >> r
-    if r:  # the low bits of each z word come from the key word above
-        for i in range(q + 1, len(key)):
-            z[i - q - 1] |= key[i] << 64 - r
-    x = key[:w] & _WORD_MASK >> (-n % 64)  # only the top word holds z bits
-    for i in range(w - 1):
-        x[i] = key[i]
-    return x, z
-
-
-def _ints(words: np.ndarray) -> list[int]:
-    """Every column of ``words`` as one Python int."""
-    values = words[-1].tolist()
-    for w in range(len(words) - 2, -1, -1):
-        values = [v << 64 | c for v, c in zip(values, words[w].tolist())]
-    return values
-
-
-def _y_count(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """|x & z| modulo 256 for every column, as uint8; 256 is a multiple of
-    4, so ``_I_POWERS`` and ``_I_INVERSE`` can be indexed with it."""
-    count = np.bitwise_count(x & z)
-    y = count[0]
-    for w in range(1, len(count)):
-        y = y + count[w]
-    return y
+    count = _word_count(bits)
+    data = b"".join(v.to_bytes(8 * count, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, count).T.copy()
 
 
 def _odd_overlap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -426,10 +397,16 @@ def _kernel(a_parts: Sequence[OperatorSum], b_parts: Sequence[OperatorSum],
     return sums
 
 
-def _strings(x: np.ndarray, z: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """(x, z) of each column as ints, and the factor i^-|x & z| that turns
-    a coefficient of X^x Z^z into one of sigma(x, z)."""
-    return list(zip(_ints(x), _ints(z))), _I_INVERSE[_y_count(x, z)]
+def _strings(n: int, key: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """(x, z) of each key column, and the factor i^-|x & z| that turns a
+    coefficient of X^x Z^z into one of sigma(x, z)."""
+    values = key[0].tolist()
+    for w, col in enumerate(key[1:], 1):
+        values = [v | c << (64 * w) for v, c in zip(values, col.tolist())]
+    mask = (1 << n) - 1
+    strings = [(v & mask, v >> n) for v in values]
+    phase = np.array([_PHASES[-(x & z).bit_count() & 3] for x, z in strings], dtype=complex)
+    return strings, phase
 
 
 def _product(a: OperatorSum, b: OperatorSum, parity: int | None,
@@ -440,12 +417,8 @@ def _product(a: OperatorSum, b: OperatorSum, parity: int | None,
     key, _, coef = _kernel([a], [b], parity)
     coef = factor * coef
     keep = np.abs(coef) > PRUNE_TOL
-    key, coef = key[:, keep], coef[keep]
-    x, z = _split(a.n, key)
-    strings, phase = _strings(x, z)
-    out = OperatorSum._of_clean(a.n, dict(zip(strings, (coef * phase).tolist())))
-    out._packed = _Packed(key, x, z, coef)  # what ``_pack`` would build from the terms
-    return out
+    strings, phase = _strings(a.n, key[:, keep])
+    return OperatorSum._of_clean(a.n, dict(zip(strings, (coef[keep] * phase).tolist())))
 
 
 class GradedSum(NamedTuple):
@@ -491,7 +464,7 @@ def graded_mul(a_parts: Sequence[OperatorSum],
     key, grade, coef = key[:, order], grade[order], coef[order]
     start = _starts(*key)
     row = np.cumsum(start) - 1
-    strings, phase = _strings(*_split(n, key[:, start]))
+    strings, phase = _strings(n, key[:, start])
     matrix = np.zeros((len(strings), len(a_parts) + len(b_parts) - 1), dtype=complex)
     matrix[row, grade] = coef * phase[row]
     return GradedSum(n, strings, matrix)
@@ -526,7 +499,7 @@ def dense_sums(n: int, strings: Sequence[tuple[int, int]], coefs: np.ndarray) ->
     cols = np.arange(dim)
     xs = np.array([x for x, _ in strings], dtype=np.int64)
     zs = np.array([z for _, z in strings], dtype=np.int64)
-    phase = _I_POWERS[np.bitwise_count(xs & zs)]
+    phase = np.array(_PHASES)[np.bitwise_count(xs & zs) & 3]
     out = np.zeros((len(coefs), dim, dim), dtype=complex)
     for x in np.unique(xs):
         group = np.flatnonzero(xs == x)

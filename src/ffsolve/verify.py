@@ -106,13 +106,12 @@ def symmetry_generators(h: Hamiltonian) -> list[int]:
     return [u for u, _ in pairs] + unpaired
 
 
-def brute_force_spectrum(h: Hamiltonian, generators: list[int] | None = None
-                         ) -> list[tuple[float, int]]:
+def brute_force_spectrum(h: Hamiltonian) -> list[tuple[float, int]]:
     """Sorted eigenvalues with multiplicities, from exact diagonalization
     in every Pauli-symmetry sector.
 
-    ``generators`` (those of ``symmetry_generators(h)`` when None) are s
-    commuting symmetries a_0..a_{s-1}.  Symplectic Gram-Schmidt extends
+    The s generators a_0..a_{s-1} of ``symmetry_generators(h)`` are
+    commuting symmetries.  Symplectic Gram-Schmidt extends
     them to pairs (a_k, b_k), k < n, that a Clifford maps to (Z_k, X_k).
     A term sigma(v) then becomes i^-e prod_k Z_k^<v,b_k> X_k^<v,a_k>, where
     <u,v> is 1 for anticommuting strings and i^e sigma(v) is the product of
@@ -131,14 +130,16 @@ def brute_force_spectrum(h: Hamiltonian, generators: list[int] | None = None
     after scaling to unit largest coupling so the tolerance is scale-free.
     """
     n = h.n
-    if generators is None:
-        generators = symmetry_generators(h)
+    generators = symmetry_generators(h)
     s, m = len(generators), n - len(generators)
     if m > DENSE_QUBIT_CAP:
         raise DenseCapError(f"{m}-qubit symmetry sectors exceed the oracle cap {DENSE_QUBIT_CAP}")
-    if s + 3 * m > 3 * DENSE_QUBIT_CAP or n > 2 * DENSE_QUBIT_CAP:
+    if s + 3 * m > 3 * DENSE_QUBIT_CAP:
         raise DenseCapError(f"2^{s} symmetry sectors of {m} qubits exceed the oracle's "
                             f"work cap 8^{DENSE_QUBIT_CAP}")
+    if n > 2 * DENSE_QUBIT_CAP:
+        raise DenseCapError(f"the 2^{n} eigenvalues of {n} qubits exceed the oracle's "
+                            f"eigenvalue cap 2^{2 * DENSE_QUBIT_CAP}")
     pairs, _ = _symplectic_pairs(n, generators + [1 << i for i in range(2 * n)])
     if len(pairs) != n:
         raise FFSolveError("oracle self-check failed: no symplectic basis")
@@ -285,11 +286,10 @@ def verify_free(h: Hamiltonian, force: bool = False,
     report.timings["energies"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    generators = symmetry_generators(h)
-    report.symmetry_generators = len(generators)
-    report.block_qubits = h.n - len(generators)
+    report.symmetry_generators = len(symmetry_generators(h))
+    report.block_qubits = h.n - report.symmetry_generators
     try:
-        brute = brute_force_spectrum(h, generators)
+        brute = brute_force_spectrum(h)
     except DenseCapError as exc:
         report.failure = str(exc)
         return report

@@ -228,20 +228,6 @@ def test_kernel_matches_pairwise_reference(n):
             assert_matches_reference(product(a, a), a, a, parity, factor)
 
 
-@pytest.mark.parametrize("n", [0, 1, 17, 32, 33, 64, 65, 130])
-def test_products_keep_the_packing_of_their_terms(n):
-    """A product keeps the word arrays the kernel made for it; they equal
-    the ones its terms would be packed into."""
-    rng = random.Random(2000 + n)
-    a, b = random_opsum(rng, n, 12), edge_opsum(rng, n, 12)
-    for product, _, _ in PRODUCTS:
-        out = product(a, b)
-        kept = out._pack()
-        fresh = OperatorSum(n, out.terms)._pack()
-        for got, want in zip(kept, fresh):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
 def test_kernel_on_empty_sums():
     rng = random.Random(3)
     a = random_opsum(rng, 5, 7)

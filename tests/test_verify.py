@@ -34,6 +34,12 @@ def x_and_z_everywhere(n: int) -> Hamiltonian:
                                    for q in range(n) for axis in "XZ"])
 
 
+def z_everywhere(n: int) -> Hamiltonian:
+    """Z on every qubit: all terms commute (s = n), so every block is 1 x 1."""
+    return Hamiltonian.from_pairs([(1.0 + q / n, PauliTerm.from_ops(n, {q: "Z"}))
+                                   for q in range(n)])
+
+
 def test_brute_force_single_z():
     h = Hamiltonian.from_pairs([(1.0, PauliTerm.from_ops(1, {0: "Z"}))])
     assert brute_force_spectrum(h) == [(-1.0, 1), (1.0, 1)]
@@ -246,15 +252,19 @@ def test_oracle_does_not_use_the_frustration_graph(monkeypatch):
     _assert_matches_full_matrix(chain_model(3, 3, [1.0, 0.7, 1.3]))
 
 
-def test_oracle_caps_are_checked_before_allocating(monkeypatch):
+@pytest.mark.parametrize("h, bound", [
+    (chain_model(7, 3), "work cap"),  # 2^11 sectors of 10 qubits
+    (x_and_z_everywhere(14), "oracle cap"),  # one 14-qubit block
+    (z_everywhere(27), "eigenvalue cap"),  # 2^27 sectors of 0 qubits
+])
+def test_oracle_caps_are_checked_before_allocating(monkeypatch, h, bound):
     def refuse(*args):
         raise AssertionError("the oracle allocated a block above its cap")
 
     monkeypatch.setattr(verify, "dense_sums", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    for h in (chain_model(7, 3), x_and_z_everywhere(14)):
-        with pytest.raises(DenseCapError):
-            brute_force_spectrum(h)
+    with pytest.raises(DenseCapError, match=bound):
+        brute_force_spectrum(h)
 
 
 def test_verify_free_chain_7x2_under_the_sector_cap():
