@@ -36,7 +36,7 @@ from .models import (
     write_hamiltonian,
 )
 from .recognition import HOLE_SEARCH_BUDGET, classify
-from .solver import all_modes, simplicial_extension
+from .solver import all_modes, mode_energy_gap, simplicial_extension
 from .verify import SPECTRUM_MATCH_TOL, verify_all
 
 EXIT_OK = 0
@@ -179,6 +179,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         hext, chi = simplicial_extension(h, ks)
         modes = all_modes(hext, chi, energies)
         payload["mode_term_counts"] = [len(m.op) for m in modes]
+        payload["mode_energy_gap"] = mode_energy_gap(modes)
         payload["simplicial_clique"] = list(ks)
     _emit(cfg, payload)
     return EXIT_OK

@@ -40,12 +40,7 @@ Pairs are formed in blocks of about 2^16 (rows of ``a`` against all of
 whatever the sizes; the pair count is checked against ``TERM_CAP``
 before anything is allocated.  Each block is reduced by one sort on the
 key, and the running sums enter the next block's reduction as entries
-of their own.  The reduction is on (string, grade): ``graded_mul``
-multiplies lists of parts a_j and b_k and sums each pair into grade
-j + k, which gives every coefficient M_m = sum_{j+k=m} a_j b_k of a
-product of two polynomials in one pass; a plain product is the case of
-one part on each side.  Each M_m is pruned relative to its own scale
-sum_{j+k=m} |a_j| |b_k|, since u^m M_m, not M_m, is what a caller sees.
+of their own.
 
 Basis-state convention for the dense backend: qubit q corresponds to bit
 q of the computational-basis index (little-endian), so Z on qubit 0 of a
@@ -55,7 +50,6 @@ one-qubit system is diag(1, -1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -341,39 +335,24 @@ def _starts(*rows: np.ndarray) -> np.ndarray:
     return start
 
 
-def _reduce(key: np.ndarray, grade: np.ndarray,
-            coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum the coefficients of entries with equal (key, grade)."""
-    order = _order(grade, *key)  # a uint16 grade sorts by radix, stably
-    key, grade = key[:, order], grade[order]
-    first = np.flatnonzero(_starts(grade, *key))
-    return key[:, first], grade[first], np.add.reduceat(coef[order], first)
+def _reduce(key: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the coefficients of entries with equal key."""
+    order = _order(*key)
+    key = key[:, order]
+    first = np.flatnonzero(_starts(*key))
+    return key[:, first], np.add.reduceat(coef[order], first)
 
 
-def _stack(parts: Sequence[OperatorSum]) -> tuple[_Packed, np.ndarray]:
-    """The terms of all parts as one packed set, and each term's grade: the
-    index of its part."""
-    grade = np.repeat(np.arange(len(parts), dtype=np.uint16), [len(p) for p in parts])
-    if len(parts) == 1:  # nothing to join
-        return parts[0]._pack(), grade
-    packed = _Packed(*(np.concatenate(arrays, axis=-1)
-                       for arrays in zip(*(p._pack() for p in parts))))
-    return packed, grade
-
-
-def _kernel(a_parts: Sequence[OperatorSum], b_parts: Sequence[OperatorSum],
-            parity: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Key columns, grades and X^x Z^z coefficients of the products a_j b_k
-    summed on (string, j + k): over every pair when ``parity`` is None, else
-    over the pairs whose symplectic product has that parity (1:
+def _kernel(a: _Packed, b: _Packed, parity: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Key columns and X^x Z^z coefficients of the products of the terms of
+    ``a`` and ``b``, summed per string: over every pair when ``parity`` is
+    None, else over the pairs whose symplectic product has that parity (1:
     anticommuting, 0: commuting)."""
-    a, a_grade = _stack(a_parts)
-    b, b_grade = _stack(b_parts)
     na, nb = len(a.coef), len(b.coef)
     if na * nb > TERM_CAP:
         raise TermBudgetError(f"product of {na} x {nb} term pairs exceeds cap {TERM_CAP}")
     sums = (np.zeros((len(a.key), 0), dtype=np.uint64),  # the product of no pairs
-            np.zeros(0, dtype=np.uint16), np.zeros(0, dtype=complex))
+            np.zeros(0, dtype=complex))
     cols = min(max(nb, 1), _CHUNK_PAIRS)
     rows = _CHUNK_PAIRS // cols
     for i in range(0, na, rows):
@@ -384,13 +363,12 @@ def _kernel(a_parts: Sequence[OperatorSum], b_parts: Sequence[OperatorSum],
             odd = _odd_overlap(a.z[:, ia], b.x[:, jb])
             pair_coef = np.multiply.outer(a.coef[ia], b.coef[jb])
             np.negative(pair_coef, out=pair_coef, where=odd)
-            pair_grade = np.add.outer(a_grade[ia], b_grade[jb])
             pair_key = (a.key[:, ia, None] ^ b.key[:, None, jb]).reshape(len(a.key), -1)
             if parity is None:
-                pairs = (pair_key, pair_grade.ravel(), pair_coef.ravel())
+                pairs = (pair_key, pair_coef.ravel())
             else:
                 keep = (odd ^ _odd_overlap(a.x[:, ia], b.z[:, jb])) == bool(parity)
-                pairs = (pair_key[:, keep.ravel()], pair_grade[keep], pair_coef[keep])
+                pairs = (pair_key[:, keep.ravel()], pair_coef[keep])
             if i or j:  # the running sums join the reduction as entries of their own
                 pairs = [np.concatenate(arrays, axis=-1) for arrays in zip(sums, pairs)]
             sums = _reduce(*pairs)
@@ -414,60 +392,11 @@ def _product(a: OperatorSum, b: OperatorSum, parity: int | None,
     """factor * sum of the string products a_i b_j, over every pair when
     ``parity`` is None, else over the pairs with that symplectic parity."""
     a._check(b)
-    key, _, coef = _kernel([a], [b], parity)
+    key, coef = _kernel(a._pack(), b._pack(), parity)
     coef = factor * coef
     keep = np.abs(coef) > PRUNE_TOL
     strings, phase = _strings(a.n, key[:, keep])
     return OperatorSum._of_clean(a.n, dict(zip(strings, (coef[keep] * phase).tolist())))
-
-
-class GradedSum(NamedTuple):
-    """sum_m u^m M_m over one list of Pauli strings; column m of ``matrix``
-    holds the coefficients of M_m."""
-
-    n: int
-    strings: list[tuple[int, int]]
-    matrix: np.ndarray
-
-    def evaluate(self, u: float) -> OperatorSum:
-        """sum_m u^m M_m, pruned."""
-        coef = self.matrix @ u ** np.arange(self.matrix.shape[1])
-        keep = np.abs(coef) > PRUNE_TOL
-        return OperatorSum._of_clean(
-            self.n, dict(zip(compress(self.strings, keep), coef[keep].tolist())))
-
-
-def graded_mul(a_parts: Sequence[OperatorSum],
-               b_parts: Sequence[OperatorSum]) -> GradedSum:
-    """M_m = sum_{j+k=m} a_j b_k for every m, from one pass over the term pairs.
-
-    For a(u) = sum_j u^j a_j and b(u) = sum_k u^k b_k, ``evaluate(u)`` is
-    the product a(u) b(u) at any u.  Strings that cancel in every M_m are
-    summed away once, before any u is chosen: an entry of M_m is kept when
-    it exceeds ``PRUNE_TOL`` times the grade's scale sum_{j+k=m} |a_j| |b_k|
-    (sums of absolute coefficients), so the cut does not depend on the
-    scale of the parts; ``evaluate`` prunes its result at ``PRUNE_TOL``.
-    """
-    if not a_parts or not b_parts:
-        raise ValueError("graded product needs at least one part on each side")
-    if len(a_parts) + len(b_parts) > 1 << 16:  # grades are uint16
-        raise ValueError(f"graded product of {len(a_parts)} x {len(b_parts)} parts")
-    n = a_parts[0].n
-    for p in (*a_parts, *b_parts):
-        a_parts[0]._check(p)
-    key, grade, coef = _kernel(a_parts, b_parts, None)
-    # M_m scales with its parts, not with u^m M_m: prune against sum |a_j| |b_k|
-    scale = np.convolve([p.abs_sum() for p in a_parts], [p.abs_sum() for p in b_parts])
-    keep = np.abs(coef) > PRUNE_TOL * scale[grade]
-    key, grade, coef = key[:, keep], grade[keep], coef[keep]
-    order = _order(*key)
-    key, grade, coef = key[:, order], grade[order], coef[order]
-    start = _starts(*key)
-    row = np.cumsum(start) - 1
-    strings, phase = _strings(n, key[:, start])
-    matrix = np.zeros((len(strings), len(a_parts) + len(b_parts) - 1), dtype=complex)
-    matrix[row, grade] = coef * phase[row]
-    return GradedSum(n, strings, matrix)
 
 
 def opsum_mul(a: OperatorSum, b: OperatorSum) -> OperatorSum:

@@ -9,20 +9,23 @@ reconstructed as sum_j e_j [psi_j, psi_j^dagger].  The three statements
 are a package: flipping which member of the pair is called psi_j flips
 the first two and negates the third.
 
-The modes are read from one polynomial in u.  With T(u) = sum_k (-u)^k Q_k,
-
-    psi(u) = T(-u) chi T(u) = sum_{j,k} u^(j+k) Q_j chi (-1)^k Q_k
-           = sum_m u^m M_m ,
-
-and ``paulis.graded_mul`` builds every M_m from one pass over the term
-pairs (Q_j chi, (-1)^k Q_k).  The strings that cancel in psi(u) for
-every u cancel in the M_m, once; each mode is then psi(u_j) / N_j.
+The modes are read from one Lanczos run.  psi_j and psi_j^dagger are
+eigenoperators of ad_H = [H, .] with eigenvalues +2 e_j and -2 e_j, and
+chi lies in their span together with a part that commutes with H
+(Fendley, "Free fermions in disguise", J. Phys. A 52, 2019).  So Lanczos
+on ad_H started at chi, under the Hilbert-Schmidt inner product
+sum_s conj(a_s) b_s over strings, closes after at most 2 alpha + 1 steps,
+and mode j is the Ritz vector at +2 e_j, scaled to CAR and with its phase
+set by chi.  Every product is one ``opsum_comm`` of H with a Lanczos
+vector; T(u) is not needed, and ``zero_eigenvector_residual`` ties the
+modes back to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,9 +35,9 @@ from .graphs import WeightedGraph, frustration_graph, stable_sets
 from .indpoly import SingleParticleEnergies, weighted_independence_polynomial
 from .models import Hamiltonian
 from .paulis import (
+    PRUNE_TOL,
     OperatorSum,
     PauliTerm,
-    graded_mul,
     multiply,
     opsum_anticomm,
     opsum_comm,
@@ -115,22 +118,10 @@ def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOper
     return TransferOperator(h.n, tuple(OperatorSum(h.n, acc) for acc in accs))
 
 
-def sub_hamiltonian(h: Hamiltonian, vertices: Iterable[int]) -> Hamiltonian | None:
-    """Hamiltonian restricted to a subset of term indices (same qubit count).
-
-    Returns None for the empty subset, whose transfer operator is the
-    identity."""
-    keep = sorted(set(vertices))
-    if not keep:
-        return None
-    return Hamiltonian(h.n, tuple(h.terms[v] for v in keep))
-
-
 def sub_transfer(h: Hamiltonian, vertices: Iterable[int]) -> TransferOperator:
-    sub = sub_hamiltonian(h, vertices)
-    if sub is None:
-        return TransferOperator(h.n, (OperatorSum.identity(h.n),))
-    return transfer(sub)
+    """Transfer operator of the terms ``vertices`` alone (the identity when
+    there are none), on the same qubits."""
+    return transfer(Hamiltonian(h.n, tuple(h.terms[v] for v in sorted(set(vertices)))))
 
 
 # -- structural identity residuals -------------------------------------------
@@ -226,12 +217,14 @@ def clique_from_mode(hext: Hamiltonian, chi: PauliTerm) -> list[int]:
 
 @dataclass(frozen=True)
 class IncognitoMode:
-    """One nonlocal fermionic eigenmode on the ancilla-extended system."""
+    """One nonlocal fermionic eigenmode on the ancilla-extended system;
+    ``ritz`` is its eigenvalue of [H, .] from the Lanczos run, near 2 e_j."""
 
     index: int
     u: float
     energy: float
     norm: float
+    ritz: float
     op: OperatorSum
 
     @property
@@ -239,46 +232,17 @@ class IncognitoMode:
         return self.op.dagger()
 
 
-class _ModeContext:
-    """Shared data for building all modes of one extended Hamiltonian,
-    from its couplings divided by ``scale``, the power of two just above
-    the largest |coupling| (exact).  The modes and N_j do not depend on
-    the overall scale, but charges far below 1 fall under ``PRUNE_TOL``.
-    Mode j is then read at u = scale / e_j."""
-
-    def __init__(self, hext: Hamiltonian, chi: PauliTerm):
-        self.scale = math.ldexp(1.0, math.frexp(max(abs(c) for c, _ in hext.terms))[1])
-        hext = Hamiltonian(hext.n, tuple((c / self.scale, t) for c, t in hext.terms))
-        graph = frustration_graph(hext)
-        self.poly = weighted_independence_polynomial(graph)
-        ks = clique_from_mode(hext, chi)
-        if not ks:
-            raise NotSimplicialError("chi commutes with every Hamiltonian term")
-        reduced, _ = graph.remove_set(ks)
-        self.poly_minus_ks = weighted_independence_polynomial(reduced)
-        chi_op = OperatorSum.from_term(chi)
-        charges = transfer(hext, graph).charges
-        self.psi = graded_mul([opsum_mul(q, chi_op) for q in charges],
-                              [(-1.0) ** k * q for k, q in enumerate(charges)])
-
-
 def incognito_mode(hext: Hamiltonian, chi: PauliTerm, index: int,
                    energies: SingleParticleEnergies) -> IncognitoMode:
-    """Build mode ``index`` (0-based into the ascending energy list):
-    psi(u_j) / N_j, with psi(u) the graded product of the module docstring.
-
-    Requires the energy to be simple: the normalization involves the
-    derivative of the independence polynomial at the root, which vanishes
-    for repeated roots.
-    """
-    eps = _simple_energy(energies, index)  # refused before any operator is built
-    return _mode(_ModeContext(hext, chi), index, eps)
+    """Mode ``index`` (0-based into the ascending energy list), read from
+    the same Lanczos run as ``all_modes``.  Its energy must be simple: a
+    repeated energy has a plane of modes, and N_j vanishes there."""
+    return _modes(hext, chi, energies, [index])[0]
 
 
 def all_modes(hext: Hamiltonian, chi: PauliTerm,
               energies: SingleParticleEnergies) -> list[IncognitoMode]:
-    ctx = _ModeContext(hext, chi)
-    return [_mode(ctx, j, _simple_energy(energies, j)) for j in range(len(energies.flat()))]
+    return _modes(hext, chi, energies, range(len(energies.flat())))
 
 
 def _simple_energy(energies: SingleParticleEnergies, index: int) -> float:
@@ -293,17 +257,95 @@ def _simple_energy(energies: SingleParticleEnergies, index: int) -> float:
     return flat[index]
 
 
-def _mode(ctx: _ModeContext, index: int, eps: float) -> IncognitoMode:
-    """Mode ``index``, of energy ``eps``, from the data its Hamiltonian shares."""
-    u = ctx.scale / eps  # u_j of the scaled couplings
-    x = -u * u
-    nsq = 16.0 * u * u * ctx.poly_minus_ks(x) * ctx.poly.deriv(x)
-    if not nsq > 0:
-        raise ConditioningError(
-            f"normalization squared is {nsq:.3e} at mode {index}; "
-            "expected positive (interlacing of the reduced polynomial)")
-    norm = float(np.sqrt(nsq))
-    return IncognitoMode(index, 1.0 / eps, eps, norm, (1.0 / norm) * ctx.psi.evaluate(u))
+def _opsum(n: int, strings: list[tuple[int, int]], coef: np.ndarray) -> OperatorSum:
+    keep = np.abs(coef) > PRUNE_TOL
+    return OperatorSum._of_clean(n, dict(zip(compress(strings, keep), coef[keep].tolist())))
+
+
+def _modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergies,
+           indices: Iterable[int]) -> list[IncognitoMode]:
+    """Modes ``indices``, as the Ritz vectors at 2 e_j of Lanczos on [H, .].
+
+    The couplings are divided by ``scale``, the power of two just above the
+    largest |coupling| (exact), so that neither ``PRUNE_TOL`` nor the
+    Lanczos stop depends on the overall scale.  For the scaled couplings
+    u_j is u = scale / e_j, and mode j is the Ritz vector at 2 / u.
+    """
+    eps = [(j, _simple_energy(energies, j)) for j in indices]  # refused before any operator
+    scale = math.ldexp(1.0, math.frexp(max(abs(c) for c, _ in hext.terms))[1])
+    hext = Hamiltonian(hext.n, tuple((c / scale, t) for c, t in hext.terms))
+    graph = frustration_graph(hext)
+    poly = weighted_independence_polynomial(graph)
+    ks = clique_from_mode(hext, chi)
+    if not ks:
+        raise NotSimplicialError("chi commutes with every Hamiltonian term")
+    poly_minus_ks = weighted_independence_polynomial(graph.remove_set(ks)[0])
+    strings, basis, ritz, vectors = _lanczos(hext, chi, 2 * len(energies.flat()) + 1)
+    modes = []
+    for j, e in eps:
+        u = scale / e
+        p_red = poly_minus_ks(-u * u)
+        nsq = 16.0 * u * u * p_red * poly.deriv(-u * u)
+        if not nsq > 0:
+            raise ConditioningError(
+                f"normalization squared is {nsq:.3e} at mode {j}; "
+                "expected positive (interlacing of the reduced polynomial)")
+        k = int(np.argmin(np.abs(ritz - 2.0 / u)))
+        if not abs(ritz[k] * u - 2.0) <= 2e-8:
+            raise ConditioningError(f"no eigenvalue of [H, .] near 2 e_{j} = {2.0 * e:.12g}"
+                                    f" (nearest {ritz[k] * scale:.12g})")
+        # sum |c|^2 = 1/2 for CAR, and chi's coefficient 2 P_{G-K}(-u^2) / N_j is real
+        coef = vectors[:, k] @ basis
+        coef *= math.copysign(math.sqrt(0.5), p_red) * abs(coef[0]) / coef[0]
+        modes.append(IncognitoMode(j, 1.0 / e, e, math.sqrt(nsq), ritz[k] * scale,
+                                   _opsum(hext.n, strings, coef)))
+    return modes
+
+
+def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
+        list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+    """Lanczos on [H, .] from chi with full reorthogonalization, until the
+    next vector is below 1e-10: the strings seen (chi first), the Lanczos
+    vectors as rows over them, and the eigenpairs of the tridiagonal matrix.
+
+    The modes and the part of chi that commutes with H span at most
+    ``steps`` dimensions; a run that needs more was given the energies of
+    another Hamiltonian.
+    """
+    hop = OperatorSum.from_terms(h.n, h.terms)
+    index = {(chi.x, chi.z): 0}
+    basis = np.ones((1, 1), dtype=complex)  # chi, whose phase is 1
+    diag: list[float] = []
+    off: list[float] = []
+    op = OperatorSum.from_term(chi)
+    while True:
+        w = opsum_comm(hop, op)
+        coef = np.zeros(len(index) + len(w), dtype=complex)
+        coef[[index.setdefault(s, len(index)) for s in w.terms]] = list(w.terms.values())
+        coef = coef[:len(index)]
+        basis = np.hstack([basis, np.zeros((len(basis), len(index) - basis.shape[1]))])
+        proj = basis.conj() @ coef
+        diag.append(proj[-1].real)
+        coef -= proj @ basis
+        coef -= (basis.conj() @ coef) @ basis  # a second pass restores orthogonality
+        beta = float(np.linalg.norm(coef))
+        if beta <= 1e-10:
+            break
+        if len(basis) == steps:
+            raise ConditioningError(f"the Krylov space of chi exceeds {steps} dimensions")
+        off.append(beta)
+        basis = np.vstack([basis, coef / beta])
+        op = _opsum(h.n, list(index), basis[-1])
+    ritz, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return list(index), basis, ritz, vectors
+
+
+def mode_energy_gap(modes: Sequence[IncognitoMode]) -> float:
+    """max_j |lambda_j - 2 e_j| / (2 e_max): the eigenvalues of [H, .] that
+    the Lanczos run found against the root finder's energies, two sources
+    that share no code."""
+    top = 2.0 * max(m.energy for m in modes)
+    return max(abs(m.ritz - 2.0 * m.energy) for m in modes) / top
 
 
 def reconstruct(modes: Sequence[IncognitoMode],

@@ -32,9 +32,12 @@ from .solver import (
     check_fundamental_identity,
     ladder_residual,
     mode_car_residual,
+    mode_energy_gap,
     reconstruct,
     simplicial_extension,
+    transfer,
     transfer_factorization_residual,
+    zero_eigenvector_residual,
 )
 
 SPECTRUM_CLUSTER_TOL = 1e-9
@@ -332,7 +335,8 @@ def verify_nonexample_equal_couplings() -> dict:
 def verify_all(h: Hamiltonian, hole_budget: int | None = None,
                spectrum_tol: float = SPECTRUM_MATCH_TOL) -> VerificationReport:
     """Full pipeline: classify, charges, transfer factorization, simplicial
-    extension, fundamental identity, modes, CAR, reconstruction, spectrum.
+    extension, fundamental identity, modes, CAR, reconstruction, the modes'
+    Lanczos energies and T(u_j) psi_j = 0, spectrum.
 
     Stops at the first structural disqualification, keeping partial
     results: a claw-free model with even holes still gets its commuting
@@ -347,6 +351,8 @@ def verify_all(h: Hamiltonian, hole_budget: int | None = None,
         "car": 1e-8,
         "ladder": 1e-8,
         "reconstruction": 1e-8,
+        "lanczos_energy": 1e-8,
+        "zero_eigenvector": 1e-8,
         "spectrum_match": spectrum_tol,
     })
     graph = frustration_graph(h)
@@ -398,6 +404,12 @@ def verify_all(h: Hamiltonian, hole_budget: int | None = None,
         recon = reconstruct(modes, energies)
         target = OperatorSum.from_terms(hext.n, hext.terms)
         report.lemma_residuals["reconstruction"] = (recon - target).max_abs_coeff()
+        report.lemma_residuals["lanczos_energy"] = mode_energy_gap(modes)
+        # T(u_j) psi_j = 0 ties the Krylov modes to the transfer operator; the
+        # ancilla leaves the frustration graph of h as it is
+        t = transfer(hext, graph)
+        report.lemma_residuals["zero_eigenvector"] = max(
+            zero_eigenvector_residual(m, t) for m in modes)
         report.timings["modes"] = time.perf_counter() - t0
     except FFSolveError as exc:
         report.failure = f"mode construction: {exc}"

@@ -89,6 +89,7 @@ def test_solve_with_modes(capsys):
     code, doc = run_json(capsys, "solve", "--model", "h5", "--seed", "3", "--modes")
     assert code == 0
     assert len(doc["result"]["mode_term_counts"]) == 2
+    assert 0.0 <= doc["result"]["mode_energy_gap"] <= 1e-12
 
 
 def test_generate_then_analyze_round_trip(tmp_path, capsys):

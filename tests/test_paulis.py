@@ -1,6 +1,5 @@
 """Pauli algebra: multiplication table, phases, and the dense backend."""
 
-import math
 import random
 from functools import reduce
 
@@ -10,11 +9,9 @@ import pytest
 from ffsolve import paulis
 from ffsolve.errors import DenseCapError, TermBudgetError
 from ffsolve.paulis import (
-    TERM_CAP,
     OperatorSum,
     PauliTerm,
     commutes,
-    graded_mul,
     multiply,
     opsum_anticomm,
     opsum_comm,
@@ -170,13 +167,6 @@ def test_term_cap_is_reported_error(monkeypatch):
             product(big, big)
 
 
-def test_graded_term_cap_counts_all_parts():
-    side = math.isqrt(TERM_CAP) + 1
-    parts = [OperatorSum(12, {(i, 0): 1.0 for i in range(j, side, 2)}) for j in (0, 1)]
-    with pytest.raises(TermBudgetError):
-        graded_mul(parts, parts)
-
-
 # The kernel against a pair-by-pair reference built from ``multiply``
 
 PRODUCTS = ((opsum_mul, None, 1.0), (opsum_comm, 1, 2.0), (opsum_anticomm, 0, 2.0))
@@ -235,7 +225,6 @@ def test_kernel_on_empty_sums():
     for product, _, _ in PRODUCTS:
         for x, y in ((a, empty), (empty, a), (empty, empty)):
             assert len(product(x, y)) == 0
-    assert len(graded_mul([empty, a], [empty]).evaluate(0.7)) == 0
 
 
 def test_kernel_across_chunks(monkeypatch):
@@ -252,28 +241,6 @@ def test_kernel_across_chunks(monkeypatch):
         b = random_opsum(rng, 33, rng.randint(1, 20))
         for product, parity, factor in PRODUCTS:
             assert_matches_reference(product(a, b), a, b, parity, factor)
-
-
-def test_graded_product_evaluates_to_the_product():
-    rng = random.Random(21)
-    for n in (3, 40, 70):
-        # parts of falling size, as the charges of a transfer operator may be
-        a_parts = [10.0 ** (-3 * j) * random_opsum(rng, n, rng.randint(0, 6))
-                   for j in range(rng.randint(1, 4))]
-        b_parts = [10.0 ** (-3 * k) * random_opsum(rng, n, rng.randint(0, 6))
-                   for k in range(rng.randint(1, 4))]
-        graded = graded_mul(a_parts, b_parts)
-        # at |u| = 1e3 every u^m M_m is of order 1 although M_m is not
-        for u in (0.0, 0.3, -1.7, 1e3, -1e3):
-            a_u = sum((u ** j * p for j, p in enumerate(a_parts)), OperatorSum.zero(n))
-            b_u = sum((u ** k * p for k, p in enumerate(b_parts)), OperatorSum.zero(n))
-            want = opsum_mul(a_u, b_u)
-            scale = max(a_u.abs_sum() * b_u.abs_sum(), 1e-300)
-            assert (graded.evaluate(u) - want).max_abs_coeff() <= 1e-13 * scale
-    with pytest.raises(ValueError):
-        graded_mul([], [OperatorSum.identity(2)])
-    with pytest.raises(ValueError):
-        graded_mul([OperatorSum.identity(2)], [OperatorSum.identity(3)])
 
 
 def test_dense_cap():

@@ -296,6 +296,18 @@ def test_modes_do_not_depend_on_the_coupling_scale(name):
             assert (g.op - w.op).max_abs_coeff() <= 1e-11
 
 
+def test_modes_on_chain_7x3():
+    """22 qubits with the ancilla, where T(-u) chi T(u) multiplied out would
+    need 4,023 x 4,023 charge-term pairs.  CAR is left to the smaller
+    sizes: on 7x3 it alone takes seconds."""
+    h = chain_model(7, 3, [1.0, 0.7, 1.3])
+    _, _, hext, _, energies, modes = build_solution(h)
+    assert hext.n == 22 and len(modes) == 7
+    assert max(ladder_residual(hext, m) for m in modes) <= 1e-8
+    recon = reconstruct(modes, energies)
+    assert (recon - hamiltonian_opsum(hext)).max_abs_coeff() <= 1e-8
+
+
 def test_mode_construction_refuses_a_wrong_energy():
     """A value that is not a root gives a normalization of the wrong sign."""
     h = chain_model(2, 3, [1.0, 0.7, 1.3])

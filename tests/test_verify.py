@@ -284,7 +284,18 @@ def test_verify_all_junction_records_the_oracle():
     assert "free_diagonalize" in d["timings"]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the graded mode product loses "
-                   "accuracy to cancellation at spread-out couplings (CAR 1.7e-7 > 1e-8)")
 def test_verify_all_chain_5x3_spread_couplings():
-    assert verify_all(chain_model(5, 3, [1.0, 0.01, 0.02])).passed()
+    """At (1, .01, .02) the coefficients of a mode span ten orders of
+    magnitude; the Krylov modes keep all 150 of them and CAR within 1e-8."""
+    rep = verify_all(chain_model(5, 3, [1.0, 0.01, 0.02]))
+    assert rep.passed()
+    assert rep.mode_term_counts == [150] * 5
+
+
+def test_verify_all_ties_the_modes_to_the_transfer_operator():
+    """The Lanczos energies against the root finder, and T(u_j) psi_j = 0."""
+    rep = verify_all(h6_model(1.1, 0.3, 0.9, -0.7, 1.4, 0.6))
+    assert rep.passed()
+    for name in ("lanczos_energy", "zero_eigenvector"):
+        assert rep.lemma_residuals[name] <= 1e-12
+        assert rep.tolerances[name] == 1e-8
