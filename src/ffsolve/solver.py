@@ -99,6 +99,8 @@ def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOper
     without its highest vertex, so a set's coupling product and Pauli
     product are its parent's times that vertex's term, one ``multiply``
     per set.  The factors of a set commute, so their order is immaterial.
+    Q^(k) is of the size of s^k, s the largest |coupling|, and is pruned
+    against that, so that no charge depends on the overall scale.
     """
     if graph is None:
         graph = frustration_graph(h)
@@ -115,7 +117,10 @@ def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOper
             accs.append({})
         key = (prod.x, prod.z)
         accs[k][key] = accs[k].get(key, 0.0) + coeff * prod.phase
-    return TransferOperator(h.n, tuple(OperatorSum(h.n, acc) for acc in accs))
+    s = max((abs(c) for c, _ in h.terms), default=1.0)
+    return TransferOperator(h.n, tuple(
+        OperatorSum._of_clean(h.n, {key: c for key, c in acc.items() if abs(c) > PRUNE_TOL * s ** k})
+        for k, acc in enumerate(accs)))
 
 
 def sub_transfer(h: Hamiltonian, vertices: Iterable[int]) -> TransferOperator:

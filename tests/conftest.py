@@ -14,7 +14,7 @@ import numpy as np
 
 from ffsolve import chains, indpoly
 from ffsolve.graphs import WeightedGraph, bits, stable_sets
-from ffsolve.paulis import OperatorSum, PauliTerm, multiply, to_dense
+from ffsolve.paulis import PRUNE_TOL, OperatorSum, PauliTerm, multiply, to_dense
 
 EPS = float(np.finfo(float).eps)
 
@@ -116,7 +116,9 @@ def per_set_charges(h, graph: WeightedGraph) -> list[dict]:
             prod = multiply(prod, t)
         key = (prod.x, prod.z)
         accs[k][key] = accs[k].get(key, 0.0) + coeff * prod.phase
-    return [OperatorSum(h.n, acc).terms for acc in accs]
+    s = max((abs(c) for c, _ in h.terms), default=1.0)  # Q^(k) is pruned against s^k
+    return [{key: c for key, c in acc.items() if abs(c) > PRUNE_TOL * s ** k}
+            for k, acc in enumerate(accs)]
 
 
 def full_matrix_spectrum(h) -> np.ndarray:

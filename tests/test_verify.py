@@ -292,9 +292,12 @@ def test_verify_all_chain_5x3_spread_couplings():
     assert rep.mode_term_counts == [150] * 5
 
 
-def test_verify_all_ties_the_modes_to_the_transfer_operator():
-    """The Lanczos energies against the root finder, and T(u_j) psi_j = 0."""
-    rep = verify_all(h6_model(1.1, 0.3, 0.9, -0.7, 1.4, 0.6))
+@pytest.mark.parametrize("scale", [1.0, 1e-8])
+def test_verify_all_ties_the_modes_to_the_transfer_operator(scale):
+    """The Lanczos energies against the root finder, and T(u_j) psi_j = 0.
+    At couplings of order 1e-8 the top charge of h6 is of order 1e-16,
+    and T(u_j) needs it, since u_j is of order 1e8."""
+    rep = verify_all(h6_model(*[scale * c for c in (1.1, 0.3, 0.9, -0.7, 1.4, 0.6)]))
     assert rep.passed()
     for name in ("lanczos_energy", "zero_eigenvector"):
         assert rep.lemma_residuals[name] <= 1e-12
