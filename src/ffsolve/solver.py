@@ -119,8 +119,8 @@ def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOper
         accs[k][key] = accs[k].get(key, 0.0) + coeff * prod.phase
     s = max((abs(c) for c, _ in h.terms), default=1.0)
     return TransferOperator(h.n, tuple(
-        OperatorSum._of_clean(h.n, {key: c for key, c in acc.items() if abs(c) > PRUNE_TOL * s ** k})
-        for k, acc in enumerate(accs)))
+        OperatorSum._of_clean(h.n, {key: c for key, c in acc.items() if abs(c) > cut})
+        for acc, cut in zip(accs, [PRUNE_TOL * s ** k for k in range(len(accs))])))
 
 
 def sub_transfer(h: Hamiltonian, vertices: Iterable[int]) -> TransferOperator:
@@ -263,6 +263,7 @@ def _simple_energy(energies: SingleParticleEnergies, index: int) -> float:
 
 
 def _opsum(n: int, strings: list[tuple[int, int]], coef: np.ndarray) -> OperatorSum:
+    """sum_s coef[s] sigma(strings[s]), pruned."""
     keep = np.abs(coef) > PRUNE_TOL
     return OperatorSum._of_clean(n, dict(zip(compress(strings, keep), coef[keep].tolist())))
 
