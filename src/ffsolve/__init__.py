@@ -3,13 +3,9 @@ frustration graph, and construct the solution when it exists."""
 
 from .chains import (
     ChainSpec,
-    RecursionMatrix,
-    chain_polynomial,
     dispersion,
     elementary_symmetric,
     gap_scan,
-    recursion_matrix,
-    verify_boundary,
 )
 from .errors import (
     ComplexRootError,
@@ -21,15 +17,12 @@ from .errors import (
     ParseError,
     SearchBudgetError,
 )
-from .graphs import WeightedGraph, frustration_graph, maximal_cliques
+from .graphs import WeightedGraph, frustration_graph
 from .indpoly import (
     IndependencePolynomial,
     SingleParticleEnergies,
     free_spectrum,
-    independence_number,
-    independent_sets,
     single_particle_energies,
-    verify_clique_recurrence,
     weighted_independence_polynomial,
 )
 from .models import (
@@ -44,7 +37,6 @@ from .models import (
     parse_graph,
     parse_hamiltonian,
     realize_graph,
-    write_graph,
     write_hamiltonian,
 )
 from .paulis import (
@@ -68,11 +60,8 @@ from .solver import (
     IncognitoMode,
     TransferOperator,
     all_modes,
-    charge,
     charges_commute_residual,
     check_fundamental_identity,
-    higher_hamiltonian,
-    incognito_mode,
     reconstruct,
     simplicial_extension,
     transfer,
@@ -83,7 +72,6 @@ from .verify import (
     brute_force_spectrum,
     verify_all,
     verify_free,
-    verify_nonexample_equal_couplings,
 )
 
 __version__ = "0.1.0"

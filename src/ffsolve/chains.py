@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModelError
-from .indpoly import (IndependencePolynomial, SingleParticleEnergies, roots_by_count,
-                      sign_changes)
+from .indpoly import SingleParticleEnergies, roots_by_count, sign_changes
 
 GAPLESS_RATIO_MARGIN = 0.1
 
@@ -53,99 +52,6 @@ def elementary_symmetric(b2: Sequence[float]) -> tuple[float, ...]:
         for j in range(count, 0, -1):
             e[j] += e[j - 1] * w
     return tuple(e)
-
-
-def chain_polynomial(spec: ChainSpec) -> IndependencePolynomial:
-    """P for the chain graph via the symmetric k-term recursion.
-
-    In the x variable: P_N = P_{N-1} + sum_l (-1)^(l+1) e_l x^l P_{N-l},
-    with P_0 = 1 and P of negative index 0.  Coefficientwise this equals
-    the enumeration-based polynomial of the same graph.
-    """
-    e = elementary_symmetric(spec.b2)
-    polys: list[list[float]] = [[1.0]]
-    for n in range(1, spec.n_cells + 1):
-        # alpha of the n-cell chain is n, so the new polynomial has degree n
-        new = list(polys[n - 1]) + [0.0] * (n - len(polys[n - 1]) + 1)
-        for ell in range(1, spec.k + 1):
-            if n - ell < 0:
-                break
-            sign = -1.0 if ell % 2 == 0 else 1.0
-            for pos, c in enumerate(polys[n - ell]):
-                new[pos + ell] += sign * e[ell] * c
-        polys.append(new)
-    return IndependencePolynomial(tuple(polys[spec.n_cells]))
-
-
-@dataclass(frozen=True)
-class RecursionMatrix:
-    """Banded Toeplitz matrix of the chain recursion, bandwidth k+1.
-
-    Its eigenvalues with the standing-wave boundary conditions are the
-    squared single-particle energies.
-    """
-
-    size: int
-    entries: tuple[float, ...]  # e_0..e_k
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.size, self.size))
-        for s in range(self.size):
-            for ell, el in enumerate(self.entries):
-                sp = s - ell + 1
-                if 0 <= sp < self.size:
-                    m[s, sp] = el
-        return m
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """matrix @ v from the k+1 diagonals, O(size k)."""
-        out = np.zeros(self.size)
-        for ell, el in enumerate(self.entries):
-            shift = ell - 1  # diagonal ell holds m[s, s - shift]
-            lo, hi = max(0, shift), min(self.size, self.size + shift)
-            if lo < hi:
-                out[lo:hi] += el * v[lo - shift:hi - shift]
-        return out
-
-
-def recursion_matrix(spec: ChainSpec) -> RecursionMatrix:
-    return RecursionMatrix(spec.n_cells, elementary_symmetric(spec.b2))
-
-
-def boundary_vector(spec: ChainSpec, eps_sq: float) -> np.ndarray:
-    """v_1..v_{N+1} with v_s = eps^(2s) P_{chain(s-1)}(-eps^(-2)).
-
-    Built by the recursion v_{s+1} = eps^2 v_s - sum_l e_l v_{s-l+1} with
-    v_0 = ... = v_{2-k} = 0 and v_1 = eps^2.  Uniformly rescaled when the
-    entries grow past float range (scaling preserves the identities).
-    """
-    e = elementary_symmetric(spec.b2)
-    vs = [0.0] * (spec.k - 1) + [eps_sq]  # indices 2-k .. 0 are zeros, then v_1
-    top = abs(eps_sq)
-    for s in range(1, spec.n_cells + 1):
-        acc = eps_sq * vs[-1]
-        for ell in range(1, spec.k + 1):
-            acc -= e[ell] * vs[-ell]
-        vs.append(acc)
-        top = max(top, abs(acc))
-        if top > 1e250:
-            vs = [v / top for v in vs]
-            top = 1.0
-    return np.array(vs[spec.k - 1:])  # v_1 .. v_{N+1}
-
-
-def verify_boundary(spec: ChainSpec, eps: float) -> bool:
-    """Both boundary conditions, v_{N+1} = 0 and R v = eps^2 v componentwise,
-    to 1e-8 of max_s |v_s|."""
-    v = boundary_vector(spec, eps * eps)
-    scale = max(np.max(np.abs(v)), 1e-300)
-    if abs(v[-1]) > 1e-8 * scale:
-        return False
-    interior = v[:-1]
-    resid = recursion_matrix(spec).matvec(interior) - (eps * eps) * interior
-    # row N of the matrix product assumes v_{N+1} = 0, which we just checked
-    return bool(np.max(np.abs(resid)) <= 1e-8 * scale)
 
 
 def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray

@@ -55,9 +55,6 @@ class WeightedGraph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.adj[i] >> j) & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in self.neighbors[i] if j > i]
 
@@ -109,9 +106,6 @@ class WeightedGraph:
         drop = set(vertices)
         return self.induced_subgraph(v for v in range(self.n) if v not in drop)
 
-    def remove_closed_neighborhood(self, v: int) -> tuple["WeightedGraph", list[int]]:
-        return self.remove_set(bits(self.closed_adj(v)))
-
 
 def frustration_graph(hamiltonian) -> WeightedGraph:
     """Frustration graph: vertex per term, edge iff the Paulis anticommute.
@@ -127,27 +121,6 @@ def frustration_graph(hamiltonian) -> WeightedGraph:
                 edges.append((i, j))
     weights = [c * c for c, _ in terms]
     return WeightedGraph(n, edges, weights=weights)
-
-
-def maximal_cliques(graph: WeightedGraph) -> list[int]:
-    """All maximal cliques as bitmasks (Bron-Kerbosch with pivoting)."""
-    out: list[int] = []
-
-    def expand(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pivot_pool = p | x
-        pivot = max(bits(pivot_pool), key=lambda u: (graph.adj[u] & p).bit_count())
-        for v in bits(p & ~graph.adj[pivot]):
-            vb = 1 << v
-            expand(r | vb, p & graph.adj[v], x & graph.adj[v])
-            p &= ~vb
-            x |= vb
-
-    if graph.n:
-        expand(0, graph.full_mask, 0)
-    return out
 
 
 def stable_sets(rows: Sequence[int]) -> Iterator[int]:

@@ -1,5 +1,5 @@
-"""Independent sets, the vertex-weighted independence polynomial, its roots,
-and the synthesized free spectrum.
+"""The vertex-weighted independence polynomial, its roots, and the
+synthesized free spectrum.
 
 The polynomial is P(x) = sum_k c_k x^k with c_k the sum over k-vertex
 independent sets of the product of vertex weights, so c_0 = 1 and all
@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .errors import ComplexRootError
-from .graphs import WeightedGraph, bits, stable_sets
+from .graphs import WeightedGraph
 
 ROOT_REL_TOL = 1e-15
 # least half-width of a Newton window, relative: a window 0.8 ROOT_REL_TOL
@@ -47,24 +47,6 @@ _NEWTON_FLOOR = 0.4 * ROOT_REL_TOL
 ROOT_CERT_REL_TOL = 1e-6
 _NOISE_ULPS = 4       # c in the rounding bound c (alpha + 1) eps sum_m |r_m| s^m
 _BISECT_STEPS = 200   # enough to reach adjacent floats from (0, 1]
-
-
-# -- independent sets ------------------------------------------------------
-
-def independent_sets(graph: WeightedGraph) -> dict[int, list[tuple[int, ...]]]:
-    """Independent sets grouped by size, each as a sorted vertex tuple,
-    in the order of ``graphs.stable_sets``; exponential in the graph size."""
-    grouped: dict[int, list[tuple[int, ...]]] = {}
-    for mask in stable_sets(graph.adj):
-        vs = tuple(bits(mask))
-        grouped.setdefault(len(vs), []).append(vs)
-    return grouped
-
-
-def independence_number(graph: WeightedGraph) -> int:
-    """The size of a largest independent set: the degree of the
-    independence polynomial with every weight 1."""
-    return weighted_independence_polynomial(WeightedGraph(graph.n, graph.edges())).alpha
 
 
 # -- polynomial -------------------------------------------------------------
@@ -97,8 +79,6 @@ class IndependencePolynomial:
             acc = acc * x + k * self.coeffs[k]
         return acc
 
-    def at_minus_u2(self, u: float) -> float:
-        return self(-u * u)
 
 
 def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolynomial:
@@ -184,35 +164,6 @@ def _split_component(adj: tuple[int, ...], s: int, hint: int) -> int:
         comp |= new
         frontier |= new
     return comp if hint & ~comp else 0
-
-
-def verify_clique_recurrence(graph: WeightedGraph, clique: Iterable[int]) -> bool:
-    """Check P_G = P_{G-K} + x * sum_{v in K} w_v P_{G-N[v]} coefficientwise,
-    to 1e-10 relative.
-
-    (In the u variable this is the recurrence P_G(-u^2) = P_{G-K}(-u^2)
-    - u^2 sum_v b_v^2 P_{G-N[v]}(-u^2).)  Raises ValueError when K is not
-    a clique.
-    """
-    kset = sorted(set(clique))
-    kmask = 0
-    for v in kset:
-        kmask |= 1 << v
-    if not graph.is_clique(kmask) or not kset:
-        raise ValueError(f"{kset} is not a nonempty clique")
-    lhs = weighted_independence_polynomial(graph)
-    minus_k, _ = graph.remove_set(kset)
-    rhs = [0.0] * (lhs.alpha + 1)
-    for k, c in enumerate(weighted_independence_polynomial(minus_k).coeffs):
-        rhs[k] += c
-    for v in kset:
-        reduced, _ = graph.remove_closed_neighborhood(v)
-        for k, c in enumerate(weighted_independence_polynomial(reduced).coeffs):
-            if k + 1 <= lhs.alpha:
-                rhs[k + 1] += graph.weights[v] * c
-    scale = max(max(abs(c) for c in lhs.coeffs), 1.0)
-    return all(abs(a - b) <= 1e-10 * max(abs(a), abs(b), scale * 1e-6, 1e-300)
-               for a, b in zip(lhs.coeffs, rhs))
 
 
 # -- root isolation by counting ---------------------------------------------

@@ -163,13 +163,6 @@ def parse_graph(text: str) -> WeightedGraph:
     return WeightedGraph(n, edges, weights=wlist)
 
 
-def write_graph(g: WeightedGraph) -> str:
-    lines = [f"p {g.n}"]
-    lines += [f"v {i} {g.weights[i]!r}" for i in range(g.n)]
-    lines += [f"e {i} {j}" for i, j in g.edges()]
-    return "\n".join(lines) + "\n"
-
-
 def realize_graph(g: WeightedGraph) -> Hamiltonian:
     """A Pauli Hamiltonian whose frustration graph is exactly ``g``.
 

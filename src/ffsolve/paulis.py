@@ -96,10 +96,6 @@ class PauliTerm:
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase_pow in (0, 2)
-
     @classmethod
     def identity(cls, n: int) -> "PauliTerm":
         return cls(n, 0, 0, 0)
@@ -240,12 +236,6 @@ class OperatorSum:
         """Pauli 1-norm sum |c|.  Every string has operator norm 1, so this
         bounds the operator norm from above."""
         return sum(abs(c) for c in self.terms.values())
-
-    def is_zero(self) -> bool:
-        return self.max_abs_coeff() <= PRUNE_TOL
-
-    def identity_part(self) -> complex:
-        return self.terms.get((0, 0), 0.0)
 
     # -- linear structure ----------------------------------------------
 

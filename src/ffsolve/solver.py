@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,22 +46,6 @@ from .paulis import (
 from .recognition import is_simplicial_clique
 
 
-def _term_opsums(h: Hamiltonian) -> list[OperatorSum]:
-    return [OperatorSum.from_term(t, c) for c, t in h.terms]
-
-
-def charge(h: Hamiltonian, k: int) -> OperatorSum:
-    """Independent-set charge: sum over k-vertex independent sets of the
-    products of the corresponding terms.  k=0 gives the identity, k=1 the
-    Hamiltonian itself."""
-    if k < 0:
-        raise ValueError("charge order must be nonnegative")
-    charges = transfer(h).charges
-    if k >= len(charges):
-        raise ValueError(f"no independent sets of size {k}")
-    return charges[k]
-
-
 @dataclass(frozen=True)
 class TransferOperator:
     """The charge list Q^(0)..Q^(alpha); evaluate(u) = sum_j (-u)^j Q^(j)."""
@@ -79,16 +63,6 @@ class TransferOperator:
         for q in self.charges:
             acc = acc + coef * q
             coef *= -u
-        return acc
-
-    def derivative(self, u: float) -> OperatorSum:
-        """d/du of evaluate(u): sum_j -j (-u)^(j-1) Q^(j)."""
-        acc = OperatorSum.zero(self.n)
-        coef = 1.0  # (-u)^(j-1)
-        for j, q in enumerate(self.charges):
-            if j >= 1:
-                acc = acc + (-j * coef) * q
-                coef *= -u
         return acc
 
 
@@ -123,12 +97,6 @@ def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOper
         for acc, cut in zip(accs, [PRUNE_TOL * s ** k for k in range(len(accs))])))
 
 
-def sub_transfer(h: Hamiltonian, vertices: Iterable[int]) -> TransferOperator:
-    """Transfer operator of the terms ``vertices`` alone (the identity when
-    there are none), on the same qubits."""
-    return transfer(Hamiltonian(h.n, tuple(h.terms[v] for v in sorted(set(vertices)))))
-
-
 # -- structural identity residuals -------------------------------------------
 
 def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph | None = None) -> float:
@@ -142,50 +110,14 @@ def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph | None = None)
 
 
 def transfer_factorization_residual(h: Hamiltonian, u: float) -> float:
-    """max coefficient of T(u) T(-u) - P(-u^2) I."""
+    """max coefficient of T(u) T(-u) - P(-u^2) I, relative to the Pauli
+    1-norm ||T(u)||_1 ||T(-u)||_1 of the products that form it."""
     graph = frustration_graph(h)
     t = transfer(h, graph)
     poly = weighted_independence_polynomial(graph)
-    prod = opsum_mul(t.evaluate(u), t.evaluate(-u))
-    expected = poly.at_minus_u2(u) * OperatorSum.identity(h.n)
-    return (prod - expected).max_abs_coeff()
-
-
-def clique_transfer_recurrence_residual(h: Hamiltonian, clique: Sequence[int],
-                                        u: float, side: str = "left",
-                                        simplicial: bool = False) -> float:
-    """Residual of the transfer-operator clique recurrence at one u.
-
-    General cliques:   T_G = T_{G-K} - u sum_v h_v T_{G-N[v]}
-    Simplicial cliques: T_G = T_{G-K} - u sum_v h_v T_{G-K_v}
-    with K_v the closed neighborhood of v minus the rest of K.  Both hold
-    with h_v on either side of the reduced transfer operator.
-    """
-    graph = frustration_graph(h)
-    kset = sorted(set(clique))
-    kmask = 0
-    for v in kset:
-        kmask |= 1 << v
-    if not graph.is_clique(kmask):
-        raise ValueError(f"{kset} is not a clique")
-    full = transfer(h, graph).evaluate(u)
-    rest = [v for v in range(graph.n) if v not in kset]
-    acc = sub_transfer(h, rest).evaluate(u)
-    ops = _term_opsums(h)
-    for v in kset:
-        if simplicial:
-            kv = graph.closed_adj(v) & ~(kmask & ~(1 << v))
-            reduced_vs = [w for w in range(graph.n) if not (kv >> w) & 1]
-        else:
-            reduced_vs = [w for w in range(graph.n) if not (graph.closed_adj(v) >> w) & 1]
-        tv = sub_transfer(h, reduced_vs).evaluate(u)
-        if side == "left":
-            acc = acc - u * opsum_mul(ops[v], tv)
-        elif side == "right":
-            acc = acc - u * opsum_mul(tv, ops[v])
-        else:
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return (full - acc).max_abs_coeff()
+    tu, tmu = t.evaluate(u), t.evaluate(-u)
+    expected = poly(-u * u) * OperatorSum.identity(h.n)
+    return (opsum_mul(tu, tmu) - expected).max_abs_coeff() / (tu.abs_sum() * tmu.abs_sum())
 
 
 # -- simplicial extension and modes -------------------------------------------
@@ -237,47 +169,27 @@ class IncognitoMode:
         return self.op.dagger()
 
 
-def incognito_mode(hext: Hamiltonian, chi: PauliTerm, index: int,
-                   energies: SingleParticleEnergies) -> IncognitoMode:
-    """Mode ``index`` (0-based into the ascending energy list), read from
-    the same Lanczos run as ``all_modes``.  Its energy must be simple: a
-    repeated energy has a plane of modes, and N_j vanishes there."""
-    return _modes(hext, chi, energies, [index])[0]
-
-
-def all_modes(hext: Hamiltonian, chi: PauliTerm,
-              energies: SingleParticleEnergies) -> list[IncognitoMode]:
-    return _modes(hext, chi, energies, range(len(energies.flat())))
-
-
-def _simple_energy(energies: SingleParticleEnergies, index: int) -> float:
-    """Energy ``index`` of the ascending list, refused when it is repeated."""
-    flat = energies.flat()
-    if not 0 <= index < len(flat):
-        raise ValueError(f"mode index {index} out of range")
-    for e, m in energies.energies:
-        if m > 1 and abs(e - flat[index]) <= 1e-9 * e:
-            raise DegenerateModeError(
-                f"energy {e:.12g} has multiplicity {m}; mode construction refused")
-    return flat[index]
-
-
 def _opsum(n: int, strings: list[tuple[int, int]], coef: np.ndarray) -> OperatorSum:
     """sum_s coef[s] sigma(strings[s]), pruned."""
     keep = np.abs(coef) > PRUNE_TOL
     return OperatorSum._of_clean(n, dict(zip(compress(strings, keep), coef[keep].tolist())))
 
 
-def _modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergies,
-           indices: Iterable[int]) -> list[IncognitoMode]:
-    """Modes ``indices``, as the Ritz vectors at 2 e_j of Lanczos on [H, .].
+def all_modes(hext: Hamiltonian, chi: PauliTerm,
+              energies: SingleParticleEnergies) -> list[IncognitoMode]:
+    """Mode j of every energy e_j, as the Ritz vector at 2 e_j of Lanczos
+    on [H, .].  Every energy must be simple: a repeated energy has a plane
+    of modes, and N_j vanishes there.
 
     The couplings are divided by ``scale``, the power of two just above the
     largest |coupling| (exact), so that neither ``PRUNE_TOL`` nor the
     Lanczos stop depends on the overall scale.  For the scaled couplings
     u_j is u = scale / e_j, and mode j is the Ritz vector at 2 / u.
     """
-    eps = [(j, _simple_energy(energies, j)) for j in indices]  # refused before any operator
+    for e, m in energies.energies:  # refused before any operator
+        if m > 1:
+            raise DegenerateModeError(
+                f"energy {e:.12g} has multiplicity {m}; mode construction refused")
     scale = math.ldexp(1.0, math.frexp(max(abs(c) for c, _ in hext.terms))[1])
     hext = Hamiltonian(hext.n, tuple((c / scale, t) for c, t in hext.terms))
     graph = frustration_graph(hext)
@@ -288,7 +200,7 @@ def _modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergies,
     poly_minus_ks = weighted_independence_polynomial(graph.remove_set(ks)[0])
     strings, basis, ritz, vectors = _lanczos(hext, chi, 2 * len(energies.flat()) + 1)
     modes = []
-    for j, e in eps:
+    for j, e in enumerate(energies.flat()):
         u = scale / e
         p_red = poly_minus_ks(-u * u)
         nsq = 16.0 * u * u * p_red * poly.deriv(-u * u)
@@ -390,40 +302,16 @@ def ladder_residual(hext: Hamiltonian, mode: IncognitoMode) -> float:
     return max(raise_part, lower_part)
 
 
-def higher_hamiltonian(h: Hamiltonian, k: int,
-                       energies: SingleParticleEnergies) -> OperatorSum:
-    """Closed form for the k-th commuting Hamiltonian of the hierarchy.
-
-    H^(k) = sum_j u_j^(-k) / d_u[P(-u^2)]_{u_j}
-            * [T(-u_j) T'(u_j) - (-1)^k T(u_j) T'(-u_j)],
-    requiring simple roots.  k=1 reproduces the Hamiltonian itself.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if any(m > 1 for _, m in energies.energies):
-        raise DegenerateModeError("higher Hamiltonians need simple roots")
-    graph = frustration_graph(h)
-    t = transfer(h, graph)
-    poly = weighted_independence_polynomial(graph)
-    acc = OperatorSum.zero(h.n)
-    sign = (-1.0) ** k
-    for eps, _ in energies.energies:
-        u = 1.0 / eps
-        x = -u * u
-        denom = -2.0 * u * poly.deriv(x)
-        term = opsum_mul(t.evaluate(-u), t.derivative(u)) \
-            - sign * opsum_mul(t.evaluate(u), t.derivative(-u))
-        acc = acc + (u ** (-k) / denom) * term
-    return acc
-
-
 def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
                                ks: Sequence[int], u: float) -> float:
     """Pauli 1-norm residual, an upper bound on the operator norm, of the
     simplicial-clique identity
 
     T(u) (1 + u sum_{v in ks} h_v) chi T(-u)
-        = P(-u^2) (1 - u sum_{v in ks} h_v) chi .
+        = P(-u^2) (1 - u sum_{v in ks} h_v) chi ,
+
+    relative to the sum over the two sides of the Pauli 1-norms of the
+    factors that form each side.
     """
     graph = frustration_graph(hext)
     t = transfer(hext, graph)
@@ -431,10 +319,12 @@ def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
     hsum = OperatorSum.from_terms(hext.n, [hext.terms[v] for v in ks])
     ident = OperatorSum.identity(hext.n)
     chi_op = OperatorSum.from_term(chi)
-    lhs = opsum_mul(opsum_mul(t.evaluate(u), ident + u * hsum),
-                    opsum_mul(chi_op, t.evaluate(-u)))
-    rhs = poly.at_minus_u2(u) * opsum_mul(ident - u * hsum, chi_op)
-    return (lhs - rhs).abs_sum()
+    tu, tmu = t.evaluate(u), t.evaluate(-u)
+    plus, minus, p = ident + u * hsum, ident - u * hsum, poly(-u * u)
+    lhs = opsum_mul(opsum_mul(tu, plus), opsum_mul(chi_op, tmu))
+    rhs = p * opsum_mul(minus, chi_op)
+    scale = tu.abs_sum() * plus.abs_sum() * tmu.abs_sum() + abs(p) * minus.abs_sum()
+    return (lhs - rhs).abs_sum() / scale
 
 
 def zero_eigenvector_residual(mode: IncognitoMode, t: TransferOperator) -> float:
@@ -443,11 +333,3 @@ def zero_eigenvector_residual(mode: IncognitoMode, t: TransferOperator) -> float
     return max(opsum_mul(tu, mode.op).max_abs_coeff(),
                opsum_mul(mode.dag, tu).max_abs_coeff())
 
-
-def exchange_algebra_residual(mode: IncognitoMode, t: TransferOperator,
-                              u: float) -> float:
-    """(u_j + u) T(u) psi_j - (u_j - u) psi_j T(u) vanishes for any u."""
-    tu = t.evaluate(u)
-    lhs = (mode.u + u) * opsum_mul(tu, mode.op)
-    rhs = (mode.u - u) * opsum_mul(mode.op, tu)
-    return (lhs - rhs).max_abs_coeff()

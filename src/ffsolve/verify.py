@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ComplexRootError, DenseCapError, FFSolveError
+from .errors import ComplexRootError, DenseCapError, FFSolveError, TermBudgetError
 from .graphs import frustration_graph
 from .indpoly import (
     free_spectrum,
     single_particle_energies,
     weighted_independence_polynomial,
 )
-from .models import Hamiltonian, back_to_back_model
+from .models import Hamiltonian
 from .paulis import DENSE_QUBIT_CAP, OperatorSum, PauliTerm, dense_sums, multiply
 from .recognition import StructureReport, classify
 from .solver import (
@@ -317,21 +317,6 @@ def verify_free(h: Hamiltonian, force: bool = False,
     return report
 
 
-def verify_nonexample_equal_couplings() -> dict:
-    """The claw-and-even-hole non-example: free at equal couplings only."""
-    equal = verify_free(back_to_back_model(*([1.0] * 6)), force=True)
-    generic = verify_free(back_to_back_model(1.0, 0.9, 1.1, 0.8, 1.2, 1.05), force=True)
-    structure = equal.structure
-    return {
-        "equal_couplings_match": bool(equal.spectrum_match),
-        "generic_couplings_match": bool(generic.spectrum_match),
-        "claw_found": structure.claw_witness is not None,
-        "even_hole_found": structure.even_hole_witness is not None,
-        "equal": equal.to_dict(),
-        "generic": generic.to_dict(),
-    }
-
-
 def verify_all(h: Hamiltonian, hole_budget: int | None = None,
                spectrum_tol: float = SPECTRUM_MATCH_TOL) -> VerificationReport:
     """Full pipeline: classify, charges, transfer factorization, simplicial
@@ -340,11 +325,11 @@ def verify_all(h: Hamiltonian, hole_budget: int | None = None,
 
     Stops at the first structural disqualification, keeping partial
     results: a claw-free model with even holes still gets its commuting
-    charges checked.
+    charges checked.  A Pauli product above the term cap ends the checks
+    and is recorded in ``failure``, as the oracle's caps are.
     """
     report = VerificationReport()
-    tol = report.tolerances
-    tol.update({
+    report.tolerances.update({
         "charges_commute": 1e-10,
         "transfer_factorization": 1e-9,
         "fundamental_identity": 1e-9,
@@ -355,6 +340,16 @@ def verify_all(h: Hamiltonian, hole_budget: int | None = None,
         "zero_eigenvector": 1e-8,
         "spectrum_match": spectrum_tol,
     })
+    try:
+        _check_all(h, report, hole_budget, spectrum_tol)
+    except TermBudgetError as exc:
+        report.failure = str(exc)
+    return report
+
+
+def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int | None,
+               spectrum_tol: float) -> None:
+    """The checks of ``verify_all``, recorded in ``report`` as they run."""
     graph = frustration_graph(h)
     t0 = time.perf_counter()
     kwargs = {} if hole_budget is None else {"hole_budget": hole_budget}
@@ -369,11 +364,11 @@ def verify_all(h: Hamiltonian, hole_budget: int | None = None,
     if report.structure.ecf is None:
         report.applicable = False
         report.skip_reason = "even-hole search undecided (budget exhausted)"
-        return report
+        return
     if not report.structure.ecf:
         report.applicable = False
         report.skip_reason = "frustration graph is not (even-hole, claw)-free"
-        return report
+        return
 
     t0 = time.perf_counter()
     worst = 0.0
@@ -413,7 +408,7 @@ def verify_all(h: Hamiltonian, hole_budget: int | None = None,
         report.timings["modes"] = time.perf_counter() - t0
     except FFSolveError as exc:
         report.failure = f"mode construction: {exc}"
-        return report
+        return
 
     free = verify_free(h, match_tol=spectrum_tol)
     report.spectrum_match = free.spectrum_match
@@ -424,7 +419,6 @@ def verify_all(h: Hamiltonian, hole_budget: int | None = None,
     report.timings.update({f"free_{k}": v for k, v in free.timings.items()})
     if free.failure:
         report.failure = free.failure
-    return report
 
 
 __all__ = [
@@ -432,7 +426,6 @@ __all__ = [
     "symmetry_generators",
     "verify_free",
     "verify_all",
-    "verify_nonexample_equal_couplings",
     "VerificationReport",
     "DEFAULT_U_GRID",
 ]

@@ -1,4 +1,5 @@
-"""Shared test helpers: naive reference checkers and graph generators.
+"""Shared test helpers: naive reference checkers, graph generators, and
+the paper's lemmas that the tests check but no command runs.
 
 The naive checkers deliberately use brute-force subset enumeration so they
 stay independent of the bitset search paths they are used to validate.
@@ -10,11 +11,16 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import numpy as np
 
 from ffsolve import chains, indpoly
+from ffsolve.chains import ChainSpec, elementary_symmetric
 from ffsolve.graphs import WeightedGraph, bits, stable_sets
+from ffsolve.indpoly import IndependencePolynomial, weighted_independence_polynomial
+from ffsolve.models import back_to_back_model
 from ffsolve.paulis import PRUNE_TOL, OperatorSum, PauliTerm, multiply, to_dense
+from ffsolve.verify import verify_free
 
 EPS = float(np.finfo(float).eps)
 
@@ -30,12 +36,19 @@ def cycle_graph(n: int, weights=None) -> WeightedGraph:
     return WeightedGraph(n, [(i, (i + 1) % n) for i in range(n)], weights=weights)
 
 
+def maximal_cliques(g: WeightedGraph) -> list[list[int]]:
+    """Every maximal clique of ``g``, as a sorted vertex list, from networkx."""
+    ref = nx.Graph(g.edges())
+    ref.add_nodes_from(range(g.n))
+    return [sorted(clique) for clique in nx.find_cliques(ref)]
+
+
 def naive_has_claw(g: WeightedGraph) -> bool:
     for quad in itertools.combinations(range(g.n), 4):
         for center in quad:
             leaves = [v for v in quad if v != center]
-            if all(g.has_edge(center, v) for v in leaves) and \
-                    not any(g.has_edge(a, b) for a, b in itertools.combinations(leaves, 2)):
+            if all(g.adj[center] >> v & 1 for v in leaves) and \
+                    not any(g.adj[a] >> b & 1 for a, b in itertools.combinations(leaves, 2)):
                 return True
     return False
 
@@ -45,7 +58,7 @@ def is_induced_cycle(g: WeightedGraph, subset) -> bool:
     if len(sub) < 3:
         return False
     for v in sub:
-        if sum(1 for u in sub if u != v and g.has_edge(u, v)) != 2:
+        if sum(1 for u in sub if u != v and g.adj[u] >> v & 1) != 2:
             return False
     # degree-2 everywhere means a disjoint union of cycles; connectivity
     # makes it a single one
@@ -54,7 +67,7 @@ def is_induced_cycle(g: WeightedGraph, subset) -> bool:
     while frontier:
         v = frontier.pop()
         for u in sub:
-            if u not in seen and g.has_edge(u, v):
+            if u not in seen and g.adj[u] >> v & 1:
                 seen.add(u)
                 frontier.append(u)
     return seen == sub
@@ -73,11 +86,11 @@ def naive_is_simplicial_clique(g: WeightedGraph, kset) -> bool:
     if not kset:
         return False
     for a, b in itertools.combinations(kset, 2):
-        if not g.has_edge(a, b):
+        if not g.adj[a] >> b & 1:
             return False
     for v in kset:
-        kv = ({u for u in range(g.n) if g.has_edge(u, v)} | {v}) - (kset - {v})
-        if any(not g.has_edge(a, b) for a, b in itertools.combinations(kv, 2)):
+        kv = ({u for u in range(g.n) if g.adj[u] >> v & 1} | {v}) - (kset - {v})
+        if any(not g.adj[a] >> b & 1 for a, b in itertools.combinations(kv, 2)):
             return False
     return True
 
@@ -88,7 +101,7 @@ def naive_independence_polynomial(g: WeightedGraph) -> list[float]:
     coeffs = [0.0] * (g.n + 1)
     for size in range(g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
-            if not any(g.has_edge(a, b) for a, b in itertools.combinations(subset, 2)):
+            if not any(g.adj[a] >> b & 1 for a, b in itertools.combinations(subset, 2)):
                 coeffs[size] += math.prod(g.weights[v] for v in subset)
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
@@ -119,6 +132,72 @@ def per_set_charges(h, graph: WeightedGraph) -> list[dict]:
     s = max((abs(c) for c, _ in h.terms), default=1.0)  # Q^(k) is pruned against s^k
     return [{key: c for key, c in acc.items() if abs(c) > PRUNE_TOL * s ** k}
             for k, acc in enumerate(accs)]
+
+
+def verify_clique_recurrence(graph: WeightedGraph, clique) -> bool:
+    """Check P_G = P_{G-K} + x * sum_{v in K} w_v P_{G-N[v]} coefficientwise,
+    to 1e-10 relative.
+
+    (In the u variable this is the recurrence P_G(-u^2) = P_{G-K}(-u^2)
+    - u^2 sum_v b_v^2 P_{G-N[v]}(-u^2).)  Raises ValueError when K is not
+    a clique.
+    """
+    kset = sorted(set(clique))
+    kmask = 0
+    for v in kset:
+        kmask |= 1 << v
+    if not graph.is_clique(kmask) or not kset:
+        raise ValueError(f"{kset} is not a nonempty clique")
+    lhs = weighted_independence_polynomial(graph)
+    minus_k, _ = graph.remove_set(kset)
+    rhs = [0.0] * (lhs.alpha + 1)
+    for k, c in enumerate(weighted_independence_polynomial(minus_k).coeffs):
+        rhs[k] += c
+    for v in kset:
+        reduced, _ = graph.remove_set(bits(graph.closed_adj(v)))
+        for k, c in enumerate(weighted_independence_polynomial(reduced).coeffs):
+            if k + 1 <= lhs.alpha:
+                rhs[k + 1] += graph.weights[v] * c
+    scale = max(max(abs(c) for c in lhs.coeffs), 1.0)
+    return all(abs(a - b) <= 1e-10 * max(abs(a), abs(b), scale * 1e-6, 1e-300)
+               for a, b in zip(lhs.coeffs, rhs))
+
+
+def chain_polynomial(spec: ChainSpec) -> IndependencePolynomial:
+    """P for the chain graph via the symmetric k-term recursion.
+
+    In the x variable: P_N = P_{N-1} + sum_l (-1)^(l+1) e_l x^l P_{N-l},
+    with P_0 = 1 and P of negative index 0.  Coefficientwise this equals
+    the enumeration-based polynomial of the same graph.
+    """
+    e = elementary_symmetric(spec.b2)
+    polys: list[list[float]] = [[1.0]]
+    for n in range(1, spec.n_cells + 1):
+        # alpha of the n-cell chain is n, so the new polynomial has degree n
+        new = list(polys[n - 1]) + [0.0] * (n - len(polys[n - 1]) + 1)
+        for ell in range(1, spec.k + 1):
+            if n - ell < 0:
+                break
+            sign = -1.0 if ell % 2 == 0 else 1.0
+            for pos, c in enumerate(polys[n - ell]):
+                new[pos + ell] += sign * e[ell] * c
+        polys.append(new)
+    return IndependencePolynomial(tuple(polys[spec.n_cells]))
+
+
+def verify_nonexample_equal_couplings() -> dict:
+    """The claw-and-even-hole non-example: free at equal couplings only."""
+    equal = verify_free(back_to_back_model(*([1.0] * 6)), force=True)
+    generic = verify_free(back_to_back_model(1.0, 0.9, 1.1, 0.8, 1.2, 1.05), force=True)
+    structure = equal.structure
+    return {
+        "equal_couplings_match": bool(equal.spectrum_match),
+        "generic_couplings_match": bool(generic.spectrum_match),
+        "claw_found": structure.claw_witness is not None,
+        "even_hole_found": structure.even_hole_witness is not None,
+        "equal": equal.to_dict(),
+        "generic": generic.to_dict(),
+    }
 
 
 def full_matrix_spectrum(h) -> np.ndarray:

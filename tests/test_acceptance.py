@@ -12,14 +12,18 @@ import time
 
 import numpy as np
 
-from conftest import naive_has_claw, naive_has_even_hole, random_graph
-from ffsolve.chains import ChainSpec, chain_polynomial, dispersion, gap_scan, others_equal_grid
-from ffsolve.graphs import WeightedGraph, bits, frustration_graph, maximal_cliques
-from ffsolve.indpoly import (
-    single_particle_energies,
+from conftest import (
+    chain_polynomial,
+    maximal_cliques,
+    naive_has_claw,
+    naive_has_even_hole,
+    random_graph,
     verify_clique_recurrence,
-    weighted_independence_polynomial,
+    verify_nonexample_equal_couplings,
 )
+from ffsolve.chains import ChainSpec, dispersion, gap_scan, others_equal_grid
+from ffsolve.graphs import WeightedGraph, frustration_graph
+from ffsolve.indpoly import single_particle_energies, weighted_independence_polynomial
 from ffsolve.models import (
     back_to_back_model,
     chain_model,
@@ -35,7 +39,7 @@ from ffsolve.solver import (
     simplicial_extension,
     transfer,
 )
-from ffsolve.verify import verify_free, verify_nonexample_equal_couplings
+from ffsolve.verify import verify_free
 
 U_GRID = (0.1, -0.1, 0.37, -0.37, 0.9, -0.9, 1.5, -1.5)
 SEED = 20240817
@@ -136,7 +140,7 @@ def test_criterion_04_transfer_factorization():
         poly = weighted_independence_polynomial(g)
         for u in U_GRID:
             prod = opsum_mul(t.evaluate(u), t.evaluate(-u))
-            resid = (prod - poly.at_minus_u2(u) * OperatorSum.identity(h.n)).max_abs_coeff()
+            resid = (prod - poly(-u * u) * OperatorSum.identity(h.n)).max_abs_coeff()
             worst = max(worst, resid)
     report(4, worst < 1e-9, f"transfer factorization residual {worst:.2e} on 8-point u grid")
 
@@ -237,8 +241,8 @@ def test_criterion_09_recursion_equivalence():
     graphs += [random_graph(rng, rng.randint(2, 8), 0.5, weighted=True) for _ in range(15)]
     checked = 0
     for g in graphs:
-        for mask in maximal_cliques(g):
-            assert verify_clique_recurrence(g, list(bits(mask)))
+        for clique in maximal_cliques(g):
+            assert verify_clique_recurrence(g, clique)
             checked += 1
     report(9, worst < 1e-10,
            f"recursion == enumeration (rel {worst:.2e}); {checked} clique recurrences hold")
@@ -255,14 +259,14 @@ def _krausz_line_graph(g: WeightedGraph) -> bool:
     def cliques_on(u, v, uncovered):
         """Cliques containing edge (u, v) whose edges are all uncovered."""
         base = [w for w in range(g.n)
-                if w not in (u, v) and g.has_edge(w, u) and g.has_edge(w, v)
+                if w not in (u, v) and g.adj[w] >> u & 1 and g.adj[w] >> v & 1
                 and use[w] < 2]
         out = []
 
         def grow(current, pool):
             out.append(tuple(current))
             for idx, w in enumerate(pool):
-                if all(g.has_edge(w, x) for x in current):
+                if all(g.adj[w] >> x & 1 for x in current):
                     ok = all(
                         edge_index[(min(w, x), max(w, x))] in uncovered
                         for x in current)
@@ -311,7 +315,7 @@ def _isomorphic_small(g1: WeightedGraph, g2: WeightedGraph) -> bool:
     if g1.n != g2.n or len(g1.edges()) != len(g2.edges()):
         return False
     for perm in itertools.permutations(range(g1.n)):
-        if all(g2.has_edge(perm[a], perm[b]) == g1.has_edge(a, b)
+        if all(g2.adj[perm[a]] >> perm[b] & 1 == g1.adj[a] >> b & 1
                for a in range(g1.n) for b in range(a + 1, g1.n)):
             return True
     return False

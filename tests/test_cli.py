@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import ffsolve
+from ffsolve import paulis
 from ffsolve.cli import main
 from ffsolve.models import parse_hamiltonian
 
@@ -49,6 +50,14 @@ def test_solve_h5_unit(capsys):
     eps = [e for e, _ in doc["result"]["energies"]]
     assert abs(eps[0] - math.sqrt((5 - math.sqrt(5)) / 2)) < 1e-10
     assert abs(eps[1] - math.sqrt((5 + math.sqrt(5)) / 2)) < 1e-10
+
+
+def test_verify_reports_the_term_cap(capsys, monkeypatch):
+    """Above the term cap verify prints its report and exits 1."""
+    monkeypatch.setattr(paulis, "TERM_CAP", 30)
+    code, doc = run_json(capsys, "verify", "--model", "h5")
+    assert code == 1
+    assert doc["result"]["failure"] == "product of 11 x 11 term pairs exceeds cap 30"
 
 
 def test_solve_modes_at_small_couplings(capsys):

@@ -1,16 +1,18 @@
 """Every module-level function, class and method of the package is used,
-every defaulted parameter is set by some call, and no module uses the
-private names of another.
+by the package itself unless it is allowed below, every defaulted
+parameter is set by some call, and no module uses the private names of
+another.
 
 A name counts as used when it appears, as a whole word, somewhere in the
 package or the tests other than its own definition and the package's
-re-export list in ``__init__.py``.  A method must also be read as an
-attribute (``obj.name``) somewhere, since a bare word such as ``graph``
-occurs everywhere.  A defaulted parameter counts as set when some call of
-a function or method of that name passes it, by keyword or by position;
-the parameters of ``__init__`` are checked against the calls of the
-class.  Dunder methods are called by the interpreter, so they are not
-checked.
+re-export list in ``__init__.py``; it counts as used by the package when
+it so appears in the package outside the modules' ``__all__`` lists.  A
+method must also be read as an attribute (``obj.name``) somewhere, since
+a bare word such as ``graph`` occurs everywhere.  A defaulted parameter
+counts as set when some call of a function or method of that name passes
+it, by keyword or by position; the parameters of ``__init__`` are
+checked against the calls of the class.  Dunder methods are called by
+the interpreter, so they are not checked.
 """
 
 import ast
@@ -19,6 +21,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ffsolve"
+
+# package definitions that no code of the package calls, and why they stay
+TEST_ONLY_ALLOWED = {
+    "to_dense": "the benchmark's tracer derives paulis.dense_dim_max from its calls",
+    "h5_model": "documented model: the five-term three-qubit example",
+    "h6_model": "documented model, and the README library sketch builds it",
+    "back_to_back_model": "documented model: the non-example with claws and even holes",
+    "frustration_graph": "the README library sketch calls it",
+    "classify": "the README library sketch calls it",
+    "weighted_independence_polynomial": "the README library sketch calls it",
+    "single_particle_energies": "the README library sketch calls it",
+    "free_spectrum": "the README library sketch calls it",
+    "simplicial_extension": "the README library sketch calls it",
+    "all_modes": "the README library sketch calls it",
+    "verify_all": "the README library sketch calls it",
+    "passed": "the README library sketch calls it",
+}
 
 
 def _definitions(path):
@@ -47,6 +66,23 @@ def test_no_unused_definitions():
             if sum(len(word.findall(text)) for text in texts) <= 1:
                 unused.append(f"{path.name}:{line} {name}")
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def test_no_definition_only_the_tests_name():
+    """Code that only the tests call belongs in the tests: a paper lemma
+    that no command checks moves there, and a wrapper gives way to what
+    it wraps."""
+    texts = [re.sub(r"__all__ = \[.*?\]", "", p.read_text(), flags=re.S)
+             for p in sorted(PACKAGE.glob("*.py")) if p != PACKAGE / "__init__.py"]
+    defined, test_only = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, line in _definitions(path):
+            defined.add(name)
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if name not in TEST_ONLY_ALLOWED and sum(len(word.findall(t)) for t in texts) <= 1:
+                test_only.append(f"{path.name}:{line} {name}")
+    assert not test_only, "named only in the tests: " + ", ".join(test_only)
+    assert set(TEST_ONLY_ALLOWED) <= defined, "allowed but not defined"
 
 
 def _functions(tree):

@@ -6,13 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import cycle_graph, random_graph
+from conftest import cycle_graph, maximal_cliques, random_graph
 from ffsolve.graphs import (
     WeightedGraph,
     all_cliques,
     bits,
     frustration_graph,
-    maximal_cliques,
     stable_sets,
 )
 from ffsolve.models import (
@@ -77,7 +76,7 @@ def test_frustration_graph_basis_faithful_dense():
         for i in range(g.n):
             for j in range(i + 1, g.n):
                 anti = np.max(np.abs(dense[i] @ dense[j] + dense[j] @ dense[i]))
-                assert g.has_edge(i, j) == (anti < 1e-12)
+                assert g.adj[i] >> j & 1 == (anti < 1e-12)
 
 
 def test_induced_subgraph_carries_weights_and_labels():
@@ -100,7 +99,7 @@ def test_induced_subgraph_edge_cases():
 
 def test_c5_minus_closed_neighborhood_is_path_on_two():
     g = cycle_graph(5)
-    sub, mapping = g.remove_closed_neighborhood(0)
+    sub, mapping = g.remove_set(bits(g.closed_adj(0)))
     assert sub.n == 2
     assert sub.edges() == [(0, 1)]
     assert mapping == [2, 3]
@@ -120,23 +119,23 @@ def test_induced_subgraph_composition():
 
 
 def test_maximal_cliques_c5_and_complete():
-    g = cycle_graph(5)
-    cliques = sorted(tuple(bits(m)) for m in maximal_cliques(g))
-    assert cliques == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    """The networkx reference of the tests keeps isolated vertices."""
+    assert sorted(maximal_cliques(cycle_graph(5))) == [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
     k4 = WeightedGraph(4, list(itertools.combinations(range(4), 2)))
-    assert [tuple(bits(m)) for m in maximal_cliques(k4)] == [(0, 1, 2, 3)]
+    assert maximal_cliques(k4) == [[0, 1, 2, 3]]
+    assert sorted(maximal_cliques(WeightedGraph(3, [(0, 1)]))) == [[0, 1], [2]]
 
 
 def test_maximal_cliques_against_naive():
     rng = random.Random(23)
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 8), 0.5)
-        got = {tuple(bits(m)) for m in maximal_cliques(g)}
+        got = {tuple(c) for c in maximal_cliques(g)}
         naive = set()
         for size in range(1, g.n + 1):
             for sub in itertools.combinations(range(g.n), size):
-                if all(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2)):
-                    if not any(all(g.has_edge(v, u) for u in sub)
+                if all(g.adj[a] >> b & 1 for a, b in itertools.combinations(sub, 2)):
+                    if not any(all(g.adj[v] >> u & 1 for u in sub)
                                for v in range(g.n) if v not in sub):
                         naive.add(sub)
         assert got == naive
@@ -163,7 +162,7 @@ def test_stable_sets_against_itertools():
             want = {sum(1 << v for v in sub)
                     for size in range(g.n + 1)
                     for sub in itertools.combinations(range(g.n), size)
-                    if all(g.has_edge(a, b) != joined
+                    if all(g.adj[a] >> b & 1 != joined
                            for a, b in itertools.combinations(sub, 2))}
             assert len(got) == len(want) and set(got) == want
             assert got[0] == 0

@@ -13,26 +13,26 @@ from conftest import (
     EPS,
     assert_same_energies,
     certify_groups,
+    chain_polynomial,
     cycle_graph,
+    maximal_cliques,
     naive_has_claw,
     naive_independence_polynomial,
     random_graph,
     record_sweeps,
     use_midpoint_bisection,
+    verify_clique_recurrence,
 )
 from ffsolve import indpoly
-from ffsolve.chains import ChainSpec, chain_polynomial
+from ffsolve.chains import ChainSpec
 from ffsolve.errors import ComplexRootError
-from ffsolve.graphs import WeightedGraph, bits, frustration_graph, maximal_cliques
+from ffsolve.graphs import WeightedGraph, frustration_graph, stable_sets
 from ffsolve.indpoly import (
     ROOT_REL_TOL,
     IndependencePolynomial,
     free_spectrum,
-    independence_number,
-    independent_sets,
     roots_by_count,
     single_particle_energies,
-    verify_clique_recurrence,
     weighted_independence_polynomial,
 )
 from ffsolve.models import chain_model, h5_model, h6_model, junction_model
@@ -53,48 +53,31 @@ def h6_printed_polynomial(a, b, c, d, e, f):
 
 
 def test_independent_set_counts_c5():
-    sets = independent_sets(cycle_graph(5))
-    assert [len(sets.get(k, [])) for k in range(3)] == [1, 5, 5]
-    assert independence_number(cycle_graph(5)) == 2
+    sizes = [mask.bit_count() for mask in stable_sets(cycle_graph(5).adj)]
+    assert [sizes.count(k) for k in range(4)] == [1, 5, 5, 0]
+    assert weighted_independence_polynomial(cycle_graph(5)).alpha == 2
 
 
 def test_independent_sets_edgeless():
-    g = WeightedGraph(3)
-    total = sum(len(v) for v in independent_sets(g).values())
-    assert total == 8
-
-
-def test_independent_sets_against_naive():
-    rng = random.Random(19)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(1, 8), 0.45)
-        got = {frozenset(s) for group in independent_sets(g).values() for s in group}
-        naive = set()
-        for size in range(g.n + 1):
-            for sub in itertools.combinations(range(g.n), size):
-                if not any(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2)):
-                    naive.add(frozenset(sub))
-        assert got == naive
+    assert sum(1 for _ in stable_sets(WeightedGraph(3).adj)) == 8
 
 
 def test_independence_number_against_brute_force():
-    """Weights play no part, zero weights included."""
+    """The degree of the polynomial with unit weights."""
     rng = random.Random(23)
-    for trial in range(40):
+    for _ in range(40):
         n = rng.randint(0, 9)
-        g = random_graph(rng, n, rng.uniform(0.1, 0.8), weighted=True)
-        if trial % 2:
-            g = WeightedGraph(n, g.edges(), weights=[rng.choice([0.0, 1.5]) for _ in range(n)])
+        g = random_graph(rng, n, rng.uniform(0.1, 0.8))
         want = max(size for size in range(n + 1)
                    for sub in itertools.combinations(range(n), size)
-                   if not any(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2)))
-        assert independence_number(g) == want
+                   if not any(g.adj[a] >> b & 1 for a, b in itertools.combinations(sub, 2)))
+        assert weighted_independence_polynomial(g).alpha == want
 
 
 def test_chain_alpha_is_cell_count():
     for n_cells, k in [(1, 2), (2, 3), (3, 3), (4, 2)]:
         g = frustration_graph(chain_model(n_cells, k))
-        assert independence_number(g) == n_cells
+        assert weighted_independence_polynomial(g).alpha == n_cells
 
 
 def test_h5_polynomial_matches_printed_quartic():
@@ -188,8 +171,8 @@ def test_clique_recurrence_every_maximal_clique():
               frustration_graph(chain_model(2, 4, [rng.uniform(0.3, 1.5) for _ in range(4)]))]
     graphs += [random_graph(rng, rng.randint(2, 8), 0.5, weighted=True) for _ in range(10)]
     for g in graphs:
-        for mask in maximal_cliques(g):
-            assert verify_clique_recurrence(g, list(bits(mask)))
+        for clique in maximal_cliques(g):
+            assert verify_clique_recurrence(g, clique)
 
 
 def test_clique_recurrence_rejects_non_clique():

@@ -9,7 +9,6 @@ from ffsolve.errors import ModelError, ParseError
 from ffsolve.graphs import frustration_graph
 from ffsolve.models import (
     Hamiltonian,
-    back_to_back_model,
     chain_model,
     generate_model,
     h5_model,
@@ -19,7 +18,6 @@ from ffsolve.models import (
     parse_graph,
     parse_hamiltonian,
     realize_graph,
-    write_graph,
     write_hamiltonian,
 )
 from ffsolve.paulis import PauliTerm
@@ -86,7 +84,6 @@ def test_graph_file_round_trip():
     text = "p 2\nv 0 1.0\nv 1 4.0\ne 0 1\n"
     g = parse_graph(text)
     assert g.n == 2 and g.edges() == [(0, 1)] and g.weights == (1.0, 4.0)
-    assert parse_graph(write_graph(g)) == g
 
 
 def test_graph_parse_edge_cases():
@@ -99,17 +96,6 @@ def test_graph_parse_edge_cases():
         parse_graph("p 2\nv 0 -1.0")
     with pytest.raises(ParseError):
         parse_graph("e 0 1")  # missing header
-
-
-def test_generated_graph_round_trips():
-    rng = random.Random(3)
-    for h in [h5_model(), h6_model(), chain_model(2, 3), junction_model((1, 1), 2),
-              back_to_back_model()]:
-        g = frustration_graph(h)
-        assert parse_graph(write_graph(g)) == g
-    for _ in range(10):
-        g = random_graph(rng, rng.randint(1, 9), 0.4, weighted=True)
-        assert parse_graph(write_graph(g)) == g
 
 
 def test_h6_with_f_zero_equals_h5_graph():
@@ -150,7 +136,7 @@ def test_periodic_chain_graph_is_circulant():
     for i in range(n):
         for j in range(i + 1, n):
             d = min(j - i, n - (j - i))
-            assert g.has_edge(i, j) == (d < 3)
+            assert g.adj[i] >> j & 1 == (d < 3)
 
 
 def test_junction_realization_matches_target_graph():

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     cycle_graph,
+    maximal_cliques,
     naive_has_claw,
     naive_has_even_hole,
     naive_is_simplicial_clique,
@@ -46,8 +47,8 @@ def test_claw_witness_induces_k13():
         if w is not None:
             found += 1
             center, leaves = w
-            assert all(g.has_edge(center, v) for v in leaves)
-            assert not any(g.has_edge(a, b) for a, b in itertools.combinations(leaves, 2))
+            assert all(g.adj[center] >> v & 1 for v in leaves)
+            assert not any(g.adj[a] >> b & 1 for a, b in itertools.combinations(leaves, 2))
     assert found > 20
 
 
@@ -73,7 +74,7 @@ def test_even_hole_witness_is_chordless_even_cycle():
             edges = {(min(a, b), max(a, b))
                      for a, b in zip(w, w[1:] + (w[0],))}
             induced = {(min(a, b), max(a, b)) for a, b in itertools.combinations(w, 2)
-                       if g.has_edge(a, b)}
+                       if g.adj[a] >> b & 1}
             assert induced == edges
     assert found > 20
 
@@ -124,11 +125,10 @@ def test_isolated_vertex_is_simplicial():
 
 
 def test_h6_maximal_cliques_all_simplicial():
-    from ffsolve.graphs import maximal_cliques, bits
     g = frustration_graph(h6_model())
     simp = set(find_simplicial_cliques(g))
-    for m in maximal_cliques(g):
-        assert tuple(bits(m)) in simp
+    for clique in maximal_cliques(g):
+        assert tuple(clique) in simp
 
 
 def test_simplicial_cliques_against_naive():

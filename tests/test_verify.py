@@ -4,9 +4,9 @@ import random
 
 import numpy as np
 import pytest
-from conftest import full_matrix_spectrum
+from conftest import full_matrix_spectrum, verify_nonexample_equal_couplings
 
-from ffsolve import graphs, verify
+from ffsolve import graphs, paulis, verify
 from ffsolve.errors import DenseCapError
 from ffsolve.models import (
     Hamiltonian,
@@ -17,13 +17,18 @@ from ffsolve.models import (
     junction_model,
 )
 from ffsolve.paulis import PauliTerm
+from ffsolve.recognition import find_simplicial_cliques
+from ffsolve.solver import (
+    check_fundamental_identity,
+    simplicial_extension,
+    transfer_factorization_residual,
+)
 from ffsolve.verify import (
     SPECTRUM_CLUSTER_TOL,
     brute_force_spectrum,
     symmetry_generators,
     verify_all,
     verify_free,
-    verify_nonexample_equal_couplings,
 )
 
 
@@ -302,3 +307,31 @@ def test_verify_all_ties_the_modes_to_the_transfer_operator(scale):
     for name in ("lanczos_energy", "zero_eigenvector"):
         assert rep.lemma_residuals[name] <= 1e-12
         assert rep.tolerances[name] == 1e-8
+
+
+def test_lemma_residuals_are_relative_to_their_products():
+    """T(u) T(-u) = P(-u^2) I and the fundamental identity are measured
+    against the Pauli 1-norms of the products that form them.  Absolute
+    residuals read 4.9e-4 and 1.5 on h5 at couplings of order 1e3, and the
+    fundamental identity 2.3e-8 on junction (1,2,1), where |P(-u^2)| is
+    2.7e5 at u = 1.5."""
+    rep = verify_all(h5_model(1000, 700, 1300, 900, 1200))
+    assert rep.passed(), rep.lemma_residuals
+    rng = random.Random(2)  # the couplings of ``ffsolve verify --seed 2``
+    h = junction_model((1, 2, 1), 3, [rng.choice([-1, 1]) * rng.uniform(0.5, 2.0)
+                                      for _ in range(18)])
+    ks = min(find_simplicial_cliques(graphs.frustration_graph(h)), key=len)
+    hext, chi = simplicial_extension(h, ks)
+    for u in verify.DEFAULT_U_GRID:
+        assert transfer_factorization_residual(h, u) <= 1e-9
+        assert check_fundamental_identity(hext, chi, ks, u) <= 1e-9
+
+
+@pytest.mark.parametrize("cap, checked", [(10, []), (30, ["charges_commute"])])
+def test_verify_all_records_the_term_cap(monkeypatch, cap, checked):
+    """A Pauli product above the term cap ends the checks with a report
+    that names the cap and keeps the residuals found before it."""
+    monkeypatch.setattr(paulis, "TERM_CAP", cap)
+    rep = verify_all(h5_model(1.0, 0.7, -1.3, 0.4, 2.0))
+    assert rep.failure.endswith(f"exceeds cap {cap}")
+    assert sorted(rep.lemma_residuals) == checked and not rep.passed()
