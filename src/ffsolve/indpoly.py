@@ -10,20 +10,26 @@ single-particle energies e_j are defined by P(-1/e_j^2) = 0.
 Roots are isolated by counting.  ``roots_by_count`` cuts (0, hi] on a
 function that counts the roots above a point; for a real-rooted function
 that count is exact, so every bracket it returns holds a known number of
-roots, repeated roots included.  It cuts a bracket with several roots
-into thirds and places the two cuts of a bracket with one root around a
-Newton estimate, so the caller returns the Newton step f/f' with each
-count.  ``single_particle_energies`` counts with the Budan-Fourier sign
-changes of the reversed polynomial in w = e^2,
+roots, repeated roots included, wherever its cuts came from.  Its first
+sweep cuts at points the caller gives, or at the thirds of (0, hi].  Later
+sweeps place the two cuts of a bracket with m roots around the Newton
+estimate m f/f', exact for an m-fold root, or cut it into thirds, so the
+caller returns the Newton step f/f' with each count.
+``single_particle_energies`` counts with the Budan-Fourier sign changes of
+the reversed polynomial in w = e^2,
 
     R(w) = w^alpha P(-1/w) = sum_m (-1)^(alpha-m) c_(alpha-m) w^m ,
 
-and its derivatives, the first of which gives the step;
+and its derivatives, the first of which gives the step.  Its first cuts
+lie just either side of the eigenvalues of R's companion matrix, so most
+roots are isolated in two sweeps; an estimate that is wrong, or complex,
+costs sweeps but never a root, since the counts certify every bracket.
 ``chains.chain_energies`` counts with the sign changes of the chain
-recursion and carries its w-derivative for the step.  Every root
-``single_particle_energies`` returns is checked against the rounding
-noise of R: one that the noise could move by more than ROOT_CERT_REL_TOL
-raises ComplexRootError instead, as do complex roots.
+recursion, carries its w-derivative for the step, and starts from the
+thirds.  Every root ``single_particle_energies`` returns is checked
+against the rounding noise of R: one that the noise could move by more
+than ROOT_CERT_REL_TOL raises ComplexRootError instead, as do complex
+roots.
 """
 
 from __future__ import annotations
@@ -46,7 +52,9 @@ _NEWTON_FLOOR = 0.4 * ROOT_REL_TOL
 # to 20 cells the roots it admits were within 1e-9 of 60-digit ones
 ROOT_CERT_REL_TOL = 1e-6
 _NOISE_ULPS = 4       # c in the rounding bound c (alpha + 1) eps sum_m |r_m| s^m
-_BISECT_STEPS = 200   # enough to reach adjacent floats from (0, 1]
+_SEED_WINDOW = 1e-9   # least half-width of a window of the first sweep, relative
+_POLISH_STEPS = 80    # enough to halve (0, 1] down to neighbouring long doubles
+_EPS = float(np.finfo(float).eps)
 
 
 # -- polynomial -------------------------------------------------------------
@@ -170,6 +178,10 @@ def _split_component(adj: tuple[int, ...], s: int, hint: int) -> int:
 
 def sign_changes(values: np.ndarray) -> np.ndarray:
     """Sign changes down each column of ``values``, zeros skipped."""
+    negative = values < 0
+    if (negative | (values > 0)).all():
+        return np.count_nonzero(negative[1:] != negative[:-1], axis=0)
+    # a zero or NaN takes the last sign above it
     signs = np.sign(values)
     rows = np.arange(len(signs))[:, None]
     last = np.maximum.accumulate(np.where(signs != 0, rows, 0), axis=0)
@@ -177,85 +189,117 @@ def sign_changes(values: np.ndarray) -> np.ndarray:
     return np.count_nonzero(filled[1:] != filled[:-1], axis=0)
 
 
+# A sweep keeps its brackets as the columns of one array with the rows lo,
+# up, c_lo, c_up (the counts at the ends), s_lo, s_up (the Newton steps
+# there) and parent (the width of the bracket it was cut from).  Its three
+# pieces are taken at once from the rows lo, p1, p2, up, c_lo, c1, c2, c_up,
+# s_lo, s1, s2, s_up and width of the bracket cut at p1 and p2.
+_PIECES = np.array([0, 1, 2, 1, 2, 3, 4, 5, 6, 5, 6, 7, 8, 9, 10, 9, 10, 11, 12, 12, 12])
+_CUT1, _CUT2 = [1, 5, 9], [2, 6, 10]  # the point, count and step of each cut
+
+
 def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                   n: int, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   n: int, hi: float, first: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brackets (lo, hi] holding the n roots in (0, hi] of a real-rooted function f.
 
     ``evaluate`` maps an array of points w to the number of roots above
     each and the Newton step f(w) / f'(w) there; the count is taken to be
-    n at 0 and 0 at hi without being called.  Each call, a sweep, cuts
-    every bracket at two points, and every cut keeps its exact count, so
-    every bracket holds a known number of roots, repeated roots included.
-    Brackets are cut until they are at most ROOT_REL_TOL of their upper
-    end wide.
+    n at 0 and 0 at hi without being called.  Each call is a sweep.  The
+    first cuts (0, hi] at the ascending points ``first``, by default at its
+    thirds; a first cut whose count lies outside the counts on either side
+    of it is noise, and is dropped.  Every later sweep cuts every bracket at
+    two points.  Every cut keeps its exact count, so every bracket holds a
+    known number of roots, repeated roots included, however its cuts were
+    chosen.  Brackets are cut until they are at most ROOT_REL_TOL of their
+    upper end wide.
 
-    A bracket with several roots is cut into thirds.  A bracket with one
-    root is cut at g - h and g + h.  Here g is the Newton estimate from
-    the end with the shorter step, and h is twice the spread of the
-    estimates from its two ends, at least 0.4 ROOT_REL_TOL of its upper
-    end, so that a window that holds the root finishes the bracket.  A
-    window that reaches an end keeps its other cut and halves the rest.
-    The bracket is cut into thirds instead when an end has no estimate
-    (0 and hi are never evaluated), when the window holds the whole
-    bracket or cannot put both cuts strictly inside it, and on the sweep
-    after a Newton sweep that left it more than half as wide.
+    A bracket with m roots is cut at g - h and g + h.  Here g is the
+    Newton estimate of an m-fold root, x - m f(x) / f'(x), from the end x
+    with the shorter step, and h is twice the spread of the estimates from
+    its two ends, at least 0.4 ROOT_REL_TOL of its upper end, so that a
+    window that holds the root finishes the bracket.  A window that
+    reaches an end keeps its other cut and halves the rest.  The bracket
+    is cut into thirds instead when an end has no estimate (0 and hi are
+    never evaluated), when the window holds the whole bracket or cannot
+    put both cuts strictly inside it, and on the sweep after a Newton
+    sweep that left it more than half as wide.
 
     Counts that come back out of order are rounding noise, and the
-    bracket is as tight as the evaluator allows.  A one-root bracket ends
-    as the span of its noisy cuts: a cut whose count falls outside its
-    ends' counts, or both cuts when they come back swapped, since the
-    root lies in the noise around them.  A bracket with several roots is
-    kept as it is, and so is one that no cut shrinks.  Returns ascending
-    arrays lo, hi and m, the number of roots in each.
+    bracket is as tight as the evaluator allows; an evaluator reports a
+    count that rounding hides from it as -1.  A one-root bracket ends as
+    the span of its noisy cuts: a cut whose count falls outside its ends'
+    counts, or both cuts when they come back swapped, since the root lies
+    in the noise around them.  A bracket with several roots is cut at its
+    other cut alone when only one is noisy, and kept as it is when both
+    are; so is a bracket that no cut shrinks.  Returns ascending arrays
+    lo, hi and m, the number of roots in each.
     """
-    lo, up = np.zeros(1), np.full(1, float(hi))
-    c_lo, c_up = np.full(1, n), np.zeros(1, dtype=int)
-    g_lo, g_up = np.full(1, np.nan), np.full(1, np.nan)  # Newton estimates from the ends
-    newton = np.ones(1, dtype=bool)
+    hi = float(hi)
+    if first is None:
+        first = np.array([hi / 3, hi - hi / 3])
+    counts, steps = evaluate(first)
+    # a first cut whose count leaves the range of the counts around it is noise
+    kept = ((counts <= np.minimum.accumulate(np.concatenate(([n], counts[:-1]))))
+            & (counts >= np.maximum.accumulate(np.concatenate(([0], counts[:0:-1])))[::-1]))
+    ends = np.concatenate(([0.0], first[kept], [hi]))
+    c = np.concatenate(([n], counts[kept], [0]))
+    s = np.concatenate(([np.nan], steps[kept], [np.nan]))
+    state = np.array([ends[:-1], ends[1:], c[:-1], c[1:], s[:-1], s[1:], np.full(len(c) - 1, np.inf)])
     done = []
-    while len(lo):
+    while state.shape[1]:
+        lo, up, c_lo, c_up, s_lo, s_up, parent = state
         width = up - lo
-        one = c_lo - c_up == 1
+        tight = (width <= ROOT_REL_TOL * up) | (width >= parent)
+        held = c_lo > c_up
+        finished = held & tight
+        if finished.any():
+            done.append(state[:4, finished])
+        live = held & ~tight
+        if not live.all():
+            state, width = state[:, live], width[live]
+            lo, up, c_lo, c_up, s_lo, s_up, parent = state
+            if not len(lo):
+                break
+        newton = width <= 0.5 * parent
+        m = c_lo - c_up
+        g_lo, g_up = lo - m * s_lo, up - m * s_up
         g = np.clip(np.where(np.abs(lo - g_lo) < np.abs(up - g_up), g_lo, g_up), lo, up)
         h = np.maximum(2.0 * np.abs(g_lo - g_up), _NEWTON_FLOOR * up)
         a, b = np.maximum(g - h, lo), np.minimum(g + h, up)
         # a window that reaches an end keeps its other cut and halves the rest
         q1 = np.where(a > lo, a, 0.5 * (lo + b))
         q2 = np.where(b < up, b, 0.5 * (a + up))
-        guided = newton & one & ((a > lo) | (b < up)) & (lo < q1) & (q2 < up)
+        guided = newton & ((a > lo) | (b < up)) & (lo < q1) & (q2 < up)
         p1 = np.where(guided, q1, lo + width / 3)
         p2 = np.where(guided, q2, up - width / 3)
-        cuts = np.concatenate([p1, p2])
-        counts, steps = evaluate(cuts)
-        c1, c2 = np.split(counts, 2)
-        e1, e2 = np.split(cuts - steps, 2)
-
+        counts, steps = evaluate(np.concatenate([p1, p2]))
+        k = len(lo)
+        c1, c2 = counts[:k], counts[k:]
+        stacked = np.array([lo, p1, p2, up, c_lo, c1, c2, c_up,
+                            s_lo, steps[:k], steps[k:], s_up, width])
         ordered = (c_lo >= c1) & (c1 >= c2) & (c2 >= c_up)
-        noisy = ~ordered
-        # a noisy cut: its count is outside its ends' counts, or the cuts swapped
-        out1, out2 = (c1 > c_lo) | (c1 < c_up), (c2 > c_lo) | (c2 < c_up)
-        swapped = ~out1 & ~out2 & (c1 < c2)
-        n1, n2 = out1 | swapped, out2 | swapped
-        f_lo = np.where(one, np.where(n1, p1, p2), lo)
-        f_up = np.where(one, np.where(n2, p2, p1), up)
-        done.append((f_lo[noisy], f_up[noisy], (c_lo - c_up)[noisy]))
-        # the pieces (lo, p1], (p1, p2] and (p2, up] of the ordered brackets
-        ends = [x[ordered] for x in (lo, p1, p2, up)]
-        cs = [x[ordered] for x in (c_lo, c1, c2, c_up)]
-        gs = [x[ordered] for x in (g_lo, e1, e2, g_up)]
-        parent = np.tile(width[ordered], 3)
-        lo, up = np.concatenate(ends[:3]), np.concatenate(ends[1:])
-        c_lo, c_up = np.concatenate(cs[:3]), np.concatenate(cs[1:])
-        g_lo, g_up = np.concatenate(gs[:3]), np.concatenate(gs[1:])
-        held = c_lo > c_up
-        finished = held & ((up - lo <= ROOT_REL_TOL * up) | (up - lo >= parent))
-        done.append((lo[finished], up[finished], (c_lo - c_up)[finished]))
-        keep = held & ~finished
-        newton = (up - lo <= 0.5 * parent)[keep]
-        lo, up, c_lo, c_up, g_lo, g_up = (x[keep] for x in (lo, up, c_lo, c_up, g_lo, g_up))
-    lo, up, m = (np.concatenate(parts) for parts in zip(*done))
+        if not ordered.all():
+            one = m == 1
+            # a noisy cut: its count is outside its ends' counts, or the cuts swapped
+            out1, out2 = (c1 > c_lo) | (c1 < c_up), (c2 > c_lo) | (c2 < c_up)
+            swapped = ~out1 & ~out2 & (c1 < c2)
+            # a bracket with several roots and one good cut is cut there alone
+            good1, good2 = ~one & ~out1 & out2, ~one & out1 & ~out2
+            if good1.any() or good2.any():
+                stacked[np.ix_(_CUT2, good1)] = stacked[np.ix_(_CUT1, good1)]
+                stacked[np.ix_(_CUT1, good2)] = stacked[np.ix_(_CUT2, good2)]
+                ordered |= good1 | good2
+            n1, n2 = out1 | swapped, out2 | swapped
+            f_lo = np.where(one, np.where(n1, p1, p2), lo)
+            f_up = np.where(one, np.where(n2, p2, p1), up)
+            noisy = ~ordered
+            done.append(np.array([f_lo, f_up, c_lo, c_up])[:, noisy])
+            stacked = stacked[:, ordered]
+        state = stacked[_PIECES].reshape(7, -1)
+    lo, up, c_lo, c_up = np.concatenate(done, axis=1)
     order = np.argsort(lo)
-    return lo[order], up[order], m[order]
+    return lo[order], up[order], (c_lo - c_up)[order].astype(int)
 
 
 # -- single-particle energies ------------------------------------------------
@@ -283,10 +327,18 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     c_1, so that the rescaling is exact and the roots lie in (0, 1).  Row
     j of ``taylor`` holds the coefficients of R^(j)(s) / j!, and the sign
     changes down the rows count the roots above s (Budan-Fourier, exact
-    for real-rooted R).  Neighbouring brackets between which |R| is within
-    its rounding noise, c (alpha + 1) eps sum_m |r_m| s^m, form a cluster;
-    a cluster of m roots is placed at the simple root of R^(m-1) inside it.
-    The residual is the largest |R(s)| / sum_m |r_m| s^m at the roots.
+    for real-rooted R).  Where |R| is within its rounding noise,
+    c (alpha + 1) eps sum_m |r_m| s^m, the count is reported as unknown.
+
+    The first sweep cuts either side of each real part of an eigenvalue of
+    R's companion matrix, at its Newton distance from R plus the noise
+    over the slope, and at least 1e-9 of it, so that a good estimate comes
+    back as a bracket with one root, and the next sweep finishes it.
+    Neighbouring brackets between which |R| is within noise form a
+    cluster; a cluster of m roots is placed at the simple root of R^(m-1)
+    by Newton steps kept in a bracket, in extended precision where the
+    platform has it.  The residual is the largest |R(s)| / sum_m |r_m| s^m
+    at the roots.
 
     Raises ComplexRootError unless, at every cluster, R, ..., R^(m-2)
     vanish within noise, R^(m-1) changes sign or vanishes within noise, and
@@ -301,48 +353,97 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     # R(unit s) / unit^alpha, where s^m has the coefficient
     # (-1)^(alpha-m) c_(alpha-m) / unit^(alpha-m)
     r = (np.array(poly.coeffs) * (-1.0 / unit) ** degree)[::-1]
-    taylor = np.array([[math.comb(j + d, j) * r[j + d] if j + d <= alpha else 0.0
-                        for d in degree] for j in degree])
+    binomials = np.array([[math.comb(j + d, j) for d in range(alpha + 1)]
+                          for j in range(alpha + 1)], dtype=float)
+    hankel = np.concatenate([r, np.zeros(alpha)])[degree[:, None] + degree]  # r_(j+d)
+    taylor = binomials * hankel
     rounding = _NOISE_ULPS * (alpha + 1) * np.finfo(float).eps
 
     def powers(s):
         return s ** degree[:, None]
 
     def evaluate(s):
-        t = taylor @ powers(s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return sign_changes(t), t[0] / t[1]
+        x = powers(s)
+        t = taylor @ x
+        counts = sign_changes(t)
+        # where R is within its rounding noise its sign, and the count, is unknown
+        counts[np.abs(t[0]) <= rounding * (np.abs(r) @ x)] = -1
+        return counts, t[0] / t[1]
 
-    # 1 lies above every root, since they sum to c_1 / unit < 1; hi itself is
-    # never evaluated, so a root at hi (c_1 / unit at alpha = 1) gets no Newton step
-    lo, hi, m = roots_by_count(evaluate, alpha, 1.0)
+    companion = np.eye(alpha, k=-1)
+    companion[0] = -r[-2::-1]  # the leading coefficient, c_0, is 1
+    guess = np.linalg.eigvals(companion).real
+    guess = guess[(guess > 0) & (guess < 1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = powers(guess)
+        t = taylor[:2] @ x
+        half = np.maximum(_SEED_WINDOW * guess,
+                          2 * (np.abs(t[0]) + rounding * (np.abs(r) @ x)) / np.abs(t[1]))
+        first = np.unique(np.concatenate([guess - half, guess + half]))
+        first = first[(first > 0) & (first < 1)]
+        # 1 lies above every root, since they sum to c_1 / unit < 1
+        lo, hi, m = roots_by_count(evaluate, alpha, 1.0, first)
     gap = 0.5 * (hi[:-1] + lo[1:])
-    joined = np.abs(taylor[0] @ powers(gap)) <= rounding * (np.abs(r) @ powers(gap))
-    starts = np.flatnonzero(np.r_[True, ~joined])
-    a, b, mult = lo[starts], hi[np.r_[starts[1:], len(lo)] - 1], np.add.reduceat(m, starts)
-
-    # bisect each cluster on R^(m-1) down to neighbouring floats
-    cols = np.arange(len(mult))
+    x = powers(gap)
+    joined = np.abs(taylor[0] @ x) <= rounding * (np.abs(r) @ x)
+    starts = np.flatnonzero(np.concatenate(([True], ~joined)))
+    a, b = lo[starts], hi[np.append(starts[1:], len(lo)) - 1]
+    mult = np.add.reduceat(m, starts)
+    # R^(m-1) has a simple root in each cluster, found by Newton steps from
+    # the mean of the estimates between the gaps around the cluster, its
+    # centre.  The steps are taken in extended precision where the platform
+    # has it, which shrinks the rounding noise the root is found in, and
+    # kept in a bracket that the sign at each step shrinks: a step that
+    # leaves it is replaced by its midpoint.  The bracket is the cluster, or
+    # the gaps around it where rounding put the root just outside the
+    # cluster.  Close to a multiple root, where counts are noise, R^(m-1) may
+    # keep its sign across both, and the steps are only kept between the
+    # gaps.
+    wide = binomials.astype(np.longdouble) * hankel.astype(np.longdouble)
+    value_rows, slope_rows = wide[mult - 1], mult[:, None] * wide[mult]
+    noise = _NOISE_ULPS * (alpha + 1) * np.finfo(np.longdouble).eps * np.abs(value_rows)
 
     def lead(s):
-        return (taylor @ powers(s))[mult - 1, cols]
+        """R^(m-1) / (m-1)! of each cluster at s, its slope, and the
+        rounding bound of the value."""
+        x = s[..., None] ** degree
+        return (value_rows * x).sum(-1), (slope_rows * x).sum(-1), (noise * x).sum(-1)
 
-    fa, fb = lead(a), lead(b)
-    bracketed = fa * fb <= 0
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
-        if np.all((mid <= a) | (mid >= b)):
-            break
-        fm = lead(mid)
-        right = np.sign(fm) == np.sign(fa)
-        a, fa = np.where(right, mid, a), np.where(right, fm, fa)
-        b, fb = np.where(right, b, mid), np.where(right, fb, fm)
-    s = np.where(np.abs(fa) < np.abs(fb), a, b)
+    bounds = gap[~joined]
+    near = np.searchsorted(bounds, guess)
+    count = np.bincount(near, minlength=len(mult))
+    centre = np.where(count > 0, np.bincount(near, guess, len(mult)) / np.maximum(count, 1),
+                      0.5 * (a + b))
+    ends = np.array([a, b, np.concatenate(([0.0], bounds)), np.append(bounds, 1.0), centre],
+                    dtype=np.longdouble)
+    (fa, fb, f_floor, f_ceil, _), _, _ = lead(ends)
+    a, b, floor, ceil, s = ends
+    inner = fa * fb <= 0
+    a, b, fa = np.where(inner, a, floor), np.where(inner, b, ceil), np.where(inner, fa, f_floor)
+    bracketed = inner | (f_floor * f_ceil <= 0)
+    s = np.clip(s, a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_POLISH_STEPS):
+            f, slope, bound = lead(s)
+            above = bracketed & (np.sign(f) == np.sign(fa))  # the root lies above s
+            a, fa = np.where(above, s, a), np.where(above, f, fa)
+            b = np.where(bracketed & ~above, s, b)
+            newton = s - f / slope
+            bisect = bracketed & ((newton < a) | (newton > b))
+            s, last = np.where(bisect, 0.5 * (a + b), np.clip(newton, a, b)), s
+            # steps end below the float resolution, or within the rounding
+            # noise of the extended precision
+            if np.all(np.abs(s - last) <= np.maximum(_EPS * s, bound / np.abs(slope))):
+                break
+    s = s.astype(float)
 
     t, scale = taylor @ powers(s), np.abs(taylor) @ powers(s)
     small = np.abs(t) <= rounding * scale
     vanish = np.all(small | (degree[:, None] >= mult - 1), axis=0)
-    located = bracketed | small[mult - 1, cols]
+    # R^(m-1) changes sign between the floats next to s, or vanishes within noise
+    down, up = taylor @ powers(np.nextafter(s, 0)), taylor @ powers(np.nextafter(s, 1))
+    cols = np.arange(len(mult))
+    located = (down[mult - 1, cols] * up[mult - 1, cols] <= 0) | small[mult - 1, cols]
     # noise over slope, where the slope of R^(m-1)(s) / (m-1)! is m R^(m)(s) / m!
     pinned = (rounding * scale[mult - 1, cols]
               <= ROOT_CERT_REL_TOL * s * mult * np.abs(t[mult, cols]))

@@ -100,12 +100,16 @@ def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOper
 # -- structural identity residuals -------------------------------------------
 
 def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph | None = None) -> float:
-    """max over r < s of the largest coefficient of [Q^(r), Q^(s)]."""
+    """max over r < s of the Pauli 1-norm of [Q^(r), Q^(s)], relative to
+    2 ||Q^(r)||_1 ||Q^(s)||_1, the 1-norms of the products Q^(r) Q^(s) and
+    Q^(s) Q^(r) that form it."""
     t = transfer(h, graph)
+    norms = [q.abs_sum() for q in t.charges]
     worst = 0.0
     for r in range(1, t.alpha + 1):
         for s in range(r + 1, t.alpha + 1):
-            worst = max(worst, opsum_comm(t.charges[r], t.charges[s]).max_abs_coeff())
+            comm = opsum_comm(t.charges[r], t.charges[s]).abs_sum()
+            worst = max(worst, comm / (2.0 * norms[r] * norms[s]))
     return worst
 
 
@@ -295,11 +299,14 @@ def mode_car_residual(modes: Sequence[IncognitoMode]) -> float:
 
 
 def ladder_residual(hext: Hamiltonian, mode: IncognitoMode) -> float:
-    """Residual of [H, psi] - 2 e psi (equivalently [H, psi^dag] + 2 e psi^dag)."""
+    """Pauli 1-norm of [H, psi] - 2 e psi and of [H, psi^dag] + 2 e psi^dag,
+    relative to 2 ||psi||_1 (||H||_1 + e), the 1-norms of the products
+    H psi and psi H and of 2 e psi that form each."""
     hop = OperatorSum.from_terms(hext.n, hext.terms)
-    raise_part = (opsum_comm(hop, mode.op) - 2.0 * mode.energy * mode.op).max_abs_coeff()
-    lower_part = (opsum_comm(hop, mode.dag) + 2.0 * mode.energy * mode.dag).max_abs_coeff()
-    return max(raise_part, lower_part)
+    raise_part = (opsum_comm(hop, mode.op) - 2.0 * mode.energy * mode.op).abs_sum()
+    lower_part = (opsum_comm(hop, mode.dag) + 2.0 * mode.energy * mode.dag).abs_sum()
+    scale = 2.0 * mode.op.abs_sum() * (hop.abs_sum() + mode.energy)
+    return max(raise_part, lower_part) / scale
 
 
 def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,

@@ -398,7 +398,10 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int | No
             ladder_residual(hext, m) for m in modes)
         recon = reconstruct(modes, energies)
         target = OperatorSum.from_terms(hext.n, hext.terms)
-        report.lemma_residuals["reconstruction"] = (recon - target).max_abs_coeff()
+        # the Pauli 1-norm of the difference, relative to the 1-norms of H and
+        # of the products e_j psi_j psi_j^dag and e_j psi_j^dag psi_j
+        scale = target.abs_sum() + sum(2.0 * m.energy * m.op.abs_sum() ** 2 for m in modes)
+        report.lemma_residuals["reconstruction"] = (recon - target).abs_sum() / scale
         report.lemma_residuals["lanczos_energy"] = mode_energy_gap(modes)
         # T(u_j) psi_j = 0 ties the Krylov modes to the transfer operator; the
         # ancilla leaves the frustration graph of h as it is

@@ -209,11 +209,16 @@ def full_matrix_spectrum(h) -> np.ndarray:
 
 # -- root isolation ----------------------------------------------------------
 
-def midpoint_roots_by_count(evaluate, n, hi):
+def midpoint_roots_by_count(evaluate, n, hi, first=None):
     """Reference for ``indpoly.roots_by_count``: the bisection it replaced.
 
     Every bracket is halved at its midpoint on the count alone, and one
     whose midpoint count falls outside its ends' counts is kept as it is.
+    A bracket with several roots tries its lower third point instead: the
+    midpoint may fall in the rounding noise of one of its roots, at an
+    exact root for instance, where ``single_particle_energies`` reports the
+    count as unknown.  The points of a first sweep, ``first``, are not
+    used: it starts from (0, hi] whatever the caller's estimates.
     """
     lo, up = np.zeros(1), np.full(1, float(hi))
     c_lo, c_up = np.full(1, n), np.zeros(1, dtype=int)
@@ -224,6 +229,11 @@ def midpoint_roots_by_count(evaluate, n, hi):
         c_mid = np.full(len(lo), -1)
         c_mid[wide] = evaluate(mid[wide])[0]
         split = wide & (c_mid <= c_lo) & (c_mid >= c_up)
+        retry = wide & ~split & (c_lo - c_up > 1)
+        if retry.any():
+            mid[retry] = lo[retry] + (up - lo)[retry] / 3
+            c_mid[retry] = evaluate(mid[retry])[0]
+            split = wide & (c_mid <= c_lo) & (c_mid >= c_up)
         done.append((lo[~split], up[~split], (c_lo - c_up)[~split]))
         lo, mid, up, c_lo, c_mid, c_up = (x[split] for x in (lo, mid, up, c_lo, c_mid, c_up))
         left, right = c_lo > c_mid, c_mid > c_up
@@ -247,11 +257,11 @@ def record_sweeps(monkeypatch, module) -> list[int]:
     sweeps = []
     isolate = module.roots_by_count
 
-    def counted(evaluate, n, hi):
+    def counted(evaluate, n, hi, first=None):
         def recorded(ws):
             sweeps.append(len(ws))
             return evaluate(ws)
-        return isolate(recorded, n, hi)
+        return isolate(recorded, n, hi, first)
 
     monkeypatch.setattr(module, "roots_by_count", counted)
     return sweeps

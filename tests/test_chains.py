@@ -268,6 +268,17 @@ def test_chain_root_sweep_budget(spec, monkeypatch):
     assert len(sweeps) <= 30
 
 
+@pytest.mark.parametrize("spec", [ChainSpec(50, 3, (0.0, 0.0, 1.0)), ChainSpec(50, 2, (0.0, 1.0))])
+def test_coincident_roots_sweep_budget(spec, monkeypatch):
+    """All 50 roots at w = 1: the bracket that holds them is cut around
+    the estimate m f/f' of an m-fold root, within 12 evaluations; cut
+    into thirds it took 33."""
+    sweeps = record_sweeps(monkeypatch, chains)
+    ((energy, mult),) = chain_energies(spec).energies
+    assert len(sweeps) <= 12
+    assert mult == 50 and math.isclose(energy, 1.0, rel_tol=1e-15)
+
+
 def test_exact_root_count_is_a_count():
     spec = ChainSpec(6, 3, (0.9, 1.1, 0.5))
     ws = sorted(np.linalg.eigvals(recursion_matrix(spec).matrix).real)

@@ -52,6 +52,20 @@ def test_solve_h5_unit(capsys):
     assert abs(eps[1] - math.sqrt((5 + math.sqrt(5)) / 2)) < 1e-10
 
 
+def test_solve_uniform_junction_double_energy(capsys):
+    """Junction (1,1,1) with its 15 couplings at 1: P = (1 + 3x)^2
+    (1 + 9x + 12x^2), so sqrt(3) comes back once, with multiplicity 2."""
+    code, doc = run_json(capsys, "solve", "--model", "junction", "--arms", "1,1,1",
+                         "--k", "3", "--couplings", ",".join(["1"] * 15))
+    assert code == 0
+    got = doc["result"]["energies"]
+    want = [(math.sqrt(24 / (9 + math.sqrt(33))), 1), (math.sqrt(3), 2),
+            (math.sqrt(24 / (9 - math.sqrt(33))), 1)]
+    assert [m for _, m in got] == [m for _, m in want]
+    for (e, _), (w, _) in zip(got, want):
+        assert math.isclose(e, w, rel_tol=1e-13)
+
+
 def test_verify_reports_the_term_cap(capsys, monkeypatch):
     """Above the term cap verify prints its report and exits 1."""
     monkeypatch.setattr(paulis, "TERM_CAP", 30)

@@ -1,12 +1,13 @@
 """Exact-diagonalization oracle and the top-level verification flows."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 from conftest import full_matrix_spectrum, verify_nonexample_equal_couplings
 
-from ffsolve import graphs, paulis, verify
+from ffsolve import graphs, paulis, solver, verify
 from ffsolve.errors import DenseCapError
 from ffsolve.models import (
     Hamiltonian,
@@ -16,9 +17,11 @@ from ffsolve.models import (
     h6_model,
     junction_model,
 )
-from ffsolve.paulis import PauliTerm
+from ffsolve.paulis import OperatorSum, PauliTerm
 from ffsolve.recognition import find_simplicial_cliques
 from ffsolve.solver import (
+    TransferOperator,
+    charges_commute_residual,
     check_fundamental_identity,
     simplicial_extension,
     transfer_factorization_residual,
@@ -325,6 +328,64 @@ def test_lemma_residuals_are_relative_to_their_products():
     for u in verify.DEFAULT_U_GRID:
         assert transfer_factorization_residual(h, u) <= 1e-9
         assert check_fundamental_identity(hext, chi, ks, u) <= 1e-9
+
+
+def test_charge_and_mode_residuals_are_relative_to_their_products():
+    """The commutators of the charges, the ladder relations and the
+    reconstruction are measured against the Pauli 1-norms of the products
+    that form them.  On chain 3x3 at couplings of order 1e5 the absolute
+    commutator read 1.1e9, and the ladder and reconstruction residuals
+    1e-10 and 1.5e-10 on their way to the bound of 1e-8."""
+    rep = verify_all(chain_model(3, 3, [1e5, 7e4, 1.3e5]))
+    assert rep.passed(), rep.lemma_residuals
+    for name in ("charges_commute", "ladder", "reconstruction"):
+        assert rep.lemma_residuals[name] <= 1e-14, name
+
+
+def _perturbed_transfer(monkeypatch, perturb):
+    """Make every transfer operator carry ``perturb(Q^(2))`` as Q^(2)."""
+    build = solver.transfer
+
+    def perturbed(h, graph=None):
+        t = build(h, graph)
+        charges = list(t.charges)
+        charges[2] = perturb(charges[2])
+        return TransferOperator(t.n, tuple(charges))
+
+    monkeypatch.setattr(solver, "transfer", perturbed)
+    monkeypatch.setattr(verify, "transfer", perturbed)
+
+
+def test_relative_residuals_still_fail_one_part_in_a_million(monkeypatch):
+    """At couplings of order 1 a charge scaled by 1 + 1e-6 still fails
+    verify, a charge with one term moved by 1e-6 fails the commutators, and
+    energies off by 1e-6 fail the ladder and the reconstruction."""
+    h = chain_model(3, 3, [1.0, 0.7, 1.3])
+    assert verify_all(h).passed()
+    with monkeypatch.context() as m:
+        _perturbed_transfer(m, lambda q: (1 + 1e-6) * q)
+        rep = verify_all(h)
+        assert not rep.passed()
+        assert rep.lemma_residuals["transfer_factorization"] > 1e-9
+        assert rep.lemma_residuals["fundamental_identity"] > 1e-9
+
+    def move_one_term(q):
+        (key, c), *_ = q
+        return q + OperatorSum(q.n, {key: 1e-6 * c})
+
+    with monkeypatch.context() as m:
+        _perturbed_transfer(m, move_one_term)
+        assert charges_commute_residual(h) > 1e-10
+    build_modes = verify.all_modes
+
+    def off_by_one_ppm(hext, chi, energies):
+        return [dataclasses.replace(mode, energy=mode.energy * (1 + 1e-6))
+                for mode in build_modes(hext, chi, energies)]
+
+    monkeypatch.setattr(verify, "all_modes", off_by_one_ppm)
+    rep = verify_all(h)
+    assert rep.lemma_residuals["ladder"] > 1e-8
+    assert rep.lemma_residuals["reconstruction"] > 1e-8
 
 
 @pytest.mark.parametrize("cap, checked", [(10, []), (30, ["charges_commute"])])
