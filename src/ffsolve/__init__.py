@@ -55,6 +55,7 @@ from .recognition import (
     find_claw,
     find_even_hole,
     find_simplicial_cliques,
+    smallest_simplicial_clique,
 )
 from .solver import (
     IncognitoMode,

@@ -35,7 +35,7 @@ from .models import (
     parse_hamiltonian,
     write_hamiltonian,
 )
-from .recognition import HOLE_SEARCH_BUDGET, classify
+from .recognition import HOLE_SEARCH_BUDGET, classify, find_simplicial_cliques
 from .solver import all_modes, mode_energy_gap, simplicial_extension
 from .verify import SPECTRUM_MATCH_TOL, verify_all
 
@@ -151,6 +151,7 @@ def _structure_payload(graph: WeightedGraph, budget: int) -> tuple[dict, object]
 def cmd_analyze(cfg: RunConfig) -> int:
     _, graph = _load_input(cfg)
     payload, report = _structure_payload(graph, cfg.budget)
+    payload["structure"]["simplicial_cliques"] = [list(k) for k in find_simplicial_cliques(graph)]
     _emit(cfg, payload)
     return EXIT_UNDECIDED if report.undecided else EXIT_OK
 
@@ -175,7 +176,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.modes:
         if h is None:
             raise ParseError("--modes needs a Hamiltonian input, not a graph")
-        ks = min(report.simplicial_cliques, key=len)
+        ks = report.simplicial_clique
         hext, chi = simplicial_extension(h, ks)
         modes = all_modes(hext, chi, energies)
         payload["mode_term_counts"] = [len(m.op) for m in modes]

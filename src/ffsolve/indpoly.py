@@ -458,25 +458,34 @@ def free_spectrum(energies: SingleParticleEnergies, n: int) -> list[tuple[float,
     """All levels sum_k (+-e_k) with uniform extra degeneracy 2^(n - alpha).
 
     Sign patterns whose sums agree within 1e-9 (relative to the energy
-    scale) are merged.  Requires alpha <= n.
+    scale) are merged: sorted, a level opens at the first sum more than
+    that above the sum that opened the level before.  Requires alpha <= n.
     """
     eps = energies.flat()
     alpha = len(eps)
     if alpha > n:
         raise ValueError(f"alpha={alpha} exceeds qubit count n={n}")
     base_deg = 1 << (n - alpha)
-    sums = [0.0]
+    sums = np.zeros(1)
     for e in eps:
-        sums = [s + sign * e for s in sums for sign in (1.0, -1.0)]
+        sums = (sums[:, None] + np.array([e, -e])).ravel()
     sums.sort()
-    scale = max(abs(sums[0]), abs(sums[-1]), 1e-300)
-    levels: list[tuple[float, int]] = []
-    group: list[float] = []
-    for s in sums:
-        if group and abs(s - group[0]) > 1e-9 * scale:
-            levels.append((math.fsum(group) / len(group), len(group) * base_deg))
-            group = []
-        group.append(s)
-    if group:
-        levels.append((math.fsum(group) / len(group), len(group) * base_deg))
-    return levels
+    tol = 1e-9 * max(abs(sums[0]), abs(sums[-1]), 1e-300)
+    # a gap above tol always opens a level; only a run of smaller gaps that
+    # spans more than tol needs the sequential rule
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(sums) > tol) + 1, [len(sums)]))
+    extra = []
+    for run in np.flatnonzero(sums[bounds[1:] - 1] - sums[bounds[:-1]] > tol).tolist():
+        opener = sums[bounds[run]]
+        for i in range(bounds[run] + 1, bounds[run + 1]):
+            if sums[i] - opener > tol:
+                extra.append(i)
+                opener = sums[i]
+    if extra:
+        bounds = np.sort(np.concatenate((bounds, extra)))
+    starts, counts = bounds[:-1], np.diff(bounds)
+    # each level is its opener plus the mean offset from it: exact when the
+    # sums agree
+    openers = sums[starts]
+    means = openers + np.add.reduceat(sums - np.repeat(openers, counts), starts) / counts
+    return [(v, c * base_deg) for v, c in zip(means.tolist(), counts.tolist())]

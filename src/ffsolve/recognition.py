@@ -5,12 +5,16 @@ cardinality search plus a perfect-elimination-order check, Tarjan &
 Yannakakis, SIAM J. Comput. 13, 1984): a chordal graph has no hole at
 all.  Only a non-chordal graph reaches the exhaustive induced-path
 search, which carries a node budget and reports "undecided" instead of
-guessing when the budget runs out.  The claw and simplicial-clique
-searches are exhaustive with bitset pruning.
+guessing when the budget runs out.  The claw search is exhaustive with
+bitset pruning.  ``classify`` looks for one simplicial clique, by size
+and stopping at the first; only ``find_simplicial_cliques`` lists them
+all.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import SearchBudgetError
@@ -24,7 +28,10 @@ class StructureReport:
     """Aggregated recognition verdicts for one graph.
 
     ``even_hole_free`` and ``ecf`` are None when the hole search ran out
-    of budget (undecided).  Twin pairs (identical open neighborhoods) and
+    of budget (undecided).  ``simplicial_clique`` is the smallest
+    simplicial clique, lexicographically first among its size, or None
+    when the graph has none; every ECF graph has one (Chudnovsky &
+    Seymour, JCTB 97, 2007).  Twin pairs (identical open neighborhoods) and
     closed-neighborhood duplicates are advisory: they mark symmetries and
     removable vertices but trigger no further machinery.
     """
@@ -33,7 +40,7 @@ class StructureReport:
     claw_witness: tuple[int, tuple[int, int, int]] | None
     even_hole_free: bool | None
     even_hole_witness: tuple[int, ...] | None
-    simplicial_cliques: list[tuple[int, ...]]
+    simplicial_clique: tuple[int, ...] | None
     ecf: bool | None
     undecided: bool = False
     twins: list[tuple[int, int]] = field(default_factory=list)
@@ -48,7 +55,7 @@ class StructureReport:
             ),
             "even_hole_free": self.even_hole_free,
             "even_hole_witness": list(self.even_hole_witness) if self.even_hole_witness else None,
-            "simplicial_cliques": [list(k) for k in self.simplicial_cliques],
+            "simplicial_clique": list(self.simplicial_clique) if self.simplicial_clique else None,
             "ecf": self.ecf,
             "undecided": self.undecided,
             "twins": [list(p) for p in self.twins],
@@ -163,16 +170,43 @@ def find_simplicial_cliques(graph: WeightedGraph) -> list[tuple[int, ...]]:
             if is_simplicial_clique(graph, mask)]
 
 
+def smallest_simplicial_clique(graph: WeightedGraph) -> tuple[int, ...] | None:
+    """The first of ``min(find_simplicial_cliques(graph), key=len)``: the
+    smallest simplicial clique, lexicographically first among its size, or
+    None when there is none.
+
+    Walks the cliques by size, each size in lexicographic order: a clique
+    grows by the common neighbours above its top vertex.  The walk stops
+    at the first simplicial clique, so it lists every clique only on a
+    graph that has none.
+    """
+    level = [(1 << v, graph.adj[v] & ~((2 << v) - 1)) for v in range(graph.n)]
+    while level:
+        for mask, _ in level:
+            if is_simplicial_clique(graph, mask):
+                return tuple(bits(mask))
+        level = [(mask | 1 << w, above & graph.adj[w] & ~((2 << w) - 1))
+                 for mask, above in level for w in bits(above)]
+    return None
+
+
+def _equal_rows(rows) -> list[tuple[int, int]]:
+    """Pairs i < j with ``rows[i] == rows[j]``, in ascending order."""
+    groups = defaultdict(list)
+    for v, row in enumerate(rows):
+        groups[row].append(v)
+    return sorted(pair for group in groups.values() if len(group) > 1
+                  for pair in itertools.combinations(group, 2))
+
+
 def find_twins(graph: WeightedGraph) -> list[tuple[int, int]]:
     """Vertex pairs with identical open neighborhoods (never adjacent)."""
-    return [(i, j) for i in range(graph.n) for j in range(i + 1, graph.n)
-            if graph.adj[i] == graph.adj[j]]
+    return _equal_rows(graph.adj)
 
 
 def find_closed_duplicates(graph: WeightedGraph) -> list[tuple[int, int]]:
     """Adjacent vertex pairs sharing the same closed neighborhood."""
-    return [(i, j) for i in range(graph.n) for j in range(i + 1, graph.n)
-            if graph.closed_adj(i) == graph.closed_adj(j)]
+    return _equal_rows(graph.closed_adj(v) for v in range(graph.n))
 
 
 def classify(graph: WeightedGraph,
@@ -199,7 +233,7 @@ def classify(graph: WeightedGraph,
         claw_witness=claw,
         even_hole_free=hole_free,
         even_hole_witness=hole,
-        simplicial_cliques=find_simplicial_cliques(graph),
+        simplicial_clique=smallest_simplicial_clique(graph),
         ecf=ecf,
         undecided=undecided,
         twins=find_twins(graph),

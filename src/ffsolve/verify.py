@@ -377,7 +377,7 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int | No
     report.lemma_residuals["transfer_factorization"] = worst
     report.timings["transfer"] = time.perf_counter() - t0
 
-    ks = min(report.structure.simplicial_cliques, key=len)
+    ks = report.structure.simplicial_clique
     hext, chi = simplicial_extension(h, ks)
     t0 = time.perf_counter()
     worst = 0.0

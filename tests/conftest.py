@@ -95,6 +95,29 @@ def naive_is_simplicial_clique(g: WeightedGraph, kset) -> bool:
     return True
 
 
+def reference_free_spectrum(energies, n: int) -> list[tuple[float, int]]:
+    """Reference for ``indpoly.free_spectrum``: the 2^alpha sign sums built
+    and grouped one at a time.  Sorted, a level opens at the first sum more
+    than 1e-9 of the scale above the sum that opened the level before, and
+    its value is the correctly rounded mean of its sums."""
+    eps = energies.flat()
+    base_deg = 1 << (n - len(eps))
+    sums = [0.0]
+    for e in eps:
+        sums = [s + sign * e for s in sums for sign in (1.0, -1.0)]
+    sums.sort()
+    scale = max(abs(sums[0]), abs(sums[-1]), 1e-300)
+    levels: list[tuple[float, int]] = []
+    group: list[float] = []
+    for s in sums:
+        if group and abs(s - group[0]) > 1e-9 * scale:
+            levels.append((math.fsum(group) / len(group), len(group) * base_deg))
+            group = []
+        group.append(s)
+    levels.append((math.fsum(group) / len(group), len(group) * base_deg))
+    return levels
+
+
 def naive_independence_polynomial(g: WeightedGraph) -> list[float]:
     """c_k = sum over the independent k-subsets of their weight products,
     with trailing zero coefficients dropped."""

@@ -32,7 +32,7 @@ from ffsolve.models import (
     junction_model,
 )
 from ffsolve.paulis import OperatorSum, opsum_comm, opsum_mul, to_dense
-from ffsolve.recognition import classify, find_claw, find_even_hole, find_simplicial_cliques
+from ffsolve.recognition import classify, find_claw, find_even_hole, smallest_simplicial_clique
 from ffsolve.solver import (
     all_modes,
     check_fundamental_identity,
@@ -153,7 +153,7 @@ def test_criterion_05_fundamental_identity():
                  lambda: chain_model(2, 3, draw(rng, 3))):
         for _ in range(5):
             h = make()
-            ks = min(find_simplicial_cliques(frustration_graph(h)), key=len)
+            ks = smallest_simplicial_clique(frustration_graph(h))
             hext, chi = simplicial_extension(h, ks)
             for u in U_GRID:
                 worst = max(worst, check_fundamental_identity(hext, chi, ks, u))
@@ -172,7 +172,7 @@ def test_criterion_06_modes_solve_the_model():
     for make in (lambda: h5_model(*draw(rng, 5)), lambda: h6_model(*draw(rng, 6))):
         h = make()
         g = frustration_graph(h)
-        ks = min(find_simplicial_cliques(g), key=len)
+        ks = smallest_simplicial_clique(g)
         hext, chi = simplicial_extension(h, ks)
         energies = single_particle_energies(weighted_independence_polynomial(g))
         modes = all_modes(hext, chi, energies)

@@ -22,6 +22,7 @@ from conftest import (
     naive_independence_polynomial,
     random_graph,
     record_sweeps,
+    reference_free_spectrum,
     use_midpoint_bisection,
     verify_clique_recurrence,
 )
@@ -32,6 +33,7 @@ from ffsolve.graphs import WeightedGraph, frustration_graph, stable_sets
 from ffsolve.indpoly import (
     ROOT_REL_TOL,
     IndependencePolynomial,
+    SingleParticleEnergies,
     free_spectrum,
     roots_by_count,
     single_particle_energies,
@@ -524,6 +526,49 @@ def test_free_spectrum_examples():
     spec = free_spectrum(h5, 3)
     assert len(spec) == 4
     assert all(d == 2 for _, d in spec)
+
+
+def assert_matches_reference(energies, n):
+    got, want = free_spectrum(energies, n), reference_free_spectrum(energies, n)
+    assert [d for _, d in got] == [d for _, d in want]
+    scale = max(abs(want[0][0]), abs(want[-1][0]))
+    assert max(abs(a - b) for (a, _), (b, _) in zip(got, want)) <= 1e-12 * scale
+    assert all(type(v) is float and type(d) is int for v, d in got)
+
+
+def test_free_spectrum_repeated_energies():
+    assert_matches_reference(SingleParticleEnergies(((0.7, 3), (1.9, 2)), 0.0), 7)
+    assert_matches_reference(SingleParticleEnergies(((1.0, 10),), 0.0), 10)
+    rng = random.Random(73)
+    for _ in range(40):
+        levels = sorted(rng.sample([rng.uniform(0.1, 3.0) for _ in range(6)], rng.randint(1, 4)))
+        energies = SingleParticleEnergies(tuple((e, rng.randint(1, 3)) for e in levels), 0.0)
+        assert_matches_reference(energies, energies.total + rng.randint(0, 3))
+
+
+def test_free_spectrum_tied_sign_sums():
+    # 1 + 2 = 3 exactly; 0.1 + 0.2 - 0.3 and 0.3 - 0.2 - 0.1 differ in the
+    # last bit and merge
+    for flat in ((1.0, 2.0, 3.0), (0.1, 0.2, 0.3), (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                 (0.1, 0.2, 0.3, 0.6)):
+        energies = SingleParticleEnergies(tuple((e, 1) for e in flat), 0.0)
+        assert_matches_reference(energies, len(flat))
+    spec = free_spectrum(SingleParticleEnergies(((0.1, 1), (0.2, 1), (0.3, 1)), 0.0), 3)
+    assert [d for _, d in spec] == [1, 1, 1, 2, 1, 1, 1]
+
+
+def test_free_spectrum_run_of_small_gaps():
+    """Gaps each below 1e-9 of the scale that together span more than it
+    are split by the sequential rule, not merged into one level."""
+    flat = (4e-10, 4.1e-10, 4.2e-10, 4.3e-10, 1.0)
+    energies = SingleParticleEnergies(tuple((e, 1) for e in flat), 0.0)
+    sums = np.sort([sum(s * e for s, e in zip(signs, flat))
+                    for signs in itertools.product((1, -1), repeat=len(flat))])
+    top = sums[sums > 0.5]
+    tol = 1e-9 * sums[-1]
+    assert np.diff(top).max() < tol < top[-1] - top[0]
+    assert_matches_reference(energies, 5)
+    assert len(free_spectrum(energies, 5)) > 2
 
 
 def test_free_spectrum_total_degeneracy():

@@ -5,6 +5,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cycle_graph,
@@ -21,9 +23,11 @@ from ffsolve.recognition import (
     classify,
     find_claw,
     find_even_hole,
+    find_closed_duplicates,
     find_simplicial_cliques,
     find_twins,
     is_chordal,
+    smallest_simplicial_clique,
 )
 
 
@@ -144,6 +148,63 @@ def test_simplicial_cliques_against_naive():
         assert got == naive
 
 
+def _assert_smallest_is_first_minimal(g):
+    """The search returns the first clique of minimal size in the listing
+    order of ``find_simplicial_cliques``, or None when the list is empty."""
+    listed = find_simplicial_cliques(g)
+    got = smallest_simplicial_clique(g)
+    assert got == (min(listed, key=len) if listed else None)
+    return got
+
+
+def test_smallest_simplicial_clique_is_first_minimal():
+    rng = random.Random(53)
+    sizes, none = set(), 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.9))
+        got = _assert_smallest_is_first_minimal(g)
+        if got is None:
+            none += 1
+        else:
+            sizes.add(len(got))
+    # the draws reach cliques above size 1 and graphs with none at all
+    assert none > 0 and max(sizes) >= 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10), st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9))))
+def test_smallest_simplicial_clique_property(n, pairs):
+    edges = {(min(i, j), max(i, j)) for i, j in pairs if i != j and max(i, j) < n}
+    _assert_smallest_is_first_minimal(WeightedGraph(n, edges))
+
+
+def test_smallest_simplicial_clique_against_naive():
+    """Simplicial by the brute-force definition, and no smaller or
+    lexicographically earlier clique of its size is."""
+    rng = random.Random(59)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8))
+        got = smallest_simplicial_clique(g)
+        first = next((sub for size in range(1, g.n + 1)
+                      for sub in itertools.combinations(range(g.n), size)
+                      if naive_is_simplicial_clique(g, sub)), None)
+        assert got == first
+
+
+def test_twin_scans_against_pairwise_definitions():
+    rng = random.Random(61)
+    found = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.05, 0.95))
+        pairs = list(itertools.combinations(range(g.n), 2))
+        twins = [(i, j) for i, j in pairs if g.adj[i] == g.adj[j]]
+        closed = [(i, j) for i, j in pairs if g.closed_adj(i) == g.closed_adj(j)]
+        assert find_twins(g) == twins
+        assert find_closed_duplicates(g) == closed
+        found += bool(twins) + bool(closed)
+    assert found > 50
+
+
 def test_classify_aggregates():
     rep = classify(cycle_graph(5))
     assert rep.ecf is True and rep.claw_free and rep.even_hole_free
@@ -171,7 +232,7 @@ def test_ecf_implies_simplicial_clique_exists():
         rep = classify(g)
         if rep.ecf:
             checked += 1
-            assert rep.simplicial_cliques
+            assert rep.simplicial_clique is not None
     assert checked > 40
 
 

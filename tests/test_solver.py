@@ -24,7 +24,7 @@ from ffsolve.models import (
     realize_graph,
 )
 from ffsolve.paulis import OperatorSum, PauliTerm, commutes, opsum_comm, opsum_mul, to_dense
-from ffsolve.recognition import find_simplicial_cliques
+from ffsolve.recognition import find_simplicial_cliques, smallest_simplicial_clique
 from ffsolve.solver import (
     IncognitoMode,
     TransferOperator,
@@ -270,7 +270,7 @@ def test_simplicial_extension_rejects_non_simplicial():
 
 def build_solution(h):
     g = frustration_graph(h)
-    ks = min(find_simplicial_cliques(g), key=len)
+    ks = smallest_simplicial_clique(g)
     hext, chi = simplicial_extension(h, ks)
     energies = single_particle_energies(weighted_independence_polynomial(g))
     modes = all_modes(hext, chi, energies)
@@ -382,7 +382,7 @@ def test_mode_construction_refuses_a_wrong_energy():
     """A value that is not a root gives a normalization of the wrong sign."""
     h = chain_model(2, 3, [1.0, 0.7, 1.3])
     g = frustration_graph(h)
-    hext, chi = simplicial_extension(h, min(find_simplicial_cliques(g), key=len))
+    hext, chi = simplicial_extension(h, smallest_simplicial_clique(g))
     with pytest.raises(ConditioningError):
         all_modes(hext, chi, SingleParticleEnergies(((0.5, 1),), 0.0))
 
@@ -418,7 +418,7 @@ def test_mode_construction_refuses_repeated_roots():
     g = frustration_graph(h)
     energies = single_particle_energies(weighted_independence_polynomial(g))
     assert energies.energies == ((1.0, 2),)
-    ks = min(find_simplicial_cliques(g), key=len)
+    ks = smallest_simplicial_clique(g)
     hext, chi = simplicial_extension(h, ks)
     with pytest.raises(DegenerateModeError):
         all_modes(hext, chi, energies)
@@ -457,12 +457,12 @@ def test_higher_hamiltonian_single_edge():
 
 def test_fundamental_identity():
     h = random_h5()
-    ks = min(find_simplicial_cliques(frustration_graph(h)), key=len)
+    ks = smallest_simplicial_clique(frustration_graph(h))
     hext, chi = simplicial_extension(h, ks)
     assert check_fundamental_identity(hext, chi, ks, 0.0) == 0.0
     assert check_fundamental_identity(hext, chi, ks, 0.37) < 1e-9
     hc = chain_model(2, 3, [RNG.uniform(0.4, 1.4) for _ in range(3)])
-    gksc = min(find_simplicial_cliques(frustration_graph(hc)), key=len)
+    gksc = smallest_simplicial_clique(frustration_graph(hc))
     hcext, chic = simplicial_extension(hc, gksc)
     for u in (0.1, -0.37, 0.9, -1.5):
         assert check_fundamental_identity(hcext, chic, gksc, u) < 1e-9
@@ -474,7 +474,7 @@ def test_fundamental_identity_fails_on_wrong_clique():
     for h in (h5_model(*[rng.uniform(0.4, 1.7) for _ in range(5)]),
               chain_model(2, 3, [rng.uniform(0.4, 1.4) for _ in range(3)])):
         g = frustration_graph(h)
-        ks = min(find_simplicial_cliques(g), key=len)
+        ks = smallest_simplicial_clique(g)
         hext, chi = simplicial_extension(h, ks)
         wrong = next(c for c in maximal_cliques(g) if c != sorted(ks))
         for u in (0.1, -0.37, 0.9, -1.5):

@@ -18,7 +18,7 @@ from ffsolve.models import (
     junction_model,
 )
 from ffsolve.paulis import OperatorSum, PauliTerm
-from ffsolve.recognition import find_simplicial_cliques
+from ffsolve.recognition import smallest_simplicial_clique
 from ffsolve.solver import (
     TransferOperator,
     charges_commute_residual,
@@ -323,7 +323,7 @@ def test_lemma_residuals_are_relative_to_their_products():
     rng = random.Random(2)  # the couplings of ``ffsolve verify --seed 2``
     h = junction_model((1, 2, 1), 3, [rng.choice([-1, 1]) * rng.uniform(0.5, 2.0)
                                       for _ in range(18)])
-    ks = min(find_simplicial_cliques(graphs.frustration_graph(h)), key=len)
+    ks = smallest_simplicial_clique(graphs.frustration_graph(h))
     hext, chi = simplicial_extension(h, ks)
     for u in verify.DEFAULT_U_GRID:
         assert transfer_factorization_residual(h, u) <= 1e-9
