@@ -117,29 +117,17 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     return SingleParticleEnergies(energies, residual)
 
 
-def dispersion(spec: ChainSpec, momenta: Sequence[float] | None = None
-               ) -> list[tuple[float, float]]:
+def dispersion(spec: ChainSpec) -> list[tuple[float, float]]:
     """Finite-size dispersion points (p_j, eps_j).
 
     Momenta p_j = pi j / (N+1) follow open-boundary standing-wave
     counting; energies are attached in descending order so the monotone
-    branch decreases toward p = pi (a labeling convention).  When a
-    momentum grid is supplied its points are mapped to the nearest bins,
-    which requires N >= len(momenta).
+    branch decreases toward p = pi (a labeling convention).
     """
     eng = chain_energies(spec)
     eps_desc = sorted(eng.flat(), reverse=True)
     n = spec.n_cells
-    points = [(math.pi * (j + 1) / (n + 1), eps_desc[j]) for j in range(n)]
-    if momenta is None:
-        return points
-    if len(momenta) > n:
-        raise ModelError(f"momentum grid of {len(momenta)} needs N >= that, got {n}")
-    out = []
-    for p in momenta:
-        j = min(range(n), key=lambda i: abs(points[i][0] - p))
-        out.append((points[j][0], points[j][1]))
-    return out
+    return [(math.pi * (j + 1) / (n + 1), eps_desc[j]) for j in range(n)]
 
 
 def _min_energy(spec: ChainSpec) -> float:

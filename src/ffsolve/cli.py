@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Commands: analyze, solve, verify, dispersion, scan, generate.  Every JSON
-output embeds the full run configuration for reproducibility.  Exit
+output embeds the options of the command that ran, the couplings drawn
+under --seed included, for reproducibility.  Exit
 codes: 0 all applicable checks pass, 1 error or failed checks,
 2 structural refusal (not ECF), 3 undecided (search budget exhausted).
 """
@@ -11,12 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import random
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
 
 from . import chains
 from .errors import FFSolveError, ParseError
@@ -47,27 +46,6 @@ EXIT_UNDECIDED = 3
 FREE_SPECTRUM_ALPHA_CAP = 16
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    model: str | None = None
-    couplings: list | None = None
-    n_cells: int | None = None
-    k: int | None = None
-    periodic: bool = False
-    arms: list | None = None
-    seed: int | None = None
-    tol: float | None = None
-    budget: int | None = None
-    modes: bool = False
-    output: str | None = None
-    b2: list | None = None
-    n_large: int | None = None
-    vary: int | None = None
-    values: list | None = None
-
-
 def _atomic_write(path: str, data: str):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".ffsolve-")
@@ -80,22 +58,23 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def _write(cfg: RunConfig, text: str):
+def _write(args: argparse.Namespace, text: str):
     """Write ``text`` atomically to ``-o`` when it is given, else to stdout."""
-    if cfg.output:
-        _atomic_write(cfg.output, text)
+    if args.output:
+        _atomic_write(args.output, text)
     else:
         sys.stdout.write(text)
 
 
-def _emit(cfg: RunConfig, payload: dict):
-    """The run configuration and the result as one line of JSON; without
-    ``indent`` the C encoder writes it."""
-    _write(cfg, json.dumps({"config": asdict(cfg), "result": payload}, default=float) + "\n")
+def _emit(args: argparse.Namespace, payload: dict):
+    """The options of the command and the result as one line of JSON;
+    without ``indent`` the C encoder writes it."""
+    config = {k: v for k, v in vars(args).items() if k != "fn"}
+    _write(args, json.dumps({"config": config, "result": payload}, default=float) + "\n")
 
 
-def _emit_csv(cfg: RunConfig, header: str, rows: list[str]):
-    _write(cfg, header + "\n" + "\n".join(rows) + "\n")
+def _emit_csv(args: argparse.Namespace, header: str, rows: list[str]):
+    _write(args, header + "\n" + "\n".join(rows) + "\n")
 
 
 def _draw_couplings(count: int, seed: int) -> list[float]:
@@ -103,10 +82,10 @@ def _draw_couplings(count: int, seed: int) -> list[float]:
     return [rng.choice([-1, 1]) * rng.uniform(0.5, 2.0) for _ in range(count)]
 
 
-def _load_input(cfg: RunConfig) -> tuple[Hamiltonian | None, WeightedGraph]:
+def _load_input(args: argparse.Namespace) -> tuple[Hamiltonian | None, WeightedGraph]:
     """Hamiltonian (when available) and its weighted graph."""
-    if cfg.input:
-        with open(cfg.input) as fh:
+    if args.input:
+        with open(args.input) as fh:
             text = fh.read()
         stripped = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
         stripped = [ln for ln in stripped if ln]
@@ -114,24 +93,24 @@ def _load_input(cfg: RunConfig) -> tuple[Hamiltonian | None, WeightedGraph]:
             return None, parse_graph(text)
         h = parse_hamiltonian(text)
         return h, frustration_graph(h)
-    if not cfg.model:
+    if not args.model:
         raise ParseError("provide an input file or --model")
-    couplings = cfg.couplings
-    if couplings is None and cfg.seed is not None:
-        if cfg.model in SMALL_MODELS:
-            count = len(SMALL_MODELS[cfg.model])
-        elif cfg.model == "chain":
-            count = cfg.k
-        elif cfg.model == "junction":
-            count = junction_graph(tuple(cfg.arms), cfg.k).n
+    couplings = args.couplings
+    if couplings is None and args.seed is not None:
+        if args.model in SMALL_MODELS:
+            count = len(SMALL_MODELS[args.model])
+        elif args.model == "chain":
+            count = args.k
+        elif args.model == "junction":
+            count = junction_graph(tuple(args.arms), args.k).n
         else:
             count = None
         if count:
-            couplings = _draw_couplings(count, cfg.seed)
-            cfg.couplings = couplings
-    h = generate_model(cfg.model, couplings=couplings, n_cells=cfg.n_cells,
-                       k=cfg.k, periodic=cfg.periodic,
-                       arm_cells=tuple(cfg.arms) if cfg.arms else None)
+            couplings = _draw_couplings(count, args.seed)
+            args.couplings = couplings
+    h = generate_model(args.model, couplings=couplings, n_cells=args.n_cells,
+                       k=args.k, periodic=args.periodic,
+                       arm_cells=tuple(args.arms) if args.arms else None)
     return h, frustration_graph(h)
 
 
@@ -148,23 +127,23 @@ def _structure_payload(graph: WeightedGraph, budget: int) -> tuple[dict, object]
     return payload, report
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    _, graph = _load_input(cfg)
-    payload, report = _structure_payload(graph, cfg.budget)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    _, graph = _load_input(args)
+    payload, report = _structure_payload(graph, args.budget)
     payload["structure"]["simplicial_cliques"] = [list(k) for k in find_simplicial_cliques(graph)]
-    _emit(cfg, payload)
+    _emit(args, payload)
     return EXIT_UNDECIDED if report.undecided else EXIT_OK
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    h, graph = _load_input(cfg)
-    payload, report = _structure_payload(graph, cfg.budget)
+def cmd_solve(args: argparse.Namespace) -> int:
+    h, graph = _load_input(args)
+    payload, report = _structure_payload(graph, args.budget)
     if report.undecided:
-        _emit(cfg, payload)
+        _emit(args, payload)
         return EXIT_UNDECIDED
     if not report.ecf:
         payload["refusal"] = "frustration graph is not (even-hole, claw)-free"
-        _emit(cfg, payload)
+        _emit(args, payload)
         return EXIT_REFUSED
     poly = weighted_independence_polynomial(graph)
     energies = single_particle_energies(poly)
@@ -173,7 +152,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     n = h.n if h else graph.n
     if energies.total <= n and energies.total <= FREE_SPECTRUM_ALPHA_CAP:
         payload["free_spectrum"] = [[v, d] for v, d in free_spectrum(energies, n)]
-    if cfg.modes:
+    if args.modes:
         if h is None:
             raise ParseError("--modes needs a Hamiltonian input, not a graph")
         ks = report.simplicial_clique
@@ -182,16 +161,16 @@ def cmd_solve(cfg: RunConfig) -> int:
         payload["mode_term_counts"] = [len(m.op) for m in modes]
         payload["mode_energy_gap"] = mode_energy_gap(modes)
         payload["simplicial_clique"] = list(ks)
-    _emit(cfg, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    h, _ = _load_input(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    h, _ = _load_input(args)
     if h is None:
         raise ParseError("verify needs a Hamiltonian input, not a graph")
-    report = verify_all(h, hole_budget=cfg.budget, spectrum_tol=cfg.tol)
-    _emit(cfg, report.to_dict())
+    report = verify_all(h, hole_budget=args.budget, spectrum_tol=args.tol)
+    _emit(args, report.to_dict())
     if report.structure and report.structure.undecided:
         return EXIT_UNDECIDED
     if not report.applicable:
@@ -199,40 +178,48 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.passed() else EXIT_ERROR
 
 
-def _b2_from_args(cfg: RunConfig) -> tuple[float, ...]:
-    if cfg.b2 is not None:
-        if len(cfg.b2) != cfg.k:
-            raise ParseError(f"--b2 needs {cfg.k} values")
-        return tuple(cfg.b2)
-    return (1.0 / cfg.k,) * cfg.k
+def _squares(args: argparse.Namespace) -> tuple[float, ...]:
+    """b^2 of ``dispersion`` from its --bXsq flags: the unset entries share
+    the rest of a unit sum equally, so with none set each is 1/k."""
+    given = {i: getattr(args, f"b{i}sq") for i in range(1, 10)}
+    given = {i: v for i, v in given.items() if v is not None}
+    if given and max(given) > args.k:
+        raise ParseError(f"--b{max(given)}sq is beyond --k {args.k}")
+    fixed = sum(given.values())
+    free = args.k - len(given)
+    # written so that a NaN fails it
+    if given and not (fixed <= 1.0 + 1e-12 and (free or abs(fixed - 1.0) <= 1e-9)):
+        raise ParseError("squared couplings must sum to 1 under the fill convention")
+    rest = (1.0 - fixed) / free if free else 0.0
+    return tuple(given.get(i, rest) for i in range(1, args.k + 1))
 
 
-def cmd_dispersion(cfg: RunConfig) -> int:
-    spec = chains.ChainSpec(cfg.n_cells, cfg.k, _b2_from_args(cfg))
+def cmd_dispersion(args: argparse.Namespace) -> int:
+    spec = chains.ChainSpec(args.n_cells, args.k, _squares(args))
     points = chains.dispersion(spec)
-    _emit_csv(cfg, "p,epsilon", [f"{p:.12g},{e:.12g}" for p, e in points])
+    _emit_csv(args, "p,epsilon", [f"{p:.12g},{e:.12g}" for p, e in points])
     return EXIT_OK
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    vary = (cfg.vary if cfg.vary is not None else cfg.k) - 1
-    if not 0 <= vary < cfg.k:
-        raise ParseError(f"--vary must be in 1..{cfg.k}")
-    grid = chains.others_equal_grid(cfg.k, vary, cfg.values or [])
-    points = chains.gap_scan(cfg.k, grid, cfg.n_cells, cfg.n_large)
-    header = ",".join(f"b{i + 1}sq" for i in range(cfg.k)) + ",gapN,gapNprime,flag"
+def cmd_scan(args: argparse.Namespace) -> int:
+    vary = (args.vary if args.vary is not None else args.k) - 1
+    if not 0 <= vary < args.k:
+        raise ParseError(f"--vary must be in 1..{args.k}")
+    grid = chains.others_equal_grid(args.k, vary, args.values or [])
+    points = chains.gap_scan(args.k, grid, args.n_cells, args.n_large)
+    header = ",".join(f"b{i + 1}sq" for i in range(args.k)) + ",gapN,gapNprime,flag"
     rows = []
     for pt in points:
         rows.append(",".join(f"{b:.12g}" for b in pt.b2)
                     + f",{pt.gap_small:.12g},{pt.gap_large:.12g},"
                     + ("gapless" if pt.gapless else "gapped"))
-    _emit_csv(cfg, header, rows)
+    _emit_csv(args, header, rows)
     return EXIT_OK
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    h, _ = _load_input(cfg)
-    _write(cfg, write_hamiltonian(h))
+def cmd_generate(args: argparse.Namespace) -> int:
+    h, _ = _load_input(args)
+    _write(args, write_hamiltonian(h))
     return EXIT_OK
 
 
@@ -287,41 +274,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _squares_from_flags(args, k: int) -> list[float] | None:
-    """Fill b^2 from --bXsq flags; unset entries share the rest of a unit sum."""
-    given = {i: getattr(args, f"b{i}sq", None) for i in range(1, k + 1)}
-    given = {i: v for i, v in given.items() if v is not None}
-    if not given:
-        return None
-    fixed = sum(given.values())
-    if fixed > 1.0 + 1e-12 or len(given) == k and abs(fixed - 1.0) > 1e-9:
-        raise ParseError("squared couplings must sum to 1 under the fill convention")
-    free = k - len(given)
-    rest = (1.0 - fixed) / free if free else 0.0
-    return [given.get(i, rest) for i in range(1, k + 1)]
+def _parse_lists(args: argparse.Namespace):
+    """Replace the comma-separated options by their lists of numbers."""
+    for name, kind in (("couplings", float), ("arms", int), ("values", float)):
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        try:
+            setattr(args, name, [kind(v) for v in text.split(",")] if text else None)
+        except ValueError:
+            raise ParseError(f"--{name} needs comma-separated numbers, got {text!r}") from None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    for name in ("input", "model", "n_cells", "k", "periodic", "seed",
-                 "tol", "budget", "output", "n_large", "vary"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "couplings", None):
-        cfg.couplings = [float(v) for v in args.couplings.split(",")]
-    if getattr(args, "arms", None):
-        cfg.arms = [int(v) for v in args.arms.split(",")]
-    if getattr(args, "values", None):
-        cfg.values = [float(v) for v in args.values.split(",")]
-    if hasattr(args, "modes"):
-        cfg.modes = args.modes
-    if args.command == "dispersion":
-        cfg.b2 = _squares_from_flags(args, cfg.k)
-        if cfg.b2 is not None and not math.isclose(sum(cfg.b2), 1.0, rel_tol=1e-9):
-            raise ParseError("squared couplings must sum to 1")
     try:
-        return args.fn(cfg)
+        _parse_lists(args)
+        return args.fn(args)
     except FFSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -205,8 +205,8 @@ class OperatorSum:
         return cls(n, {})
 
     @classmethod
-    def from_term(cls, term: PauliTerm, coeff: complex = 1.0) -> "OperatorSum":
-        return cls(term.n, {(term.x, term.z): coeff * term.phase})
+    def from_term(cls, term: PauliTerm) -> "OperatorSum":
+        return cls(term.n, {(term.x, term.z): term.phase})
 
     @classmethod
     def from_terms(cls, n: int, pairs: Iterable[tuple[complex, PauliTerm]]) -> "OperatorSum":

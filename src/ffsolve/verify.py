@@ -253,14 +253,11 @@ class VerificationReport:
         }
 
 
-def verify_free(h: Hamiltonian, force: bool = False,
-                match_tol: float = SPECTRUM_MATCH_TOL) -> VerificationReport:
+def verify_free(h: Hamiltonian, match_tol: float = SPECTRUM_MATCH_TOL) -> VerificationReport:
     """Compare the brute-force spectrum against the synthesized free one.
 
     Refuses (reports not-applicable) when the frustration graph is not
-    ECF, unless ``force`` is set; the non-example of the discussion needs
-    the forced path, since its free spectrum at equal couplings exists
-    despite claws and even holes.  The report records the oracle's symmetry
+    ECF.  The report records the oracle's symmetry
     generators s and block size n - s in qubits; above the oracle's caps it
     keeps the synthesized energies and names the cap in ``failure``.
     """
@@ -270,7 +267,7 @@ def verify_free(h: Hamiltonian, force: bool = False,
     graph = frustration_graph(h)
     report.structure = classify(graph)
     report.timings["classify"] = time.perf_counter() - t0
-    if not report.structure.ecf and not force:
+    if not report.structure.ecf:
         report.applicable = False
         report.skip_reason = "frustration graph is not (even-hole, claw)-free"
         return report
@@ -307,8 +304,9 @@ def verify_free(h: Hamiltonian, force: bool = False,
         return report
     max_dev = max(abs(b[0] - s[0]) / scale for b, s in zip(brute, synth))
     degs_ok = all(b[1] == s[1] for b, s in zip(brute, synth))
-    alpha = energies.total
-    uniform = len(set(m for _, m in brute)) == 1 and brute[0][1] == (1 << (h.n - alpha))
+    # each sign pattern of the alpha energies holds 2^(n - alpha) states, and
+    # patterns whose sums coincide share a level
+    uniform = all(m % (1 << (h.n - energies.total)) == 0 for _, m in brute)
     report.max_level_deviation = max_dev
     report.spectrum_match = bool(max_dev < match_tol and degs_ok)
     report.degeneracy_uniform = bool(uniform and degs_ok)

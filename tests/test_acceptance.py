@@ -202,8 +202,7 @@ def test_criterion_06_modes_solve_the_model():
 
 def test_criterion_07_nonexample_discrimination():
     out = verify_nonexample_equal_couplings()
-    generic = verify_free(back_to_back_model(1.0, 0.9, 1.1, 0.8, 1.2, 1.05), force=True)
-    ok = (out["equal_couplings_match"] and not generic.spectrum_match
+    ok = (out["equal_couplings_match"] and not out["generic_couplings_match"]
           and out["claw_found"] and out["even_hole_found"])
     report(7, ok, "equal couplings free, generic couplings not; claw and even hole found")
 

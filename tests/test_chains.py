@@ -309,14 +309,6 @@ def test_dispersion_labeling():
     assert min(points, key=lambda t: t[1]) == points[-1]
 
 
-def test_dispersion_momentum_grid():
-    spec = ChainSpec(20, 2, (0.5, 0.5))
-    sel = dispersion(spec, momenta=[0.1, math.pi / 2, 3.0])
-    assert len(sel) == 3
-    with pytest.raises(ModelError):
-        dispersion(ChainSpec(2, 2, (0.5, 0.5)), momenta=[0.1, 0.2, 0.3])
-
-
 def test_dispersion_cyclic_relabeling_invariance():
     b2 = (0.3, 0.7, 1.1)
     e1 = [e for _, e in dispersion(ChainSpec(8, 3, b2))]

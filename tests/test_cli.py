@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import ffsolve
 from ffsolve import paulis
 from ffsolve.cli import main
@@ -193,6 +195,42 @@ def test_config_embedded_everywhere(capsys):
     _, doc = run_json(capsys, "analyze", "--model", "h6")
     cfg = doc["config"]
     assert {"command", "model", "tol", "budget", "seed"} <= set(cfg)
+
+
+MODEL_OPTIONS = {"command", "input", "model", "couplings", "n_cells", "k", "periodic",
+                 "arms", "seed", "tol", "budget", "output"}
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve", "verify"])
+def test_config_holds_the_options_of_the_command(capsys, command):
+    """The config block holds the options of the command that ran, with
+    the couplings drawn under --seed, and none of another command."""
+    _, doc = run_json(capsys, command, "--model", "h5", "--seed", "3")
+    cfg = doc["config"]
+    assert set(cfg) == MODEL_OPTIONS | ({"modes"} if command == "solve" else set())
+    assert len(cfg["couplings"]) == 5 and all(isinstance(c, float) for c in cfg["couplings"])
+    _, again = run_json(capsys, command, "--model", "h5",
+                        "--couplings=" + ",".join(map(repr, cfg["couplings"])))
+    for out in (doc, again):
+        out["result"].pop("timings", None)
+    assert again["result"] == doc["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--k", "3", "--N", "8", "--b1sq", "2"],
+    ["dispersion", "--k", "3", "--N", "8", "--b5sq", "0.2"],
+    ["solve", "--model", "h5", "--couplings", "1,a,1,1,1"],
+    ["scan", "--k", "3", "--N", "8", "--Nprime", "16", "--values", "0.1,b"],
+])
+def test_input_errors_exit_1_with_a_message(capsys, argv):
+    """Malformed lists and squared couplings are input errors: exit 1 and
+    one line on stderr, not an exception."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_commands_back_to_back_match_separate_runs(capsys):

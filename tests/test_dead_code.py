@@ -9,10 +9,11 @@ re-export list in ``__init__.py``; it counts as used by the package when
 it so appears in the package outside the modules' ``__all__`` lists.  A
 method must also be read as an attribute (``obj.name``) somewhere, since
 a bare word such as ``graph`` occurs everywhere.  A defaulted parameter
-counts as set when some call of a function or method of that name passes
-it, by keyword or by position; the parameters of ``__init__`` are
-checked against the calls of the class.  Dunder methods are called by
-the interpreter, so they are not checked.
+counts as set when some call in the package of a function or method of
+that name passes it, by keyword or by position, so no parameter exists
+only for the tests; the parameters of ``__init__`` are checked against
+the calls of the class.  Dunder methods are called by the interpreter,
+so they are not checked.
 """
 
 import ast
@@ -22,22 +23,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ffsolve"
 
-# package definitions that no code of the package calls, and why they stay
+# package definitions that no code of the package names, and why they stay
 TEST_ONLY_ALLOWED = {
     "to_dense": "the benchmark's tracer derives paulis.dense_dim_max from its calls",
     "h5_model": "documented model: the five-term three-qubit example",
     "h6_model": "documented model, and the README library sketch builds it",
     "back_to_back_model": "documented model: the non-example with claws and even holes",
-    "frustration_graph": "the README library sketch calls it",
-    "classify": "the README library sketch calls it",
-    "weighted_independence_polynomial": "the README library sketch calls it",
-    "single_particle_energies": "the README library sketch calls it",
-    "free_spectrum": "the README library sketch calls it",
-    "simplicial_extension": "the README library sketch calls it",
-    "all_modes": "the README library sketch calls it",
-    "verify_all": "the README library sketch calls it",
-    "passed": "the README library sketch calls it",
 }
+
+# defaulted parameters that only a caller outside the package sets, and who
+ENTRY_POINT_PARAMETERS = {("main", "argv"): "the console script calls main() with none"}
 
 
 def _definitions(path):
@@ -74,14 +69,18 @@ def test_no_definition_only_the_tests_name():
     it wraps."""
     texts = [re.sub(r"__all__ = \[.*?\]", "", p.read_text(), flags=re.S)
              for p in sorted(PACKAGE.glob("*.py")) if p != PACKAGE / "__init__.py"]
-    defined, test_only = set(), []
+    defined, test_only, stale = set(), [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, line in _definitions(path):
             defined.add(name)
             word = re.compile(rf"\b{re.escape(name)}\b")
-            if name not in TEST_ONLY_ALLOWED and sum(len(word.findall(t)) for t in texts) <= 1:
+            only_tests = sum(len(word.findall(t)) for t in texts) <= 1
+            if name not in TEST_ONLY_ALLOWED and only_tests:
                 test_only.append(f"{path.name}:{line} {name}")
+            if name in TEST_ONLY_ALLOWED and not only_tests:
+                stale.append(f"{path.name}:{line} {name}")
     assert not test_only, "named only in the tests: " + ", ".join(test_only)
+    assert not stale, "allowed but named in the package: " + ", ".join(stale)
     assert set(TEST_ONLY_ALLOWED) <= defined, "allowed but not defined"
 
 
@@ -121,10 +120,11 @@ def test_every_method_is_read_as_an_attribute():
 
 
 def _calls():
-    """Called name -> [(positional argument count, keyword names)]; a starred
-    argument passes every position, and ``**`` (keyword None) every keyword."""
+    """Called name -> [(positional argument count, keyword names)] over the
+    calls in the package; a starred argument passes every position, and
+    ``**`` (keyword None) every keyword."""
     calls = {}
-    for _, tree in _trees(_sources()):
+    for _, tree in _trees(sorted(PACKAGE.glob("*.py"))):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
@@ -157,6 +157,8 @@ def test_every_defaulted_parameter_is_set():
                 continue
             sites = calls.get(owner if fn.name == "__init__" else fn.name, [])
             for index, name in _defaulted(fn, owner is not None):
+                if owner is None and (fn.name, name) in ENTRY_POINT_PARAMETERS:
+                    continue
                 if not any(name in keywords or None in keywords
                            or index is not None and count > index
                            for count, keywords in sites):

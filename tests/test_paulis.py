@@ -262,5 +262,5 @@ def test_dagger_and_hermiticity_flags():
     assert t.phase_pow in (0, 2)
     it = PauliTerm(2, t.x, t.z, 1)
     assert it.phase_pow not in (0, 2)
-    a = OperatorSum.from_term(t, 1.0 + 2.0j)
+    a = (1.0 + 2.0j) * OperatorSum.from_term(t)
     assert np.allclose(to_dense(a.dagger()), to_dense(a).conj().T)

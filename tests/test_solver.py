@@ -93,7 +93,7 @@ def clique_transfer_recurrence_residual(h: Hamiltonian, clique, u: float,
     full = transfer(h, graph).evaluate(u)
     rest = [v for v in range(graph.n) if v not in kset]
     acc = transfer(Hamiltonian(h.n, tuple(h.terms[v] for v in rest))).evaluate(u)
-    ops = [OperatorSum.from_term(t, c) for c, t in h.terms]
+    ops = [c * OperatorSum.from_term(t) for c, t in h.terms]
     for v in kset:
         if simplicial:
             kv = graph.closed_adj(v) & ~(kmask & ~(1 << v))

@@ -16,6 +16,7 @@ from ffsolve.models import (
     h5_model,
     h6_model,
     junction_model,
+    parse_hamiltonian,
 )
 from ffsolve.paulis import OperatorSum, PauliTerm
 from ffsolve.recognition import smallest_simplicial_clique
@@ -101,6 +102,47 @@ def test_verify_free_chain_2_4():
     h = chain_model(2, 4, [rng.choice([-1, 1]) * rng.uniform(0.5, 1.8) for _ in range(4)])
     rep = verify_free(h)
     assert rep.spectrum_match and rep.degeneracy_uniform
+
+
+# The path P5 with weights (1, sqrt(2) - 1/2, 1, 1/2, 1): its energies
+# satisfy e1 + e2 = e3, so two sign patterns share the level at 0.
+P5_COINCIDING_SUMS = """\
+1.0 X0
+0.9561451575849219 Z0 X1
+1.0 Z1 X2
+0.7071067811865476 Z2 X3
+1.0 Z3 X4
+"""
+
+
+def test_verify_accepts_coinciding_sign_sums():
+    """2^(n - alpha) states belong to each sign pattern, not to each level:
+    a level holding two patterns holds twice as many."""
+    h = parse_hamiltonian(P5_COINCIDING_SUMS)
+    rep = verify_all(h)
+    e1, e2, e3 = (e for e, _ in rep.energies)
+    assert abs(e1 + e2 - e3) < 1e-14
+    # -e1 - e2 + e3 = e1 + e2 - e3 = 0: the middle level holds 2 x 4 states
+    assert [m for _, m in brute_force_spectrum(h)] == [4, 4, 4, 8, 4, 4, 4]
+    assert rep.spectrum_match and rep.degeneracy_uniform
+    assert rep.passed()
+
+
+@pytest.mark.parametrize("also_synthesized", [False, True])
+def test_degeneracy_uniform_fails_on_a_wrong_multiplicity(monkeypatch, also_synthesized):
+    """An oracle level of 6 states fails, 6 not being a multiple of
+    2^(n - alpha) = 4, even when the synthesized spectrum agrees with it."""
+    h = parse_hamiltonian(P5_COINCIDING_SUMS)
+    levels = brute_force_spectrum(h)
+    (v0, _), (v1, m1) = levels[:2]
+    wrong = [(v0, 6), (v1, m1 + 2)] + levels[2:]
+    monkeypatch.setattr(verify, "brute_force_spectrum", lambda _: wrong)
+    if also_synthesized:
+        monkeypatch.setattr(verify, "free_spectrum", lambda *_: wrong)
+    rep = verify_free(h)
+    assert rep.spectrum_match is also_synthesized
+    assert rep.degeneracy_uniform is False
+    assert not rep.passed()
 
 
 def test_verify_free_skips_non_ecf():
