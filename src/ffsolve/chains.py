@@ -7,9 +7,13 @@ coupling vector alone.  The energies come from the root finder every
 graph uses, ``indpoly.roots_by_count``, fed with the sign changes of this
 recursion rather than with the monomial coefficients, which lose the
 roots to rounding beyond a dozen or so cells, and with the Newton step
-of its last row, whose w-derivative runs alongside it.  Dispersion
-relations and gap scans are finite-N: the spectrum is computed at two
-sizes and the trend decides gapless vs gapped.
+of its last row, whose w-derivative runs alongside it.  The couplings are
+first scaled by a power of four to a sum in [1, 4), which is exact and
+bounds the growth of a row, so the recursion is rescaled only every
+RESCALE_ROWS rows; the first sweep cuts at points spread like the levels
+of a gapless band and at powers of two toward 0.  Dispersion relations
+and gap scans are finite-N: the spectrum is computed at two sizes and the
+trend decides gapless vs gapped.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .errors import ModelError
 from .indpoly import SingleParticleEnergies, roots_by_count, sign_changes
 
 GAPLESS_RATIO_MARGIN = 0.1
+RESCALE_ROWS = 16  # rows between two rescalings in ``chain_values``
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,8 @@ class ChainSpec:
             raise ModelError(f"k must be >= 2, got {self.k}")
         if len(self.b2) != self.k:
             raise ModelError(f"expected {self.k} squared couplings, got {len(self.b2)}")
+        if not math.isfinite(sum(self.b2)):
+            raise ModelError("squared couplings and their sum must be finite")
         if any(b < 0 for b in self.b2):
             raise ModelError("squared couplings must be nonnegative")
 
@@ -61,10 +68,16 @@ def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
     the last row.
 
     The w-derivative rows, v'_s = v_{s-1} + w v'_{s-1} - sum_l e_l v'_{s-l},
-    run in the same array as the value rows.  Every k cells the last k
-    rows are rescaled by a power of two, the same for a value row and its
-    derivative, which keeps them in float range and changes neither signs,
-    nor rounding, nor the step.
+    run in the same array as the value rows.  Every RESCALE_ROWS rows the
+    last k rows are rescaled by a power of two, the same for a value row
+    and its derivative, that puts the largest of their values in [1/2, 1).
+    That changes neither signs, nor rounding, nor the step while every row
+    is a normal float.  With sum(e) < 2^6 and 0 < w <= sum(e), as
+    ``chain_energies`` arranges, a row is at most 2^7 times the largest of
+    the k before it, so no row exceeds 2^112 before the next rescaling.  A
+    row that is at most 2^53 times smaller than the one before, as one ulp
+    from the root of a decoupled chain, where each row is w - 1 times the
+    last, stays above 2^-849, in the normal range.
     """
     k = len(e) - 1
     m = len(ws)
@@ -72,17 +85,23 @@ def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
     v = np.zeros((n_cells + k, 2 * m))  # values in columns :m, derivatives in m:
     v[k - 1] = np.concatenate([ws, np.ones(m)])
     w2 = np.concatenate([ws, ws])
+    rows, values, derivatives = list(v), list(v[:, :m]), list(v[:, m:])
     top = np.abs(ws)
-    for s in range(k, n_cells + k):
-        v[s] = w2 * v[s - 1] + coef @ v[s - k:s]
-        v[s, m:] += v[s - 1, :m]
-        if (s + 1) % k == 0 or s == n_cells + k - 1:
-            window = v[s - k + 1:s + 1]
-            peak = np.max(np.abs(window[:, :m]), axis=0)
-            shift = -np.frexp(peak)[1]
-            window[:] = np.ldexp(window, np.concatenate([shift, shift]))
+    end = n_cells + k
+    for start in range(k, end, RESCALE_ROWS):
+        stop = min(start + RESCALE_ROWS, end)
+        for s in range(start, stop):
+            row = rows[s]
+            np.dot(coef, v[s - k:s], row)
+            row += w2 * rows[s - 1]
+            derivatives[s] += values[s - 1]
+        top = np.maximum(top, np.max(np.abs(v[start:stop, :m]), axis=0))
+        if stop < end:
+            window = v[stop - k:stop]
+            shift = -np.frexp(np.max(np.abs(window[:, :m]), axis=0))[1]
+            np.ldexp(window, np.concatenate([shift, shift]), out=window)
             with np.errstate(over="ignore"):  # a history far above the window
-                top = np.ldexp(np.maximum(top, peak), shift)
+                top = np.ldexp(top, shift)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = v[-1, :m] / v[-1, m:]
     return v[k - 1:, :m], step, top
@@ -100,8 +119,16 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     Each bracket gives one energy at its midpoint.  The residual is the
     largest normalized boundary value |v_{N+1}| / max_s |v_s| at the
     returned roots.
+
+    The chain solved is the one with b2 / 4^j, where the power of four
+    puts sum(b2) / 4^j in [1, 4), which keeps ``chain_values`` in float
+    range; its energies are 2^-j times these, exactly.  The first sweep
+    cuts at N points spaced like the arcsine density of a gapless band,
+    and at 2^-2 .. 2^-59 of the largest possible root, so that it
+    separates most levels, the lowest of a gapless chain included.
     """
-    e = elementary_symmetric(spec.b2)
+    j = (math.frexp(sum(spec.b2))[1] - 1) // 2
+    e = elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2])
     n = spec.n_cells
 
     def evaluate(ws):
@@ -109,11 +136,14 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
         return sign_changes(v), step
 
     # Gershgorin: no eigenvalue of the recursion matrix exceeds its row sum
-    lo, hi, m = roots_by_count(evaluate, n, sum(e))
-    ws = 0.5 * (lo + hi)
+    hi = sum(e)
+    band = np.sin(np.arange(1, n + 1) * (0.5 * np.pi / (n + 1))) ** 2
+    first = hi * np.sort(np.concatenate([band, np.exp2(-np.arange(2.0, 60.0))]))
+    lo, up, m = roots_by_count(evaluate, n, hi, first)
+    ws = 0.5 * (lo + up)
     v, _, top = chain_values(e, n, ws)
     residual = float(np.max(np.abs(v[-1]) / np.maximum(top, 1e-300)))
-    energies = tuple((math.sqrt(w), int(k)) for w, k in zip(ws, m))
+    energies = tuple((math.ldexp(math.sqrt(w), j), int(c)) for w, c in zip(ws, m))
     return SingleParticleEnergies(energies, residual)
 
 

@@ -101,7 +101,7 @@ def _load_input(args: argparse.Namespace) -> tuple[Hamiltonian | None, WeightedG
             count = len(SMALL_MODELS[args.model])
         elif args.model == "chain":
             count = args.k
-        elif args.model == "junction":
+        elif args.model == "junction" and args.arms and args.k:
             count = junction_graph(tuple(args.arms), args.k).n
         else:
             count = None
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     try:
         _parse_lists(args)
         return args.fn(args)
-    except FFSolveError as exc:
+    except (FFSolveError, OSError) as exc:  # an OSError from the input or -o
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -209,6 +209,33 @@ def chain_polynomial(spec: ChainSpec) -> IndependencePolynomial:
     return IndependencePolynomial(tuple(polys[spec.n_cells]))
 
 
+def chain_values_every_k(e, n_cells: int, ws: np.ndarray):
+    """Reference for ``chains.chain_values``: the recursion rescaled every
+    k rows, at the last row as well, which stays in float range for any
+    couplings of order 1.  Returns the value rows, the Newton step and
+    max_s |v_s| in the scale of the last row."""
+    k = len(e) - 1
+    m = len(ws)
+    coef = -np.array(e[:0:-1])
+    v = np.zeros((n_cells + k, 2 * m))
+    v[k - 1] = np.concatenate([ws, np.ones(m)])
+    w2 = np.concatenate([ws, ws])
+    top = np.abs(ws)
+    for s in range(k, n_cells + k):
+        v[s] = w2 * v[s - 1] + coef @ v[s - k:s]
+        v[s, m:] += v[s - 1, :m]
+        if (s + 1) % k == 0 or s == n_cells + k - 1:
+            window = v[s - k + 1:s + 1]
+            peak = np.max(np.abs(window[:, :m]), axis=0)
+            shift = -np.frexp(peak)[1]
+            window[:] = np.ldexp(window, np.concatenate([shift, shift]))
+            with np.errstate(over="ignore"):
+                top = np.ldexp(np.maximum(top, peak), shift)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = v[-1, :m] / v[-1, m:]
+    return v[k - 1:, :m], step, top
+
+
 def free_spectrum_matches(h) -> bool:
     """The comparison of ``verify.verify_free`` on any frustration graph,
     ECF or not: the free spectrum built from the roots of P against the

@@ -13,6 +13,7 @@ from conftest import (
     assert_same_energies,
     certify_groups,
     chain_polynomial,
+    chain_values_every_k,
     record_sweeps,
     use_midpoint_bisection,
 )
@@ -20,6 +21,7 @@ from ffsolve import chains
 from ffsolve.chains import (
     ChainSpec,
     chain_energies,
+    chain_values,
     dispersion,
     elementary_symmetric,
     gap_scan,
@@ -27,7 +29,11 @@ from ffsolve.chains import (
 )
 from ffsolve.errors import ModelError
 from ffsolve.graphs import frustration_graph
-from ffsolve.indpoly import single_particle_energies, weighted_independence_polynomial
+from ffsolve.indpoly import (
+    sign_changes,
+    single_particle_energies,
+    weighted_independence_polynomial,
+)
 from ffsolve.models import chain_model
 
 
@@ -261,11 +267,30 @@ def test_chain_energies_match_midpoint_bisection(spec, monkeypatch):
 @pytest.mark.parametrize("spec", [ChainSpec(240, 3, (1.0, 0.7, 1.3)),
                                   ChainSpec(240, 4, (1.29, 0.54, 0.50, 1.49))])
 def test_chain_root_sweep_budget(spec, monkeypatch):
-    """At most 30 evaluations of the recursion per solve; bisection took
-    about 60."""
+    """At most 15 evaluations of the recursion per solve, 13 and 14 on
+    these chains; thirds for a first sweep took 20-21, bisection about 60."""
     sweeps = record_sweeps(monkeypatch, chains)
     chain_energies(spec)
-    assert len(sweeps) <= 30
+    assert len(sweeps) <= 15
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(50, 3, (0.0, 0.0, 1.0)),     # each row w - 1 times the last
+    ChainSpec(120, 2, (0.9999, 0.0001)),   # dimerized
+    ChainSpec(240, 4, (0.25, 0.25, 0.25, 0.25)),
+] + random_chains(41, 12))
+def test_chain_values_match_rescaling_every_k_rows(spec):
+    """Rescaling every RESCALE_ROWS rows instead of every k changes no
+    count and no Newton step, bit for bit, across (0, hi] and one ulp
+    either side of each root, where the rows shrink fastest."""
+    e = elementary_symmetric(spec.b2)
+    roots = np.array([w * w for w in chain_energies(spec).flat()])
+    ws = np.concatenate([np.linspace(0.0, sum(e), 50)[1:], roots,
+                         np.nextafter(roots, 0.0), np.nextafter(roots, np.inf)])
+    v, step, _ = chain_values(e, spec.n_cells, ws)
+    v_ref, step_ref, _ = chain_values_every_k(e, spec.n_cells, ws)
+    assert np.array_equal(sign_changes(v), sign_changes(v_ref))
+    assert np.array_equal(step, step_ref, equal_nan=True)
 
 
 @pytest.mark.parametrize("spec", [ChainSpec(50, 3, (0.0, 0.0, 1.0)), ChainSpec(50, 2, (0.0, 1.0))])
@@ -317,11 +342,20 @@ def test_dispersion_cyclic_relabeling_invariance():
 
 
 def test_energy_scaling_homogeneity():
-    b2 = (0.4, 0.9, 1.3)
-    lam = 1.7
-    base = chain_energies(ChainSpec(6, 3, b2)).flat()
-    scaled = chain_energies(ChainSpec(6, 3, tuple(lam * lam * v for v in b2))).flat()
-    assert np.allclose([lam * e for e in base], scaled, rtol=1e-12)
+    """Couplings scaled by lambda^2 scale every energy by lambda: exactly
+    when lambda^2 is a power of four, to rounding otherwise, from 1e-200
+    to 1e100."""
+    for spec in (ChainSpec(6, 3, (0.4, 0.9, 1.3)), ChainSpec(50, 3, (0.3, 0.3, 0.4))):
+        base = chain_energies(spec).flat()
+        for lam2 in (1.7 ** 2, 1e-200, 1e-100, 1e-30, 1e10, 1e30, 1e100):
+            scaled = chain_energies(ChainSpec(spec.n_cells, spec.k,
+                                              tuple(lam2 * v for v in spec.b2))).flat()
+            want = [math.sqrt(lam2) * e for e in base]
+            assert np.allclose(want, scaled, rtol=1e-12, atol=0.0), (spec, lam2)
+        for power in (-300, 100):
+            scaled = chain_energies(ChainSpec(spec.n_cells, spec.k,
+                                              tuple(4.0 ** power * v for v in spec.b2))).flat()
+            assert scaled == [2.0 ** power * e for e in base], (spec, power)
 
 
 def test_k2_equal_couplings_gapless():
@@ -370,3 +404,12 @@ def test_spec_validation():
         ChainSpec(2, 3, (1.0, 1.0))
     with pytest.raises(ModelError):
         ChainSpec(2, 3, (1.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("b2", [(math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5),
+                                (1e308, 1e308, 0.5)])
+def test_spec_rejects_non_finite_couplings(b2):
+    """A NaN or infinite coupling, or a sum beyond float range, is refused:
+    ``chain_energies`` would never return on a NaN or an infinity."""
+    with pytest.raises(ModelError):
+        ChainSpec(8, 3, b2)

@@ -221,9 +221,13 @@ def test_config_holds_the_options_of_the_command(capsys, command):
     ["dispersion", "--k", "3", "--N", "8", "--b5sq", "0.2"],
     ["solve", "--model", "h5", "--couplings", "1,a,1,1,1"],
     ["scan", "--k", "3", "--N", "8", "--Nprime", "16", "--values", "0.1,b"],
+    ["solve", "--model", "junction", "--k", "3", "--seed", "1"],
+    ["analyze", "/nonexistent/x.ham"],
+    ["solve", "--model", "h5", "-o", "/nonexistent/out.json"],
 ])
 def test_input_errors_exit_1_with_a_message(capsys, argv):
-    """Malformed lists and squared couplings are input errors: exit 1 and
+    """Malformed lists and squared couplings, a junction without arms and
+    an unreadable input or unwritable output are input errors: exit 1 and
     one line on stderr, not an exception."""
     code = main(argv)
     captured = capsys.readouterr()
