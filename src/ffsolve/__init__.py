@@ -45,8 +45,11 @@ from .paulis import (
     commutes,
     multiply,
     opsum_anticomm,
+    opsum_anticomm_batch,
     opsum_comm,
+    opsum_comm_batch,
     opsum_mul,
+    opsum_mul_batch,
     to_dense,
 )
 from .recognition import (

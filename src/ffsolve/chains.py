@@ -125,8 +125,11 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     range; its energies are 2^-j times these, exactly.  The first sweep
     cuts at N points spaced like the arcsine density of a gapless band,
     and at 2^-2 .. 2^-59 of the largest possible root, so that it
-    separates most levels, the lowest of a gapless chain included.
+    separates most levels, the lowest of a gapless chain included.  With
+    every coupling 0 the one level is 0, of multiplicity N, at once.
     """
+    if not any(spec.b2):
+        return SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
     j = (math.frexp(sum(spec.b2))[1] - 1) // 2
     e = elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2])
     n = spec.n_cells

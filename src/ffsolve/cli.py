@@ -48,7 +48,10 @@ FREE_SPECTRUM_ALPHA_CAP = 16
 
 def _atomic_write(path: str, data: str):
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".ffsolve-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".ffsolve-")
+    except OSError as exc:  # it names the temporary file, which the caller never chose
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)

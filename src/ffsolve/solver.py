@@ -16,9 +16,19 @@ chi lies in their span together with a part that commutes with H
 on ad_H started at chi, under the Hilbert-Schmidt inner product
 sum_s conj(a_s) b_s over strings, closes after at most 2 alpha + 1 steps,
 and mode j is the Ritz vector at +2 e_j, scaled to CAR and with its phase
-set by chi.  Every product is one ``opsum_comm`` of H with a Lanczos
-vector; T(u) is not needed, and ``zero_eigenvector_residual`` ties the
-modes back to it.
+set by chi.  Every product is one commutator of H with a Lanczos
+vector, taken by ``paulis.StringBasis`` on the strings seen so far,
+numbered as they appear; T(u) is not needed, and
+``zero_eigenvector_residual`` ties the modes back to it.
+
+The checks that ``verify`` repeats over strings they share are each one
+pass of the product kernel: {psi_i, psi_j^dagger} and {psi_i, psi_j} of
+``mode_car_residual``; [H, psi_j] and [H, psi_j^dagger] of
+``ladder_residual``; [psi_j, psi_j^dagger] of ``reconstruct``; and
+T(u_j) psi_j, then psi_j^dagger T(u_j), of ``zero_eigenvector_residual``.
+``transfer_factorization_residual`` and ``check_fundamental_identity``
+take one value of u a call; the latter forms T(u) (1 + u sum h_v) and
+(1 - u sum h_v) chi in one pass.
 """
 
 from __future__ import annotations
@@ -38,10 +48,13 @@ from .paulis import (
     PRUNE_TOL,
     OperatorSum,
     PauliTerm,
-    multiply,
-    opsum_anticomm,
+    StringBasis,
+    opsum_anticomm_batch,
     opsum_comm,
+    opsum_comm_batch,
     opsum_mul,
+    opsum_mul_batch,
+    subset_products,
 )
 from .recognition import is_simplicial_clique
 
@@ -58,39 +71,29 @@ class TransferOperator:
         return len(self.charges) - 1
 
     def evaluate(self, u: float) -> OperatorSum:
-        acc = OperatorSum.zero(self.n)
+        acc: dict[tuple[int, int], complex] = {}
         coef = 1.0
         for q in self.charges:
-            acc = acc + coef * q
+            for key, c in q.terms.items():
+                acc[key] = acc.get(key, 0.0) + coef * c
             coef *= -u
-        return acc
+        return OperatorSum(self.n, acc)
 
 
 def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOperator:
     """All charges Q^(0)..Q^(alpha) from one pass over the independent sets.
 
-    ``graphs.stable_sets`` yields each set after its parent, the set
-    without its highest vertex, so a set's coupling product and Pauli
-    product are its parent's times that vertex's term, one ``multiply``
-    per set.  The factors of a set commute, so their order is immaterial.
-    Q^(k) is of the size of s^k, s the largest |coupling|, and is pruned
-    against that, so that no charge depends on the overall scale.
+    ``graphs.stable_sets`` yields the empty set first and each other set
+    after its parent, the set without its highest vertex, so
+    ``paulis.subset_products`` builds a set's coupling and Pauli product
+    from its parent's with one term.  The factors of a set commute, so
+    their order is immaterial.  Q^(k) is of the size of s^k, s the largest
+    |coupling|, and is pruned against that, so that no charge depends on
+    the overall scale.
     """
     if graph is None:
         graph = frustration_graph(h)
-    sets = stable_sets(graph.adj)
-    made = {next(sets): (1.0, PauliTerm.identity(h.n))}  # the empty set comes first
-    accs: list[dict[tuple[int, int], complex]] = [{(0, 0): 1.0 + 0.0j}]
-    for mask in sets:
-        top = mask.bit_length() - 1
-        c, t = h.terms[top]
-        coeff, prod = made[mask ^ (1 << top)]
-        made[mask] = coeff, prod = coeff * c, multiply(prod, t)
-        k = mask.bit_count()
-        if k == len(accs):
-            accs.append({})
-        key = (prod.x, prod.z)
-        accs[k][key] = accs[k].get(key, 0.0) + coeff * prod.phase
+    accs = subset_products(h.terms, stable_sets(graph.adj))
     s = max((abs(c) for c, _ in h.terms), default=1.0)
     return TransferOperator(h.n, tuple(
         OperatorSum._of_clean(h.n, {key: c for key, c in acc.items() if abs(c) > cut})
@@ -102,7 +105,11 @@ def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOper
 def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph | None = None) -> float:
     """max over r < s of the Pauli 1-norm of [Q^(r), Q^(s)], relative to
     2 ||Q^(r)||_1 ||Q^(s)||_1, the 1-norms of the products Q^(r) Q^(s) and
-    Q^(s) Q^(r) that form it."""
+    Q^(s) Q^(r) that form it.
+
+    Each commutator is a product of its own: the charges share few
+    strings, so rows of one pass would each carry the pairs of the others.
+    """
     t = transfer(h, graph)
     norms = [q.abs_sum() for q in t.charges]
     worst = 0.0
@@ -235,16 +242,12 @@ def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
     another Hamiltonian.
     """
     hop = OperatorSum.from_terms(h.n, h.terms)
-    index = {(chi.x, chi.z): 0}
+    index = StringBasis(chi)
     basis = np.ones((1, 1), dtype=complex)  # chi, whose phase is 1
     diag: list[float] = []
     off: list[float] = []
-    op = OperatorSum.from_term(chi)
     while True:
-        w = opsum_comm(hop, op)
-        coef = np.zeros(len(index) + len(w), dtype=complex)
-        coef[[index.setdefault(s, len(index)) for s in w.terms]] = list(w.terms.values())
-        coef = coef[:len(index)]
+        coef = index.comm(hop, basis[-1])
         basis = np.hstack([basis, np.zeros((len(basis), len(index) - basis.shape[1]))])
         proj = basis.conj() @ coef
         diag.append(proj[-1].real)
@@ -257,9 +260,8 @@ def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
             raise ConditioningError(f"the Krylov space of chi exceeds {steps} dimensions")
         off.append(beta)
         basis = np.vstack([basis, coef / beta])
-        op = _opsum(h.n, list(index), basis[-1])
     ritz, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return list(index), basis, ritz, vectors
+    return index.strings(), basis, ritz, vectors
 
 
 def mode_energy_gap(modes: Sequence[IncognitoMode]) -> float:
@@ -272,41 +274,49 @@ def mode_energy_gap(modes: Sequence[IncognitoMode]) -> float:
 
 def reconstruct(modes: Sequence[IncognitoMode],
                 energies: SingleParticleEnergies) -> OperatorSum:
-    """sum_k e_k [psi_k, psi_k^dagger]; equals the extended Hamiltonian."""
+    """sum_k e_k [psi_k, psi_k^dagger]; equals the extended Hamiltonian.
+    The commutators are taken in one pass."""
     flat = energies.flat()
     if len(modes) != len(flat):
         raise ValueError(f"need all {len(flat)} modes, got {len(modes)}")
-    n = modes[0].op.n
-    acc = OperatorSum.zero(n)
-    for mode in modes:
-        acc = acc + mode.energy * opsum_comm(mode.op, mode.dag)
+    acc = OperatorSum.zero(modes[0].op.n)
+    comms = opsum_comm_batch([m.op for m in modes], [m.dag for m in modes])
+    for mode, comm in zip(modes, comms):
+        acc = acc + mode.energy * comm
     return acc
 
 
 def mode_car_residual(modes: Sequence[IncognitoMode]) -> float:
-    """Worst deviation from the canonical anticommutation relations."""
-    n = modes[0].op.n
-    ident = OperatorSum.identity(n)
-    worst = 0.0
-    for i, mi in enumerate(modes):
-        for j, mj in enumerate(modes):
-            pair = opsum_anticomm(mi.op, mj.dag)
-            target = ident if i == j else OperatorSum.zero(n)
-            worst = max(worst, (pair - target).max_abs_coeff())
-            if j >= i:
-                worst = max(worst, opsum_anticomm(mi.op, mj.op).max_abs_coeff())
-    return worst
+    """Worst deviation from the canonical anticommutation relations:
+    {psi_i, psi_j^dag} - delta_ij and {psi_i, psi_j}, i <= j, in one pass."""
+    ops = [m.op for m in modes]
+    dags = [m.dag for m in modes]
+    mixed = [(i, j) for i in range(len(modes)) for j in range(len(modes))]
+    same = [(i, j) for i, j in mixed if j >= i]
+    pairs = opsum_anticomm_batch([ops[i] for i, _ in mixed + same],
+                                 [dags[j] for _, j in mixed] + [ops[j] for _, j in same])
+    ident = OperatorSum.identity(modes[0].op.n)
+    return max([(pair - ident if i == j else pair).max_abs_coeff()
+                for (i, j), pair in zip(mixed, pairs)]
+               + [pair.max_abs_coeff() for pair in pairs[len(mixed):]])
 
 
-def ladder_residual(hext: Hamiltonian, mode: IncognitoMode) -> float:
-    """Pauli 1-norm of [H, psi] - 2 e psi and of [H, psi^dag] + 2 e psi^dag,
-    relative to 2 ||psi||_1 (||H||_1 + e), the 1-norms of the products
-    H psi and psi H and of 2 e psi that form each."""
+def ladder_residual(hext: Hamiltonian, modes: Sequence[IncognitoMode]) -> float:
+    """max over the modes of the Pauli 1-norm of [H, psi] - 2 e psi and of
+    [H, psi^dag] + 2 e psi^dag, relative to 2 ||psi||_1 (||H||_1 + e), the
+    1-norms of the products H psi and psi H and of 2 e psi that form each.
+    The commutators of all the modes are taken in one pass."""
     hop = OperatorSum.from_terms(hext.n, hext.terms)
-    raise_part = (opsum_comm(hop, mode.op) - 2.0 * mode.energy * mode.op).abs_sum()
-    lower_part = (opsum_comm(hop, mode.dag) + 2.0 * mode.energy * mode.dag).abs_sum()
-    scale = 2.0 * mode.op.abs_sum() * (hop.abs_sum() + mode.energy)
-    return max(raise_part, lower_part) / scale
+    ops = [m.op for m in modes]
+    dags = [m.dag for m in modes]
+    comms = opsum_comm_batch([hop] * (2 * len(modes)), ops + dags)
+    norm = hop.abs_sum()
+    worst = 0.0
+    for m, op, dag, raised, lowered in zip(modes, ops, dags, comms, comms[len(modes):]):
+        raise_part = (raised - 2.0 * m.energy * op).abs_sum()
+        lower_part = (lowered + 2.0 * m.energy * dag).abs_sum()
+        worst = max(worst, max(raise_part, lower_part) / (2.0 * op.abs_sum() * (norm + m.energy)))
+    return worst
 
 
 def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
@@ -318,7 +328,9 @@ def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
         = P(-u^2) (1 - u sum_{v in ks} h_v) chi ,
 
     relative to the sum over the two sides of the Pauli 1-norms of the
-    factors that form each side.
+    factors that form each side.  T(u) (1 + u sum h_v) and
+    (1 - u sum h_v) chi, whose left and right factors share strings, are
+    one pass.
     """
     graph = frustration_graph(hext)
     t = transfer(hext, graph)
@@ -328,15 +340,18 @@ def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
     chi_op = OperatorSum.from_term(chi)
     tu, tmu = t.evaluate(u), t.evaluate(-u)
     plus, minus, p = ident + u * hsum, ident - u * hsum, poly(-u * u)
-    lhs = opsum_mul(opsum_mul(tu, plus), opsum_mul(chi_op, tmu))
-    rhs = p * opsum_mul(minus, chi_op)
+    left, right = opsum_mul_batch([tu, minus], [plus, chi_op])
+    lhs = opsum_mul(left, opsum_mul(chi_op, tmu))
+    rhs = p * right
     scale = tu.abs_sum() * plus.abs_sum() * tmu.abs_sum() + abs(p) * minus.abs_sum()
     return (lhs - rhs).abs_sum() / scale
 
 
-def zero_eigenvector_residual(mode: IncognitoMode, t: TransferOperator) -> float:
-    """T(u_j) psi_j and psi_j^dag T(u_j) both vanish."""
-    tu = t.evaluate(mode.u)
-    return max(opsum_mul(tu, mode.op).max_abs_coeff(),
-               opsum_mul(mode.dag, tu).max_abs_coeff())
+def zero_eigenvector_residual(modes: Sequence[IncognitoMode], t: TransferOperator) -> float:
+    """max over the modes of the coefficients of T(u_j) psi_j and of
+    psi_j^dag T(u_j), which both vanish; one pass for each side."""
+    tus = [t.evaluate(m.u) for m in modes]
+    right = opsum_mul_batch(tus, [m.op for m in modes])
+    left = opsum_mul_batch([m.dag for m in modes], tus)
+    return max(p.max_abs_coeff() for p in right + left)
 

@@ -355,3 +355,83 @@ def assert_same_energies(got, want, noise) -> None:
     assert [m for _, m in got.energies] == [m for _, m in want.energies]
     for (a, _), (b, _) in zip(got.energies, want.energies):
         assert abs(a * a - b * b) <= 1e-13 * b * b + noise(b * b), (a, b)
+
+
+# -- Pauli products one pair of sums at a time ------------------------------
+
+def _pack_one(a: OperatorSum) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The word arrays key, x and z of the terms of ``a``, one column a term,
+    and their coefficients of X^x Z^z, with Python ints word by word."""
+    def words(values, bits):
+        count = max(1, -(-bits // 64))
+        return np.array([[v >> (64 * w) & ((1 << 64) - 1) for v in values]
+                         for w in range(count)], dtype=np.uint64).reshape(count, len(values))
+    strings = list(a.terms)
+    coef = np.array([c * 1j ** ((x & z).bit_count() % 4) for (x, z), c in a.terms.items()],
+                    dtype=complex)
+    return (words([x | z << a.n for x, z in strings], 2 * a.n),
+            words([x for x, _ in strings], a.n), words([z for _, z in strings], a.n), coef)
+
+
+def pairwise_kernel(a, b, parity):
+    """Reference for ``paulis._kernel``: the kernel before it took rows of
+    coefficients, for one pair of sums, ``a`` and ``b`` as ``_pack_one``
+    gives them.  Key columns and X^x Z^z coefficients of the products
+    summed per string, in blocks of 2^16 pairs."""
+    def odd_overlap(u, v):
+        acc = np.bitwise_and.outer(u[0], v[0])
+        for uw, vw in zip(u[1:], v[1:]):
+            acc ^= np.bitwise_and.outer(uw, vw)
+        return (np.bitwise_count(acc) & 1).view(bool)
+
+    def reduce(key, coef):
+        order = np.argsort(key[-1])
+        for row in key[-2::-1]:
+            order = order[np.argsort(row[order], kind="stable")]
+        key = key[:, order]
+        start = np.zeros(key.shape[1], dtype=bool)
+        start[:1] = True
+        for row in key:
+            start[1:] |= row[1:] != row[:-1]
+        first = np.flatnonzero(start)
+        return key[:, first], np.add.reduceat(coef[order], first)
+
+    (akey, ax, az, acoef), (bkey, bx, bz, bcoef) = a, b
+    chunk = 1 << 16
+    na, nb = len(acoef), len(bcoef)
+    sums = (np.zeros((len(akey), 0), dtype=np.uint64), np.zeros(0, dtype=complex))
+    cols = min(max(nb, 1), chunk)
+    rows = chunk // cols
+    for i in range(0, na, rows):
+        ia = slice(i, i + rows)
+        for j in range(0, nb, cols):
+            jb = slice(j, j + cols)
+            odd = odd_overlap(az[:, ia], bx[:, jb])
+            pair_coef = np.multiply.outer(acoef[ia], bcoef[jb])
+            np.negative(pair_coef, out=pair_coef, where=odd)
+            pair_key = (akey[:, ia, None] ^ bkey[:, None, jb]).reshape(len(akey), -1)
+            if parity is None:
+                pairs = (pair_key, pair_coef.ravel())
+            else:
+                keep = (odd ^ odd_overlap(ax[:, ia], bz[:, jb])) == bool(parity)
+                pairs = (pair_key[:, keep.ravel()], pair_coef[keep])
+            if i or j:
+                pairs = [np.concatenate(arrays, axis=-1) for arrays in zip(sums, pairs)]
+            sums = reduce(*pairs)
+    return sums
+
+
+def pairwise_product(a: OperatorSum, b: OperatorSum, parity, factor: float) -> OperatorSum:
+    """factor * the product of ``a`` and ``b`` through ``pairwise_kernel``:
+    over every string pair when ``parity`` is None, else over the pairs
+    with that symplectic parity; pruned as the package prunes."""
+    key, coef = pairwise_kernel(_pack_one(a), _pack_one(b), parity)
+    values = [sum(int(w) << (64 * i) for i, w in enumerate(col)) for col in key.T]
+    mask = (1 << a.n) - 1
+    acc = {}
+    for v, c in zip(values, factor * coef):
+        x, z = v & mask, v >> a.n
+        c *= 1j ** (-(x & z).bit_count() % 4)
+        if abs(c) > PRUNE_TOL:
+            acc[(x, z)] = complex(c)
+    return OperatorSum(a.n, acc)

@@ -228,13 +228,15 @@ def test_config_holds_the_options_of_the_command(capsys, command):
 def test_input_errors_exit_1_with_a_message(capsys, argv):
     """Malformed lists and squared couplings, a junction without arms and
     an unreadable input or unwritable output are input errors: exit 1 and
-    one line on stderr, not an exception."""
+    one line on stderr, not an exception, that names the file at fault."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    for path in (a for a in argv if a.startswith("/")):
+        assert path in captured.err
 
 
 def test_commands_back_to_back_match_separate_runs(capsys):

@@ -6,16 +6,21 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from conftest import pairwise_product
 from ffsolve import paulis
 from ffsolve.errors import DenseCapError, TermBudgetError
 from ffsolve.paulis import (
     OperatorSum,
     PauliTerm,
+    StringBasis,
     commutes,
     multiply,
     opsum_anticomm,
+    opsum_anticomm_batch,
     opsum_comm,
+    opsum_comm_batch,
     opsum_mul,
+    opsum_mul_batch,
     to_dense,
 )
 
@@ -241,6 +246,116 @@ def test_kernel_across_chunks(monkeypatch):
         b = random_opsum(rng, 33, rng.randint(1, 20))
         for product, parity, factor in PRODUCTS:
             assert_matches_reference(product(a, b), a, b, parity, factor)
+
+
+# Batched passes against the products taken one pair at a time
+
+BATCHED = ((opsum_mul_batch, None, 1.0), (opsum_comm_batch, 1, 2.0),
+           (opsum_anticomm_batch, 0, 2.0))
+
+
+def assert_equals_pairwise(got, a, b, parity, factor):
+    """The strings of ``pairwise_product`` after pruning, and its
+    coefficients to 1e-15 of the 1-norm factor |a|_1 |b|_1 that bounds
+    each of them."""
+    want = pairwise_product(a, b, parity, factor)
+    assert got.terms.keys() == want.terms.keys()
+    scale = factor * a.abs_sum() * b.abs_sum()
+    assert all(abs(got.terms[k] - c) <= 1e-15 * scale for k, c in want)
+
+
+def batch_operands(rng, draw, n):
+    """Left and right factors of a batch: distinct sums, one sum twice on
+    each side, a sum over the strings of another (as the modes share
+    theirs), and an empty sum."""
+    shared = draw(rng, n, 12)
+    lefts = [draw(rng, n, rng.randint(1, 12)) for _ in range(3)] + [shared, shared]
+    lefts[1] = OperatorSum(n, {key: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                               for key in lefts[0].terms})
+    rights = [draw(rng, n, rng.randint(1, 12)) for _ in range(2)]
+    rights += [shared, OperatorSum.zero(n), shared]
+    return lefts, rights
+
+
+@pytest.mark.parametrize("n", [0, 3, 31, 33, 40, 65])
+def test_batched_pass_equals_the_pairs_one_at_a_time(n):
+    rng = random.Random(2000 + n)
+    for draw in (random_opsum, edge_opsum):
+        lefts, rights = batch_operands(rng, draw, n)
+        for batch, parity, factor in BATCHED:
+            got = batch(lefts, rights)
+            assert len(got) == len(lefts)
+            for row, a, b in zip(got, lefts, rights):
+                assert_equals_pairwise(row, a, b, parity, factor)
+            # one sum on a side serves every row
+            for row, b in zip(batch([lefts[0]] * len(rights), rights), rights):
+                assert_equals_pairwise(row, lefts[0], b, parity, factor)
+            assert batch([], []) == []
+
+
+def test_batched_pass_across_blocks(monkeypatch):
+    """Three rows over more than 2^16 pairs of strings, each side's sums
+    on the same strings of 5 qubits, run a row at a time over blocks of
+    2^16 pairs and equal the pairs one at a time."""
+    rng = random.Random(8)
+
+    def rows(strings):
+        return [OperatorSum(5, {key: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                for key in strings.terms}) for _ in range(3)]
+
+    lefts, rights = rows(random_opsum(rng, 5, 320)), rows(random_opsum(rng, 5, 320))
+    assert len(lefts[0]) * len(rights[0]) > 1 << 16
+    blocks = []
+    reduce = paulis._reduce
+    monkeypatch.setattr(paulis, "_reduce", lambda *a: blocks.append(1) or reduce(*a))
+    for batch, parity, factor in BATCHED:
+        blocks.clear()
+        got = batch(lefts, rights)
+        assert len(blocks) == 3 * -(-len(lefts[0]) * len(rights[0]) // (1 << 16))
+        for row, a, b in zip(got, lefts, rights):
+            assert_equals_pairwise(row, a, b, parity, factor)
+
+
+def test_batched_pass_at_the_term_cap(monkeypatch):
+    """The cap bounds the pairs of each row, those of the union of each
+    side's strings, as it bounds a plain product: a batch of many rows at
+    the cap runs, and one pair more is refused before any block."""
+    rng = random.Random(9)
+    lefts = [random_opsum(rng, 6, 10) for _ in range(3)]
+    rights = [random_opsum(rng, 6, 10) for _ in range(3)]
+    na = len({key for s in lefts for key in s.terms})
+    nb = len({key for s in rights for key in s.terms})
+    monkeypatch.setattr(paulis, "TERM_CAP", na * nb)
+    for batch, _, _ in BATCHED:
+        assert len(batch(lefts, rights)) == 3
+    monkeypatch.setattr(paulis, "TERM_CAP", na * nb - 1)
+    monkeypatch.setattr(paulis, "_reduce", None)  # no block may run
+    for batch, _, _ in BATCHED:
+        with pytest.raises(TermBudgetError, match=f"product of {na} x {nb} term pairs"):
+            batch(lefts, rights)
+
+
+@pytest.mark.parametrize("n", [3, 33, 65])
+def test_string_basis_commutators_equal_opsum_comm(n):
+    """Commutators of vectors over a growing list of strings, numbered by
+    their keys of one, two or three words, equal ``opsum_comm`` of the
+    sums the vectors stand for, bit for bit."""
+    rng = random.Random(300 + n)
+    h = edge_opsum(rng, n, 10)
+    start = PauliTerm(n, 1, 1 << (n - 1))
+    basis = StringBasis(start)
+    vector = np.ones(1, dtype=complex)
+    seen = [(start.x, start.z)]
+    for _ in range(5):
+        want = opsum_comm(h, OperatorSum(n, dict(zip(seen, vector.tolist()))))
+        got = basis.comm(h, vector)
+        strings = basis.strings()
+        assert len(got) == len(basis) == len(strings) and strings[:len(seen)] == seen
+        assert {s: c for s, c in zip(strings, got.tolist()) if c} == want.terms
+        seen = strings
+        vector = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                           for _ in seen])
+        vector[rng.randrange(len(seen))] = 1e-15  # at most PRUNE_TOL: left out
 
 
 def test_dense_cap():

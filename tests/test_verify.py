@@ -438,3 +438,14 @@ def test_verify_all_records_the_term_cap(monkeypatch, cap, checked):
     rep = verify_all(h5_model(1.0, 0.7, -1.3, 0.4, 2.0))
     assert rep.failure.endswith(f"exceeds cap {cap}")
     assert sorted(rep.lemma_residuals) == checked and not rep.passed()
+
+
+def test_verify_all_solves_the_energies_once(monkeypatch):
+    """The spectrum check reuses the energies the modes were built from."""
+    calls = []
+    solve = verify.single_particle_energies
+    monkeypatch.setattr(verify, "single_particle_energies",
+                        lambda poly: calls.append(1) or solve(poly))
+    rep = verify_all(chain_model(3, 3, [1.0, 0.7, 1.3]))
+    assert rep.passed() and rep.spectrum_match
+    assert len(calls) == 1
