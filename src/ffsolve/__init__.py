@@ -50,7 +50,6 @@ from .paulis import (
     opsum_comm_batch,
     opsum_mul,
     opsum_mul_batch,
-    to_dense,
 )
 from .recognition import (
     StructureReport,

@@ -36,7 +36,7 @@ from .models import (
 )
 from .recognition import HOLE_SEARCH_BUDGET, classify, find_simplicial_cliques
 from .solver import all_modes, mode_energy_gap, simplicial_extension
-from .verify import SPECTRUM_MATCH_TOL, verify_all
+from .verify import verify_all
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -172,7 +172,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     h, _ = _load_input(args)
     if h is None:
         raise ParseError("verify needs a Hamiltonian input, not a graph")
-    report = verify_all(h, hole_budget=args.budget, spectrum_tol=args.tol)
+    report = verify_all(h, hole_budget=args.budget)
     _emit(args, report.to_dict())
     if report.structure and report.structure.undecided:
         return EXIT_UNDECIDED
@@ -235,7 +235,6 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--periodic", action="store_true")
     p.add_argument("--arms", help="comma-separated arm lengths (junction)")
     p.add_argument("--seed", type=int, help="draw random couplings")
-    p.add_argument("--tol", type=float, default=SPECTRUM_MATCH_TOL)
     p.add_argument("--budget", type=int, default=HOLE_SEARCH_BUDGET,
                    help="even-hole search budget")
     p.add_argument("-o", "--output", help="write JSON here (atomic)")

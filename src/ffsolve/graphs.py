@@ -4,8 +4,8 @@ the one walk over vertex subsets.
 Adjacency is stored twice: as sorted neighbor tuples and as bitset rows
 (Python ints), since the hot loops downstream are neighborhood
 intersections.  Vertex weights are squared Hamiltonian couplings.
-``stable_sets`` walks the vertex sets with no two members joined: on the
-adjacency rows the independent sets, on the complement rows the cliques.
+``stable_sets`` walks the vertex sets with no two members joined in the
+rows it is given: on the adjacency rows, the independent sets.
 """
 
 from __future__ import annotations
@@ -123,6 +123,20 @@ def frustration_graph(hamiltonian) -> WeightedGraph:
     return WeightedGraph(n, edges, weights=weights)
 
 
+def component_count(graph: WeightedGraph) -> int:
+    """The number of connected components of ``graph``."""
+    count, left = 0, graph.full_mask
+    while left:
+        count, seen, frontier = count + 1, 0, left & -left
+        while frontier:
+            seen |= frontier
+            for v in bits(frontier):
+                frontier |= graph.adj[v]
+            frontier &= ~seen
+        left &= ~seen
+    return count
+
+
 def stable_sets(rows: Sequence[int]) -> Iterator[int]:
     """Every set of vertices 0..len(rows)-1 with no two members joined in
     ``rows``, as bitmasks; ``rows[v]`` is the bitmask of the vertices
@@ -142,9 +156,3 @@ def stable_sets(rows: Sequence[int]) -> Iterator[int]:
             candidates ^= low  # what is left lies above the new vertex
             children.append((current | low, candidates & ~rows[low.bit_length() - 1]))
         stack.extend(reversed(children))
-
-
-def all_cliques(graph: WeightedGraph) -> list[int]:
-    """All nonempty cliques as bitmasks, in the order of ``stable_sets``."""
-    complement = [graph.full_mask ^ graph.closed_adj(v) for v in range(graph.n)]
-    return [mask for mask in stable_sets(complement) if mask]

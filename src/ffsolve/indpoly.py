@@ -454,6 +454,14 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     return SingleParticleEnergies(energies, float(np.max(np.abs(t[0]) / scale[0])))
 
 
+def sign_sums(energies: SingleParticleEnergies) -> np.ndarray:
+    """The 2^alpha sums sum_k (+-e_k) over every sign pattern, ascending."""
+    sums = np.zeros(1)
+    for e in energies.flat():
+        sums = (sums[:, None] + np.array([e, -e])).ravel()
+    return np.sort(sums)
+
+
 def free_spectrum(energies: SingleParticleEnergies, n: int) -> list[tuple[float, int]]:
     """All levels sum_k (+-e_k) with uniform extra degeneracy 2^(n - alpha).
 
@@ -461,15 +469,11 @@ def free_spectrum(energies: SingleParticleEnergies, n: int) -> list[tuple[float,
     scale) are merged: sorted, a level opens at the first sum more than
     that above the sum that opened the level before.  Requires alpha <= n.
     """
-    eps = energies.flat()
-    alpha = len(eps)
+    alpha = energies.total
     if alpha > n:
         raise ValueError(f"alpha={alpha} exceeds qubit count n={n}")
     base_deg = 1 << (n - alpha)
-    sums = np.zeros(1)
-    for e in eps:
-        sums = (sums[:, None] + np.array([e, -e])).ravel()
-    sums.sort()
+    sums = sign_sums(energies)
     tol = 1e-9 * max(abs(sums[0]), abs(sums[-1]), 1e-300)
     # a gap above tol always opens a level; only a run of smaller gaps that
     # spans more than tol needs the sequential rule

@@ -67,7 +67,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DenseCapError, TermBudgetError
+from .errors import TermBudgetError
 
 PRUNE_TOL = 1e-14
 TERM_CAP = 10**7
@@ -608,13 +608,3 @@ def dense_sums(n: int, strings: Sequence[tuple[int, int]], coefs: np.ndarray) ->
         out[:, cols ^ x, cols] = coefs[:, group] @ (phase[group, None] * signs)
     return out
 
-
-def to_dense(a: OperatorSum | PauliTerm) -> np.ndarray:
-    """Dense 2^n matrix of an OperatorSum or a single PauliTerm."""
-    if isinstance(a, PauliTerm):
-        a = OperatorSum.from_term(a)
-    if a.n > DENSE_QUBIT_CAP:
-        raise DenseCapError(
-            f"dense realization of {a.n} qubits exceeds cap {DENSE_QUBIT_CAP}")
-    coefs = np.array([list(a.terms.values())], dtype=complex)
-    return dense_sums(a.n, list(a.terms), coefs)[0]

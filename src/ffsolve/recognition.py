@@ -6,9 +6,9 @@ Yannakakis, SIAM J. Comput. 13, 1984): a chordal graph has no hole at
 all.  Only a non-chordal graph reaches the exhaustive induced-path
 search, which carries a node budget and reports "undecided" instead of
 guessing when the budget runs out.  The claw search is exhaustive with
-bitset pruning.  ``classify`` looks for one simplicial clique, by size
-and stopping at the first; only ``find_simplicial_cliques`` lists them
-all.
+bitset pruning.  Simplicial cliques come from one walk over the cliques
+by size: ``classify`` stops at the first, and only
+``find_simplicial_cliques`` lists them all.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import SearchBudgetError
-from .graphs import WeightedGraph, all_cliques, bits
+from .graphs import WeightedGraph, bits
 
 HOLE_SEARCH_BUDGET = 10**8
 
@@ -164,30 +165,28 @@ def is_simplicial_clique(graph: WeightedGraph, mask: int) -> bool:
     return True
 
 
-def find_simplicial_cliques(graph: WeightedGraph) -> list[tuple[int, ...]]:
-    """All simplicial cliques, as sorted vertex tuples."""
-    return [tuple(bits(mask)) for mask in all_cliques(graph)
-            if is_simplicial_clique(graph, mask)]
-
-
-def smallest_simplicial_clique(graph: WeightedGraph) -> tuple[int, ...] | None:
-    """The first of ``min(find_simplicial_cliques(graph), key=len)``: the
-    smallest simplicial clique, lexicographically first among its size, or
-    None when there is none.
-
-    Walks the cliques by size, each size in lexicographic order: a clique
-    grows by the common neighbours above its top vertex.  The walk stops
-    at the first simplicial clique, so it lists every clique only on a
-    graph that has none.
-    """
+def _simplicial_cliques(graph: WeightedGraph) -> Iterator[tuple[int, ...]]:
+    """The simplicial cliques as sorted tuples, by size, then
+    lexicographically, from a walk over every clique: a clique grows by the
+    common neighbours above its top vertex."""
     level = [(1 << v, graph.adj[v] & ~((2 << v) - 1)) for v in range(graph.n)]
     while level:
         for mask, _ in level:
             if is_simplicial_clique(graph, mask):
-                return tuple(bits(mask))
+                yield tuple(bits(mask))
         level = [(mask | 1 << w, above & graph.adj[w] & ~((2 << w) - 1))
                  for mask, above in level for w in bits(above)]
-    return None
+
+
+def find_simplicial_cliques(graph: WeightedGraph) -> list[tuple[int, ...]]:
+    """All simplicial cliques as sorted tuples, by size, then lexicographically."""
+    return list(_simplicial_cliques(graph))
+
+
+def smallest_simplicial_clique(graph: WeightedGraph) -> tuple[int, ...] | None:
+    """The first of ``find_simplicial_cliques(graph)``, or None; the walk
+    lists every clique only on a graph that has no simplicial one."""
+    return next(_simplicial_cliques(graph), None)
 
 
 def _equal_rows(rows) -> list[tuple[int, int]]:

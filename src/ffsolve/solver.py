@@ -40,8 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, DegenerateModeError, NotSimplicialError
-from .graphs import WeightedGraph, frustration_graph, stable_sets
+from .errors import ConditioningError, DegenerateModeError, FFSolveError, NotSimplicialError
+from .graphs import WeightedGraph, component_count, frustration_graph, stable_sets
 from .indpoly import SingleParticleEnergies, weighted_independence_polynomial
 from .models import Hamiltonian
 from .paulis import (
@@ -190,7 +190,8 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm,
               energies: SingleParticleEnergies) -> list[IncognitoMode]:
     """Mode j of every energy e_j, as the Ritz vector at 2 e_j of Lanczos
     on [H, .].  Every energy must be simple: a repeated energy has a plane
-    of modes, and N_j vanishes there.
+    of modes, and N_j vanishes there.  The frustration graph must be
+    connected: chi's Krylov space holds the modes of its own component only.
 
     The couplings are divided by ``scale``, the power of two just above the
     largest |coupling| (exact), so that neither ``PRUNE_TOL`` nor the
@@ -204,6 +205,10 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm,
     scale = math.ldexp(1.0, math.frexp(max(abs(c) for c, _ in hext.terms))[1])
     hext = Hamiltonian(hext.n, tuple((c / scale, t) for c, t in hext.terms))
     graph = frustration_graph(hext)
+    parts = component_count(graph)
+    if parts > 1:
+        raise FFSolveError(f"the frustration graph has {parts} connected components; chi "
+                           "reaches the modes of one only, so modes are refused")
     poly = weighted_independence_polynomial(graph)
     ks = clique_from_mode(hext, chi)
     if not ks:

@@ -20,7 +20,7 @@ from .errors import ComplexRootError, DenseCapError, FFSolveError, TermBudgetErr
 from .graphs import frustration_graph
 from .indpoly import (
     SingleParticleEnergies,
-    free_spectrum,
+    sign_sums,
     single_particle_energies,
     weighted_independence_polynomial,
 )
@@ -43,16 +43,10 @@ from .solver import (
 
 SPECTRUM_CLUSTER_TOL = 1e-9
 SPECTRUM_MATCH_TOL = 1e-8
+_SPECTRUM_TOLERANCES = {"spectrum_match": SPECTRUM_MATCH_TOL,
+                        "degeneracy_uniform": SPECTRUM_CLUSTER_TOL}
 DEFAULT_U_GRID = (0.1, -0.1, 0.37, -0.37, 0.9, -0.9, 1.5, -1.5)
 _PHASES = (1.0, 1.0j, -1.0, -1.0j)  # i^k at index k
-
-
-def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """(mean, count) of each run of sorted values whose gaps are at most tol."""
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1, [len(values)]))
-    counts = np.diff(bounds)
-    means = np.add.reduceat(values, bounds[:-1]) / counts
-    return list(zip(means.tolist(), counts.tolist()))
 
 
 def _omega(u: int, v: int, n: int) -> int:
@@ -110,9 +104,9 @@ def symmetry_generators(h: Hamiltonian) -> list[int]:
     return [u for u, _ in pairs] + unpaired
 
 
-def brute_force_spectrum(h: Hamiltonian) -> list[tuple[float, int]]:
-    """Sorted eigenvalues with multiplicities, from exact diagonalization
-    in every Pauli-symmetry sector.
+def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
+    """The 2^n eigenvalues, ascending, from exact diagonalization in every
+    Pauli-symmetry sector.
 
     The s generators a_0..a_{s-1} of ``symmetry_generators(h)`` are
     commuting symmetries.  Symplectic Gram-Schmidt extends
@@ -130,8 +124,8 @@ def brute_force_spectrum(h: Hamiltonian) -> list[tuple[float, int]]:
     more than the 4^DENSE_QUBIT_CAP entries of one matrix at the cap.  Every
     block self-checks the reduction: tr(H_lambda) is 2^m times its identity
     coefficient, tr(H_lambda^2) is 2^m times the sum of its squared
-    coefficients, and every reduced coefficient is real.  Clustering happens
-    after scaling to unit largest coupling so the tolerance is scale-free.
+    coefficients, and every reduced coefficient is real.  The blocks are
+    built at unit largest coupling, so the self-check tolerance is scale-free.
     """
     n = h.n
     generators = symmetry_generators(h)
@@ -198,8 +192,7 @@ def brute_force_spectrum(h: Hamiltonian) -> list[tuple[float, int]]:
         if np.abs((np.abs(blocks) ** 2).sum(axis=(1, 2)) - square).max() > tol:
             raise FFSolveError("oracle self-check failed: tr(H^2) of a sector block")
         evals.append(np.linalg.eigvalsh(blocks).ravel())
-    levels = _cluster(np.sort(np.concatenate(evals)), SPECTRUM_CLUSTER_TOL)
-    return [(v * scale, mult) for v, mult in levels]
+    return np.sort(np.concatenate(evals)) * scale
 
 
 @dataclass
@@ -254,18 +247,25 @@ class VerificationReport:
         }
 
 
-def verify_free(h: Hamiltonian, match_tol: float = SPECTRUM_MATCH_TOL,
+def verify_free(h: Hamiltonian,
                 energies: SingleParticleEnergies | None = None) -> VerificationReport:
     """Compare the brute-force spectrum against the synthesized free one.
 
+    Each sign pattern of the alpha energies holds 2^(n - alpha) states, so
+    the 2^n sorted eigenvalues, 2^(n - alpha) at a time, face the 2^alpha
+    sorted sign sums sum_k (+-e_k).  ``max_level_deviation``, the largest
+    |eigenvalue - its sign sum| over the largest |coupling|, must be below
+    SPECTRUM_MATCH_TOL for ``spectrum_match``, and each group of eigenvalues
+    must spread over at most SPECTRUM_CLUSTER_TOL of that scale for
+    ``degeneracy_uniform``.
+
     Refuses (reports not-applicable) when the frustration graph is not
     ECF.  The energies are solved for unless ``energies`` gives them.  The
-    report records the oracle's symmetry
-    generators s and block size n - s in qubits; above the oracle's caps it
-    keeps the synthesized energies and names the cap in ``failure``.
+    report records the oracle's symmetry generators s and block size n - s
+    in qubits; above the oracle's caps it keeps the synthesized energies
+    and names the cap in ``failure``, as it names alpha > n.
     """
-    report = VerificationReport()
-    report.tolerances["spectrum_match"] = match_tol
+    report = VerificationReport(tolerances=dict(_SPECTRUM_TOLERANCES))
     t0 = time.perf_counter()
     graph = frustration_graph(h)
     report.structure = classify(graph)
@@ -285,8 +285,12 @@ def verify_free(h: Hamiltonian, match_tol: float = SPECTRUM_MATCH_TOL,
             report.timings["energies"] = time.perf_counter() - t0
             return report
     report.energies = list(energies.energies)
-    synth = free_spectrum(energies, h.n)
     report.timings["energies"] = time.perf_counter() - t0
+    if energies.total > h.n:
+        report.spectrum_match = False
+        report.failure = (f"alpha={energies.total} exceeds qubit count n={h.n}: "
+                          f"{1 << energies.total} sign patterns for {1 << h.n} states")
+        return report
 
     t0 = time.perf_counter()
     report.symmetry_generators = len(symmetry_generators(h))
@@ -299,27 +303,18 @@ def verify_free(h: Hamiltonian, match_tol: float = SPECTRUM_MATCH_TOL,
     report.timings["diagonalize"] = time.perf_counter() - t0
 
     scale = max(abs(c) for c in h.couplings())
-    if len(brute) != len(synth):
-        report.spectrum_match = False
-        report.degeneracy_uniform = False
-        report.failure = (f"level count mismatch: oracle {len(brute)}, "
-                          f"synthesized {len(synth)}")
-        return report
-    max_dev = max(abs(b[0] - s[0]) / scale for b, s in zip(brute, synth))
-    degs_ok = all(b[1] == s[1] for b, s in zip(brute, synth))
-    # each sign pattern of the alpha energies holds 2^(n - alpha) states, and
-    # patterns whose sums coincide share a level
-    uniform = all(m % (1 << (h.n - energies.total)) == 0 for _, m in brute)
-    report.max_level_deviation = max_dev
-    report.spectrum_match = bool(max_dev < match_tol and degs_ok)
-    report.degeneracy_uniform = bool(uniform and degs_ok)
-    if not report.spectrum_match:
+    sums = sign_sums(energies)
+    groups = brute.reshape(len(sums), -1)  # a row of 2^(n - alpha) states per sign sum
+    report.max_level_deviation = float(np.abs(groups - sums[:, None]).max() / scale)
+    report.spectrum_match = report.max_level_deviation < SPECTRUM_MATCH_TOL
+    spread = (groups[:, -1] - groups[:, 0]).max()
+    report.degeneracy_uniform = bool(spread <= SPECTRUM_CLUSTER_TOL * scale)
+    if not (report.spectrum_match and report.degeneracy_uniform):
         report.failure = "spectrum deviation or degeneracy mismatch"
     return report
 
 
-def verify_all(h: Hamiltonian, hole_budget: int | None = None,
-               spectrum_tol: float = SPECTRUM_MATCH_TOL) -> VerificationReport:
+def verify_all(h: Hamiltonian, hole_budget: int | None = None) -> VerificationReport:
     """Full pipeline: classify, charges, transfer factorization, simplicial
     extension, fundamental identity, modes, CAR, reconstruction, the modes'
     Lanczos energies and T(u_j) psi_j = 0, spectrum.
@@ -339,17 +334,16 @@ def verify_all(h: Hamiltonian, hole_budget: int | None = None,
         "reconstruction": 1e-8,
         "lanczos_energy": 1e-8,
         "zero_eigenvector": 1e-8,
-        "spectrum_match": spectrum_tol,
+        **_SPECTRUM_TOLERANCES,
     })
     try:
-        _check_all(h, report, hole_budget, spectrum_tol)
+        _check_all(h, report, hole_budget)
     except TermBudgetError as exc:
         report.failure = str(exc)
     return report
 
 
-def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int | None,
-               spectrum_tol: float) -> None:
+def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int | None) -> None:
     """The checks of ``verify_all``, recorded in ``report`` as they run."""
     graph = frustration_graph(h)
     t0 = time.perf_counter()
@@ -412,7 +406,7 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int | No
         report.failure = f"mode construction: {exc}"
         return
 
-    free = verify_free(h, match_tol=spectrum_tol, energies=energies)
+    free = verify_free(h, energies=energies)
     report.spectrum_match = free.spectrum_match
     report.max_level_deviation = free.max_level_deviation
     report.degeneracy_uniform = free.degeneracy_uniform

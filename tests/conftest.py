@@ -16,12 +16,20 @@ import numpy as np
 
 from ffsolve import chains, indpoly
 from ffsolve.chains import ChainSpec, elementary_symmetric
+from ffsolve.errors import DenseCapError
 from ffsolve.graphs import WeightedGraph, bits, frustration_graph, stable_sets
 from ffsolve.indpoly import IndependencePolynomial, weighted_independence_polynomial
 from ffsolve.models import back_to_back_model
-from ffsolve.paulis import PRUNE_TOL, OperatorSum, PauliTerm, multiply, to_dense
+from ffsolve.paulis import (
+    DENSE_QUBIT_CAP,
+    PRUNE_TOL,
+    OperatorSum,
+    PauliTerm,
+    dense_sums,
+    multiply,
+)
 from ffsolve.recognition import classify
-from ffsolve.verify import SPECTRUM_MATCH_TOL, brute_force_spectrum
+from ffsolve.verify import SPECTRUM_CLUSTER_TOL, SPECTRUM_MATCH_TOL, brute_force_spectrum
 
 EPS = float(np.finfo(float).eps)
 
@@ -238,16 +246,17 @@ def chain_values_every_k(e, n_cells: int, ws: np.ndarray):
 
 def free_spectrum_matches(h) -> bool:
     """The comparison of ``verify.verify_free`` on any frustration graph,
-    ECF or not: the free spectrum built from the roots of P against the
-    oracle, level by level, degeneracies included."""
+    ECF or not: the 2^n sorted eigenvalues of the oracle, 2^(n - alpha)
+    at a time, against the sorted sign sums of the roots of P."""
     energies = indpoly.single_particle_energies(
         weighted_independence_polynomial(frustration_graph(h)))
-    synth = indpoly.free_spectrum(energies, h.n)
+    sums = indpoly.sign_sums(energies)
     brute = brute_force_spectrum(h)
+    if len(brute) % len(sums):
+        return False
     scale = max(abs(c) for c in h.couplings())
-    return len(brute) == len(synth) and all(
-        abs(b - s) / scale < SPECTRUM_MATCH_TOL and bm == sm
-        for (b, bm), (s, sm) in zip(brute, synth))
+    return bool(np.abs(brute.reshape(len(sums), -1) - sums[:, None]).max() / scale
+                < SPECTRUM_MATCH_TOL)
 
 
 def verify_nonexample_equal_couplings() -> dict:
@@ -262,6 +271,29 @@ def verify_nonexample_equal_couplings() -> dict:
         "claw_found": structure.claw_witness is not None,
         "even_hole_found": structure.even_hole_witness is not None,
     }
+
+
+def to_dense(a: OperatorSum | PauliTerm) -> np.ndarray:
+    """Dense 2^n matrix of an OperatorSum or a single PauliTerm."""
+    if isinstance(a, PauliTerm):
+        a = OperatorSum.from_term(a)
+    if a.n > DENSE_QUBIT_CAP:
+        raise DenseCapError(
+            f"dense realization of {a.n} qubits exceeds cap {DENSE_QUBIT_CAP}")
+    coefs = np.array([list(a.terms.values())], dtype=complex)
+    return dense_sums(a.n, list(a.terms), coefs)[0]
+
+
+def oracle_levels(h) -> list[tuple[float, int]]:
+    """(mean, count) of each run of the eigenvalues of
+    ``verify.brute_force_spectrum`` whose gaps are at most
+    SPECTRUM_CLUSTER_TOL of the largest |coupling|."""
+    values = brute_force_spectrum(h)
+    tol = SPECTRUM_CLUSTER_TOL * max(abs(c) for c in h.couplings())
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1, [len(values)]))
+    counts = np.diff(bounds)
+    means = np.add.reduceat(values, bounds[:-1]) / counts
+    return list(zip(means.tolist(), counts.tolist()))
 
 
 def full_matrix_spectrum(h) -> np.ndarray:

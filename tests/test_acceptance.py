@@ -18,6 +18,7 @@ from conftest import (
     naive_has_claw,
     naive_has_even_hole,
     random_graph,
+    to_dense,
     verify_clique_recurrence,
     verify_nonexample_equal_couplings,
 )
@@ -31,7 +32,7 @@ from ffsolve.models import (
     h6_model,
     junction_model,
 )
-from ffsolve.paulis import OperatorSum, opsum_comm, opsum_mul, to_dense
+from ffsolve.paulis import OperatorSum, opsum_comm, opsum_mul
 from ffsolve.recognition import classify, find_claw, find_even_hole, smallest_simplicial_clique
 from ffsolve.solver import (
     all_modes,

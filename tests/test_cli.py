@@ -146,6 +146,43 @@ def test_verify_exit_undecided(capsys):
     assert code == 3
 
 
+def test_modes_refused_on_a_disconnected_graph(tmp_path, capsys):
+    """Two decoupled pairs: the energies come out, and the modes, which
+    chi's Krylov space reaches in one component only, are refused with a
+    message that names the components, by ``solve --modes`` and ``verify``."""
+    p = tmp_path / "pairs.ham"
+    p.write_text("1.0 X0 X1\n0.7 Y1 Y2\n1.3 X3 X4\n0.4 Y4 Y5\n")
+    code, doc = run_json(capsys, "solve", str(p))
+    assert code == 0
+    assert [e for e, _ in doc["result"]["energies"]] == pytest.approx(
+        [math.hypot(1.0, 0.7), math.hypot(1.3, 0.4)], rel=1e-12)
+    code = main(["solve", "--modes", str(p)])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith("error: the frustration graph has 2 connected components")
+    code, doc = run_json(capsys, "verify", str(p))
+    assert code == 1
+    assert doc["result"]["failure"] == "mode construction: " + err[len("error: "):].strip()
+
+
+def test_verify_records_alpha_above_the_qubit_count(tmp_path, capsys):
+    """An ECF graph, connected, with three commuting terms on two qubits:
+    the operator identities hold on the extended system, but 2^3 sign
+    patterns cannot share 4 states, and verify says so instead of raising."""
+    p = tmp_path / "dependent.ham"
+    p.write_text("1.0 Z0\n0.7 Z1\n0.5 Z0 Z1\n0.9 X0 X1\n0.6 Y0\n")
+    code, doc = run_json(capsys, "verify", str(p))
+    assert code == 1
+    assert doc["result"]["structure"]["ecf"] is True and len(doc["result"]["energies"]) == 3
+    assert doc["result"]["failure"].startswith("alpha=3 exceeds qubit count n=2")
+
+
+def test_analyze_lists_cliques_by_size_then_lexicographically(capsys):
+    _, doc = run_json(capsys, "analyze", "--model", "h6")
+    assert doc["result"]["structure"]["simplicial_cliques"] == [
+        [0, 1], [0, 4], [3, 4], [1, 2, 5], [2, 3, 5]]
+
+
 def test_graph_and_realization_give_same_energies(tmp_path, capsys):
     gfile = tmp_path / "g.graph"
     gfile.write_text("p 5\nv 0 1.0\nv 1 2.0\nv 2 0.5\nv 3 1.5\nv 4 0.8\n"
@@ -194,11 +231,11 @@ def test_error_exit_code(capsys, tmp_path):
 def test_config_embedded_everywhere(capsys):
     _, doc = run_json(capsys, "analyze", "--model", "h6")
     cfg = doc["config"]
-    assert {"command", "model", "tol", "budget", "seed"} <= set(cfg)
+    assert {"command", "model", "budget", "seed"} <= set(cfg)
 
 
 MODEL_OPTIONS = {"command", "input", "model", "couplings", "n_cells", "k", "periodic",
-                 "arms", "seed", "tol", "budget", "output"}
+                 "arms", "seed", "budget", "output"}
 
 
 @pytest.mark.parametrize("command", ["analyze", "solve", "verify"])

@@ -25,7 +25,6 @@ PACKAGE = ROOT / "src" / "ffsolve"
 
 # package definitions that no code of the package names, and why they stay
 TEST_ONLY_ALLOWED = {
-    "to_dense": "the benchmark's tracer derives paulis.dense_dim_max from its calls",
     "opsum_anticomm": "the benchmark's tracer counts paulis.term_pairs over its calls",
     "h5_model": "documented model: the five-term three-qubit example",
     "h6_model": "documented model, and the README library sketch builds it",

@@ -3,14 +3,15 @@
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import cycle_graph, maximal_cliques, random_graph
+from conftest import cycle_graph, maximal_cliques, random_graph, to_dense
 from ffsolve.graphs import (
     WeightedGraph,
-    all_cliques,
     bits,
+    component_count,
     frustration_graph,
     stable_sets,
 )
@@ -21,7 +22,7 @@ from ffsolve.models import (
     h6_model,
     junction_model,
 )
-from ffsolve.paulis import OperatorSum, to_dense
+from ffsolve.paulis import OperatorSum
 
 
 def test_simple_graph_invariants():
@@ -170,4 +171,15 @@ def test_stable_sets_against_itertools():
             for mask in got[1:]:
                 parent = mask ^ (1 << (mask.bit_length() - 1))
                 assert position[parent] < position[mask]
-        assert all_cliques(g) == list(stable_sets(complement))[1:]
+
+
+def test_component_count_against_networkx():
+    rng = random.Random(60)
+    counts = set()
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.0, 0.5))
+        ref = nx.Graph(g.edges())
+        ref.add_nodes_from(range(g.n))
+        assert component_count(g) == nx.number_connected_components(ref)
+        counts.add(component_count(g))
+    assert {0, 1} < counts and max(counts) >= 4

@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import pairwise_product
+from conftest import pairwise_product, to_dense
 from ffsolve import paulis
 from ffsolve.errors import DenseCapError, TermBudgetError
 from ffsolve.paulis import (
@@ -21,7 +21,6 @@ from ffsolve.paulis import (
     opsum_comm_batch,
     opsum_mul,
     opsum_mul_batch,
-    to_dense,
 )
 
 I2 = np.eye(2)

@@ -135,25 +135,28 @@ def test_h6_maximal_cliques_all_simplicial():
         assert tuple(clique) in simp
 
 
+def _naive_simplicial_cliques(g):
+    """Every simplicial clique by the brute-force definition, by size and
+    each size in lexicographic order."""
+    return (sub for size in range(1, g.n + 1)
+            for sub in itertools.combinations(range(g.n), size)
+            if naive_is_simplicial_clique(g, sub))
+
+
 def test_simplicial_cliques_against_naive():
+    """The listing of ``analyze``: every simplicial clique, by size, then
+    lexicographically."""
     rng = random.Random(41)
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 7), 0.45)
-        got = set(find_simplicial_cliques(g))
-        naive = set()
-        for size in range(1, g.n + 1):
-            for sub in itertools.combinations(range(g.n), size):
-                if naive_is_simplicial_clique(g, sub):
-                    naive.add(sub)
-        assert got == naive
+        assert find_simplicial_cliques(g) == list(_naive_simplicial_cliques(g))
 
 
 def _assert_smallest_is_first_minimal(g):
-    """The search returns the first clique of minimal size in the listing
-    order of ``find_simplicial_cliques``, or None when the list is empty."""
-    listed = find_simplicial_cliques(g)
+    """The search returns the first simplicial clique of the brute-force
+    enumeration by size, then lexicographically, or None when it finds none."""
     got = smallest_simplicial_clique(g)
-    assert got == (min(listed, key=len) if listed else None)
+    assert got == next(_naive_simplicial_cliques(g), None)
     return got
 
 
@@ -184,11 +187,7 @@ def test_smallest_simplicial_clique_against_naive():
     rng = random.Random(59)
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8))
-        got = smallest_simplicial_clique(g)
-        first = next((sub for size in range(1, g.n + 1)
-                      for sub in itertools.combinations(range(g.n), size)
-                      if naive_is_simplicial_clique(g, sub)), None)
-        assert got == first
+        assert smallest_simplicial_clique(g) == next(_naive_simplicial_cliques(g), None)
 
 
 def test_twin_scans_against_pairwise_definitions():

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import maximal_cliques, naive_has_claw, per_set_charges, random_graph
-from ffsolve import paulis
-from ffsolve.errors import ConditioningError, DegenerateModeError, NotSimplicialError
+from conftest import maximal_cliques, naive_has_claw, per_set_charges, random_graph, to_dense
+from ffsolve import paulis, solver
+from ffsolve.errors import ConditioningError, DegenerateModeError, FFSolveError, NotSimplicialError
 from ffsolve.graphs import frustration_graph, stable_sets
 from ffsolve.indpoly import (
     SingleParticleEnergies,
@@ -21,9 +21,10 @@ from ffsolve.models import (
     h5_model,
     h6_model,
     junction_model,
+    parse_hamiltonian,
     realize_graph,
 )
-from ffsolve.paulis import OperatorSum, PauliTerm, commutes, opsum_comm, opsum_mul, to_dense
+from ffsolve.paulis import OperatorSum, PauliTerm, commutes, opsum_comm, opsum_mul
 from ffsolve.recognition import find_simplicial_cliques, smallest_simplicial_clique
 from ffsolve.solver import (
     IncognitoMode,
@@ -423,6 +424,23 @@ def test_mode_construction_refuses_repeated_roots():
         all_modes(hext, chi, energies)
     with pytest.raises(DegenerateModeError):
         higher_hamiltonian(h, 2, energies)
+
+
+def test_mode_construction_refuses_a_disconnected_graph(monkeypatch):
+    """Two decoupled pairs: chi's Krylov space holds the modes of its own
+    component only, so the modes are refused, before any Lanczos step,
+    with a message that names the components."""
+    h = parse_hamiltonian("1.0 X0 X1\n0.7 Y1 Y2\n1.3 X3 X4\n0.4 Y4 Y5\n")
+    g = frustration_graph(h)
+    energies = single_particle_energies(weighted_independence_polynomial(g))
+    hext, chi = simplicial_extension(h, smallest_simplicial_clique(g))
+
+    def refuse(*args):
+        raise AssertionError("Lanczos ran on a disconnected graph")
+
+    monkeypatch.setattr(solver, "_lanczos", refuse)
+    with pytest.raises(FFSolveError, match="has 2 connected components"):
+        all_modes(hext, chi, energies)
 
 
 def test_higher_hamiltonian_k1_is_h():

@@ -5,10 +5,11 @@ import random
 
 import numpy as np
 import pytest
-from conftest import full_matrix_spectrum, verify_nonexample_equal_couplings
+from conftest import full_matrix_spectrum, oracle_levels, verify_nonexample_equal_couplings
 
 from ffsolve import graphs, paulis, solver, verify
 from ffsolve.errors import DenseCapError
+from ffsolve.indpoly import SingleParticleEnergies, sign_sums
 from ffsolve.models import (
     Hamiltonian,
     back_to_back_model,
@@ -28,7 +29,6 @@ from ffsolve.solver import (
     transfer_factorization_residual,
 )
 from ffsolve.verify import (
-    SPECTRUM_CLUSTER_TOL,
     brute_force_spectrum,
     symmetry_generators,
     verify_all,
@@ -51,7 +51,7 @@ def z_everywhere(n: int) -> Hamiltonian:
 
 def test_brute_force_single_z():
     h = Hamiltonian.from_pairs([(1.0, PauliTerm.from_ops(1, {0: "Z"}))])
-    assert brute_force_spectrum(h) == [(-1.0, 1), (1.0, 1)]
+    assert brute_force_spectrum(h).tolist() == [-1.0, 1.0]
 
 
 def test_brute_force_two_level():
@@ -62,14 +62,13 @@ def test_brute_force_two_level():
     ])
     spec = brute_force_spectrum(h)
     expect = np.sqrt(a * a + b * b)
-    assert len(spec) == 2
-    assert abs(spec[0][0] + expect) < 1e-12 and abs(spec[1][0] - expect) < 1e-12
+    assert np.abs(spec - [-expect, expect]).max() < 1e-12
 
 
 def test_brute_force_h6_pairing():
     rng = random.Random(55)
     h = h6_model(*[rng.choice([-1, 1]) * rng.uniform(0.5, 1.5) for _ in range(6)])
-    spec = brute_force_spectrum(h)
+    spec = oracle_levels(h)
     # 8 eigenvalues in 4 levels of the form +-e1 +-e2, each doubled
     assert len(spec) == 4
     assert all(m == 2 for _, m in spec)
@@ -123,25 +122,75 @@ def test_verify_accepts_coinciding_sign_sums():
     e1, e2, e3 = (e for e, _ in rep.energies)
     assert abs(e1 + e2 - e3) < 1e-14
     # -e1 - e2 + e3 = e1 + e2 - e3 = 0: the middle level holds 2 x 4 states
-    assert [m for _, m in brute_force_spectrum(h)] == [4, 4, 4, 8, 4, 4, 4]
+    assert [m for _, m in oracle_levels(h)] == [4, 4, 4, 8, 4, 4, 4]
     assert rep.spectrum_match and rep.degeneracy_uniform
     assert rep.passed()
 
 
-@pytest.mark.parametrize("also_synthesized", [False, True])
-def test_degeneracy_uniform_fails_on_a_wrong_multiplicity(monkeypatch, also_synthesized):
-    """An oracle level of 6 states fails, 6 not being a multiple of
-    2^(n - alpha) = 4, even when the synthesized spectrum agrees with it."""
+def test_verify_passes_on_sign_sums_3e_9_apart():
+    """On chain 5x2 at (1, 0.6346352959744468) four pairs of sign sums lie
+    3.0e-9 apart: more than 1e-9 of the largest coupling, the oracle's
+    resolution, and less than 1e-9 of the largest sum (5.6e-9).  Levels
+    grouped by those two rules numbered 32 and 28; eigenvalues matched to
+    sign sums agree to 1e-14."""
+    h = chain_model(5, 2, [1.0, 0.6346352959744468])
+    rep = verify_all(h)
+    gaps = np.diff(sign_sums(SingleParticleEnergies(tuple(rep.energies), 0.0)))
+    assert np.count_nonzero((gaps > 2.9e-9) & (gaps < 3.1e-9)) == 4
+    assert rep.passed(), rep.failure
+    assert rep.max_level_deviation < 1e-13 and rep.degeneracy_uniform
+
+
+def _with_oracle(monkeypatch, h, change):
+    """``verify_free(h)`` on the oracle's eigenvalues after ``change``
+    (in place, in units of the largest |coupling|)."""
+    scale = max(abs(c) for c in h.couplings())
+    eigs = brute_force_spectrum(h) / scale
+    change(eigs)
+    monkeypatch.setattr(verify, "brute_force_spectrum", lambda _: eigs * scale)
+    return verify_free(h)
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_degeneracy_uniform_fails_on_a_wrong_multiplicity(monkeypatch, one_sided):
+    """The 2^(n - alpha) = 4 states of the lowest sign pattern of P5, split
+    in two pairs, fail degeneracy_uniform: split by 1e-8 of the scale about
+    their sign sum, where each lies within SPECTRUM_MATCH_TOL of it, or by
+    2e-8 above it, where two do not."""
     h = parse_hamiltonian(P5_COINCIDING_SUMS)
-    levels = brute_force_spectrum(h)
-    (v0, _), (v1, m1) = levels[:2]
-    wrong = [(v0, 6), (v1, m1 + 2)] + levels[2:]
-    monkeypatch.setattr(verify, "brute_force_spectrum", lambda _: wrong)
-    if also_synthesized:
-        monkeypatch.setattr(verify, "free_spectrum", lambda *_: wrong)
-    rep = verify_free(h)
-    assert rep.spectrum_match is also_synthesized
+
+    def split(eigs):
+        if one_sided:
+            eigs[2:4] += 2e-8
+        else:
+            eigs[:2] -= 5e-9
+            eigs[2:4] += 5e-9
+
+    rep = _with_oracle(monkeypatch, h, split)
+    assert rep.spectrum_match is not one_sided
     assert rep.degeneracy_uniform is False
+    assert not rep.passed() and rep.failure
+
+
+def test_spectrum_match_fails_on_one_eigenvalue_off_by_1e_7(monkeypatch):
+    h = parse_hamiltonian(P5_COINCIDING_SUMS)
+
+    def move_top(eigs):
+        eigs[-1] += 1e-7
+
+    rep = _with_oracle(monkeypatch, h, move_top)
+    assert rep.spectrum_match is False
+    assert 0.99e-7 < rep.max_level_deviation < 1.01e-7
+    assert not rep.passed()
+
+
+def test_verify_free_records_alpha_above_the_qubit_count():
+    """Three commuting terms on two qubits have alpha = 3: 2^3 sign
+    patterns cannot share 2^2 states, and the report says so."""
+    rep = verify_free(parse_hamiltonian("1.0 Z0\n0.7 Z1\n0.5 Z0 Z1\n"))
+    assert rep.applicable and rep.spectrum_match is False
+    assert [e for e, _ in rep.energies] == pytest.approx([0.5, 0.7, 1.0])
+    assert rep.failure.startswith("alpha=3 exceeds qubit count n=2")
     assert not rep.passed()
 
 
@@ -199,8 +248,7 @@ def test_verify_free_level_count():
     rng = random.Random(23)
     for _ in range(5):
         h = h5_model(*[rng.choice([-1, 1]) * rng.uniform(0.4, 1.6) for _ in range(5)])
-        spec = brute_force_spectrum(h)
-        assert len(spec) <= 4
+        assert len(oracle_levels(h)) <= 4
 
 
 # -- the oracle per symmetry sector ------------------------------------------
@@ -248,12 +296,8 @@ def _assert_matches_full_matrix(h):
     scale = max(abs(c) for c in h.couplings())
     want = full_matrix_spectrum(h)
     got = brute_force_spectrum(h)
-    assert sum(m for _, m in got) == 1 << h.n
-    # the same levels with the same multiplicities as the full matrix
-    expanded = np.repeat([v for v, _ in got], [m for _, m in got])
-    assert np.abs(expanded - want).max() <= 1e-12 * scale
-    gaps = np.flatnonzero(np.diff(want) > SPECTRUM_CLUSTER_TOL * scale)
-    assert [m for _, m in got] == np.diff(np.concatenate(([0], gaps + 1, [len(want)]))).tolist()
+    assert got.shape == (1 << h.n,)
+    assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 def test_oracle_matches_full_matrix_on_random_hamiltonians():
