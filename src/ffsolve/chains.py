@@ -10,10 +10,11 @@ roots to rounding beyond a dozen or so cells, and with the Newton step
 of its last row, whose w-derivative runs alongside it.  The couplings are
 first scaled by a power of four to a sum in [1, 4), which is exact and
 bounds the growth of a row, so the recursion is rescaled only every
-RESCALE_ROWS rows; the first sweep cuts at points spread like the levels
-of a gapless band and at powers of two toward 0.  Dispersion relations
-and gap scans are finite-N: the spectrum is computed at two sizes and the
-trend decides gapless vs gapped.
+RESCALE_ROWS rows; the first sweep cuts at 2N points spread like the
+levels of a gapless band and at powers of two toward 0.  The residual is
+read from values the sweeps computed, at the ends of the final brackets.
+Dispersion relations and gap scans are finite-N: the spectrum is computed
+at two sizes and the trend decides gapless vs gapped.
 """
 
 from __future__ import annotations
@@ -117,16 +118,20 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     count; levels that rounding cannot split, as in dimerized chains,
     share one bracket and come back as one energy with multiplicity.
     Each bracket gives one energy at its midpoint.  The residual is the
-    largest normalized boundary value |v_{N+1}| / max_s |v_s| at the
-    returned roots.
+    largest normalized boundary value |v_{N+1}| / max_s |v_s| at the ends
+    of the final brackets, which lie within ROOT_REL_TOL of the returned
+    roots; the sweeps computed it there, so it costs no pass of its own.
+    An end at 0 or at the upper end of the search, never evaluated, takes
+    the value at the other end of its bracket.
 
     The chain solved is the one with b2 / 4^j, where the power of four
     puts sum(b2) / 4^j in [1, 4), which keeps ``chain_values`` in float
     range; its energies are 2^-j times these, exactly.  The first sweep
-    cuts at N points spaced like the arcsine density of a gapless band,
-    and at 2^-2 .. 2^-59 of the largest possible root, so that it
-    separates most levels, the lowest of a gapless chain included.  With
-    every coupling 0 the one level is 0, of multiplicity N, at once.
+    cuts at 2N points spaced like the arcsine density of a gapless band,
+    twice as dense as its N levels, and at 2^-2 .. 2^-59 of the largest
+    possible root, so that it separates most levels, the lowest of a
+    gapless chain included.  With every coupling 0 the one level is 0,
+    of multiplicity N, at once.
     """
     if not any(spec.b2):
         return SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
@@ -134,19 +139,29 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     e = elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2])
     n = spec.n_cells
 
+    points, boundary = [], []  # every point evaluated, and |v_{N+1}| / top there
+
     def evaluate(ws):
-        v, step, _ = chain_values(e, n, ws)
-        return sign_changes(v), step
+        v, step, top = chain_values(e, n, ws)
+        points.append(ws)
+        boundary.append(np.abs(v[-1]) / top)
+        # at a multiple root that is a float the step is 0 / 0; it is 0
+        return sign_changes(v), np.where(v[-1] == 0, 0.0, step)
 
     # Gershgorin: no eigenvalue of the recursion matrix exceeds its row sum
     hi = sum(e)
-    band = np.sin(np.arange(1, n + 1) * (0.5 * np.pi / (n + 1))) ** 2
+    band = np.sin(np.arange(1, 2 * n + 1) * (0.5 * np.pi / (2 * n + 1))) ** 2
     first = hi * np.sort(np.concatenate([band, np.exp2(-np.arange(2.0, 60.0))]))
     lo, up, m = roots_by_count(evaluate, n, hi, first)
-    ws = 0.5 * (lo + up)
-    v, _, top = chain_values(e, n, ws)
-    residual = float(np.max(np.abs(v[-1]) / np.maximum(top, 1e-300)))
-    energies = tuple((math.ldexp(math.sqrt(w), j), int(c)) for w, c in zip(ws, m))
+    # the bracket ends among the points evaluated: 0 and hi never are, so a
+    # bracket there reads its other end (np.isin would import numpy.ma, 1 MB)
+    points, boundary = np.concatenate(points), np.concatenate(boundary)
+    ends = np.concatenate([lo, up])
+    order = np.argsort(points)
+    at = order[np.minimum(np.searchsorted(points, ends, sorter=order), len(order) - 1)]
+    residual = float(np.max(boundary[at][points[at] == ends]))
+    energies = tuple((math.ldexp(math.sqrt(w), j), int(c))
+                     for w, c in zip(0.5 * (lo + up), m))
     return SingleParticleEnergies(energies, residual)
 
 

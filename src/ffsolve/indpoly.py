@@ -12,9 +12,12 @@ function that counts the roots above a point; for a real-rooted function
 that count is exact, so every bracket it returns holds a known number of
 roots, repeated roots included, wherever its cuts came from.  Its first
 sweep cuts at points the caller gives, or at the thirds of (0, hi].  Later
-sweeps place the two cuts of a bracket with m roots around the Newton
-estimate m f/f', exact for an m-fold root, or cut it into thirds, so the
-caller returns the Newton step f/f' with each count.
+sweeps place the two cuts of a bracket with one root around its Newton
+estimate, corrected for the pull of the other roots, which the step f/f'
+at the bracket's far end measures.  A bracket with m roots, or one at 0
+or hi, or whose corrected estimate falls outside it, is cut around the
+plain Newton estimate m f/f', exact for an m-fold root, or into thirds.
+So the caller returns the Newton step f/f' with each count.
 ``single_particle_energies`` counts with the Budan-Fourier sign changes of
 the reversed polynomial in w = e^2,
 
@@ -25,11 +28,11 @@ lie just either side of the eigenvalues of R's companion matrix, so most
 roots are isolated in two sweeps; an estimate that is wrong, or complex,
 costs sweeps but never a root, since the counts certify every bracket.
 ``chains.chain_energies`` counts with the sign changes of the chain
-recursion, carries its w-derivative for the step, and starts from the
-thirds.  Every root ``single_particle_energies`` returns is checked
-against the rounding noise of R: one that the noise could move by more
-than ROOT_CERT_REL_TOL raises ComplexRootError instead, as do complex
-roots.
+recursion, carries its w-derivative for the step, and starts from points
+spread like the levels of a gapless band.  Every root
+``single_particle_energies`` returns is checked against the rounding noise
+of R: one that the noise could move by more than ROOT_CERT_REL_TOL raises
+ComplexRootError instead, as do complex roots.
 """
 
 from __future__ import annotations
@@ -214,16 +217,25 @@ def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
     chosen.  Brackets are cut until they are at most ROOT_REL_TOL of their
     upper end wide.
 
-    A bracket with m roots is cut at g - h and g + h.  Here g is the
-    Newton estimate of an m-fold root, x - m f(x) / f'(x), from the end x
-    with the shorter step, and h is twice the spread of the estimates from
-    its two ends, at least 0.4 ROOT_REL_TOL of its upper end, so that a
-    window that holds the root finishes the bracket.  A window that
-    reaches an end keeps its other cut and halves the rest.  The bracket
-    is cut into thirds instead when an end has no estimate (0 and hi are
-    never evaluated), when the window holds the whole bracket or cannot
-    put both cuts strictly inside it, and on the sweep after a Newton
-    sweep that left it more than half as wide.
+    A bracket is cut at the two ends of a window around an estimate of its
+    roots.  With one root r, the step s at either end x of the bracket
+    obeys 1/s = 1/(x - r) + S, where S, the pull of the other roots, varies
+    little across a narrow bracket.  The near end x_n, the one whose step
+    s_n is shorter, gives the plain Newton estimate g = x_n - s_n; the far
+    end reads S = 1/s_f - 1/(x_f - g) off its step s_f, and the corrected
+    estimate is c = x_n - 1/(1/s_n - S).  The window is c -+ h, with h a
+    quarter of |c - g|.  Where c does not apply, because an end is 0 or hi
+    (never evaluated), the bracket holds m > 1 roots, or c falls outside
+    the bracket, as it does when a step is wrong, the window is g -+ h.
+    Here g is the Newton estimate of an m-fold root, x - m f(x) / f'(x),
+    from the end x with the shorter step, and h is twice the spread of the
+    estimates from the two ends.  Each h is at least 0.4 ROOT_REL_TOL of
+    the upper end, so that a window that holds the root finishes the
+    bracket.  A window that reaches an end keeps its other cut and halves
+    the rest.  The bracket is cut into thirds instead when an end has no
+    estimate, when the window holds the whole bracket or cannot put both
+    cuts strictly inside it, and on the sweep after a Newton sweep that
+    left it more than half as wide.
 
     Counts that come back out of order are rounding noise, and the
     bracket is as tight as the evaluator allows; an evaluator reports a
@@ -264,8 +276,19 @@ def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
         newton = width <= 0.5 * parent
         m = c_lo - c_up
         g_lo, g_up = lo - m * s_lo, up - m * s_up
-        g = np.clip(np.where(np.abs(lo - g_lo) < np.abs(up - g_up), g_lo, g_up), lo, up)
-        h = np.maximum(2.0 * np.abs(g_lo - g_up), _NEWTON_FLOOR * up)
+        near_lo = np.abs(lo - g_lo) < np.abs(up - g_up)
+        g = np.where(near_lo, g_lo, g_up)
+        # one root r: 1/s = 1/(x - r) + S at either end, with S the pull of
+        # the other roots, read at the far end with g for r
+        x_n, s_n = np.where(near_lo, lo, up), np.where(near_lo, s_lo, s_up)
+        x_f, s_f = np.where(near_lo, up, lo), np.where(near_lo, s_up, s_lo)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pull = 1.0 / s_f - 1.0 / (x_f - g)
+            c = x_n - 1.0 / (1.0 / s_n - pull)
+        corrected = (m == 1) & (lo < c) & (c < up)
+        spread = np.where(corrected, 0.25 * np.abs(c - g), 2.0 * np.abs(g_lo - g_up))
+        g = np.where(corrected, c, np.clip(g, lo, up))
+        h = np.maximum(spread, _NEWTON_FLOOR * up)
         a, b = np.maximum(g - h, lo), np.minimum(g + h, up)
         # a window that reaches an end keeps its other cut and halves the rest
         q1 = np.where(a > lo, a, 0.5 * (lo + b))

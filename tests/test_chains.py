@@ -31,6 +31,7 @@ from ffsolve.chains import (
 from ffsolve.errors import ModelError
 from ffsolve.graphs import frustration_graph
 from ffsolve.indpoly import (
+    ROOT_REL_TOL,
     SingleParticleEnergies,
     sign_changes,
     single_particle_energies,
@@ -269,11 +270,63 @@ def test_chain_energies_match_midpoint_bisection(spec, monkeypatch):
 @pytest.mark.parametrize("spec", [ChainSpec(240, 3, (1.0, 0.7, 1.3)),
                                   ChainSpec(240, 4, (1.29, 0.54, 0.50, 1.49))])
 def test_chain_root_sweep_budget(spec, monkeypatch):
-    """At most 15 evaluations of the recursion per solve, 13 and 14 on
-    these chains; thirds for a first sweep took 20-21, bisection about 60."""
+    """At most 12 evaluations of the recursion per solve, 12 on both
+    chains; Newton windows without the pull of the other roots took 13 and
+    14, thirds for a first sweep 20-21, bisection about 60."""
     sweeps = record_sweeps(monkeypatch, chains)
     chain_energies(spec)
-    assert len(sweeps) <= 15
+    assert len(sweeps) <= 12
+
+
+@pytest.mark.parametrize("spec, before", [
+    (ChainSpec(240, 3, (1.0, 0.7, 1.3)), 13),
+    (ChainSpec(240, 4, (1.29, 0.54, 0.50, 1.49)), 14),
+    (ChainSpec(200, 3, (0.4995, 0.4995, 0.001)), 13),
+    (ChainSpec(120, 2, (0.9999, 0.0001)), 15),     # dimerized
+])
+def test_chain_sweeps_no_more_than_plain_newton(spec, before, monkeypatch):
+    """No more evaluations than plain Newton windows and an N-point first
+    sweep took.  With an N-point first sweep the corrected estimate took
+    14 and 16 on the first and third chains."""
+    sweeps = record_sweeps(monkeypatch, chains)
+    chain_energies(spec)
+    assert len(sweeps) <= before
+
+
+def test_chain_corpus_sweep_total(monkeypatch):
+    """1,118 evaluations over the corpus; plain Newton windows and an
+    N-point first sweep took 1,440."""
+    sweeps = record_sweeps(monkeypatch, chains)
+    for spec in random_chains(23, 120):
+        chain_energies(spec)
+    assert len(sweeps) <= 1118
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(240, 3, (1.0, 0.7, 1.3)),
+    ChainSpec(120, 2, (0.9999, 0.0001)),      # dimerized
+    ChainSpec(50, 3, (0.0, 0.0, 1.0)),        # one root of multiplicity N
+])
+def test_chain_residual_is_read_from_the_sweeps(spec, monkeypatch):
+    """The residual costs no pass of the recursion beyond the sweeps, and
+    is the largest |v_{N+1}| / max_s |v_s| at the ends of the brackets,
+    which lie within ROOT_REL_TOL of the roots."""
+    sweeps = record_sweeps(monkeypatch, chains)
+    passes = []
+    values = chains.chain_values
+
+    def counted(e, n_cells, ws):
+        passes.append(len(ws))
+        return values(e, n_cells, ws)
+
+    monkeypatch.setattr(chains, "chain_values", counted)
+    got = chain_energies(spec)
+    assert passes == sweeps
+    e = elementary_symmetric(spec.b2)
+    roots = np.array([w * w for w, _ in got.energies])
+    ends = np.concatenate([roots * (1 - ROOT_REL_TOL), roots, roots * (1 + ROOT_REL_TOL)])
+    v, _, top = values(e, spec.n_cells, ends)
+    assert 0.0 <= got.residual <= np.max(np.abs(v[-1]) / top)
 
 
 @pytest.mark.parametrize("spec", [
@@ -295,15 +348,18 @@ def test_chain_values_match_rescaling_every_k_rows(spec):
     assert np.array_equal(step, step_ref, equal_nan=True)
 
 
-@pytest.mark.parametrize("spec", [ChainSpec(50, 3, (0.0, 0.0, 1.0)), ChainSpec(50, 2, (0.0, 1.0))])
+@pytest.mark.parametrize("spec", [ChainSpec(50, 3, (0.0, 0.0, 1.0)), ChainSpec(50, 2, (0.0, 1.0)),
+                                  ChainSpec(121, 2, (1.0, 0.0))])
 def test_coincident_roots_sweep_budget(spec, monkeypatch):
-    """All 50 roots at w = 1: the bracket that holds them is cut around
+    """All N roots at w = 1: the bracket that holds them is cut around
     the estimate m f/f' of an m-fold root, within 12 evaluations; cut
-    into thirds it took 33."""
+    into thirds it took 33.  On 121 cells a cut lands on 1 itself, where
+    the step 0 / 0 would leave that end without an estimate, and the
+    bracket to thirds for 22 evaluations."""
     sweeps = record_sweeps(monkeypatch, chains)
     ((energy, mult),) = chain_energies(spec).energies
     assert len(sweeps) <= 12
-    assert mult == 50 and math.isclose(energy, 1.0, rel_tol=1e-15)
+    assert mult == spec.n_cells and math.isclose(energy, 1.0, rel_tol=1e-15)
 
 
 def test_exact_root_count_is_a_count():

@@ -369,14 +369,28 @@ def test_generic_roots_match_midpoint_bisection(monkeypatch):
 
 
 def test_generic_root_sweep_budget(monkeypatch):
-    """At most 4 evaluations for the polynomial of chain 10x3: the first
+    """At most 2 evaluations for the polynomial of chain 10x3: the first
     sweep cuts around the estimates and the second finishes them.
     Bisection took about 60 and sweeps from thirds 21; the estimates
     without the counts in rounding noise reported unknown, or thirds with
     them, take 11 or 12."""
     sweeps = record_sweeps(monkeypatch, indpoly)
     single_particle_energies(chain_polynomial(ChainSpec(10, 3, (1.0, 0.7, 1.3))))
-    assert len(sweeps) <= 4
+    assert len(sweeps) <= 2
+
+
+def test_generic_corpus_takes_two_sweeps(monkeypatch):
+    """Every polynomial of the corpus is isolated in exactly 2 evaluations:
+    the first cuts around the estimates and the second finishes them.  A
+    window model that cancels on the first sweep's 2e-9-wide brackets
+    doubled the sweeps of this corpus while every root stayed right."""
+    sweeps = record_sweeps(monkeypatch, indpoly)
+    counts = []
+    for poly in claw_free_polynomials(29, 60):
+        before = len(sweeps)
+        single_particle_energies(poly)
+        counts.append(len(sweeps) - before)
+    assert counts == [2] * 60
 
 
 def test_uniform_junction_double_energy():
@@ -488,6 +502,32 @@ def test_roots_by_count_survives_misleading_newton_steps():
     lo, hi, m = roots_by_count(evaluate, 1, 1.0)
     assert m.tolist() == [1]
     assert lo[0] < root <= hi[0] and hi[0] - lo[0] <= ROOT_REL_TOL * hi[0]
+
+
+@pytest.mark.parametrize("wrong", ["nan", "zero", "away", "other root"])
+def test_roots_by_count_survives_a_wrong_far_step(wrong):
+    """Roots at 0.3 and 0.6, with the right steps everywhere but between
+    0.3 and 0.45, where they are NaN, 0, pointing away from the roots, or
+    exact for a root at 0.9 that is not there.  Each bracket then has one
+    end whose step misreads the pull of the other root; the corrected
+    estimate costs sweeps but never a root."""
+    roots = np.array([0.3, 0.6])
+    poly = np.polynomial.Polynomial.fromroots(roots)
+    sweeps = []
+
+    def evaluate(ws):
+        sweeps.append(len(ws))
+        assert len(sweeps) <= 100
+        step = poly(ws) / poly.deriv()(ws)
+        bad = {"nan": np.full(len(ws), np.nan), "zero": np.zeros(len(ws)),
+               "away": -step, "other root": ws - 0.9}[wrong]
+        counts = (ws[:, None] < roots).sum(axis=1)
+        return counts, np.where((ws > 0.3) & (ws < 0.45), bad, step)
+
+    lo, hi, m = roots_by_count(evaluate, 2, 1.0)
+    assert m.tolist() == [1, 1]
+    assert np.all(lo < roots) and np.all(roots <= hi)
+    assert np.all(hi - lo <= ROOT_REL_TOL * hi)
 
 
 def test_roots_by_count_stops_at_adjacent_subnormals():
