@@ -44,7 +44,6 @@ from .paulis import (
     PauliTerm,
     commutes,
     multiply,
-    opsum_anticomm,
     opsum_anticomm_batch,
     opsum_comm,
     opsum_comm_batch,

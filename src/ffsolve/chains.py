@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -212,16 +212,19 @@ def gap_scan(k: int, coupling_grid: Sequence[Sequence[float]], n_small: int,
     return out
 
 
-def others_equal_grid(k: int, vary_index: int,
-                      values: Sequence[float]) -> list[tuple[float, ...]]:
-    """Grid where one squared coupling takes each value and the rest split
-    the remaining weight equally (sum of squares normalized to 1)."""
-    grid = []
-    for v in values:
-        if not 0 <= v <= 1.0:
+def unit_sum_fill(k: int, given: Mapping[int, float]) -> tuple[float, ...]:
+    """The k squared couplings with b2[i] = given[i] where it is given: the
+    others share what is left of a unit sum equally, so with none given each
+    is 1/k.  Every given value must lie in [0, 1], and with every entry given
+    they must sum to 1."""
+    if given and max(given) >= k:
+        raise ModelError(f"squared coupling b{max(given) + 1}^2 is beyond k = {k}")
+    for v in given.values():
+        if not 0 <= v <= 1.0:  # written so that a NaN fails it
             raise ModelError(f"squared coupling {v} outside [0, 1.0]")
-        rest = (1.0 - v) / (k - 1)
-        b2 = [rest] * k
-        b2[vary_index] = v
-        grid.append(tuple(b2))
-    return grid
+    fixed = sum(given.values())
+    free = k - len(given)
+    if given and not (fixed <= 1.0 + 1e-12 and (free or abs(fixed - 1.0) <= 1e-9)):
+        raise ModelError("squared couplings must sum to 1 under the fill convention")
+    rest = (1.0 - fixed) / free if free else 0.0
+    return tuple(given.get(i, rest) for i in range(k))

@@ -141,13 +141,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     h, graph = _load_input(args)
     payload, report = _structure_payload(graph, args.budget)
-    if report.undecided:
+    if report.refusal:
+        payload["refusal"] = report.refusal
         _emit(args, payload)
-        return EXIT_UNDECIDED
-    if not report.ecf:
-        payload["refusal"] = "frustration graph is not (even-hole, claw)-free"
-        _emit(args, payload)
-        return EXIT_REFUSED
+        return EXIT_UNDECIDED if report.undecided else EXIT_REFUSED
     poly = weighted_independence_polynomial(graph)
     energies = single_particle_energies(poly)
     payload["energies"] = [[e, m] for e, m in energies.energies]
@@ -181,24 +178,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed() else EXIT_ERROR
 
 
-def _squares(args: argparse.Namespace) -> tuple[float, ...]:
-    """b^2 of ``dispersion`` from its --bXsq flags: the unset entries share
-    the rest of a unit sum equally, so with none set each is 1/k."""
-    given = {i: getattr(args, f"b{i}sq") for i in range(1, 10)}
-    given = {i: v for i, v in given.items() if v is not None}
-    if given and max(given) > args.k:
-        raise ParseError(f"--b{max(given)}sq is beyond --k {args.k}")
-    fixed = sum(given.values())
-    free = args.k - len(given)
-    # written so that a NaN fails it
-    if given and not (fixed <= 1.0 + 1e-12 and (free or abs(fixed - 1.0) <= 1e-9)):
-        raise ParseError("squared couplings must sum to 1 under the fill convention")
-    rest = (1.0 - fixed) / free if free else 0.0
-    return tuple(given.get(i, rest) for i in range(1, args.k + 1))
-
-
 def cmd_dispersion(args: argparse.Namespace) -> int:
-    spec = chains.ChainSpec(args.n_cells, args.k, _squares(args))
+    given = {i: getattr(args, f"b{i + 1}sq") for i in range(9)}
+    b2 = chains.unit_sum_fill(args.k, {i: v for i, v in given.items() if v is not None})
+    spec = chains.ChainSpec(args.n_cells, args.k, b2)
     points = chains.dispersion(spec)
     _emit_csv(args, "p,epsilon", [f"{p:.12g},{e:.12g}" for p, e in points])
     return EXIT_OK
@@ -208,7 +191,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     vary = (args.vary if args.vary is not None else args.k) - 1
     if not 0 <= vary < args.k:
         raise ParseError(f"--vary must be in 1..{args.k}")
-    grid = chains.others_equal_grid(args.k, vary, args.values or [])
+    grid = [chains.unit_sum_fill(args.k, {vary: v}) for v in args.values or []]
     points = chains.gap_scan(args.k, grid, args.n_cells, args.n_large)
     header = ",".join(f"b{i + 1}sq" for i in range(args.k)) + ",gapN,gapNprime,flag"
     rows = []
@@ -226,20 +209,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_model_args(p: argparse.ArgumentParser):
-    p.add_argument("input", nargs="?", help="Hamiltonian or graph file")
-    p.add_argument("--model", choices=["h5", "h6", "chain", "junction", "back_to_back"])
-    p.add_argument("--couplings", help="comma-separated couplings")
-    p.add_argument("--N", type=int, dest="n_cells", help="unit cells (chain)")
-    p.add_argument("--k", type=int, help="block size (chain/junction)")
-    p.add_argument("--periodic", action="store_true")
-    p.add_argument("--arms", help="comma-separated arm lengths (junction)")
-    p.add_argument("--seed", type=int, help="draw random couplings")
-    p.add_argument("--budget", type=int, default=HOLE_SEARCH_BUDGET,
-                   help="even-hole search budget")
-    p.add_argument("-o", "--output", help="write JSON here (atomic)")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parsing does not change it, and
@@ -250,7 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in [("analyze", cmd_analyze), ("solve", cmd_solve),
                      ("verify", cmd_verify), ("generate", cmd_generate)]:
         p = sub.add_parser(name)
-        _add_model_args(p)
+        p.add_argument("input", nargs="?", help="Hamiltonian or graph file")
+        p.add_argument("--model", choices=["h5", "h6", "chain", "junction", "back_to_back"])
+        p.add_argument("--couplings", help="comma-separated couplings")
+        p.add_argument("--N", type=int, dest="n_cells", help="unit cells (chain)")
+        p.add_argument("--k", type=int, help="block size (chain/junction)")
+        p.add_argument("--periodic", action="store_true")
+        p.add_argument("--arms", help="comma-separated arm lengths (junction)")
+        p.add_argument("--seed", type=int, help="draw random couplings")
+        if name != "generate":
+            p.add_argument("--budget", type=int, default=HOLE_SEARCH_BUDGET,
+                           help="even-hole search budget")
+        p.add_argument("-o", "--output", help="write JSON here (atomic)")
         if name == "solve":
             p.add_argument("--modes", action="store_true",
                            help="build the nonlocal eigenmodes too")

@@ -11,12 +11,12 @@ Roots are isolated by counting.  ``roots_by_count`` cuts (0, hi] on a
 function that counts the roots above a point; for a real-rooted function
 that count is exact, so every bracket it returns holds a known number of
 roots, repeated roots included, wherever its cuts came from.  Its first
-sweep cuts at points the caller gives, or at the thirds of (0, hi].  Later
-sweeps place the two cuts of a bracket with one root around its Newton
-estimate, corrected for the pull of the other roots, which the step f/f'
-at the bracket's far end measures.  A bracket with m roots, or one at 0
-or hi, or whose corrected estimate falls outside it, is cut around the
-plain Newton estimate m f/f', exact for an m-fold root, or into thirds.
+sweep cuts at points the caller gives.  Later sweeps place the two cuts
+of a bracket with one root around its Newton estimate, corrected for the
+pull of the other roots, which the step f/f' at the bracket's far end
+measures.  A bracket with m roots, or one at 0 or hi, or whose corrected
+estimate falls outside it, is cut around the plain Newton estimate
+m f/f', exact for an m-fold root, or into thirds.
 So the caller returns the Newton step f/f' with each count.
 ``single_particle_energies`` counts with the Budan-Fourier sign changes of
 the reversed polynomial in w = e^2,
@@ -202,20 +202,19 @@ _CUT1, _CUT2 = [1, 5, 9], [2, 6, 10]  # the point, count and step of each cut
 
 
 def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                   n: int, hi: float, first: np.ndarray | None = None
+                   n: int, hi: float, first: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brackets (lo, hi] holding the n roots in (0, hi] of a real-rooted function f.
 
     ``evaluate`` maps an array of points w to the number of roots above
     each and the Newton step f(w) / f'(w) there; the count is taken to be
     n at 0 and 0 at hi without being called.  Each call is a sweep.  The
-    first cuts (0, hi] at the ascending points ``first``, by default at its
-    thirds; a first cut whose count lies outside the counts on either side
-    of it is noise, and is dropped.  Every later sweep cuts every bracket at
-    two points.  Every cut keeps its exact count, so every bracket holds a
-    known number of roots, repeated roots included, however its cuts were
-    chosen.  Brackets are cut until they are at most ROOT_REL_TOL of their
-    upper end wide.
+    first cuts (0, hi] at the ascending points ``first``; a first cut whose
+    count lies outside the counts on either side of it is noise, and is
+    dropped.  Every later sweep cuts every bracket at two points.  Every
+    cut keeps its exact count, so every bracket holds a known number of
+    roots, repeated roots included, however its cuts were chosen.  Brackets
+    are cut until they are at most ROOT_REL_TOL of their upper end wide.
 
     A bracket is cut at the two ends of a window around an estimate of its
     roots.  With one root r, the step s at either end x of the bracket
@@ -248,8 +247,6 @@ def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
     lo, hi and m, the number of roots in each.
     """
     hi = float(hi)
-    if first is None:
-        first = np.array([hi / 3, hi - hi / 3])
     counts, steps = evaluate(first)
     # a first cut whose count leaves the range of the counts around it is noise
     kept = ((counts <= np.minimum.accumulate(np.concatenate(([n], counts[:-1]))))
@@ -402,8 +399,9 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
         t = taylor[:2] @ x
         half = np.maximum(_SEED_WINDOW * guess,
                           2 * (np.abs(t[0]) + rounding * (np.abs(r) @ x)) / np.abs(t[1]))
-        first = np.unique(np.concatenate([guess - half, guess + half]))
-        first = first[(first > 0) & (first < 1)]
+        # sorted, equal neighbours dropped: np.unique would import numpy.ma, 1 MB
+        first = np.sort(np.concatenate([guess - half, guess + half]))
+        first = first[(first > 0) & (first < 1) & np.append(True, first[1:] != first[:-1])]
         # 1 lies above every root, since they sum to c_1 / unit < 1
         lo, hi, m = roots_by_count(evaluate, alpha, 1.0, first)
     gap = 0.5 * (hi[:-1] + lo[1:])

@@ -230,11 +230,6 @@ class OperatorSum:
     def __iter__(self) -> Iterator[tuple[tuple[int, int], complex]]:
         return iter(self.terms.items())
 
-    def coeff(self, term: PauliTerm) -> complex:
-        """Coefficient of the canonical string underlying ``term`` (phase included)."""
-        c = self.terms.get((term.x, term.z), 0.0)
-        return c * np.conj(term.phase) if c else 0.0
-
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
@@ -487,11 +482,6 @@ def opsum_comm(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     return _products([a], [b], 1, 2.0)[0]
 
 
-def opsum_anticomm(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    """Anticommutator {a, b}; only commuting string pairs contribute."""
-    return _products([a], [b], 0, 2.0)[0]
-
-
 def opsum_mul_batch(lefts: Sequence[OperatorSum],
                     rights: Sequence[OperatorSum]) -> list[OperatorSum]:
     """The products lefts[r] rights[r], as one batch."""
@@ -602,7 +592,7 @@ def dense_sums(n: int, strings: Sequence[tuple[int, int]], coefs: np.ndarray) ->
     zs = np.array([z for _, z in strings], dtype=np.int64)
     phase = np.array(_PHASES)[np.bitwise_count(xs & zs) & 3]
     out = np.zeros((len(coefs), dim, dim), dtype=complex)
-    for x in np.unique(xs):
+    for x in sorted({x for x, _ in strings}):  # np.unique would import numpy.ma, 1 MB
         group = np.flatnonzero(xs == x)
         signs = 1.0 - 2.0 * (np.bitwise_count(zs[group, None] & cols) & 1)
         out[:, cols ^ x, cols] = coefs[:, group] @ (phase[group, None] * signs)

@@ -7,7 +7,7 @@ all.  Only a non-chordal graph reaches the exhaustive induced-path
 search, which carries a node budget and reports "undecided" instead of
 guessing when the budget runs out.  The claw search is exhaustive with
 bitset pruning.  Simplicial cliques come from one walk over the cliques
-by size: ``classify`` stops at the first, and only
+by size: ``classify`` stops at the first, on ECF graphs only, and only
 ``find_simplicial_cliques`` lists them all.
 """
 
@@ -29,12 +29,14 @@ class StructureReport:
     """Aggregated recognition verdicts for one graph.
 
     ``even_hole_free`` and ``ecf`` are None when the hole search ran out
-    of budget (undecided).  ``simplicial_clique`` is the smallest
-    simplicial clique, lexicographically first among its size, or None
-    when the graph has none; every ECF graph has one (Chudnovsky &
-    Seymour, JCTB 97, 2007).  Twin pairs (identical open neighborhoods) and
-    closed-neighborhood duplicates are advisory: they mark symmetries and
-    removable vertices but trigger no further machinery.
+    of budget (undecided).  ``simplicial_clique`` is, on an ECF graph, its
+    smallest simplicial clique, lexicographically first among its size;
+    every ECF graph has one (Chudnovsky & Seymour, JCTB 97, 2007).  It is
+    None on every other graph, which the modes never reach.  ``refusal``
+    says why a graph that is not ECF, or not known to be, is refused.
+    Twin pairs (identical open neighborhoods) and closed-neighborhood
+    duplicates are advisory: they mark symmetries and removable vertices
+    but trigger no further machinery.
     """
 
     claw_free: bool
@@ -46,6 +48,13 @@ class StructureReport:
     undecided: bool = False
     twins: list[tuple[int, int]] = field(default_factory=list)
     closed_duplicates: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def refusal(self) -> str | None:
+        """Why the graph cannot be solved: None on an ECF graph."""
+        if self.ecf is None:
+            return "even-hole search undecided (budget exhausted)"
+        return None if self.ecf else "frustration graph is not (even-hole, claw)-free"
 
     def to_dict(self) -> dict:
         return {
@@ -210,7 +219,8 @@ def find_closed_duplicates(graph: WeightedGraph) -> list[tuple[int, int]]:
 
 def classify(graph: WeightedGraph,
              hole_budget: int = HOLE_SEARCH_BUDGET) -> StructureReport:
-    """Run all three searches plus the advisory symmetry scans."""
+    """Run the claw and even-hole searches, the simplicial-clique search on
+    an ECF graph, and the advisory symmetry scans."""
     claw = find_claw(graph)
     undecided = False
     hole: tuple[int, ...] | None = None
@@ -232,7 +242,7 @@ def classify(graph: WeightedGraph,
         claw_witness=claw,
         even_hole_free=hole_free,
         even_hole_witness=hole,
-        simplicial_clique=smallest_simplicial_clique(graph),
+        simplicial_clique=smallest_simplicial_clique(graph) if ecf else None,
         ecf=ecf,
         undecided=undecided,
         twins=find_twins(graph),

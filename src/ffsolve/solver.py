@@ -80,7 +80,7 @@ class TransferOperator:
         return OperatorSum(self.n, acc)
 
 
-def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOperator:
+def transfer(h: Hamiltonian, graph: WeightedGraph) -> TransferOperator:
     """All charges Q^(0)..Q^(alpha) from one pass over the independent sets.
 
     ``graphs.stable_sets`` yields the empty set first and each other set
@@ -91,8 +91,6 @@ def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOper
     |coupling|, and is pruned against that, so that no charge depends on
     the overall scale.
     """
-    if graph is None:
-        graph = frustration_graph(h)
     accs = subset_products(h.terms, stable_sets(graph.adj))
     s = max((abs(c) for c, _ in h.terms), default=1.0)
     return TransferOperator(h.n, tuple(
@@ -102,7 +100,7 @@ def transfer(h: Hamiltonian, graph: WeightedGraph | None = None) -> TransferOper
 
 # -- structural identity residuals -------------------------------------------
 
-def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph | None = None) -> float:
+def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph) -> float:
     """max over r < s of the Pauli 1-norm of [Q^(r), Q^(s)], relative to
     2 ||Q^(r)||_1 ||Q^(s)||_1, the 1-norms of the products Q^(r) Q^(s) and
     Q^(s) Q^(r) that form it.
@@ -120,14 +118,18 @@ def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph | None = None)
     return worst
 
 
+def _transfer_pair(h: Hamiltonian, u: float) -> tuple[OperatorSum, OperatorSum, float]:
+    """T(u), T(-u) and P(-u^2) of ``h``, from its frustration graph."""
+    graph = frustration_graph(h)
+    t = transfer(h, graph)
+    return t.evaluate(u), t.evaluate(-u), weighted_independence_polynomial(graph)(-u * u)
+
+
 def transfer_factorization_residual(h: Hamiltonian, u: float) -> float:
     """max coefficient of T(u) T(-u) - P(-u^2) I, relative to the Pauli
     1-norm ||T(u)||_1 ||T(-u)||_1 of the products that form it."""
-    graph = frustration_graph(h)
-    t = transfer(h, graph)
-    poly = weighted_independence_polynomial(graph)
-    tu, tmu = t.evaluate(u), t.evaluate(-u)
-    expected = poly(-u * u) * OperatorSum.identity(h.n)
+    tu, tmu, p = _transfer_pair(h, u)
+    expected = p * OperatorSum.identity(h.n)
     return (opsum_mul(tu, tmu) - expected).max_abs_coeff() / (tu.abs_sum() * tmu.abs_sum())
 
 
@@ -337,14 +339,11 @@ def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
     (1 - u sum h_v) chi, whose left and right factors share strings, are
     one pass.
     """
-    graph = frustration_graph(hext)
-    t = transfer(hext, graph)
-    poly = weighted_independence_polynomial(graph)
+    tu, tmu, p = _transfer_pair(hext, u)
     hsum = OperatorSum.from_terms(hext.n, [hext.terms[v] for v in ks])
     ident = OperatorSum.identity(hext.n)
     chi_op = OperatorSum.from_term(chi)
-    tu, tmu = t.evaluate(u), t.evaluate(-u)
-    plus, minus, p = ident + u * hsum, ident - u * hsum, poly(-u * u)
+    plus, minus = ident + u * hsum, ident - u * hsum
     left, right = opsum_mul_batch([tu, minus], [plus, chi_op])
     lhs = opsum_mul(left, opsum_mul(chi_op, tmu))
     rhs = p * right

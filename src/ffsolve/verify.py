@@ -259,20 +259,21 @@ def verify_free(h: Hamiltonian,
     must spread over at most SPECTRUM_CLUSTER_TOL of that scale for
     ``degeneracy_uniform``.
 
-    Refuses (reports not-applicable) when the frustration graph is not
-    ECF.  The energies are solved for unless ``energies`` gives them.  The
-    report records the oracle's symmetry generators s and block size n - s
-    in qubits; above the oracle's caps it keeps the synthesized energies
-    and names the cap in ``failure``, as it names alpha > n.
+    Refuses (reports not-applicable, with the structure report's
+    ``refusal`` as its reason) unless the frustration graph is ECF.  The
+    energies are solved for unless ``energies`` gives them.  The report
+    records the oracle's symmetry generators s and block size n - s in
+    qubits; above the oracle's caps it keeps the synthesized energies and
+    names the cap in ``failure``, as it names alpha > n.
     """
     report = VerificationReport(tolerances=dict(_SPECTRUM_TOLERANCES))
     t0 = time.perf_counter()
     graph = frustration_graph(h)
     report.structure = classify(graph)
     report.timings["classify"] = time.perf_counter() - t0
-    if not report.structure.ecf:
+    if report.structure.refusal:
         report.applicable = False
-        report.skip_reason = "frustration graph is not (even-hole, claw)-free"
+        report.skip_reason = report.structure.refusal
         return report
 
     t0 = time.perf_counter()
@@ -356,13 +357,9 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int | No
         report.lemma_residuals["charges_commute"] = charges_commute_residual(h, graph)
         report.timings["charges"] = time.perf_counter() - t0
 
-    if report.structure.ecf is None:
+    if report.structure.refusal:
         report.applicable = False
-        report.skip_reason = "even-hole search undecided (budget exhausted)"
-        return
-    if not report.structure.ecf:
-        report.applicable = False
-        report.skip_reason = "frustration graph is not (even-hole, claw)-free"
+        report.skip_reason = report.structure.refusal
         return
 
     t0 = time.perf_counter()

@@ -22,7 +22,7 @@ from conftest import (
     verify_clique_recurrence,
     verify_nonexample_equal_couplings,
 )
-from ffsolve.chains import ChainSpec, dispersion, gap_scan, others_equal_grid
+from ffsolve.chains import ChainSpec, dispersion, gap_scan, unit_sum_fill
 from ffsolve.graphs import WeightedGraph, frustration_graph
 from ffsolve.indpoly import single_particle_energies, weighted_independence_polynomial
 from ffsolve.models import (
@@ -113,7 +113,7 @@ def test_criterion_03_charges_commute_beyond_ecf():
     hj = junction_model((1, 1, 1), 2, [rng.uniform(0.5, 1.5) for _ in range(12)])
     worst = 0.0
     for h in (hp, hj):
-        t = transfer(h)
+        t = transfer(h, frustration_graph(h))
         for r in range(1, t.alpha + 1):
             for s in range(r + 1, t.alpha + 1):
                 worst = max(worst, opsum_comm(t.charges[r], t.charges[s]).max_abs_coeff())
@@ -211,14 +211,14 @@ def test_criterion_07_nonexample_discrimination():
 def test_criterion_08_chain_criticality():
     t0 = time.perf_counter()
     values = [0.1, 0.2, 0.25, 0.5, 0.7, 0.9]
-    grid = others_equal_grid(4, 3, values)
+    grid = [unit_sum_fill(4, {3: v}) for v in values]
     points = gap_scan(4, grid, 60, 120)
     flags = {v: pt.gapless for v, pt in zip(values, points)}
     flags_ok = (all(flags[v] for v in (0.1, 0.2, 0.25))
                 and not any(flags[v] for v in (0.5, 0.7, 0.9)))
     argmin_ok = True
     for v in (0.1, 0.2, 0.25):
-        disp = dispersion(ChainSpec(120, 4, others_equal_grid(4, 3, [v])[0]))
+        disp = dispersion(ChainSpec(120, 4, unit_sum_fill(4, {3: v})))
         argmin_ok &= min(disp, key=lambda t: t[1]) == disp[-1]
     elapsed = time.perf_counter() - t0
     report(8, flags_ok and argmin_ok and elapsed < 60.0,

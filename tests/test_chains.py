@@ -26,7 +26,7 @@ from ffsolve.chains import (
     dispersion,
     elementary_symmetric,
     gap_scan,
-    others_equal_grid,
+    unit_sum_fill,
 )
 from ffsolve.errors import ModelError
 from ffsolve.graphs import frustration_graph
@@ -382,7 +382,7 @@ def test_chain_energies_match_generic_path():
 
 
 def test_dispersion_labeling():
-    spec = ChainSpec(30, 4, tuple(others_equal_grid(4, 3, [0.1])[0]))
+    spec = ChainSpec(30, 4, unit_sum_fill(4, {3: 0.1}))
     points = dispersion(spec)
     assert len(points) == 30
     momenta = [p for p, _ in points]
@@ -457,12 +457,18 @@ def test_gap_scan_requires_two_sizes():
         gap_scan(2, [(0.5, 0.5)], 20, 20)
 
 
-def test_others_equal_grid():
-    grid = others_equal_grid(4, 3, [0.1, 0.9])
-    assert grid[0] == (0.3, 0.3, 0.3, 0.1)
-    assert abs(sum(grid[1]) - 1.0) < 1e-12
-    with pytest.raises(ModelError):
-        others_equal_grid(4, 3, [1.5])
+def test_unit_sum_fill():
+    """The one fill of ``dispersion --bXsq`` and ``scan --values``: the unset
+    squared couplings share what is left of a unit sum equally."""
+    assert unit_sum_fill(4, {3: 0.1}) == (0.3, 0.3, 0.3, 0.1)
+    assert abs(sum(unit_sum_fill(4, {3: 0.9})) - 1.0) < 1e-12
+    assert unit_sum_fill(4, {}) == (0.25,) * 4
+    assert unit_sum_fill(3, {0: 0.5, 2: 0.2}) == pytest.approx((0.5, 0.3, 0.2))
+    assert unit_sum_fill(2, {0: 0.4, 1: 0.6}) == (0.4, 0.6)
+    for given in ({3: 1.5}, {3: -0.1}, {3: float("nan")}, {0: 0.6, 1: 0.6},
+                  {0: 0.4, 1: 0.4, 2: 0.1, 3: 0.05}, {4: 0.2}):
+        with pytest.raises(ModelError):
+            unit_sum_fill(4, given)
 
 
 def test_spec_validation():

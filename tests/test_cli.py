@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -146,6 +147,32 @@ def test_verify_exit_undecided(capsys):
     assert code == 3
 
 
+def test_solve_exit_undecided_names_it(capsys):
+    code, doc = run_json(capsys, "solve", "--model", "chain", "--N", "3", "--k", "3",
+                         "--periodic", "--budget", "2")
+    assert code == 3
+    assert doc["result"]["refusal"] == "even-hole search undecided (budget exhausted)"
+    assert doc["result"]["structure"]["simplicial_clique"] is None
+
+
+def test_solve_refuses_a_cocktail_party_graph_at_once(tmp_path, capsys):
+    """K_24 less a perfect matching is claw-free and has 4-holes.  Its
+    refusal walks none of its cliques, whose number triples with every two
+    more vertices: it took 2.1 s when every input had its cliques walked."""
+    n = 24
+    p = tmp_path / "cp.graph"
+    p.write_text(f"p {n}\n" + "".join(f"e {i} {j}\n" for i in range(n)
+                                      for j in range(i + 1, n) if j != i ^ 1))
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, "solve", str(p))
+    elapsed = time.perf_counter() - t0
+    structure = doc["result"]["structure"]
+    assert code == 2
+    assert structure["claw_free"] and structure["even_hole_free"] is False
+    assert structure["simplicial_clique"] is None
+    assert elapsed < 0.1
+
+
 def test_modes_refused_on_a_disconnected_graph(tmp_path, capsys):
     """Two decoupled pairs: the energies come out, and the modes, which
     chi's Krylov space reaches in one component only, are refused with a
@@ -274,6 +301,27 @@ def test_input_errors_exit_1_with_a_message(capsys, argv):
     assert "Traceback" not in captured.err
     for path in (a for a in argv if a.startswith("/")):
         assert path in captured.err
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    """The first call of np.unique or np.isin imports numpy.ma, 11-21 ms and
+    about 1 MB in every process; no command calls them."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ffsolve.__file__)))
+    out = str(tmp_path / "out")
+    script = f"""
+import sys
+from ffsolve.cli import main
+for argv in (["solve", "--model", "chain", "--N", "6", "--k", "3", "--seed", "1"],
+             ["solve", "--modes", "--model", "h6", "--seed", "2"],
+             ["verify", "--model", "chain", "--N", "2", "--k", "3", "--seed", "1"],
+             ["dispersion", "--k", "3", "--N", "40", "--b1sq", "0.2"],
+             ["scan", "--k", "3", "--N", "20", "--Nprime", "40", "--values", "0.1,0.5"]):
+    assert main(argv + ["-o", {out!r}]) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=False)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_commands_back_to_back_match_separate_runs(capsys):

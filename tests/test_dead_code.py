@@ -7,13 +7,14 @@ A name counts as used when it appears, as a whole word, somewhere in the
 package or the tests other than its own definition and the package's
 re-export list in ``__init__.py``; it counts as used by the package when
 it so appears in the package outside the modules' ``__all__`` lists.  A
-method must also be read as an attribute (``obj.name``) somewhere, since
-a bare word such as ``graph`` occurs everywhere.  A defaulted parameter
-counts as set when some call in the package of a function or method of
-that name passes it, by keyword or by position, so no parameter exists
-only for the tests; the parameters of ``__init__`` are checked against
-the calls of the class.  Dunder methods are called by the interpreter,
-so they are not checked.
+method must also be read as an attribute (``obj.name``) by some module
+of the package, since a bare word such as ``graph`` or ``coeff`` occurs
+everywhere, and a method that only the tests read is test code.  A
+defaulted parameter counts as set when some call in the package of a
+function or method of that name passes it, by keyword or by position, so
+no parameter exists only for the tests; the parameters of ``__init__``
+are checked against the calls of the class.  Dunder methods are called
+by the interpreter, so they are not checked.
 """
 
 import ast
@@ -25,7 +26,6 @@ PACKAGE = ROOT / "src" / "ffsolve"
 
 # package definitions that no code of the package names, and why they stay
 TEST_ONLY_ALLOWED = {
-    "opsum_anticomm": "the benchmark's tracer counts paulis.term_pairs over its calls",
     "h5_model": "documented model: the five-term three-qubit example",
     "h6_model": "documented model, and the README library sketch builds it",
     "back_to_back_model": "documented model: the non-example with claws and even holes",
@@ -101,22 +101,19 @@ def _trees(paths):
     return [(p, ast.parse(p.read_text(), filename=str(p))) for p in paths]
 
 
-def _sources():
-    return [p for d in ("src", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
-
-
 def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
 def test_every_method_is_read_as_an_attribute():
-    read = {node.attr for _, tree in _trees(_sources()) for node in ast.walk(tree)
+    trees = _trees(sorted(PACKAGE.glob("*.py")))
+    read = {node.attr for _, tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unused = [f"{path.name}:{fn.lineno} {owner}.{fn.name}"
-              for path, tree in _trees(sorted(PACKAGE.glob("*.py")))
+              for path, tree in trees
               for owner, fn in _functions(tree)
               if owner and not _is_dunder(fn.name) and fn.name not in read]
-    assert not unused, "methods never read as an attribute: " + ", ".join(unused)
+    assert not unused, "methods the package never reads as an attribute: " + ", ".join(unused)
 
 
 def _calls():

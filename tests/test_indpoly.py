@@ -469,6 +469,11 @@ def test_single_root_sweep_budget(monkeypatch, graph):
     assert math.isclose(energy, math.sqrt(sum(graph.weights)), rel_tol=2 * EPS)
 
 
+def _thirds(hi):
+    """First cuts at the thirds of (0, hi]."""
+    return np.array([hi / 3, hi - hi / 3])
+
+
 @pytest.mark.parametrize("root", [0.3, 1 / 3, 0.7316, 0.5])
 @pytest.mark.parametrize("seed", range(4))
 def test_roots_by_count_stops_in_noise_at_adjacent_floats(root, seed):
@@ -482,7 +487,7 @@ def test_roots_by_count_stops_in_noise_at_adjacent_floats(root, seed):
         counts = np.where(np.abs(ws - root) <= 2 * ulp, garbled, (ws < root).astype(int))
         return counts, ws - root
 
-    lo, hi, m = roots_by_count(evaluate, 1, 1.0)
+    lo, hi, m = roots_by_count(evaluate, 1, 1.0, _thirds(1.0))
     assert m.tolist() == [1]
     assert hi[0] - lo[0] <= ROOT_REL_TOL * hi[0]
     assert lo[0] - 2 * ulp <= root <= hi[0] + 2 * ulp
@@ -499,7 +504,7 @@ def test_roots_by_count_survives_misleading_newton_steps():
         assert len(sweeps) <= 100
         return (ws < root).astype(int), ws - (root + 1e-3)
 
-    lo, hi, m = roots_by_count(evaluate, 1, 1.0)
+    lo, hi, m = roots_by_count(evaluate, 1, 1.0, _thirds(1.0))
     assert m.tolist() == [1]
     assert lo[0] < root <= hi[0] and hi[0] - lo[0] <= ROOT_REL_TOL * hi[0]
 
@@ -524,7 +529,7 @@ def test_roots_by_count_survives_a_wrong_far_step(wrong):
         counts = (ws[:, None] < roots).sum(axis=1)
         return counts, np.where((ws > 0.3) & (ws < 0.45), bad, step)
 
-    lo, hi, m = roots_by_count(evaluate, 2, 1.0)
+    lo, hi, m = roots_by_count(evaluate, 2, 1.0, _thirds(1.0))
     assert m.tolist() == [1, 1]
     assert np.all(lo < roots) and np.all(roots <= hi)
     assert np.all(hi - lo <= ROOT_REL_TOL * hi)
@@ -538,7 +543,7 @@ def test_roots_by_count_stops_at_adjacent_subnormals():
     def evaluate(ws):
         return (ws < root).astype(int), ws - root
 
-    lo, hi, m = roots_by_count(evaluate, 1, 1e-319)
+    lo, hi, m = roots_by_count(evaluate, 1, 1e-319, _thirds(1e-319))
     assert m.tolist() == [1]
     assert lo[0] < root <= hi[0] and hi[0] - lo[0] <= 2 * math.ulp(root)
 

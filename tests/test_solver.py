@@ -93,7 +93,8 @@ def clique_transfer_recurrence_residual(h: Hamiltonian, clique, u: float,
         raise ValueError(f"{kset} is not a clique")
     full = transfer(h, graph).evaluate(u)
     rest = [v for v in range(graph.n) if v not in kset]
-    acc = transfer(Hamiltonian(h.n, tuple(h.terms[v] for v in rest))).evaluate(u)
+    h_rest = Hamiltonian(h.n, tuple(h.terms[v] for v in rest))
+    acc = transfer(h_rest, frustration_graph(h_rest)).evaluate(u)
     ops = [c * OperatorSum.from_term(t) for c, t in h.terms]
     for v in kset:
         if simplicial:
@@ -101,7 +102,8 @@ def clique_transfer_recurrence_residual(h: Hamiltonian, clique, u: float,
             reduced_vs = [w for w in range(graph.n) if not (kv >> w) & 1]
         else:
             reduced_vs = [w for w in range(graph.n) if not (graph.closed_adj(v) >> w) & 1]
-        tv = transfer(Hamiltonian(h.n, tuple(h.terms[w] for w in reduced_vs))).evaluate(u)
+        h_v = Hamiltonian(h.n, tuple(h.terms[w] for w in reduced_vs))
+        tv = transfer(h_v, frustration_graph(h_v)).evaluate(u)
         if side == "left":
             acc = acc - u * opsum_mul(ops[v], tv)
         elif side == "right":
@@ -149,17 +151,17 @@ def exchange_algebra_residual(mode: IncognitoMode, t: TransferOperator,
 
 def test_charge_zero_is_identity():
     h = random_h5()
-    assert not (transfer(h).charges[0] - OperatorSum.identity(3)).terms
+    assert not (transfer(h, frustration_graph(h)).charges[0] - OperatorSum.identity(3)).terms
 
 
 def test_charge_one_is_hamiltonian():
     h = random_h5()
-    assert not (transfer(h).charges[1] - hamiltonian_opsum(h)).terms
+    assert not (transfer(h, frustration_graph(h)).charges[1] - hamiltonian_opsum(h)).terms
 
 
 def test_charge_two_on_h5_has_five_products():
     h = h5_model()
-    q2 = transfer(h).charges[2]
+    q2 = transfer(h, frustration_graph(h)).charges[2]
     assert len(q2) == 5
     # coefficients of independent-pair products are real for Hermitian pairs
     assert all(abs(c.imag) < 1e-15 for _, c in q2)
@@ -167,7 +169,7 @@ def test_charge_two_on_h5_has_five_products():
 
 def test_transfer_evaluate():
     h = random_h5()
-    t = transfer(h)
+    t = transfer(h, frustration_graph(h))
     assert t.alpha == 2
     assert not (t.evaluate(0.0) - OperatorSum.identity(3)).terms
     u = 0.3
@@ -177,7 +179,7 @@ def test_transfer_evaluate():
 
 def test_transfer_derivative_matches_finite_difference():
     h = random_h5()
-    t = transfer(h)
+    t = transfer(h, frustration_graph(h))
     u, du = 0.4, 1e-6
     fd = (t.evaluate(u + du) - t.evaluate(u - du)) * (1.0 / (2 * du))
     assert (transfer_derivative(t, u) - fd).max_abs_coeff() < 1e-8
@@ -189,7 +191,7 @@ def test_transfer_factorization_h5():
     for u in (0.3, -0.9, 1.5):
         assert transfer_factorization_residual(h, u) < 1e-12
     # the product really is P(-u^2) times the identity
-    t = transfer(h)
+    t = transfer(h, frustration_graph(h))
     prod = opsum_mul(t.evaluate(0.3), t.evaluate(-0.3))
     assert abs(prod.terms.get((0, 0), 0.0) - poly(-0.3 * 0.3)) < 1e-12
 
@@ -199,7 +201,7 @@ def test_charges_commute_for_claw_free_models():
               chain_model(3, 3, [1.0, -0.8, 1.2], periodic=True),
               junction_model((1, 1, 1), 2, [RNG.uniform(0.5, 1.5) for _ in range(12)])]
     for h in models:
-        assert charges_commute_residual(h) < 1e-10
+        assert charges_commute_residual(h, frustration_graph(h)) < 1e-10
 
 
 def test_transfer_equals_the_per_set_products(monkeypatch):
@@ -284,7 +286,7 @@ def test_mode_algebra(model):
     h = random_h5() if model == "h5" else h6_model(
         *[RNG.choice([-1, 1]) * RNG.uniform(0.4, 1.7) for _ in range(6)])
     g, ks, hext, chi, energies, modes = build_solution(h)
-    t = transfer(hext)
+    t = transfer(hext, frustration_graph(hext))
 
     # psi^2 = 0
     for m in modes:
@@ -308,10 +310,9 @@ def test_mode_algebra(model):
     reduced, _ = g.remove_set(ks)
     p_red = weighted_independence_polynomial(reduced)
     chi_op = OperatorSum.from_term(chi)
-    from ffsolve.paulis import opsum_anticomm
     for m in modes:
         expected = (4.0 / m.norm) * p_red(-m.u * m.u)
-        got = opsum_anticomm(m.op, chi_op)
+        got = paulis.opsum_anticomm_batch([m.op], [chi_op])[0]
         assert abs(got.terms.get((0, 0), 0.0) - expected) < 1e-10
         assert (got - expected * OperatorSum.identity(hext.n)).max_abs_coeff() < 1e-10
 
@@ -337,7 +338,7 @@ def test_modes_equal_the_triple_product(name, scale):
          "junction111": lambda: junction_model((1, 1, 1), 3, couplings(15)),
          "h6": lambda: h6_model(*couplings(6, 0.4, 1.7))}[name]()
     _, _, hext, chi, energies, modes = build_solution(h)
-    t = transfer(hext)
+    t = transfer(hext, frustration_graph(hext))
     chi_op = OperatorSum.from_term(chi)
     assert len(modes) == energies.total
     for m in modes:

@@ -1,13 +1,14 @@
 """Exact-diagonalization oracle and the top-level verification flows."""
 
 import dataclasses
+import functools
 import random
 
 import numpy as np
 import pytest
 from conftest import full_matrix_spectrum, oracle_levels, verify_nonexample_equal_couplings
 
-from ffsolve import graphs, paulis, solver, verify
+from ffsolve import graphs, paulis, recognition, solver, verify
 from ffsolve.errors import DenseCapError
 from ffsolve.indpoly import SingleParticleEnergies, sign_sums
 from ffsolve.models import (
@@ -243,6 +244,16 @@ def test_verify_all_undecided_budget():
     assert rep.skip_reason and "undecided" in rep.skip_reason
 
 
+def test_verify_free_names_an_undecided_graph_undecided(monkeypatch):
+    """verify_free reads its reason from the structure report: an even-hole
+    search out of budget is undecided, not a graph that is not ECF."""
+    monkeypatch.setattr(verify, "classify",
+                        functools.partial(recognition.classify, hole_budget=10))
+    rep = verify_free(chain_model(3, 3, periodic=True))
+    assert rep.structure.undecided and not rep.applicable
+    assert rep.skip_reason == "even-hole search undecided (budget exhausted)"
+
+
 def test_verify_free_level_count():
     """Distinct brute-force levels never exceed 2^alpha for ECF models."""
     rng = random.Random(23)
@@ -461,7 +472,7 @@ def test_relative_residuals_still_fail_one_part_in_a_million(monkeypatch):
 
     with monkeypatch.context() as m:
         _perturbed_transfer(m, move_one_term)
-        assert charges_commute_residual(h) > 1e-10
+        assert charges_commute_residual(h, graphs.frustration_graph(h)) > 1e-10
     build_modes = verify.all_modes
 
     def off_by_one_ppm(hext, chi, energies):
