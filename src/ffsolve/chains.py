@@ -10,9 +10,14 @@ roots to rounding beyond a dozen or so cells, and with the Newton step
 of its last row, whose w-derivative runs alongside it.  The couplings are
 first scaled by a power of four to a sum in [1, 4), which is exact and
 bounds the growth of a row, so the recursion is rescaled only every
-RESCALE_ROWS rows; the first sweep cuts at 2N points spread like the
-levels of a gapless band and at powers of two toward 0.  The residual is
-read from values the sweeps computed, at the ends of the final brackets.
+RESCALE_ROWS rows.  A sweep holds k + RESCALE_ROWS rows in one buffer,
+the k that the recursion reads and one block of new ones; it counts the
+sign changes of each block before the last k rows move to the head of
+the buffer, and returns the counts, the last row, the Newton step and
+the largest |row|, never all N rows.  The first sweep cuts at 2N points
+spread like the levels of a gapless band and at powers of two toward 0.
+The residual is read from values the sweeps computed, at the ends of the
+final brackets.
 Dispersion relations and gap scans are finite-N: the spectrum is computed
 at two sizes and the trend decides gapless vs gapped.
 """
@@ -26,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ModelError
-from .indpoly import SingleParticleEnergies, roots_by_count, sign_changes
+from .indpoly import SingleParticleEnergies, filled_signs, roots_by_count
 
 GAPLESS_RATIO_MARGIN = 0.1
 RESCALE_ROWS = 16  # rows between two rescalings in ``chain_values``
@@ -63,49 +68,83 @@ def elementary_symmetric(b2: Sequence[float]) -> tuple[float, ...]:
 
 
 def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows v_1..v_{N+1} of the chain recursion at each w in ``ws``, the
-    Newton step v_{N+1} / v'_{N+1} in w, and max_s |v_s| in the scale of
-    the last row.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sign changes along the rows v_1..v_{N+1} of the chain recursion
+    at each w in ``ws``, the last row v_{N+1}, the Newton step
+    v_{N+1} / v'_{N+1} in w, and max_s |v_s| in the scale of the last row.
 
     The w-derivative rows, v'_s = v_{s-1} + w v'_{s-1} - sum_l e_l v'_{s-l},
-    run in the same array as the value rows.  Every RESCALE_ROWS rows the
-    last k rows are rescaled by a power of two, the same for a value row
-    and its derivative, that puts the largest of their values in [1/2, 1).
-    That changes neither signs, nor rounding, nor the step while every row
-    is a normal float.  With sum(e) < 2^6 and 0 < w <= sum(e), as
-    ``chain_energies`` arranges, a row is at most 2^7 times the largest of
-    the k before it, so no row exceeds 2^112 before the next rescaling.  A
-    row that is at most 2^53 times smaller than the one before, as one ulp
-    from the root of a decoupled chain, where each row is w - 1 times the
-    last, stays above 2^-849, in the normal range.
+    run in the same buffer as the value rows, k + RESCALE_ROWS rows of
+    values and derivatives side by side: the k rows the recursion reads,
+    then one block of new rows.  Every block reuses it, so the views of
+    each row are built once per call.  After a block its value rows give
+    their sign changes, counted from the last row of the block before, and
+    a zero takes the last sign above it, in the block before too, so that
+    the counts are those of ``indpoly.sign_changes`` over all the rows.
+    Then the last k rows go to the head of the buffer, rescaled by a power
+    of two, the same for a value row and its derivative, that puts the
+    largest of their values in [1/2, 1).  That changes neither signs, nor
+    rounding, nor the step while every row is a normal float.  With
+    sum(e) < 2^6 and 0 < w <= sum(e), as ``chain_energies`` arranges, a
+    row is at most 2^7 times the largest of the k before it, so no row
+    exceeds 2^112 before the next rescaling.  A row that is at most 2^53
+    times smaller than the one before, as one ulp from the root of a
+    decoupled chain, where each row is w - 1 times the last, stays above
+    2^-849, in the normal range.
     """
     k = len(e) - 1
     m = len(ws)
-    coef = -np.array(e[:0:-1])  # -e_k .. -e_1, against rows s-k .. s-1
-    v = np.zeros((n_cells + k, 2 * m))  # values in columns :m, derivatives in m:
-    v[k - 1] = np.concatenate([ws, np.ones(m)])
+    # -e_k .. -e_1, against rows s-k .. s-1; the method is np.dot without
+    # the dispatch that np.dot goes through on every call
+    dot = (-np.array(e[:0:-1])).dot
+    size = min(RESCALE_ROWS, n_cells)
+    buf = np.zeros((k + size, 2 * m))  # values in columns :m, derivatives in m:
+    buf[k - 1] = np.concatenate([ws, np.ones(m)])
+    values = buf[:, :m]
     w2 = np.concatenate([ws, ws])
-    rows, values, derivatives = list(v), list(v[:, :m]), list(v[:, m:])
+    scratch = np.empty(2 * m)
+    shift = np.empty(2 * m, dtype=int)
+    # row k + i of a block: the row, the k rows it reads, the row before it,
+    # its derivative half and the value half of the row before
+    steps = [(buf[k + i], buf[i:k + i], buf[k + i - 1], buf[k + i, m:], buf[k + i - 1, :m])
+             for i in range(size)]
+    counts = np.zeros(m, dtype=np.intp)
     top = np.abs(ws)
-    end = n_cells + k
-    for start in range(k, end, RESCALE_ROWS):
-        stop = min(start + RESCALE_ROWS, end)
-        for s in range(start, stop):
-            row = rows[s]
-            np.dot(coef, v[s - k:s], row)
-            row += w2 * rows[s - 1]
-            derivatives[s] += values[s - 1]
-        top = np.maximum(top, np.max(np.abs(v[start:stop, :m]), axis=0))
-        if stop < end:
-            window = v[stop - k:stop]
-            shift = -np.frexp(np.max(np.abs(window[:, :m]), axis=0))[1]
-            np.ldexp(window, np.concatenate([shift, shift]), out=window)
-            with np.errstate(over="ignore"):  # a history far above the window
-                top = np.ldexp(top, shift)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = v[-1, :m] / v[-1, m:]
-    return v[k - 1:, :m], step, top
+    # the signs of row k - 1 with each zero filled from above, or None while
+    # no row has held a 0 or NaN and its own signs serve (a 0 or NaN in the
+    # first row, ws, makes every row 0 or NaN)
+    carried = None
+    # the rows stay in float range (see above): what overflows is a top far
+    # above the window, and what divides by 0 is the step at a multiple root
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for done in range(0, n_cells, RESCALE_ROWS):
+            rows = min(RESCALE_ROWS, n_cells - done)
+            for row, window, prev, derivative, prev_value in steps[:rows]:
+                dot(window, row)
+                np.multiply(w2, prev, scratch)
+                row += scratch
+                derivative += prev_value
+            mag = np.abs(values[:k + rows])
+            block = mag[k:]
+            np.maximum(top, np.maximum.reduce(block), out=top)
+            # the least |v| of the block, NaN if there is one, inf if it is empty
+            if carried is None and np.minimum.reduce(block, None, initial=np.inf) > 0:
+                negative = values[k - 1:k + rows] < 0
+                counts += (negative[1:] != negative[:-1]).sum(axis=0)
+            else:
+                head = values[k - 1:k + rows].copy()
+                if carried is not None:
+                    head[0] = carried
+                filled = filled_signs(head)
+                counts += (filled[1:] != filled[:-1]).sum(axis=0)
+                carried = filled[-1]
+            if done + rows < n_cells:
+                shift[:m] = shift[m:] = -np.frexp(np.maximum.reduce(mag[rows:]))[1]
+                np.ldexp(buf[rows:], shift, buf[:k])
+                np.ldexp(top, shift[:m], top)
+        last_row = values[k - 1 + rows]
+        step = last_row / buf[k - 1 + rows, m:]
+    return counts, last_row, step, top
 
 
 def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
@@ -142,11 +181,11 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     points, boundary = [], []  # every point evaluated, and |v_{N+1}| / top there
 
     def evaluate(ws):
-        v, step, top = chain_values(e, n, ws)
+        counts, last, step, top = chain_values(e, n, ws)
         points.append(ws)
-        boundary.append(np.abs(v[-1]) / top)
+        boundary.append(np.abs(last) / top)
         # at a multiple root that is a float the step is 0 / 0; it is 0
-        return sign_changes(v), np.where(v[-1] == 0, 0.0, step)
+        return counts, np.where(last == 0, 0.0, step)
 
     # Gershgorin: no eigenvalue of the recursion matrix exceeds its row sum
     hi = sum(e)

@@ -4,7 +4,8 @@ Commands: analyze, solve, verify, dispersion, scan, generate.  Every JSON
 output embeds the options of the command that ran, the couplings drawn
 under --seed included, for reproducibility.  Exit
 codes: 0 all applicable checks pass, 1 error or failed checks,
-2 structural refusal (not ECF), 3 undecided (search budget exhausted).
+2 structural refusal (not ECF), 3 undecided (the even-hole search ran out
+of budget before ECF was decided; a claw refuses whatever the budget).
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if report.refusal:
         payload["refusal"] = report.refusal
         _emit(args, payload)
-        return EXIT_UNDECIDED if report.undecided else EXIT_REFUSED
+        return EXIT_UNDECIDED if report.ecf is None else EXIT_REFUSED
     poly = weighted_independence_polynomial(graph)
     energies = single_particle_energies(poly)
     payload["energies"] = [[e, m] for e, m in energies.energies]
@@ -171,7 +172,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ParseError("verify needs a Hamiltonian input, not a graph")
     report = verify_all(h, hole_budget=args.budget)
     _emit(args, report.to_dict())
-    if report.structure and report.structure.undecided:
+    if report.structure and report.structure.ecf is None:
         return EXIT_UNDECIDED
     if not report.applicable:
         return EXIT_REFUSED

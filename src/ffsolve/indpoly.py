@@ -179,16 +179,22 @@ def _split_component(adj: tuple[int, ...], s: int, hint: int) -> int:
 
 # -- root isolation by counting ---------------------------------------------
 
+def filled_signs(values: np.ndarray) -> np.ndarray:
+    """The signs of ``values`` down each column, where a zero takes the
+    last sign above it that is not zero, and a zero in the first row keeps
+    0.  The sign of NaN is NaN, which equals no sign, itself included."""
+    signs = np.sign(values)
+    rows = np.arange(len(signs))[:, None]
+    last = np.maximum.accumulate(np.where(signs != 0, rows, 0), axis=0)
+    return np.take_along_axis(signs, last, axis=0)
+
+
 def sign_changes(values: np.ndarray) -> np.ndarray:
     """Sign changes down each column of ``values``, zeros skipped."""
     negative = values < 0
     if (negative | (values > 0)).all():
         return np.count_nonzero(negative[1:] != negative[:-1], axis=0)
-    # a zero or NaN takes the last sign above it
-    signs = np.sign(values)
-    rows = np.arange(len(signs))[:, None]
-    last = np.maximum.accumulate(np.where(signs != 0, rows, 0), axis=0)
-    filled = np.take_along_axis(signs, last, axis=0)
+    filled = filled_signs(values)
     return np.count_nonzero(filled[1:] != filled[:-1], axis=0)
 
 

@@ -217,6 +217,40 @@ def chain_polynomial(spec: ChainSpec) -> IndependencePolynomial:
     return IndependencePolynomial(tuple(polys[spec.n_cells]))
 
 
+def chain_values_all_rows(e, n_cells: int, ws: np.ndarray):
+    """Reference for ``chains.chain_values``: the same recursion and
+    rescaling every RESCALE_ROWS rows over an array that keeps all N + k
+    rows.  Returns the value rows v_1..v_{N+1}, whose ``sign_changes`` are
+    the counts, the Newton step and max_s |v_s| in the scale of the last
+    row."""
+    k = len(e) - 1
+    m = len(ws)
+    coef = -np.array(e[:0:-1])
+    v = np.zeros((n_cells + k, 2 * m))
+    v[k - 1] = np.concatenate([ws, np.ones(m)])
+    w2 = np.concatenate([ws, ws])
+    rows, values, derivatives = list(v), list(v[:, :m]), list(v[:, m:])
+    top = np.abs(ws)
+    end = n_cells + k
+    for start in range(k, end, chains.RESCALE_ROWS):
+        stop = min(start + chains.RESCALE_ROWS, end)
+        for s in range(start, stop):
+            row = rows[s]
+            np.dot(coef, v[s - k:s], row)
+            row += w2 * rows[s - 1]
+            derivatives[s] += values[s - 1]
+        top = np.maximum(top, np.max(np.abs(v[start:stop, :m]), axis=0))
+        if stop < end:
+            window = v[stop - k:stop]
+            shift = -np.frexp(np.max(np.abs(window[:, :m]), axis=0))[1]
+            np.ldexp(window, np.concatenate([shift, shift]), out=window)
+            with np.errstate(over="ignore"):
+                top = np.ldexp(top, shift)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = v[-1, :m] / v[-1, m:]
+    return v[k - 1:, :m], step, top
+
+
 def chain_values_every_k(e, n_cells: int, ws: np.ndarray):
     """Reference for ``chains.chain_values``: the recursion rescaled every
     k rows, at the last row as well, which stays in float range for any

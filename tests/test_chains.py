@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from conftest import (
     assert_same_energies,
     certify_groups,
     chain_polynomial,
+    chain_values_all_rows,
     chain_values_every_k,
     record_sweeps,
     use_midpoint_bisection,
@@ -325,27 +327,83 @@ def test_chain_residual_is_read_from_the_sweeps(spec, monkeypatch):
     e = elementary_symmetric(spec.b2)
     roots = np.array([w * w for w, _ in got.energies])
     ends = np.concatenate([roots * (1 - ROOT_REL_TOL), roots, roots * (1 + ROOT_REL_TOL)])
-    v, _, top = values(e, spec.n_cells, ends)
-    assert 0.0 <= got.residual <= np.max(np.abs(v[-1]) / top)
+    _, last, _, top = values(e, spec.n_cells, ends)
+    assert 0.0 <= got.residual <= np.max(np.abs(last) / top)
 
 
-@pytest.mark.parametrize("spec", [
+EDGE_CHAINS = [
     ChainSpec(50, 3, (0.0, 0.0, 1.0)),     # each row w - 1 times the last
     ChainSpec(120, 2, (0.9999, 0.0001)),   # dimerized
     ChainSpec(240, 4, (0.25, 0.25, 0.25, 0.25)),
-] + random_chains(41, 12))
-def test_chain_values_match_rescaling_every_k_rows(spec):
-    """Rescaling every RESCALE_ROWS rows instead of every k changes no
-    count and no Newton step, bit for bit, across (0, hi] and one ulp
-    either side of each root, where the rows shrink fastest."""
+]
+
+
+def grid_and_roots(spec: ChainSpec) -> np.ndarray:
+    """Points across (0, hi], at each root and one ulp either side of it,
+    where the rows shrink fastest."""
     e = elementary_symmetric(spec.b2)
     roots = np.array([w * w for w in chain_energies(spec).flat()])
-    ws = np.concatenate([np.linspace(0.0, sum(e), 50)[1:], roots,
-                         np.nextafter(roots, 0.0), np.nextafter(roots, np.inf)])
-    v, step, _ = chain_values(e, spec.n_cells, ws)
+    return np.concatenate([np.linspace(0.0, sum(e), 50)[1:], roots,
+                           np.nextafter(roots, 0.0), np.nextafter(roots, np.inf)])
+
+
+@pytest.mark.parametrize("spec", EDGE_CHAINS + random_chains(41, 12))
+def test_chain_values_match_rescaling_every_k_rows(spec):
+    """Rescaling every RESCALE_ROWS rows instead of every k changes no
+    count and no Newton step, bit for bit."""
+    e = elementary_symmetric(spec.b2)
+    ws = grid_and_roots(spec)
+    counts, _, step, _ = chain_values(e, spec.n_cells, ws)
     v_ref, step_ref, _ = chain_values_every_k(e, spec.n_cells, ws)
-    assert np.array_equal(sign_changes(v), sign_changes(v_ref))
+    assert np.array_equal(counts, sign_changes(v_ref))
     assert np.array_equal(step, step_ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("spec", EDGE_CHAINS + random_chains(41, 12))
+def test_chain_values_match_all_rows(spec):
+    """The rolling window gives the counts, last row, step and top of the
+    recursion that keeps every row, bit for bit.  At w = 1 every row of
+    the (0, 0, 1) chain after the first is 0, across block boundaries."""
+    e = elementary_symmetric(spec.b2)
+    ws = grid_and_roots(spec)
+    counts, last, step, top = chain_values(e, spec.n_cells, ws)
+    v_ref, step_ref, top_ref = chain_values_all_rows(e, spec.n_cells, ws)
+    assert np.array_equal(counts, sign_changes(v_ref))
+    assert np.array_equal(last, v_ref[-1])
+    assert np.array_equal(step, step_ref, equal_nan=True)
+    assert np.array_equal(top, top_ref)
+
+
+@pytest.mark.parametrize("w", [0.5, -0.5])
+@pytest.mark.parametrize("n_cells", [15, 16, 17, 18, 33, 40])
+def test_chain_values_carry_a_sign_across_zero_rows(w, n_cells):
+    """With e = (1, w, 0, -1) at w the rows are w, 0, 0, w, 0, 0, w, ...:
+    no row changes sign, and the zero rows that end a block take the sign
+    of the last nonzero row, in the block before."""
+    e = (1.0, w, 0.0, -1.0)
+    ws = np.array([w])
+    counts, last, step, top = chain_values(e, n_cells, ws)
+    v_ref, step_ref, top_ref = chain_values_all_rows(e, n_cells, ws)
+    assert np.count_nonzero(v_ref == 0) > n_cells // 2
+    assert np.array_equal(counts, sign_changes(v_ref)) and counts[0] == 0
+    assert np.array_equal(last, v_ref[-1])
+    assert np.array_equal(step, step_ref, equal_nan=True)
+    assert np.array_equal(top, top_ref)
+
+
+def test_chain_energies_memory():
+    """A solve holds a window of k + RESCALE_ROWS rows per sweep, not all
+    N + k of them: 0.9 MB at its peak on 480 cells, 8.6 MB with every row
+    kept."""
+    spec = ChainSpec(480, 4, (0.25,) * 4)
+    chain_energies(spec)  # imports and first-call allocations
+    tracemalloc.start()
+    try:
+        chain_energies(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("spec", [ChainSpec(50, 3, (0.0, 0.0, 1.0)), ChainSpec(50, 2, (0.0, 1.0)),

@@ -111,6 +111,17 @@ def test_solve_refuses_back_to_back(capsys):
     assert "refusal" in doc["result"]
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_claw_refuses_whatever_the_hole_budget(command, capsys):
+    """A claw refuses the graph even when the even-hole search runs out:
+    ECF is decided (false), so the exit code is 2, not 3 (undecided)."""
+    code, doc = run_json(capsys, command, "--model", "back_to_back", "--budget", "1")
+    assert code == 2
+    structure = doc["result"]["structure"]
+    assert structure["ecf"] is False and structure["claw_witness"] is not None
+    assert structure["undecided"] is True and structure["even_hole_free"] is None
+
+
 def test_solve_with_modes(capsys):
     code, doc = run_json(capsys, "solve", "--model", "h5", "--seed", "3", "--modes")
     assert code == 0
