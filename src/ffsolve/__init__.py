@@ -55,7 +55,6 @@ from .recognition import (
     classify,
     find_claw,
     find_even_hole,
-    find_simplicial_cliques,
     smallest_simplicial_clique,
 )
 from .solver import (

@@ -35,7 +35,7 @@ from .models import (
     parse_hamiltonian,
     write_hamiltonian,
 )
-from .recognition import HOLE_SEARCH_BUDGET, classify, find_simplicial_cliques
+from .recognition import HOLE_SEARCH_BUDGET, classify
 from .solver import all_modes, mode_energy_gap, simplicial_extension
 from .verify import verify_all
 
@@ -134,7 +134,6 @@ def _structure_payload(graph: WeightedGraph, budget: int) -> tuple[dict, object]
 def cmd_analyze(args: argparse.Namespace) -> int:
     _, graph = _load_input(args)
     payload, report = _structure_payload(graph, args.budget)
-    payload["structure"]["simplicial_cliques"] = [list(k) for k in find_simplicial_cliques(graph)]
     _emit(args, payload)
     return EXIT_UNDECIDED if report.undecided else EXIT_OK
 

@@ -137,12 +137,14 @@ def parse_graph(text: str) -> WeightedGraph:
                 if n is not None:
                     raise ParseError(f"line {lineno}: duplicate 'p' line")
                 n = int(fields[1])
+                if n < 1:
+                    raise ParseError(f"line {lineno}: a graph needs at least one vertex, got {n}")
             elif kind == "v":
                 idx, w = int(fields[1]), float(fields[2])
                 if n is None or not 0 <= idx < n:
                     raise ParseError(f"line {lineno}: vertex index {idx} out of range")
-                if w < 0:
-                    raise ParseError(f"line {lineno}: negative weight {w}")
+                if not 0 <= w < math.inf:
+                    raise ParseError(f"line {lineno}: weight {fields[2]!r} must be finite and >= 0")
                 weights[idx] = w
             elif kind == "e":
                 i, j = int(fields[1]), int(fields[2])

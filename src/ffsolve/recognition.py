@@ -6,17 +6,14 @@ Yannakakis, SIAM J. Comput. 13, 1984): a chordal graph has no hole at
 all.  Only a non-chordal graph reaches the exhaustive induced-path
 search, which carries a node budget and reports "undecided" instead of
 guessing when the budget runs out.  The claw search is exhaustive with
-bitset pruning.  Simplicial cliques come from one walk over the cliques
-by size: ``classify`` stops at the first, on ECF graphs only, and only
-``find_simplicial_cliques`` lists them all.
+bitset pruning.  The simplicial-clique search walks the cliques by size
+and stops at the first simplicial one; ``classify`` runs it on ECF graphs
+only.  A report stores the witnesses and derives its verdicts from them.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 from .errors import SearchBudgetError
 from .graphs import WeightedGraph, bits
@@ -26,28 +23,35 @@ HOLE_SEARCH_BUDGET = 10**8
 
 @dataclass
 class StructureReport:
-    """Aggregated recognition verdicts for one graph.
+    """The certificates of one graph's recognition, and the verdicts they give.
 
-    ``even_hole_free`` and ``ecf`` are None when the hole search ran out
-    of budget (undecided).  ``simplicial_clique`` is, on an ECF graph, its
-    smallest simplicial clique, lexicographically first among its size;
-    every ECF graph has one (Chudnovsky & Seymour, JCTB 97, 2007).  It is
-    None on every other graph, which the modes never reach.  ``refusal``
-    says why a graph that is not ECF, or not known to be, is refused.
-    Twin pairs (identical open neighborhoods) and closed-neighborhood
-    duplicates are advisory: they mark symmetries and removable vertices
-    but trigger no further machinery.
+    ``claw_witness`` and ``even_hole_witness`` refute ECF; ``undecided``
+    says the hole search ran out of budget, so ``even_hole_free`` is None,
+    and ``ecf`` too unless a claw refutes it.  ``simplicial_clique`` is,
+    on an ECF graph, its smallest simplicial clique, lexicographically
+    first among its size; every ECF graph has one (Chudnovsky & Seymour,
+    JCTB 97, 2007).  It is None on every other graph, which the modes
+    never reach.  ``refusal`` says why a graph that is not ECF, or not
+    known to be, is refused.
     """
 
-    claw_free: bool
     claw_witness: tuple[int, tuple[int, int, int]] | None
-    even_hole_free: bool | None
     even_hole_witness: tuple[int, ...] | None
+    undecided: bool
     simplicial_clique: tuple[int, ...] | None
-    ecf: bool | None
-    undecided: bool = False
-    twins: list[tuple[int, int]] = field(default_factory=list)
-    closed_duplicates: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def claw_free(self) -> bool:
+        return self.claw_witness is None
+
+    @property
+    def even_hole_free(self) -> bool | None:
+        return None if self.undecided else self.even_hole_witness is None
+
+    @property
+    def ecf(self) -> bool | None:
+        """False with a claw, whatever the hole search; else ``even_hole_free``."""
+        return self.even_hole_free if self.claw_free else False
 
     @property
     def refusal(self) -> str | None:
@@ -68,8 +72,6 @@ class StructureReport:
             "simplicial_clique": list(self.simplicial_clique) if self.simplicial_clique else None,
             "ecf": self.ecf,
             "undecided": self.undecided,
-            "twins": [list(p) for p in self.twins],
-            "closed_neighborhood_duplicates": [list(p) for p in self.closed_duplicates],
         }
 
 
@@ -174,77 +176,34 @@ def is_simplicial_clique(graph: WeightedGraph, mask: int) -> bool:
     return True
 
 
-def _simplicial_cliques(graph: WeightedGraph) -> Iterator[tuple[int, ...]]:
-    """The simplicial cliques as sorted tuples, by size, then
-    lexicographically, from a walk over every clique: a clique grows by the
-    common neighbours above its top vertex."""
+def smallest_simplicial_clique(graph: WeightedGraph) -> tuple[int, ...] | None:
+    """The first simplicial clique, as a sorted tuple, by size, then
+    lexicographically, or None.  The walk over the cliques grows each by
+    the common neighbours above its top vertex; it lists every clique only
+    on a graph that has no simplicial one."""
     level = [(1 << v, graph.adj[v] & ~((2 << v) - 1)) for v in range(graph.n)]
     while level:
         for mask, _ in level:
             if is_simplicial_clique(graph, mask):
-                yield tuple(bits(mask))
+                return tuple(bits(mask))
         level = [(mask | 1 << w, above & graph.adj[w] & ~((2 << w) - 1))
                  for mask, above in level for w in bits(above)]
-
-
-def find_simplicial_cliques(graph: WeightedGraph) -> list[tuple[int, ...]]:
-    """All simplicial cliques as sorted tuples, by size, then lexicographically."""
-    return list(_simplicial_cliques(graph))
-
-
-def smallest_simplicial_clique(graph: WeightedGraph) -> tuple[int, ...] | None:
-    """The first of ``find_simplicial_cliques(graph)``, or None; the walk
-    lists every clique only on a graph that has no simplicial one."""
-    return next(_simplicial_cliques(graph), None)
-
-
-def _equal_rows(rows) -> list[tuple[int, int]]:
-    """Pairs i < j with ``rows[i] == rows[j]``, in ascending order."""
-    groups = defaultdict(list)
-    for v, row in enumerate(rows):
-        groups[row].append(v)
-    return sorted(pair for group in groups.values() if len(group) > 1
-                  for pair in itertools.combinations(group, 2))
-
-
-def find_twins(graph: WeightedGraph) -> list[tuple[int, int]]:
-    """Vertex pairs with identical open neighborhoods (never adjacent)."""
-    return _equal_rows(graph.adj)
-
-
-def find_closed_duplicates(graph: WeightedGraph) -> list[tuple[int, int]]:
-    """Adjacent vertex pairs sharing the same closed neighborhood."""
-    return _equal_rows(graph.closed_adj(v) for v in range(graph.n))
+    return None
 
 
 def classify(graph: WeightedGraph,
              hole_budget: int = HOLE_SEARCH_BUDGET) -> StructureReport:
-    """Run the claw and even-hole searches, the simplicial-clique search on
-    an ECF graph, and the advisory symmetry scans."""
+    """Run the claw and even-hole searches, and the simplicial-clique search
+    on an ECF graph.  The hole search runs after a claw too, so that a
+    refused graph reports both witnesses."""
     claw = find_claw(graph)
-    undecided = False
     hole: tuple[int, ...] | None = None
-    hole_free: bool | None = None
+    undecided = False
     try:
         hole = find_even_hole(graph, budget=hole_budget)
-        hole_free = hole is None
     except SearchBudgetError:
         undecided = True
-    ecf: bool | None
-    if claw is not None:
-        ecf = False
-    elif undecided:
-        ecf = None
-    else:
-        ecf = hole_free
-    return StructureReport(
-        claw_free=claw is None,
-        claw_witness=claw,
-        even_hole_free=hole_free,
-        even_hole_witness=hole,
-        simplicial_clique=smallest_simplicial_clique(graph) if ecf else None,
-        ecf=ecf,
-        undecided=undecided,
-        twins=find_twins(graph),
-        closed_duplicates=find_closed_duplicates(graph),
-    )
+    report = StructureReport(claw, hole, undecided, None)
+    if report.ecf:
+        report.simplicial_clique = smallest_simplicial_clique(graph)
+    return report

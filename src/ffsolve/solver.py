@@ -49,6 +49,7 @@ from .paulis import (
     OperatorSum,
     PauliTerm,
     StringBasis,
+    commutes,
     opsum_anticomm_batch,
     opsum_comm,
     opsum_comm_batch,
@@ -161,7 +162,6 @@ def simplicial_extension(h: Hamiltonian, ks: Sequence[int]) -> tuple[Hamiltonian
 
 def clique_from_mode(hext: Hamiltonian, chi: PauliTerm) -> list[int]:
     """Term indices anticommuting with chi (recovers the simplicial clique)."""
-    from .paulis import commutes
     return [i for i, (_, t) in enumerate(hext.terms) if not commutes(t, chi)]
 
 

@@ -26,7 +26,7 @@ from .indpoly import (
 )
 from .models import Hamiltonian
 from .paulis import DENSE_QUBIT_CAP, OperatorSum, PauliTerm, dense_sums, multiply
-from .recognition import StructureReport, classify
+from .recognition import HOLE_SEARCH_BUDGET, StructureReport, classify
 from .solver import (
     all_modes,
     charges_commute_residual,
@@ -315,7 +315,7 @@ def verify_free(h: Hamiltonian,
     return report
 
 
-def verify_all(h: Hamiltonian, hole_budget: int | None = None) -> VerificationReport:
+def verify_all(h: Hamiltonian, hole_budget: int = HOLE_SEARCH_BUDGET) -> VerificationReport:
     """Full pipeline: classify, charges, transfer factorization, simplicial
     extension, fundamental identity, modes, CAR, reconstruction, the modes'
     Lanczos energies and T(u_j) psi_j = 0, spectrum.
@@ -344,12 +344,11 @@ def verify_all(h: Hamiltonian, hole_budget: int | None = None) -> VerificationRe
     return report
 
 
-def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int | None) -> None:
+def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> None:
     """The checks of ``verify_all``, recorded in ``report`` as they run."""
     graph = frustration_graph(h)
     t0 = time.perf_counter()
-    kwargs = {} if hole_budget is None else {"hole_budget": hole_budget}
-    report.structure = classify(graph, **kwargs)
+    report.structure = classify(graph, hole_budget)
     report.timings["classify"] = time.perf_counter() - t0
 
     if report.structure.claw_free:

@@ -104,6 +104,14 @@ def naive_is_simplicial_clique(g: WeightedGraph, kset) -> bool:
     return True
 
 
+def naive_simplicial_cliques(g: WeightedGraph):
+    """Every simplicial clique by the brute-force definition, by size and
+    each size in lexicographic order."""
+    return (sub for size in range(1, g.n + 1)
+            for sub in itertools.combinations(range(g.n), size)
+            if naive_is_simplicial_clique(g, sub))
+
+
 def reference_free_spectrum(energies, n: int) -> list[tuple[float, int]]:
     """Reference for ``indpoly.free_spectrum``: the 2^alpha sign sums built
     and grouped one at a time.  Sorted, a level opens at the first sum more

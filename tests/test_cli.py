@@ -215,10 +215,13 @@ def test_verify_records_alpha_above_the_qubit_count(tmp_path, capsys):
     assert doc["result"]["failure"].startswith("alpha=3 exceeds qubit count n=2")
 
 
-def test_analyze_lists_cliques_by_size_then_lexicographically(capsys):
+def test_analyze_reports_the_one_simplicial_clique(capsys):
+    """``analyze`` reports the clique the modes use, the first by size, then
+    lexicographically, and neither a listing of all nor twin scans."""
     _, doc = run_json(capsys, "analyze", "--model", "h6")
-    assert doc["result"]["structure"]["simplicial_cliques"] == [
-        [0, 1], [0, 4], [3, 4], [1, 2, 5], [2, 3, 5]]
+    structure = doc["result"]["structure"]
+    assert structure["simplicial_clique"] == [0, 1]
+    assert not {"simplicial_cliques", "twins", "closed_neighborhood_duplicates"} & set(structure)
 
 
 def test_graph_and_realization_give_same_energies(tmp_path, capsys):
@@ -312,6 +315,18 @@ def test_input_errors_exit_1_with_a_message(capsys, argv):
     assert "Traceback" not in captured.err
     for path in (a for a in argv if a.startswith("/")):
         assert path in captured.err
+
+
+@pytest.mark.parametrize("text", ["p -1\n", "p 0\n", "p 1\nv 0 nan\n", "p 1\nv 0 inf\n"])
+def test_graph_files_without_vertices_or_finite_weights_exit_1(capsys, tmp_path, text):
+    """A graph file with no vertices or a non-finite weight is an input
+    error, as a non-finite coupling is: exit 1 with the line at fault."""
+    p = tmp_path / "bad.graph"
+    p.write_text(text)
+    code = main(["solve", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: line ") and "Traceback" not in captured.err
 
 
 def test_commands_leave_numpy_ma_unimported(tmp_path):

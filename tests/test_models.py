@@ -87,13 +87,15 @@ def test_graph_file_round_trip():
 
 
 def test_graph_parse_edge_cases():
-    assert parse_graph("p 0").n == 0
     with pytest.raises(ParseError):
         parse_graph("p 2\ne 0 5")
     with pytest.raises(ParseError):
         parse_graph("p 2\ne 0 1\ne 1 0")  # duplicate edge
     with pytest.raises(ParseError):
         parse_graph("p 2\nv 0 -1.0")
+    for text in ("p 0", "p -1", "p 1\nv 0 nan", "p 1\nv 0 inf"):
+        with pytest.raises(ParseError):
+            parse_graph(text)
     with pytest.raises(ParseError):
         parse_graph("e 0 1")  # missing header
 

@@ -13,20 +13,19 @@ from conftest import (
     maximal_cliques,
     naive_has_claw,
     naive_has_even_hole,
-    naive_is_simplicial_clique,
+    naive_simplicial_cliques,
     random_graph,
 )
 from ffsolve.errors import SearchBudgetError
 from ffsolve.graphs import WeightedGraph, frustration_graph
 from ffsolve.models import chain_model, h6_model, junction_graph
 from ffsolve.recognition import (
+    HOLE_SEARCH_BUDGET,
     classify,
     find_claw,
     find_even_hole,
-    find_closed_duplicates,
-    find_simplicial_cliques,
-    find_twins,
     is_chordal,
+    is_simplicial_clique,
     smallest_simplicial_clique,
 )
 
@@ -117,46 +116,39 @@ def test_is_chordal_against_networkx():
     assert 60 < chordal < 240
 
 
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
 def test_simplicial_cliques_on_c5():
-    cliques = find_simplicial_cliques(cycle_graph(5))
+    g = cycle_graph(5)
+    edges = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
     # every edge is simplicial, no singleton is
-    assert sorted(cliques) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    assert sorted(naive_simplicial_cliques(g)) == edges
+    assert [e for e in itertools.combinations(range(5), 2)
+            if is_simplicial_clique(g, _mask(e))] == edges
+    assert not any(is_simplicial_clique(g, 1 << v) for v in range(5))
+    assert smallest_simplicial_clique(g) == (0, 1)
 
 
 def test_isolated_vertex_is_simplicial():
     g = WeightedGraph(1)
-    assert find_simplicial_cliques(g) == [(0,)]
+    assert list(naive_simplicial_cliques(g)) == [(0,)]
+    assert smallest_simplicial_clique(g) == (0,)
 
 
 def test_h6_maximal_cliques_all_simplicial():
     g = frustration_graph(h6_model())
-    simp = set(find_simplicial_cliques(g))
+    simp = set(naive_simplicial_cliques(g))
     for clique in maximal_cliques(g):
-        assert tuple(clique) in simp
-
-
-def _naive_simplicial_cliques(g):
-    """Every simplicial clique by the brute-force definition, by size and
-    each size in lexicographic order."""
-    return (sub for size in range(1, g.n + 1)
-            for sub in itertools.combinations(range(g.n), size)
-            if naive_is_simplicial_clique(g, sub))
-
-
-def test_simplicial_cliques_against_naive():
-    """The listing of ``analyze``: every simplicial clique, by size, then
-    lexicographically."""
-    rng = random.Random(41)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(1, 7), 0.45)
-        assert find_simplicial_cliques(g) == list(_naive_simplicial_cliques(g))
+        assert tuple(clique) in simp and is_simplicial_clique(g, _mask(clique))
 
 
 def _assert_smallest_is_first_minimal(g):
     """The search returns the first simplicial clique of the brute-force
     enumeration by size, then lexicographically, or None when it finds none."""
     got = smallest_simplicial_clique(g)
-    assert got == next(_naive_simplicial_cliques(g), None)
+    assert got == next(naive_simplicial_cliques(g), None)
     return got
 
 
@@ -187,21 +179,7 @@ def test_smallest_simplicial_clique_against_naive():
     rng = random.Random(59)
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8))
-        assert smallest_simplicial_clique(g) == next(_naive_simplicial_cliques(g), None)
-
-
-def test_twin_scans_against_pairwise_definitions():
-    rng = random.Random(61)
-    found = 0
-    for _ in range(300):
-        g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.05, 0.95))
-        pairs = list(itertools.combinations(range(g.n), 2))
-        twins = [(i, j) for i, j in pairs if g.adj[i] == g.adj[j]]
-        closed = [(i, j) for i, j in pairs if g.closed_adj(i) == g.closed_adj(j)]
-        assert find_twins(g) == twins
-        assert find_closed_duplicates(g) == closed
-        found += bool(twins) + bool(closed)
-    assert found > 50
+        assert smallest_simplicial_clique(g) == next(naive_simplicial_cliques(g), None)
 
 
 def test_classify_aggregates():
@@ -235,12 +213,32 @@ def test_ecf_implies_simplicial_clique_exists():
     assert checked > 40
 
 
-def test_twins_and_closed_duplicates():
-    # 0 and 1 are nonadjacent with the same open neighborhood {2, 3}
-    g = WeightedGraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    assert (0, 1) in find_twins(g)
-    rep = classify(g)
-    assert (0, 1) in rep.twins
-    # adjacent pair sharing closed neighborhood: a triangle's vertices
-    tri = WeightedGraph(3, [(0, 1), (0, 2), (1, 2)])
-    assert (0, 1) in classify(tri).closed_duplicates
+@st.composite
+def dense_graphs(draw):
+    """Graphs on 1-9 vertices, each pair an edge with even odds: dense
+    enough that claws, even holes and undecided searches all occur."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(n, list(itertools.compress(pairs, picks)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_graphs(), st.sampled_from([1, 10, HOLE_SEARCH_BUDGET]))
+def test_verdicts_follow_from_the_witnesses(g, budget):
+    """A claw refutes ECF whatever the hole search; an undecided search
+    leaves ``even_hole_free`` null, and ``ecf`` too when there is no claw;
+    otherwise ``ecf`` is ``even_hole_free``.  The witnesses agree with the
+    naive searches, and only an ECF graph carries its simplicial clique."""
+    d = classify(g, hole_budget=budget).to_dict()
+    assert d["claw_free"] == (d["claw_witness"] is None) == (not naive_has_claw(g))
+    assert (d["even_hole_free"] is None) == d["undecided"]
+    if not d["undecided"]:
+        assert d["even_hole_free"] == (d["even_hole_witness"] is None) == (not naive_has_even_hole(g))
+    if not d["claw_free"]:
+        assert d["ecf"] is False
+    elif d["undecided"]:
+        assert d["ecf"] is None
+    else:
+        assert d["ecf"] == d["even_hole_free"]
+    assert (d["simplicial_clique"] is not None) == (d["ecf"] is True)

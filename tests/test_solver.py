@@ -6,7 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import maximal_cliques, naive_has_claw, per_set_charges, random_graph, to_dense
+from conftest import (
+    maximal_cliques,
+    naive_has_claw,
+    naive_simplicial_cliques,
+    per_set_charges,
+    random_graph,
+    to_dense,
+)
 from ffsolve import paulis, solver
 from ffsolve.errors import ConditioningError, DegenerateModeError, FFSolveError, NotSimplicialError
 from ffsolve.graphs import frustration_graph, stable_sets
@@ -25,7 +32,7 @@ from ffsolve.models import (
     realize_graph,
 )
 from ffsolve.paulis import OperatorSum, PauliTerm, commutes, opsum_comm, opsum_mul
-from ffsolve.recognition import find_simplicial_cliques, smallest_simplicial_clique
+from ffsolve.recognition import smallest_simplicial_clique
 from ffsolve.solver import (
     IncognitoMode,
     TransferOperator,
@@ -231,7 +238,7 @@ def test_transfer_equals_the_per_set_products(monkeypatch):
 def test_transfer_clique_recurrences_all_forms():
     h = random_h5()
     g = frustration_graph(h)
-    simplicial = set(find_simplicial_cliques(g))
+    simplicial = set(naive_simplicial_cliques(g))
     for kset in maximal_cliques(g):
         for u in (0.37, -0.8):
             for side in ("left", "right"):
