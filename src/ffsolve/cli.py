@@ -123,9 +123,9 @@ def _structure_payload(graph: WeightedGraph, budget: int) -> tuple[dict, object]
     poly = weighted_independence_polynomial(graph)
     payload = {
         "vertices": graph.n,
-        "edges": len(graph.edges()),
+        "edges": sum(row.bit_count() for row in graph.adj) // 2,
         "structure": report.to_dict(),
-        "independence_polynomial": list(poly.coeffs),
+        "independence_polynomial": poly.coeffs,
         "alpha": poly.alpha,
     }
     return payload, report
@@ -147,11 +147,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_UNDECIDED if report.ecf is None else EXIT_REFUSED
     poly = weighted_independence_polynomial(graph)
     energies = single_particle_energies(poly)
-    payload["energies"] = [[e, m] for e, m in energies.energies]
+    payload["energies"] = energies.energies
     payload["root_residual"] = energies.residual
     n = h.n if h else graph.n
     if energies.total <= n and energies.total <= FREE_SPECTRUM_ALPHA_CAP:
-        payload["free_spectrum"] = [[v, d] for v, d in free_spectrum(energies, n)]
+        payload["free_spectrum"] = free_spectrum(energies, n)
     if args.modes:
         if h is None:
             raise ParseError("--modes needs a Hamiltonian input, not a graph")
@@ -160,7 +160,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         modes = all_modes(hext, chi, energies)
         payload["mode_term_counts"] = [len(m.op) for m in modes]
         payload["mode_energy_gap"] = mode_energy_gap(modes)
-        payload["simplicial_clique"] = list(ks)
+        payload["simplicial_clique"] = ks
     _emit(args, payload)
     return EXIT_OK
 

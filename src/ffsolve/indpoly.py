@@ -369,11 +369,12 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     Raises ComplexRootError unless, at every cluster, R, ..., R^(m-2)
     vanish within noise, R^(m-1) changes sign or vanishes within noise, and
     the noise moves that root by at most ROOT_CERT_REL_TOL.  Otherwise the
-    roots are complex, or rounding hides where they are.
+    roots are complex, or rounding hides where they are.  At alpha = 0
+    there are no energies, and the residual is 0.
     """
     alpha = poly.alpha
-    if alpha < 1:
-        raise ValueError("polynomial must have degree >= 1")
+    if alpha == 0:  # P = 1: every weight is 0, and R has no root
+        return SingleParticleEnergies((), 0.0)
     unit = math.ldexp(1.0, math.frexp(poly.coeffs[1])[1])
     degree = np.arange(alpha + 1)
     # R(unit s) / unit^alpha, where s^m has the coefficient

@@ -11,8 +11,10 @@ strings are symplectic vectors x | z << n here, as Python ints.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,8 +45,12 @@ from .solver import (
 
 SPECTRUM_CLUSTER_TOL = 1e-9
 SPECTRUM_MATCH_TOL = 1e-8
-_SPECTRUM_TOLERANCES = {"spectrum_match": SPECTRUM_MATCH_TOL,
-                        "degeneracy_uniform": SPECTRUM_CLUSTER_TOL}
+TOLERANCES = {  # the bound of each verdict and residual of a report, by its name
+    "charges_commute": 1e-10, "transfer_factorization": 1e-9, "fundamental_identity": 1e-9,
+    "car": 1e-8, "ladder": 1e-8, "reconstruction": 1e-8, "lanczos_energy": 1e-8,
+    "zero_eigenvector": 1e-8,
+    "spectrum_match": SPECTRUM_MATCH_TOL, "degeneracy_uniform": SPECTRUM_CLUSTER_TOL,
+}
 DEFAULT_U_GRID = (0.1, -0.1, 0.37, -0.37, 0.9, -0.9, 1.5, -1.5)
 _PHASES = (1.0, 1.0j, -1.0, -1.0j)  # i^k at index k
 
@@ -197,11 +203,11 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
 
 @dataclass
 class VerificationReport:
-    """Verdicts and residuals; every boolean is tied to a recorded tolerance."""
+    """Measurements.  Whether the model is checked follows from the
+    structure report (``skip_reason`` is its ``refusal``), and whether it
+    passed from the measurements and ``TOLERANCES``."""
 
     structure: StructureReport | None = None
-    applicable: bool = True
-    skip_reason: str | None = None
     spectrum_match: bool | None = None
     max_level_deviation: float | None = None
     degeneracy_uniform: bool | None = None
@@ -210,41 +216,42 @@ class VerificationReport:
     mode_term_counts: list[int] | None = None
     symmetry_generators: int | None = None
     block_qubits: int | None = None
-    tolerances: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     failure: str | None = None
 
+    @property
+    def skip_reason(self) -> str | None:
+        return self.structure.refusal if self.structure else None
+
+    @property
+    def applicable(self) -> bool:
+        return self.skip_reason is None
+
     def passed(self) -> bool:
-        if not self.applicable:
-            return False
-        if self.failure:
-            return False
-        checks = [self.spectrum_match, self.degeneracy_uniform]
-        if any(v is False for v in checks):
-            return False
-        for name, resid in self.lemma_residuals.items():
-            if resid > self.tolerances.get(name, float("inf")):
-                return False
-        return True
+        """Applicable, no failure, no spectrum verdict False, and every
+        residual within its tolerance: a NaN residual, or one that
+        ``TOLERANCES`` does not name, fails."""
+        return (self.applicable and not self.failure
+                and self.spectrum_match is not False and self.degeneracy_uniform is not False
+                and all(resid <= TOLERANCES.get(name, math.nan)
+                        for name, resid in self.lemma_residuals.items()))
 
     def to_dict(self) -> dict:
-        return {
-            "structure": self.structure.to_dict() if self.structure else None,
-            "applicable": self.applicable,
-            "skip_reason": self.skip_reason,
-            "spectrum_match": self.spectrum_match,
-            "max_level_deviation": self.max_level_deviation,
-            "degeneracy_uniform": self.degeneracy_uniform,
-            "energies": [[e, m] for e, m in self.energies] if self.energies else None,
-            "lemma_residuals": dict(self.lemma_residuals),
-            "mode_term_counts": self.mode_term_counts,
-            "symmetry_generators": self.symmetry_generators,
-            "block_qubits": self.block_qubits,
-            "tolerances": dict(self.tolerances),
-            "timings": {k: round(v, 6) for k, v in self.timings.items()},
-            "failure": self.failure,
-            "passed": self.passed(),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(structure=self.structure.to_dict() if self.structure else None,
+                 applicable=self.applicable, skip_reason=self.skip_reason,
+                 tolerances=dict(TOLERANCES),
+                 timings={k: round(v, 6) for k, v in self.timings.items()},
+                 passed=self.passed())
+        return d
+
+
+@contextmanager
+def _stage(report: VerificationReport, name: str):
+    """Record the wall time of the block under ``name``, unless it raises."""
+    t0 = time.perf_counter()
+    yield
+    report.timings[name] = time.perf_counter() - t0
 
 
 def verify_free(h: Hamiltonian,
@@ -266,42 +273,36 @@ def verify_free(h: Hamiltonian,
     qubits; above the oracle's caps it keeps the synthesized energies and
     names the cap in ``failure``, as it names alpha > n.
     """
-    report = VerificationReport(tolerances=dict(_SPECTRUM_TOLERANCES))
-    t0 = time.perf_counter()
-    graph = frustration_graph(h)
-    report.structure = classify(graph)
-    report.timings["classify"] = time.perf_counter() - t0
-    if report.structure.refusal:
-        report.applicable = False
-        report.skip_reason = report.structure.refusal
+    report = VerificationReport()
+    with _stage(report, "classify"):
+        graph = frustration_graph(h)
+        report.structure = classify(graph)
+    if not report.applicable:
         return report
 
-    t0 = time.perf_counter()
-    if energies is None:
-        try:
-            energies = single_particle_energies(weighted_independence_polynomial(graph))
-        except ComplexRootError as exc:
-            report.spectrum_match = False
-            report.failure = str(exc)
-            report.timings["energies"] = time.perf_counter() - t0
-            return report
-    report.energies = list(energies.energies)
-    report.timings["energies"] = time.perf_counter() - t0
+    with _stage(report, "energies"):
+        if energies is None:
+            try:
+                energies = single_particle_energies(weighted_independence_polynomial(graph))
+            except ComplexRootError as exc:
+                report.spectrum_match = False
+                report.failure = str(exc)
+                return report
+        report.energies = list(energies.energies)
     if energies.total > h.n:
         report.spectrum_match = False
         report.failure = (f"alpha={energies.total} exceeds qubit count n={h.n}: "
                           f"{1 << energies.total} sign patterns for {1 << h.n} states")
         return report
 
-    t0 = time.perf_counter()
-    report.symmetry_generators = len(symmetry_generators(h))
-    report.block_qubits = h.n - report.symmetry_generators
     try:
-        brute = brute_force_spectrum(h)
+        with _stage(report, "diagonalize"):
+            report.symmetry_generators = len(symmetry_generators(h))
+            report.block_qubits = h.n - report.symmetry_generators
+            brute = brute_force_spectrum(h)
     except DenseCapError as exc:
         report.failure = str(exc)
         return report
-    report.timings["diagonalize"] = time.perf_counter() - t0
 
     scale = max(abs(c) for c in h.couplings())
     sums = sign_sums(energies)
@@ -326,17 +327,6 @@ def verify_all(h: Hamiltonian, hole_budget: int = HOLE_SEARCH_BUDGET) -> Verific
     and is recorded in ``failure``, as the oracle's caps are.
     """
     report = VerificationReport()
-    report.tolerances.update({
-        "charges_commute": 1e-10,
-        "transfer_factorization": 1e-9,
-        "fundamental_identity": 1e-9,
-        "car": 1e-8,
-        "ladder": 1e-8,
-        "reconstruction": 1e-8,
-        "lanczos_energy": 1e-8,
-        "zero_eigenvector": 1e-8,
-        **_SPECTRUM_TOLERANCES,
-    })
     try:
         _check_all(h, report, hole_budget)
     except TermBudgetError as exc:
@@ -345,79 +335,54 @@ def verify_all(h: Hamiltonian, hole_budget: int = HOLE_SEARCH_BUDGET) -> Verific
 
 
 def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> None:
-    """The checks of ``verify_all``, recorded in ``report`` as they run."""
+    """The checks of ``verify_all``, recorded in ``report`` as they run.
+    A residual over the u grid is its largest, and NaN if any is NaN."""
     graph = frustration_graph(h)
-    t0 = time.perf_counter()
-    report.structure = classify(graph, hole_budget)
-    report.timings["classify"] = time.perf_counter() - t0
+    with _stage(report, "classify"):
+        report.structure = classify(graph, hole_budget)
 
     if report.structure.claw_free:
-        t0 = time.perf_counter()
-        report.lemma_residuals["charges_commute"] = charges_commute_residual(h, graph)
-        report.timings["charges"] = time.perf_counter() - t0
-
-    if report.structure.refusal:
-        report.applicable = False
-        report.skip_reason = report.structure.refusal
+        with _stage(report, "charges"):
+            report.lemma_residuals["charges_commute"] = charges_commute_residual(h, graph)
+    if not report.applicable:
         return
 
-    t0 = time.perf_counter()
-    worst = 0.0
-    for u in DEFAULT_U_GRID:
-        worst = max(worst, transfer_factorization_residual(h, u))
-    report.lemma_residuals["transfer_factorization"] = worst
-    report.timings["transfer"] = time.perf_counter() - t0
+    with _stage(report, "transfer"):
+        report.lemma_residuals["transfer_factorization"] = float(np.max(
+            [transfer_factorization_residual(h, u) for u in DEFAULT_U_GRID]))
 
     ks = report.structure.simplicial_clique
     hext, chi = simplicial_extension(h, ks)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for u in DEFAULT_U_GRID:
-        worst = max(worst, check_fundamental_identity(hext, chi, ks, u))
-    report.lemma_residuals["fundamental_identity"] = worst
-    report.timings["fundamental_identity"] = time.perf_counter() - t0
+    with _stage(report, "fundamental_identity"):
+        report.lemma_residuals["fundamental_identity"] = float(np.max(
+            [check_fundamental_identity(hext, chi, ks, u) for u in DEFAULT_U_GRID]))
 
     poly = weighted_independence_polynomial(graph)
     try:
         energies = single_particle_energies(poly)
         report.energies = list(energies.energies)
-        t0 = time.perf_counter()
-        modes = all_modes(hext, chi, energies)
-        report.mode_term_counts = [len(m.op) for m in modes]
-        report.lemma_residuals["car"] = mode_car_residual(modes)
-        report.lemma_residuals["ladder"] = ladder_residual(hext, modes)
-        recon = reconstruct(modes, energies)
-        target = OperatorSum.from_terms(hext.n, hext.terms)
-        # the Pauli 1-norm of the difference, relative to the 1-norms of H and
-        # of the products e_j psi_j psi_j^dag and e_j psi_j^dag psi_j
-        scale = target.abs_sum() + sum(2.0 * m.energy * m.op.abs_sum() ** 2 for m in modes)
-        report.lemma_residuals["reconstruction"] = (recon - target).abs_sum() / scale
-        report.lemma_residuals["lanczos_energy"] = mode_energy_gap(modes)
-        # T(u_j) psi_j = 0 ties the Krylov modes to the transfer operator; the
-        # ancilla leaves the frustration graph of h as it is
-        t = transfer(hext, graph)
-        report.lemma_residuals["zero_eigenvector"] = zero_eigenvector_residual(modes, t)
-        report.timings["modes"] = time.perf_counter() - t0
+        with _stage(report, "modes"):
+            modes = all_modes(hext, chi, energies)
+            report.mode_term_counts = [len(m.op) for m in modes]
+            report.lemma_residuals["car"] = mode_car_residual(modes)
+            report.lemma_residuals["ladder"] = ladder_residual(hext, modes)
+            recon = reconstruct(modes, energies)
+            target = OperatorSum.from_terms(hext.n, hext.terms)
+            # the Pauli 1-norm of the difference, relative to the 1-norms of H and
+            # of the products e_j psi_j psi_j^dag and e_j psi_j^dag psi_j
+            scale = target.abs_sum() + sum(2.0 * m.energy * m.op.abs_sum() ** 2 for m in modes)
+            report.lemma_residuals["reconstruction"] = (recon - target).abs_sum() / scale
+            report.lemma_residuals["lanczos_energy"] = mode_energy_gap(modes)
+            # T(u_j) psi_j = 0 ties the Krylov modes to the transfer operator; the
+            # ancilla leaves the frustration graph of h as it is
+            t = transfer(hext, graph)
+            report.lemma_residuals["zero_eigenvector"] = zero_eigenvector_residual(modes, t)
     except FFSolveError as exc:
         report.failure = f"mode construction: {exc}"
         return
 
     free = verify_free(h, energies=energies)
-    report.spectrum_match = free.spectrum_match
-    report.max_level_deviation = free.max_level_deviation
-    report.degeneracy_uniform = free.degeneracy_uniform
-    report.symmetry_generators = free.symmetry_generators
-    report.block_qubits = free.block_qubits
+    for name in ("spectrum_match", "max_level_deviation", "degeneracy_uniform",
+                 "symmetry_generators", "block_qubits", "failure"):
+        setattr(report, name, getattr(free, name))
     report.timings.update({f"free_{k}": v for k, v in free.timings.items()})
-    if free.failure:
-        report.failure = free.failure
-
-
-__all__ = [
-    "brute_force_spectrum",
-    "symmetry_generators",
-    "verify_free",
-    "verify_all",
-    "VerificationReport",
-    "DEFAULT_U_GRID",
-]

@@ -203,6 +203,35 @@ def verify_clique_recurrence(graph: WeightedGraph, clique) -> bool:
                for a, b in zip(lhs.coeffs, rhs))
 
 
+def random_forest(rng: random.Random, n_edges: int, trees: int = 1):
+    """A forest of ``trees`` trees with ``n_edges`` edges: vertices
+    0..trees-1 are the roots, every later vertex joins one before it, and
+    each edge gets a weight b_e drawn from [0.2, 2].  Returns the vertex
+    count, the edges and their weights."""
+    edges = [(rng.randrange(v), v) for v in range(trees, trees + n_edges)]
+    return trees + n_edges, edges, [rng.uniform(0.2, 2.0) for _ in edges]
+
+
+def forest_line_graph(edges, b) -> WeightedGraph:
+    """The line graph of a forest, edge e weighted b_e^2: an ECF graph
+    whose P is the forest's matching polynomial."""
+    touching = [(e, f) for e, f in itertools.combinations(range(len(edges)), 2)
+                if set(edges[e]) & set(edges[f])]
+    return WeightedGraph(len(edges), touching, weights=[w * w for w in b])
+
+
+def forest_energies(n_vertices: int, edges, b) -> list[float]:
+    """Jordan-Wigner reference for the line graph of a forest: one Majorana
+    mode per vertex and b_e i gamma_u gamma_v per edge, whose signs a
+    forest gauges away, so the energies are the positive eigenvalues of the
+    weighted adjacency matrix, ascending."""
+    a = np.zeros((n_vertices, n_vertices))
+    for (u, v), w in zip(edges, b):
+        a[u, v] = a[v, u] = w
+    ev = np.linalg.eigvalsh(a)
+    return ev[ev > 1e-9 * ev[-1]].tolist()
+
+
 def chain_polynomial(spec: ChainSpec) -> IndependencePolynomial:
     """P for the chain graph via the symmetric k-term recursion.
 

@@ -329,6 +329,19 @@ def test_graph_files_without_vertices_or_finite_weights_exit_1(capsys, tmp_path,
     assert captured.err.startswith("error: line ") and "Traceback" not in captured.err
 
 
+def test_solve_a_graph_of_zero_weights(capsys, tmp_path):
+    """All weights 0: P = 1 and alpha = 0, so no energies, residual 0, and
+    one level 0 holding all 2^3 states."""
+    p = tmp_path / "zero.graph"
+    p.write_text("p 3\nv 0 0\nv 1 0\nv 2 0\n")
+    code, doc = run_json(capsys, "solve", str(p))
+    assert code == 0
+    res = doc["result"]
+    assert res["alpha"] == 0 and res["independence_polynomial"] == [1.0]
+    assert res["energies"] == [] and res["root_residual"] == 0.0
+    assert res["free_spectrum"] == [[0.0, 8]]
+
+
 def test_commands_leave_numpy_ma_unimported(tmp_path):
     """The first call of np.unique or np.isin imports numpy.ma, 11-21 ms and
     about 1 MB in every process; no command calls them."""

@@ -6,10 +6,10 @@ another.
 A name counts as used when it appears, as a whole word, somewhere in the
 package or the tests other than its own definition and the package's
 re-export list in ``__init__.py``; it counts as used by the package when
-it so appears in the package outside the modules' ``__all__`` lists.  A
-method must also be read as an attribute (``obj.name``) by some module
-of the package, since a bare word such as ``graph`` or ``coeff`` occurs
-everywhere, and a method that only the tests read is test code.  A
+it so appears in the package.  A method must also be read as an
+attribute (``obj.name``) by some module of the package, since a bare
+word such as ``graph`` or ``coeff`` occurs everywhere, and a method that
+only the tests read is test code.  A
 defaulted parameter counts as set when some call in the package of a
 function or method of that name passes it, by keyword or by position, so
 no parameter exists only for the tests; the parameters of ``__init__``
@@ -67,8 +67,7 @@ def test_no_definition_only_the_tests_name():
     """Code that only the tests call belongs in the tests: a paper lemma
     that no command checks moves there, and a wrapper gives way to what
     it wraps."""
-    texts = [re.sub(r"__all__ = \[.*?\]", "", p.read_text(), flags=re.S)
-             for p in sorted(PACKAGE.glob("*.py")) if p != PACKAGE / "__init__.py"]
+    texts = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p != PACKAGE / "__init__.py"]
     defined, test_only, stale = set(), [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, line in _definitions(path):

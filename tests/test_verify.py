@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 import random
 
 import numpy as np
@@ -30,6 +31,7 @@ from ffsolve.solver import (
     transfer_factorization_residual,
 )
 from ffsolve.verify import (
+    VerificationReport,
     brute_force_spectrum,
     symmetry_generators,
     verify_all,
@@ -89,6 +91,38 @@ def test_verify_free_above_dense_cap_keeps_energies():
     assert rep.energies
     assert "cap" in rep.failure
     assert rep.passed() is False
+    # a stage that raises is not timed
+    assert list(rep.timings) == ["classify", "energies"]
+
+
+def test_verify_free_reports_a_refused_root_finder():
+    """Chain 15x3 has alpha = 15 and its roots cannot all be isolated:
+    the report fails with the root finder's reason, not a traceback."""
+    rep = verify_free(chain_model(15, 3, [1.0, 0.7, 1.3]))
+    assert rep.applicable and rep.spectrum_match is False
+    assert rep.failure.startswith("isolated 11 real roots, expected 15")
+    assert rep.energies is None and list(rep.timings) == ["classify", "energies"]
+    assert not rep.passed()
+
+
+def test_passed_needs_every_residual_within_its_tolerance():
+    """Each residual faces its entry of TOLERANCES: NaN, or a name the
+    table lacks, fails."""
+    assert VerificationReport(lemma_residuals={"car": 1e-15, "ladder": 0.0}).passed()
+    assert not VerificationReport(lemma_residuals={"car": 1e-15, "ladder": math.nan}).passed()
+    assert not VerificationReport(lemma_residuals={"no_such_check": 0.0}).passed()
+    assert not VerificationReport(lemma_residuals={"car": 2e-8}).passed()
+
+
+def test_a_nan_residual_at_one_u_fails_verify_all(monkeypatch):
+    """The largest residual over the u grid is NaN when any one is."""
+    def nan_at_037(h, u):
+        return math.nan if u == 0.37 else 0.0
+
+    monkeypatch.setattr(verify, "transfer_factorization_residual", nan_at_037)
+    rep = verify_all(h5_model(1.0, 0.7, -1.3, 0.4, 2.0))
+    assert math.isnan(rep.lemma_residuals["transfer_factorization"])
+    assert rep.spectrum_match and not rep.passed()
 
 
 def test_verify_free_h5_fixed_couplings():
@@ -214,7 +248,7 @@ def test_verify_all_h5_all_green():
     assert rep.passed()
     for name in ("charges_commute", "transfer_factorization",
                  "fundamental_identity", "car", "ladder", "reconstruction"):
-        assert rep.lemma_residuals[name] <= rep.tolerances[name]
+        assert rep.lemma_residuals[name] <= verify.TOLERANCES[name]
     assert rep.spectrum_match and rep.degeneracy_uniform
     d = rep.to_dict()
     assert d["passed"] is True
@@ -406,7 +440,7 @@ def test_verify_all_ties_the_modes_to_the_transfer_operator(scale):
     assert rep.passed()
     for name in ("lanczos_energy", "zero_eigenvector"):
         assert rep.lemma_residuals[name] <= 1e-12
-        assert rep.tolerances[name] == 1e-8
+        assert verify.TOLERANCES[name] == 1e-8
 
 
 def test_lemma_residuals_are_relative_to_their_products():
