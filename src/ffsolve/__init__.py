@@ -47,7 +47,6 @@ from .paulis import (
     opsum_anticomm_batch,
     opsum_comm,
     opsum_comm_batch,
-    opsum_mul,
     opsum_mul_batch,
 )
 from .recognition import (

@@ -472,11 +472,6 @@ def _row_group(packed: _Packed, start: int, count: int) -> _Packed:
     return packed._replace(coef=packed.coef[start:start + count])
 
 
-def opsum_mul(a: OperatorSum, b: OperatorSum) -> OperatorSum:
-    """Distributive product with exact phase folding; result pruned."""
-    return _products([a], [b], None, 1.0)[0]
-
-
 def opsum_comm(a: OperatorSum, b: OperatorSum) -> OperatorSum:
     """Commutator [a, b]; only anticommuting string pairs contribute."""
     return _products([a], [b], 1, 2.0)[0]

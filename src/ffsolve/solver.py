@@ -27,8 +27,12 @@ pass of the product kernel: {psi_i, psi_j^dagger} and {psi_i, psi_j} of
 ``ladder_residual``; [psi_j, psi_j^dagger] of ``reconstruct``; and
 T(u_j) psi_j, then psi_j^dagger T(u_j), of ``zero_eigenvector_residual``.
 ``transfer_factorization_residual`` and ``check_fundamental_identity``
-take one value of u a call; the latter forms T(u) (1 + u sum h_v) and
-(1 - u sum h_v) chi in one pass.
+take a grid of u and form each of their products in one pass, a row per
+u: T(u) T(-u); T(u) (1 + u sum h_v) and (1 - u sum h_v) chi; chi T(-u);
+and T(u) (1 + u sum h_v) chi T(-u).  Both run on the couplings divided
+by the power of two just above the largest |coupling|, as ``all_modes``
+does, so that the absolute ``PRUNE_TOL`` of the products does not weaken
+them as the couplings shrink.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from .paulis import (
     opsum_anticomm_batch,
     opsum_comm,
     opsum_comm_batch,
-    opsum_mul,
     opsum_mul_batch,
     subset_products,
 )
@@ -119,19 +122,41 @@ def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph) -> float:
     return worst
 
 
-def _transfer_pair(h: Hamiltonian, u: float) -> tuple[OperatorSum, OperatorSum, float]:
-    """T(u), T(-u) and P(-u^2) of ``h``, from its frustration graph."""
-    graph = frustration_graph(h)
-    t = transfer(h, graph)
-    return t.evaluate(u), t.evaluate(-u), weighted_independence_polynomial(graph)(-u * u)
+def _unit_couplings(h: Hamiltonian) -> tuple[float, Hamiltonian]:
+    """``scale``, the power of two just above the largest |coupling|, and
+    ``h`` with its couplings divided by it, which is exact."""
+    scale = math.ldexp(1.0, math.frexp(max(abs(c) for c, _ in h.terms))[1])
+    return scale, Hamiltonian(h.n, tuple((c / scale, t) for c, t in h.terms))
 
 
-def transfer_factorization_residual(h: Hamiltonian, u: float) -> float:
-    """max coefficient of T(u) T(-u) - P(-u^2) I, relative to the Pauli
-    1-norm ||T(u)||_1 ||T(-u)||_1 of the products that form it."""
-    tu, tmu, p = _transfer_pair(h, u)
-    expected = p * OperatorSum.identity(h.n)
-    return (opsum_mul(tu, tmu) - expected).max_abs_coeff() / (tu.abs_sum() * tmu.abs_sum())
+def _transfer_grid(h: Hamiltonian, us: Sequence[float]) -> tuple[
+        list[OperatorSum], list[OperatorSum], list[float]]:
+    """T(u), T(-u) and P(-u^2) of ``h`` at each u of ``us``.
+
+    The frustration graph and the transfer operator are still built at
+    each u (``perfbench/selftest.py`` pins their counts, ROADMAP item 7);
+    P comes from one polynomial."""
+    tus, tmus = [], []
+    for u in us:
+        graph = frustration_graph(h)
+        t = transfer(h, graph)
+        tus.append(t.evaluate(u))
+        tmus.append(t.evaluate(-u))
+    if not tus:
+        return [], [], []
+    poly = weighted_independence_polynomial(graph)
+    return tus, tmus, [poly(-u * u) for u in us]
+
+
+def transfer_factorization_residual(h: Hamiltonian, us: Sequence[float]) -> list[float]:
+    """At each u of ``us``, the max coefficient of T(u) T(-u) - P(-u^2) I,
+    relative to the Pauli 1-norm ||T(u)||_1 ||T(-u)||_1 of the products
+    that form it; at unit largest coupling, and in one pass."""
+    _, h = _unit_couplings(h)
+    tus, tmus, ps = _transfer_grid(h, us)
+    ident = OperatorSum.identity(h.n)
+    return [(prod - p * ident).max_abs_coeff() / (tu.abs_sum() * tmu.abs_sum())
+            for prod, tu, tmu, p in zip(opsum_mul_batch(tus, tmus), tus, tmus, ps)]
 
 
 # -- simplicial extension and modes -------------------------------------------
@@ -204,8 +229,7 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm,
         if m > 1:
             raise DegenerateModeError(
                 f"energy {e:.12g} has multiplicity {m}; mode construction refused")
-    scale = math.ldexp(1.0, math.frexp(max(abs(c) for c, _ in hext.terms))[1])
-    hext = Hamiltonian(hext.n, tuple((c / scale, t) for c, t in hext.terms))
+    scale, hext = _unit_couplings(hext)
     graph = frustration_graph(hext)
     parts = component_count(graph)
     if parts > 1:
@@ -327,28 +351,33 @@ def ladder_residual(hext: Hamiltonian, modes: Sequence[IncognitoMode]) -> float:
 
 
 def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
-                               ks: Sequence[int], u: float) -> float:
-    """Pauli 1-norm residual, an upper bound on the operator norm, of the
-    simplicial-clique identity
+                               ks: Sequence[int], us: Sequence[float]) -> list[float]:
+    """At each u of ``us``, the Pauli 1-norm residual, an upper bound on
+    the operator norm, of the simplicial-clique identity
 
     T(u) (1 + u sum_{v in ks} h_v) chi T(-u)
         = P(-u^2) (1 - u sum_{v in ks} h_v) chi ,
 
     relative to the sum over the two sides of the Pauli 1-norms of the
-    factors that form each side.  T(u) (1 + u sum h_v) and
+    factors that form each side; at unit largest coupling.  Each product
+    is one pass with a row per u, and T(u) (1 + u sum h_v) and
     (1 - u sum h_v) chi, whose left and right factors share strings, are
-    one pass.
+    one pass together.
     """
-    tu, tmu, p = _transfer_pair(hext, u)
+    _, hext = _unit_couplings(hext)
+    tus, tmus, ps = _transfer_grid(hext, us)
     hsum = OperatorSum.from_terms(hext.n, [hext.terms[v] for v in ks])
     ident = OperatorSum.identity(hext.n)
     chi_op = OperatorSum.from_term(chi)
-    plus, minus = ident + u * hsum, ident - u * hsum
-    left, right = opsum_mul_batch([tu, minus], [plus, chi_op])
-    lhs = opsum_mul(left, opsum_mul(chi_op, tmu))
-    rhs = p * right
-    scale = tu.abs_sum() * plus.abs_sum() * tmu.abs_sum() + abs(p) * minus.abs_sum()
-    return (lhs - rhs).abs_sum() / scale
+    pluses = [ident + u * hsum for u in us]
+    minuses = [ident - u * hsum for u in us]
+    pairs = opsum_mul_batch(tus + minuses, pluses + [chi_op] * len(us))
+    lefts, rights = pairs[:len(us)], pairs[len(us):]
+    lhss = opsum_mul_batch(lefts, opsum_mul_batch([chi_op] * len(us), tmus))
+    return [(lhs - p * right).abs_sum()
+            / (tu.abs_sum() * plus.abs_sum() * tmu.abs_sum() + abs(p) * minus.abs_sum())
+            for lhs, right, p, tu, tmu, plus, minus
+            in zip(lhss, rights, ps, tus, tmus, pluses, minuses)]
 
 
 def zero_eigenvector_residual(modes: Sequence[IncognitoMode], t: TransferOperator) -> float:

@@ -349,13 +349,13 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> 
 
     with _stage(report, "transfer"):
         report.lemma_residuals["transfer_factorization"] = float(np.max(
-            [transfer_factorization_residual(h, u) for u in DEFAULT_U_GRID]))
+            transfer_factorization_residual(h, DEFAULT_U_GRID)))
 
     ks = report.structure.simplicial_clique
     hext, chi = simplicial_extension(h, ks)
     with _stage(report, "fundamental_identity"):
         report.lemma_residuals["fundamental_identity"] = float(np.max(
-            [check_fundamental_identity(hext, chi, ks, u) for u in DEFAULT_U_GRID]))
+            check_fundamental_identity(hext, chi, ks, DEFAULT_U_GRID)))
 
     poly = weighted_independence_polynomial(graph)
     try:

@@ -20,6 +20,7 @@ from ffsolve.errors import DenseCapError
 from ffsolve.graphs import WeightedGraph, bits, frustration_graph, stable_sets
 from ffsolve.indpoly import IndependencePolynomial, weighted_independence_polynomial
 from ffsolve.models import back_to_back_model
+from ffsolve.models import Hamiltonian
 from ffsolve.paulis import (
     DENSE_QUBIT_CAP,
     PRUNE_TOL,
@@ -27,8 +28,10 @@ from ffsolve.paulis import (
     PauliTerm,
     dense_sums,
     multiply,
+    opsum_mul_batch,
 )
 from ffsolve.recognition import classify
+from ffsolve.solver import transfer
 from ffsolve.verify import SPECTRUM_CLUSTER_TOL, SPECTRUM_MATCH_TOL, brute_force_spectrum
 
 EPS = float(np.finfo(float).eps)
@@ -538,3 +541,50 @@ def pairwise_product(a: OperatorSum, b: OperatorSum, parity, factor: float) -> O
         if abs(c) > PRUNE_TOL:
             acc[(x, z)] = complex(c)
     return OperatorSum(a.n, acc)
+
+
+def opsum_mul(a: OperatorSum, b: OperatorSum) -> OperatorSum:
+    """The product a b, as a batch of one."""
+    return opsum_mul_batch([a], [b])[0]
+
+
+# -- the lemma checks one u at a time -------------------------------------------
+
+def unit_couplings(h: Hamiltonian) -> Hamiltonian:
+    """``h`` with its couplings divided by the power of two just above the
+    largest |coupling|, as the grid checks of ``solver`` take it."""
+    scale = math.ldexp(1.0, math.frexp(max(abs(c) for c, _ in h.terms))[1])
+    return Hamiltonian(h.n, tuple((c / scale, t) for c, t in h.terms))
+
+
+def _transfer_pair(h, u: float):
+    """T(u), T(-u) and P(-u^2) of ``h``, from its frustration graph."""
+    graph = frustration_graph(h)
+    t = transfer(h, graph)
+    return t.evaluate(u), t.evaluate(-u), weighted_independence_polynomial(graph)(-u * u)
+
+
+def per_u_transfer_factorization(h, u: float) -> float:
+    """Reference for ``solver.transfer_factorization_residual`` at one u,
+    its plain products taken as they were before the grid was batched: max
+    coefficient of T(u) T(-u) - P(-u^2) I over ||T(u)||_1 ||T(-u)||_1."""
+    tu, tmu, p = _transfer_pair(h, u)
+    expected = p * OperatorSum.identity(h.n)
+    return (opsum_mul(tu, tmu) - expected).max_abs_coeff() / (tu.abs_sum() * tmu.abs_sum())
+
+
+def per_u_fundamental_identity(hext, chi, ks, u: float) -> float:
+    """Reference for ``solver.check_fundamental_identity`` at one u, its
+    products taken as they were before the grid was batched: T(u) (1 + u
+    sum h_v) and (1 - u sum h_v) chi in one pass of two rows, then
+    chi T(-u) and the left side as plain products."""
+    tu, tmu, p = _transfer_pair(hext, u)
+    hsum = OperatorSum.from_terms(hext.n, [hext.terms[v] for v in ks])
+    ident = OperatorSum.identity(hext.n)
+    chi_op = OperatorSum.from_term(chi)
+    plus, minus = ident + u * hsum, ident - u * hsum
+    left, right = opsum_mul_batch([tu, minus], [plus, chi_op])
+    lhs = opsum_mul(left, opsum_mul(chi_op, tmu))
+    rhs = p * right
+    scale = tu.abs_sum() * plus.abs_sum() * tmu.abs_sum() + abs(p) * minus.abs_sum()
+    return (lhs - rhs).abs_sum() / scale

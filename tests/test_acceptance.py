@@ -17,6 +17,7 @@ from conftest import (
     maximal_cliques,
     naive_has_claw,
     naive_has_even_hole,
+    opsum_mul,
     random_graph,
     to_dense,
     verify_clique_recurrence,
@@ -32,7 +33,7 @@ from ffsolve.models import (
     h6_model,
     junction_model,
 )
-from ffsolve.paulis import OperatorSum, opsum_comm, opsum_mul
+from ffsolve.paulis import OperatorSum, opsum_comm
 from ffsolve.recognition import classify, find_claw, find_even_hole, smallest_simplicial_clique
 from ffsolve.solver import (
     all_modes,
@@ -156,8 +157,7 @@ def test_criterion_05_fundamental_identity():
             h = make()
             ks = smallest_simplicial_clique(frustration_graph(h))
             hext, chi = simplicial_extension(h, ks)
-            for u in U_GRID:
-                worst = max(worst, check_fundamental_identity(hext, chi, ks, u))
+            worst = max(worst, *check_fundamental_identity(hext, chi, ks, U_GRID))
     report(5, worst < 1e-9, f"fundamental identity residual {worst:.2e} (15 models x 8 u)")
 
 

@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import pairwise_product, to_dense
+from conftest import opsum_mul, pairwise_product, to_dense
 from ffsolve import paulis
 from ffsolve.errors import DenseCapError, TermBudgetError
 from ffsolve.paulis import (
@@ -18,7 +18,6 @@ from ffsolve.paulis import (
     opsum_anticomm_batch,
     opsum_comm,
     opsum_comm_batch,
-    opsum_mul,
     opsum_mul_batch,
 )
 

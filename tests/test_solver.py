@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cycle_graph,
     maximal_cliques,
     naive_has_claw,
     naive_simplicial_cliques,
+    opsum_mul,
     per_set_charges,
+    per_u_fundamental_identity,
+    per_u_transfer_factorization,
     random_graph,
     to_dense,
+    unit_couplings,
 )
 from ffsolve import paulis, solver
 from ffsolve.errors import ConditioningError, DegenerateModeError, FFSolveError, NotSimplicialError
@@ -31,7 +36,7 @@ from ffsolve.models import (
     parse_hamiltonian,
     realize_graph,
 )
-from ffsolve.paulis import OperatorSum, PauliTerm, commutes, opsum_comm, opsum_mul
+from ffsolve.paulis import OperatorSum, PauliTerm, commutes, opsum_comm
 from ffsolve.recognition import smallest_simplicial_clique
 from ffsolve.solver import (
     IncognitoMode,
@@ -48,6 +53,7 @@ from ffsolve.solver import (
     transfer_factorization_residual,
     zero_eigenvector_residual,
 )
+from ffsolve.verify import DEFAULT_U_GRID
 
 RNG = random.Random(2024)
 
@@ -195,8 +201,7 @@ def test_transfer_derivative_matches_finite_difference():
 def test_transfer_factorization_h5():
     h = random_h5()
     poly = weighted_independence_polynomial(frustration_graph(h))
-    for u in (0.3, -0.9, 1.5):
-        assert transfer_factorization_residual(h, u) < 1e-12
+    assert max(transfer_factorization_residual(h, (0.3, -0.9, 1.5))) < 1e-12
     # the product really is P(-u^2) times the identity
     t = transfer(h, frustration_graph(h))
     prod = opsum_mul(t.evaluate(0.3), t.evaluate(-0.3))
@@ -484,13 +489,13 @@ def test_fundamental_identity():
     h = random_h5()
     ks = smallest_simplicial_clique(frustration_graph(h))
     hext, chi = simplicial_extension(h, ks)
-    assert check_fundamental_identity(hext, chi, ks, 0.0) == 0.0
-    assert check_fundamental_identity(hext, chi, ks, 0.37) < 1e-9
+    at_zero, at_037 = check_fundamental_identity(hext, chi, ks, (0.0, 0.37))
+    assert at_zero == 0.0 and at_037 < 1e-9
     hc = chain_model(2, 3, [RNG.uniform(0.4, 1.4) for _ in range(3)])
     gksc = smallest_simplicial_clique(frustration_graph(hc))
     hcext, chic = simplicial_extension(hc, gksc)
-    for u in (0.1, -0.37, 0.9, -1.5):
-        assert check_fundamental_identity(hcext, chic, gksc, u) < 1e-9
+    assert max(check_fundamental_identity(hcext, chic, gksc, (0.1, -0.37, 0.9, -1.5))) < 1e-9
+    assert check_fundamental_identity(hcext, chic, gksc, ()) == []
 
 
 def test_fundamental_identity_fails_on_wrong_clique():
@@ -502,8 +507,76 @@ def test_fundamental_identity_fails_on_wrong_clique():
         ks = smallest_simplicial_clique(g)
         hext, chi = simplicial_extension(h, ks)
         wrong = next(c for c in maximal_cliques(g) if c != sorted(ks))
-        for u in (0.1, -0.37, 0.9, -1.5):
-            assert check_fundamental_identity(hext, chi, wrong, u) > 1e-6
+        assert min(check_fundamental_identity(hext, chi, wrong, (0.1, -0.37, 0.9, -1.5))) > 1e-6
+
+
+def test_a_wrong_clique_fails_at_any_scale():
+    """The grid checks run at unit largest coupling, where the worst
+    residual of this wrong clique on h5 reads 0.147 at every scale.  At the
+    couplings as given it read 0.20 at unit couplings, 2.9e-6 at x 2^-20
+    and 2.7e-12 at x 2^-40, below the 1e-9 tolerance."""
+    h = h5_model(*[2.0 ** -40] * 5)
+    g = frustration_graph(h)
+    ks = smallest_simplicial_clique(g)
+    hext, chi = simplicial_extension(h, ks)
+    wrong = next(c for c in maximal_cliques(g) if c != sorted(ks))
+    assert max(check_fundamental_identity(hext, chi, wrong, DEFAULT_U_GRID)) > 1e-6
+
+
+def _grid_inputs():
+    """Inputs of the two grid checks whose residuals are far from 0.0,
+    which every right answer here reads: h5, h6, chains 2x3, 2x4 and 3x3
+    and junction (1,1,1), each with its simplicial clique and with a wrong
+    one for the fundamental identity, and two claw-free models with an
+    even hole, where T(u) T(-u) is not P(-u^2) I, for the factorization."""
+    rng = random.Random(23)
+
+    def draw(count):
+        return [rng.choice([-1, 1]) * rng.uniform(0.4, 1.7) for _ in range(count)]
+
+    models = [h5_model(*draw(5)), h6_model(*draw(6)), chain_model(2, 3, draw(3)),
+              chain_model(2, 4, draw(4)), chain_model(3, 3, draw(3)),
+              junction_model((1, 1, 1), 3, draw(15))]
+    holes = [chain_model(3, 3, draw(3), periodic=True),
+             realize_graph(cycle_graph(4, [c * c for c in draw(4)]))]
+    cliques = []
+    for h in models:
+        g = frustration_graph(h)
+        ks = smallest_simplicial_clique(g)
+        cliques += [(h, ks, ks), (h, ks, next(c for c in maximal_cliques(g) if c != sorted(ks)))]
+    return models + holes, cliques
+
+
+def _scaled(h, factor):
+    return Hamiltonian(h.n, tuple((c * factor, t) for c, t in h.terms))
+
+
+def test_grid_residuals_do_not_depend_on_the_scale():
+    """Dividing by a power of two is exact, so the residuals of both grid
+    checks are the same floats at couplings x 2^30, x 1 and x 2^-30."""
+    factors = (2.0 ** 30, 1.0, 2.0 ** -30)
+    hs, cliques = _grid_inputs()
+    for h in hs:
+        grids = [transfer_factorization_residual(_scaled(h, f), DEFAULT_U_GRID) for f in factors]
+        assert grids[0] == grids[1] == grids[2]
+    for h, ks, clique in cliques:
+        grids = [check_fundamental_identity(*simplicial_extension(_scaled(h, f), ks), clique,
+                                            DEFAULT_U_GRID) for f in factors]
+        assert grids[0] == grids[1] == grids[2]
+
+
+def test_batched_grid_equals_the_per_u_reference():
+    """Each product of the grid checks is one pass with a row per u, and
+    every row equals the product that the per-u form takes, bit for bit."""
+    hs, cliques = _grid_inputs()
+    for h in hs:
+        assert transfer_factorization_residual(h, DEFAULT_U_GRID) == [
+            per_u_transfer_factorization(unit_couplings(h), u) for u in DEFAULT_U_GRID]
+    for h, ks, clique in cliques:
+        hext, chi = simplicial_extension(h, ks)
+        assert check_fundamental_identity(hext, chi, clique, DEFAULT_U_GRID) == [
+            per_u_fundamental_identity(unit_couplings(hext), chi, clique, u)
+            for u in DEFAULT_U_GRID]
 
 
 def test_mode_norm_formula():
