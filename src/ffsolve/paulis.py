@@ -54,6 +54,11 @@ whatever the sizes.  The pair count of a row is checked against
 sort on the key, and the running sums enter the next block's reduction
 as entries of their own.
 
+Pruning is relative, so that no result depends on the overall scale of
+the couplings: row r of a product drops a coefficient of at most
+``PRUNE_TOL`` |factor| max|a_r| max|b_r|, and a sum built from a dict one
+of at most ``PRUNE_TOL`` times its own largest |coefficient|.
+
 Basis-state convention for the dense backend: qubit q corresponds to bit
 q of the computational-basis index (little-endian), so Z on qubit 0 of a
 one-qubit system is diag(1, -1).
@@ -169,7 +174,8 @@ class OperatorSum:
     """Sparse complex-weighted sum of canonical Pauli strings.
 
     Terms map (x, z) -> coefficient; coefficients of at most ``PRUNE_TOL``
-    are dropped at construction.  Instances are treated as immutable.
+    times the largest |coefficient| are dropped at construction.  Instances
+    are treated as immutable.
     """
 
     __slots__ = ("n", "terms", "_packed")
@@ -178,11 +184,19 @@ class OperatorSum:
         self.n = n
         clean: dict[tuple[int, int], complex] = {}
         if terms:
+            cut = PRUNE_TOL * max(map(abs, terms.values()))
             for key, c in terms.items():
-                if abs(c) > PRUNE_TOL:
+                if abs(c) > cut:
                     clean[key] = complex(c)
         self.terms = clean
         self._packed: _Packed | None = None
+
+    @classmethod
+    def from_vector(cls, n: int, strings: Sequence[tuple[int, int]],
+                    coef: np.ndarray) -> "OperatorSum":
+        """sum_s coef[s] sigma(strings[s]), pruned as the constructor prunes."""
+        keep, _ = _kept(coef)
+        return cls._of_clean(n, dict(zip(compress(strings, keep), coef[keep].tolist())))
 
     @classmethod
     def _of_clean(cls, n: int, terms: dict[tuple[int, int], complex]) -> "OperatorSum":
@@ -452,11 +466,14 @@ def _products(lefts: Sequence[OperatorSum], rights: Sequence[OperatorSum],
         lefts[0]._check(s)
     a, b = _pack_rows(lefts), _pack_rows(rights)
     group = max(1, _CHUNK_PAIRS // max(1, a.key.shape[1] * b.key.shape[1]))
+    cut = _cut(factor, np.abs(a.coef).max(axis=1, initial=0.0),
+               np.abs(b.coef).max(axis=1, initial=0.0))
     out = []
     for r in range(0, len(lefts), group):
-        key, coef = _kernel(_row_group(a, r, group), _row_group(b, r, group), parity)
+        rows = slice(r, r + group)  # both operands hold a row per product
+        key, coef = _kernel(a._replace(coef=a.coef[rows]), b._replace(coef=b.coef[rows]), parity)
         coef = factor * coef
-        keep = np.abs(coef) > PRUNE_TOL
+        keep = np.abs(coef) > cut[rows, None]
         used = np.flatnonzero(keep.any(axis=0))
         strings, phase = _strings(n, np.take(key, used, axis=1))
         coef = (np.take(coef, used, axis=1) * phase).tolist()
@@ -465,11 +482,18 @@ def _products(lefts: Sequence[OperatorSum], rights: Sequence[OperatorSum],
     return out
 
 
-def _row_group(packed: _Packed, start: int, count: int) -> _Packed:
-    """Rows start..start+count-1 of ``packed``; an operand of one row serves them all."""
-    if len(packed.coef) == 1:
-        return packed
-    return packed._replace(coef=packed.coef[start:start + count])
+def _kept(coef: np.ndarray) -> tuple[np.ndarray, float]:
+    """Which entries of ``coef`` exceed PRUNE_TOL times its largest |entry|,
+    and that largest |entry|."""
+    size = np.abs(coef)
+    top = size.max(initial=0.0)
+    return size > PRUNE_TOL * top, top
+
+
+def _cut(factor: float, a_top, b_top):
+    """The prune cut of a product row, PRUNE_TOL |factor| max|a_r| max|b_r|,
+    from the largest |coefficient| of each factor."""
+    return PRUNE_TOL * abs(factor) * a_top * b_top
 
 
 def opsum_comm(a: OperatorSum, b: OperatorSum) -> OperatorSum:
@@ -514,13 +538,15 @@ class StringBasis:
     def comm(self, h: OperatorSum, vector: np.ndarray) -> np.ndarray:
         """The coefficients over the strings, the new ones of the product
         appended, of [h, sum_s vector[s] sigma(s)], with the entries of
-        ``vector`` and of the product at most PRUNE_TOL left out."""
-        used = np.flatnonzero(np.abs(vector) > PRUNE_TOL)
+        ``vector`` and of the product pruned as ``OperatorSum`` and
+        ``opsum_comm`` prune them."""
+        kept, top = _kept(vector)
+        used = np.flatnonzero(kept)
         key = np.take(self._key, used, axis=1)
         op = _Packed(key, *_split(self.n, key), (vector[used] * self._phase[used])[None])
         key, coef = _kernel(h._pack(), op, 1)
         coef = 2.0 * coef[0]
-        keep = np.flatnonzero(np.abs(coef) > PRUNE_TOL)
+        keep = np.flatnonzero(np.abs(coef) > _cut(2.0, h.max_abs_coeff(), top))
         key, coef = np.take(key, keep, axis=1), coef[keep]
         old = len(self._index)
         cols = [self._index.setdefault(k, len(self._index)) for k in _ints(key)]

@@ -29,17 +29,15 @@ T(u_j) psi_j, then psi_j^dagger T(u_j), of ``zero_eigenvector_residual``.
 ``transfer_factorization_residual`` and ``check_fundamental_identity``
 take a grid of u and form each of their products in one pass, a row per
 u: T(u) T(-u); T(u) (1 + u sum h_v) and (1 - u sum h_v) chi; chi T(-u);
-and T(u) (1 + u sum h_v) chi T(-u).  Both run on the couplings divided
-by the power of two just above the largest |coupling|, as ``all_modes``
-does, so that the absolute ``PRUNE_TOL`` of the products does not weaken
-them as the couplings shrink.
+and T(u) (1 + u sum h_v) chi T(-u).  Both divide the grid by the power
+of two just above the largest |coupling|, since u is the one input with
+units.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +47,6 @@ from .graphs import WeightedGraph, component_count, frustration_graph, stable_se
 from .indpoly import SingleParticleEnergies, weighted_independence_polynomial
 from .models import Hamiltonian
 from .paulis import (
-    PRUNE_TOL,
     OperatorSum,
     PauliTerm,
     StringBasis,
@@ -91,15 +88,10 @@ def transfer(h: Hamiltonian, graph: WeightedGraph) -> TransferOperator:
     after its parent, the set without its highest vertex, so
     ``paulis.subset_products`` builds a set's coupling and Pauli product
     from its parent's with one term.  The factors of a set commute, so
-    their order is immaterial.  Q^(k) is of the size of s^k, s the largest
-    |coupling|, and is pruned against that, so that no charge depends on
-    the overall scale.
+    their order is immaterial.
     """
     accs = subset_products(h.terms, stable_sets(graph.adj))
-    s = max((abs(c) for c, _ in h.terms), default=1.0)
-    return TransferOperator(h.n, tuple(
-        OperatorSum._of_clean(h.n, {key: c for key, c in acc.items() if abs(c) > cut})
-        for acc, cut in zip(accs, [PRUNE_TOL * s ** k for k in range(len(accs))])))
+    return TransferOperator(h.n, tuple(OperatorSum(h.n, acc) for acc in accs))
 
 
 # -- structural identity residuals -------------------------------------------
@@ -122,20 +114,16 @@ def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph) -> float:
     return worst
 
 
-def _unit_couplings(h: Hamiltonian) -> tuple[float, Hamiltonian]:
-    """``scale``, the power of two just above the largest |coupling|, and
-    ``h`` with its couplings divided by it, which is exact."""
-    scale = math.ldexp(1.0, math.frexp(max(abs(c) for c, _ in h.terms))[1])
-    return scale, Hamiltonian(h.n, tuple((c / scale, t) for c, t in h.terms))
-
-
 def _transfer_grid(h: Hamiltonian, us: Sequence[float]) -> tuple[
-        list[OperatorSum], list[OperatorSum], list[float]]:
-    """T(u), T(-u) and P(-u^2) of ``h`` at each u of ``us``.
+        list[float], list[OperatorSum], list[OperatorSum], list[float]]:
+    """The grid ``us`` divided by the power of two just above the largest
+    |coupling| (exact), and T(u), T(-u) and P(-u^2) of ``h`` at each u of it.
 
     The frustration graph and the transfer operator are still built at
     each u (``perfbench/selftest.py`` pins their counts, ROADMAP item 7);
     P comes from one polynomial."""
+    scale = math.ldexp(1.0, -math.frexp(max(abs(c) for c, _ in h.terms))[1])
+    us = [u * scale for u in us]
     tus, tmus = [], []
     for u in us:
         graph = frustration_graph(h)
@@ -143,17 +131,16 @@ def _transfer_grid(h: Hamiltonian, us: Sequence[float]) -> tuple[
         tus.append(t.evaluate(u))
         tmus.append(t.evaluate(-u))
     if not tus:
-        return [], [], []
+        return [], [], [], []
     poly = weighted_independence_polynomial(graph)
-    return tus, tmus, [poly(-u * u) for u in us]
+    return us, tus, tmus, [poly(-u * u) for u in us]
 
 
 def transfer_factorization_residual(h: Hamiltonian, us: Sequence[float]) -> list[float]:
     """At each u of ``us``, the max coefficient of T(u) T(-u) - P(-u^2) I,
     relative to the Pauli 1-norm ||T(u)||_1 ||T(-u)||_1 of the products
-    that form it; at unit largest coupling, and in one pass."""
-    _, h = _unit_couplings(h)
-    tus, tmus, ps = _transfer_grid(h, us)
+    that form it; in one pass, on the grid of ``_transfer_grid``."""
+    _, tus, tmus, ps = _transfer_grid(h, us)
     ident = OperatorSum.identity(h.n)
     return [(prod - p * ident).max_abs_coeff() / (tu.abs_sum() * tmu.abs_sum())
             for prod, tu, tmu, p in zip(opsum_mul_batch(tus, tmus), tus, tmus, ps)]
@@ -195,7 +182,6 @@ class IncognitoMode:
     """One nonlocal fermionic eigenmode on the ancilla-extended system;
     ``ritz`` is its eigenvalue of [H, .] from the Lanczos run, near 2 e_j."""
 
-    index: int
     u: float
     energy: float
     norm: float
@@ -207,29 +193,17 @@ class IncognitoMode:
         return self.op.dagger()
 
 
-def _opsum(n: int, strings: list[tuple[int, int]], coef: np.ndarray) -> OperatorSum:
-    """sum_s coef[s] sigma(strings[s]), pruned."""
-    keep = np.abs(coef) > PRUNE_TOL
-    return OperatorSum._of_clean(n, dict(zip(compress(strings, keep), coef[keep].tolist())))
-
-
 def all_modes(hext: Hamiltonian, chi: PauliTerm,
               energies: SingleParticleEnergies) -> list[IncognitoMode]:
     """Mode j of every energy e_j, as the Ritz vector at 2 e_j of Lanczos
     on [H, .].  Every energy must be simple: a repeated energy has a plane
     of modes, and N_j vanishes there.  The frustration graph must be
     connected: chi's Krylov space holds the modes of its own component only.
-
-    The couplings are divided by ``scale``, the power of two just above the
-    largest |coupling| (exact), so that neither ``PRUNE_TOL`` nor the
-    Lanczos stop depends on the overall scale.  For the scaled couplings
-    u_j is u = scale / e_j, and mode j is the Ritz vector at 2 / u.
     """
     for e, m in energies.energies:  # refused before any operator
         if m > 1:
             raise DegenerateModeError(
                 f"energy {e:.12g} has multiplicity {m}; mode construction refused")
-    scale, hext = _unit_couplings(hext)
     graph = frustration_graph(hext)
     parts = component_count(graph)
     if parts > 1:
@@ -243,7 +217,7 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm,
     strings, basis, ritz, vectors = _lanczos(hext, chi, 2 * len(energies.flat()) + 1)
     modes = []
     for j, e in enumerate(energies.flat()):
-        u = scale / e
+        u = 1.0 / e
         p_red = poly_minus_ks(-u * u)
         nsq = 16.0 * u * u * p_red * poly.deriv(-u * u)
         if not nsq > 0:
@@ -253,20 +227,21 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm,
         k = int(np.argmin(np.abs(ritz - 2.0 / u)))
         if not abs(ritz[k] * u - 2.0) <= 2e-8:
             raise ConditioningError(f"no eigenvalue of [H, .] near 2 e_{j} = {2.0 * e:.12g}"
-                                    f" (nearest {ritz[k] * scale:.12g})")
+                                    f" (nearest {ritz[k]:.12g})")
         # sum |c|^2 = 1/2 for CAR, and chi's coefficient 2 P_{G-K}(-u^2) / N_j is real
         coef = vectors[:, k] @ basis
         coef *= math.copysign(math.sqrt(0.5), p_red) * abs(coef[0]) / coef[0]
-        modes.append(IncognitoMode(j, 1.0 / e, e, math.sqrt(nsq), ritz[k] * scale,
-                                   _opsum(hext.n, strings, coef)))
+        modes.append(IncognitoMode(u, e, math.sqrt(nsq), ritz[k],
+                                   OperatorSum.from_vector(hext.n, strings, coef)))
     return modes
 
 
 def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
         list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
     """Lanczos on [H, .] from chi with full reorthogonalization, until the
-    next vector is below 1e-10: the strings seen (chi first), the Lanczos
-    vectors as rows over them, and the eigenpairs of the tridiagonal matrix.
+    next vector is below 1e-10 of the first: the strings seen (chi first),
+    the Lanczos vectors as rows over them, and the eigenpairs of the
+    tridiagonal matrix.
 
     The modes and the part of chi that commutes with H span at most
     ``steps`` dimensions; a run that needs more was given the energies of
@@ -285,7 +260,7 @@ def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
         coef -= proj @ basis
         coef -= (basis.conj() @ coef) @ basis  # a second pass restores orthogonality
         beta = float(np.linalg.norm(coef))
-        if beta <= 1e-10:
+        if beta <= 1e-10 * (off[0] if off else beta):
             break
         if len(basis) == steps:
             raise ConditioningError(f"the Krylov space of chi exceeds {steps} dimensions")
@@ -359,13 +334,12 @@ def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
         = P(-u^2) (1 - u sum_{v in ks} h_v) chi ,
 
     relative to the sum over the two sides of the Pauli 1-norms of the
-    factors that form each side; at unit largest coupling.  Each product
-    is one pass with a row per u, and T(u) (1 + u sum h_v) and
+    factors that form each side, on the grid of ``_transfer_grid``.  Each
+    product is one pass with a row per u, and T(u) (1 + u sum h_v) and
     (1 - u sum h_v) chi, whose left and right factors share strings, are
     one pass together.
     """
-    _, hext = _unit_couplings(hext)
-    tus, tmus, ps = _transfer_grid(hext, us)
+    us, tus, tmus, ps = _transfer_grid(hext, us)
     hsum = OperatorSum.from_terms(hext.n, [hext.terms[v] for v in ks])
     ident = OperatorSum.identity(hext.n)
     chi_op = OperatorSum.from_term(chi)

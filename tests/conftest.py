@@ -172,9 +172,8 @@ def per_set_charges(h, graph: WeightedGraph) -> list[dict]:
             prod = multiply(prod, t)
         key = (prod.x, prod.z)
         accs[k][key] = accs[k].get(key, 0.0) + coeff * prod.phase
-    s = max((abs(c) for c, _ in h.terms), default=1.0)  # Q^(k) is pruned against s^k
-    return [{key: c for key, c in acc.items() if abs(c) > PRUNE_TOL * s ** k}
-            for k, acc in enumerate(accs)]
+    cuts = [PRUNE_TOL * max(map(abs, acc.values())) for acc in accs]  # relative to Q^(k)
+    return [{key: c for key, c in acc.items() if abs(c) > cut} for acc, cut in zip(accs, cuts)]
 
 
 def verify_clique_recurrence(graph: WeightedGraph, clique) -> bool:
@@ -527,20 +526,22 @@ def pairwise_kernel(a, b, parity):
     return sums
 
 
-def pairwise_product(a: OperatorSum, b: OperatorSum, parity, factor: float) -> OperatorSum:
-    """factor * the product of ``a`` and ``b`` through ``pairwise_kernel``:
-    over every string pair when ``parity`` is None, else over the pairs
-    with that symplectic parity; pruned as the package prunes."""
+def pairwise_product(a: OperatorSum, b: OperatorSum, parity, factor: float) -> dict:
+    """factor * the product of ``a`` and ``b`` through ``pairwise_kernel``,
+    as a dict of its terms: over every string pair when ``parity`` is None,
+    else over the pairs with that symplectic parity; pruned as the package
+    prunes, at PRUNE_TOL |factor| max|a| max|b|."""
     key, coef = pairwise_kernel(_pack_one(a), _pack_one(b), parity)
     values = [sum(int(w) << (64 * i) for i, w in enumerate(col)) for col in key.T]
     mask = (1 << a.n) - 1
+    cut = PRUNE_TOL * abs(factor) * a.max_abs_coeff() * b.max_abs_coeff()
     acc = {}
     for v, c in zip(values, factor * coef):
         x, z = v & mask, v >> a.n
         c *= 1j ** (-(x & z).bit_count() % 4)
-        if abs(c) > PRUNE_TOL:
+        if abs(c) > cut:
             acc[(x, z)] = complex(c)
-    return OperatorSum(a.n, acc)
+    return acc
 
 
 def opsum_mul(a: OperatorSum, b: OperatorSum) -> OperatorSum:
@@ -550,11 +551,11 @@ def opsum_mul(a: OperatorSum, b: OperatorSum) -> OperatorSum:
 
 # -- the lemma checks one u at a time -------------------------------------------
 
-def unit_couplings(h: Hamiltonian) -> Hamiltonian:
-    """``h`` with its couplings divided by the power of two just above the
-    largest |coupling|, as the grid checks of ``solver`` take it."""
+def unit_grid(h: Hamiltonian, us) -> list[float]:
+    """``us`` divided by the power of two just above the largest |coupling|
+    of ``h``, as the grid checks of ``solver`` take it."""
     scale = math.ldexp(1.0, math.frexp(max(abs(c) for c, _ in h.terms))[1])
-    return Hamiltonian(h.n, tuple((c / scale, t) for c, t in h.terms))
+    return [u / scale for u in us]
 
 
 def _transfer_pair(h, u: float):

@@ -17,7 +17,7 @@ from conftest import (
     per_u_transfer_factorization,
     random_graph,
     to_dense,
-    unit_couplings,
+    unit_grid,
 )
 from ffsolve import paulis, solver
 from ffsolve.errors import ConditioningError, DegenerateModeError, FFSolveError, NotSimplicialError
@@ -29,6 +29,7 @@ from ffsolve.indpoly import (
 )
 from ffsolve.models import (
     Hamiltonian,
+    back_to_back_model,
     chain_model,
     h5_model,
     h6_model,
@@ -53,7 +54,7 @@ from ffsolve.solver import (
     transfer_factorization_residual,
     zero_eigenvector_residual,
 )
-from ffsolve.verify import DEFAULT_U_GRID
+from ffsolve.verify import DEFAULT_U_GRID, verify_all
 
 RNG = random.Random(2024)
 
@@ -511,10 +512,11 @@ def test_fundamental_identity_fails_on_wrong_clique():
 
 
 def test_a_wrong_clique_fails_at_any_scale():
-    """The grid checks run at unit largest coupling, where the worst
-    residual of this wrong clique on h5 reads 0.147 at every scale.  At the
-    couplings as given it read 0.20 at unit couplings, 2.9e-6 at x 2^-20
-    and 2.7e-12 at x 2^-40, below the 1e-9 tolerance."""
+    """The grid checks divide the u grid by the power of two above the
+    largest |coupling|, and the worst residual of this wrong clique on h5
+    reads 0.147 at every scale.  On the grid as given it read 0.20 at unit
+    couplings, 2.9e-6 at x 2^-20 and 2.7e-12 at x 2^-40, below the 1e-9
+    tolerance."""
     h = h5_model(*[2.0 ** -40] * 5)
     g = frustration_graph(h)
     ks = smallest_simplicial_clique(g)
@@ -571,12 +573,34 @@ def test_batched_grid_equals_the_per_u_reference():
     hs, cliques = _grid_inputs()
     for h in hs:
         assert transfer_factorization_residual(h, DEFAULT_U_GRID) == [
-            per_u_transfer_factorization(unit_couplings(h), u) for u in DEFAULT_U_GRID]
+            per_u_transfer_factorization(h, u) for u in unit_grid(h, DEFAULT_U_GRID)]
     for h, ks, clique in cliques:
         hext, chi = simplicial_extension(h, ks)
         assert check_fundamental_identity(hext, chi, clique, DEFAULT_U_GRID) == [
-            per_u_fundamental_identity(unit_couplings(hext), chi, clique, u)
-            for u in DEFAULT_U_GRID]
+            per_u_fundamental_identity(hext, chi, clique, u)
+            for u in unit_grid(hext, DEFAULT_U_GRID)]
+
+
+def test_charges_commute_residual_does_not_depend_on_the_scale():
+    """The charges of back_to_back do not commute, and their residual reads
+    the same float at every power-of-two scale of the couplings.  With
+    products pruned at an absolute 1e-14 it read 0.268 at x 1 and x 2^30,
+    but 0.0 at x 2^-20 and x 2^-40."""
+    h = back_to_back_model(1.0, 0.7, 1.3, 0.9, 1.2, 0.8)
+    got = [charges_commute_residual(_scaled(h, f), frustration_graph(_scaled(h, f)))
+           for f in (2.0 ** 30, 1.0, 2.0 ** -20, 2.0 ** -40)]
+    assert got[0] > 0.1 and len(set(got)) == 1, got
+
+
+def test_verify_lemma_residuals_do_not_depend_on_the_scale():
+    """Every residual of ``verify_all`` reads the same float at couplings
+    x 2^30, x 1 and x 2^-30, on h5 at the couplings of the CI step and on
+    the inputs of the grid checks.  With products pruned at an absolute
+    1e-14, ``ladder`` on h5 read 1.7e-16 at x 2^30 and 0.0 at x 1."""
+    hs, _ = _grid_inputs()
+    for h in [h5_model(1.0, 0.7, -1.3, 0.4, 2.0)] + hs:
+        got = [verify_all(_scaled(h, f)).lemma_residuals for f in (2.0 ** 30, 1.0, 2.0 ** -30)]
+        assert got[0] and got[0] == got[1] == got[2], got
 
 
 def test_mode_norm_formula():

@@ -506,6 +506,14 @@ def test_relative_residuals_still_fail_one_part_in_a_million(monkeypatch):
     with monkeypatch.context() as m:
         _perturbed_transfer(m, move_one_term)
         assert charges_commute_residual(h, graphs.frustration_graph(h)) > 1e-10
+    _energies_off_by_one_ppm(monkeypatch)
+    rep = verify_all(h)
+    assert rep.lemma_residuals["ladder"] > 1e-8
+    assert rep.lemma_residuals["reconstruction"] > 1e-8
+
+
+def _energies_off_by_one_ppm(monkeypatch):
+    """Make ``verify_all`` build its modes with every energy x (1 + 1e-6)."""
     build_modes = verify.all_modes
 
     def off_by_one_ppm(hext, chi, energies):
@@ -513,9 +521,18 @@ def test_relative_residuals_still_fail_one_part_in_a_million(monkeypatch):
                 for mode in build_modes(hext, chi, energies)]
 
     monkeypatch.setattr(verify, "all_modes", off_by_one_ppm)
-    rep = verify_all(h)
-    assert rep.lemma_residuals["ladder"] > 1e-8
-    assert rep.lemma_residuals["reconstruction"] > 1e-8
+
+
+def test_wrong_energies_fail_the_mode_checks_at_any_scale(monkeypatch):
+    """Energies off by one part in a million fail the ladder and the
+    reconstruction of h5 at every power-of-two scale of the couplings.
+    With products pruned at an absolute 1e-14 both read 0.0 at x 2^-40,
+    where the 2e-6 e psi part of [H, psi] - 2 e psi fell under the cut."""
+    _energies_off_by_one_ppm(monkeypatch)
+    for scale in (2.0 ** 30, 1.0, 2.0 ** -20, 2.0 ** -40):
+        rep = verify_all(h5_model(*[scale * c for c in (1.0, 0.7, -1.3, 0.4, 2.0)]))
+        assert rep.lemma_residuals["ladder"] > 1e-7, scale
+        assert rep.lemma_residuals["reconstruction"] > 1e-7, scale
 
 
 @pytest.mark.parametrize("cap, checked", [(10, []), (30, ["charges_commute"])])
