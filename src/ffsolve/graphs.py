@@ -1,9 +1,11 @@
 """Weighted simple graphs, the frustration graph of a Hamiltonian, and
 the one walk over vertex subsets.
 
-Adjacency is stored twice: as sorted neighbor tuples and as bitset rows
-(Python ints), since the hot loops downstream are neighborhood
-intersections.  Vertex weights are squared Hamiltonian couplings.
+A graph is its bitset rows: ``adj[v]`` is a Python int whose set bits
+are the neighbours of v, since the hot loops downstream are
+neighbourhood intersections, and ``bits`` walks a row.  Vertex weights
+are squared Hamiltonian couplings.  The frustration graph is read
+straight off the terms' (x, z) words.
 ``stable_sets`` walks the vertex sets with no two members joined in the
 rows it is given: on the adjacency rows, the independent sets.
 """
@@ -11,8 +13,6 @@ rows it is given: on the adjacency rows, the independent sets.
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
-
-from .paulis import commutes
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -26,7 +26,7 @@ def bits(mask: int) -> Iterator[int]:
 class WeightedGraph:
     """Simple graph with nonnegative vertex weights."""
 
-    __slots__ = ("n", "adj", "neighbors", "weights")
+    __slots__ = ("n", "adj", "weights")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  weights: Sequence[float] | None = None):
@@ -40,7 +40,6 @@ class WeightedGraph:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.adj = tuple(adj)
-        self.neighbors = tuple(tuple(bits(row)) for row in adj)
         if weights is None:
             weights = [1.0] * n
         if len(weights) != n:
@@ -56,10 +55,7 @@ class WeightedGraph:
         return (1 << self.n) - 1
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in self.neighbors[i] if j > i]
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return [(i, j) for i in range(self.n) for j in bits(self.adj[i]) if j > i]
 
     def closed_adj(self, v: int) -> int:
         return self.adj[v] | (1 << v)
@@ -77,11 +73,8 @@ class WeightedGraph:
         return (self.n == other.n and self.adj == other.adj
                 and self.weights == other.weights)
 
-    def __hash__(self):
-        return hash((self.n, self.adj, self.weights))
-
     def __repr__(self):
-        return f"WeightedGraph(n={self.n}, m={sum(self.degree(v) for v in range(self.n)) // 2})"
+        return f"WeightedGraph(n={self.n}, m={sum(row.bit_count() for row in self.adj) // 2})"
 
     # -- induced subgraphs ----------------------------------------------
 
@@ -97,7 +90,7 @@ class WeightedGraph:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range")
         pos = {v: i for i, v in enumerate(keep)}
-        edges = [(pos[i], pos[j]) for i in keep for j in self.neighbors[i]
+        edges = [(pos[i], pos[j]) for i in keep for j in bits(self.adj[i])
                  if j > i and j in pos]
         sub = WeightedGraph(len(keep), edges, weights=[self.weights[v] for v in keep])
         return sub, keep
@@ -110,17 +103,22 @@ class WeightedGraph:
 def frustration_graph(hamiltonian) -> WeightedGraph:
     """Frustration graph: vertex per term, edge iff the Paulis anticommute.
 
-    Vertex i is term i and carries the weight coupling_i**2.
+    Vertex i is term i and carries the weight coupling_i**2.  Terms i and
+    j anticommute iff their symplectic product |x_i & z_j| + |z_i & x_j|
+    is odd; the terms of one Hamiltonian share its qubit count.
     """
-    terms = hamiltonian.terms
-    n = len(terms)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not commutes(terms[i][1], terms[j][1]):
-                edges.append((i, j))
-    weights = [c * c for c, _ in terms]
-    return WeightedGraph(n, edges, weights=weights)
+    words = [(t.x, t.z) for _, t in hamiltonian.terms]
+    rows = [0] * len(words)
+    for i, (xi, zi) in enumerate(words):
+        for j in range(i):
+            xj, zj = words[j]
+            # |a| + |b| and |a ^ b| have one parity
+            if ((xi & zj) ^ (zi & xj)).bit_count() & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    graph = WeightedGraph(len(rows), weights=[c * c for c, _ in hamiltonian.terms])
+    graph.adj = tuple(rows)
+    return graph
 
 
 def component_count(graph: WeightedGraph) -> int:

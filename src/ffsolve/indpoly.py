@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ComplexRootError
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, bits
 
 ROOT_REL_TOL = 1e-15
 # least half-width of a Newton window, relative: a window 0.8 ROOT_REL_TOL
@@ -112,7 +112,7 @@ def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolyno
     reach2 = []
     for v in range(graph.n):
         m = graph.closed_adj(v)
-        for u in graph.neighbors[v]:
+        for u in bits(adj[v]):
             m |= adj[u]
         reach2.append(m)
 

@@ -174,13 +174,8 @@ def realize_graph(g: WeightedGraph) -> Hamiltonian:
     """
     if g.n == 0:
         raise ModelError("cannot realize the empty graph")
-    pairs = []
-    for i in range(g.n):
-        ops = {i: "X"}
-        for j in g.neighbors[i]:
-            if j < i:
-                ops[j] = "Z"
-        pairs.append((math.sqrt(g.weights[i]), PauliTerm.from_ops(g.n, ops)))
+    pairs = [(math.sqrt(g.weights[i]), PauliTerm(g.n, 1 << i, g.adj[i] & ((1 << i) - 1)))
+             for i in range(g.n)]
     return Hamiltonian.from_pairs(pairs, n=g.n)
 
 
@@ -238,17 +233,14 @@ def chain_model(n_cells: int, k: int, couplings=None, periodic: bool = False) ->
     if len(couplings) != k:
         raise ModelError(f"expected {k} staggered couplings, got {len(couplings)}")
     n = n_cells * k
+    full = (1 << n) - 1
     pairs = []
     for m in range(n):
-        ops = {m: "X"}
-        for step in range(1, k):
-            q = m + step
-            if q >= n:
-                if not periodic:
-                    break
-                q -= n
-            ops[q] = "Y"
-        pairs.append((couplings[m % k], PauliTerm.from_ops(n, ops)))
+        y = ((1 << k) - 2) << m  # qubits m+1 .. m+k-1
+        if periodic:
+            y |= y >> n  # qubit q >= n wraps to q % n, as k < n
+        y &= full
+        pairs.append((couplings[m % k], PauliTerm(n, 1 << m | y, y)))
     return Hamiltonian.from_pairs(pairs, n=n)
 
 

@@ -114,12 +114,11 @@ def is_chordal(graph: WeightedGraph) -> bool:
         if p >= 0 and graph.adj[v] & visited & ~graph.closed_adj(p):
             return False
         visited |= 1 << v
-        for u in graph.neighbors[v]:
-            if not (visited >> u) & 1:
-                buckets[weight[u]].remove(u)
-                weight[u] += 1
-                buckets[weight[u]].add(u)
-                last[u] = v
+        for u in bits(graph.adj[v] & ~visited):
+            buckets[weight[u]].remove(u)
+            weight[u] += 1
+            buckets[weight[u]].add(u)
+            last[u] = v
         top += 1
     return True
 

@@ -36,6 +36,7 @@ units.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -168,7 +169,7 @@ def simplicial_extension(h: Hamiltonian, ks: Sequence[int]) -> tuple[Hamiltonian
     for i, (c, t) in enumerate(h.terms):
         x = t.x | ((1 << h.n) if (kmask >> i) & 1 else 0)
         new_terms.append((c, PauliTerm(n, x, t.z, 0)))
-    chi = PauliTerm.from_ops(n, {h.n: "Z"})
+    chi = PauliTerm(n, 0, 1 << h.n)
     return Hamiltonian(n, tuple(new_terms)), chi
 
 
@@ -180,7 +181,8 @@ def clique_from_mode(hext: Hamiltonian, chi: PauliTerm) -> list[int]:
 @dataclass(frozen=True)
 class IncognitoMode:
     """One nonlocal fermionic eigenmode on the ancilla-extended system;
-    ``ritz`` is its eigenvalue of [H, .] from the Lanczos run, near 2 e_j."""
+    ``ritz`` is its eigenvalue of [H, .] from the Lanczos run, near 2 e_j.
+    ``dag``, psi_j^dagger, is built on first use and kept."""
 
     u: float
     energy: float
@@ -188,7 +190,7 @@ class IncognitoMode:
     ritz: float
     op: OperatorSum
 
-    @property
+    @functools.cached_property
     def dag(self) -> OperatorSum:
         return self.op.dagger()
 

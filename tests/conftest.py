@@ -26,6 +26,7 @@ from ffsolve.paulis import (
     PRUNE_TOL,
     OperatorSum,
     PauliTerm,
+    commutes,
     dense_sums,
     multiply,
     opsum_mul_batch,
@@ -46,6 +47,15 @@ def random_graph(rng: random.Random, n: int, p: float = 0.4,
 
 def cycle_graph(n: int, weights=None) -> WeightedGraph:
     return WeightedGraph(n, [(i, (i + 1) % n) for i in range(n)], weights=weights)
+
+
+def pairwise_frustration_graph(h: Hamiltonian) -> WeightedGraph:
+    """The frustration graph by one ``commutes`` call per pair of terms,
+    the reference for ``graphs.frustration_graph``."""
+    terms = h.terms
+    edges = [(i, j) for i in range(len(terms)) for j in range(i + 1, len(terms))
+             if not commutes(terms[i][1], terms[j][1])]
+    return WeightedGraph(len(terms), edges, weights=[c * c for c, _ in terms])
 
 
 def maximal_cliques(g: WeightedGraph) -> list[list[int]]:

@@ -252,7 +252,7 @@ def test_criterion_09_recursion_equivalence():
 
 def _krausz_line_graph(g: WeightedGraph) -> bool:
     """Edge partition into cliques with every vertex in at most two of them."""
-    edges = [(i, j) for i in range(g.n) for j in g.neighbors[i] if j > i]
+    edges = g.edges()
     edge_index = {e: i for i, e in enumerate(edges)}
     use = [0] * g.n
 

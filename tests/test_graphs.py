@@ -6,8 +6,10 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cycle_graph, maximal_cliques, random_graph, to_dense
+from conftest import cycle_graph, maximal_cliques, pairwise_frustration_graph, random_graph, to_dense
 from ffsolve.graphs import (
     WeightedGraph,
     bits,
@@ -16,13 +18,14 @@ from ffsolve.graphs import (
     stable_sets,
 )
 from ffsolve.models import (
+    Hamiltonian,
     back_to_back_model,
     chain_model,
     h5_model,
     h6_model,
     junction_model,
 )
-from ffsolve.paulis import OperatorSum
+from ffsolve.paulis import OperatorSum, PauliTerm
 
 
 def test_simple_graph_invariants():
@@ -78,6 +81,23 @@ def test_frustration_graph_basis_faithful_dense():
             for j in range(i + 1, g.n):
                 anti = np.max(np.abs(dense[i] @ dense[j] + dense[j] @ dense[i]))
                 assert g.adj[i] >> j & 1 == (anti < 1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 24), st.sampled_from([0.01, 0.1, 0.5, 1.0]),
+       st.integers(0, 2**32))
+def test_frustration_graph_matches_pairwise_reference(n, count, density, seed):
+    """On 1-200 qubits (words of 1-4 machine words), with sparse and dense
+    strings, the rows and weights equal those of the pair loop."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        support = [q for q in range(n) if rng.random() < density] or [rng.randrange(n)]
+        pairs.append((rng.uniform(0.1, 2.0) * rng.choice((-1, 1)),
+                      PauliTerm.from_ops(n, {q: rng.choice("XYZ") for q in support})))
+    h = Hamiltonian.from_pairs(pairs, n=n)
+    got, want = frustration_graph(h), pairwise_frustration_graph(h)
+    assert (got.n, got.adj, got.weights) == (want.n, want.adj, want.weights)
 
 
 def test_induced_subgraph_carries_weights_and_labels():

@@ -114,6 +114,18 @@ def test_chain_term_count_and_shape():
     assert h.terms[3][1] == PauliTerm.from_ops(6, {3: "X", 4: "Y", 5: "Y"})
     tiny = chain_model(1, 2)
     assert len(tiny) == 2
+    # every term: X on qubit m, then Y on the next k - 1 qubits, cut at the
+    # last qubit when open and wrapped around when periodic
+    for periodic in (False, True):
+        for n_cells in range(2, 6):
+            for k in range(2, 7):
+                n = n_cells * k
+                h = chain_model(n_cells, k, periodic=periodic)
+                assert len(h) == n and h.n == n
+                for m, (_, term) in enumerate(h.terms):
+                    ops = {m: "X"}
+                    ops.update((q % n, "Y") for q in range(m + 1, m + k) if q < n or periodic)
+                    assert term == PauliTerm.from_ops(n, ops), (n_cells, k, periodic, m)
 
 
 def test_chain_invalid_sizes():
@@ -161,7 +173,13 @@ def test_realize_graph_faithful():
     rng = random.Random(29)
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 9), 0.45, weighted=True)
-        got = frustration_graph(realize_graph(g))
+        h = realize_graph(g)
+        # term i: X on qubit i, Z on each lower-indexed neighbour of vertex i
+        for i, (_, term) in enumerate(h.terms):
+            ops = {i: "X"}
+            ops.update((j, "Z") for j, l in g.edges() if l == i)
+            assert term == PauliTerm.from_ops(g.n, ops)
+        got = frustration_graph(h)
         assert got.adj == g.adj
         # couplings are sqrt(weight), so squaring back costs one rounding
         assert all(abs(a - b) <= 1e-15 * b for a, b in zip(got.weights, g.weights))
