@@ -146,7 +146,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _emit(args, payload)
         return EXIT_UNDECIDED if report.ecf is None else EXIT_REFUSED
     poly = weighted_independence_polynomial(graph)
-    energies = single_particle_energies(poly)
+    energies = single_particle_energies(poly, claw_free=report.claw_free)
     payload["energies"] = energies.energies
     payload["root_residual"] = energies.residual
     n = h.n if h else graph.n

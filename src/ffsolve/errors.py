@@ -26,12 +26,9 @@ class SearchBudgetError(FFSolveError):
 
 
 class ComplexRootError(FFSolveError):
-    """Fewer real roots than the polynomial degree were isolated.
-
-    For claw-free frustration graphs this signals a conditioning failure;
-    for general graphs it means the independence polynomial is not
-    real-rooted and no free spectrum can be synthesized from it.
-    """
+    """Fewer real roots than the degree were isolated, on a graph that may have
+    claws: its polynomial may not be real-rooted, and then no free spectrum
+    follows.  On a claw-free graph the same failure is a ConditioningError."""
 
     def __init__(self, found, expected):
         self.found = found
@@ -47,7 +44,7 @@ class DegenerateModeError(FFSolveError):
 
 
 class ConditioningError(FFSolveError):
-    """A normalization factor came out non-positive; numerical conditioning failure."""
+    """A normalization factor came out non-positive, or real roots went unresolved."""
 
 
 class NotSimplicialError(FFSolveError):

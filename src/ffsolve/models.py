@@ -166,11 +166,12 @@ def parse_graph(text: str) -> WeightedGraph:
 
 
 def realize_graph(g: WeightedGraph) -> Hamiltonian:
-    """A Pauli Hamiltonian whose frustration graph is exactly ``g``.
+    """A Pauli Hamiltonian whose frustration graph is ``g`` less its weight-0 vertices.
 
     Vertex i becomes X on qubit i times Z on every lower-indexed neighbor,
     with coupling sqrt(weight).  Two such terms anticommute iff the
-    vertices are adjacent.
+    vertices are adjacent.  A weight-0 vertex adds nothing to the
+    independence polynomial, and ``Hamiltonian.from_pairs`` drops its term.
     """
     if g.n == 0:
         raise ModelError("cannot realize the empty graph")

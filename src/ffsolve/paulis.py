@@ -13,51 +13,43 @@ which is the tensor product of single-qubit I, X, Y, Z with Y wherever
 both bits are set.  The fixed multiplication convention is XZ = -iY
 (equivalently XY = iZ); it is tested against the dense backend.
 
-``OperatorSum`` stores a sparse map from canonical strings (x, z) to
-complex coefficients, with phases folded into the coefficients.  All
-values are immutable after construction and every operation is pure.
+An ``OperatorSum`` is a table of strings and one row of coefficients over
+it.  A table holds its strings as uint64 word arrays, one column each:
+the key x | z << n in ceil(2n/64) words (up to 32 qubits take one), and,
+read off it on first use, x and z in ceil(n/64) words and the phases
+i^|x & z|.  The row holds the coefficients of X^x Z^z, c i^|x & z| for a
+term c sigma(x, z), and zeros where the sum has no term.  Tables do not
+change, and sums built from one source share one: the sums of one list of
+dicts (a transfer operator's charges), the vectors over a ``StringBasis``,
+the rows of one product pass, and a sum's multiples and conjugate.  Sums
+on one table add, and stack into a kernel operand, row by row; another
+table costs one merge.  The dict {(x, z): coefficient of sigma(x, z)} is
+a view built on first use, for tests and printing.
 
 Products
 --------
 Every product of sums runs through one numpy kernel, and every pass of
-the kernel is a batch: each operand carries rows of coefficients over one
-packed set of strings, and row r of the result is the product of row r
-of the left operand with row r of the right one (an operand of one row
-serves every row).  A plain product is a batch of one row.  A sum is
-packed once, on first use, into uint64 word arrays with one column per
-term: x and z in ceil(n/64) words each, and the sort key x | z << n in
-ceil(2n/64) words (so up to 32 qubits sort on one word); every word
-count has at least one word, and any n is supported.  Several distinct
-sums in one operand share the union of their strings, a sum holding
-zeros where it has no term.  Coefficients are stored for X^x Z^z, that
-is c i^|x & z|, because
+the kernel is a batch: row r of the result is the product of row r of
+the left operand with row r of the right one, each operand holding its
+sums' rows over the strings some row has.  Because
 
     X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1 ^ x2) Z^(z1 ^ z2) ,
 
-so a pair needs one XOR per key word and the parity of one popcount
-(``np.bitwise_count``); the factor i^-|x3 & z3| back to sigma(x3, z3)
-is applied once per distinct output string.  Together these give the
-phase (|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|) mod 4 of ``multiply``.
+a pair needs one XOR per key word and the parity of one popcount
+(``np.bitwise_count``), and the rows of a pass come back as they are,
+over the table of its output keys; the view's factor i^-|x3 & z3| makes
+the phase (|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|) mod 4 of ``multiply``.
 Commutators and anticommutators keep only the pairs whose symplectic
-product |x1&z2| + |z1&x2| is odd or even.  The pair keys, signs and
-parity mask, and the sort that sums equal strings, are formed once per
-block for all the rows it holds; ``opsum_mul_batch`` and its siblings
-expose the batch, and ``StringBasis`` takes commutators of vectors over
-a growing list of strings without building a dict of either sum.
-
-Pairs are formed in blocks of about 2^16 (rows of ``a`` against all of
-``b``, or slices of ``b`` when it alone is longer).  The rows of a batch
-share a block while it holds all their pairs; a product of more pairs
-runs a row at a time, as a plain product does, so memory stays flat
-whatever the sizes.  The pair count of a row is checked against
-``TERM_CAP`` before anything is allocated.  Each block is reduced by one
-sort on the key, and the running sums enter the next block's reduction
-as entries of their own.
+product |x1&z2| + |z1&x2| is odd or even.  Pairs are formed in blocks of
+about 2^16, whose keys, signs, parity mask and sort serve every row they
+hold; a batch of more pairs runs a row at a time, so memory stays flat.
+The pair count of a row is checked against ``TERM_CAP`` first, and the
+running sums enter the next block's reduction as entries of their own.
 
 Pruning is relative, so that no result depends on the overall scale of
 the couplings: row r of a product drops a coefficient of at most
-``PRUNE_TOL`` |factor| max|a_r| max|b_r|, and a sum built from a dict one
-of at most ``PRUNE_TOL`` times its own largest |coefficient|.
+``PRUNE_TOL`` |factor| max|a_r| max|b_r|, and a sum of dicts, a vector or
+sums one of at most ``PRUNE_TOL`` times its own largest |coefficient|.
 
 Basis-state convention for the dense backend: qubit q corresponds to bit
 q of the computational-basis index (little-endian), so Z on qubit 0 of a
@@ -66,8 +58,8 @@ one-qubit system is diag(1, -1).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -80,17 +72,17 @@ DENSE_QUBIT_CAP = 13
 _CHUNK_PAIRS = 1 << 16
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_PHASE_TABLE = np.array(_PHASES)
+_WORD = (1 << 64) - 1
 _AXIS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _AXIS_NAME = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # tables of dicts
 
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """A single n-qubit Pauli string with an exact phase.
-
-    ``phase_pow`` is the exponent e in i^e, e in {0,1,2,3}.  Terms with
-    e in {0,2} are Hermitian, e in {1,3} anti-Hermitian.
-    """
+    """A single n-qubit Pauli string with an exact phase i^phase_pow, the
+    exponent in {0,1,2,3}: 0 and 2 are Hermitian, 1 and 3 anti-Hermitian."""
 
     n: int
     x: int
@@ -170,51 +162,119 @@ def commutes(p: PauliTerm, q: PauliTerm) -> bool:
     return (((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) & 1) == 0
 
 
+class _Table:
+    """Strings as word arrays, one column each: the key x | z << n, and x, z
+    and the phases i^|x & z|, read off the key on first use."""
+
+    __slots__ = ("n", "key", "_xz", "_phase", "_merges", "__weakref__")
+
+    def __init__(self, n: int, key: np.ndarray, phase: np.ndarray | None = None):
+        self.n, self.key, self._xz, self._phase, self._merges = n, key, None, phase, {}
+
+    def __len__(self) -> int:
+        return self.key.shape[1]
+
+    @property
+    def xz(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._xz is None:
+            self._xz = _split(self.n, self.key)
+        return self._xz
+
+    @property
+    def phase(self) -> np.ndarray:
+        if self._phase is None:
+            self._phase = _phases(*self.xz)
+        return self._phase
+
+    def merged(self, other: "_Table") -> tuple["_Table", np.ndarray | slice]:
+        """The union of both tables' strings, this one's first, and the columns
+        of ``other``'s in it, found through a dict of this table's key records."""
+        if other is self or not len(other) or np.array_equal(self.key, other.key):
+            return self, slice(len(other))
+        if id(other) in self._merges and self._merges[id(other)][0] is other:
+            return self._merges[id(other)][1:]  # a table does not change
+        index = dict(zip(_records(self.key), range(len(self))))
+        cols = np.array([index.setdefault(r, len(index)) for r in _records(other.key)])
+        added = other.key[:, cols >= len(self)]  # with their phases where this table's are read
+        phase = None if self._phase is None else _phases(*_split(self.n, added))
+        union = _Table(self.n, np.concatenate([self.key, added], axis=1),
+                       phase if phase is None else np.concatenate([self._phase, phase]))
+        self._merges[id(other)] = other, union, cols
+        return union, cols
+
+    def strings(self) -> list[tuple[int, int]]:
+        """(x, z) of every string, as ints."""
+        values = self.key[-1].tolist()
+        for row in self.key[-2::-1]:
+            values = [v << 64 | c for v, c in zip(values, row.tolist())]
+        return [(v & (1 << self.n) - 1, v >> self.n) for v in values]
+
+
 class OperatorSum:
-    """Sparse complex-weighted sum of canonical Pauli strings.
+    """Sparse complex-weighted sum of canonical Pauli strings: a ``_Table``
+    and a row of X^x Z^z coefficients over it, treated as immutable.  A sum
+    built from a dict drops the coefficients of at most ``PRUNE_TOL`` times
+    its largest |coefficient|."""
 
-    Terms map (x, z) -> coefficient; coefficients of at most ``PRUNE_TOL``
-    times the largest |coefficient| are dropped at construction.  Instances
-    are treated as immutable.
-    """
+    __slots__ = ("n", "table", "row", "_terms")
 
-    __slots__ = ("n", "terms", "_packed")
-
-    def __init__(self, n: int, terms: Mapping[tuple[int, int], complex] | None = None):
-        self.n = n
-        clean: dict[tuple[int, int], complex] = {}
-        if terms:
-            cut = PRUNE_TOL * max(map(abs, terms.values()))
-            for key, c in terms.items():
-                if abs(c) > cut:
-                    clean[key] = complex(c)
-        self.terms = clean
-        self._packed: _Packed | None = None
+    def __init__(self, n: int, terms: Mapping[tuple[int, int], complex]):
+        (one,) = OperatorSum.from_dicts(n, [terms])
+        self.n, self.table, self.row, self._terms = n, one.table, one.row, None
 
     @classmethod
-    def from_vector(cls, n: int, strings: Sequence[tuple[int, int]],
-                    coef: np.ndarray) -> "OperatorSum":
-        """sum_s coef[s] sigma(strings[s]), pruned as the constructor prunes."""
-        keep, _ = _kept(coef)
-        return cls._of_clean(n, dict(zip(compress(strings, keep), coef[keep].tolist())))
-
-    @classmethod
-    def _of_clean(cls, n: int, terms: dict[tuple[int, int], complex]) -> "OperatorSum":
-        """Wrap a dict of complex coefficients that are already pruned."""
+    def _on(cls, table: _Table, row: np.ndarray) -> "OperatorSum":
         out = cls.__new__(cls)
-        out.n, out.terms, out._packed = n, terms, None
+        out.n, out.table, out.row, out._terms = table.n, table, row, None
         return out
 
-    def _pack(self) -> "_Packed":
-        """The terms as word arrays with one coefficient row, built on first
-        use and kept: the sum does not change."""
-        if self._packed is None:
-            self._packed = _pack_strings(self.n, list(self.terms), np.array(
-                [[c * _PHASES[(x & z).bit_count() & 3] for (x, z), c in self.terms.items()]],
-                dtype=complex))
-        return self._packed
+    @classmethod
+    def from_dicts(cls, n: int, dicts: Sequence[Mapping[tuple[int, int], complex]]
+                   ) -> list["OperatorSum"]:
+        """The sums of ``dicts``, pruned as the constructor prunes, on one table."""
+        index = {key: i for i, key in enumerate(dict.fromkeys(k for d in dicts for k in d))}
+        width = len(index)
+        flat = [0j] * (len(dicts) * width)
+        for base, d in zip(range(0, len(flat), width or 1), dicts):
+            sizes = list(map(abs, d.values()))  # |c| once, for the cut and the test
+            cut = PRUNE_TOL * max(sizes, default=0.0)
+            for (x, z), c, size in zip(d, d.values(), sizes):
+                if size > cut:  # the coefficient of X^x Z^z
+                    flat[base + index[x, z]] = c * _PHASES[(x & z).bit_count() & 3]
+        key = _words([x | z << n for x, z in index], 2 * n)  # one table for equal strings
+        table = _INTERNED.setdefault((n, key.tobytes()), _Table(n, key))
+        return [cls._on(table, row)
+                for row in np.array(flat, dtype=complex).reshape(len(dicts), width)]
 
-    # -- constructors -------------------------------------------------
+    @classmethod
+    def from_vector(cls, basis: "StringBasis", coef: np.ndarray) -> "OperatorSum":
+        """sum_s coef[s] sigma(s) on the table of ``basis``, pruned as from a dict."""
+        return cls._on(basis.table, _pruned(coef) * basis.table.phase)
+
+    @classmethod
+    def combinations(cls, rows: Sequence[Sequence[tuple[complex, "OperatorSum"]]]
+                     ) -> list["OperatorSum"]:
+        """The weighted sum of each row of (weight, sum) pairs, pruned as from a
+        dict: one pass over the sums' tables, adding each sum in turn (or a zero)."""
+        if not rows:
+            return []
+        sums = list({id(s): s for row in rows for _, s in row}.values())
+        place = {id(s): j for j, s in enumerate(sums)}
+        weights = [[0j] * len(sums) for _ in rows]
+        for line, row in zip(weights, rows):
+            for w, s in row:
+                line[place[id(s)]] += w
+        table, coef = _rows(sums)
+        # a sum over the middle axis adds the terms one after another, in order
+        coef = (np.array(weights)[:, :, None] * coef).sum(axis=1)
+        return [cls._on(table, row) for row in _pruned(coef)]
+
+    @property
+    def terms(self) -> dict[tuple[int, int], complex]:
+        if self._terms is None:
+            sigma = (self.row * self.table.phase.conj()).tolist()
+            self._terms = {k: c for k, c in zip(self.table.strings(), sigma) if c}
+        return self._terms
 
     @classmethod
     def identity(cls, n: int) -> "OperatorSum":
@@ -232,48 +292,33 @@ class OperatorSum:
     def from_terms(cls, n: int, pairs: Iterable[tuple[complex, PauliTerm]]) -> "OperatorSum":
         acc: dict[tuple[int, int], complex] = {}
         for coeff, term in pairs:
-            key = (term.x, term.z)
-            acc[key] = acc.get(key, 0.0) + coeff * term.phase
+            acc[term.x, term.z] = acc.get((term.x, term.z), 0.0) + coeff * term.phase
         return cls(n, acc)
 
-    # -- basic queries ------------------------------------------------
-
     def __len__(self) -> int:
-        return len(self.terms)
+        return int(np.count_nonzero(self.row))
 
     def __iter__(self) -> Iterator[tuple[tuple[int, int], complex]]:
         return iter(self.terms.items())
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return float(np.abs(self.row).max(initial=0.0))
 
     def abs_sum(self) -> float:
-        """Pauli 1-norm sum |c|.  Every string has operator norm 1, so this
-        bounds the operator norm from above."""
-        return sum(abs(c) for c in self.terms.values())
+        """Pauli 1-norm sum |c|, in column order.  Every string has operator
+        norm 1, so this bounds the operator norm from above."""
+        return sum(np.abs(self.row).tolist())
 
-    # -- linear structure ----------------------------------------------
-
-    def _check(self, other: "OperatorSum"):
-        if self.n != other.n:
-            raise ValueError(f"qubit count mismatch: {self.n} != {other.n}")
-
-    def __add__(self, other: "OperatorSum") -> "OperatorSum":
-        self._check(other)
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            acc[key] = acc.get(key, 0.0) + c
-        return OperatorSum(self.n, acc)
+    def __add__(self, other: "OperatorSum", sign: float = 1.0) -> "OperatorSum":
+        """self + sign other on the union of their tables, pruned as from a dict."""
+        table, coef = _rows([self, other])
+        return OperatorSum._on(table, _pruned(coef[0] + sign * coef[1]))
 
     def __sub__(self, other: "OperatorSum") -> "OperatorSum":
-        self._check(other)
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            acc[key] = acc.get(key, 0.0) - c
-        return OperatorSum(self.n, acc)
+        return self.__add__(other, -1.0)
 
     def __mul__(self, scalar: complex) -> "OperatorSum":
-        return OperatorSum(self.n, {k: c * scalar for k, c in self.terms.items()})
+        return OperatorSum._on(self.table, self.row * scalar)
 
     __rmul__ = __mul__
 
@@ -281,19 +326,13 @@ class OperatorSum:
         return self * (-1.0)
 
     def dagger(self) -> "OperatorSum":
-        """Hermitian conjugate (canonical strings are Hermitian)."""
-        return OperatorSum(self.n, {k: c.conjugate() for k, c in self.terms.items()})
+        """Hermitian conjugate, exactly: (X^x Z^z)^dagger = (-1)^|x & z| X^x Z^z."""
+        phase = self.table.phase
+        return OperatorSum._on(self.table, self.row.conj() * (phase * phase))
 
 
 class _Packed(NamedTuple):
-    """Strings as uint64 word arrays, one column per string, and rows of
-    coefficients over them, one row per sum of a batch.
-
-    ``key`` holds the 2n bits of x | z << n, the key the reduction sorts on;
-    ``x`` and ``z`` hold x and z, which the sign and the parity read.  Row r
-    of ``coef`` holds the coefficients of X^x Z^z, that is c i^|x & z|, of
-    the r-th sum.
-    """
+    """A kernel operand: word arrays of strings, and rows of X^x Z^z coefficients."""
 
     key: np.ndarray
     x: np.ndarray
@@ -301,36 +340,18 @@ class _Packed(NamedTuple):
     coef: np.ndarray
 
 
-_WORD = (1 << 64) - 1
-_PHASE_TABLE = np.array(_PHASES)
-
-
-def _word_count(bits: int) -> int:
-    return max(1, -(-bits // 64))
-
-
 def _words(values: list[int], bits: int) -> np.ndarray:
-    """Ints below 2^bits as an array of shape (words, len(values)), word w
-    holding bits 64w..64w+63."""
-    count = _word_count(bits)
+    """Ints below 2^bits as words, shape (words, len(values)): bits 64w.. in word w."""
+    count = max(1, -(-bits // 64))
     if count == 1:
         return np.array([values], dtype=np.uint64)
     return np.array([[v >> s & _WORD for v in values] for s in range(0, 64 * count, 64)],
-                    dtype=np.uint64)
-
-
-def _pack_strings(n: int, strings: list[tuple[int, int]], coef: np.ndarray) -> _Packed:
-    """``strings`` as word arrays, with the rows ``coef`` of X^x Z^z
-    coefficients over them."""
-    t, w = len(strings), _word_count(n)
-    words = _words([x | z << n for x, z in strings] + [x for x, _ in strings]
-                   + [z for _, z in strings], 2 * n)
-    return _Packed(words[:, :t], words[:w, t:2 * t], words[:w, 2 * t:], coef)
+                    dtype=np.uint64).reshape(count, len(values))
 
 
 def _split(n: int, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The x and z words of key columns: the low n bits, and the bits from n up."""
-    w = _word_count(n)
+    w = max(1, -(-n // 64))
     q, r = divmod(n, 64)
     x = key[:w].copy()
     if r:
@@ -342,9 +363,16 @@ def _split(n: int, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
+def _phases(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """i^|x & z| of each column of the words ``x`` and ``z``."""
+    count = np.bitwise_count(x[0] & z[0])  # |x & z| mod 256
+    for w in range(1, len(x)):
+        count += np.bitwise_count(x[w] & z[w])
+    return _PHASE_TABLE[count & 3]
+
+
 def _and_pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u_i & v_j for every pair of columns, its words folded by XOR, which
-    keeps the parity of the popcount."""
+    """u_i & v_j for every pair of columns, its words folded by XOR (parity kept)."""
     acc = u[0][:, None] & v[0]
     for w in range(1, len(u)):
         acc ^= u[w][:, None] & v[w]
@@ -352,8 +380,7 @@ def _and_pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _reduce(key: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the coefficient columns of entries with equal key, in the order
-    of the keys, word 0 first."""
+    """Sum the coefficient columns of equal keys, in the order of the keys, word 0 first."""
     words = len(key)
     order = np.argsort(key[-1])
     for w in range(words - 2, -1, -1):  # only the passes after the first need to be stable
@@ -374,10 +401,8 @@ def _kernel(a: _Packed, b: _Packed, parity: int | None) -> tuple[np.ndarray, np.
     row r of ``a`` with row r of ``b`` (an operand of one row serves every
     row) over every pair when ``parity`` is None, else over the pairs whose
     symplectic product has that parity (1: anticommuting, 0: commuting).
-
-    The pair keys, signs and parity mask, and the sort, are formed once a
-    block for all the rows; a block holds the coefficients of every row,
-    so callers batch rows only while their pairs fit one block."""
+    A block holds the coefficients of every row, so callers batch rows only
+    while their pairs fit one block."""
     batch = max(len(a.coef), len(b.coef))
     na, nb = a.key.shape[1], b.key.shape[1]
     if na * nb > TERM_CAP:  # the work of each row, as for a plain product
@@ -408,66 +433,50 @@ def _kernel(a: _Packed, b: _Packed, parity: int | None) -> tuple[np.ndarray, np.
     return sums
 
 
-def _strings(n: int, key: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """(x, z) of each key column, and the factor i^-|x & z| that turns a
-    coefficient of X^x Z^z into one of sigma(x, z)."""
-    mask = (1 << n) - 1
-    strings = [(v & mask, v >> n) for v in _ints(key)]
-    return strings, np.array([_PHASES[-(x & z).bit_count() & 3] for x, z in strings],
-                             dtype=complex)
-
-
-def _ints(words: np.ndarray) -> list[int]:
-    """The ints whose words are the columns of ``words``; inverse of ``_words``."""
-    values = words[-1].tolist()
-    for row in words[-2::-1]:
-        values = [v << 64 | c for v, c in zip(values, row.tolist())]
-    return values
+def _rows(sums: Sequence[OperatorSum]) -> tuple[_Table, np.ndarray]:
+    """One table of the strings of ``sums`` and a row each; another table merges."""
+    if len({s.n for s in sums}) > 1:
+        raise ValueError(f"qubit count mismatch: {sorted({s.n for s in sums})}")
+    table = sums[0].table
+    if all(s.table is table for s in sums):
+        return table, np.array([s.row for s in sums])
+    place: dict[int, np.ndarray | slice] = {id(table): slice(len(table))}
+    for s in sums:
+        if id(s.table) not in place:
+            table, place[id(s.table)] = table.merged(s.table)
+    coef = np.zeros((len(sums), len(table)), dtype=complex)
+    for row, s in zip(coef, sums):
+        row[place[id(s.table)]] = s.row
+    return table, coef
 
 
 def _pack_rows(sums: Sequence[OperatorSum]) -> _Packed:
-    """The strings of ``sums`` packed once, with a coefficient row per sum.
-
-    A sum met alone keeps its packing for later products; several distinct
-    sums share the union of their strings."""
-    distinct = list({id(s): s for s in sums}.values())
-    if len(distinct) == 1:
-        packed = distinct[0]._pack()
-    else:
-        index: dict[tuple[int, int], int] = {}
-        cols = [[index.setdefault(k, len(index)) for k in s.terms] for s in distinct]
-        strings = list(index)
-        coef = np.zeros((len(distinct), len(strings)), dtype=complex)
-        for row, s, c in zip(coef, distinct, cols):
-            row[c] = list(s.terms.values())
-        coef *= _PHASE_TABLE[[(x & z).bit_count() & 3 for x, z in strings]]
-        packed = _pack_strings(distinct[0].n, strings, coef)
-    if len(distinct) == len(sums):
-        return packed
-    row = {id(s): r for r, s in enumerate(distinct)}
-    return packed._replace(coef=packed.coef[[row[id(s)] for s in sums]])
+    """``sums`` as a kernel operand, a row each over the strings some row holds."""
+    table, coef = _rows(sums)
+    words = (table.key, *table.xz, coef)
+    if np.count_nonzero(coef) < coef.size:
+        used = np.flatnonzero(coef.any(axis=0))
+        words = [np.take(v, used, axis=1) for v in words]
+    return _Packed(*words)
 
 
 def _products(lefts: Sequence[OperatorSum], rights: Sequence[OperatorSum],
               parity: int | None, factor: float) -> list[OperatorSum]:
     """factor * sum of the string products of lefts[r] and rights[r] for
     every r, in one pass: over every pair when ``parity`` is None, else
-    over the pairs with that symplectic parity.
-
-    Rows share the kernel's blocks while a block holds all their pairs; a
-    product of more pairs than a block runs a row at a time, as a plain
-    product would, so that no block re-sums the running sums of many rows."""
+    over the pairs with that symplectic parity.  Rows share the kernel's
+    blocks, and the table of its output strings, while a block holds all
+    their pairs; a larger product runs a row at a time."""
     if len(lefts) != len(rights):
         raise ValueError(f"{len(lefts)} left factors against {len(rights)} right ones")
     if not lefts:
         return []
-    n = lefts[0].n
-    for s in (*lefts, *rights):
-        lefts[0]._check(s)
+    if lefts[0].n != rights[0].n:  # and ``_rows`` checks each side
+        raise ValueError(f"qubit count mismatch: {lefts[0].n} != {rights[0].n}")
     a, b = _pack_rows(lefts), _pack_rows(rights)
     group = max(1, _CHUNK_PAIRS // max(1, a.key.shape[1] * b.key.shape[1]))
-    cut = _cut(factor, np.abs(a.coef).max(axis=1, initial=0.0),
-               np.abs(b.coef).max(axis=1, initial=0.0))
+    cut = (PRUNE_TOL * abs(factor) * np.abs(a.coef).max(axis=1, initial=0.0)
+           * np.abs(b.coef).max(axis=1, initial=0.0))  # max|a_r| max|b_r|, row by row
     out = []
     for r in range(0, len(lefts), group):
         rows = slice(r, r + group)  # both operands hold a row per product
@@ -475,25 +484,16 @@ def _products(lefts: Sequence[OperatorSum], rights: Sequence[OperatorSum],
         coef = factor * coef
         keep = np.abs(coef) > cut[rows, None]
         used = np.flatnonzero(keep.any(axis=0))
-        strings, phase = _strings(n, np.take(key, used, axis=1))
-        coef = (np.take(coef, used, axis=1) * phase).tolist()
-        out += [OperatorSum._of_clean(n, dict(compress(zip(strings, c), k)))
-                for c, k in zip(coef, np.take(keep, used, axis=1).tolist())]
+        table = _Table(lefts[0].n, np.take(key, used, axis=1))
+        coef = np.where(np.take(keep, used, axis=1), np.take(coef, used, axis=1), 0.0)
+        out += [OperatorSum._on(table, row) for row in coef]
     return out
 
 
-def _kept(coef: np.ndarray) -> tuple[np.ndarray, float]:
-    """Which entries of ``coef`` exceed PRUNE_TOL times its largest |entry|,
-    and that largest |entry|."""
+def _pruned(coef: np.ndarray) -> np.ndarray:
+    """``coef`` less the entries of at most PRUNE_TOL times their row's largest."""
     size = np.abs(coef)
-    top = size.max(initial=0.0)
-    return size > PRUNE_TOL * top, top
-
-
-def _cut(factor: float, a_top, b_top):
-    """The prune cut of a product row, PRUNE_TOL |factor| max|a_r| max|b_r|,
-    from the largest |coefficient| of each factor."""
-    return PRUNE_TOL * abs(factor) * a_top * b_top
+    return np.where(size > PRUNE_TOL * size.max(axis=-1, keepdims=True, initial=0.0), coef, 0.0)
 
 
 def opsum_comm(a: OperatorSum, b: OperatorSum) -> OperatorSum:
@@ -520,65 +520,58 @@ def opsum_anticomm_batch(lefts: Sequence[OperatorSum],
 
 
 class StringBasis:
-    """Pauli strings numbered in order of first appearance, kept as the
-    kernel's key words, and sums over them as coefficient vectors.
-
-    ``comm`` packs its vector from these arrays and numbers the strings of
-    the product by their keys, so no dict of either sum is built."""
+    """Strings numbered as they first appear, a growing table, and sums over them."""
 
     def __init__(self, term: PauliTerm):
-        self.n = term.n
-        self._key = _words([term.x | term.z << term.n], 2 * term.n)
-        self._phase = _PHASE_TABLE[[(term.x & term.z).bit_count() & 3]]  # i^|x & z|
-        self._index = {term.x | term.z << term.n: 0}
+        self.table = _Table(term.n, _words([term.x | term.z << term.n], 2 * term.n))
+        self._index = {rec: 0 for rec in _records(self.table.key)}
+        self._h: tuple[OperatorSum, _Packed, float] | None = None  # h as last packed
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self.table)
 
     def comm(self, h: OperatorSum, vector: np.ndarray) -> np.ndarray:
-        """The coefficients over the strings, the new ones of the product
-        appended, of [h, sum_s vector[s] sigma(s)], with the entries of
-        ``vector`` and of the product pruned as ``OperatorSum`` and
-        ``opsum_comm`` prune them."""
-        kept, top = _kept(vector)
-        used = np.flatnonzero(kept)
-        key = np.take(self._key, used, axis=1)
-        op = _Packed(key, *_split(self.n, key), (vector[used] * self._phase[used])[None])
-        key, coef = _kernel(h._pack(), op, 1)
+        """[h, sum_s vector[s] sigma(s)] over the strings, new ones appended, pruned
+        as ``opsum_comm`` of h and ``from_vector``; a dict of key records numbers them."""
+        top = (size := np.abs(vector)).max(initial=0.0)
+        used = np.flatnonzero(size > PRUNE_TOL * top)
+        t = self.table
+        key = np.take(t.key, used, axis=1)
+        op = _Packed(key, *_split(t.n, key), (vector[used] * t.phase[used])[None])
+        if self._h is None or self._h[0] is not h:
+            self._h = h, _pack_rows([h]), h.max_abs_coeff()
+        key, coef = _kernel(self._h[1], op, 1)
         coef = 2.0 * coef[0]
-        keep = np.flatnonzero(np.abs(coef) > _cut(2.0, h.max_abs_coeff(), top))
-        key, coef = np.take(key, keep, axis=1), coef[keep]
-        old = len(self._index)
-        cols = [self._index.setdefault(k, len(self._index)) for k in _ints(key)]
-        if len(self._index) > old:
-            new = key[:, np.greater_equal(cols, old)]
-            x, z = _split(self.n, new)
-            count = np.bitwise_count(x[0] & z[0])  # |x & z| mod 256
-            for w in range(1, len(x)):
-                count += np.bitwise_count(x[w] & z[w])
-            self._key = np.concatenate([self._key, new], axis=1)
-            self._phase = np.concatenate([self._phase, _PHASE_TABLE[count & 3]])
-        out = np.zeros(len(self._index), dtype=complex)
-        out[cols] = coef * self._phase[cols].conj()
+        keep = np.flatnonzero(np.abs(coef) > PRUNE_TOL * 2.0 * self._h[2] * top)
+        key, index = np.take(key, keep, axis=1), self._index
+        cols = [index.setdefault(r, len(index)) for r in _records(key)]
+        if len(index) > len(t):
+            added = key[:, np.greater_equal(cols, len(t))]
+            self.table = _Table(t.n, np.concatenate([t.key, added], axis=1),
+                                np.concatenate([t.phase, _phases(*_split(t.n, added))]))
+        out = np.zeros(len(index), dtype=complex)
+        out[cols] = coef[keep] * self.table.phase[cols].conj()
         return out
 
     def strings(self) -> list[tuple[int, int]]:
         """(x, z) of every string, in order."""
-        return _strings(self.n, self._key)[0]
+        return self.table.strings()
+
+
+def _records(key: np.ndarray) -> list:
+    """Hashable records of key columns: ints of one word, bytes of several."""
+    if len(key) == 1:
+        return key[0].tolist()
+    return np.ascontiguousarray(key.T).view(np.dtype((np.void, 8 * len(key))))[:, 0].tolist()
 
 
 def subset_products(terms: Sequence[tuple[float, PauliTerm]],
                     masks: Iterable[int]) -> list[dict[tuple[int, int], complex]]:
     """For each k, the sum over the masks of k bits of the product of the
-    terms they select, coupling and string, taken in ascending index order.
-
-    ``masks`` starts with the empty set and lists every other set after its
-    parent, the set without its highest index, so that each product is its
-    parent's times one term: one phase rule per set, on integers.  A
-    product's coefficient is its coupling product with the phase folded in,
-    which multiplies exactly, so every sum is that of the products
-    multiplied out set by set, bit for bit.
-    """
+    terms they select, in ascending index order.  ``masks`` lists each set
+    after its parent, the set less its highest index, so that each product
+    is its parent's times one term: one exact phase rule per set, and every
+    sum that of the products multiplied out set by set, bit for bit."""
     masks = iter(masks)
     made = {next(masks): (1.0 + 0.0j, 0, 0)}
     accs: list[dict[tuple[int, int], complex]] = [{(0, 0): 1.0 + 0.0j}]
@@ -600,18 +593,14 @@ def subset_products(terms: Sequence[tuple[float, PauliTerm]],
 # -- dense backend -----------------------------------------------------
 
 def dense_sums(n: int, strings: Sequence[tuple[int, int]], coefs: np.ndarray) -> np.ndarray:
-    """The dense 2^n matrices sum_d coefs[b, d] sigma(strings[d]), one for
-    each row b of ``coefs``, stacked along the first axis.
-
-    Column j of sigma(x, z) holds i^|x & z| (-1)^|z & j| in row j ^ x, so
-    strings with the same x fill the same entries: they are summed first
-    and written once.
-    """
+    """The dense 2^n matrices sum_d coefs[b, d] sigma(strings[d]), one per row
+    b of ``coefs``.  Column j of sigma(x, z) holds i^|x & z| (-1)^|z & j| in
+    row j ^ x, so strings with the same x are summed first, written once."""
     dim = 1 << n
     cols = np.arange(dim)
     xs = np.array([x for x, _ in strings], dtype=np.int64)
     zs = np.array([z for _, z in strings], dtype=np.int64)
-    phase = np.array(_PHASES)[np.bitwise_count(xs & zs) & 3]
+    phase = _PHASE_TABLE[np.bitwise_count(xs & zs) & 3]
     out = np.zeros((len(coefs), dim, dim), dtype=complex)
     for x in sorted({x for x, _ in strings}):  # np.unique would import numpy.ma, 1 MB
         group = np.flatnonzero(xs == x)

@@ -39,6 +39,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -73,13 +75,11 @@ class TransferOperator:
         return len(self.charges) - 1
 
     def evaluate(self, u: float) -> OperatorSum:
-        acc: dict[tuple[int, int], complex] = {}
-        coef = 1.0
-        for q in self.charges:
-            for key, c in q.terms.items():
-                acc[key] = acc.get(key, 0.0) + coef * c
-            coef *= -u
-        return OperatorSum(self.n, acc)
+        return OperatorSum.combinations([self.terms(u)])[0]
+
+    def terms(self, u: float) -> list[tuple[float, OperatorSum]]:
+        """The pairs ((-u)^j, Q^(j)) whose sum is T(u)."""
+        return list(zip(accumulate(repeat(-u, self.alpha), mul, initial=1.0), self.charges))
 
 
 def transfer(h: Hamiltonian, graph: WeightedGraph) -> TransferOperator:
@@ -92,7 +92,7 @@ def transfer(h: Hamiltonian, graph: WeightedGraph) -> TransferOperator:
     their order is immaterial.
     """
     accs = subset_products(h.terms, stable_sets(graph.adj))
-    return TransferOperator(h.n, tuple(OperatorSum(h.n, acc) for acc in accs))
+    return TransferOperator(h.n, tuple(OperatorSum.from_dicts(h.n, accs)))
 
 
 # -- structural identity residuals -------------------------------------------
@@ -125,16 +125,16 @@ def _transfer_grid(h: Hamiltonian, us: Sequence[float]) -> tuple[
     P comes from one polynomial."""
     scale = math.ldexp(1.0, -math.frexp(max(abs(c) for c, _ in h.terms))[1])
     us = [u * scale for u in us]
-    tus, tmus = [], []
+    if not us:
+        return [], [], [], []
+    pairs = []
     for u in us:
         graph = frustration_graph(h)
         t = transfer(h, graph)
-        tus.append(t.evaluate(u))
-        tmus.append(t.evaluate(-u))
-    if not tus:
-        return [], [], [], []
+        pairs += [t.terms(u), t.terms(-u)]
+    both = OperatorSum.combinations(pairs)  # every T(+-u) in one pass
     poly = weighted_independence_polynomial(graph)
-    return us, tus, tmus, [poly(-u * u) for u in us]
+    return us, both[::2], both[1::2], [poly(-u * u) for u in us]
 
 
 def transfer_factorization_residual(h: Hamiltonian, us: Sequence[float]) -> list[float]:
@@ -216,7 +216,7 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm,
     if not ks:
         raise NotSimplicialError("chi commutes with every Hamiltonian term")
     poly_minus_ks = weighted_independence_polynomial(graph.remove_set(ks)[0])
-    strings, basis, ritz, vectors = _lanczos(hext, chi, 2 * len(energies.flat()) + 1)
+    index, basis, ritz, vectors = _lanczos(hext, chi, 2 * len(energies.flat()) + 1)
     modes = []
     for j, e in enumerate(energies.flat()):
         u = 1.0 / e
@@ -234,16 +234,16 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm,
         coef = vectors[:, k] @ basis
         coef *= math.copysign(math.sqrt(0.5), p_red) * abs(coef[0]) / coef[0]
         modes.append(IncognitoMode(u, e, math.sqrt(nsq), ritz[k],
-                                   OperatorSum.from_vector(hext.n, strings, coef)))
+                                   OperatorSum.from_vector(index, coef)))
     return modes
 
 
 def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
-        list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+        StringBasis, np.ndarray, np.ndarray, np.ndarray]:
     """Lanczos on [H, .] from chi with full reorthogonalization, until the
-    next vector is below 1e-10 of the first: the strings seen (chi first),
-    the Lanczos vectors as rows over them, and the eigenpairs of the
-    tridiagonal matrix.
+    next vector is below 1e-10 of the first: the basis of the strings seen
+    (chi first), the Lanczos vectors as rows over them, and the eigenpairs
+    of the tridiagonal matrix.
 
     The modes and the part of chi that commutes with H span at most
     ``steps`` dimensions; a run that needs more was given the energies of
@@ -257,19 +257,19 @@ def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
     while True:
         coef = index.comm(hop, basis[-1])
         basis = np.hstack([basis, np.zeros((len(basis), len(index) - basis.shape[1]))])
-        proj = basis.conj() @ coef
+        proj = (conj := basis.conj()) @ coef
         diag.append(proj[-1].real)
         coef -= proj @ basis
-        coef -= (basis.conj() @ coef) @ basis  # a second pass restores orthogonality
-        beta = float(np.linalg.norm(coef))
+        coef -= (conj @ coef) @ basis  # a second pass restores orthogonality
+        beta = math.sqrt(coef.real @ coef.real + coef.imag @ coef.imag)  # np.linalg.norm's sum
         if beta <= 1e-10 * (off[0] if off else beta):
             break
         if len(basis) == steps:
             raise ConditioningError(f"the Krylov space of chi exceeds {steps} dimensions")
         off.append(beta)
-        basis = np.vstack([basis, coef / beta])
+        basis = np.concatenate([basis, coef[None] / beta])
     ritz, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return index.strings(), basis, ritz, vectors
+    return index, basis, ritz, vectors
 
 
 def mode_energy_gap(modes: Sequence[IncognitoMode]) -> float:
@@ -345,8 +345,8 @@ def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
     hsum = OperatorSum.from_terms(hext.n, [hext.terms[v] for v in ks])
     ident = OperatorSum.identity(hext.n)
     chi_op = OperatorSum.from_term(chi)
-    pluses = [ident + u * hsum for u in us]
-    minuses = [ident - u * hsum for u in us]
+    pluses = OperatorSum.combinations([[(1.0, ident), (u, hsum)] for u in us])
+    minuses = OperatorSum.combinations([[(1.0, ident), (-u, hsum)] for u in us])
     pairs = opsum_mul_batch(tus + minuses, pluses + [chi_op] * len(us))
     lefts, rights = pairs[:len(us)], pairs[len(us):]
     lhss = opsum_mul_batch(lefts, opsum_mul_batch([chi_op] * len(us), tmus))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ComplexRootError, DenseCapError, FFSolveError, TermBudgetError
+from .errors import DenseCapError, FFSolveError, TermBudgetError
 from .graphs import frustration_graph
 from .indpoly import (
     SingleParticleEnergies,
@@ -153,7 +153,7 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
     scale = max(abs(c) for c in h.couplings())
     reduced: dict[tuple[int, int], int] = {}
     index, sector_bits, coefs = [], [], []
-    for (x, z), c in OperatorSum.from_terms(n, h.terms):
+    for x, z, c in ((t.x, t.z, c * t.phase) for c, t in h.terms):
         v = x | z << n
         word = PauliTerm.identity(n)  # the product of a_k^zk b_k^xk over k
         xs = zs = 0
@@ -283,8 +283,9 @@ def verify_free(h: Hamiltonian,
     with _stage(report, "energies"):
         if energies is None:
             try:
-                energies = single_particle_energies(weighted_independence_polynomial(graph))
-            except ComplexRootError as exc:
+                energies = single_particle_energies(weighted_independence_polynomial(graph),
+                                                    claw_free=report.structure.claw_free)
+            except FFSolveError as exc:  # the roots could not be resolved
                 report.spectrum_match = False
                 report.failure = str(exc)
                 return report
@@ -359,7 +360,7 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> 
 
     poly = weighted_independence_polynomial(graph)
     try:
-        energies = single_particle_energies(poly)
+        energies = single_particle_energies(poly, claw_free=report.structure.claw_free)
         report.energies = list(energies.energies)
         with _stage(report, "modes"):
             modes = all_modes(hext, chi, energies)

@@ -122,6 +122,32 @@ def test_claw_refuses_whatever_the_hole_budget(command, capsys):
     assert structure["undecided"] is True and structure["even_hole_free"] is None
 
 
+def test_solve_modes_builds_no_dict_view(monkeypatch, tmp_path):
+    """``solve --modes`` on chain 4x4 runs on packed tables alone: no sum's
+    dict view and no list of strings is built, for every one of them is
+    read off a table's words by ``_Table.strings``."""
+    calls = []
+    strings = paulis._Table.strings
+    monkeypatch.setattr(paulis._Table, "strings",
+                        lambda table, *cols: calls.append(1) or strings(table, *cols))
+    out = tmp_path / "modes.json"
+    argv = ["solve", "--modes", "--model", "chain", "--N", "4", "--k", "4", "--seed", "1"]
+    assert main(argv + ["-o", str(out)]) == 0
+    assert len(json.loads(out.read_text())["result"]["mode_term_counts"]) == 4
+    assert calls == []
+    assert paulis.OperatorSum.identity(2).terms and calls == [1]  # the count does count
+
+
+def test_claw_free_root_failure_is_reported_as_conditioning(capsys):
+    """Chain 15x3 needs more precision than the monomial coefficients hold,
+    and exits 1.  Its graph is claw-free, so every root is real (Chudnovsky
+    and Seymour), and the message says so rather than that the roots may be
+    complex."""
+    assert main(["solve", "--model", "chain", "--N", "15", "--k", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "claw-free" in err and "could not resolve" in err and "complex" not in err
+
+
 def test_solve_with_modes(capsys):
     code, doc = run_json(capsys, "solve", "--model", "h5", "--seed", "3", "--modes")
     assert code == 0

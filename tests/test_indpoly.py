@@ -31,7 +31,7 @@ from conftest import (
 )
 from ffsolve import indpoly
 from ffsolve.chains import ChainSpec
-from ffsolve.errors import ComplexRootError
+from ffsolve.errors import ComplexRootError, ConditioningError
 from ffsolve.graphs import WeightedGraph, bits, frustration_graph, stable_sets
 from ffsolve.indpoly import (
     ROOT_REL_TOL,
@@ -597,6 +597,14 @@ def test_complex_roots_detected():
     # 1 + x + x^2 has complex roots; degree says two energies, none real
     with pytest.raises(ComplexRootError):
         single_particle_energies(IndependencePolynomial((1.0, 1.0, 1.0)))
+
+
+def test_root_failure_on_a_claw_free_graph_is_conditioning():
+    """A claw-free graph's polynomial is real-rooted, so the same failure
+    is reported as conditioning and says nothing of complex roots."""
+    with pytest.raises(ConditioningError, match="claw-free") as failure:
+        single_particle_energies(IndependencePolynomial((1.0, 1.0, 1.0)), claw_free=True)
+    assert "complex" not in str(failure.value)
 
 
 def test_free_spectrum_examples():

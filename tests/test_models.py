@@ -6,7 +6,8 @@ import pytest
 
 from conftest import random_graph
 from ffsolve.errors import ModelError, ParseError
-from ffsolve.graphs import frustration_graph
+from ffsolve.graphs import WeightedGraph, frustration_graph
+from ffsolve.indpoly import weighted_independence_polynomial
 from ffsolve.models import (
     Hamiltonian,
     chain_model,
@@ -183,6 +184,47 @@ def test_realize_graph_faithful():
         assert got.adj == g.adj
         # couplings are sqrt(weight), so squaring back costs one rounding
         assert all(abs(a - b) <= 1e-15 * b for a, b in zip(got.weights, g.weights))
+
+
+def assert_realizes_less_zero_weights(h, g):
+    """The frustration graph of ``h`` is ``g`` less its vertices of weight
+    0, and the two have one independence polynomial, to the rounding of
+    squaring sqrt(weight) back."""
+    want, _ = g.remove_set(v for v in range(g.n) if g.weights[v] == 0)
+    got = frustration_graph(h)
+    assert (got.n, got.adj) == (want.n, want.adj)
+    assert all(abs(a - b) <= 1e-15 * b for a, b in zip(got.weights, want.weights))
+    p_got = weighted_independence_polynomial(got).coeffs
+    p_want = weighted_independence_polynomial(g).coeffs
+    assert len(p_got) == len(p_want)
+    assert all(abs(a - b) <= 1e-13 * abs(b) for a, b in zip(p_got, p_want))
+
+
+def test_realize_graph_drops_weight_zero_vertices():
+    rng = random.Random(31)
+    for _ in range(25):
+        g = random_graph(rng, rng.randint(2, 9), 0.45, weighted=True)
+        zero = rng.sample(range(g.n), rng.randint(1, g.n - 1))
+        g = WeightedGraph(g.n, g.edges(), weights=[0.0 if v in zero else w
+                                                   for v, w in enumerate(g.weights)])
+        h = realize_graph(g)
+        assert len(h.terms) == g.n - len(zero) and h.n == g.n
+        assert_realizes_less_zero_weights(h, g)
+    # the path 0-1-2 with a middle vertex of weight 0 leaves two commuting terms
+    h = realize_graph(WeightedGraph(3, [(0, 1), (1, 2)], weights=[1.0, 0.0, 2.0]))
+    assert len(h.terms) == 2 and frustration_graph(h).adj == (0, 0)
+    with pytest.raises(ModelError):
+        realize_graph(WeightedGraph(2, [(0, 1)], weights=[0.0, 0.0]))
+
+
+def test_junction_with_a_zero_coupling():
+    target = junction_graph((1, 1, 1), 3)
+    for zero in (0, 7, target.n - 1):
+        couplings = [0.0 if v == zero else 0.5 + 0.1 * v for v in range(target.n)]
+        g = WeightedGraph(target.n, target.edges(), weights=[c * c for c in couplings])
+        h = junction_model((1, 1, 1), 3, couplings)
+        assert len(h.terms) == target.n - 1
+        assert_realizes_less_zero_weights(h, g)
 
 
 def test_generate_model_dispatch():

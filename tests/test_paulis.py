@@ -5,6 +5,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import opsum_mul, pairwise_product, to_dense
 from ffsolve import paulis
@@ -21,6 +23,7 @@ from ffsolve.paulis import (
     opsum_comm_batch,
     opsum_mul_batch,
 )
+from ffsolve.solver import TransferOperator
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -385,3 +388,80 @@ def test_dagger_and_hermiticity_flags():
     assert it.phase_pow not in (0, 2)
     a = (1.0 + 2.0j) * OperatorSum.from_term(t)
     assert np.allclose(to_dense(a.dagger()), to_dense(a).conj().T)
+
+
+# Sums on shared and on separate tables against the dict arithmetic they replace
+
+def dict_sum(a, b, sign):
+    """a + sign b as the dicts of the terms add, pruned as the constructor prunes."""
+    acc = dict(a.terms)
+    for key, c in b.terms.items():
+        acc[key] = acc.get(key, 0.0) + sign * c
+    cut = PRUNE_TOL * max(map(abs, acc.values()), default=0.0)
+    return {key: c for key, c in acc.items() if abs(c) > cut}
+
+
+def dict_evaluate(charges, u):
+    """sum_j (-u)^j Q^(j), its terms added charge by charge as a dict,
+    pruned as the constructor prunes."""
+    acc, coef = {}, 1.0
+    for q in charges:
+        for key, c in q.terms.items():
+            acc[key] = acc.get(key, 0.0) + coef * c
+        coef *= -u
+    cut = PRUNE_TOL * max(map(abs, acc.values()), default=0.0)
+    return {key: c for key, c in acc.items() if abs(c) > cut}
+
+
+def overlapping_dicts(rng, n, count):
+    """``count`` dicts of at most 8 terms drawn from one pool of 10 strings,
+    so that they share some strings; some may be empty."""
+    pool = [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(10)]
+    return [{key: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+             for key in rng.sample(pool, rng.randint(0, 8))} for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 33, 65]), st.booleans(), st.integers(0, 2**32))
+def test_linear_algebra_equals_the_dict_arithmetic(n, shared, seed):
+    """Sums, differences, real multiples, ``dagger`` and T(u) of sums on one
+    table (``from_dicts``) and on tables of their own, with keys of one, two
+    and three words, equal the dict arithmetic bit for bit; complex
+    multiples equal it to rounding."""
+    rng = random.Random(seed)
+    dicts = overlapping_dicts(rng, n, 3)
+    sums = OperatorSum.from_dicts(n, dicts) if shared else [OperatorSum(n, d) for d in dicts]
+    a, b, c = sums
+    assert [s.terms for s in sums] == [OperatorSum(n, d).terms for d in dicts]
+    for x, y in ((a, b), (b, c), (c, a), (a, a)):
+        assert (x + y).terms == dict_sum(x, y, 1.0)
+        assert (x - y).terms == dict_sum(x, y, -1.0)
+    real = rng.uniform(-2, 2)
+    assert (real * a).terms == {key: v * real for key, v in a.terms.items()}
+    assert (-b).terms == {key: -v for key, v in b.terms.items()}
+    scalar = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))  # a fused multiply-add may round once
+    got, want = (scalar * c).terms, {key: v * scalar for key, v in c.terms.items()}
+    assert got.keys() == want.keys()
+    assert all(abs(got[key] - v) <= 1e-15 * abs(v) for key, v in want.items())
+    assert a.dagger().terms == {key: v.conjugate() for key, v in a.terms.items()}
+    t = TransferOperator(n, (a, b, c))
+    for u in (0.37, -1.1):
+        assert t.evaluate(u).terms == dict_evaluate(t.charges, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 33, 65]), st.booleans(), st.integers(0, 2**32))
+def test_batched_products_on_shared_and_separate_tables(n, shared, seed):
+    """Batched products of sums on one table, on separate tables, and on the
+    table of an earlier product pass equal the pairs one at a time and the
+    pair-by-pair reference, at the tolerances of the tests above."""
+    rng = random.Random(seed)
+    dicts = overlapping_dicts(rng, n, 3)
+    sums = OperatorSum.from_dicts(n, dicts) if shared else [OperatorSum(n, d) for d in dicts]
+    lefts, rights = sums + sums[:1], sums[1:] + sums[:2]
+    passed = opsum_mul_batch(lefts, rights)  # these share the table of one pass
+    for batch, parity, factor in BATCHED:
+        for x_side, y_side in ((lefts, rights), (passed, lefts), (passed, passed[::-1])):
+            for row, x, y in zip(batch(x_side, y_side), x_side, y_side):
+                assert_equals_pairwise(row, x, y, parity, factor)
+                assert_matches_reference(row, x, y, parity, factor)
