@@ -58,8 +58,8 @@ one-qubit system is diag(1, -1).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -76,7 +76,6 @@ _PHASE_TABLE = np.array(_PHASES)
 _WORD = (1 << 64) - 1
 _AXIS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _AXIS_NAME = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # tables of dicts
 
 
 @dataclass(frozen=True)
@@ -163,27 +162,21 @@ def commutes(p: PauliTerm, q: PauliTerm) -> bool:
 
 
 class _Table:
-    """Strings as word arrays, one column each: the key x | z << n, and x, z
-    and the phases i^|x & z|, read off the key on first use."""
+    """Strings as word arrays, one column each: the key x | z << n, and the
+    phases i^|x & z|, read off the key on first use."""
 
-    __slots__ = ("n", "key", "_xz", "_phase", "_merges", "__weakref__")
+    __slots__ = ("n", "key", "_phase", "_merge")
 
     def __init__(self, n: int, key: np.ndarray, phase: np.ndarray | None = None):
-        self.n, self.key, self._xz, self._phase, self._merges = n, key, None, phase, {}
+        self.n, self.key, self._phase, self._merge = n, key, phase, None
 
     def __len__(self) -> int:
         return self.key.shape[1]
 
     @property
-    def xz(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._xz is None:
-            self._xz = _split(self.n, self.key)
-        return self._xz
-
-    @property
     def phase(self) -> np.ndarray:
         if self._phase is None:
-            self._phase = _phases(*self.xz)
+            self._phase = _phases(self.n, self.key)
         return self._phase
 
     def merged(self, other: "_Table") -> tuple["_Table", np.ndarray | slice]:
@@ -191,15 +184,15 @@ class _Table:
         of ``other``'s in it, found through a dict of this table's key records."""
         if other is self or not len(other) or np.array_equal(self.key, other.key):
             return self, slice(len(other))
-        if id(other) in self._merges and self._merges[id(other)][0] is other:
-            return self._merges[id(other)][1:]  # a table does not change
+        if self._merge and self._merge[0] is other:  # the last merge: a table does not change
+            return self._merge[1:]
         index = dict(zip(_records(self.key), range(len(self))))
         cols = np.array([index.setdefault(r, len(index)) for r in _records(other.key)])
         added = other.key[:, cols >= len(self)]  # with their phases where this table's are read
-        phase = None if self._phase is None else _phases(*_split(self.n, added))
+        phase = None if self._phase is None else _phases(self.n, added)
         union = _Table(self.n, np.concatenate([self.key, added], axis=1),
                        phase if phase is None else np.concatenate([self._phase, phase]))
-        self._merges[id(other)] = other, union, cols
+        self._merge = other, union, cols
         return union, cols
 
     def strings(self) -> list[tuple[int, int]]:
@@ -231,8 +224,9 @@ class OperatorSum:
     @classmethod
     def from_dicts(cls, n: int, dicts: Sequence[Mapping[tuple[int, int], complex]]
                    ) -> list["OperatorSum"]:
-        """The sums of ``dicts``, pruned as the constructor prunes, on one table."""
-        index = {key: i for i, key in enumerate(dict.fromkeys(k for d in dicts for k in d))}
+        """The sums of ``dicts``, pruned as the constructor prunes, on one table
+        of the union of their strings in order."""
+        index = dict(zip(dict.fromkeys(chain.from_iterable(dicts)), count()))
         width = len(index)
         flat = [0j] * (len(dicts) * width)
         for base, d in zip(range(0, len(flat), width or 1), dicts):
@@ -241,8 +235,7 @@ class OperatorSum:
             for (x, z), c, size in zip(d, d.values(), sizes):
                 if size > cut:  # the coefficient of X^x Z^z
                     flat[base + index[x, z]] = c * _PHASES[(x & z).bit_count() & 3]
-        key = _words([x | z << n for x, z in index], 2 * n)  # one table for equal strings
-        table = _INTERNED.setdefault((n, key.tobytes()), _Table(n, key))
+        table = _Table(n, _words([x | z << n for x, z in index], 2 * n))
         return [cls._on(table, row)
                 for row in np.array(flat, dtype=complex).reshape(len(dicts), width)]
 
@@ -255,19 +248,21 @@ class OperatorSum:
     def combinations(cls, rows: Sequence[Sequence[tuple[complex, "OperatorSum"]]]
                      ) -> list["OperatorSum"]:
         """The weighted sum of each row of (weight, sum) pairs, pruned as from a
-        dict: one pass over the sums' tables, adding each sum in turn (or a zero)."""
+        dict: the rows' sums stacked on one table, and pair j of every row
+        added in turn (a shorter row adds zeros), so memory is a row per row."""
         if not rows:
             return []
         sums = list({id(s): s for row in rows for _, s in row}.values())
         place = {id(s): j for j, s in enumerate(sums)}
-        weights = [[0j] * len(sums) for _ in rows]
-        for line, row in zip(weights, rows):
-            for w, s in row:
-                line[place[id(s)]] += w
+        width = max(map(len, rows))
+        pick = np.array([[place[id(s)] for _, s in row] + [0] * (width - len(row)) for row in rows])
+        weight = np.array([[w for w, _ in row] + [0j] * (width - len(row)) for row in rows],
+                          dtype=complex)
         table, coef = _rows(sums)
-        # a sum over the middle axis adds the terms one after another, in order
-        coef = (np.array(weights)[:, :, None] * coef).sum(axis=1)
-        return [cls._on(table, row) for row in _pruned(coef)]
+        acc = weight[:, 0, None] * coef[pick[:, 0]]
+        for j in range(1, width):
+            acc += weight[:, j, None] * coef[pick[:, j]]
+        return [cls._on(table, row) for row in _pruned(acc)]
 
     @property
     def terms(self) -> dict[tuple[int, int], complex]:
@@ -332,11 +327,11 @@ class OperatorSum:
 
 
 class _Packed(NamedTuple):
-    """A kernel operand: word arrays of strings, and rows of X^x Z^z coefficients."""
+    """A kernel operand: n, the key words of its strings, and rows of X^x Z^z
+    coefficients over them."""
 
+    n: int
     key: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
     coef: np.ndarray
 
 
@@ -349,25 +344,31 @@ def _words(values: list[int], bits: int) -> np.ndarray:
                     dtype=np.uint64).reshape(count, len(values))
 
 
-def _split(n: int, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The x and z words of key columns: the low n bits, and the bits from n up."""
-    w = max(1, -(-n // 64))
-    q, r = divmod(n, 64)
-    x = key[:w].copy()
-    if r:
-        x[-1] &= np.uint64((1 << r) - 1)
-    z = key[q:q + w] >> np.uint64(r)
-    if r:
-        high = key[q + 1:q + 1 + w] << np.uint64(64 - r)
-        z[:len(high)] |= high
-    return x, z
+def _shifted(key: np.ndarray, bits: int) -> np.ndarray:
+    """Key columns times 2^bits (divided by 2^-bits when negative), the bits
+    moved past the last word or below the first dropped."""
+    q, r = divmod(abs(bits), 64)
+    if len(key) == 1 and not q:
+        return key << r if bits > 0 else key >> r
+    words, out = len(key), np.zeros_like(key)
+    if q < words:
+        if bits > 0:
+            out[q:] = key[:words - q] << r
+            if r and q + 1 < words:  # the bits that cross into the next word
+                out[q + 1:] |= key[:words - q - 1] >> (64 - r)
+        else:
+            out[:words - q] = key[q:] >> r
+            if r and q + 1 < words:
+                out[:words - q - 1] |= key[q + 1:] << (64 - r)
+    return out
 
 
-def _phases(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """i^|x & z| of each column of the words ``x`` and ``z``."""
-    count = np.bitwise_count(x[0] & z[0])  # |x & z| mod 256
-    for w in range(1, len(x)):
-        count += np.bitwise_count(x[w] & z[w])
+def _phases(n: int, key: np.ndarray) -> np.ndarray:
+    """i^|x & z| of each key column x | z << n."""
+    both = key & _shifted(key, -n)  # x & z in the low n bits, nothing above
+    count = np.bitwise_count(both[0])  # |x & z| mod 256
+    for w in range(1, len(both)):
+        count += np.bitwise_count(both[w])
     return _PHASE_TABLE[count & 3]
 
 
@@ -382,17 +383,17 @@ def _and_pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _reduce(key: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the coefficient columns of equal keys, in the order of the keys, word 0 first."""
     words = len(key)
-    order = np.argsort(key[-1])
+    order = key[-1].argsort()
     for w in range(words - 2, -1, -1):  # only the passes after the first need to be stable
-        order = order[np.argsort(key[w, order], kind="stable")]
-    key = np.take(key, order, axis=1)  # faster than key[:, order] on a row of many columns
+        order = order[key[w, order].argsort(kind="stable")]
+    key = key.take(order, axis=1)  # faster than key[:, order] on a row of many columns
     start = np.empty(key.shape[1], dtype=bool)
     start[:1] = True
     np.not_equal(key[0, 1:], key[0, :-1], out=start[1:])
     for w in range(1, words):
         start[1:] |= key[w, 1:] != key[w, :-1]
-    first = np.flatnonzero(start)
-    return np.take(key, first, axis=1), np.add.reduceat(np.take(coef, order, axis=1), first, axis=1)
+    first = start.nonzero()[0]
+    return key.take(first, axis=1), np.add.reduceat(coef.take(order, axis=1), first, axis=1)
 
 
 def _kernel(a: _Packed, b: _Packed, parity: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -405,6 +406,8 @@ def _kernel(a: _Packed, b: _Packed, parity: int | None) -> tuple[np.ndarray, np.
     while their pairs fit one block."""
     batch = max(len(a.coef), len(b.coef))
     na, nb = a.key.shape[1], b.key.shape[1]
+    # on the key words of b: z1 meets x2, and z1 | x1 << n meets x2 | z2 << n
+    sign, odd = (z := _shifted(a.key, -a.n)), z | _shifted(a.key, a.n)
     if na * nb > TERM_CAP:  # the work of each row, as for a plain product
         raise TermBudgetError(f"product of {na} x {nb} term pairs exceeds cap {TERM_CAP}")
     cols = min(max(nb, 1), _CHUNK_PAIRS)
@@ -415,15 +418,15 @@ def _kernel(a: _Packed, b: _Packed, parity: int | None) -> tuple[np.ndarray, np.
         for j in range(0, nb, cols):
             jb = slice(j, j + cols)
             # X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2)
-            zx = _and_pairs(a.z[:, ia], b.x[:, jb])
+            zx = _and_pairs(sign[:, ia], b.key[:, jb])
             coef = a.coef[:, ia, None] * b.coef[:, None, jb]
             np.negative(coef, out=coef, where=(np.bitwise_count(zx) & 1).view(bool))
             coef = coef.reshape(batch, -1)
             key = (a.key[:, ia, None] ^ b.key[:, None, jb]).reshape(len(a.key), -1)
             if parity is not None:
-                zx ^= _and_pairs(a.x[:, ia], b.z[:, jb])  # |x1 & z2| + |z1 & x2|
-                keep = np.flatnonzero((np.bitwise_count(zx) & 1).ravel() == parity)
-                key, coef = np.take(key, keep, axis=1), np.take(coef, keep, axis=1)
+                zx = _and_pairs(odd[:, ia], b.key[:, jb])  # |z1 & x2| + |x1 & z2|
+                keep = ((np.bitwise_count(zx) & 1).ravel() == parity).nonzero()[0]
+                key, coef = key.take(keep, axis=1), coef.take(keep, axis=1)
             if sums:  # the running sums join the reduction as entries of their own
                 key = np.concatenate([sums[0], key], axis=1)
                 coef = np.concatenate([sums[1], coef], axis=1)
@@ -438,12 +441,12 @@ def _rows(sums: Sequence[OperatorSum]) -> tuple[_Table, np.ndarray]:
     if len({s.n for s in sums}) > 1:
         raise ValueError(f"qubit count mismatch: {sorted({s.n for s in sums})}")
     table = sums[0].table
-    if all(s.table is table for s in sums):
-        return table, np.array([s.row for s in sums])
     place: dict[int, np.ndarray | slice] = {id(table): slice(len(table))}
     for s in sums:
         if id(s.table) not in place:
             table, place[id(s.table)] = table.merged(s.table)
+    if all(type(p) is slice and p.stop == len(table) for p in place.values()):  # equal tables
+        return table, np.array([s.row for s in sums])
     coef = np.zeros((len(sums), len(table)), dtype=complex)
     for row, s in zip(coef, sums):
         row[place[id(s.table)]] = s.row
@@ -453,11 +456,11 @@ def _rows(sums: Sequence[OperatorSum]) -> tuple[_Table, np.ndarray]:
 def _pack_rows(sums: Sequence[OperatorSum]) -> _Packed:
     """``sums`` as a kernel operand, a row each over the strings some row holds."""
     table, coef = _rows(sums)
-    words = (table.key, *table.xz, coef)
+    words = (table.key, coef)
     if np.count_nonzero(coef) < coef.size:
-        used = np.flatnonzero(coef.any(axis=0))
-        words = [np.take(v, used, axis=1) for v in words]
-    return _Packed(*words)
+        used = coef.any(axis=0).nonzero()[0]
+        words = [v.take(used, axis=1) for v in words]
+    return _Packed(table.n, *words)
 
 
 def _products(lefts: Sequence[OperatorSum], rights: Sequence[OperatorSum],
@@ -483,9 +486,9 @@ def _products(lefts: Sequence[OperatorSum], rights: Sequence[OperatorSum],
         key, coef = _kernel(a._replace(coef=a.coef[rows]), b._replace(coef=b.coef[rows]), parity)
         coef = factor * coef
         keep = np.abs(coef) > cut[rows, None]
-        used = np.flatnonzero(keep.any(axis=0))
-        table = _Table(lefts[0].n, np.take(key, used, axis=1))
-        coef = np.where(np.take(keep, used, axis=1), np.take(coef, used, axis=1), 0.0)
+        used = keep.any(axis=0).nonzero()[0]
+        table = _Table(lefts[0].n, key.take(used, axis=1))
+        coef = np.where(keep.take(used, axis=1), coef.take(used, axis=1), 0.0)
         out += [OperatorSum._on(table, row) for row in coef]
     return out
 
@@ -534,23 +537,25 @@ class StringBasis:
         """[h, sum_s vector[s] sigma(s)] over the strings, new ones appended, pruned
         as ``opsum_comm`` of h and ``from_vector``; a dict of key records numbers them."""
         top = (size := np.abs(vector)).max(initial=0.0)
-        used = np.flatnonzero(size > PRUNE_TOL * top)
-        t = self.table
-        key = np.take(t.key, used, axis=1)
-        op = _Packed(key, *_split(t.n, key), (vector[used] * t.phase[used])[None])
+        kept, t = size > PRUNE_TOL * top, self.table
+        if kept.all():  # the table's own words
+            op = _Packed(t.n, t.key, (vector * t.phase)[None])
+        else:
+            used = kept.nonzero()[0]
+            op = _Packed(t.n, t.key.take(used, axis=1), (vector[used] * t.phase[used])[None])
         if self._h is None or self._h[0] is not h:
             self._h = h, _pack_rows([h]), h.max_abs_coeff()
         key, coef = _kernel(self._h[1], op, 1)
         coef = 2.0 * coef[0]
-        keep = np.flatnonzero(np.abs(coef) > PRUNE_TOL * 2.0 * self._h[2] * top)
-        key, index = np.take(key, keep, axis=1), self._index
-        cols = [index.setdefault(r, len(index)) for r in _records(key)]
+        keep = (np.abs(coef) > PRUNE_TOL * 2.0 * self._h[2] * top).nonzero()[0]
+        key, index = key.take(keep, axis=1), self._index
+        cols = np.array([index.setdefault(r, len(index)) for r in _records(key)], dtype=np.intp)
         if len(index) > len(t):
-            added = key[:, np.greater_equal(cols, len(t))]
-            self.table = _Table(t.n, np.concatenate([t.key, added], axis=1),
-                                np.concatenate([t.phase, _phases(*_split(t.n, added))]))
+            added = key[:, cols >= len(t)]
+            self.table = t = _Table(t.n, np.concatenate([t.key, added], axis=1),
+                                    np.concatenate([t.phase, _phases(t.n, added)]))
         out = np.zeros(len(index), dtype=complex)
-        out[cols] = coef[keep] * self.table.phase[cols].conj()
+        out[cols] = coef[keep] * t.phase[cols].conj()
         return out
 
     def strings(self) -> list[tuple[int, int]]:
@@ -603,7 +608,7 @@ def dense_sums(n: int, strings: Sequence[tuple[int, int]], coefs: np.ndarray) ->
     phase = _PHASE_TABLE[np.bitwise_count(xs & zs) & 3]
     out = np.zeros((len(coefs), dim, dim), dtype=complex)
     for x in sorted({x for x, _ in strings}):  # np.unique would import numpy.ma, 1 MB
-        group = np.flatnonzero(xs == x)
+        group = (xs == x).nonzero()[0]
         signs = 1.0 - 2.0 * (np.bitwise_count(zs[group, None] & cols) & 1)
         out[:, cols ^ x, cols] = coefs[:, group] @ (phase[group, None] * signs)
     return out

@@ -143,8 +143,10 @@ def transfer_factorization_residual(h: Hamiltonian, us: Sequence[float]) -> list
     that form it; in one pass, on the grid of ``_transfer_grid``."""
     _, tus, tmus, ps = _transfer_grid(h, us)
     ident = OperatorSum.identity(h.n)
-    return [(prod - p * ident).max_abs_coeff() / (tu.abs_sum() * tmu.abs_sum())
-            for prod, tu, tmu, p in zip(opsum_mul_batch(tus, tmus), tus, tmus, ps)]
+    diffs = OperatorSum.combinations([[(1.0, prod), (-p, ident)]
+                                      for prod, p in zip(opsum_mul_batch(tus, tmus), ps)])
+    return [diff.max_abs_coeff() / (tu.abs_sum() * tmu.abs_sum())
+            for diff, tu, tmu in zip(diffs, tus, tmus)]
 
 
 # -- simplicial extension and modes -------------------------------------------
@@ -256,7 +258,7 @@ def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
     off: list[float] = []
     while True:
         coef = index.comm(hop, basis[-1])
-        basis = np.hstack([basis, np.zeros((len(basis), len(index) - basis.shape[1]))])
+        basis = np.concatenate([basis, np.zeros((len(basis), len(index) - basis.shape[1]))], axis=1)
         proj = (conj := basis.conj()) @ coef
         diag.append(proj[-1].real)
         coef -= proj @ basis
@@ -304,7 +306,9 @@ def mode_car_residual(modes: Sequence[IncognitoMode]) -> float:
     pairs = opsum_anticomm_batch([ops[i] for i, _ in mixed + same],
                                  [dags[j] for _, j in mixed] + [ops[j] for _, j in same])
     ident = OperatorSum.identity(modes[0].op.n)
-    return max([(pair - ident if i == j else pair).max_abs_coeff()
+    diagonal = iter(OperatorSum.combinations([[(1.0, pair), (-1.0, ident)]
+                                              for (i, j), pair in zip(mixed, pairs) if i == j]))
+    return max([(next(diagonal) if i == j else pair).max_abs_coeff()
                 for (i, j), pair in zip(mixed, pairs)]
                + [pair.max_abs_coeff() for pair in pairs[len(mixed):]])
 
@@ -319,12 +323,12 @@ def ladder_residual(hext: Hamiltonian, modes: Sequence[IncognitoMode]) -> float:
     dags = [m.dag for m in modes]
     comms = opsum_comm_batch([hop] * (2 * len(modes)), ops + dags)
     norm = hop.abs_sum()
-    worst = 0.0
-    for m, op, dag, raised, lowered in zip(modes, ops, dags, comms, comms[len(modes):]):
-        raise_part = (raised - 2.0 * m.energy * op).abs_sum()
-        lower_part = (lowered + 2.0 * m.energy * dag).abs_sum()
-        worst = max(worst, max(raise_part, lower_part) / (2.0 * op.abs_sum() * (norm + m.energy)))
-    return worst
+    parts = OperatorSum.combinations(  # [H, psi] - 2 e psi, then [H, psi^dag] + 2 e psi^dag
+        [[(1.0, raised), (-2.0 * m.energy, op)] for m, op, raised in zip(modes, ops, comms)]
+        + [[(1.0, lowered), (2.0 * m.energy, dag)]
+           for m, dag, lowered in zip(modes, dags, comms[len(modes):])])
+    return max([0.0] + [max(up.abs_sum(), down.abs_sum()) / (2.0 * op.abs_sum() * (norm + m.energy))
+                        for m, op, up, down in zip(modes, ops, parts, parts[len(modes):])])
 
 
 def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
@@ -350,10 +354,11 @@ def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
     pairs = opsum_mul_batch(tus + minuses, pluses + [chi_op] * len(us))
     lefts, rights = pairs[:len(us)], pairs[len(us):]
     lhss = opsum_mul_batch(lefts, opsum_mul_batch([chi_op] * len(us), tmus))
-    return [(lhs - p * right).abs_sum()
+    diffs = OperatorSum.combinations([[(1.0, lhs), (-p, right)]
+                                      for lhs, right, p in zip(lhss, rights, ps)])
+    return [diff.abs_sum()
             / (tu.abs_sum() * plus.abs_sum() * tmu.abs_sum() + abs(p) * minus.abs_sum())
-            for lhs, right, p, tu, tmu, plus, minus
-            in zip(lhss, rights, ps, tus, tmus, pluses, minuses)]
+            for diff, p, tu, tmu, plus, minus in zip(diffs, ps, tus, tmus, pluses, minuses)]
 
 
 def zero_eigenvector_residual(modes: Sequence[IncognitoMode], t: TransferOperator) -> float:
