@@ -19,7 +19,7 @@ import sys
 import tempfile
 
 from . import chains
-from .errors import FFSolveError, ParseError
+from .errors import ComplexRootError, FFSolveError, ParseError
 from .graphs import WeightedGraph, frustration_graph
 from .indpoly import (
     free_spectrum,
@@ -146,7 +146,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _emit(args, payload)
         return EXIT_UNDECIDED if report.ecf is None else EXIT_REFUSED
     poly = weighted_independence_polynomial(graph)
-    energies = single_particle_energies(poly, claw_free=report.claw_free)
+    try:
+        energies = single_particle_energies(poly)
+    except ComplexRootError as exc:  # past the refusal, the graph is claw-free
+        raise exc.on_claw_free() from None
     payload["energies"] = energies.energies
     payload["root_residual"] = energies.residual
     n = h.n if h else graph.n

@@ -26,9 +26,12 @@ class SearchBudgetError(FFSolveError):
 
 
 class ComplexRootError(FFSolveError):
-    """Fewer real roots than the degree were isolated, on a graph that may have
-    claws: its polynomial may not be real-rooted, and then no free spectrum
-    follows.  On a claw-free graph the same failure is a ConditioningError."""
+    """Fewer real roots than the polynomial degree were isolated.
+
+    For claw-free frustration graphs this signals a conditioning failure;
+    for general graphs it means the independence polynomial is not
+    real-rooted and no free spectrum can be synthesized from it.
+    """
 
     def __init__(self, found, expected):
         self.found = found
@@ -38,13 +41,19 @@ class ComplexRootError(FFSolveError):
             "polynomial may have complex roots or is ill-conditioned"
         )
 
+    def on_claw_free(self) -> "ConditioningError":
+        """This failure on a claw-free graph, whose polynomial is real-rooted
+        (Chudnovsky and Seymour, JCTB 97, 2007): conditioning, not complex roots."""
+        return ConditioningError(f"isolated {self.found} real roots, expected {self.expected}, "
+                                 "on a claw-free graph: the coefficients could not resolve them")
+
 
 class DegenerateModeError(FFSolveError):
     """Mode construction refused: the requested single-particle energy is repeated."""
 
 
 class ConditioningError(FFSolveError):
-    """A normalization factor came out non-positive, or real roots went unresolved."""
+    """A normalization factor came out non-positive; numerical conditioning failure."""
 
 
 class NotSimplicialError(FFSolveError):

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ComplexRootError, ConditioningError
+from .errors import ComplexRootError
 from .graphs import WeightedGraph, bits
 
 ROOT_REL_TOL = 1e-15
@@ -345,8 +345,7 @@ class SingleParticleEnergies:
         return [e for e, m in self.energies for _ in range(m)]
 
 
-def single_particle_energies(poly: IndependencePolynomial, *,
-                             claw_free: bool = False) -> SingleParticleEnergies:
+def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEnergies:
     """Energies e_j > 0 with P(-1/e_j^2) = 0, with multiplicities.
 
     The roots w = e^2 of R(w) = w^alpha P(-1/w) are positive and sum to
@@ -370,9 +369,8 @@ def single_particle_energies(poly: IndependencePolynomial, *,
     Raises ComplexRootError unless, at every cluster, R, ..., R^(m-2)
     vanish within noise, R^(m-1) changes sign or vanishes within noise, and
     the noise moves that root by at most ROOT_CERT_REL_TOL.  Otherwise the
-    roots are complex, or rounding hides where they are; a ``claw_free``
-    graph's are real (Chudnovsky and Seymour, JCTB 97, 2007), and there it
-    raises ConditioningError.  At alpha = 0 there are no energies, residual 0.
+    roots are complex, or rounding hides where they are.  At alpha = 0
+    there are no energies, and the residual is 0.
     """
     alpha = poly.alpha
     if alpha == 0:  # P = 1: every weight is 0, and R has no root
@@ -479,11 +477,7 @@ def single_particle_energies(poly: IndependencePolynomial, *,
               <= ROOT_CERT_REL_TOL * s * mult * np.abs(t[mult, cols]))
     certified = vanish & located & pinned
     if not certified.all():
-        found = int(mult[certified].sum())
-        if claw_free:  # every root is real, so the coefficients failed to resolve them
-            raise ConditioningError(f"isolated {found} real roots, expected {alpha}, on a "
-                                    "claw-free graph: the coefficients could not resolve them")
-        raise ComplexRootError(found, alpha)
+        raise ComplexRootError(int(mult[certified].sum()), alpha)
     energies = tuple((math.sqrt(unit * x), int(k)) for x, k in zip(s, mult))
     return SingleParticleEnergies(energies, float(np.max(np.abs(t[0]) / scale[0])))
 

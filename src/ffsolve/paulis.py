@@ -14,17 +14,17 @@ both bits are set.  The fixed multiplication convention is XZ = -iY
 (equivalently XY = iZ); it is tested against the dense backend.
 
 An ``OperatorSum`` is a table of strings and one row of coefficients over
-it.  A table holds its strings as uint64 word arrays, one column each:
+it.  A table holds its strings as one uint64 word array, one column each:
 the key x | z << n in ceil(2n/64) words (up to 32 qubits take one), and,
-read off it on first use, x and z in ceil(n/64) words and the phases
-i^|x & z|.  The row holds the coefficients of X^x Z^z, c i^|x & z| for a
-term c sigma(x, z), and zeros where the sum has no term.  Tables do not
-change, and sums built from one source share one: the sums of one list of
-dicts (a transfer operator's charges), the vectors over a ``StringBasis``,
-the rows of one product pass, and a sum's multiples and conjugate.  Sums
-on one table add, and stack into a kernel operand, row by row; another
-table costs one merge.  The dict {(x, z): coefficient of sigma(x, z)} is
-a view built on first use, for tests and printing.
+read off it on first use, the phases i^|x & z|.  The row holds the
+coefficients of X^x Z^z, c i^|x & z| for a term c sigma(x, z), and zeros
+where the sum has no term.  Tables do not change, and sums built from one
+source share one: the sums of one list of dicts (a transfer operator's
+charges), the vectors over a ``StringBasis``, the rows of one product
+pass, and a sum's multiples and conjugate.  Sums on one table add, and
+stack into a kernel operand, row by row; another table costs one merge.
+The dict {(x, z): coefficient of sigma(x, z)} is a view built on first
+use, for tests and printing.
 
 Products
 --------
@@ -39,12 +39,15 @@ a pair needs one XOR per key word and the parity of one popcount
 (``np.bitwise_count``), and the rows of a pass come back as they are,
 over the table of its output keys; the view's factor i^-|x3 & z3| makes
 the phase (|x1&z1| + |x2&z2| + 2|z1&x2| - |x3&z3|) mod 4 of ``multiply``.
-Commutators and anticommutators keep only the pairs whose symplectic
-product |x1&z2| + |z1&x2| is odd or even.  Pairs are formed in blocks of
-about 2^16, whose keys, signs, parity mask and sort serve every row they
-hold; a batch of more pairs runs a row at a time, so memory stays flat.
-The pair count of a row is checked against ``TERM_CAP`` first, and the
-running sums enter the next block's reduction as entries of their own.
+The sign and the symplectic product |x1&z2| + |z1&x2| are read off the
+right operand's key words: the left one's key shifted down by n puts z1
+on the x bits, and shifted up by n puts x1 on the z bits.  Commutators
+and anticommutators keep only the pairs whose symplectic product is odd
+or even.  Pairs are formed in blocks of about 2^16, whose keys, signs,
+parity mask and sort serve every row they hold; a batch of more pairs
+runs a row at a time, so memory stays flat.  The pair count of a row is
+checked against ``TERM_CAP`` first, and the running sums enter the next
+block's reduction as entries of their own.
 
 Pruning is relative, so that no result depends on the overall scale of
 the couplings: row r of a product drops a coefficient of at most
@@ -80,8 +83,11 @@ _AXIS_NAME = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """A single n-qubit Pauli string with an exact phase i^phase_pow, the
-    exponent in {0,1,2,3}: 0 and 2 are Hermitian, 1 and 3 anti-Hermitian."""
+    """A single n-qubit Pauli string with an exact phase.
+
+    ``phase_pow`` is the exponent e in i^e, e in {0,1,2,3}.  Terms with
+    e in {0,2} are Hermitian, e in {1,3} anti-Hermitian.
+    """
 
     n: int
     x: int
@@ -304,13 +310,14 @@ class OperatorSum:
         norm 1, so this bounds the operator norm from above."""
         return sum(np.abs(self.row).tolist())
 
-    def __add__(self, other: "OperatorSum", sign: float = 1.0) -> "OperatorSum":
-        """self + sign other on the union of their tables, pruned as from a dict."""
+    def __add__(self, other: "OperatorSum") -> "OperatorSum":
+        """The sum on the union of both tables, pruned as from a dict."""
         table, coef = _rows([self, other])
-        return OperatorSum._on(table, _pruned(coef[0] + sign * coef[1]))
+        return OperatorSum._on(table, _pruned(coef[0] + coef[1]))
 
     def __sub__(self, other: "OperatorSum") -> "OperatorSum":
-        return self.__add__(other, -1.0)
+        table, coef = _rows([self, other])
+        return OperatorSum._on(table, _pruned(coef[0] - coef[1]))
 
     def __mul__(self, scalar: complex) -> "OperatorSum":
         return OperatorSum._on(self.table, self.row * scalar)
@@ -336,7 +343,8 @@ class _Packed(NamedTuple):
 
 
 def _words(values: list[int], bits: int) -> np.ndarray:
-    """Ints below 2^bits as words, shape (words, len(values)): bits 64w.. in word w."""
+    """Ints below 2^bits as an array of shape (words, len(values)), word w
+    holding bits 64w..64w+63."""
     count = max(1, -(-bits // 64))
     if count == 1:
         return np.array([values], dtype=np.uint64)
@@ -373,7 +381,8 @@ def _phases(n: int, key: np.ndarray) -> np.ndarray:
 
 
 def _and_pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u_i & v_j for every pair of columns, its words folded by XOR (parity kept)."""
+    """u_i & v_j for every pair of columns, its words folded by XOR, which
+    keeps the parity of the popcount."""
     acc = u[0][:, None] & v[0]
     for w in range(1, len(u)):
         acc ^= u[w][:, None] & v[w]
@@ -381,7 +390,8 @@ def _and_pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _reduce(key: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the coefficient columns of equal keys, in the order of the keys, word 0 first."""
+    """Sum the coefficient columns of entries with equal key, in the order
+    of the keys, word 0 first."""
     words = len(key)
     order = key[-1].argsort()
     for w in range(words - 2, -1, -1):  # only the passes after the first need to be stable
@@ -402,8 +412,12 @@ def _kernel(a: _Packed, b: _Packed, parity: int | None) -> tuple[np.ndarray, np.
     row r of ``a`` with row r of ``b`` (an operand of one row serves every
     row) over every pair when ``parity`` is None, else over the pairs whose
     symplectic product has that parity (1: anticommuting, 0: commuting).
-    A block holds the coefficients of every row, so callers batch rows only
-    while their pairs fit one block."""
+
+    The pair keys, signs and parity mask, and the sort, are formed once a
+    block for all the rows; a block holds the coefficients of every row,
+    so callers batch rows only while their pairs fit one block.  The sign
+    and the parity are read off the key words of ``b``, against the key
+    words of ``a`` shifted down and up by n."""
     batch = max(len(a.coef), len(b.coef))
     na, nb = a.key.shape[1], b.key.shape[1]
     # on the key words of b: z1 meets x2, and z1 | x1 << n meets x2 | z2 << n
@@ -467,9 +481,12 @@ def _products(lefts: Sequence[OperatorSum], rights: Sequence[OperatorSum],
               parity: int | None, factor: float) -> list[OperatorSum]:
     """factor * sum of the string products of lefts[r] and rights[r] for
     every r, in one pass: over every pair when ``parity`` is None, else
-    over the pairs with that symplectic parity.  Rows share the kernel's
-    blocks, and the table of its output strings, while a block holds all
-    their pairs; a larger product runs a row at a time."""
+    over the pairs with that symplectic parity.
+
+    Rows share the kernel's blocks, and the table of the pass's output
+    strings, while a block holds all their pairs; a product of more pairs
+    than a block runs a row at a time, as a plain product would, so that
+    no block re-sums the running sums of many rows."""
     if len(lefts) != len(rights):
         raise ValueError(f"{len(lefts)} left factors against {len(rights)} right ones")
     if not lefts:
@@ -523,7 +540,11 @@ def opsum_anticomm_batch(lefts: Sequence[OperatorSum],
 
 
 class StringBasis:
-    """Strings numbered as they first appear, a growing table, and sums over them."""
+    """Pauli strings numbered in order of first appearance, kept as a
+    growing table, and sums over them as coefficient vectors.
+
+    ``comm`` packs its vector from the table and numbers the strings of
+    the product by their keys, so no dict of either sum is built."""
 
     def __init__(self, term: PauliTerm):
         self.table = _Table(term.n, _words([term.x | term.z << term.n], 2 * term.n))
@@ -534,8 +555,10 @@ class StringBasis:
         return len(self.table)
 
     def comm(self, h: OperatorSum, vector: np.ndarray) -> np.ndarray:
-        """[h, sum_s vector[s] sigma(s)] over the strings, new ones appended, pruned
-        as ``opsum_comm`` of h and ``from_vector``; a dict of key records numbers them."""
+        """The coefficients over the strings, the new ones of the product
+        appended, of [h, sum_s vector[s] sigma(s)], with the entries of
+        ``vector`` and of the product pruned as ``from_vector`` and
+        ``opsum_comm`` prune them."""
         top = (size := np.abs(vector)).max(initial=0.0)
         kept, t = size > PRUNE_TOL * top, self.table
         if kept.all():  # the table's own words
@@ -573,10 +596,15 @@ def _records(key: np.ndarray) -> list:
 def subset_products(terms: Sequence[tuple[float, PauliTerm]],
                     masks: Iterable[int]) -> list[dict[tuple[int, int], complex]]:
     """For each k, the sum over the masks of k bits of the product of the
-    terms they select, in ascending index order.  ``masks`` lists each set
-    after its parent, the set less its highest index, so that each product
-    is its parent's times one term: one exact phase rule per set, and every
-    sum that of the products multiplied out set by set, bit for bit."""
+    terms they select, coupling and string, taken in ascending index order.
+
+    ``masks`` starts with the empty set and lists every other set after its
+    parent, the set without its highest index, so that each product is its
+    parent's times one term: one phase rule per set, on integers.  A
+    product's coefficient is its coupling product with the phase folded in,
+    which multiplies exactly, so every sum is that of the products
+    multiplied out set by set, bit for bit.
+    """
     masks = iter(masks)
     made = {next(masks): (1.0 + 0.0j, 0, 0)}
     accs: list[dict[tuple[int, int], complex]] = [{(0, 0): 1.0 + 0.0j}]
@@ -598,9 +626,13 @@ def subset_products(terms: Sequence[tuple[float, PauliTerm]],
 # -- dense backend -----------------------------------------------------
 
 def dense_sums(n: int, strings: Sequence[tuple[int, int]], coefs: np.ndarray) -> np.ndarray:
-    """The dense 2^n matrices sum_d coefs[b, d] sigma(strings[d]), one per row
-    b of ``coefs``.  Column j of sigma(x, z) holds i^|x & z| (-1)^|z & j| in
-    row j ^ x, so strings with the same x are summed first, written once."""
+    """The dense 2^n matrices sum_d coefs[b, d] sigma(strings[d]), one for
+    each row b of ``coefs``, stacked along the first axis.
+
+    Column j of sigma(x, z) holds i^|x & z| (-1)^|z & j| in row j ^ x, so
+    strings with the same x fill the same entries: they are summed first
+    and written once.
+    """
     dim = 1 << n
     cols = np.arange(dim)
     xs = np.array([x for x, _ in strings], dtype=np.int64)

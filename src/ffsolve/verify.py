@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DenseCapError, FFSolveError, TermBudgetError
+from .errors import ComplexRootError, DenseCapError, FFSolveError, TermBudgetError
 from .graphs import frustration_graph
 from .indpoly import (
     SingleParticleEnergies,
@@ -283,11 +283,10 @@ def verify_free(h: Hamiltonian,
     with _stage(report, "energies"):
         if energies is None:
             try:
-                energies = single_particle_energies(weighted_independence_polynomial(graph),
-                                                    claw_free=report.structure.claw_free)
-            except FFSolveError as exc:  # the roots could not be resolved
+                energies = single_particle_energies(weighted_independence_polynomial(graph))
+            except ComplexRootError as exc:  # an applicable graph is claw-free
                 report.spectrum_match = False
-                report.failure = str(exc)
+                report.failure = str(exc.on_claw_free())
                 return report
         report.energies = list(energies.energies)
     if energies.total > h.n:
@@ -360,7 +359,7 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> 
 
     poly = weighted_independence_polynomial(graph)
     try:
-        energies = single_particle_energies(poly, claw_free=report.structure.claw_free)
+        energies = single_particle_energies(poly)
         report.energies = list(energies.energies)
         with _stage(report, "modes"):
             modes = all_modes(hext, chi, energies)
@@ -378,6 +377,9 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> 
             # ancilla leaves the frustration graph of h as it is
             t = transfer(hext, graph)
             report.lemma_residuals["zero_eigenvector"] = zero_eigenvector_residual(modes, t)
+    except ComplexRootError as exc:  # an applicable graph is claw-free
+        report.failure = f"mode construction: {exc.on_claw_free()}"
+        return
     except FFSolveError as exc:
         report.failure = f"mode construction: {exc}"
         return

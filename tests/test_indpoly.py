@@ -600,11 +600,13 @@ def test_complex_roots_detected():
 
 
 def test_root_failure_on_a_claw_free_graph_is_conditioning():
-    """A claw-free graph's polynomial is real-rooted, so the same failure
-    is reported as conditioning and says nothing of complex roots."""
-    with pytest.raises(ConditioningError, match="claw-free") as failure:
-        single_particle_energies(IndependencePolynomial((1.0, 1.0, 1.0)), claw_free=True)
-    assert "complex" not in str(failure.value)
+    """A claw-free graph's polynomial is real-rooted, so there the same
+    failure is conditioning, and its message says nothing of complex roots."""
+    with pytest.raises(ComplexRootError) as failure:
+        single_particle_energies(IndependencePolynomial((1.0, 1.0, 1.0)))
+    conditioning = failure.value.on_claw_free()
+    assert isinstance(conditioning, ConditioningError)
+    assert "claw-free" in str(conditioning) and "complex" not in str(conditioning)
 
 
 def test_free_spectrum_examples():

@@ -465,3 +465,24 @@ def test_batched_products_on_shared_and_separate_tables(n, shared, seed):
             for row, x, y in zip(batch(x_side, y_side), x_side, y_side):
                 assert_equals_pairwise(row, x, y, parity, factor)
                 assert_matches_reference(row, x, y, parity, factor)
+
+
+def test_combinations_hold_a_row_per_row():
+    """Weighted row sums, as T(+-u) on a grid takes them, add each row's
+    sums in turn: the peak allocation is the sums stacked on their table and
+    a few rows, never rows x sums x strings (41 MB here)."""
+    import tracemalloc
+
+    rng = random.Random(5)
+    keys = list({(rng.getrandbits(12), rng.getrandbits(12)) for _ in range(5000)})[:4000]
+    sums = OperatorSum.from_dicts(12, [{key: complex(rng.uniform(-1, 1), 0.5) for key in keys}
+                                       for _ in range(40)])
+    rows = [[(rng.uniform(-1, 1), s) for s in sums[i:i + 5]] for i in range(0, 40, 5)] * 2
+    tracemalloc.start()
+    got = OperatorSum.combinations(rows)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 * (len(sums) + len(rows)) * len(keys) * 16
+    want = reduce(lambda acc, pair: acc + pair[0] * pair[1], rows[3][1:], rows[3][0][0] * rows[3][0][1])
+    assert got[3].terms.keys() == want.terms.keys()
+    assert all(abs(got[3].terms[k] - c) <= 1e-15 * 6 for k, c in want.terms.items())
