@@ -194,10 +194,7 @@ class _Table:
             return self._merge[1:]
         index = dict(zip(_records(self.key), range(len(self))))
         cols = np.array([index.setdefault(r, len(index)) for r in _records(other.key)])
-        added = other.key[:, cols >= len(self)]  # with their phases where this table's are read
-        phase = None if self._phase is None else _phases(self.n, added)
-        union = _Table(self.n, np.concatenate([self.key, added], axis=1),
-                       phase if phase is None else np.concatenate([self._phase, phase]))
+        union = _Table(self.n, np.concatenate([self.key, other.key[:, cols >= len(self)]], axis=1))
         self._merge = other, union, cols
         return union, cols
 
@@ -420,10 +417,10 @@ def _kernel(a: _Packed, b: _Packed, parity: int | None) -> tuple[np.ndarray, np.
     words of ``a`` shifted down and up by n."""
     batch = max(len(a.coef), len(b.coef))
     na, nb = a.key.shape[1], b.key.shape[1]
-    # on the key words of b: z1 meets x2, and z1 | x1 << n meets x2 | z2 << n
-    sign, odd = (z := _shifted(a.key, -a.n)), z | _shifted(a.key, a.n)
     if na * nb > TERM_CAP:  # the work of each row, as for a plain product
         raise TermBudgetError(f"product of {na} x {nb} term pairs exceeds cap {TERM_CAP}")
+    sign = _shifted(a.key, -a.n)  # z1 on the x bits of a key x2 | z2 << n
+    odd = sign | _shifted(a.key, a.n)  # and x1 on its z bits
     cols = min(max(nb, 1), _CHUNK_PAIRS)
     rows = _CHUNK_PAIRS // cols
     sums = None
