@@ -250,20 +250,18 @@ class OperatorSum:
     @classmethod
     def combinations(cls, rows: Sequence[Sequence[tuple[complex, "OperatorSum"]]]
                      ) -> list["OperatorSum"]:
-        """The weighted sum of each row of (weight, sum) pairs, pruned as from a
-        dict: the rows' sums stacked on one table, and pair j of every row
-        added in turn (a shorter row adds zeros), so memory is a row per row."""
+        """The weighted sum of each row of (weight, sum) pairs, every row as
+        long, pruned as from a dict: the rows' sums stacked on one table, and
+        pair j of every row added in turn, so memory is a row per row."""
         if not rows:
             return []
         sums = list({id(s): s for row in rows for _, s in row}.values())
         place = {id(s): j for j, s in enumerate(sums)}
-        width = max(map(len, rows))
-        pick = np.array([[place[id(s)] for _, s in row] + [0] * (width - len(row)) for row in rows])
-        weight = np.array([[w for w, _ in row] + [0j] * (width - len(row)) for row in rows],
-                          dtype=complex)
+        pick = np.array([[place[id(s)] for _, s in row] for row in rows])
+        weight = np.array([[w for w, _ in row] for row in rows], dtype=complex)
         table, coef = _rows(sums)
         acc = weight[:, 0, None] * coef[pick[:, 0]]
-        for j in range(1, width):
+        for j in range(1, pick.shape[1]):
             acc += weight[:, j, None] * coef[pick[:, j]]
         return [cls._on(table, row) for row in _pruned(acc)]
 
