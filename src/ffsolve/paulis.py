@@ -555,12 +555,8 @@ class StringBasis:
         ``vector`` and of the product pruned as ``from_vector`` and
         ``opsum_comm`` prune them."""
         top = (size := np.abs(vector)).max(initial=0.0)
-        kept, t = size > PRUNE_TOL * top, self.table
-        if kept.all():  # the table's own words
-            op = _Packed(t.n, t.key, (vector * t.phase)[None])
-        else:
-            used = kept.nonzero()[0]
-            op = _Packed(t.n, t.key.take(used, axis=1), (vector[used] * t.phase[used])[None])
+        used, t = (size > PRUNE_TOL * top).nonzero()[0], self.table
+        op = _Packed(t.n, t.key.take(used, axis=1), (vector[used] * t.phase[used])[None])
         if self._h is None or self._h[0] is not h:
             self._h = h, _pack_rows([h]), h.max_abs_coeff()
         key, coef = _kernel(self._h[1], op, 1)
