@@ -1,13 +1,12 @@
-"""Weighted simple graphs, the frustration graph of a Hamiltonian, and
-the one walk over vertex subsets.
+"""Weighted simple graphs and the frustration graph of a Hamiltonian.
 
 A graph is its bitset rows: ``adj[v]`` is a Python int whose set bits
 are the neighbours of v, since the hot loops downstream are
 neighbourhood intersections, and ``bits`` walks a row.  Vertex weights
 are squared Hamiltonian couplings.  The frustration graph is read
-straight off the terms' (x, z) words.
-``stable_sets`` walks the vertex sets with no two members joined in the
-rows it is given: on the adjacency rows, the independent sets.
+straight off the terms' (x, z) words.  The one walk over the independent
+sets, which builds the transfer operator, is ``paulis.subset_products``
+on the adjacency rows.
 """
 
 from __future__ import annotations
@@ -133,24 +132,3 @@ def component_count(graph: WeightedGraph) -> int:
             frontier &= ~seen
         left &= ~seen
     return count
-
-
-def stable_sets(rows: Sequence[int]) -> Iterator[int]:
-    """Every set of vertices 0..len(rows)-1 with no two members joined in
-    ``rows``, as bitmasks; ``rows[v]`` is the bitmask of the vertices
-    joined to v.
-
-    The empty set comes first, and each set comes after its parent, the
-    set without its highest vertex: the walk is depth first and adds
-    vertices in ascending order.  Exponential in the graph size.
-    """
-    stack = [(0, (1 << len(rows)) - 1)]
-    while stack:
-        current, candidates = stack.pop()
-        yield current
-        children = []
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low  # what is left lies above the new vertex
-            children.append((current | low, candidates & ~rows[low.bit_length() - 1]))
-        stack.extend(reversed(children))

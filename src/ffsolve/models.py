@@ -132,6 +132,11 @@ def parse_graph(text: str) -> WeightedGraph:
             continue
         fields = line.split()
         kind = fields[0]
+        size = {"p": 2, "v": 3, "e": 3}.get(kind)
+        if size is None:
+            raise ParseError(f"line {lineno}: unknown record {kind!r}")
+        if len(fields) != size:  # a missing field, or one that would be dropped unread
+            raise ParseError(f"line {lineno}: malformed record {line!r}")
         try:
             if kind == "p":
                 if n is not None:
@@ -145,6 +150,8 @@ def parse_graph(text: str) -> WeightedGraph:
                     raise ParseError(f"line {lineno}: vertex index {idx} out of range")
                 if not 0 <= w < math.inf:
                     raise ParseError(f"line {lineno}: weight {fields[2]!r} must be finite and >= 0")
+                if idx in weights:
+                    raise ParseError(f"line {lineno}: duplicate 'v' line for vertex {idx}")
                 weights[idx] = w
             elif kind == "e":
                 i, j = int(fields[1]), int(fields[2])
@@ -155,9 +162,7 @@ def parse_graph(text: str) -> WeightedGraph:
                     raise ParseError(f"line {lineno}: duplicate edge ({i},{j})")
                 seen_edges.add(key)
                 edges.append(key)
-            else:
-                raise ParseError(f"line {lineno}: unknown record {kind!r}")
-        except (IndexError, ValueError):
+        except ValueError:
             raise ParseError(f"line {lineno}: malformed record {line!r}") from None
     if n is None:
         raise ParseError("missing 'p <n>' header")

@@ -19,12 +19,12 @@ the key x | z << n in ceil(2n/64) words (up to 32 qubits take one), and,
 read off it on first use, the phases i^|x & z|.  The row holds the
 coefficients of X^x Z^z, c i^|x & z| for a term c sigma(x, z), and zeros
 where the sum has no term.  Tables do not change, and sums built from one
-source share one: the sums of one list of dicts (a transfer operator's
-charges), the vectors over a ``StringBasis``, the rows of one product
-pass, and a sum's multiples and conjugate.  Sums on one table add, and
-stack into a kernel operand, row by row; another table costs one merge.
-The dict {(x, z): coefficient of sigma(x, z)} is a view built on first
-use, for tests and printing.
+source share one: the charges of one walk over the independent sets
+(``subset_products``), the vectors over a ``StringBasis``, the rows of
+one product pass, and a sum's multiples and conjugate.  Sums on one
+table add, and stack into a kernel operand, row by row; another table
+costs one merge.  The dict {(x, z): coefficient of sigma(x, z)} is a
+view built on first use, for tests and printing.
 
 Products
 --------
@@ -51,8 +51,9 @@ block's reduction as entries of their own.
 
 Pruning is relative, so that no result depends on the overall scale of
 the couplings: row r of a product drops a coefficient of at most
-``PRUNE_TOL`` |factor| max|a_r| max|b_r|, and a sum of dicts, a vector or
-sums one of at most ``PRUNE_TOL`` times its own largest |coefficient|.
+``PRUNE_TOL`` |factor| max|a_r| max|b_r|, and a sum from a dict or a
+walk, a vector or sums one of at most ``PRUNE_TOL`` times its own
+largest |coefficient|.
 
 Basis-state convention for the dense backend: qubit q corresponds to bit
 q of the computational-basis index (little-endian), so Z on qubit 0 of a
@@ -142,22 +143,17 @@ class PauliTerm:
         return f"{pre}{self.label()}"
 
 
-def _product_phase_pow(x1: int, z1: int, x2: int, z2: int) -> int:
-    """Phase exponent of sigma(x1,z1)·sigma(x2,z2) relative to sigma(x1^x2, z1^z2)."""
-    x3 = x1 ^ x2
-    z3 = z1 ^ z2
-    e = (x1 & z1).bit_count() + (x2 & z2).bit_count()
-    e += 2 * (z1 & x2).bit_count()
-    e -= (x3 & z3).bit_count()
-    return e & 3
-
-
 def multiply(p: PauliTerm, q: PauliTerm) -> PauliTerm:
-    """Exact product pq in the Pauli group (XZ = -iY convention)."""
+    """Exact product pq in the Pauli group (XZ = -iY convention): the phase
+    of sigma(x1, z1) sigma(x2, z2) relative to sigma(x3, z3), with
+    x3 = x1 ^ x2 and z3 = z1 ^ z2, is
+    i^(|x1 & z1| + |x2 & z2| + 2|z1 & x2| - |x3 & z3|)."""
     if p.n != q.n:
         raise ValueError(f"qubit count mismatch: {p.n} != {q.n}")
-    e = (p.phase_pow + q.phase_pow + _product_phase_pow(p.x, p.z, q.x, q.z)) & 3
-    return PauliTerm(p.n, p.x ^ q.x, p.z ^ q.z, e)
+    x, z = p.x ^ q.x, p.z ^ q.z
+    e = ((p.x & p.z).bit_count() + (q.x & q.z).bit_count() + 2 * (p.z & q.x).bit_count()
+         - (x & z).bit_count())
+    return PauliTerm(p.n, x, z, (p.phase_pow + q.phase_pow + e) & 3)
 
 
 def commutes(p: PauliTerm, q: PauliTerm) -> bool:
@@ -215,7 +211,8 @@ class OperatorSum:
     __slots__ = ("n", "table", "row", "_terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, int], complex]):
-        (one,) = OperatorSum.from_dicts(n, [terms])
+        (one,) = _on_one_table(n, [{x | z << n: c * _PHASES[(x & z).bit_count() & 3]
+                                    for (x, z), c in terms.items()}])
         self.n, self.table, self.row, self._terms = n, one.table, one.row, None
 
     @classmethod
@@ -223,24 +220,6 @@ class OperatorSum:
         out = cls.__new__(cls)
         out.n, out.table, out.row, out._terms = table.n, table, row, None
         return out
-
-    @classmethod
-    def from_dicts(cls, n: int, dicts: Sequence[Mapping[tuple[int, int], complex]]
-                   ) -> list["OperatorSum"]:
-        """The sums of ``dicts``, pruned as the constructor prunes, on one table
-        of the union of their strings in order."""
-        index = dict(zip(dict.fromkeys(chain.from_iterable(dicts)), count()))
-        width = len(index)
-        flat = [0j] * (len(dicts) * width)
-        for base, d in zip(range(0, len(flat), width or 1), dicts):
-            sizes = list(map(abs, d.values()))  # |c| once, for the cut and the test
-            cut = PRUNE_TOL * max(sizes, default=0.0)
-            for (x, z), c, size in zip(d, d.values(), sizes):
-                if size > cut:  # the coefficient of X^x Z^z
-                    flat[base + index[x, z]] = c * _PHASES[(x & z).bit_count() & 3]
-        table = _Table(n, _words([x | z << n for x, z in index], 2 * n))
-        return [cls._on(table, row)
-                for row in np.array(flat, dtype=complex).reshape(len(dicts), width)]
 
     @classmethod
     def from_vector(cls, basis: "StringBasis", coef: np.ndarray) -> "OperatorSum":
@@ -584,34 +563,53 @@ def _records(key: np.ndarray) -> list:
     return np.ascontiguousarray(key.T).view(np.dtype((np.void, 8 * len(key))))[:, 0].tolist()
 
 
-def subset_products(terms: Sequence[tuple[float, PauliTerm]],
-                    masks: Iterable[int]) -> list[dict[tuple[int, int], complex]]:
-    """For each k, the sum over the masks of k bits of the product of the
-    terms they select, coupling and string, taken in ascending index order.
+def _on_one_table(n: int, dicts: Sequence[Mapping[int, complex]]) -> list[OperatorSum]:
+    """The sums of ``dicts`` {x | z << n: coefficient of X^x Z^z}, each less
+    the coefficients of at most ``PRUNE_TOL`` times its largest, on one
+    table of the union of their keys in order."""
+    index = dict(zip(dict.fromkeys(chain.from_iterable(dicts)), count()))
+    coef = np.zeros((len(dicts), len(index)), dtype=complex)
+    for row, d in zip(coef, dicts):
+        row[[index[key] for key in d]] = list(d.values())
+    table = _Table(n, _words(list(index), 2 * n))
+    return [OperatorSum._on(table, row) for row in _pruned(coef)]
 
-    ``masks`` starts with the empty set and lists every other set after its
-    parent, the set without its highest index, so that each product is its
-    parent's times one term: one phase rule per set, on integers.  A
-    product's coefficient is its coupling product with the phase folded in,
-    which multiplies exactly, so every sum is that of the products
-    multiplied out set by set, bit for bit.
+
+def subset_products(n: int, terms: Sequence[tuple[float, PauliTerm]],
+                    rows: Sequence[int]) -> list[OperatorSum]:
+    """For each k, the sum over the sets of k terms with no two joined in
+    ``rows`` (``rows[v]`` is the bitmask of the terms joined to v; on the
+    frustration graph, the independent sets) of the product of the terms
+    they select, coupling and string, taken in ascending index order, on
+    one table.
+
+    One depth-first walk adds the terms in ascending order, the empty set
+    first and each other set after its parent, the set without its highest
+    term.  A set carries its X^x Z^z coefficient and key x | z << n down
+    the stack from its parent: X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2|
+    X^(x1^x2) Z^(z1^z2) costs one sign a set.  A coefficient is its
+    coupling product times a power of i, which multiplies exactly, so every
+    sum is that of the products multiplied out set by set, up to signed
+    zeros.
     """
-    masks = iter(masks)
-    made = {next(masks): (1.0 + 0.0j, 0, 0)}
-    accs: list[dict[tuple[int, int], complex]] = [{(0, 0): 1.0 + 0.0j}]
-    factors = [(c * t.phase, t.x, t.z) for c, t in terms]
-    for mask in masks:
-        top = mask.bit_length() - 1
-        c, tx, tz = factors[top]
-        pc, px, pz = made[mask ^ (1 << top)]
-        key = (px ^ tx, pz ^ tz)
-        coef = pc * c * _PHASES[_product_phase_pow(px, pz, tx, tz)]
-        made[mask] = (coef, *key)
-        k = mask.bit_count()
-        if k == len(accs):
+    factors = [(c * _PHASES[(t.phase_pow + (t.x & t.z).bit_count()) & 3], t.x | t.z << n, t.x)
+               for c, t in terms]
+    accs: list[dict[int, complex]] = []
+    stack = [(1.0 + 0.0j, 0, 0, (1 << len(rows)) - 1)]
+    while stack:
+        coef, key, size, candidates = stack.pop()
+        if size == len(accs):
             accs.append({})
-        accs[k][key] = accs[k].get(key, 0.0) + coef
-    return accs
+        accs[size][key] = accs[size].get(key, 0.0) + coef
+        z, above = key >> n, 0
+        while candidates:  # the children, highest term first, so the lowest pops first
+            v = candidates.bit_length() - 1
+            candidates ^= 1 << v
+            c, k, x = factors[v]
+            stack.append((-c * coef if (z & x).bit_count() & 1 else c * coef, key ^ k,
+                          size + 1, above & ~rows[v]))
+            above |= 1 << v
+    return _on_one_table(n, accs)
 
 
 # -- dense backend -----------------------------------------------------

@@ -9,6 +9,12 @@ reconstructed as sum_j e_j [psi_j, psi_j^dagger].  The three statements
 are a package: flipping which member of the pair is called psi_j flips
 the first two and negates the third.
 
+The charges Q^(k) come from one walk over the independent sets
+(``paulis.subset_products``), each set's product taken from its
+parent's, on one table.  T(u) = sum_k (-u)^k Q^(k) is only ever a row of
+``OperatorSum.combinations`` over ``TransferOperator.terms(u)``, so the
+T(u) of a grid or of every mode come from one pass.
+
 The modes are read from one Lanczos run.  psi_j and psi_j^dagger are
 eigenoperators of ad_H = [H, .] with eigenvalues +2 e_j and -2 e_j, and
 chi lies in their span together with a part that commutes with H
@@ -24,7 +30,8 @@ numbered as they appear; T(u) is not needed, and
 The checks that ``verify`` repeats over strings they share are each one
 pass of the product kernel: {psi_i, psi_j^dagger} and {psi_i, psi_j} of
 ``mode_car_residual``; [H, psi_j] and [H, psi_j^dagger] of
-``ladder_residual``; [psi_j, psi_j^dagger] of ``reconstruct``; and
+``ladder_residual``; [psi_j, psi_j^dagger] of ``reconstruct`` (and so
+of ``reconstruction_residual``); and
 T(u_j) psi_j, then psi_j^dagger T(u_j), of ``zero_eigenvector_residual``.
 ``transfer_factorization_residual`` and ``check_fundamental_identity``
 take a grid of u and form each of their products in one pass, a row per
@@ -46,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConditioningError, DegenerateModeError, FFSolveError, NotSimplicialError
-from .graphs import WeightedGraph, component_count, frustration_graph, stable_sets
+from .graphs import WeightedGraph, component_count, frustration_graph
 from .indpoly import SingleParticleEnergies, weighted_independence_polynomial
 from .models import Hamiltonian
 from .paulis import (
@@ -65,7 +72,8 @@ from .recognition import is_simplicial_clique
 
 @dataclass(frozen=True)
 class TransferOperator:
-    """The charge list Q^(0)..Q^(alpha); evaluate(u) = sum_j (-u)^j Q^(j)."""
+    """The charge list Q^(0)..Q^(alpha), whose sum T(u) = sum_j (-u)^j Q^(j)
+    at each u is a row of ``OperatorSum.combinations`` over ``terms(u)``."""
 
     n: int
     charges: tuple[OperatorSum, ...]
@@ -74,25 +82,20 @@ class TransferOperator:
     def alpha(self) -> int:
         return len(self.charges) - 1
 
-    def evaluate(self, u: float) -> OperatorSum:
-        return OperatorSum.combinations([self.terms(u)])[0]
-
     def terms(self, u: float) -> list[tuple[float, OperatorSum]]:
         """The pairs ((-u)^j, Q^(j)) whose sum is T(u)."""
         return list(zip(accumulate(repeat(-u, self.alpha), mul, initial=1.0), self.charges))
 
 
 def transfer(h: Hamiltonian, graph: WeightedGraph) -> TransferOperator:
-    """All charges Q^(0)..Q^(alpha) from one pass over the independent sets.
+    """All charges Q^(0)..Q^(alpha) from one walk over the independent sets.
 
-    ``graphs.stable_sets`` yields the empty set first and each other set
-    after its parent, the set without its highest vertex, so
-    ``paulis.subset_products`` builds a set's coupling and Pauli product
-    from its parent's with one term.  The factors of a set commute, so
-    their order is immaterial.
+    ``paulis.subset_products`` walks them depth first on the adjacency
+    rows, takes each set's coupling and Pauli product from its parent's
+    with one term and one sign, and puts the charges on one table.  The
+    factors of a set commute, so their order is immaterial.
     """
-    accs = subset_products(h.terms, stable_sets(graph.adj))
-    return TransferOperator(h.n, tuple(OperatorSum.from_dicts(h.n, accs)))
+    return TransferOperator(h.n, tuple(subset_products(h.n, h.terms, graph.adj)))
 
 
 # -- structural identity residuals -------------------------------------------
@@ -296,6 +299,17 @@ def reconstruct(modes: Sequence[IncognitoMode],
     return acc
 
 
+def reconstruction_residual(hext: Hamiltonian, modes: Sequence[IncognitoMode],
+                            energies: SingleParticleEnergies) -> float:
+    """The Pauli 1-norm of ``reconstruct`` less the extended Hamiltonian,
+    relative to the 1-norms of H and of the products e_j psi_j psi_j^dag
+    and e_j psi_j^dag psi_j that form it."""
+    recon = reconstruct(modes, energies)
+    target = OperatorSum.from_terms(hext.n, hext.terms)
+    scale = target.abs_sum() + sum(2.0 * m.energy * m.op.abs_sum() ** 2 for m in modes)
+    return (recon - target).abs_sum() / scale
+
+
 def mode_car_residual(modes: Sequence[IncognitoMode]) -> float:
     """Worst deviation from the canonical anticommutation relations:
     {psi_i, psi_j^dag} - delta_ij and {psi_i, psi_j}, i <= j, in one pass."""
@@ -363,8 +377,9 @@ def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
 
 def zero_eigenvector_residual(modes: Sequence[IncognitoMode], t: TransferOperator) -> float:
     """max over the modes of the coefficients of T(u_j) psi_j and of
-    psi_j^dag T(u_j), which both vanish; one pass for each side."""
-    tus = [t.evaluate(m.u) for m in modes]
+    psi_j^dag T(u_j), which both vanish; every T(u_j) in one pass, and one
+    pass for each side."""
+    tus = OperatorSum.combinations([t.terms(m.u) for m in modes])
     right = opsum_mul_batch(tus, [m.op for m in modes])
     left = opsum_mul_batch([m.dag for m in modes], tus)
     return max(p.max_abs_coeff() for p in right + left)

@@ -27,7 +27,7 @@ from .indpoly import (
     weighted_independence_polynomial,
 )
 from .models import Hamiltonian
-from .paulis import DENSE_QUBIT_CAP, OperatorSum, PauliTerm, dense_sums, multiply
+from .paulis import DENSE_QUBIT_CAP, PauliTerm, dense_sums, multiply
 from .recognition import HOLE_SEARCH_BUDGET, StructureReport, classify
 from .solver import (
     all_modes,
@@ -36,7 +36,7 @@ from .solver import (
     ladder_residual,
     mode_car_residual,
     mode_energy_gap,
-    reconstruct,
+    reconstruction_residual,
     simplicial_extension,
     transfer,
     transfer_factorization_residual,
@@ -366,12 +366,8 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> 
             report.mode_term_counts = [len(m.op) for m in modes]
             report.lemma_residuals["car"] = mode_car_residual(modes)
             report.lemma_residuals["ladder"] = ladder_residual(hext, modes)
-            recon = reconstruct(modes, energies)
-            target = OperatorSum.from_terms(hext.n, hext.terms)
-            # the Pauli 1-norm of the difference, relative to the 1-norms of H and
-            # of the products e_j psi_j psi_j^dag and e_j psi_j^dag psi_j
-            scale = target.abs_sum() + sum(2.0 * m.energy * m.op.abs_sum() ** 2 for m in modes)
-            report.lemma_residuals["reconstruction"] = (recon - target).abs_sum() / scale
+            report.lemma_residuals["reconstruction"] = reconstruction_residual(
+                hext, modes, energies)
             report.lemma_residuals["lanczos_energy"] = mode_energy_gap(modes)
             # T(u_j) psi_j = 0 ties the Krylov modes to the transfer operator; the
             # ancilla leaves the frustration graph of h as it is

@@ -17,7 +17,7 @@ import numpy as np
 from ffsolve import chains, indpoly
 from ffsolve.chains import ChainSpec, elementary_symmetric
 from ffsolve.errors import DenseCapError
-from ffsolve.graphs import WeightedGraph, bits, frustration_graph, stable_sets
+from ffsolve.graphs import WeightedGraph, bits, frustration_graph
 from ffsolve.indpoly import IndependencePolynomial, weighted_independence_polynomial
 from ffsolve.models import back_to_back_model
 from ffsolve.models import Hamiltonian
@@ -32,7 +32,7 @@ from ffsolve.paulis import (
     opsum_mul_batch,
 )
 from ffsolve.recognition import classify
-from ffsolve.solver import transfer
+from ffsolve.solver import TransferOperator, transfer
 from ffsolve.verify import SPECTRUM_CLUSTER_TOL, SPECTRUM_MATCH_TOL, brute_force_spectrum
 
 EPS = float(np.finfo(float).eps)
@@ -161,13 +161,35 @@ def naive_independence_polynomial(g: WeightedGraph) -> list[float]:
     return coeffs
 
 
+def stable_sets(rows):
+    """Every set of vertices 0..len(rows)-1 with no two members joined in
+    ``rows``, as bitmasks; ``rows[v]`` is the bitmask of the vertices
+    joined to v.  On adjacency rows these are the independent sets.
+
+    The empty set comes first, and each set comes after its parent, the
+    set without its highest vertex: the walk is depth first and adds
+    vertices in ascending order, as ``paulis.subset_products`` walks them.
+    """
+    stack = [(0, (1 << len(rows)) - 1)]
+    while stack:
+        current, candidates = stack.pop()
+        yield current
+        children = []
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low  # what is left lies above the new vertex
+            children.append((current | low, candidates & ~rows[low.bit_length() - 1]))
+        stack.extend(reversed(children))
+
+
 def per_set_charges(h, graph: WeightedGraph) -> list[dict]:
     """Reference for ``solver.transfer``: the terms of every charge, with
     each set's coupling and Pauli products multiplied out from scratch.
 
-    The sets are walked in the order of ``graphs.stable_sets`` and each
-    product is taken in ascending vertex order, so that every coefficient
-    is summed in the same order, and the charges compare equal bit for bit.
+    The sets are walked in the order of ``stable_sets`` and each product
+    is taken in ascending vertex order, so that every coefficient is summed
+    in the same order, and the charges compare equal by value (the walk of
+    ``transfer`` carries X^x Z^z coefficients, so signed zeros may differ).
     """
     accs: list[dict] = []
     for mask in stable_sets(graph.adj):
@@ -568,11 +590,18 @@ def unit_grid(h: Hamiltonian, us) -> list[float]:
     return [u / scale for u in us]
 
 
+def transfer_at(t: TransferOperator, u: float) -> OperatorSum:
+    """T(u) = sum_j (-u)^j Q^(j) of ``t`` at one u, a combination of one row:
+    the per-u reference for the package, which takes the T(u) it needs as
+    the rows of one pass."""
+    return OperatorSum.combinations([t.terms(u)])[0]
+
+
 def _transfer_pair(h, u: float):
     """T(u), T(-u) and P(-u^2) of ``h``, from its frustration graph."""
     graph = frustration_graph(h)
     t = transfer(h, graph)
-    return t.evaluate(u), t.evaluate(-u), weighted_independence_polynomial(graph)(-u * u)
+    return transfer_at(t, u), transfer_at(t, -u), weighted_independence_polynomial(graph)(-u * u)
 
 
 def per_u_transfer_factorization(h, u: float) -> float:

@@ -20,6 +20,7 @@ from conftest import (
     opsum_mul,
     random_graph,
     to_dense,
+    transfer_at,
     verify_clique_recurrence,
     verify_nonexample_equal_couplings,
 )
@@ -141,7 +142,7 @@ def test_criterion_04_transfer_factorization():
         t = transfer(h, g)
         poly = weighted_independence_polynomial(g)
         for u in U_GRID:
-            prod = opsum_mul(t.evaluate(u), t.evaluate(-u))
+            prod = opsum_mul(transfer_at(t, u), transfer_at(t, -u))
             resid = (prod - poly(-u * u) * OperatorSum.identity(h.n)).max_abs_coeff()
             worst = max(worst, resid)
     report(4, worst < 1e-9, f"transfer factorization residual {worst:.2e} on 8-point u grid")

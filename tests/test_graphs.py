@@ -9,13 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, maximal_cliques, pairwise_frustration_graph, random_graph, to_dense
+from conftest import (
+    cycle_graph,
+    maximal_cliques,
+    pairwise_frustration_graph,
+    random_graph,
+    stable_sets,
+    to_dense,
+)
 from ffsolve.graphs import (
     WeightedGraph,
     bits,
     component_count,
     frustration_graph,
-    stable_sets,
 )
 from ffsolve.models import (
     Hamiltonian,

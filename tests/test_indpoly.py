@@ -26,13 +26,14 @@ from conftest import (
     random_graph,
     record_sweeps,
     reference_free_spectrum,
+    stable_sets,
     use_midpoint_bisection,
     verify_clique_recurrence,
 )
 from ffsolve import indpoly
 from ffsolve.chains import ChainSpec
 from ffsolve.errors import ComplexRootError, ConditioningError
-from ffsolve.graphs import WeightedGraph, bits, frustration_graph, stable_sets
+from ffsolve.graphs import WeightedGraph, bits, frustration_graph
 from ffsolve.indpoly import (
     ROOT_REL_TOL,
     IndependencePolynomial,

@@ -99,6 +99,13 @@ def test_graph_parse_edge_cases():
             parse_graph(text)
     with pytest.raises(ParseError):
         parse_graph("e 0 1")  # missing header
+    # a repeated vertex record, a field past the end of a record and a missing
+    # field each raise naming the line: no weight is replaced or dropped unread
+    for text, line in (("p 2\nv 0 1.0\nv 0 4.0\ne 0 1", 3), ("p 2\ne 0 1 9", 2),
+                       ("p 2\nv 0 1.0 7", 2), ("p 2 3\ne 0 1", 1), ("p 2\ne 0", 2)):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse_graph(text)
+    assert parse_graph("p 2\nv 0 1.0\nv 1 4.0\ne 0 1 # a comment").weights == (1.0, 4.0)
 
 
 def test_h6_with_f_zero_equals_h5_graph():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import opsum_mul, pairwise_product, to_dense
+from conftest import opsum_mul, pairwise_product, to_dense, transfer_at
 from ffsolve import paulis
 from ffsolve.errors import DenseCapError, TermBudgetError
 from ffsolve.paulis import (
@@ -425,12 +425,15 @@ def overlapping_dicts(rng, n, count):
 @given(st.sampled_from([3, 33, 65]), st.booleans(), st.integers(0, 2**32))
 def test_linear_algebra_equals_the_dict_arithmetic(n, shared, seed):
     """Sums, differences, real multiples, ``dagger`` and T(u) of sums on one
-    table (``from_dicts``) and on tables of their own, with keys of one, two
-    and three words, equal the dict arithmetic bit for bit; complex
-    multiples equal it to rounding."""
+    table (``combinations`` of one sum a row) and on tables of their own,
+    with keys of one, two and three words, equal the dict arithmetic bit
+    for bit; complex multiples equal it to rounding."""
     rng = random.Random(seed)
     dicts = overlapping_dicts(rng, n, 3)
-    sums = OperatorSum.from_dicts(n, dicts) if shared else [OperatorSum(n, d) for d in dicts]
+    sums = [OperatorSum(n, d) for d in dicts]
+    if shared:
+        sums = OperatorSum.combinations([[(1.0, s)] for s in sums])
+        assert len({id(s.table) for s in sums}) == 1
     a, b, c = sums
     assert [s.terms for s in sums] == [OperatorSum(n, d).terms for d in dicts]
     for x, y in ((a, b), (b, c), (c, a), (a, a)):
@@ -446,7 +449,7 @@ def test_linear_algebra_equals_the_dict_arithmetic(n, shared, seed):
     assert a.dagger().terms == {key: v.conjugate() for key, v in a.terms.items()}
     t = TransferOperator(n, (a, b, c))
     for u in (0.37, -1.1):
-        assert t.evaluate(u).terms == dict_evaluate(t.charges, u)
+        assert transfer_at(t, u).terms == dict_evaluate(t.charges, u)
 
 
 @settings(max_examples=40, deadline=None)
@@ -457,7 +460,9 @@ def test_batched_products_on_shared_and_separate_tables(n, shared, seed):
     pair-by-pair reference, at the tolerances of the tests above."""
     rng = random.Random(seed)
     dicts = overlapping_dicts(rng, n, 3)
-    sums = OperatorSum.from_dicts(n, dicts) if shared else [OperatorSum(n, d) for d in dicts]
+    sums = [OperatorSum(n, d) for d in dicts]
+    if shared:
+        sums = OperatorSum.combinations([[(1.0, s)] for s in sums])
     lefts, rights = sums + sums[:1], sums[1:] + sums[:2]
     passed = opsum_mul_batch(lefts, rights)  # these share the table of one pass
     for batch, parity, factor in BATCHED:
@@ -475,8 +480,8 @@ def test_combinations_hold_a_row_per_row():
 
     rng = random.Random(5)
     keys = list({(rng.getrandbits(12), rng.getrandbits(12)) for _ in range(5000)})[:4000]
-    sums = OperatorSum.from_dicts(12, [{key: complex(rng.uniform(-1, 1), 0.5) for key in keys}
-                                       for _ in range(40)])
+    dicts = [{key: complex(rng.uniform(-1, 1), 0.5) for key in keys} for _ in range(40)]
+    sums = OperatorSum.combinations([[(1.0, OperatorSum(12, d))] for d in dicts])
     rows = [[(rng.uniform(-1, 1), s) for s in sums[i:i + 5]] for i in range(0, 40, 5)] * 2
     tracemalloc.start()
     got = OperatorSum.combinations(rows)

@@ -16,12 +16,14 @@ from conftest import (
     per_u_fundamental_identity,
     per_u_transfer_factorization,
     random_graph,
+    stable_sets,
     to_dense,
+    transfer_at,
     unit_grid,
 )
 from ffsolve import paulis, solver
 from ffsolve.errors import ConditioningError, DegenerateModeError, FFSolveError, NotSimplicialError
-from ffsolve.graphs import frustration_graph, stable_sets
+from ffsolve.graphs import frustration_graph
 from ffsolve.indpoly import (
     SingleParticleEnergies,
     single_particle_energies,
@@ -78,7 +80,7 @@ def hamiltonian_opsum(h):
 # -- paper lemmas that no command runs, checked below ------------------------
 
 def transfer_derivative(t: TransferOperator, u: float) -> OperatorSum:
-    """d/du of t.evaluate(u): sum_j -j (-u)^(j-1) Q^(j)."""
+    """d/du of transfer_at(t, u): sum_j -j (-u)^(j-1) Q^(j)."""
     acc = OperatorSum.zero(t.n)
     coef = 1.0  # (-u)^(j-1)
     for j, q in enumerate(t.charges):
@@ -105,10 +107,10 @@ def clique_transfer_recurrence_residual(h: Hamiltonian, clique, u: float,
         kmask |= 1 << v
     if not graph.is_clique(kmask):
         raise ValueError(f"{kset} is not a clique")
-    full = transfer(h, graph).evaluate(u)
+    full = transfer_at(transfer(h, graph), u)
     rest = [v for v in range(graph.n) if v not in kset]
     h_rest = Hamiltonian(h.n, tuple(h.terms[v] for v in rest))
-    acc = transfer(h_rest, frustration_graph(h_rest)).evaluate(u)
+    acc = transfer_at(transfer(h_rest, frustration_graph(h_rest)), u)
     ops = [c * OperatorSum.from_term(t) for c, t in h.terms]
     for v in kset:
         if simplicial:
@@ -117,7 +119,7 @@ def clique_transfer_recurrence_residual(h: Hamiltonian, clique, u: float,
         else:
             reduced_vs = [w for w in range(graph.n) if not (graph.closed_adj(v) >> w) & 1]
         h_v = Hamiltonian(h.n, tuple(h.terms[w] for w in reduced_vs))
-        tv = transfer(h_v, frustration_graph(h_v)).evaluate(u)
+        tv = transfer_at(transfer(h_v, frustration_graph(h_v)), u)
         if side == "left":
             acc = acc - u * opsum_mul(ops[v], tv)
         elif side == "right":
@@ -148,8 +150,8 @@ def higher_hamiltonian(h: Hamiltonian, k: int,
         u = 1.0 / eps
         x = -u * u
         denom = -2.0 * u * poly.deriv(x)
-        term = opsum_mul(t.evaluate(-u), transfer_derivative(t, u)) \
-            - sign * opsum_mul(t.evaluate(u), transfer_derivative(t, -u))
+        term = opsum_mul(transfer_at(t, -u), transfer_derivative(t, u)) \
+            - sign * opsum_mul(transfer_at(t, u), transfer_derivative(t, -u))
         acc = acc + (u ** (-k) / denom) * term
     return acc
 
@@ -157,7 +159,7 @@ def higher_hamiltonian(h: Hamiltonian, k: int,
 def exchange_algebra_residual(mode: IncognitoMode, t: TransferOperator,
                               u: float) -> float:
     """(u_j + u) T(u) psi_j - (u_j - u) psi_j T(u) vanishes for any u."""
-    tu = t.evaluate(u)
+    tu = transfer_at(t, u)
     lhs = (mode.u + u) * opsum_mul(tu, mode.op)
     rhs = (mode.u - u) * opsum_mul(mode.op, tu)
     return (lhs - rhs).max_abs_coeff()
@@ -185,17 +187,17 @@ def test_transfer_evaluate():
     h = random_h5()
     t = transfer(h, frustration_graph(h))
     assert t.alpha == 2
-    assert not (t.evaluate(0.0) - OperatorSum.identity(3)).terms
+    assert not (transfer_at(t, 0.0) - OperatorSum.identity(3)).terms
     u = 0.3
     expansion = (OperatorSum.identity(3) - u * t.charges[1] + u * u * t.charges[2])
-    assert not (t.evaluate(u) - expansion).terms
+    assert not (transfer_at(t, u) - expansion).terms
 
 
 def test_transfer_derivative_matches_finite_difference():
     h = random_h5()
     t = transfer(h, frustration_graph(h))
     u, du = 0.4, 1e-6
-    fd = (t.evaluate(u + du) - t.evaluate(u - du)) * (1.0 / (2 * du))
+    fd = (transfer_at(t, u + du) - transfer_at(t, u - du)) * (1.0 / (2 * du))
     assert (transfer_derivative(t, u) - fd).max_abs_coeff() < 1e-8
 
 
@@ -205,7 +207,7 @@ def test_transfer_factorization_h5():
     assert max(transfer_factorization_residual(h, (0.3, -0.9, 1.5))) < 1e-12
     # the product really is P(-u^2) times the identity
     t = transfer(h, frustration_graph(h))
-    prod = opsum_mul(t.evaluate(0.3), t.evaluate(-0.3))
+    prod = opsum_mul(transfer_at(t, 0.3), transfer_at(t, -0.3))
     assert abs(prod.terms.get((0, 0), 0.0) - poly(-0.3 * 0.3)) < 1e-12
 
 
@@ -217,10 +219,24 @@ def test_charges_commute_for_claw_free_models():
         assert charges_commute_residual(h, frustration_graph(h)) < 1e-10
 
 
-def test_transfer_equals_the_per_set_products(monkeypatch):
-    """Each set's product from its parent's gives the charges of the
-    products multiplied out set by set, bit for bit, with one phase rule
-    per nonempty set."""
+def y_heavy_hamiltonian(rng: random.Random, n: int, count: int) -> Hamiltonian:
+    """``count`` random strings on ``n`` qubits, half their factors Y, with
+    couplings of either sign."""
+    terms = []
+    for _ in range(count):
+        x = z = 0
+        for q in rng.sample(range(n), rng.randint(1, min(n, 6))):
+            xb, zb = rng.choice(((1, 1), (1, 1), (1, 0), (0, 1)))
+            x, z = x | xb << q, z | zb << q
+        terms.append((rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5), PauliTerm(n, x, z)))
+    return Hamiltonian(n, tuple(terms))
+
+
+def test_transfer_equals_the_per_set_products():
+    """Each set's product from its parent's, in one walk, gives the charges
+    of the products multiplied out set by set, by value: on chains,
+    junctions, h6 and realized claw-free graphs, and on random Y-heavy
+    strings whose keys take one, two and three words."""
     rng = random.Random(4)
     models = [chain_model(4, 4, [1.0, 0.7, 1.3, 0.9]), chain_model(5, 3, [1.0, 0.7, 1.3]),
               junction_model((1, 1, 1), 3, [rng.uniform(0.5, 1.5) for _ in range(15)]),
@@ -229,16 +245,11 @@ def test_transfer_equals_the_per_set_products(monkeypatch):
         g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.8), weighted=True)
         if not naive_has_claw(g):
             models.append(realize_graph(g))
-    calls = []
-    phase_pow = paulis._product_phase_pow
-    monkeypatch.setattr(paulis, "_product_phase_pow",
-                        lambda *bits: calls.append(1) or phase_pow(*bits))
+    models += [y_heavy_hamiltonian(rng, n, rng.randint(2, 10))
+               for n in (3, 33, 65) for _ in range(8)]
     for h in models:
         g = frustration_graph(h)
-        want = per_set_charges(h, g)
-        calls.clear()
-        assert [q.terms for q in transfer(h, g).charges] == want
-        assert len(calls) == sum(1 for _ in stable_sets(g.adj)) - 1
+        assert [q.terms for q in transfer(h, g).charges] == per_set_charges(h, g)
 
 
 def test_transfer_clique_recurrences_all_forms():
@@ -355,7 +366,8 @@ def test_modes_equal_the_triple_product(name, scale):
     chi_op = OperatorSum.from_term(chi)
     assert len(modes) == energies.total
     for m in modes:
-        want = (1.0 / m.norm) * opsum_mul(opsum_mul(t.evaluate(-m.u), chi_op), t.evaluate(m.u))
+        want = (1.0 / m.norm) * opsum_mul(opsum_mul(transfer_at(t, -m.u), chi_op),
+                                          transfer_at(t, m.u))
         assert (m.op - want).max_abs_coeff() <= 1e-12 * want.max_abs_coeff()
 
 
