@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
 import sys
-import tempfile
 
 from . import chains
 from .errors import ComplexRootError, FFSolveError, ParseError
@@ -48,11 +48,19 @@ FREE_SPECTRUM_ALPHA_CAP = 16
 
 
 def _atomic_write(path: str, data: str):
+    """Write ``data`` to a new file beside ``path``, then rename it over
+    ``path``.  The new file takes mode 0666 less the umask, as a file that
+    ``open(path, "w")`` creates does; a name already taken is skipped."""
     d = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".ffsolve-")
-    except OSError as exc:  # it names the temporary file, which the caller never chose
-        raise OSError(exc.errno, exc.strerror, path) from None
+    for attempt in itertools.count():
+        tmp = os.path.join(d, f".ffsolve-{os.getpid()}-{attempt}")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:  # it names the temporary file, which the caller never chose
+            raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)

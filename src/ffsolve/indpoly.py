@@ -24,9 +24,12 @@ the reversed polynomial in w = e^2,
     R(w) = w^alpha P(-1/w) = sum_m (-1)^(alpha-m) c_(alpha-m) w^m ,
 
 and its derivatives, the first of which gives the step.  Its first cuts
-lie just either side of the eigenvalues of R's companion matrix, so most
-roots are isolated in two sweeps; an estimate that is wrong, or complex,
-costs sweeps but never a root, since the counts certify every bracket.
+lie just either side of the eigenvalues of R's companion matrix, and it
+asks for isolation only: a bracket with one root is not cut further,
+since a polish in extended precision places that root.  So most roots
+are isolated by the first sweep alone; an estimate that is wrong, or
+complex, costs sweeps but never a root, since the counts certify every
+bracket.
 ``chains.chain_energies`` counts with the sign changes of the chain
 recursion, carries its w-derivative for the step, and starts from points
 spread like the levels of a gapless band.  Every root
@@ -37,6 +40,8 @@ ComplexRootError instead, as do complex roots.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -208,7 +213,7 @@ _CUT1, _CUT2 = [1, 5, 9], [2, 6, 10]  # the point, count and step of each cut
 
 
 def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                   n: int, hi: float, first: np.ndarray
+                   n: int, hi: float, first: np.ndarray, isolate: bool = False
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brackets (lo, hi] holding the n roots in (0, hi] of a real-rooted function f.
 
@@ -220,7 +225,10 @@ def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
     dropped.  Every later sweep cuts every bracket at two points.  Every
     cut keeps its exact count, so every bracket holds a known number of
     roots, repeated roots included, however its cuts were chosen.  Brackets
-    are cut until they are at most ROOT_REL_TOL of their upper end wide.
+    are cut until they are at most ROOT_REL_TOL of their upper end wide;
+    with ``isolate``, a bracket whose counts show exactly one root ends as
+    it is, for a caller that places that root itself, and only brackets
+    with several roots are cut down.
 
     A bracket is cut at the two ends of a window around an estimate of its
     roots.  With one root r, the step s at either end x of the bracket
@@ -266,6 +274,8 @@ def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
         lo, up, c_lo, c_up, s_lo, s_up, parent = state
         width = up - lo
         tight = (width <= ROOT_REL_TOL * up) | (width >= parent)
+        if isolate:
+            tight |= c_lo - c_up == 1
         held = c_lo > c_up
         finished = held & tight
         if finished.any():
@@ -359,10 +369,12 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     The first sweep cuts either side of each real part of an eigenvalue of
     R's companion matrix, at its Newton distance from R plus the noise
     over the slope, and at least 1e-9 of it, so that a good estimate comes
-    back as a bracket with one root, and the next sweep finishes it.
+    back as a bracket with one root.  Such a bracket is final: it is not
+    narrowed, and only brackets with several roots are cut further.
     Neighbouring brackets between which |R| is within noise form a
-    cluster; a cluster of m roots is placed at the simple root of R^(m-1)
-    by Newton steps kept in a bracket, in extended precision where the
+    cluster; a cluster of m roots is placed, once, at the simple root of
+    R^(m-1) by Newton steps from the estimates in it, kept in the cluster,
+    and evaluated by Horner's rule in extended precision where the
     platform has it.  The residual is the largest |R(s)| / sum_m |r_m| s^m
     at the roots.
 
@@ -380,8 +392,8 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     # R(unit s) / unit^alpha, where s^m has the coefficient
     # (-1)^(alpha-m) c_(alpha-m) / unit^(alpha-m)
     r = (np.array(poly.coeffs) * (-1.0 / unit) ** degree)[::-1]
-    binomials = np.array([[math.comb(j + d, j) for d in range(alpha + 1)]
-                          for j in range(alpha + 1)], dtype=float)
+    size = np.abs(r)
+    binomials = _binomials(alpha)
     hankel = np.concatenate([r, np.zeros(alpha)])[degree[:, None] + degree]  # r_(j+d)
     taylor = binomials * hankel
     rounding = _NOISE_ULPS * (alpha + 1) * np.finfo(float).eps
@@ -394,7 +406,7 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
         t = taylor @ x
         counts = sign_changes(t)
         # where R is within its rounding noise its sign, and the count, is unknown
-        counts[np.abs(t[0]) <= rounding * (np.abs(r) @ x)] = -1
+        counts[np.abs(t[0]) <= rounding * (size @ x)] = -1
         return counts, t[0] / t[1]
 
     companion = np.eye(alpha, k=-1)
@@ -405,15 +417,16 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
         x = powers(guess)
         t = taylor[:2] @ x
         half = np.maximum(_SEED_WINDOW * guess,
-                          2 * (np.abs(t[0]) + rounding * (np.abs(r) @ x)) / np.abs(t[1]))
+                          2 * (np.abs(t[0]) + rounding * (size @ x)) / np.abs(t[1]))
         # sorted, equal neighbours dropped: np.unique would import numpy.ma, 1 MB
         first = np.sort(np.concatenate([guess - half, guess + half]))
         first = first[(first > 0) & (first < 1) & np.append(True, first[1:] != first[:-1])]
-        # 1 lies above every root, since they sum to c_1 / unit < 1
-        lo, hi, m = roots_by_count(evaluate, alpha, 1.0, first)
+        # 1 lies above every root, since they sum to c_1 / unit < 1; the
+        # polish below places each root, so a bracket with one is done
+        lo, hi, m = roots_by_count(evaluate, alpha, 1.0, first, isolate=True)
     gap = 0.5 * (hi[:-1] + lo[1:])
     x = powers(gap)
-    joined = np.abs(taylor[0] @ x) <= rounding * (np.abs(r) @ x)
+    joined = np.abs(r @ x) <= rounding * (size @ x)
     starts = np.flatnonzero(np.concatenate(([True], ~joined)))
     a, b = lo[starts], hi[np.append(starts[1:], len(lo)) - 1]
     mult = np.add.reduceat(m, starts)
@@ -426,33 +439,38 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     # the gaps around it where rounding put the root just outside the
     # cluster.  Close to a multiple root, where counts are noise, R^(m-1) may
     # keep its sign across both, and the steps are only kept between the
-    # gaps.
-    wide = binomials.astype(np.longdouble) * hankel.astype(np.longdouble)
-    value_rows, slope_rows = wide[mult - 1], mult[:, None] * wide[mult]
+    # gaps.  R^(m-1) / (m-1)!, its slope m R^(m) / m! and the rounding bound
+    # of the value are evaluated by Horner's rule on one array, one row a
+    # degree from the highest down.
+    clusters = len(mult)
+    pick = np.concatenate([mult - 1, mult])
+    wide = binomials[pick].astype(np.longdouble) * hankel[pick].astype(np.longdouble)
+    value_rows, slope_rows = wide[:clusters], mult[:, None] * wide[clusters:]
     noise = _NOISE_ULPS * (alpha + 1) * np.finfo(np.longdouble).eps * np.abs(value_rows)
+    rows = np.stack([value_rows, slope_rows, noise]).transpose(2, 0, 1)[::-1].copy()
 
-    def lead(s):
-        """R^(m-1) / (m-1)! of each cluster at s, its slope, and the
-        rounding bound of the value."""
-        x = s[..., None] ** degree
-        return (value_rows * x).sum(-1), (slope_rows * x).sum(-1), (noise * x).sum(-1)
+    def horner(coeffs, s):
+        acc = coeffs[0]
+        for c in coeffs[1:]:
+            acc = acc * s + c
+        return acc
 
     bounds = gap[~joined]
     near = np.searchsorted(bounds, guess)
-    count = np.bincount(near, minlength=len(mult))
-    centre = np.where(count > 0, np.bincount(near, guess, len(mult)) / np.maximum(count, 1),
+    count = np.bincount(near, minlength=clusters)
+    centre = np.where(count > 0, np.bincount(near, guess, clusters) / np.maximum(count, 1),
                       0.5 * (a + b))
-    ends = np.array([a, b, np.concatenate(([0.0], bounds)), np.append(bounds, 1.0), centre],
+    ends = np.array([a, b, np.concatenate(([0.0], bounds)), np.append(bounds, 1.0)],
                     dtype=np.longdouble)
-    (fa, fb, f_floor, f_ceil, _), _, _ = lead(ends)
-    a, b, floor, ceil, s = ends
+    fa, fb, f_floor, f_ceil = horner(rows[:, 0], ends)
+    a, b, floor, ceil = ends
     inner = fa * fb <= 0
     a, b, fa = np.where(inner, a, floor), np.where(inner, b, ceil), np.where(inner, fa, f_floor)
     bracketed = inner | (f_floor * f_ceil <= 0)
-    s = np.clip(s, a, b)
+    s = np.clip(centre, a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_POLISH_STEPS):
-            f, slope, bound = lead(s)
+            f, slope, bound = horner(rows, s)
             above = bracketed & (np.sign(f) == np.sign(fa))  # the root lies above s
             a, fa = np.where(above, s, a), np.where(above, f, fa)
             b = np.where(bracketed & ~above, s, b)
@@ -465,12 +483,14 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
                 break
     s = s.astype(float)
 
-    t, scale = taylor @ powers(s), np.abs(taylor) @ powers(s)
+    # R and its derivatives at s and at the floats next to it, in one pass
+    x = powers(np.concatenate([s, np.nextafter(s, 0), np.nextafter(s, 1)]))
+    t, down, up = (taylor @ x).reshape(alpha + 1, 3, clusters).transpose(1, 0, 2)
+    scale = np.abs(taylor) @ x[:, :clusters]
     small = np.abs(t) <= rounding * scale
     vanish = np.all(small | (degree[:, None] >= mult - 1), axis=0)
     # R^(m-1) changes sign between the floats next to s, or vanishes within noise
-    down, up = taylor @ powers(np.nextafter(s, 0)), taylor @ powers(np.nextafter(s, 1))
-    cols = np.arange(len(mult))
+    cols = np.arange(clusters)
     located = (down[mult - 1, cols] * up[mult - 1, cols] <= 0) | small[mult - 1, cols]
     # noise over slope, where the slope of R^(m-1)(s) / (m-1)! is m R^(m)(s) / m!
     pinned = (rounding * scale[mult - 1, cols]
@@ -480,6 +500,20 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
         raise ComplexRootError(int(mult[certified].sum()), alpha)
     energies = tuple((math.sqrt(unit * x), int(k)) for x, k in zip(s, mult))
     return SingleParticleEnergies(energies, float(np.max(np.abs(t[0]) / scale[0])))
+
+
+@functools.lru_cache(maxsize=16)
+def _binomials(alpha: int) -> np.ndarray:
+    """The read-only table of C(j + d, j) at row j and column d, for j and
+    d up to alpha: row j is the running sum of row j - 1, in integers."""
+    row = [1] * (alpha + 1)
+    rows = [row]
+    for _ in range(alpha):
+        row = list(itertools.accumulate(row))
+        rows.append(row)
+    table = np.array(rows, dtype=float)
+    table.flags.writeable = False
+    return table
 
 
 def sign_sums(energies: SingleParticleEnergies) -> np.ndarray:

@@ -410,11 +410,12 @@ def full_matrix_spectrum(h) -> np.ndarray:
 
 # -- root isolation ----------------------------------------------------------
 
-def midpoint_roots_by_count(evaluate, n, hi, first=None):
+def midpoint_roots_by_count(evaluate, n, hi, first=None, isolate=False):
     """Reference for ``indpoly.roots_by_count``: the bisection it replaced.
 
     Every bracket is halved at its midpoint on the count alone, and one
-    whose midpoint count falls outside its ends' counts is kept as it is.
+    whose midpoint count falls outside its ends' counts is kept as it is;
+    with ``isolate``, so is one whose counts show exactly one root.
     A bracket with several roots tries its lower third point instead: the
     midpoint may fall in the rounding noise of one of its roots, at an
     exact root for instance, where ``single_particle_energies`` reports the
@@ -426,7 +427,7 @@ def midpoint_roots_by_count(evaluate, n, hi, first=None):
     done = []
     while len(lo):
         mid = 0.5 * (lo + up)
-        wide = up - lo > indpoly.ROOT_REL_TOL * up
+        wide = (up - lo > indpoly.ROOT_REL_TOL * up) & ~(isolate & (c_lo - c_up == 1))
         c_mid = np.full(len(lo), -1)
         c_mid[wide] = evaluate(mid[wide])[0]
         split = wide & (c_mid <= c_lo) & (c_mid >= c_up)
@@ -456,13 +457,13 @@ def record_sweeps(monkeypatch, module) -> list[int]:
     """A list that gets the number of points of each evaluation that
     ``module``'s calls to ``roots_by_count`` make, one entry a sweep."""
     sweeps = []
-    isolate = module.roots_by_count
+    find = module.roots_by_count
 
-    def counted(evaluate, n, hi, first=None):
+    def counted(evaluate, n, hi, first=None, isolate=False):
         def recorded(ws):
             sweeps.append(len(ws))
             return evaluate(ws)
-        return isolate(recorded, n, hi, first)
+        return find(recorded, n, hi, first, isolate)
 
     monkeypatch.setattr(module, "roots_by_count", counted)
     return sweeps

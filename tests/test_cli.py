@@ -320,6 +320,22 @@ def test_config_holds_the_options_of_the_command(capsys, command):
     assert again["result"] == doc["result"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_file_takes_the_mode_of_a_fresh_open(tmp_path, umask):
+    """An ``-o`` file gets the mode that ``open(path, "w")`` gives a new
+    file under the same umask, and no temporary file stays beside it."""
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "fresh", "w"):
+            pass
+        assert main(["solve", "--model", "h5", "-o", str(tmp_path / "out.json")]) == 0
+    finally:
+        os.umask(old)
+    mode = os.stat(tmp_path / "out.json").st_mode
+    assert mode == os.stat(tmp_path / "fresh").st_mode
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "out.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["dispersion", "--k", "3", "--N", "8", "--b1sq", "2"],
     ["dispersion", "--k", "3", "--N", "8", "--b5sq", "0.2"],

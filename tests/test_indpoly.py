@@ -299,16 +299,22 @@ def test_forest_reference_against_exact_roots():
         assert max(abs(a - w) / w for a, w in zip(got, want)) <= 1e-12
 
 
+def forest_cases():
+    """360 weighted trees of 10-50 edges, each as its vertex count, edges
+    and weights, and the polynomial of its line graph."""
+    rng = random.Random(1)
+    for _ in range(360):
+        n, edges, b = random_forest(rng, rng.randint(10, 50))
+        yield n, edges, b, weighted_independence_polynomial(forest_line_graph(edges, b))
+
+
 def test_forest_line_graphs_are_right_or_refuse():
     """Line graphs of weighted trees of 10-50 edges: each is solved to 1e-8
     of the Jordan-Wigner energies or raises.  Here 279 of 360 are solved,
     the worst to 2.9e-9; 1e-12 holds only up to alpha = 8, and the
     refusals start at alpha = 13."""
-    rng = random.Random(1)
     solved = 0
-    for _ in range(360):
-        n, edges, b = random_forest(rng, rng.randint(10, 50))
-        poly = weighted_independence_polynomial(forest_line_graph(edges, b))
+    for n, edges, b, poly in forest_cases():
         try:
             got = single_particle_energies(poly).flat()
         except ComplexRootError:
@@ -355,12 +361,21 @@ def test_root_residuals_small():
 
 def exact_count_above(poly: IndependencePolynomial, w: float) -> int:
     """Squared energies above w: the Budan-Fourier sign changes of P, P',
-    P'', ... at x = -1/w in rational arithmetic, which for a real-rooted P
-    count its roots in (x, 0) exactly."""
-    x = -1 / Fraction(w)
+    P'', ... at x = -1/w in exact arithmetic, which for a real-rooted P
+    count its roots in (x, 0) exactly.  With w = q / p and every c_k = a_k
+    / d, d a power of two, P^(j)(x) / j! times the positive d p^alpha is
+    the integer sum_k C(k, j) a_k (-p)^(k-j) q^(alpha-k+j)."""
+    q, p = Fraction(w).as_integer_ratio()
     coeffs = [Fraction(c) for c in poly.coeffs]
-    values = [sum(math.comb(k, j) * c * x ** (k - j) for k, c in enumerate(coeffs) if k >= j)
-              for j in range(len(coeffs))]
+    d = max(c.denominator for c in coeffs)  # the c_k are dyadic
+    a = [int(c * d) for c in coeffs]
+    alpha = poly.alpha
+    minus_p, q_pow = [1], [1]
+    for _ in range(alpha):
+        minus_p.append(-p * minus_p[-1])
+        q_pow.append(q * q_pow[-1])
+    values = [sum(math.comb(k, j) * a[k] * minus_p[k - j] * q_pow[alpha - k + j]
+                  for k in range(j, alpha + 1)) for j in range(alpha + 1)]
     signs = [v > 0 for v in values if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
@@ -414,29 +429,65 @@ def test_generic_roots_match_midpoint_bisection(monkeypatch):
                              lambda w: rounding_width(poly, w))
 
 
+def test_isolation_and_polish_equal_full_refinement(monkeypatch):
+    """Brackets that end as soon as they hold one root, placed by the
+    polish, give the energies of brackets first cut down to ROOT_REL_TOL:
+    the same refusals and multiplicities, squared energies within the
+    rounding width of P, and every group certified by an exact count.  On
+    the generic corpus and on the forest line graphs, alpha up to 22."""
+    polys = claw_free_polynomials(29, 60) + [poly for *_, poly in forest_cases()]
+
+    def solve_all():
+        answers = []
+        for poly in polys:
+            try:
+                answers.append(single_particle_energies(poly))
+            except ComplexRootError:
+                answers.append(None)
+        return answers
+
+    isolated = solve_all()
+    refine = indpoly.roots_by_count
+    monkeypatch.setattr(indpoly, "roots_by_count",
+                        lambda evaluate, n, hi, first, isolate: refine(evaluate, n, hi, first))
+    refined = solve_all()
+    assert sum(got is not None for got in isolated) >= 60 + 250
+    for poly, got, want in zip(polys, isolated, refined):
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        assert [m for _, m in got.energies] == [m for _, m in want.energies]
+        for (a, _), (b, _) in zip(got.energies, want.energies):
+            assert abs(a * a - b * b) <= rounding_width(poly, b * b), (a, b)
+        certify_groups(lambda w: exact_count_above(poly, w), poly.alpha, got)
+
+
 def test_generic_root_sweep_budget(monkeypatch):
-    """At most 2 evaluations for the polynomial of chain 10x3: the first
-    sweep cuts around the estimates and the second finishes them.
-    Bisection took about 60 and sweeps from thirds 21; the estimates
-    without the counts in rounding noise reported unknown, or thirds with
-    them, take 11 or 12."""
+    """One evaluation, of 20 points, for the polynomial of chain 10x3: the
+    first sweep cuts either side of the 10 estimates, each bracket comes
+    back with one root, and the polish places it.  Refining the brackets
+    as well took 2 evaluations, bisection about 60 and sweeps from thirds
+    21; the estimates without the counts in rounding noise reported
+    unknown, or thirds with them, took 11 or 12."""
     sweeps = record_sweeps(monkeypatch, indpoly)
     single_particle_energies(chain_polynomial(ChainSpec(10, 3, (1.0, 0.7, 1.3))))
-    assert len(sweeps) <= 2
+    assert sweeps == [20]
 
 
 def test_generic_corpus_takes_two_sweeps(monkeypatch):
-    """Every polynomial of the corpus is isolated in exactly 2 evaluations:
-    the first cuts around the estimates and the second finishes them.  A
-    window model that cancels on the first sweep's 2e-9-wide brackets
-    doubled the sweeps of this corpus while every root stayed right."""
+    """Every polynomial of the corpus is isolated in exactly 1 evaluation:
+    the first sweep cuts around the estimates, and every bracket it leaves
+    holds one root, which the polish places.  Refining those brackets as
+    well took a second sweep on every polynomial; a window model that
+    cancelled on the first sweep's 2e-9-wide brackets doubled that while
+    every root stayed right."""
     sweeps = record_sweeps(monkeypatch, indpoly)
     counts = []
     for poly in claw_free_polynomials(29, 60):
         before = len(sweeps)
         single_particle_energies(poly)
         counts.append(len(sweeps) - before)
-    assert counts == [2] * 60
+    assert counts == [1] * 60
 
 
 def test_uniform_junction_double_energy():
