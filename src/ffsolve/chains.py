@@ -14,8 +14,9 @@ RESCALE_ROWS rows.  A sweep holds k + RESCALE_ROWS rows in one buffer,
 the k that the recursion reads and one block of new ones; it counts the
 sign changes of each block before the last k rows move to the head of
 the buffer, and returns the counts, the last row, the Newton step and
-the largest |row|, never all N rows.  The first sweep cuts at 2N points
-spread like the levels of a gapless band and at powers of two toward 0.
+the size of the terms of the last step, never all N rows.  The first
+sweep cuts at 2N points spread like the levels of a gapless band and at
+powers of two toward 0.
 The residual is read from values the sweeps computed, at the ends of the
 final brackets.
 Dispersion relations and gap scans are finite-N: the spectrum is computed
@@ -71,7 +72,9 @@ def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The sign changes along the rows v_1..v_{N+1} of the chain recursion
     at each w in ``ws``, the last row v_{N+1}, the Newton step
-    v_{N+1} / v'_{N+1} in w, and max_s |v_s| in the scale of the last row.
+    v_{N+1} / v'_{N+1} in w, and the absolute terms of the last step,
+    |w - e_1| |v_N| + sum_{l >= 2} e_l |v_{N+1-l}|, in the scale of the
+    last row.
 
     The w-derivative rows, v'_s = v_{s-1} + w v'_{s-1} - sum_l e_l v'_{s-l},
     run in the same buffer as the value rows, k + RESCALE_ROWS rows of
@@ -109,14 +112,13 @@ def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
     steps = [(buf[k + i], buf[i:k + i], buf[k + i - 1], buf[k + i, m:], buf[k + i - 1, :m])
              for i in range(size)]
     counts = np.zeros(m, dtype=np.intp)
-    top = np.abs(ws)
     # the signs of row k - 1 with each zero filled from above, or None while
     # no row has held a 0 or NaN and its own signs serve (a 0 or NaN in the
     # first row, ws, makes every row 0 or NaN)
     carried = None
-    # the rows stay in float range (see above): what overflows is a top far
-    # above the window, and what divides by 0 is the step at a multiple root
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    # the rows stay in float range (see above): what divides by 0 is the
+    # step at a multiple root
+    with np.errstate(divide="ignore", invalid="ignore"):
         for done in range(0, n_cells, RESCALE_ROWS):
             rows = min(RESCALE_ROWS, n_cells - done)
             for row, window, prev, derivative, prev_value in steps[:rows]:
@@ -125,10 +127,8 @@ def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
                 row += scratch
                 derivative += prev_value
             mag = np.abs(values[:k + rows])
-            block = mag[k:]
-            np.maximum(top, np.maximum.reduce(block), out=top)
             # the least |v| of the block, NaN if there is one, inf if it is empty
-            if carried is None and np.minimum.reduce(block, None, initial=np.inf) > 0:
+            if carried is None and np.minimum.reduce(mag[k:], None, initial=np.inf) > 0:
                 negative = values[k - 1:k + rows] < 0
                 counts += (negative[1:] != negative[:-1]).sum(axis=0)
             else:
@@ -141,10 +141,13 @@ def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
             if done + rows < n_cells:
                 shift[:m] = shift[m:] = -np.frexp(np.maximum.reduce(mag[rows:]))[1]
                 np.ldexp(buf[rows:], shift, buf[:k])
-                np.ldexp(top, shift[:m], top)
         last_row = values[k - 1 + rows]
         step = last_row / buf[k - 1 + rows, m:]
-    return counts, last_row, step, top
+    # v_{N+1} = (w - e_1) v_N - sum_{l >= 2} e_l v_{N+1-l}, its terms in
+    # absolute value, from rows v_{N+1-k}..v_N
+    before = mag[rows - 1:k - 1 + rows]
+    scale = np.abs(ws - e[1]) * before[-1] + np.array(e[k:1:-1]).dot(before[:-1])
+    return counts, last_row, step, scale
 
 
 def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
@@ -157,9 +160,11 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     count; levels that rounding cannot split, as in dimerized chains,
     share one bracket and come back as one energy with multiplicity.
     Each bracket gives one energy at its midpoint.  The residual is the
-    largest normalized boundary value |v_{N+1}| / max_s |v_s| at the ends
-    of the final brackets, which lie within ROOT_REL_TOL of the returned
-    roots; the sweeps computed it there, so it costs no pass of its own.
+    largest |v_{N+1}| over the absolute terms of its last step, |w - e_1|
+    |v_N| + sum_{l >= 2} e_l |v_{N+1-l}|, as the generic residual is |R(w)|
+    over sum_m |r_m| w^m, at the ends of the final brackets, which lie
+    within ROOT_REL_TOL of the returned roots; the sweeps computed it
+    there, so it costs no pass of its own.
     An end at 0 or at the upper end of the search, never evaluated, takes
     the value at the other end of its bracket.
 
@@ -178,12 +183,14 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     e = elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2])
     n = spec.n_cells
 
-    points, boundary = [], []  # every point evaluated, and |v_{N+1}| / top there
+    points, boundary = [], []  # every point evaluated, and |v_{N+1}| / scale there
 
     def evaluate(ws):
-        counts, last, step, top = chain_values(e, n, ws)
+        counts, last, step, scale = chain_values(e, n, ws)
         points.append(ws)
-        boundary.append(np.abs(last) / top)
+        # an exact 0 is a residual of 0, whatever its scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            boundary.append(np.where(last == 0, 0.0, np.abs(last) / scale))
         # at a multiple root that is a float the step is 0 / 0; it is 0
         return counts, np.where(last == 0, 0.0, step)
 

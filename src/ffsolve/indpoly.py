@@ -23,13 +23,16 @@ the reversed polynomial in w = e^2,
 
     R(w) = w^alpha P(-1/w) = sum_m (-1)^(alpha-m) c_(alpha-m) w^m ,
 
-and its derivatives, the first of which gives the step.  Its first cuts
-lie just either side of the eigenvalues of R's companion matrix, and it
-asks for isolation only: a bracket with one root is not cut further,
-since a polish in extended precision places that root.  So most roots
-are isolated by the first sweep alone; an estimate that is wrong, or
-complex, costs sweeps but never a root, since the counts certify every
-bracket.
+and its derivatives, the first of which gives the step.  It starts from
+the eigenvalues of R's companion matrix.  When they are all real, each is
+polished in extended precision and one pass of counts certifies them
+all, with no sweep.  Otherwise, as for repeated, near-degenerate or
+complex roots, its first cuts lie just either side of the eigenvalues,
+and it asks for isolation only: a bracket with one root is not cut
+further, since a polish in extended precision places that root.  So most
+roots are isolated by the first sweep alone; an estimate that is wrong,
+or complex, costs sweeps but never a root, since the counts certify
+every bracket.
 ``chains.chain_energies`` counts with the sign changes of the chain
 recursion, carries its w-derivative for the step, and starts from points
 spread like the levels of a gapless band.  Every root
@@ -60,7 +63,7 @@ _NEWTON_FLOOR = 0.4 * ROOT_REL_TOL
 # to 20 cells the roots it admits were within 1e-9 of 60-digit ones
 ROOT_CERT_REL_TOL = 1e-6
 _NOISE_ULPS = 4       # c in the rounding bound c (alpha + 1) eps sum_m |r_m| s^m
-_SEED_WINDOW = 1e-9   # least half-width of a window of the first sweep, relative
+_SEED_WINDOW = 1e-9   # half-width of a certified root's window, least of a first cut's, relative
 _POLISH_STEPS = 80    # enough to halve (0, 1] down to neighbouring long doubles
 _EPS = float(np.finfo(float).eps)
 
@@ -366,6 +369,15 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     for real-rooted R).  Where |R| is within its rounding noise,
     c (alpha + 1) eps sum_m |r_m| s^m, the count is reported as unknown.
 
+    When every eigenvalue of R's companion matrix is real and in (0, 1),
+    each is polished by Newton steps in extended precision, and one pass
+    certifies them all (see ``_polish_and_certify``): a window 1e-9 of s
+    either side of each root s holds exactly one root by count, so the
+    windows hold all alpha; R changes sign between the floats next to s,
+    or vanishes within noise there; and the noise moves s by at most
+    ROOT_CERT_REL_TOL.  Those roots are returned as they are.  Otherwise
+    the sweeps below run from the same eigenvalues.
+
     The first sweep cuts either side of each real part of an eigenvalue of
     R's companion matrix, at its Newton distance from R plus the noise
     over the slope, and at least 1e-9 of it, so that a good estimate comes
@@ -411,8 +423,15 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
 
     companion = np.eye(alpha, k=-1)
     companion[0] = -r[-2::-1]  # the leading coefficient, c_0, is 1
-    guess = np.linalg.eigvals(companion).real
+    eigenvalues = np.linalg.eigvals(companion)
+    guess = eigenvalues.real
     guess = guess[(guess > 0) & (guess < 1)]
+    # eigvals returns a real array when every eigenvalue is real
+    if np.isrealobj(eigenvalues) and len(guess) == alpha:
+        placed = _polish_and_certify(np.sort(guess), r, size, taylor, rounding)
+        if placed is not None:
+            s, residual = placed
+            return SingleParticleEnergies(tuple((math.sqrt(unit * x), 1) for x in s), residual)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = powers(guess)
         t = taylor[:2] @ x
@@ -500,6 +519,59 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
         raise ComplexRootError(int(mult[certified].sum()), alpha)
     energies = tuple((math.sqrt(unit * x), int(k)) for x, k in zip(s, mult))
     return SingleParticleEnergies(energies, float(np.max(np.abs(t[0]) / scale[0])))
+
+
+def _polish_and_certify(seeds: np.ndarray, r: np.ndarray, size: np.ndarray, taylor: np.ndarray,
+                        rounding: float) -> tuple[np.ndarray, float] | None:
+    """The alpha simple roots of R in (0, 1), each polished from its seed,
+    ascending, and the residual; None unless one pass certifies them all.
+
+    The polish takes Newton steps from every seed at once in extended
+    precision where the platform has it, with R, R' and the rounding bound
+    of R evaluated by one matrix product over a table of powers, until
+    every step is below the float resolution or the noise over the slope.
+    The pass evaluates ``taylor`` at s, at the floats next to s, and at
+    the ends of its window s (1 -+ _SEED_WINDOW).  It certifies that the
+    windows ascend without overlapping and that the counts at their ends,
+    outside the noise, put exactly one root in each, so the alpha windows
+    hold every root; that R changes sign between the floats next to s or
+    vanishes within noise there; and that the noise over the slope is at
+    most ROOT_CERT_REL_TOL of s.
+    """
+    alpha = len(seeds)
+    wide = r.astype(np.longdouble)
+    degree = np.arange(alpha + 1)
+    coeffs = np.array([wide, np.append(degree[1:] * wide[1:], 0),
+                       _NOISE_ULPS * (alpha + 1) * np.finfo(np.longdouble).eps * np.abs(wide)])
+    s = seeds.astype(np.longdouble)
+    table = np.ones((alpha + 1, alpha), dtype=np.longdouble)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_POLISH_STEPS):
+            table[1:] = s
+            f, slope, bound = coeffs @ np.cumprod(table, axis=0)
+            step = f / slope
+            s = s - step
+            # steps end below the float resolution, or within the rounding
+            # noise of the extended precision
+            if (np.abs(step) <= np.maximum(_EPS * s, bound / np.abs(slope))).all():
+                break
+        s = s.astype(float)
+        ends = np.stack([s * (1 - _SEED_WINDOW), s * (1 + _SEED_WINDOW)], axis=1).ravel()
+        table = np.ones((alpha + 1, 5 * alpha))
+        table[1:] = np.concatenate([ends, s, np.nextafter(s, 0), np.nextafter(s, 1)])
+        x = np.cumprod(table, axis=0)
+        t = taylor @ x
+        scale = size @ x
+        clear = np.abs(t[0]) > rounding * scale
+        expected = alpha - np.arange(1, 2 * alpha + 1) // 2  # alpha - i, alpha - i - 1
+        isolated = ((sign_changes(t[:, :2 * alpha]) == expected).all()
+                    and clear[:2 * alpha].all() and (ends[1:] > ends[:-1]).all())
+        at, down, up = 2 * alpha, 3 * alpha, 4 * alpha
+        located = (t[0, down:up] * t[0, up:] <= 0) | ~clear[at:down]
+        pinned = rounding * scale[at:down] <= ROOT_CERT_REL_TOL * s * np.abs(t[1, at:down])
+    if not (isolated and located.all() and pinned.all()):
+        return None
+    return s, float(np.max(np.abs(t[0, at:down]) / scale[at:down]))
 
 
 @functools.lru_cache(maxsize=16)

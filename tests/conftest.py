@@ -49,6 +49,14 @@ def cycle_graph(n: int, weights=None) -> WeightedGraph:
     return WeightedGraph(n, [(i, (i + 1) % n) for i in range(n)], weights=weights)
 
 
+def relabel(g: WeightedGraph, perm) -> WeightedGraph:
+    """``g`` with vertex v renamed perm[v], its weight going with it."""
+    weights = [0.0] * g.n
+    for v, w in zip(perm, g.weights):
+        weights[v] = w
+    return WeightedGraph(g.n, [(perm[i], perm[j]) for i, j in g.edges()], weights=weights)
+
+
 def pairwise_frustration_graph(h: Hamiltonian) -> WeightedGraph:
     """The frustration graph by one ``commutes`` call per pair of terms,
     the reference for ``graphs.frustration_graph``."""
@@ -292,8 +300,8 @@ def chain_values_all_rows(e, n_cells: int, ws: np.ndarray):
     """Reference for ``chains.chain_values``: the same recursion and
     rescaling every RESCALE_ROWS rows over an array that keeps all N + k
     rows.  Returns the value rows v_1..v_{N+1}, whose ``sign_changes`` are
-    the counts, the Newton step and max_s |v_s| in the scale of the last
-    row."""
+    the counts, the Newton step and the absolute terms of the last step,
+    |w - e_1| |v_N| + sum_{l >= 2} e_l |v_{N+1-l}|."""
     k = len(e) - 1
     m = len(ws)
     coef = -np.array(e[:0:-1])
@@ -301,7 +309,6 @@ def chain_values_all_rows(e, n_cells: int, ws: np.ndarray):
     v[k - 1] = np.concatenate([ws, np.ones(m)])
     w2 = np.concatenate([ws, ws])
     rows, values, derivatives = list(v), list(v[:, :m]), list(v[:, m:])
-    top = np.abs(ws)
     end = n_cells + k
     for start in range(k, end, chains.RESCALE_ROWS):
         stop = min(start + chains.RESCALE_ROWS, end)
@@ -310,43 +317,47 @@ def chain_values_all_rows(e, n_cells: int, ws: np.ndarray):
             np.dot(coef, v[s - k:s], row)
             row += w2 * rows[s - 1]
             derivatives[s] += values[s - 1]
-        top = np.maximum(top, np.max(np.abs(v[start:stop, :m]), axis=0))
         if stop < end:
             window = v[stop - k:stop]
             shift = -np.frexp(np.max(np.abs(window[:, :m]), axis=0))[1]
             np.ldexp(window, np.concatenate([shift, shift]), out=window)
-            with np.errstate(over="ignore"):
-                top = np.ldexp(top, shift)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = v[-1, :m] / v[-1, m:]
-    return v[k - 1:, :m], step, top
+    return v[k - 1:, :m], step, last_step_scale(e, ws, v[-1 - k:-1, :m])
+
+
+def last_step_scale(e, ws: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """|w - e_1| |v_N| + sum_{l >= 2} e_l |v_{N+1-l}|, the absolute terms of
+    v_{N+1} = (w - e_1) v_N - sum_{l >= 2} e_l v_{N+1-l}, from the k rows
+    ``before`` it, v_{N+1-k}..v_N."""
+    mag = np.abs(before)
+    return np.abs(ws - e[1]) * mag[-1] + np.array(e[:1:-1]).dot(mag[:-1])
 
 
 def chain_values_every_k(e, n_cells: int, ws: np.ndarray):
     """Reference for ``chains.chain_values``: the recursion rescaled every
     k rows, at the last row as well, which stays in float range for any
-    couplings of order 1.  Returns the value rows, the Newton step and
-    max_s |v_s| in the scale of the last row."""
+    couplings of order 1.  Returns the value rows, the Newton step and the
+    absolute terms of the last step, in the scale of the last row."""
     k = len(e) - 1
     m = len(ws)
     coef = -np.array(e[:0:-1])
     v = np.zeros((n_cells + k, 2 * m))
     v[k - 1] = np.concatenate([ws, np.ones(m)])
     w2 = np.concatenate([ws, ws])
-    top = np.abs(ws)
     for s in range(k, n_cells + k):
         v[s] = w2 * v[s - 1] + coef @ v[s - k:s]
         v[s, m:] += v[s - 1, :m]
+        if s == n_cells + k - 1:
+            # in the frame of the last row, before the rescaling below
+            scale = last_step_scale(e, ws, v[s - k:s, :m])
         if (s + 1) % k == 0 or s == n_cells + k - 1:
             window = v[s - k + 1:s + 1]
-            peak = np.max(np.abs(window[:, :m]), axis=0)
-            shift = -np.frexp(peak)[1]
+            shift = -np.frexp(np.max(np.abs(window[:, :m]), axis=0))[1]
             window[:] = np.ldexp(window, np.concatenate([shift, shift]))
-            with np.errstate(over="ignore"):
-                top = np.ldexp(np.maximum(top, peak), shift)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = v[-1, :m] / v[-1, m:]
-    return v[k - 1:, :m], step, top
+    return v[k - 1:, :m], step, np.ldexp(scale, shift)
 
 
 def free_spectrum_matches(h) -> bool:
@@ -449,8 +460,16 @@ def midpoint_roots_by_count(evaluate, n, hi, first=None, isolate=False):
 
 def use_midpoint_bisection(monkeypatch):
     """Make both energy paths isolate their roots with the reference bisection."""
+    without_seed_certificate(monkeypatch)
     monkeypatch.setattr(indpoly, "roots_by_count", midpoint_roots_by_count)
     monkeypatch.setattr(chains, "roots_by_count", midpoint_roots_by_count)
+
+
+def without_seed_certificate(monkeypatch):
+    """Make ``single_particle_energies`` take its isolation sweeps and
+    cluster polish every time, as when its polished seeds fail their
+    certificate."""
+    monkeypatch.setattr(indpoly, "_polish_and_certify", lambda *args: None)
 
 
 def record_sweeps(monkeypatch, module) -> list[int]:

@@ -311,8 +311,8 @@ def test_chain_corpus_sweep_total(monkeypatch):
 ])
 def test_chain_residual_is_read_from_the_sweeps(spec, monkeypatch):
     """The residual costs no pass of the recursion beyond the sweeps, and
-    is the largest |v_{N+1}| / max_s |v_s| at the ends of the brackets,
-    which lie within ROOT_REL_TOL of the roots."""
+    is the largest |v_{N+1}| over the absolute terms of its last step at
+    the ends of the brackets, which lie within ROOT_REL_TOL of the roots."""
     sweeps = record_sweeps(monkeypatch, chains)
     passes = []
     values = chains.chain_values
@@ -327,8 +327,10 @@ def test_chain_residual_is_read_from_the_sweeps(spec, monkeypatch):
     e = elementary_symmetric(spec.b2)
     roots = np.array([w * w for w, _ in got.energies])
     ends = np.concatenate([roots * (1 - ROOT_REL_TOL), roots, roots * (1 + ROOT_REL_TOL)])
-    _, last, _, top = values(e, spec.n_cells, ends)
-    assert 0.0 <= got.residual <= np.max(np.abs(last) / top)
+    _, last, _, scale = values(e, spec.n_cells, ends)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 at an exact root
+        ratio = np.where(last == 0, 0.0, np.abs(last) / scale)
+    assert 0.0 <= got.residual <= np.max(ratio)
 
 
 EDGE_CHAINS = [
@@ -350,28 +352,31 @@ def grid_and_roots(spec: ChainSpec) -> np.ndarray:
 @pytest.mark.parametrize("spec", EDGE_CHAINS + random_chains(41, 12))
 def test_chain_values_match_rescaling_every_k_rows(spec):
     """Rescaling every RESCALE_ROWS rows instead of every k changes no
-    count and no Newton step, bit for bit."""
+    count, no Newton step and no ratio of the last row to its last-step
+    scale, bit for bit."""
     e = elementary_symmetric(spec.b2)
     ws = grid_and_roots(spec)
-    counts, _, step, _ = chain_values(e, spec.n_cells, ws)
-    v_ref, step_ref, _ = chain_values_every_k(e, spec.n_cells, ws)
+    counts, last, step, scale = chain_values(e, spec.n_cells, ws)
+    v_ref, step_ref, scale_ref = chain_values_every_k(e, spec.n_cells, ws)
     assert np.array_equal(counts, sign_changes(v_ref))
     assert np.array_equal(step, step_ref, equal_nan=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(last / scale, v_ref[-1] / scale_ref, equal_nan=True)
 
 
 @pytest.mark.parametrize("spec", EDGE_CHAINS + random_chains(41, 12))
 def test_chain_values_match_all_rows(spec):
-    """The rolling window gives the counts, last row, step and top of the
-    recursion that keeps every row, bit for bit.  At w = 1 every row of
+    """The rolling window gives the counts, last row, step and last-step
+    scale of the recursion that keeps every row, bit for bit.  At w = 1 every row of
     the (0, 0, 1) chain after the first is 0, across block boundaries."""
     e = elementary_symmetric(spec.b2)
     ws = grid_and_roots(spec)
-    counts, last, step, top = chain_values(e, spec.n_cells, ws)
-    v_ref, step_ref, top_ref = chain_values_all_rows(e, spec.n_cells, ws)
+    counts, last, step, scale = chain_values(e, spec.n_cells, ws)
+    v_ref, step_ref, scale_ref = chain_values_all_rows(e, spec.n_cells, ws)
     assert np.array_equal(counts, sign_changes(v_ref))
     assert np.array_equal(last, v_ref[-1])
     assert np.array_equal(step, step_ref, equal_nan=True)
-    assert np.array_equal(top, top_ref)
+    assert np.array_equal(scale, scale_ref)
 
 
 @pytest.mark.parametrize("w", [0.5, -0.5])
@@ -382,13 +387,13 @@ def test_chain_values_carry_a_sign_across_zero_rows(w, n_cells):
     of the last nonzero row, in the block before."""
     e = (1.0, w, 0.0, -1.0)
     ws = np.array([w])
-    counts, last, step, top = chain_values(e, n_cells, ws)
-    v_ref, step_ref, top_ref = chain_values_all_rows(e, n_cells, ws)
+    counts, last, step, scale = chain_values(e, n_cells, ws)
+    v_ref, step_ref, scale_ref = chain_values_all_rows(e, n_cells, ws)
     assert np.count_nonzero(v_ref == 0) > n_cells // 2
     assert np.array_equal(counts, sign_changes(v_ref)) and counts[0] == 0
     assert np.array_equal(last, v_ref[-1])
     assert np.array_equal(step, step_ref, equal_nan=True)
-    assert np.array_equal(top, top_ref)
+    assert np.array_equal(scale, scale_ref)
 
 
 def test_chain_energies_memory():

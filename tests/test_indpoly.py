@@ -29,6 +29,7 @@ from conftest import (
     stable_sets,
     use_midpoint_bisection,
     verify_clique_recurrence,
+    without_seed_certificate,
 )
 from ffsolve import indpoly
 from ffsolve.chains import ChainSpec
@@ -429,65 +430,135 @@ def test_generic_roots_match_midpoint_bisection(monkeypatch):
                              lambda w: rounding_width(poly, w))
 
 
+def solve_or_refuse(poly: IndependencePolynomial):
+    """The energies of ``poly``, or None where they are refused."""
+    try:
+        return single_particle_energies(poly)
+    except ComplexRootError:
+        return None
+
+
+def assert_same_answers(polys, got, want) -> None:
+    """The same refusals and multiplicities, squared energies within the
+    rounding width of P, and every group of ``got`` certified by an exact
+    count."""
+    for poly, a, b in zip(polys, got, want):
+        assert (a is None) == (b is None)
+        if a is None:
+            continue
+        assert [m for _, m in a.energies] == [m for _, m in b.energies]
+        for (x, _), (y, _) in zip(a.energies, b.energies):
+            assert abs(x * x - y * y) <= rounding_width(poly, y * y), (x, y)
+        certify_groups(lambda w: exact_count_above(poly, w), poly.alpha, a)
+
+
 def test_isolation_and_polish_equal_full_refinement(monkeypatch):
     """Brackets that end as soon as they hold one root, placed by the
     polish, give the energies of brackets first cut down to ROOT_REL_TOL:
     the same refusals and multiplicities, squared energies within the
     rounding width of P, and every group certified by an exact count.  On
-    the generic corpus and on the forest line graphs, alpha up to 22."""
+    the generic corpus and on the forest line graphs, alpha up to 22, all
+    solved by the sweeps, without the certificate of the polished seeds."""
     polys = claw_free_polynomials(29, 60) + [poly for *_, poly in forest_cases()]
-
-    def solve_all():
-        answers = []
-        for poly in polys:
-            try:
-                answers.append(single_particle_energies(poly))
-            except ComplexRootError:
-                answers.append(None)
-        return answers
-
-    isolated = solve_all()
+    without_seed_certificate(monkeypatch)
+    isolated = [solve_or_refuse(poly) for poly in polys]
     refine = indpoly.roots_by_count
     monkeypatch.setattr(indpoly, "roots_by_count",
                         lambda evaluate, n, hi, first, isolate: refine(evaluate, n, hi, first))
-    refined = solve_all()
+    refined = [solve_or_refuse(poly) for poly in polys]
     assert sum(got is not None for got in isolated) >= 60 + 250
-    for poly, got, want in zip(polys, isolated, refined):
-        assert (got is None) == (want is None)
-        if got is None:
-            continue
-        assert [m for _, m in got.energies] == [m for _, m in want.energies]
-        for (a, _), (b, _) in zip(got.energies, want.energies):
-            assert abs(a * a - b * b) <= rounding_width(poly, b * b), (a, b)
-        certify_groups(lambda w: exact_count_above(poly, w), poly.alpha, got)
+    assert_same_answers(polys, isolated, refined)
+
+
+def test_certified_seeds_equal_isolation_and_polish(monkeypatch):
+    """Seeds polished together and certified in one pass give the energies
+    of the isolation sweeps and the cluster polish: the same refusals and
+    multiplicities, squared energies within the rounding width of P, and
+    every group certified by an exact count.  The certificate holds, and
+    no sweep is taken, on 58 of the 60 corpus polynomials and on 151 of
+    the 360 forest line graphs; on the others the sweeps run as before."""
+    polys = claw_free_polynomials(29, 60) + [poly for *_, poly in forest_cases()]
+    sweeps = record_sweeps(monkeypatch, indpoly)
+    got, certified = [], []
+    for poly in polys:
+        before = len(sweeps)
+        got.append(solve_or_refuse(poly))
+        certified.append(len(sweeps) == before)
+    assert sum(certified[:60]) == 58 and sum(certified[60:]) >= 150
+    without_seed_certificate(monkeypatch)
+    assert_same_answers(polys, got, [solve_or_refuse(poly) for poly in polys])
+
+
+FALLBACK_CASES = {
+    # (1 + 3x)^2 (1 + 9x + 12x^2): two real eigenvalues 2e-8 apart at the
+    # double root, and neither window around them holds exactly one root
+    "junction double energy": (1.0, 15.0, 75.0, 153.0, 108.0),
+    # (1 + x/2)(1 + x)^2(1 + 2x): the double root comes back as a complex pair
+    "complex pair": (1.0, 4.5, 7.0, 4.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", [*FALLBACK_CASES, "corpus"])
+def test_uncertified_seeds_take_the_sweeps(monkeypatch, case):
+    """Where the polished seeds fail their certificate, the isolation
+    sweeps and the cluster polish run from the same seeds and give the
+    answer they give without the certificate, bit for bit.  The corpus
+    case is polynomial 6 of the generic corpus, whose simple roots are
+    certified by the sweeps but two of whose 2e-9-wide windows end in the
+    rounding noise."""
+    if case == "corpus":
+        poly = claw_free_polynomials(29, 60)[6]
+    else:
+        poly = IndependencePolynomial(FALLBACK_CASES[case])
+    sweeps = record_sweeps(monkeypatch, indpoly)
+    got = single_particle_energies(poly)
+    assert sweeps  # the sweeps ran
+    without_seed_certificate(monkeypatch)
+    assert got == single_particle_energies(poly)
+
+
+def test_seeds_polished_onto_one_root_take_the_sweeps(monkeypatch):
+    """Two seeds that the polish takes to the same root would leave the
+    other root out, though each passes the sign change and the noise
+    check: the counts at their windows show it, and the sweeps find both
+    roots from the same seeds."""
+    poly = IndependencePolynomial((1.0, 5.0, 4.0))  # (1 + x)(1 + 4x): s = 1/8 and 1/2
+    monkeypatch.setattr(np.linalg, "eigvals", lambda companion: np.array([0.49, 0.51]))
+    sweeps = record_sweeps(monkeypatch, indpoly)
+    got = single_particle_energies(poly).energies
+    assert sweeps
+    assert [m for _, m in got] == [1, 1]
+    assert all(math.isclose(e, want, rel_tol=1e-15) for (e, _), want in zip(got, (1.0, 2.0)))
 
 
 def test_generic_root_sweep_budget(monkeypatch):
-    """One evaluation, of 20 points, for the polynomial of chain 10x3: the
-    first sweep cuts either side of the 10 estimates, each bracket comes
-    back with one root, and the polish places it.  Refining the brackets
-    as well took 2 evaluations, bisection about 60 and sweeps from thirds
-    21; the estimates without the counts in rounding noise reported
-    unknown, or thirds with them, took 11 or 12."""
+    """No sweep for the polynomial of chain 10x3: its 10 seeds, polished,
+    are certified by one pass.  Isolating them by sweeps took one
+    evaluation of 20 points, refining the brackets as well 2, bisection
+    about 60 and sweeps from thirds 21; the estimates without the counts
+    in rounding noise reported unknown, or thirds with them, took 11 or
+    12."""
     sweeps = record_sweeps(monkeypatch, indpoly)
     single_particle_energies(chain_polynomial(ChainSpec(10, 3, (1.0, 0.7, 1.3))))
-    assert sweeps == [20]
+    assert sweeps == []
 
 
 def test_generic_corpus_takes_two_sweeps(monkeypatch):
-    """Every polynomial of the corpus is isolated in exactly 1 evaluation:
-    the first sweep cuts around the estimates, and every bracket it leaves
-    holds one root, which the polish places.  Refining those brackets as
-    well took a second sweep on every polynomial; a window model that
-    cancelled on the first sweep's 2e-9-wide brackets doubled that while
-    every root stayed right."""
+    """58 polynomials of the corpus take no evaluation, since one pass
+    certifies their polished seeds; polynomials 6 and 20, whose
+    certificate fails, are isolated in exactly 1: the first sweep cuts
+    around the estimates, and every bracket it leaves holds one root,
+    which the polish places.  Isolating every polynomial by sweeps took 1
+    evaluation each, and refining those brackets as well a second; a
+    window model that cancelled on the first sweep's 2e-9-wide brackets
+    doubled that while every root stayed right."""
     sweeps = record_sweeps(monkeypatch, indpoly)
     counts = []
     for poly in claw_free_polynomials(29, 60):
         before = len(sweeps)
         single_particle_energies(poly)
         counts.append(len(sweeps) - before)
-    assert counts == [1] * 60
+    assert counts == [int(i in (6, 20)) for i in range(60)]
 
 
 def test_uniform_junction_double_energy():

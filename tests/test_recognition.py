@@ -1,23 +1,28 @@
 """Claw / even-hole / simplicial-clique searches against naive oracles."""
 
 import itertools
+import math
 import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     cycle_graph,
+    is_induced_cycle,
     maximal_cliques,
     naive_has_claw,
     naive_has_even_hole,
+    naive_is_simplicial_clique,
     naive_simplicial_cliques,
     random_graph,
+    relabel,
 )
-from ffsolve.errors import SearchBudgetError
+from ffsolve.errors import ComplexRootError, SearchBudgetError
 from ffsolve.graphs import WeightedGraph, frustration_graph
+from ffsolve.indpoly import single_particle_energies, weighted_independence_polynomial
 from ffsolve.models import chain_model, h6_model, junction_graph
 from ffsolve.recognition import (
     HOLE_SEARCH_BUDGET,
@@ -242,3 +247,68 @@ def test_verdicts_follow_from_the_witnesses(g, budget):
     else:
         assert d["ecf"] == d["even_hole_free"]
     assert (d["simplicial_clique"] is not None) == (d["ecf"] is True)
+
+
+@st.composite
+def claw_free_graphs(draw):
+    """Weighted claw-free graphs on at most 12 vertices: the line graph of
+    a graph with at most 12 edges, or a graph on at most 9 vertices
+    without a claw.  The weights repeat, so repeated roots occur."""
+    if draw(st.booleans()):
+        pairs = list(itertools.combinations(range(draw(st.integers(2, 8))), 2))
+        base = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12, unique=True))
+        n = len(base)
+        edges = [(i, j) for i in range(n) for j in range(i) if set(base[i]) & set(base[j])]
+    else:
+        n = draw(st.integers(1, 9))
+        pairs = list(itertools.combinations(range(n), 2))
+        picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = list(itertools.compress(pairs, picks))
+        assume(not naive_has_claw(WeightedGraph(n, edges)))
+    weights = draw(st.lists(st.sampled_from((0.25, 0.7, 1.0, 1.3, 2.0)), min_size=n, max_size=n))
+    return WeightedGraph(n, edges, weights=weights)
+
+
+def _hole_in(g: WeightedGraph, hole) -> bool:
+    """``hole`` lists, in order around it, an induced cycle of even length."""
+    ring = zip(hole, hole[1:] + hole[:1])
+    return (len(hole) % 2 == 0 and is_induced_cycle(g, hole)
+            and all(g.adj[a] >> b & 1 for a, b in ring))
+
+
+@settings(max_examples=150, deadline=None)
+@given(claw_free_graphs(), st.data())
+def test_relabeling_changes_no_answer(g, data):
+    """The answer depends on the graph, not on its labels: relabeled, a
+    claw-free graph gets the same verdicts, its witnesses mapped through
+    the permutation are witnesses of the relabeled graph and back, and
+    the polynomial and the energies agree to 1e-12."""
+    perm = data.draw(st.permutations(range(g.n)))
+    inverse = [0] * g.n
+    for v, p in enumerate(perm):
+        inverse[p] = v
+    h = relabel(g, perm)
+    a, b = classify(g), classify(h)
+    assert a.claw_witness is None and b.claw_witness is None
+    assert (a.undecided, a.even_hole_free, a.ecf) == (b.undecided, b.even_hole_free, b.ecf)
+    if a.even_hole_witness:
+        assert _hole_in(h, tuple(perm[v] for v in a.even_hole_witness))
+        assert _hole_in(g, tuple(inverse[v] for v in b.even_hole_witness))
+    if a.simplicial_clique:
+        assert len(a.simplicial_clique) == len(b.simplicial_clique)
+        assert naive_is_simplicial_clique(h, [perm[v] for v in a.simplicial_clique])
+        assert naive_is_simplicial_clique(g, [inverse[v] for v in b.simplicial_clique])
+    pg, ph = weighted_independence_polynomial(g), weighted_independence_polynomial(h)
+    assert len(pg.coeffs) == len(ph.coeffs)
+    assert all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(pg.coeffs, ph.coeffs))
+    answers = []
+    for poly in (pg, ph):
+        try:
+            answers.append(single_particle_energies(poly).energies)
+        except ComplexRootError:
+            answers.append(None)
+    eg, eh = answers
+    assert (eg is None) == (eh is None)
+    if eg is not None:
+        assert [m for _, m in eg] == [m for _, m in eh]
+        assert all(math.isclose(x, y, rel_tol=1e-12) for (x, _), (y, _) in zip(eg, eh))
