@@ -7,18 +7,15 @@ coupling vector alone.  The energies come from the root finder every
 graph uses, ``indpoly.roots_by_count``, fed with the sign changes of this
 recursion rather than with the monomial coefficients, which lose the
 roots to rounding beyond a dozen or so cells, and with the Newton step
-of its last row, whose w-derivative runs alongside it.  The couplings are
-first scaled by a power of four to a sum in [1, 4), which is exact and
-bounds the growth of a row, so the recursion is rescaled only every
-RESCALE_ROWS rows.  A sweep holds k + RESCALE_ROWS rows in one buffer,
-the k that the recursion reads and one block of new ones; it counts the
-sign changes of each block before the last k rows move to the head of
-the buffer, and returns the counts, the last row, the Newton step and
-the size of the terms of the last step, never all N rows.  The first
-sweep cuts at 2N points spread like the levels of a gapless band and at
-powers of two toward 0.
-The residual is read from values the sweeps computed, at the ends of the
-final brackets.
+of its last row, whose w-derivative runs alongside it.  The counts alone
+certify every level.  The couplings are first scaled by a power of four
+to a sum in [1, 4), which is exact and bounds the growth of a row, so the
+recursion is rescaled only every RESCALE_ROWS rows.  A sweep holds
+k + RESCALE_ROWS rows in one buffer, the k that the recursion reads and
+one block of new ones; it counts the sign changes of each block before
+the last k rows move to the head of the buffer, and returns the counts
+and the Newton step, never all N rows.  The first sweep cuts at 2N points
+spread like the levels of a gapless band and at powers of two toward 0.
 Dispersion relations and gap scans are finite-N: the spectrum is computed
 at two sizes and the trend decides gapless vs gapped.
 """
@@ -69,12 +66,10 @@ def elementary_symmetric(b2: Sequence[float]) -> tuple[float, ...]:
 
 
 def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """The sign changes along the rows v_1..v_{N+1} of the chain recursion
-    at each w in ``ws``, the last row v_{N+1}, the Newton step
-    v_{N+1} / v'_{N+1} in w, and the absolute terms of the last step,
-    |w - e_1| |v_N| + sum_{l >= 2} e_l |v_{N+1-l}|, in the scale of the
-    last row.
+    at each w in ``ws``, and the Newton step v_{N+1} / v'_{N+1} in w, 0
+    where v_{N+1} is exactly 0.
 
     The w-derivative rows, v'_s = v_{s-1} + w v'_{s-1} - sum_l e_l v'_{s-l},
     run in the same buffer as the value rows, k + RESCALE_ROWS rows of
@@ -142,12 +137,9 @@ def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
                 shift[:m] = shift[m:] = -np.frexp(np.maximum.reduce(mag[rows:]))[1]
                 np.ldexp(buf[rows:], shift, buf[:k])
         last_row = values[k - 1 + rows]
-        step = last_row / buf[k - 1 + rows, m:]
-    # v_{N+1} = (w - e_1) v_N - sum_{l >= 2} e_l v_{N+1-l}, its terms in
-    # absolute value, from rows v_{N+1-k}..v_N
-    before = mag[rows - 1:k - 1 + rows]
-    scale = np.abs(ws - e[1]) * before[-1] + np.array(e[k:1:-1]).dot(before[:-1])
-    return counts, last_row, step, scale
+        # at a multiple root that is a float the step is 0 / 0; it is 0
+        step = np.where(last_row == 0, 0.0, last_row / buf[k - 1 + rows, m:])
+    return counts, step
 
 
 def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
@@ -159,14 +151,8 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     w = eps^2 above w.  ``roots_by_count`` isolates the roots with that
     count; levels that rounding cannot split, as in dimerized chains,
     share one bracket and come back as one energy with multiplicity.
-    Each bracket gives one energy at its midpoint.  The residual is the
-    largest |v_{N+1}| over the absolute terms of its last step, |w - e_1|
-    |v_N| + sum_{l >= 2} e_l |v_{N+1-l}|, as the generic residual is |R(w)|
-    over sum_m |r_m| w^m, at the ends of the final brackets, which lie
-    within ROOT_REL_TOL of the returned roots; the sweeps computed it
-    there, so it costs no pass of its own.
-    An end at 0 or at the upper end of the search, never evaluated, takes
-    the value at the other end of its bracket.
+    Each bracket gives one energy at its midpoint, and the counts certify
+    them all, so the residual is None.
 
     The chain solved is the one with b2 / 4^j, where the power of four
     puts sum(b2) / 4^j in [1, 4), which keeps ``chain_values`` in float
@@ -178,37 +164,19 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     of multiplicity N, at once.
     """
     if not any(spec.b2):
-        return SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
+        return SingleParticleEnergies(((0.0, spec.n_cells),), None)
     j = (math.frexp(sum(spec.b2))[1] - 1) // 2
     e = elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2])
     n = spec.n_cells
-
-    points, boundary = [], []  # every point evaluated, and |v_{N+1}| / scale there
-
-    def evaluate(ws):
-        counts, last, step, scale = chain_values(e, n, ws)
-        points.append(ws)
-        # an exact 0 is a residual of 0, whatever its scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            boundary.append(np.where(last == 0, 0.0, np.abs(last) / scale))
-        # at a multiple root that is a float the step is 0 / 0; it is 0
-        return counts, np.where(last == 0, 0.0, step)
 
     # Gershgorin: no eigenvalue of the recursion matrix exceeds its row sum
     hi = sum(e)
     band = np.sin(np.arange(1, 2 * n + 1) * (0.5 * np.pi / (2 * n + 1))) ** 2
     first = hi * np.sort(np.concatenate([band, np.exp2(-np.arange(2.0, 60.0))]))
-    lo, up, m = roots_by_count(evaluate, n, hi, first)
-    # the bracket ends among the points evaluated: 0 and hi never are, so a
-    # bracket there reads its other end (np.isin would import numpy.ma, 1 MB)
-    points, boundary = np.concatenate(points), np.concatenate(boundary)
-    ends = np.concatenate([lo, up])
-    order = np.argsort(points)
-    at = order[np.minimum(np.searchsorted(points, ends, sorter=order), len(order) - 1)]
-    residual = float(np.max(boundary[at][points[at] == ends]))
+    lo, up, m = roots_by_count(lambda ws: chain_values(e, n, ws), n, hi, first)
     energies = tuple((math.ldexp(math.sqrt(w), j), int(c))
                      for w, c in zip(0.5 * (lo + up), m))
-    return SingleParticleEnergies(energies, residual)
+    return SingleParticleEnergies(energies, None)
 
 
 def dispersion(spec: ChainSpec) -> list[tuple[float, float]]:

@@ -26,13 +26,14 @@ the reversed polynomial in w = e^2,
 and its derivatives, the first of which gives the step.  It starts from
 the eigenvalues of R's companion matrix.  When they are all real, each is
 polished in extended precision and one pass of counts certifies them
-all, with no sweep.  Otherwise, as for repeated, near-degenerate or
-complex roots, its first cuts lie just either side of the eigenvalues,
-and it asks for isolation only: a bracket with one root is not cut
-further, since a polish in extended precision places that root.  So most
-roots are isolated by the first sweep alone; an estimate that is wrong,
-or complex, costs sweeps but never a root, since the counts certify
-every bracket.
+all, with no sweep, in windows as wide as the first sweep's cuts would
+be.  Otherwise, as for repeated, near-degenerate or complex roots, its
+first cuts lie just either side of the eigenvalues, and it asks for
+isolation only: a bracket with one root is not cut further, since a
+polish in extended precision places that root.  So most roots are
+isolated by the first sweep alone; an estimate that is wrong, or
+complex, costs sweeps but never a root, since the counts certify every
+bracket.
 ``chains.chain_energies`` counts with the sign changes of the chain
 recursion, carries its w-derivative for the step, and starts from points
 spread like the levels of a gapless band.  Every root
@@ -63,7 +64,7 @@ _NEWTON_FLOOR = 0.4 * ROOT_REL_TOL
 # to 20 cells the roots it admits were within 1e-9 of 60-digit ones
 ROOT_CERT_REL_TOL = 1e-6
 _NOISE_ULPS = 4       # c in the rounding bound c (alpha + 1) eps sum_m |r_m| s^m
-_SEED_WINDOW = 1e-9   # half-width of a certified root's window, least of a first cut's, relative
+_SEED_WINDOW = 1e-9   # least half-width of a window around a root, relative
 _POLISH_STEPS = 80    # enough to halve (0, 1] down to neighbouring long doubles
 _EPS = float(np.finfo(float).eps)
 
@@ -345,10 +346,12 @@ def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True)
 class SingleParticleEnergies:
-    """Positive energies with multiplicities, ascending, plus the root residual."""
+    """Positive energies with multiplicities, ascending, plus the root
+    residual; None where the root counts alone certify the levels, as on
+    ``chains.chain_energies``."""
 
     energies: tuple[tuple[float, int], ...]
-    residual: float
+    residual: float | None
 
     @property
     def total(self) -> int:
@@ -371,11 +374,11 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
 
     When every eigenvalue of R's companion matrix is real and in (0, 1),
     each is polished by Newton steps in extended precision, and one pass
-    certifies them all (see ``_polish_and_certify``): a window 1e-9 of s
-    either side of each root s holds exactly one root by count, so the
-    windows hold all alpha; R changes sign between the floats next to s,
-    or vanishes within noise there; and the noise moves s by at most
-    ROOT_CERT_REL_TOL.  Those roots are returned as they are.  Otherwise
+    certifies them all (see ``_polish_and_certify``): a window either side
+    of each root s, as wide as the first sweep's cuts below, holds exactly
+    one root by count, so the windows hold all alpha; R changes sign
+    between the floats next to s, or vanishes within noise there; and the
+    noise moves s by at most ROOT_CERT_REL_TOL.  Those roots are returned as they are.  Otherwise
     the sweeps below run from the same eigenvalues.
 
     The first sweep cuts either side of each real part of an eigenvalue of
@@ -393,17 +396,23 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     Raises ComplexRootError unless, at every cluster, R, ..., R^(m-2)
     vanish within noise, R^(m-1) changes sign or vanishes within noise, and
     the noise moves that root by at most ROOT_CERT_REL_TOL.  Otherwise the
-    roots are complex, or rounding hides where they are.  At alpha = 0
-    there are no energies, and the residual is 0.
+    roots are complex, or rounding hides where they are; and, before any
+    root is sought, when a coefficient is not finite, as one that
+    overflowed.  At alpha = 0 there are no energies, and the residual is 0.
     """
     alpha = poly.alpha
     if alpha == 0:  # P = 1: every weight is 0, and R has no root
         return SingleParticleEnergies((), 0.0)
-    unit = math.ldexp(1.0, math.frexp(poly.coeffs[1])[1])
+    coeffs = np.array(poly.coeffs)
+    if not np.isfinite(coeffs).all():  # a coefficient overflowed: no root can be placed
+        raise ComplexRootError(0, alpha)
+    exponent = math.frexp(poly.coeffs[1])[1]
+    unit = math.ldexp(1.0, exponent)
     degree = np.arange(alpha + 1)
     # R(unit s) / unit^alpha, where s^m has the coefficient
-    # (-1)^(alpha-m) c_(alpha-m) / unit^(alpha-m)
-    r = (np.array(poly.coeffs) * (-1.0 / unit) ** degree)[::-1]
+    # (-1)^(alpha-m) c_(alpha-m) / unit^(alpha-m): by ldexp, which is exact
+    # and underflows only where that coefficient does, not where unit^-m does
+    r = np.ldexp(coeffs * (-1.0) ** degree, -exponent * degree)[::-1]
     size = np.abs(r)
     binomials = _binomials(alpha)
     hankel = np.concatenate([r, np.zeros(alpha)])[degree[:, None] + degree]  # r_(j+d)
@@ -531,7 +540,10 @@ def _polish_and_certify(seeds: np.ndarray, r: np.ndarray, size: np.ndarray, tayl
     of R evaluated by one matrix product over a table of powers, until
     every step is below the float resolution or the noise over the slope.
     The pass evaluates ``taylor`` at s, at the floats next to s, and at
-    the ends of its window s (1 -+ _SEED_WINDOW).  It certifies that the
+    the ends of its window s -+ h, where h is twice the noise over the
+    slope at the last step, the noise in double precision, and at least
+    _SEED_WINDOW s, the half-width of the first sweep's cuts around an
+    eigenvalue in ``single_particle_energies``.  It certifies that the
     windows ascend without overlapping and that the counts at their ends,
     outside the noise, put exactly one root in each, so the alpha windows
     hold every root; that R changes sign between the floats next to s or
@@ -555,8 +567,12 @@ def _polish_and_certify(seeds: np.ndarray, r: np.ndarray, size: np.ndarray, tayl
             # noise of the extended precision
             if (np.abs(step) <= np.maximum(_EPS * s, bound / np.abs(slope))).all():
                 break
+        # twice the float noise over the slope, the noise read off the
+        # extended-precision bound of the last step
+        half = np.maximum(_SEED_WINDOW * s, 2 * (_EPS / np.finfo(np.longdouble).eps) * bound
+                          / np.abs(slope)).astype(float)
         s = s.astype(float)
-        ends = np.stack([s * (1 - _SEED_WINDOW), s * (1 + _SEED_WINDOW)], axis=1).ravel()
+        ends = np.stack([s - half, s + half], axis=1).ravel()
         table = np.ones((alpha + 1, 5 * alpha))
         table[1:] = np.concatenate([ends, s, np.nextafter(s, 0), np.nextafter(s, 1)])
         x = np.cumprod(table, axis=0)

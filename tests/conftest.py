@@ -300,8 +300,7 @@ def chain_values_all_rows(e, n_cells: int, ws: np.ndarray):
     """Reference for ``chains.chain_values``: the same recursion and
     rescaling every RESCALE_ROWS rows over an array that keeps all N + k
     rows.  Returns the value rows v_1..v_{N+1}, whose ``sign_changes`` are
-    the counts, the Newton step and the absolute terms of the last step,
-    |w - e_1| |v_N| + sum_{l >= 2} e_l |v_{N+1-l}|."""
+    the counts, and the Newton step, 0 where v_{N+1} is exactly 0."""
     k = len(e) - 1
     m = len(ws)
     coef = -np.array(e[:0:-1])
@@ -321,24 +320,20 @@ def chain_values_all_rows(e, n_cells: int, ws: np.ndarray):
             window = v[stop - k:stop]
             shift = -np.frexp(np.max(np.abs(window[:, :m]), axis=0))[1]
             np.ldexp(window, np.concatenate([shift, shift]), out=window)
+    return v[k - 1:, :m], newton_step(v[-1], m)
+
+
+def newton_step(last: np.ndarray, m: int) -> np.ndarray:
+    """v_{N+1} / v'_{N+1} from the last row, values then derivatives, and 0
+    where v_{N+1} is exactly 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        step = v[-1, :m] / v[-1, m:]
-    return v[k - 1:, :m], step, last_step_scale(e, ws, v[-1 - k:-1, :m])
-
-
-def last_step_scale(e, ws: np.ndarray, before: np.ndarray) -> np.ndarray:
-    """|w - e_1| |v_N| + sum_{l >= 2} e_l |v_{N+1-l}|, the absolute terms of
-    v_{N+1} = (w - e_1) v_N - sum_{l >= 2} e_l v_{N+1-l}, from the k rows
-    ``before`` it, v_{N+1-k}..v_N."""
-    mag = np.abs(before)
-    return np.abs(ws - e[1]) * mag[-1] + np.array(e[:1:-1]).dot(mag[:-1])
+        return np.where(last[:m] == 0, 0.0, last[:m] / last[m:])
 
 
 def chain_values_every_k(e, n_cells: int, ws: np.ndarray):
     """Reference for ``chains.chain_values``: the recursion rescaled every
     k rows, at the last row as well, which stays in float range for any
-    couplings of order 1.  Returns the value rows, the Newton step and the
-    absolute terms of the last step, in the scale of the last row."""
+    couplings of order 1.  Returns the value rows and the Newton step."""
     k = len(e) - 1
     m = len(ws)
     coef = -np.array(e[:0:-1])
@@ -348,16 +343,11 @@ def chain_values_every_k(e, n_cells: int, ws: np.ndarray):
     for s in range(k, n_cells + k):
         v[s] = w2 * v[s - 1] + coef @ v[s - k:s]
         v[s, m:] += v[s - 1, :m]
-        if s == n_cells + k - 1:
-            # in the frame of the last row, before the rescaling below
-            scale = last_step_scale(e, ws, v[s - k:s, :m])
         if (s + 1) % k == 0 or s == n_cells + k - 1:
             window = v[s - k + 1:s + 1]
             shift = -np.frexp(np.max(np.abs(window[:, :m]), axis=0))[1]
             window[:] = np.ldexp(window, np.concatenate([shift, shift]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = v[-1, :m] / v[-1, m:]
-    return v[k - 1:, :m], step, np.ldexp(scale, shift)
+    return v[k - 1:, :m], newton_step(v[-1], m)
 
 
 def free_spectrum_matches(h) -> bool:

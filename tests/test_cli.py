@@ -344,10 +344,13 @@ def test_output_file_takes_the_mode_of_a_fresh_open(tmp_path, umask):
     ["solve", "--model", "junction", "--k", "3", "--seed", "1"],
     ["analyze", "/nonexistent/x.ham"],
     ["solve", "--model", "h5", "-o", "/nonexistent/out.json"],
+    ["solve", "--model", "chain", "--N", "4", "--k", "3", "--couplings", "1e60,1e60,1e60"],
+    ["solve", "--model", "h5", "--couplings", "1e155,1,1,1,1"],
 ])
 def test_input_errors_exit_1_with_a_message(capsys, argv):
-    """Malformed lists and squared couplings, a junction without arms and
-    an unreadable input or unwritable output are input errors: exit 1 and
+    """Malformed lists and squared couplings, a junction without arms, an
+    unreadable input or unwritable output, and couplings so large that a
+    coefficient of the polynomial overflows are input errors: exit 1 and
     one line on stderr, not an exception, that names the file at fault."""
     code = main(argv)
     captured = capsys.readouterr()

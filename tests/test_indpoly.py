@@ -475,8 +475,8 @@ def test_certified_seeds_equal_isolation_and_polish(monkeypatch):
     of the isolation sweeps and the cluster polish: the same refusals and
     multiplicities, squared energies within the rounding width of P, and
     every group certified by an exact count.  The certificate holds, and
-    no sweep is taken, on 58 of the 60 corpus polynomials and on 151 of
-    the 360 forest line graphs; on the others the sweeps run as before."""
+    no sweep is taken, on all 60 corpus polynomials and on all 279 forest
+    line graphs that are solved; the other 81 are refused by the sweeps."""
     polys = claw_free_polynomials(29, 60) + [poly for *_, poly in forest_cases()]
     sweeps = record_sweeps(monkeypatch, indpoly)
     got, certified = [], []
@@ -484,7 +484,7 @@ def test_certified_seeds_equal_isolation_and_polish(monkeypatch):
         before = len(sweeps)
         got.append(solve_or_refuse(poly))
         certified.append(len(sweeps) == before)
-    assert sum(certified[:60]) == 58 and sum(certified[60:]) >= 150
+    assert sum(certified[:60]) == 60 and sum(certified[60:]) == 279
     without_seed_certificate(monkeypatch)
     assert_same_answers(polys, got, [solve_or_refuse(poly) for poly in polys])
 
@@ -495,21 +495,22 @@ FALLBACK_CASES = {
     "junction double energy": (1.0, 15.0, 75.0, 153.0, 108.0),
     # (1 + x/2)(1 + x)^2(1 + 2x): the double root comes back as a complex pair
     "complex pair": (1.0, 4.5, 7.0, 4.5, 1.0),
+    # (1 + x)(1 + (1 + 1e-7) x): two real eigenvalues 1e-7 apart, each
+    # pinned, but the noise of each root reaches past the other's window
+    "corpus": (1.0, 2.0000001, 1.0000001),
 }
 
 
-@pytest.mark.parametrize("case", [*FALLBACK_CASES, "corpus"])
+@pytest.mark.parametrize("case", FALLBACK_CASES)
 def test_uncertified_seeds_take_the_sweeps(monkeypatch, case):
     """Where the polished seeds fail their certificate, the isolation
     sweeps and the cluster polish run from the same seeds and give the
-    answer they give without the certificate, bit for bit.  The corpus
-    case is polynomial 6 of the generic corpus, whose simple roots are
-    certified by the sweeps but two of whose 2e-9-wide windows end in the
-    rounding noise."""
-    if case == "corpus":
-        poly = claw_free_polynomials(29, 60)[6]
-    else:
-        poly = IndependencePolynomial(FALLBACK_CASES[case])
+    answer they give without the certificate, bit for bit.  No polynomial
+    of the generic corpora at seeds 29, 31, 37, 41 and 43 fails it, so
+    the corpus case is a pair of simple roots so close that the windows,
+    twice the noise over the slope wide, overlap; the sweeps return them
+    as one energy of multiplicity 2."""
+    poly = IndependencePolynomial(FALLBACK_CASES[case])
     sweeps = record_sweeps(monkeypatch, indpoly)
     got = single_particle_energies(poly)
     assert sweeps  # the sweeps ran
@@ -531,6 +532,33 @@ def test_seeds_polished_onto_one_root_take_the_sweeps(monkeypatch):
     assert all(math.isclose(e, want, rel_tol=1e-15) for (e, _), want in zip(got, (1.0, 2.0)))
 
 
+def test_seeds_off_their_roots_are_refused(monkeypatch):
+    """Seeds 1e-6 off the roots 1/8 and 1/2 of (1 + x)(1 + 4x), which a
+    single Newton step leaves 3e-13 and 1.3e-12 off: their windows hold
+    one root each and the noise pins them, but R keeps its sign across the
+    floats next to them, so they are not returned; the sweeps, polishing
+    one step as well, refuse them too."""
+    poly = IndependencePolynomial((1.0, 5.0, 4.0))
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda companion: np.array([0.125 * (1 + 1e-6), 0.5 * (1 - 1e-6)]))
+    monkeypatch.setattr(indpoly, "_POLISH_STEPS", 1)
+    with pytest.raises(ComplexRootError):
+        single_particle_energies(poly)
+
+
+def test_overlapping_windows_take_the_sweeps(monkeypatch):
+    """Windows 0.7 s either side of the roots 1/8 and 1/2 of (1 + x)(1 + 4x)
+    have the counts of one root each, but overlap, (0.0375, 0.2125] and
+    (0.15, 0.85]: the certificate refuses them, and the sweeps find both
+    roots."""
+    poly = IndependencePolynomial((1.0, 5.0, 4.0))
+    monkeypatch.setattr(indpoly, "_SEED_WINDOW", 0.7)
+    sweeps = record_sweeps(monkeypatch, indpoly)
+    got = single_particle_energies(poly).energies
+    assert sweeps
+    assert all(math.isclose(e, want, rel_tol=1e-15) for (e, _), want in zip(got, (1.0, 2.0)))
+
+
 def test_generic_root_sweep_budget(monkeypatch):
     """No sweep for the polynomial of chain 10x3: its 10 seeds, polished,
     are certified by one pass.  Isolating them by sweeps took one
@@ -544,21 +572,16 @@ def test_generic_root_sweep_budget(monkeypatch):
 
 
 def test_generic_corpus_takes_two_sweeps(monkeypatch):
-    """58 polynomials of the corpus take no evaluation, since one pass
-    certifies their polished seeds; polynomials 6 and 20, whose
-    certificate fails, are isolated in exactly 1: the first sweep cuts
-    around the estimates, and every bracket it leaves holds one root,
-    which the polish places.  Isolating every polynomial by sweeps took 1
-    evaluation each, and refining those brackets as well a second; a
-    window model that cancelled on the first sweep's 2e-9-wide brackets
-    doubled that while every root stayed right."""
+    """No polynomial of the corpus takes an evaluation, since one pass
+    certifies their polished seeds, in windows as wide as twice the noise
+    over the slope.  Isolating every polynomial by sweeps took 1 evaluation
+    each, and refining those brackets as well a second; a window model that
+    cancelled on the first sweep's 2e-9-wide brackets doubled that while
+    every root stayed right."""
     sweeps = record_sweeps(monkeypatch, indpoly)
-    counts = []
     for poly in claw_free_polynomials(29, 60):
-        before = len(sweeps)
         single_particle_energies(poly)
-        counts.append(len(sweeps) - before)
-    assert counts == [int(i in (6, 20)) for i in range(60)]
+    assert sweeps == []
 
 
 def test_uniform_junction_double_energy():
@@ -720,6 +743,22 @@ def test_complex_roots_detected():
     # 1 + x + x^2 has complex roots; degree says two energies, none real
     with pytest.raises(ComplexRootError):
         single_particle_energies(IndependencePolynomial((1.0, 1.0, 1.0)))
+
+
+def test_overflowed_coefficient_is_refused():
+    """A coefficient that overflowed to inf, as c_3 of chain 4x3 at couplings
+    1e60 does, places no root: refused before the companion matrix, which
+    numpy would reject with a LinAlgError."""
+    with pytest.raises(ComplexRootError, match="isolated 0 real roots, expected 3"):
+        single_particle_energies(IndependencePolynomial((1.0, 3e120, 3e240, math.inf)))
+
+
+def test_coefficients_scale_without_underflow():
+    """h5 at couplings (1e90, 1e50, 1, 1, 1): c_2 / unit^2 is about 2^-597,
+    but unit^-2 = 2^-1196 underflows to 0, which put a root at 0 and
+    returned the energy 0 where sqrt(2) is right."""
+    got = single_particle_energies(IndependencePolynomial((1.0, 1e180, 2e180))).flat()
+    assert all(math.isclose(e, want, rel_tol=1e-15) for e, want in zip(got, (math.sqrt(2), 1e90)))
 
 
 def test_root_failure_on_a_claw_free_graph_is_conditioning():
