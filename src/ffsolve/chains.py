@@ -3,9 +3,9 @@
 The independence polynomial of the chain graph on N unit cells obeys a
 k-term recursion whose coefficients are the elementary symmetric
 polynomials of the squared couplings, so everything here works from the
-coupling vector alone.  The energies come from the root finder every
-graph uses, ``indpoly.roots_by_count``, fed with the sign changes of this
-recursion rather than with the monomial coefficients, which lose the
+coupling vector alone.  The energies come from the isolator by counting,
+``indpoly.roots_by_count``, fed with the sign changes of this recursion
+rather than with the monomial coefficients, which lose the
 roots to rounding beyond a dozen or so cells, and with the Newton step
 of its last row, whose w-derivative runs alongside it.  The counts alone
 certify every level.  The couplings are first scaled by a power of four

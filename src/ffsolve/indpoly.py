@@ -7,39 +7,35 @@ coefficients are nonnegative.  For claw-free graphs all roots are real
 (and then negative, since the coefficients are positive), and the
 single-particle energies e_j are defined by P(-1/e_j^2) = 0.
 
-Roots are isolated by counting.  ``roots_by_count`` cuts (0, hi] on a
-function that counts the roots above a point; for a real-rooted function
-that count is exact, so every bracket it returns holds a known number of
-roots, repeated roots included, wherever its cuts came from.  Its first
-sweep cuts at points the caller gives.  Later sweeps place the two cuts
-of a bracket with one root around its Newton estimate, corrected for the
-pull of the other roots, which the step f/f' at the bracket's far end
-measures.  A bracket with m roots, or one at 0 or hi, or whose corrected
-estimate falls outside it, is cut around the plain Newton estimate
-m f/f', exact for an m-fold root, or into thirds.
-So the caller returns the Newton step f/f' with each count.
-``single_particle_energies`` counts with the Budan-Fourier sign changes of
-the reversed polynomial in w = e^2,
+``single_particle_energies`` finds them as the roots w = e^2 of the
+reversed polynomial
 
     R(w) = w^alpha P(-1/w) = sum_m (-1)^(alpha-m) c_(alpha-m) w^m ,
 
-and its derivatives, the first of which gives the step.  It starts from
-the eigenvalues of R's companion matrix.  When they are all real, each is
-polished in extended precision and one pass of counts certifies them
-all, with no sweep, in windows as wide as the first sweep's cuts would
-be.  Otherwise, as for repeated, near-degenerate or complex roots, its
-first cuts lie just either side of the eigenvalues, and it asks for
-isolation only: a bracket with one root is not cut further, since a
-polish in extended precision places that root.  So most roots are
-isolated by the first sweep alone; an estimate that is wrong, or
-complex, costs sweeps but never a root, since the counts certify every
-bracket.
-``chains.chain_energies`` counts with the sign changes of the chain
-recursion, carries its w-derivative for the step, and starts from points
-spread like the levels of a gapless band.  Every root
-``single_particle_energies`` returns is checked against the rounding noise
-of R: one that the noise could move by more than ROOT_CERT_REL_TOL raises
+in one path.  The eigenvalues of R's companion matrix, clustered where
+they are complex or equal, seed Newton steps in extended precision: on R
+for a simple root, on R^(m-1) for a cluster of m.  One pass of counts
+then certifies them all: the Budan-Fourier sign changes of R and its
+derivatives, exact for real-rooted R, count the roots above each cut
+halfway between two roots, and each root is checked against the rounding
+noise of R.  A root that the noise could move by more than
+ROOT_CERT_REL_TOL, or one the counts do not place, raises
 ComplexRootError instead, as do complex roots.
+
+``roots_by_count`` isolates roots by counting, for
+``chains.chain_energies``.  It cuts (0, hi] on a function that counts the
+roots above a point; for a real-rooted function that count is exact, so
+every bracket it returns holds a known number of roots, repeated roots
+included, wherever its cuts came from.  Its first sweep cuts at points
+the caller gives.  Later sweeps place the two cuts of a bracket with one
+root around its Newton estimate, corrected for the pull of the other
+roots, which the step f/f' at the bracket's far end measures.  A bracket
+with m roots, or one at 0 or hi, or whose corrected estimate falls
+outside it, is cut around the plain Newton estimate m f/f', exact for an
+m-fold root, or into thirds.  So the caller returns the Newton step f/f'
+with each count: ``chains.chain_energies`` counts with the sign changes
+of the chain recursion, carries its w-derivative for the step, and starts
+from points spread like the levels of a gapless band.
 """
 
 from __future__ import annotations
@@ -64,7 +60,7 @@ _NEWTON_FLOOR = 0.4 * ROOT_REL_TOL
 # to 20 cells the roots it admits were within 1e-9 of 60-digit ones
 ROOT_CERT_REL_TOL = 1e-6
 _NOISE_ULPS = 4       # c in the rounding bound c (alpha + 1) eps sum_m |r_m| s^m
-_SEED_WINDOW = 1e-9   # least half-width of a window around a root, relative
+_CLUSTER_DISC = 4     # eigenvalues whose discs of this many |Im| meet form one cluster
 _POLISH_STEPS = 80    # enough to halve (0, 1] down to neighbouring long doubles
 _EPS = float(np.finfo(float).eps)
 
@@ -217,7 +213,7 @@ _CUT1, _CUT2 = [1, 5, 9], [2, 6, 10]  # the point, count and step of each cut
 
 
 def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                   n: int, hi: float, first: np.ndarray, isolate: bool = False
+                   n: int, hi: float, first: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brackets (lo, hi] holding the n roots in (0, hi] of a real-rooted function f.
 
@@ -229,10 +225,7 @@ def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
     dropped.  Every later sweep cuts every bracket at two points.  Every
     cut keeps its exact count, so every bracket holds a known number of
     roots, repeated roots included, however its cuts were chosen.  Brackets
-    are cut until they are at most ROOT_REL_TOL of their upper end wide;
-    with ``isolate``, a bracket whose counts show exactly one root ends as
-    it is, for a caller that places that root itself, and only brackets
-    with several roots are cut down.
+    are cut until they are at most ROOT_REL_TOL of their upper end wide.
 
     A bracket is cut at the two ends of a window around an estimate of its
     roots.  With one root r, the step s at either end x of the bracket
@@ -278,8 +271,6 @@ def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
         lo, up, c_lo, c_up, s_lo, s_up, parent = state
         width = up - lo
         tight = (width <= ROOT_REL_TOL * up) | (width >= parent)
-        if isolate:
-            tight |= c_lo - c_up == 1
         held = c_lo > c_up
         finished = held & tight
         if finished.any():
@@ -369,36 +360,28 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     c_1, so that the rescaling is exact and the roots lie in (0, 1).  Row
     j of ``taylor`` holds the coefficients of R^(j)(s) / j!, and the sign
     changes down the rows count the roots above s (Budan-Fourier, exact
-    for real-rooted R).  Where |R| is within its rounding noise,
-    c (alpha + 1) eps sum_m |r_m| s^m, the count is reported as unknown.
+    for real-rooted R).  The rounding noise of R^(j)(s) / j! is
+    c (alpha + 1) eps times the same row with |coefficients|.
 
-    When every eigenvalue of R's companion matrix is real and in (0, 1),
-    each is polished by Newton steps in extended precision, and one pass
-    certifies them all (see ``_polish_and_certify``): a window either side
-    of each root s, as wide as the first sweep's cuts below, holds exactly
-    one root by count, so the windows hold all alpha; R changes sign
-    between the floats next to s, or vanishes within noise there; and the
-    noise moves s by at most ROOT_CERT_REL_TOL.  Those roots are returned as they are.  Otherwise
-    the sweeps below run from the same eigenvalues.
+    The eigenvalues of R's companion matrix, sorted by real part, form
+    clusters: neighbours whose discs of radius _CLUSTER_DISC |Im| meet.
+    A cluster of m eigenvalues is placed at the simple root of R^(m-1),
+    by Newton steps from its mean (see ``_polish``).  One pass of
+    ``taylor`` then evaluates the cuts halfway between consecutive roots,
+    the roots, and the floats next to them.  Where |R| at a cut is within
+    noise the two clusters around it are joined and placed again.  The
+    roots are certified when the count at every cut, outside the noise,
+    is alpha less the roots below it; and at each root s of multiplicity
+    m, R, ..., R^(m-2) vanish within noise, R^(m-1) changes sign between
+    the floats next to s or vanishes within noise, and the noise over the
+    slope of R^(m-1) is at most ROOT_CERT_REL_TOL s.  The residual is the
+    largest |R(s)| / sum_m |r_m| s^m at the roots.
 
-    The first sweep cuts either side of each real part of an eigenvalue of
-    R's companion matrix, at its Newton distance from R plus the noise
-    over the slope, and at least 1e-9 of it, so that a good estimate comes
-    back as a bracket with one root.  Such a bracket is final: it is not
-    narrowed, and only brackets with several roots are cut further.
-    Neighbouring brackets between which |R| is within noise form a
-    cluster; a cluster of m roots is placed, once, at the simple root of
-    R^(m-1) by Newton steps from the estimates in it, kept in the cluster,
-    and evaluated by Horner's rule in extended precision where the
-    platform has it.  The residual is the largest |R(s)| / sum_m |r_m| s^m
-    at the roots.
-
-    Raises ComplexRootError unless, at every cluster, R, ..., R^(m-2)
-    vanish within noise, R^(m-1) changes sign or vanishes within noise, and
-    the noise moves that root by at most ROOT_CERT_REL_TOL.  Otherwise the
-    roots are complex, or rounding hides where they are; and, before any
-    root is sought, when a coefficient is not finite, as one that
-    overflowed.  At alpha = 0 there are no energies, and the residual is 0.
+    Raises ComplexRootError, with the number of roots certified, unless
+    every root is: then the roots are complex, or rounding hides where
+    they are; and, before any root is sought, when a coefficient is not
+    finite, as one that overflowed.  At alpha = 0 there are no energies,
+    and the residual is 0.
     """
     alpha = poly.alpha
     if alpha == 0:  # P = 1: every weight is 0, and R has no root
@@ -413,181 +396,94 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     # (-1)^(alpha-m) c_(alpha-m) / unit^(alpha-m): by ldexp, which is exact
     # and underflows only where that coefficient does, not where unit^-m does
     r = np.ldexp(coeffs * (-1.0) ** degree, -exponent * degree)[::-1]
-    size = np.abs(r)
     binomials = _binomials(alpha)
     hankel = np.concatenate([r, np.zeros(alpha)])[degree[:, None] + degree]  # r_(j+d)
     taylor = binomials * hankel
     rounding = _NOISE_ULPS * (alpha + 1) * np.finfo(float).eps
 
-    def powers(s):
-        return s ** degree[:, None]
-
-    def evaluate(s):
-        x = powers(s)
-        t = taylor @ x
-        counts = sign_changes(t)
-        # where R is within its rounding noise its sign, and the count, is unknown
-        counts[np.abs(t[0]) <= rounding * (size @ x)] = -1
-        return counts, t[0] / t[1]
-
     companion = np.eye(alpha, k=-1)
     companion[0] = -r[-2::-1]  # the leading coefficient, c_0, is 1
-    eigenvalues = np.linalg.eigvals(companion)
-    guess = eigenvalues.real
-    guess = guess[(guess > 0) & (guess < 1)]
-    # eigvals returns a real array when every eigenvalue is real
-    if np.isrealobj(eigenvalues) and len(guess) == alpha:
-        placed = _polish_and_certify(np.sort(guess), r, size, taylor, rounding)
-        if placed is not None:
-            s, residual = placed
-            return SingleParticleEnergies(tuple((math.sqrt(unit * x), 1) for x in s), residual)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = powers(guess)
-        t = taylor[:2] @ x
-        half = np.maximum(_SEED_WINDOW * guess,
-                          2 * (np.abs(t[0]) + rounding * (size @ x)) / np.abs(t[1]))
-        # sorted, equal neighbours dropped: np.unique would import numpy.ma, 1 MB
-        first = np.sort(np.concatenate([guess - half, guess + half]))
-        first = first[(first > 0) & (first < 1) & np.append(True, first[1:] != first[:-1])]
-        # 1 lies above every root, since they sum to c_1 / unit < 1; the
-        # polish below places each root, so a bracket with one is done
-        lo, hi, m = roots_by_count(evaluate, alpha, 1.0, first, isolate=True)
-    gap = 0.5 * (hi[:-1] + lo[1:])
-    x = powers(gap)
-    joined = np.abs(r @ x) <= rounding * (size @ x)
-    starts = np.flatnonzero(np.concatenate(([True], ~joined)))
-    a, b = lo[starts], hi[np.append(starts[1:], len(lo)) - 1]
-    mult = np.add.reduceat(m, starts)
-    # R^(m-1) has a simple root in each cluster, found by Newton steps from
-    # the mean of the estimates between the gaps around the cluster, its
-    # centre.  The steps are taken in extended precision where the platform
-    # has it, which shrinks the rounding noise the root is found in, and
-    # kept in a bracket that the sign at each step shrinks: a step that
-    # leaves it is replaced by its midpoint.  The bracket is the cluster, or
-    # the gaps around it where rounding put the root just outside the
-    # cluster.  Close to a multiple root, where counts are noise, R^(m-1) may
-    # keep its sign across both, and the steps are only kept between the
-    # gaps.  R^(m-1) / (m-1)!, its slope m R^(m) / m! and the rounding bound
-    # of the value are evaluated by Horner's rule on one array, one row a
-    # degree from the highest down.
-    clusters = len(mult)
-    pick = np.concatenate([mult - 1, mult])
-    wide = binomials[pick].astype(np.longdouble) * hankel[pick].astype(np.longdouble)
-    value_rows, slope_rows = wide[:clusters], mult[:, None] * wide[clusters:]
-    noise = _NOISE_ULPS * (alpha + 1) * np.finfo(np.longdouble).eps * np.abs(value_rows)
-    rows = np.stack([value_rows, slope_rows, noise]).transpose(2, 0, 1)[::-1].copy()
-
-    def horner(coeffs, s):
-        acc = coeffs[0]
-        for c in coeffs[1:]:
-            acc = acc * s + c
-        return acc
-
-    bounds = gap[~joined]
-    near = np.searchsorted(bounds, guess)
-    count = np.bincount(near, minlength=clusters)
-    centre = np.where(count > 0, np.bincount(near, guess, clusters) / np.maximum(count, 1),
-                      0.5 * (a + b))
-    ends = np.array([a, b, np.concatenate(([0.0], bounds)), np.append(bounds, 1.0)],
-                    dtype=np.longdouble)
-    fa, fb, f_floor, f_ceil = horner(rows[:, 0], ends)
-    a, b, floor, ceil = ends
-    inner = fa * fb <= 0
-    a, b, fa = np.where(inner, a, floor), np.where(inner, b, ceil), np.where(inner, fa, f_floor)
-    bracketed = inner | (f_floor * f_ceil <= 0)
-    s = np.clip(centre, a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_POLISH_STEPS):
-            f, slope, bound = horner(rows, s)
-            above = bracketed & (np.sign(f) == np.sign(fa))  # the root lies above s
-            a, fa = np.where(above, s, a), np.where(above, f, fa)
-            b = np.where(bracketed & ~above, s, b)
-            newton = s - f / slope
-            bisect = bracketed & ((newton < a) | (newton > b))
-            s, last = np.where(bisect, 0.5 * (a + b), np.clip(newton, a, b)), s
-            # steps end below the float resolution, or within the rounding
-            # noise of the extended precision
-            if np.all(np.abs(s - last) <= np.maximum(_EPS * s, bound / np.abs(slope))):
-                break
-    s = s.astype(float)
-
-    # R and its derivatives at s and at the floats next to it, in one pass
-    x = powers(np.concatenate([s, np.nextafter(s, 0), np.nextafter(s, 1)]))
-    t, down, up = (taylor @ x).reshape(alpha + 1, 3, clusters).transpose(1, 0, 2)
-    scale = np.abs(taylor) @ x[:, :clusters]
-    small = np.abs(t) <= rounding * scale
-    vanish = np.all(small | (degree[:, None] >= mult - 1), axis=0)
-    # R^(m-1) changes sign between the floats next to s, or vanishes within noise
-    cols = np.arange(clusters)
-    located = (down[mult - 1, cols] * up[mult - 1, cols] <= 0) | small[mult - 1, cols]
-    # noise over slope, where the slope of R^(m-1)(s) / (m-1)! is m R^(m)(s) / m!
-    pinned = (rounding * scale[mult - 1, cols]
-              <= ROOT_CERT_REL_TOL * s * mult * np.abs(t[mult, cols]))
-    certified = vanish & located & pinned
-    if not certified.all():
-        raise ComplexRootError(int(mult[certified].sum()), alpha)
-    energies = tuple((math.sqrt(unit * x), int(k)) for x, k in zip(s, mult))
-    return SingleParticleEnergies(energies, float(np.max(np.abs(t[0]) / scale[0])))
-
-
-def _polish_and_certify(seeds: np.ndarray, r: np.ndarray, size: np.ndarray, taylor: np.ndarray,
-                        rounding: float) -> tuple[np.ndarray, float] | None:
-    """The alpha simple roots of R in (0, 1), each polished from its seed,
-    ascending, and the residual; None unless one pass certifies them all.
-
-    The polish takes Newton steps from every seed at once in extended
-    precision where the platform has it, with R, R' and the rounding bound
-    of R evaluated by one matrix product over a table of powers, until
-    every step is below the float resolution or the noise over the slope.
-    The pass evaluates ``taylor`` at s, at the floats next to s, and at
-    the ends of its window s -+ h, where h is twice the noise over the
-    slope at the last step, the noise in double precision, and at least
-    _SEED_WINDOW s, the half-width of the first sweep's cuts around an
-    eigenvalue in ``single_particle_energies``.  It certifies that the
-    windows ascend without overlapping and that the counts at their ends,
-    outside the noise, put exactly one root in each, so the alpha windows
-    hold every root; that R changes sign between the floats next to s or
-    vanishes within noise there; and that the noise over the slope is at
-    most ROOT_CERT_REL_TOL of s.
-    """
-    alpha = len(seeds)
-    wide = r.astype(np.longdouble)
-    degree = np.arange(alpha + 1)
-    coeffs = np.array([wide, np.append(degree[1:] * wide[1:], 0),
-                       _NOISE_ULPS * (alpha + 1) * np.finfo(np.longdouble).eps * np.abs(wide)])
-    s = seeds.astype(np.longdouble)
-    table = np.ones((alpha + 1, alpha), dtype=np.longdouble)
+    eigenvalues = np.sort(np.linalg.eigvals(companion))
+    total, mult = eigenvalues.real, np.ones(alpha, dtype=int)
+    # neighbours whose discs of radius _CLUSTER_DISC |Im| meet form one
+    # cluster, so real ones only where they are equal
+    if np.iscomplexobj(eigenvalues) or not (total[1:] > total[:-1]).all():
+        radius = _CLUSTER_DISC * np.abs(eigenvalues.imag)
+        starts = np.flatnonzero(np.append(True, np.abs(np.diff(eigenvalues))
+                                          > radius[:-1] + radius[1:]))
+        total, mult = np.add.reduceat(total, starts), np.diff(np.append(starts, alpha))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_POLISH_STEPS):
-            table[1:] = s
-            f, slope, bound = coeffs @ np.cumprod(table, axis=0)
-            step = f / slope
-            s = s - step
-            # steps end below the float resolution, or within the rounding
-            # noise of the extended precision
-            if (np.abs(step) <= np.maximum(_EPS * s, bound / np.abs(slope))).all():
+        while True:
+            s = _polish(total / mult, mult, binomials, hankel)
+            order = np.argsort(s)
+            s, total, mult = s[order], total[order], mult[order]
+            k, top = len(s), int(mult.max())
+            # the cuts, the roots and the floats next to them, in one pass
+            table = np.ones((alpha + 1, 4 * k - 1))
+            table[1:] = np.concatenate([0.5 * (s[:-1] + s[1:]), s,
+                                        np.nextafter(s, 0), np.nextafter(s, 1)])
+            x = np.cumprod(table, axis=0)
+            t = taylor @ x
+            scale = np.abs(taylor[:top]) @ x
+            small = np.abs(t[:top]) <= rounding * scale  # within noise
+            if not small[0, :k - 1].any():
                 break
-        # twice the float noise over the slope, the noise read off the
-        # extended-precision bound of the last step
-        half = np.maximum(_SEED_WINDOW * s, 2 * (_EPS / np.finfo(np.longdouble).eps) * bound
-                          / np.abs(slope)).astype(float)
-        s = s.astype(float)
-        ends = np.stack([s - half, s + half], axis=1).ravel()
-        table = np.ones((alpha + 1, 5 * alpha))
-        table[1:] = np.concatenate([ends, s, np.nextafter(s, 0), np.nextafter(s, 1)])
-        x = np.cumprod(table, axis=0)
-        t = taylor @ x
-        scale = size @ x
-        clear = np.abs(t[0]) > rounding * scale
-        expected = alpha - np.arange(1, 2 * alpha + 1) // 2  # alpha - i, alpha - i - 1
-        isolated = ((sign_changes(t[:, :2 * alpha]) == expected).all()
-                    and clear[:2 * alpha].all() and (ends[1:] > ends[:-1]).all())
-        at, down, up = 2 * alpha, 3 * alpha, 4 * alpha
-        located = (t[0, down:up] * t[0, up:] <= 0) | ~clear[at:down]
-        pinned = rounding * scale[at:down] <= ROOT_CERT_REL_TOL * s * np.abs(t[1, at:down])
-    if not (isolated and located.all() and pinned.all()):
-        return None
-    return s, float(np.max(np.abs(t[0, at:down]) / scale[at:down]))
+            # R within noise between two clusters: join them, and place them again
+            starts = np.flatnonzero(np.append(True, ~small[0, :k - 1]))
+            total, mult = np.add.reduceat(total, starts), np.add.reduceat(mult, starts)
+        fits = sign_changes(t[:, :k - 1]) == alpha - np.cumsum(mult)[:-1]
+        # the row m - 1 of each root, and its columns at s and at the floats
+        # below and above s
+        if top == 1:  # every root simple: row 0, read by slices
+            rows, (at, down, up) = 0, (slice(j * k - 1, j * k + k - 1) for j in (1, 2, 3))
+        else:
+            rows, (at, down, up) = mult - 1, np.arange(k - 1, 4 * k - 1).reshape(3, k)
+        vanish = np.all(small[:, at] | (degree[:top, None] >= rows), axis=0)
+        # R^(m-1) changes sign between the floats next to s, or vanishes within noise
+        located = (t[rows, down] * t[rows, up] <= 0) | small[rows, at]
+        # noise over slope, where the slope of R^(m-1)(s) / (m-1)! is m R^(m)(s) / m!
+        pinned = (rounding * scale[rows, at]
+                  <= ROOT_CERT_REL_TOL * s * mult * np.abs(t[rows + 1, at]))
+    certified = vanish & located & pinned
+    if not (fits.all() and certified.all()):
+        certified &= np.append(True, fits) & np.append(fits, True)
+        raise ComplexRootError(int(mult[certified].sum()), alpha)
+    energies = tuple((math.sqrt(unit * x), m) for x, m in zip(s.tolist(), mult.tolist()))
+    return SingleParticleEnergies(energies, float(np.max(np.abs(t[0, at]) / scale[0, at])))
+
+
+def _polish(seeds: np.ndarray, mult: np.ndarray, binomials: np.ndarray,
+            hankel: np.ndarray) -> np.ndarray:
+    """The simple root of R^(m-1) nearest each seed, m its multiplicity.
+
+    Newton steps run from every seed at once in extended precision where
+    the platform has it, with R^(m-1) / (m-1)!, its slope m R^(m) / m!
+    and the rounding bound of the value evaluated by one matrix product
+    over a table of powers, until every step is below the float
+    resolution or the noise over the slope.
+    """
+    alpha = len(hankel) - 1
+    top = int(mult.max())
+    wide = binomials[:top + 1].astype(np.longdouble) * hankel[:top + 1].astype(np.longdouble)
+    coeffs = np.concatenate([wide, _NOISE_ULPS * (alpha + 1) * np.finfo(np.longdouble).eps
+                             * np.abs(wide[:top])])
+    s = seeds.astype(np.longdouble)
+    table = np.ones((alpha + 1, len(s)), dtype=np.longdouble)
+    for _ in range(_POLISH_STEPS):
+        table[1:] = s
+        out = coeffs @ np.cumprod(table, axis=0)
+        if top == 1:
+            f, slope, bound = out
+        else:  # the rows of R^(m-1) / (m-1)!, its slope and its bound, column by column
+            f, slope, bound = out[[mult - 1, mult, top + mult], np.arange(len(s))]
+            slope = mult * slope
+        step = f / slope
+        s = s - step
+        # steps end below the float resolution, or within the rounding
+        # noise of the extended precision
+        if (np.abs(step) <= np.maximum(_EPS * s, bound / np.abs(slope))).all():
+            break
+    return s.astype(float)
 
 
 @functools.lru_cache(maxsize=16)

@@ -107,8 +107,10 @@ def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph) -> float:
 
     Each commutator is a product of its own: the charges share few
     strings, so rows of one pass would each carry the pairs of the others.
+    The charges are those of ``h`` scaled as in ``_scaled``, so that their
+    products cannot overflow; the residual is the same at any scale.
     """
-    t = transfer(h, graph)
+    t = transfer(_scaled(h), graph)
     norms = [q.abs_sum() for q in t.charges]
     worst = 0.0
     for r in range(1, t.alpha + 1):
@@ -118,18 +120,25 @@ def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph) -> float:
     return worst
 
 
+def _scaled(h: Hamiltonian) -> Hamiltonian:
+    """``h`` divided by the power of two just above its largest |coupling|,
+    which is exact: a charge Q^(j) is then divided by that power to the j,
+    and no product of charges overflows."""
+    scale = math.ldexp(1.0, -math.frexp(max(abs(c) for c, _ in h.terms))[1])
+    return Hamiltonian(h.n, tuple((c * scale, term) for c, term in h.terms))
+
+
 def _transfer_grid(h: Hamiltonian, us: Sequence[float]) -> tuple[
-        list[float], list[OperatorSum], list[OperatorSum], list[float]]:
-    """The grid ``us`` divided by the power of two just above the largest
-    |coupling| (exact), and T(u), T(-u) and P(-u^2) of ``h`` at each u of it.
+        Hamiltonian, list[OperatorSum], list[OperatorSum], list[float]]:
+    """``h`` scaled as in ``_scaled``, and T(u), T(-u) and P(-u^2) of it at
+    each u of ``us``.
 
     The frustration graph and the transfer operator are still built at
     each u (``perfbench/selftest.py`` pins their counts, ROADMAP item 7);
     P comes from one polynomial."""
-    scale = math.ldexp(1.0, -math.frexp(max(abs(c) for c, _ in h.terms))[1])
-    us = [u * scale for u in us]
+    h = _scaled(h)
     if not us:
-        return [], [], [], []
+        return h, [], [], []
     pairs = []
     for u in us:
         graph = frustration_graph(h)
@@ -137,7 +146,7 @@ def _transfer_grid(h: Hamiltonian, us: Sequence[float]) -> tuple[
         pairs += [t.terms(u), t.terms(-u)]
     both = OperatorSum.combinations(pairs)  # every T(+-u) in one pass
     poly = weighted_independence_polynomial(graph)
-    return us, both[::2], both[1::2], [poly(-u * u) for u in us]
+    return h, both[::2], both[1::2], [poly(-u * u) for u in us]
 
 
 def transfer_factorization_residual(h: Hamiltonian, us: Sequence[float]) -> list[float]:
@@ -359,7 +368,7 @@ def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
     (1 - u sum h_v) chi, whose left and right factors share strings, are
     one pass together.
     """
-    us, tus, tmus, ps = _transfer_grid(hext, us)
+    hext, tus, tmus, ps = _transfer_grid(hext, us)
     hsum = OperatorSum.from_terms(hext.n, [hext.terms[v] for v in ks])
     ident = OperatorSum.identity(hext.n)
     chi_op = OperatorSum.from_term(chi)

@@ -411,24 +411,24 @@ def full_matrix_spectrum(h) -> np.ndarray:
 
 # -- root isolation ----------------------------------------------------------
 
-def midpoint_roots_by_count(evaluate, n, hi, first=None, isolate=False):
+def midpoint_roots_by_count(evaluate, n, hi, first=None):
     """Reference for ``indpoly.roots_by_count``: the bisection it replaced.
 
-    Every bracket is halved at its midpoint on the count alone, and one
-    whose midpoint count falls outside its ends' counts is kept as it is;
-    with ``isolate``, so is one whose counts show exactly one root.
-    A bracket with several roots tries its lower third point instead: the
-    midpoint may fall in the rounding noise of one of its roots, at an
-    exact root for instance, where ``single_particle_energies`` reports the
-    count as unknown.  The points of a first sweep, ``first``, are not
-    used: it starts from (0, hi] whatever the caller's estimates.
+    Every bracket is halved at its midpoint on the count alone until it is
+    at most ROOT_REL_TOL of its upper end wide, and one whose midpoint
+    count falls outside its ends' counts is kept as it is.  A bracket with
+    several roots tries its lower third point instead: the midpoint may
+    fall in the rounding noise of one of its roots, at an exact root for
+    instance, where ``bisection_energies`` reports the count as unknown.
+    The points of a first sweep, ``first``, are not used: it starts from
+    (0, hi] whatever the caller's estimates.
     """
     lo, up = np.zeros(1), np.full(1, float(hi))
     c_lo, c_up = np.full(1, n), np.zeros(1, dtype=int)
     done = []
     while len(lo):
         mid = 0.5 * (lo + up)
-        wide = (up - lo > indpoly.ROOT_REL_TOL * up) & ~(isolate & (c_lo - c_up == 1))
+        wide = up - lo > indpoly.ROOT_REL_TOL * up
         c_mid = np.full(len(lo), -1)
         c_mid[wide] = evaluate(mid[wide])[0]
         split = wide & (c_mid <= c_lo) & (c_mid >= c_up)
@@ -449,17 +449,37 @@ def midpoint_roots_by_count(evaluate, n, hi, first=None, isolate=False):
 
 
 def use_midpoint_bisection(monkeypatch):
-    """Make both energy paths isolate their roots with the reference bisection."""
-    without_seed_certificate(monkeypatch)
-    monkeypatch.setattr(indpoly, "roots_by_count", midpoint_roots_by_count)
+    """Make ``chains.chain_energies`` isolate its roots with the reference bisection."""
     monkeypatch.setattr(chains, "roots_by_count", midpoint_roots_by_count)
 
 
-def without_seed_certificate(monkeypatch):
-    """Make ``single_particle_energies`` take its isolation sweeps and
-    cluster polish every time, as when its polished seeds fail their
-    certificate."""
-    monkeypatch.setattr(indpoly, "_polish_and_certify", lambda *args: None)
+def bisection_energies(poly: IndependencePolynomial) -> indpoly.SingleParticleEnergies:
+    """Reference for ``indpoly.single_particle_energies``: the roots of
+    R(s), in the same exact scaling s = w / 2^p, bisected by
+    ``midpoint_roots_by_count`` on the Budan-Fourier sign changes of its
+    Taylor rows, down to ROOT_REL_TOL; a count where |R| is within the
+    rounding noise 4 (alpha + 1) eps sum_m |r_m| s^m is unknown.  Each
+    bracket gives the energy at its midpoint, with the number of roots it
+    holds by count as the multiplicity; brackets are not merged."""
+    alpha = poly.alpha
+    exponent = math.frexp(poly.coeffs[1])[1]
+    degree = np.arange(alpha + 1)
+    r = np.ldexp(np.array(poly.coeffs) * (-1.0) ** degree, -exponent * degree)[::-1]
+    taylor = np.array([[math.comb(j + d, j) * r[j + d] if j + d <= alpha else 0.0
+                        for d in degree] for j in degree])
+    rounding = 4 * (alpha + 1) * EPS
+
+    def evaluate(s):
+        x = s ** degree[:, None]
+        t = taylor @ x
+        counts = indpoly.sign_changes(t)
+        counts[np.abs(t[0]) <= rounding * (np.abs(r) @ x)] = -1
+        return counts, None
+
+    lo, up, m = midpoint_roots_by_count(evaluate, alpha, 1.0)
+    return indpoly.SingleParticleEnergies(
+        tuple((math.sqrt(math.ldexp(0.5 * (a + b), exponent)), int(k))
+              for a, b, k in zip(lo, up, m)), None)
 
 
 def record_sweeps(monkeypatch, module) -> list[int]:
@@ -468,11 +488,11 @@ def record_sweeps(monkeypatch, module) -> list[int]:
     sweeps = []
     find = module.roots_by_count
 
-    def counted(evaluate, n, hi, first=None, isolate=False):
+    def counted(evaluate, n, hi, first=None):
         def recorded(ws):
             sweeps.append(len(ws))
             return evaluate(ws)
-        return find(recorded, n, hi, first, isolate)
+        return find(recorded, n, hi, first)
 
     monkeypatch.setattr(module, "roots_by_count", counted)
     return sweeps

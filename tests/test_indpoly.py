@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     EPS,
     assert_same_energies,
+    bisection_energies,
     certify_groups,
     chain_polynomial,
     cycle_graph,
@@ -24,18 +25,16 @@ from conftest import (
     naive_independence_polynomial,
     random_forest,
     random_graph,
-    record_sweeps,
     reference_free_spectrum,
     stable_sets,
-    use_midpoint_bisection,
     verify_clique_recurrence,
-    without_seed_certificate,
 )
 from ffsolve import indpoly
-from ffsolve.chains import ChainSpec
+from ffsolve.chains import ChainSpec, chain_energies
 from ffsolve.errors import ComplexRootError, ConditioningError
 from ffsolve.graphs import WeightedGraph, bits, frustration_graph
 from ffsolve.indpoly import (
+    ROOT_CERT_REL_TOL,
     ROOT_REL_TOL,
     IndependencePolynomial,
     SingleParticleEnergies,
@@ -223,7 +222,7 @@ def test_repeated_root_multiplicity():
     en_mixed = single_particle_energies(IndependencePolynomial((1.0, 6.0, 9.0, 4.0)))
     assert [(round(e, 9), m) for e, m in en_mixed.energies] == [(1.0, 2), (2.0, 1)]
     # (1 + x/2)(1 + x)^2 (1 + 2x): the double root sits between two simple
-    # ones, and a cut in its noise must not stop the bracket that holds it
+    # ones, and the cuts between them lie outside its noise
     spread = WeightedGraph(4, weights=[0.5, 1.0, 1.0, 2.0])
     en_spread = single_particle_energies(weighted_independence_polynomial(spread))
     assert [(round(e * e, 12), m) for e, m in en_spread.energies] == [(0.5, 1), (1.0, 2), (2.0, 1)]
@@ -232,6 +231,25 @@ def test_repeated_root_multiplicity():
     tied = WeightedGraph(12, weights=[2.0] * 9 + [0.3] * 3)
     en_tied = single_particle_energies(weighted_independence_polynomial(tied))
     assert [(round(e * e, 9), m) for e, m in en_tied.energies] == [(0.3, 3), (2.0, 9)]
+
+
+@pytest.mark.parametrize("spec", [ChainSpec(6, 3, (1.0, 2.0**-300, 2.0**-300)),
+                                  ChainSpec(7, 3, (2.0**-300, 1.0, 2.0**-280)),
+                                  ChainSpec(5, 4, (0.3, 2.0**-250, 2.0**-260, 2.0**-270)),
+                                  ChainSpec(8, 2, (2.0**-200, 0.7))])
+def test_decoupled_chains_give_one_level_from_complex_seeds(spec, monkeypatch):
+    """Chains whose couplings but one are below 2^-200 have one level of
+    multiplicity N.  The companion matrix returns its N seeds as a disc of
+    complex eigenvalues, one cluster, which gives that level as
+    ``chains.chain_energies`` does.  Discs of radius 2 |Im| split a
+    seven-fold cluster of the same kind."""
+    seeds = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: seeds.append(eigvals(a)) or seeds[-1])
+    ((energy, mult),) = single_particle_energies(chain_polynomial(spec)).energies
+    assert np.iscomplexobj(seeds[0]) and mult == spec.n_cells
+    ((want, n),) = chain_energies(spec).energies
+    assert n == mult and math.isclose(energy, want, rel_tol=2 * EPS)
 
 
 def _exact_chain_energies(n_cells, b2):
@@ -417,17 +435,13 @@ def claw_free_polynomials(seed: int, count: int) -> list[IndependencePolynomial]
     return polys
 
 
-def test_generic_roots_match_midpoint_bisection(monkeypatch):
-    """Newton-guided cuts give the bisection's energies, certified by an
-    exact count; near-equal roots agree to within the rounding of P."""
+def test_generic_roots_match_midpoint_bisection():
+    """The polished and certified roots give the bisection's energies and
+    multiplicities, certified by an exact count, on the generic corpus."""
     polys = claw_free_polynomials(29, 60)
     assert max(p.alpha for p in polys) >= 8
-    got = [single_particle_energies(p) for p in polys]
-    use_midpoint_bisection(monkeypatch)
-    for poly, energies in zip(polys, got):
-        certify_groups(lambda w: exact_count_above(poly, w), poly.alpha, energies)
-        assert_same_energies(energies, single_particle_energies(poly),
-                             lambda w: rounding_width(poly, w))
+    for poly in polys:
+        assert_matches_bisection(poly, single_particle_energies(poly))
 
 
 def solve_or_refuse(poly: IndependencePolynomial):
@@ -438,106 +452,78 @@ def solve_or_refuse(poly: IndependencePolynomial):
         return None
 
 
-def assert_same_answers(polys, got, want) -> None:
-    """The same refusals and multiplicities, squared energies within the
-    rounding width of P, and every group of ``got`` certified by an exact
-    count."""
-    for poly, a, b in zip(polys, got, want):
-        assert (a is None) == (b is None)
-        if a is None:
-            continue
-        assert [m for _, m in a.energies] == [m for _, m in b.energies]
-        for (x, _), (y, _) in zip(a.energies, b.energies):
-            assert abs(x * x - y * y) <= rounding_width(poly, y * y), (x, y)
-        certify_groups(lambda w: exact_count_above(poly, w), poly.alpha, a)
+def assert_matches_bisection(poly, got, rel: float = 1e-9) -> None:
+    """The multiplicities of the bisection reference, simple roots w
+    within 1e-13 relative and twice the rounding width of P of its own,
+    and every group of ``got``, widened by ``rel``, certified by an exact
+    count.  The reference counts only where |R| exceeds its rounding
+    bound, but the value it compares is itself off by up to that bound,
+    so its brackets can end twice the rounding width from the root."""
+    want = bisection_energies(poly)
+    assert [m for _, m in got.energies] == [m for _, m in want.energies]
+    simple = [pair for pair in zip(got.energies, want.energies) if pair[1][1] == 1]
+    assert_same_energies(SingleParticleEnergies(tuple(a for a, _ in simple), None),
+                         SingleParticleEnergies(tuple(b for _, b in simple), None),
+                         lambda w: 2 * rounding_width(poly, w))
+    certify_groups(lambda w: exact_count_above(poly, w), poly.alpha, got, rel)
 
 
-def test_isolation_and_polish_equal_full_refinement(monkeypatch):
-    """Brackets that end as soon as they hold one root, placed by the
-    polish, give the energies of brackets first cut down to ROOT_REL_TOL:
-    the same refusals and multiplicities, squared energies within the
-    rounding width of P, and every group certified by an exact count.  On
-    the generic corpus and on the forest line graphs, alpha up to 22, all
-    solved by the sweeps, without the certificate of the polished seeds."""
-    polys = claw_free_polynomials(29, 60) + [poly for *_, poly in forest_cases()]
-    without_seed_certificate(monkeypatch)
-    isolated = [solve_or_refuse(poly) for poly in polys]
-    refine = indpoly.roots_by_count
-    monkeypatch.setattr(indpoly, "roots_by_count",
-                        lambda evaluate, n, hi, first, isolate: refine(evaluate, n, hi, first))
-    refined = [solve_or_refuse(poly) for poly in polys]
-    assert sum(got is not None for got in isolated) >= 60 + 250
-    assert_same_answers(polys, isolated, refined)
-
-
-def test_certified_seeds_equal_isolation_and_polish(monkeypatch):
-    """Seeds polished together and certified in one pass give the energies
-    of the isolation sweeps and the cluster polish: the same refusals and
+def test_isolation_and_polish_equal_full_refinement():
+    """On the forest line graphs, alpha up to 22, the roots that are
+    certified are those of the bisection down to ROOT_REL_TOL: the same
     multiplicities, squared energies within the rounding width of P, and
-    every group certified by an exact count.  The certificate holds, and
-    no sweep is taken, on all 60 corpus polynomials and on all 279 forest
-    line graphs that are solved; the other 81 are refused by the sweeps."""
-    polys = claw_free_polynomials(29, 60) + [poly for *_, poly in forest_cases()]
-    sweeps = record_sweeps(monkeypatch, indpoly)
-    got, certified = [], []
-    for poly in polys:
-        before = len(sweeps)
-        got.append(solve_or_refuse(poly))
-        certified.append(len(sweeps) == before)
-    assert sum(certified[:60]) == 60 and sum(certified[60:]) == 279
-    without_seed_certificate(monkeypatch)
-    assert_same_answers(polys, got, [solve_or_refuse(poly) for poly in polys])
+    every group certified by an exact count.  279 of the 360 are solved;
+    the other 81 are refused, from alpha = 13 up."""
+    solved = 0
+    for *_, poly in forest_cases():
+        got = solve_or_refuse(poly)
+        if got is None:
+            assert poly.alpha >= 13
+            continue
+        assert_matches_bisection(poly, got)
+        solved += 1
+    assert solved == 279
+
+
+def test_certified_seeds_equal_isolation_and_polish():
+    """Every polynomial of the generic corpora at seeds 31, 37, 41 and 43
+    is solved, with the bisection's multiplicities and energies, and every
+    group certified by an exact count."""
+    for seed in (31, 37, 41, 43):
+        for poly in claw_free_polynomials(seed, 60):
+            assert_matches_bisection(poly, single_particle_energies(poly))
 
 
 FALLBACK_CASES = {
     # (1 + 3x)^2 (1 + 9x + 12x^2): two real eigenvalues 2e-8 apart at the
-    # double root, and neither window around them holds exactly one root
+    # double root, placed as two simple roots whose cut is within noise
     "junction double energy": (1.0, 15.0, 75.0, 153.0, 108.0),
     # (1 + x/2)(1 + x)^2(1 + 2x): the double root comes back as a complex pair
     "complex pair": (1.0, 4.5, 7.0, 4.5, 1.0),
-    # (1 + x)(1 + (1 + 1e-7) x): two real eigenvalues 1e-7 apart, each
-    # pinned, but the noise of each root reaches past the other's window
+    # (1 + x)(1 + (1 + 1e-7) x): two real eigenvalues 1e-7 apart, and R
+    # within noise between them
     "corpus": (1.0, 2.0000001, 1.0000001),
 }
 
 
 @pytest.mark.parametrize("case", FALLBACK_CASES)
-def test_uncertified_seeds_take_the_sweeps(monkeypatch, case):
-    """Where the polished seeds fail their certificate, the isolation
-    sweeps and the cluster polish run from the same seeds and give the
-    answer they give without the certificate, bit for bit.  No polynomial
-    of the generic corpora at seeds 29, 31, 37, 41 and 43 fails it, so
-    the corpus case is a pair of simple roots so close that the windows,
-    twice the noise over the slope wide, overlap; the sweeps return them
-    as one energy of multiplicity 2."""
+def test_uncertified_seeds_take_the_sweeps(case):
+    """Seeds that are not simple roots apart, a pair of real eigenvalues
+    at a double root, a complex pair, or two simple roots that R cannot
+    tell apart, are placed as one cluster, joined at their cut or by their
+    discs, and come back with the bisection's multiplicities, each group
+    certified by an exact count."""
     poly = IndependencePolynomial(FALLBACK_CASES[case])
-    sweeps = record_sweeps(monkeypatch, indpoly)
     got = single_particle_energies(poly)
-    assert sweeps  # the sweeps ran
-    without_seed_certificate(monkeypatch)
-    assert got == single_particle_energies(poly)
-
-
-def test_seeds_polished_onto_one_root_take_the_sweeps(monkeypatch):
-    """Two seeds that the polish takes to the same root would leave the
-    other root out, though each passes the sign change and the noise
-    check: the counts at their windows show it, and the sweeps find both
-    roots from the same seeds."""
-    poly = IndependencePolynomial((1.0, 5.0, 4.0))  # (1 + x)(1 + 4x): s = 1/8 and 1/2
-    monkeypatch.setattr(np.linalg, "eigvals", lambda companion: np.array([0.49, 0.51]))
-    sweeps = record_sweeps(monkeypatch, indpoly)
-    got = single_particle_energies(poly).energies
-    assert sweeps
-    assert [m for _, m in got] == [1, 1]
-    assert all(math.isclose(e, want, rel_tol=1e-15) for (e, _), want in zip(got, (1.0, 2.0)))
+    assert 2 in [m for _, m in got.energies]
+    assert_matches_bisection(poly, got, ROOT_CERT_REL_TOL)
 
 
 def test_seeds_off_their_roots_are_refused(monkeypatch):
     """Seeds 1e-6 off the roots 1/8 and 1/2 of (1 + x)(1 + 4x), which a
-    single Newton step leaves 3e-13 and 1.3e-12 off: their windows hold
-    one root each and the noise pins them, but R keeps its sign across the
-    floats next to them, so they are not returned; the sweeps, polishing
-    one step as well, refuse them too."""
+    single Newton step leaves 3e-13 and 1.3e-12 off: the count at the cut
+    between them is right and the noise pins them, but R keeps its sign
+    across the floats next to them, so they are refused."""
     poly = IndependencePolynomial((1.0, 5.0, 4.0))
     monkeypatch.setattr(np.linalg, "eigvals",
                         lambda companion: np.array([0.125 * (1 + 1e-6), 0.5 * (1 - 1e-6)]))
@@ -546,48 +532,23 @@ def test_seeds_off_their_roots_are_refused(monkeypatch):
         single_particle_energies(poly)
 
 
-def test_overlapping_windows_take_the_sweeps(monkeypatch):
-    """Windows 0.7 s either side of the roots 1/8 and 1/2 of (1 + x)(1 + 4x)
-    have the counts of one root each, but overlap, (0.0375, 0.2125] and
-    (0.15, 0.85]: the certificate refuses them, and the sweeps find both
-    roots."""
-    poly = IndependencePolynomial((1.0, 5.0, 4.0))
-    monkeypatch.setattr(indpoly, "_SEED_WINDOW", 0.7)
-    sweeps = record_sweeps(monkeypatch, indpoly)
-    got = single_particle_energies(poly).energies
-    assert sweeps
-    assert all(math.isclose(e, want, rel_tol=1e-15) for (e, _), want in zip(got, (1.0, 2.0)))
-
-
-def test_generic_root_sweep_budget(monkeypatch):
-    """No sweep for the polynomial of chain 10x3: its 10 seeds, polished,
-    are certified by one pass.  Isolating them by sweeps took one
-    evaluation of 20 points, refining the brackets as well 2, bisection
-    about 60 and sweeps from thirds 21; the estimates without the counts
-    in rounding noise reported unknown, or thirds with them, took 11 or
-    12."""
-    sweeps = record_sweeps(monkeypatch, indpoly)
-    single_particle_energies(chain_polynomial(ChainSpec(10, 3, (1.0, 0.7, 1.3))))
-    assert sweeps == []
-
-
-def test_generic_corpus_takes_two_sweeps(monkeypatch):
-    """No polynomial of the corpus takes an evaluation, since one pass
-    certifies their polished seeds, in windows as wide as twice the noise
-    over the slope.  Isolating every polynomial by sweeps took 1 evaluation
-    each, and refining those brackets as well a second; a window model that
-    cancelled on the first sweep's 2e-9-wide brackets doubled that while
-    every root stayed right."""
-    sweeps = record_sweeps(monkeypatch, indpoly)
-    for poly in claw_free_polynomials(29, 60):
-        single_particle_energies(poly)
-    assert sweeps == []
+def test_a_wrong_count_at_a_cut_is_refused(monkeypatch):
+    """The roots 1/8 and 1/2 of (1 + x)(1 + 4x) pass every check at
+    themselves, but a count at the cut between them that is not alpha
+    less the roots below it refuses both.  No polynomial of the corpora,
+    forests, tied graphs or fuzzed chains reaches this check alone, so the
+    count is made wrong here."""
+    counts = indpoly.sign_changes
+    monkeypatch.setattr(indpoly, "sign_changes", lambda values: counts(values) + 1)
+    with pytest.raises(ComplexRootError, match="isolated 0 real roots, expected 2"):
+        single_particle_energies(IndependencePolynomial((1.0, 5.0, 4.0)))
 
 
 def test_uniform_junction_double_energy():
     """Junction (1,1,1) with its 15 couplings at 1 has P = (1 + 3x)^2
-    (1 + 9x + 12x^2): the double root sits where the first sweep's
-    estimates are noise, and still comes back as sqrt(3), twice."""
+    (1 + 9x + 12x^2): the two real seeds at the double root are placed as
+    simple roots with R within noise at the cut between them, joined, and
+    come back as sqrt(3), twice."""
     h = junction_model((1, 1, 1), 3, [1.0] * 15)
     poly = weighted_independence_polynomial(frustration_graph(h))
     assert poly.coeffs == (1.0, 15.0, 75.0, 153.0, 108.0)
@@ -621,26 +582,12 @@ def tied_claw_free_graphs(draw):
 @settings(max_examples=80, deadline=None)
 @given(tied_claw_free_graphs())
 def test_tied_weights_give_the_bisection_multiplicities(graph):
-    """Seeded sweeps on claw-free graphs with repeated roots: what the
-    midpoint bisection solves is solved, with its multiplicities, and
-    every answer is certified group by group by an exact count."""
+    """Claw-free graphs with repeated roots are solved, with the
+    multiplicities of the bisection reference, and every answer is
+    certified group by group by an exact count."""
     poly = weighted_independence_polynomial(graph)
     assume(1 <= poly.alpha <= 12)
-    answers = []
-    for reference in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            if reference:
-                use_midpoint_bisection(mp)
-            try:
-                answers.append(single_particle_energies(poly))
-            except ComplexRootError:
-                answers.append(None)
-    got, want = answers
-    if want is not None:
-        assert got is not None
-        assert [m for _, m in got.energies] == [m for _, m in want.energies]
-    if got is not None:
-        certify_groups(lambda w: exact_count_above(poly, w), poly.alpha, got)
+    assert_matches_bisection(poly, single_particle_energies(poly))
 
 
 @pytest.mark.parametrize("graph", [
@@ -648,13 +595,10 @@ def test_tied_weights_give_the_bisection_multiplicities(graph):
     WeightedGraph(2, [(0, 1)], weights=[9.0, 16.0]),
     WeightedGraph(3, [(0, 1), (0, 2), (1, 2)], weights=[1.0, 0.3, 2.0]),
 ])
-def test_single_root_sweep_budget(monkeypatch, graph):
+def test_single_root_is_the_weight_sum(graph):
     """A vertex, an edge and a triangle: alpha = 1, and the one root, c_1,
-    lies strictly below the upper end of the search, which is never
-    evaluated, so a Newton estimate reaches it within 5 evaluations."""
-    sweeps = record_sweeps(monkeypatch, indpoly)
+    lies strictly below the upper end 1 of s, and is placed to 2 eps."""
     energies = single_particle_energies(weighted_independence_polynomial(graph))
-    assert len(sweeps) <= 5
     ((energy, mult),) = energies.energies
     assert mult == 1
     assert math.isclose(energy, math.sqrt(sum(graph.weights)), rel_tol=2 * EPS)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ from ffsolve.solver import (
     transfer_factorization_residual,
     zero_eigenvector_residual,
 )
-from ffsolve.verify import DEFAULT_U_GRID, verify_all
+from ffsolve.verify import DEFAULT_U_GRID, TOLERANCES, verify_all
 
 RNG = random.Random(2024)
 
@@ -613,6 +614,22 @@ def test_verify_lemma_residuals_do_not_depend_on_the_scale():
     for h in [h5_model(1.0, 0.7, -1.3, 0.4, 2.0)] + hs:
         got = [verify_all(_scaled(h, f)).lemma_residuals for f in (2.0 ** 30, 1.0, 2.0 ** -30)]
         assert got[0] and got[0] == got[1] == got[2], got
+
+
+def test_verify_residuals_hold_at_couplings_near_overflow():
+    """h5 at couplings (1e200, 1, 1, 1, 1): products of its charges reach
+    1e400 and overflowed, with two RuntimeWarnings, and
+    ``fundamental_identity`` read NaN.  The charges and T(+-u) are built
+    from the couplings divided by the power of two above the largest, so
+    no product overflows: every lemma residual is within its tolerance
+    with no warning, and the refused energies are reported in ``failure``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = verify_all(h5_model(1e200, 1.0, 1.0, 1.0, 1.0))
+    assert sorted(rep.lemma_residuals) == ["charges_commute", "fundamental_identity",
+                                           "transfer_factorization"]
+    assert all(value <= TOLERANCES[name] for name, value in rep.lemma_residuals.items())
+    assert rep.failure.startswith("mode construction: isolated 0 real roots, expected 2")
 
 
 def test_mode_norm_formula():
