@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ComplexRootError
-from .graphs import WeightedGraph, bits
+from .graphs import WeightedGraph
 
 ROOT_REL_TOL = 1e-15
 # least half-width of a Newton window, relative: a window 0.8 ROOT_REL_TOL
@@ -98,7 +98,7 @@ class IndependencePolynomial:
 
 
 def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolynomial:
-    """c_k by memoized vertex elimination over remaining-vertex bitmasks.
+    """c_0..c_alpha by memoized vertex elimination over remaining-vertex bitmasks.
 
     With v the lowest vertex of the remaining set S,
 
@@ -109,77 +109,91 @@ def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolyno
     graph whose vertex order leaves at most p earlier vertices adjacent to
     later ones takes at most about n 2^p.  The recursion runs on an
     explicit stack, so its depth is not bounded by Python's recursion
-    limit.  All terms are nonnegative, so no cancellation occurs.
+    limit; the loop walks the bitmask rows inline, and combines a state
+    on its first visit when its children are known.  All terms are
+    nonnegative, so no cancellation occurs.
+
+    A vertex of weight 0 adds no term, P(S) = P(S - v), so the list's
+    length is one more than alpha of the vertices of positive weight, and
+    a coefficient that underflows stays at its degree as 0.0.  S - N[v]
+    is still evaluated there: the last bits of a state's value depend on
+    the order its components are multiplied in, which the state it is
+    first reached from sets, so every state is reached as it would be
+    with v weighted.
     """
     adj = graph.adj
     weights = graph.weights
+    closed = [row | 1 << v for v, row in enumerate(adj)]
     # vertices within distance two of v: the boundary left by removing N[v]
     reach2 = []
-    for v in range(graph.n):
-        m = graph.closed_adj(v)
-        for u in bits(adj[v]):
-            m |= adj[u]
+    for v, row in enumerate(adj):
+        m, rest = closed[v], row
+        while rest:
+            low = rest & -rest
+            m |= adj[low.bit_length() - 1]
+            rest ^= low
         reach2.append(m)
 
     memo: dict[int, list[float]] = {0: [1.0]}
-    # entries (S, hint, plan): every component of S meets ``hint``; plan is
-    # None on the first visit, then (v or None for a split, child, child)
+    # entries (S, hint, v, a, b): every component of S meets ``hint``;
+    # a < 0 on the first visit, then S = a + b split into components
+    # (v None), or a = S - v and b = S - N[v]
     full = graph.full_mask
-    stack: list[tuple[int, int, tuple | None]] = [(full, full, None)]
+    stack: list[tuple] = [(full, full, None, -1, None)]
+    pop, push = stack.pop, stack.append
     while stack:
-        s, hint, plan = stack.pop()
-        if plan is None:
+        s, hint, v, a, b = pop()
+        if a < 0:
             if s in memo:
                 continue
-            comp = _split_component(adj, s, hint)
+            # one component of S, or 0 when S is connected: the search
+            # stops once one component holds all of ``hint``
+            comp = 0
+            if hint & (hint - 1):
+                frontier = hint & -hint
+                left = s ^ frontier  # the vertices of S not yet reached
+                while frontier and hint & left:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    new = adj[low.bit_length() - 1] & left
+                    left ^= new
+                    frontier |= new
+                if hint & left:
+                    comp = s ^ left
             if comp:
-                v = None
-                children = ((comp, comp & -comp), (s & ~comp, hint & ~comp))
+                a, b = comp, s & ~comp
+                a_hint, b_hint = comp & -comp, hint & ~comp
             else:
                 low = s & -s
                 v = low.bit_length() - 1
-                minus_v, minus_nv = s ^ low, s & ~graph.closed_adj(v)
-                children = ((minus_v, adj[v] & minus_v), (minus_nv, reach2[v] & minus_nv))
-            stack.append((s, hint, (v, children[0][0], children[1][0])))
-            stack.extend((c, c_hint, None) for c, c_hint in children if c not in memo)
-            continue
-        v, a_mask, b_mask = plan
-        a, b = memo[a_mask], memo[b_mask]
-        if v is None:
-            out = [0.0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
+                a = s ^ low
+                a_hint, b = adj[v] & a, s & ~closed[v]
+                b_hint = reach2[v] & b
+            pa, pb = memo.get(a), memo.get(b)
+            if pa is None or pb is None:
+                push((s, hint, v, a, b))
+                if pa is None:
+                    push((a, a_hint, None, -1, None))
+                if pb is None:
+                    push((b, b_hint, None, -1, None))
+                continue
         else:
+            pa, pb = memo[a], memo[b]
+        if v is None:
+            out = [0.0] * (len(pa) + len(pb) - 1)
+            for i, ca in enumerate(pa):
+                for j, cb in enumerate(pb, i):
+                    out[j] += ca * cb
+        elif not weights[v]:  # a weight of 0 adds no term
+            out = pa
+        else:
+            # len(pb) <= len(pa), as S - N[v] lies in S - v
             w = weights[v]
-            out = a + [0.0] * (len(b) + 1 - len(a))
-            for i, cb in enumerate(b):
-                out[i + 1] += w * cb
+            out = pa + [0.0] if len(pb) == len(pa) else pa[:]
+            for i, cb in enumerate(pb, 1):
+                out[i] += w * cb
         memo[s] = out
-
-    coeffs = memo[full]
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return IndependencePolynomial(tuple(coeffs))
-
-
-def _split_component(adj: tuple[int, ...], s: int, hint: int) -> int:
-    """0 when S is connected, else one connected component of S.
-
-    ``hint`` is a nonempty subset of S that meets every component of S, so
-    S is connected as soon as one component is seen to hold all of it; the
-    search stops there instead of visiting the whole of S.
-    """
-    if not hint & (hint - 1):
-        return 0
-    comp = frontier = hint & -hint
-    while frontier and hint & ~comp:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adj[low.bit_length() - 1] & s & ~comp
-        comp |= new
-        frontier |= new
-    return comp if hint & ~comp else 0
+    return IndependencePolynomial(tuple(memo[full]))
 
 
 # -- root isolation by counting ---------------------------------------------
@@ -380,8 +394,9 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     Raises ComplexRootError, with the number of roots certified, unless
     every root is: then the roots are complex, or rounding hides where
     they are; and, before any root is sought, when a coefficient is not
-    finite, as one that overflowed.  At alpha = 0 there are no energies,
-    and the residual is 0.
+    finite, as one that overflowed, or when R's constant term
+    c_alpha / 2^(p alpha) is 0, as one that underflowed.  At alpha = 0
+    there are no energies, and the residual is 0.
     """
     alpha = poly.alpha
     if alpha == 0:  # P = 1: every weight is 0, and R has no root
@@ -396,6 +411,8 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     # (-1)^(alpha-m) c_(alpha-m) / unit^(alpha-m): by ldexp, which is exact
     # and underflows only where that coefficient does, not where unit^-m does
     r = np.ldexp(coeffs * (-1.0) ** degree, -exponent * degree)[::-1]
+    if not r[0]:  # c_alpha underflowed: R would have a root at 0, which no energy has
+        raise ComplexRootError(0, alpha)
     binomials = _binomials(alpha)
     hankel = np.concatenate([r, np.zeros(alpha)])[degree[:, None] + degree]  # r_(j+d)
     taylor = binomials * hankel

@@ -39,9 +39,9 @@ class Hamiltonian:
         Raises ModelError for identity terms, non-finite couplings, or an
         empty term list after cleanup.
         """
-        merged: dict[tuple[int, int], float] = {}
-        order: list[tuple[int, int]] = []
-        max_q = -1
+        # (x, z) -> [merged coupling, the first term with that label]
+        merged: dict[tuple[int, int], list] = {}
+        support = 0
         for coupling, term in pairs:
             coupling = float(coupling)
             if not math.isfinite(coupling):
@@ -51,20 +51,21 @@ class Hamiltonian:
             if term.is_identity:
                 raise ModelError("identity term not allowed (Hamiltonian is traceless)")
             key = (term.x, term.z)
-            if key not in merged:
-                merged[key] = 0.0
-                order.append(key)
-            merged[key] += coupling
-            max_q = max(max_q, (term.x | term.z).bit_length() - 1)
+            entry = merged.get(key)
+            if entry is None:
+                merged[key] = [coupling, term]
+            else:
+                entry[0] += coupling
+            support |= term.x | term.z
+        max_q = support.bit_length() - 1
         if n is None:
             n = max_q + 1
         elif max_q + 1 > n:
             raise ModelError(f"term acts on qubit {max_q} but n={n}")
-        out = []
-        for key in order:
-            c = merged[key]
-            if c != 0.0:
-                out.append((c, PauliTerm(n, key[0], key[1], 0)))
+        # a term on n qubits is kept as it is given: the key and the phase
+        # +1 are all the rest of it
+        out = [(c, term if term.n == n else PauliTerm(n, term.x, term.z, 0))
+               for c, term in merged.values() if c != 0.0]
         if not out:
             raise ModelError("no terms remain after merging/dropping")
         return cls(n, tuple(out))

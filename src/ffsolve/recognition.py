@@ -6,9 +6,11 @@ Yannakakis, SIAM J. Comput. 13, 1984): a chordal graph has no hole at
 all.  Only a non-chordal graph reaches the exhaustive induced-path
 search, which carries a node budget and reports "undecided" instead of
 guessing when the budget runs out.  The claw search is exhaustive with
-bitset pruning.  The simplicial-clique search walks the cliques by size
-and stops at the first simplicial one; ``classify`` runs it on ECF graphs
-only.  A report stores the witnesses and derives its verdicts from them.
+bitset pruning.  These three loops walk the bitmask rows inline, taking
+the lowest set bit of a mask at each step, with no call per vertex.  The
+simplicial-clique search walks the cliques by size and stops at the
+first simplicial one; ``classify`` runs it on ECF graphs only.  A report
+stores the witnesses and derives its verdicts from them.
 """
 
 from __future__ import annotations
@@ -76,18 +78,28 @@ class StructureReport:
 
 
 def find_claw(graph: WeightedGraph) -> tuple[int, tuple[int, int, int]] | None:
-    """First induced K_{1,3}: (center, three pairwise nonadjacent leaves)."""
-    for center in range(graph.n):
-        nb = graph.adj[center]
+    """First induced K_{1,3}: (center, three pairwise nonadjacent leaves).
+
+    The centers, and the leaves a < b < c of each, are taken in ascending
+    order; the leaves after a that a misses are ``rest & ~adj[a]``, with
+    ``rest`` the neighbours of the center above a.
+    """
+    adj = graph.adj
+    for center, nb in enumerate(adj):
         if nb.bit_count() < 3:
             continue
-        for a in bits(nb):
-            rest_a = nb & ~graph.closed_adj(a) & ~((1 << (a + 1)) - 1)
-            for b in bits(rest_a):
-                rest_b = rest_a & ~graph.closed_adj(b) & ~((1 << (b + 1)) - 1)
+        rest = nb
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            rest_a = rest & ~adj[low.bit_length() - 1]
+            while rest_a & (rest_a - 1):  # two leaves left to try
+                low_b = rest_a & -rest_a
+                rest_a ^= low_b
+                rest_b = rest_a & ~adj[low_b.bit_length() - 1]
                 if rest_b:
-                    c = next(bits(rest_b))
-                    return center, (a, b, c)
+                    return center, (low.bit_length() - 1, low_b.bit_length() - 1,
+                                    (rest_b & -rest_b).bit_length() - 1)
     return None
 
 
@@ -95,29 +107,39 @@ def is_chordal(graph: WeightedGraph) -> bool:
     """True iff the graph has no induced cycle of length >= 4.
 
     Maximum cardinality search visits next an unvisited vertex with the
-    most visited neighbours; the graph is chordal iff the reverse visit
-    order is a perfect elimination order.  That holds iff, for every v,
-    the neighbours visited before v, less the last of them p, are all
-    adjacent to p.
+    most visited neighbours, here the lowest of them; the graph is chordal
+    iff the reverse visit order is a perfect elimination order.  That
+    holds iff, for every v, the neighbours visited before v, less the last
+    of them p, are all adjacent to p.  ``buckets[k]`` is the bitmask of
+    the unvisited vertices with k visited neighbours.
     """
+    adj = graph.adj
     n = graph.n
     weight = [0] * n
-    buckets: list[set[int]] = [set(range(n))] + [set() for _ in range(n)]
+    buckets = [0] * (n + 1)
+    buckets[0] = graph.full_mask
     last = [-1] * n
     top = 0
     visited = 0
     for _ in range(n):
         while not buckets[top]:
             top -= 1
-        v = buckets[top].pop()
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        v = low.bit_length() - 1
         p = last[v]
-        if p >= 0 and graph.adj[v] & visited & ~graph.closed_adj(p):
+        if p >= 0 and adj[v] & visited & ~(adj[p] | 1 << p):
             return False
-        visited |= 1 << v
-        for u in bits(graph.adj[v] & ~visited):
-            buckets[weight[u]].remove(u)
-            weight[u] += 1
-            buckets[weight[u]].add(u)
+        visited |= low
+        rest = adj[v] & ~visited
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            k = weight[u]
+            buckets[k] ^= bit
+            buckets[k + 1] |= bit
+            weight[u] = k + 1
             last[u] = v
         top += 1
     return True
@@ -134,32 +156,38 @@ def find_even_hole(graph: WeightedGraph,
     """
     if is_chordal(graph):
         return None
+    adj = graph.adj
     nodes_left = budget
 
-    for v0 in range(graph.n):
-        above = ~((1 << (v0 + 1)) - 1)
-        anchor_adj = graph.adj[v0]
-
+    for v0, anchor_adj in enumerate(adj):
+        below = (2 << v0) - 1
         # path = [v0, x1, ..., xk]; banned blocks vertices adjacent to
         # interior path vertices, everything <= v0, and the path itself
         stack = []
-        for x1 in bits(anchor_adj & above):
-            stack.append(((v0, x1), (1 << v0) | (1 << x1) | ~above))
+        rest = anchor_adj & ~below
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            stack.append(((v0, low.bit_length() - 1), below | low))
         while stack:
             path, banned = stack.pop()
             nodes_left -= 1
             if nodes_left < 0:
                 raise SearchBudgetError(
                     f"even-hole search exceeded budget {budget}")
-            last = path[-1]
-            cand = graph.adj[last] & ~banned
-            if len(path) >= 3:
-                for w in bits(cand & anchor_adj):
-                    if (len(path) + 1) % 2 == 0 and w > path[1]:
-                        return path + (w,)
-            new_banned = banned | graph.adj[last]
-            for w in bits(cand & ~anchor_adj):
-                stack.append((path + (w,), new_banned | (1 << w)))
+            row = adj[path[-1]]
+            cand = row & ~banned
+            # an odd path closes an even cycle at a neighbour of the anchor above x1
+            if len(path) & 1 and len(path) >= 3:
+                close = cand & anchor_adj & ~((2 << path[1]) - 1)
+                if close:
+                    return path + ((close & -close).bit_length() - 1,)
+            rest = cand & ~anchor_adj
+            banned |= row
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                stack.append((path + (low.bit_length() - 1,), banned | low))
     return None
 
 

@@ -1,6 +1,11 @@
 """Shared test helpers: naive reference checkers, graph generators, and
 the paper's lemmas that the tests check but no command runs.
 
+The ``plain_`` functions are the front end's loops as they were written
+before their bitmask walks were inlined (``bits`` generators,
+``closed_adj`` calls, one ``PauliTerm`` built anew for every term); the
+parity tests ask the inlined ones for the same output, bit for bit.
+
 The naive checkers deliberately use brute-force subset enumeration so they
 stay independent of the bitset search paths they are used to validate.
 """
@@ -16,7 +21,7 @@ import numpy as np
 
 from ffsolve import chains, indpoly
 from ffsolve.chains import ChainSpec, elementary_symmetric
-from ffsolve.errors import DenseCapError
+from ffsolve.errors import DenseCapError, ModelError, SearchBudgetError
 from ffsolve.graphs import WeightedGraph, bits, frustration_graph
 from ffsolve.indpoly import IndependencePolynomial, weighted_independence_polynomial
 from ffsolve.models import back_to_back_model
@@ -167,6 +172,176 @@ def naive_independence_polynomial(g: WeightedGraph) -> list[float]:
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def plain_independence_polynomial(graph: WeightedGraph) -> tuple[float, ...]:
+    """The memoized vertex elimination with ``bits`` and ``closed_adj``:
+    the same elimination order, search order and arithmetic as
+    ``weighted_independence_polynomial``, a term for every vertex whatever
+    its weight, and trailing zero coefficients trimmed."""
+    adj = graph.adj
+    weights = graph.weights
+    reach2 = []
+    for v in range(graph.n):
+        m = graph.closed_adj(v)
+        for u in bits(adj[v]):
+            m |= adj[u]
+        reach2.append(m)
+
+    memo: dict[int, list[float]] = {0: [1.0]}
+    full = graph.full_mask
+    stack: list[tuple[int, int, tuple | None]] = [(full, full, None)]
+    while stack:
+        s, hint, plan = stack.pop()
+        if plan is None:
+            if s in memo:
+                continue
+            comp = _plain_split_component(adj, s, hint)
+            if comp:
+                v = None
+                children = ((comp, comp & -comp), (s & ~comp, hint & ~comp))
+            else:
+                low = s & -s
+                v = low.bit_length() - 1
+                minus_v, minus_nv = s ^ low, s & ~graph.closed_adj(v)
+                children = ((minus_v, adj[v] & minus_v), (minus_nv, reach2[v] & minus_nv))
+            stack.append((s, hint, (v, children[0][0], children[1][0])))
+            stack.extend((c, c_hint, None) for c, c_hint in children if c not in memo)
+            continue
+        v, a_mask, b_mask = plan
+        a, b = memo[a_mask], memo[b_mask]
+        if v is None:
+            out = [0.0] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        else:
+            w = weights[v]
+            out = a + [0.0] * (len(b) + 1 - len(a))
+            for i, cb in enumerate(b):
+                out[i + 1] += w * cb
+        memo[s] = out
+
+    coeffs = memo[full]
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _plain_split_component(adj, s: int, hint: int) -> int:
+    if not hint & (hint - 1):
+        return 0
+    comp = frontier = hint & -hint
+    while frontier and hint & ~comp:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & s & ~comp
+        comp |= new
+        frontier |= new
+    return comp if hint & ~comp else 0
+
+
+def plain_find_claw(graph: WeightedGraph):
+    """``recognition.find_claw`` with ``bits`` and ``closed_adj``."""
+    for center in range(graph.n):
+        nb = graph.adj[center]
+        if nb.bit_count() < 3:
+            continue
+        for a in bits(nb):
+            rest_a = nb & ~graph.closed_adj(a) & ~((1 << (a + 1)) - 1)
+            for b in bits(rest_a):
+                rest_b = rest_a & ~graph.closed_adj(b) & ~((1 << (b + 1)) - 1)
+                if rest_b:
+                    c = next(bits(rest_b))
+                    return center, (a, b, c)
+    return None
+
+
+def plain_is_chordal(graph: WeightedGraph) -> bool:
+    """``recognition.is_chordal`` with ``bits`` and ``closed_adj``:
+    maximum cardinality search over buckets of sets."""
+    n = graph.n
+    weight = [0] * n
+    buckets: list[set[int]] = [set(range(n))] + [set() for _ in range(n)]
+    last = [-1] * n
+    top = 0
+    visited = 0
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        v = buckets[top].pop()
+        p = last[v]
+        if p >= 0 and graph.adj[v] & visited & ~graph.closed_adj(p):
+            return False
+        visited |= 1 << v
+        for u in bits(graph.adj[v] & ~visited):
+            buckets[weight[u]].remove(u)
+            weight[u] += 1
+            buckets[weight[u]].add(u)
+            last[u] = v
+        top += 1
+    return True
+
+
+def plain_find_even_hole(graph: WeightedGraph, budget: int):
+    """``recognition.find_even_hole`` with ``bits``."""
+    if plain_is_chordal(graph):
+        return None
+    nodes_left = budget
+    for v0 in range(graph.n):
+        above = ~((1 << (v0 + 1)) - 1)
+        anchor_adj = graph.adj[v0]
+        stack = []
+        for x1 in bits(anchor_adj & above):
+            stack.append(((v0, x1), (1 << v0) | (1 << x1) | ~above))
+        while stack:
+            path, banned = stack.pop()
+            nodes_left -= 1
+            if nodes_left < 0:
+                raise SearchBudgetError(f"even-hole search exceeded budget {budget}")
+            last = path[-1]
+            cand = graph.adj[last] & ~banned
+            if len(path) >= 3:
+                for w in bits(cand & anchor_adj):
+                    if (len(path) + 1) % 2 == 0 and w > path[1]:
+                        return path + (w,)
+            new_banned = banned | graph.adj[last]
+            for w in bits(cand & ~anchor_adj):
+                stack.append((path + (w,), new_banned | (1 << w)))
+    return None
+
+
+def plain_from_pairs(pairs, n: int | None = None) -> Hamiltonian:
+    """``Hamiltonian.from_pairs`` building a new term for every label."""
+    merged: dict[tuple[int, int], float] = {}
+    order: list[tuple[int, int]] = []
+    max_q = -1
+    for coupling, term in pairs:
+        coupling = float(coupling)
+        if not math.isfinite(coupling):
+            raise ModelError(f"non-finite coupling {coupling!r}")
+        if term.phase_pow != 0:
+            raise ModelError("Hamiltonian terms must carry phase +1")
+        if term.is_identity:
+            raise ModelError("identity term not allowed (Hamiltonian is traceless)")
+        key = (term.x, term.z)
+        if key not in merged:
+            merged[key] = 0.0
+            order.append(key)
+        merged[key] += coupling
+        max_q = max(max_q, (term.x | term.z).bit_length() - 1)
+    if n is None:
+        n = max_q + 1
+    elif max_q + 1 > n:
+        raise ModelError(f"term acts on qubit {max_q} but n={n}")
+    out = []
+    for key in order:
+        c = merged[key]
+        if c != 0.0:
+            out.append((c, PauliTerm(n, key[0], key[1], 0)))
+    if not out:
+        raise ModelError("no terms remain after merging/dropping")
+    return Hamiltonian(n, tuple(out))
 
 
 def stable_sets(rows):

@@ -148,6 +148,19 @@ def test_claw_free_root_failure_is_reported_as_conditioning(capsys):
     assert "claw-free" in err and "could not resolve" in err and "complex" not in err
 
 
+@pytest.mark.parametrize("couplings", ["1.3346e-133,8.1609e-129,2.1212e-127", "1e-60,1e-60,1e-60"])
+def test_underflowing_chain_exits_1_naming_alpha(couplings, capsys):
+    """Chain 4x3 has alpha = 4.  At these couplings its top coefficients
+    underflow: the first exited 0 with alpha = 1 and one energy, the
+    second exited 1 saying "expected 2".  Both exit 1 with one line that
+    names the graph's alpha, and print no result."""
+    code = main(["solve", "--model", "chain", "--N", "4", "--k", "3", "--couplings", couplings])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: isolated 0 real roots, expected 4, on a claw-free graph")
+
+
 def test_solve_with_modes(capsys):
     code, doc = run_json(capsys, "solve", "--model", "h5", "--seed", "3", "--modes")
     assert code == 0

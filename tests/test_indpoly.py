@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -687,6 +688,51 @@ def test_complex_roots_detected():
     # 1 + x + x^2 has complex roots; degree says two energies, none real
     with pytest.raises(ComplexRootError):
         single_particle_energies(IndependencePolynomial((1.0, 1.0, 1.0)))
+
+
+def test_underflowed_top_coefficient_keeps_alpha():
+    """Chain 4x3 at couplings (1.3346e-133, 8.1609e-129, 2.1212e-127):
+    c_2..c_4 underflow to 0.  They stay in the list at their degrees, so
+    alpha is 4, the graph's, and not 1, and the energies are refused
+    rather than one of 4.2e-127 returned.  The four energies, 2.06 to
+    2.19e-127, are what ``chain_energies`` finds."""
+    couplings = (1.3346e-133, 8.1609e-129, 2.1212e-127)
+    poly = weighted_independence_polynomial(frustration_graph(chain_model(4, 3, couplings)))
+    assert poly.alpha == 4 and poly.coeffs[2:] == (0.0, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ComplexRootError, match="isolated 0 real roots, expected 4"):
+            single_particle_energies(poly)
+    reference = chain_energies(ChainSpec(4, 3, tuple(c * c for c in couplings))).flat()
+    assert len(reference) == 4 and 2.0e-127 < reference[0] < reference[-1] < 2.2e-127
+
+
+def test_weight_zero_vertices_add_no_degree():
+    """A vertex of weight 0 adds no term, so alpha counts the vertices of
+    positive weight: on the path 0-1-2-3 with weights (1, 0, 0, 1) it is
+    2, and with (0, 1, 1, 0) it is 1, however small the other weights."""
+    path = [(0, 1), (1, 2), (2, 3)]
+    assert weighted_independence_polynomial(WeightedGraph(4, path, [1.0, 0.0, 0.0, 1.0])).coeffs \
+        == (1.0, 2.0, 1.0)
+    assert weighted_independence_polynomial(WeightedGraph(4, path, [0.0, 1e-200, 1e-200, 0.0])).coeffs \
+        == (1.0, 2e-200)
+    tiny = weighted_independence_polynomial(WeightedGraph(4, path, [1e-200, 0.0, 0.0, 1e-200]))
+    assert tiny.coeffs == (1.0, 2e-200, 0.0)
+
+
+@pytest.mark.parametrize("poly", [
+    IndependencePolynomial((1.0, 1e200, 1e-120)),
+    chain_polynomial(ChainSpec(5, 2, (6.9e-226, 7.9e-184))),
+], ids=["huge-c1", "chain-5x2"])
+def test_underflowed_constant_term_is_refused(poly):
+    """R's constant term c_alpha / 2^(p alpha) underflows to 0 on both: R
+    would have a root at 0, which no energy has.  They were answered with
+    an energy of 0.0 (four of them on the chain), a NaN residual and a
+    RuntimeWarning; now they are refused, naming alpha."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ComplexRootError, match=f"isolated 0 real roots, expected {poly.alpha}"):
+            single_particle_energies(poly)
 
 
 def test_overflowed_coefficient_is_refused():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_graph
+from conftest import plain_from_pairs, random_graph
 from ffsolve.errors import ModelError, ParseError
 from ffsolve.graphs import WeightedGraph, frustration_graph
 from ffsolve.indpoly import weighted_independence_polynomial
@@ -243,3 +243,43 @@ def test_generate_model_dispatch():
         generate_model("h5", couplings=[1.0])
     with pytest.raises(ModelError):
         generate_model("chain", k=3)
+
+
+MODELS = [
+    ("h5", {}), ("h5", {"couplings": [1.0, -0.5, 2.0, 0.25, -1.5]}), ("h6", {}),
+    ("back_to_back", {"couplings": [0.5, 1.0, -1.0, 2.0, 0.75, 1.25]}),
+    ("chain", {"n_cells": 4, "k": 3}), ("chain", {"n_cells": 5, "k": 4, "couplings": [1.0, -0.7, 1.3, 0.9]}),
+    ("chain", {"n_cells": 3, "k": 3, "periodic": True}),
+    ("chain", {"n_cells": 2, "k": 2, "couplings": [1e-160, -1e150], "periodic": True}),
+    ("junction", {"arm_cells": (2, 1, 1), "k": 3}),
+    ("junction", {"arm_cells": (1, 1), "k": 2, "couplings": [0.5 + 0.25 * i for i in range(8)]}),
+]
+
+
+@pytest.mark.parametrize("name,kwargs", MODELS)
+def test_models_keep_the_terms_they_build(name, kwargs, monkeypatch):
+    """``from_pairs`` keeps a term on n qubits as it is given instead of
+    building it again, and every model, parsed file and realized graph
+    comes out equal to the one built with a new term for every label:
+    the same qubit count, couplings and Pauli strings, in the same order."""
+    built = generate_model(name, **kwargs)
+    monkeypatch.setattr(Hamiltonian, "from_pairs", classmethod(
+        lambda cls, pairs, n=None: plain_from_pairs(pairs, n)))
+    rebuilt = generate_model(name, **kwargs)
+    assert built == rebuilt and repr(built) == repr(rebuilt)
+    assert all(term.n == built.n for _, term in built.terms)
+
+
+def test_parsing_and_realizing_keep_the_terms_they_build(monkeypatch):
+    """Parsing merges a repeated label and drops a coupling that cancels;
+    realizing drops a vertex of weight 0.  Both agree with the terms built
+    anew for every label."""
+    text = H5_FILE + "0.5 Z1\n0.25 X3\n-0.25 X3\n"
+    g = WeightedGraph(4, [(0, 1), (1, 2), (2, 3)], weights=[1.0, 0.0, 2.0, 0.5])
+    built = (parse_hamiltonian(text), realize_graph(g))
+    monkeypatch.setattr(Hamiltonian, "from_pairs", classmethod(
+        lambda cls, pairs, n=None: plain_from_pairs(pairs, n)))
+    rebuilt = (parse_hamiltonian(text), realize_graph(g))
+    assert built == rebuilt and repr(built) == repr(rebuilt)
+    assert built[0].n == 4 and len(built[0]) == 5 and built[0].terms[1][0] == 1.0
+    assert built[1].n == 4 and len(built[1]) == 3

@@ -6,7 +6,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,6 +17,10 @@ from conftest import (
     naive_has_even_hole,
     naive_is_simplicial_clique,
     naive_simplicial_cliques,
+    plain_find_claw,
+    plain_find_even_hole,
+    plain_independence_polynomial,
+    plain_is_chordal,
     random_graph,
     relabel,
 )
@@ -312,3 +316,77 @@ def test_relabeling_changes_no_answer(g, data):
     if eg is not None:
         assert [m for _, m in eg] == [m for _, m in eh]
         assert all(math.isclose(x, y, rel_tol=1e-12) for (x, _), (y, _) in zip(eg, eh))
+
+
+@st.composite
+def front_end_graphs(draw):
+    """Graphs on at most 16 vertices of four kinds: line graphs of graphs
+    with at most 16 edges (claw-free), open and periodic chains, random
+    graphs with a claw planted in them, each relabeled or not.  The
+    weights include 0 and 1e-150, whose products underflow."""
+    kind = draw(st.sampled_from(("line", "chain", "claw")))
+    if kind == "line":
+        pairs = list(itertools.combinations(range(draw(st.integers(2, 8))), 2))
+        base = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=16, unique=True))
+        n = len(base)
+        edges = [(i, j) for i in range(n) for j in range(i) if set(base[i]) & set(base[j])]
+    elif kind == "chain":
+        k = draw(st.integers(2, 4))
+        cells = draw(st.integers(2, 16 // k))
+        n, periodic = cells * k, draw(st.booleans())
+        edges = frustration_graph(chain_model(cells, k, periodic=periodic)).edges()
+    else:
+        n = draw(st.integers(4, 16))
+        pairs = list(itertools.combinations(range(n), 2))
+        picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        center, *leaves = draw(st.permutations(range(n)))[:4]
+        claw = {tuple(sorted((center, leaf))) for leaf in leaves}
+        apart = set(itertools.combinations(sorted(leaves), 2))
+        edges = [e for e in itertools.compress(pairs, picks) if e not in apart]
+        edges = sorted(set(edges) | claw)
+    # on half the graphs most weights are 1e-150, so that c_alpha underflows
+    palette = draw(st.sampled_from([(0.0, 1e-150, 0.25, 0.7, 1.0, 1.3, 2.0),
+                                    (0.0, 1e-150, 1e-150, 1e-150, 1.0)]))
+    weights = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    g = WeightedGraph(n, edges, weights=weights)
+    if draw(st.booleans()):
+        g = relabel(g, draw(st.permutations(range(n))))
+    return g
+
+
+def _alpha(g: WeightedGraph, mask: int) -> int:
+    """The largest number of pairwise nonadjacent vertices of ``mask``."""
+    if not mask:
+        return 0
+    v = (mask & -mask).bit_length() - 1
+    return max(_alpha(g, mask & ~(1 << v)), 1 + _alpha(g, mask & ~g.adj[v] & ~(1 << v)))
+
+
+def _hole_or_budget(search, g: WeightedGraph, budget: int):
+    try:
+        return search(g, budget)
+    except SearchBudgetError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(front_end_graphs(), st.sampled_from([3, 30, HOLE_SEARCH_BUDGET]))
+# the path 0-1-2 closes an even hole at 3 or at 4, and the first is taken
+@example(WeightedGraph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (0, 3), (0, 4), (3, 4)]),
+         HOLE_SEARCH_BUDGET)
+def test_inlined_loops_match_the_plain_ones(g, budget):
+    """The loops that walk the bitmask rows inline give what the ones
+    written with ``bits`` and ``closed_adj`` give: the same claw and hole
+    witnesses, the same budget error, the same chordality, and the same
+    coefficients bit for bit.  The polynomial keeps its length at alpha of
+    the vertices of positive weight, with an underflowed coefficient as
+    0.0 where the plain one trimmed it."""
+    assert find_claw(g) == plain_find_claw(g)
+    assert is_chordal(g) == plain_is_chordal(g)
+    assert _hole_or_budget(find_even_hole, g, budget) == _hole_or_budget(plain_find_even_hole, g, budget)
+    coeffs = list(weighted_independence_polynomial(g).coeffs)
+    positive = sum(1 << v for v, w in enumerate(g.weights) if w)
+    assert len(coeffs) - 1 == _alpha(g, positive)
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    assert [c.hex() for c in coeffs] == [c.hex() for c in plain_independence_polynomial(g)]
