@@ -202,7 +202,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     vary = (args.vary if args.vary is not None else args.k) - 1
     if not 0 <= vary < args.k:
         raise ParseError(f"--vary must be in 1..{args.k}")
-    grid = [chains.unit_sum_fill(args.k, {vary: v}) for v in args.values or []]
+    grid = [chains.unit_sum_fill(args.k, {vary: v}) for v in args.values]
     points = chains.gap_scan(args.k, grid, args.n_cells, args.n_large)
     header = ",".join(f"b{i + 1}sq" for i in range(args.k)) + ",gapN,gapNprime,flag"
     rows = []
@@ -268,13 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_lists(args: argparse.Namespace):
-    """Replace the comma-separated options by their lists of numbers."""
+    """Replace the comma-separated options by their lists of numbers; an
+    empty list is an input error, not the option left out."""
     for name, kind in (("couplings", float), ("arms", int), ("values", float)):
         text = getattr(args, name, None)
         if text is None:
             continue
         try:
-            setattr(args, name, [kind(v) for v in text.split(",")] if text else None)
+            setattr(args, name, [kind(v) for v in text.split(",")])
         except ValueError:
             raise ParseError(f"--{name} needs comma-separated numbers, got {text!r}") from None
 

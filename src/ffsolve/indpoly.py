@@ -281,67 +281,74 @@ def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
     s = np.concatenate(([np.nan], steps[kept], [np.nan]))
     state = np.array([ends[:-1], ends[1:], c[:-1], c[1:], s[:-1], s[1:], np.full(len(c) - 1, np.inf)])
     done = []
-    while state.shape[1]:
-        lo, up, c_lo, c_up, s_lo, s_up, parent = state
-        width = up - lo
-        tight = (width <= ROOT_REL_TOL * up) | (width >= parent)
-        held = c_lo > c_up
-        finished = held & tight
-        if finished.any():
-            done.append(state[:4, finished])
-        live = held & ~tight
-        if not live.all():
-            state, width = state[:, live], width[live]
+    # the corrected estimate divides by steps and distances that may be 0 or
+    # subnormal; one errstate serves every sweep, ``evaluate`` included
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while state.shape[1]:
             lo, up, c_lo, c_up, s_lo, s_up, parent = state
-            if not len(lo):
-                break
-        newton = width <= 0.5 * parent
-        m = c_lo - c_up
-        g_lo, g_up = lo - m * s_lo, up - m * s_up
-        near_lo = np.abs(lo - g_lo) < np.abs(up - g_up)
-        g = np.where(near_lo, g_lo, g_up)
-        # one root r: 1/s = 1/(x - r) + S at either end, with S the pull of
-        # the other roots, read at the far end with g for r
-        x_n, s_n = np.where(near_lo, lo, up), np.where(near_lo, s_lo, s_up)
-        x_f, s_f = np.where(near_lo, up, lo), np.where(near_lo, s_up, s_lo)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            width = up - lo
+            tight = (width <= ROOT_REL_TOL * up) | (width >= parent)
+            held = c_lo > c_up
+            live = held & ~tight
+            if not live.all():
+                finished = held & tight
+                if finished.any():
+                    done.append(state[:4, finished])
+                state, width = state[:, live], width[live]
+                lo, up, c_lo, c_up, s_lo, s_up, parent = state
+                if not len(lo):
+                    break
+            newton = width <= 0.5 * parent
+            m = c_lo - c_up
+            g_lo, g_up = lo - m * s_lo, up - m * s_up
+            near_lo = np.abs(lo - g_lo) < np.abs(up - g_up)
+            g = np.where(near_lo, g_lo, g_up)
+            # one root r: 1/s = 1/(x - r) + S at either end, with S the pull of
+            # the other roots, read at the far end with g for r
+            x_n, x_f = np.where(near_lo, state[:2], state[1::-1])
+            s_n, s_f = np.where(near_lo, state[4:6], state[5:3:-1])
             pull = 1.0 / s_f - 1.0 / (x_f - g)
             c = x_n - 1.0 / (1.0 / s_n - pull)
-        corrected = (m == 1) & (lo < c) & (c < up)
-        spread = np.where(corrected, 0.25 * np.abs(c - g), 2.0 * np.abs(g_lo - g_up))
-        g = np.where(corrected, c, np.clip(g, lo, up))
-        h = np.maximum(spread, _NEWTON_FLOOR * up)
-        a, b = np.maximum(g - h, lo), np.minimum(g + h, up)
-        # a window that reaches an end keeps its other cut and halves the rest
-        q1 = np.where(a > lo, a, 0.5 * (lo + b))
-        q2 = np.where(b < up, b, 0.5 * (a + up))
-        guided = newton & ((a > lo) | (b < up)) & (lo < q1) & (q2 < up)
-        p1 = np.where(guided, q1, lo + width / 3)
-        p2 = np.where(guided, q2, up - width / 3)
-        counts, steps = evaluate(np.concatenate([p1, p2]))
-        k = len(lo)
-        c1, c2 = counts[:k], counts[k:]
-        stacked = np.array([lo, p1, p2, up, c_lo, c1, c2, c_up,
-                            s_lo, steps[:k], steps[k:], s_up, width])
-        ordered = (c_lo >= c1) & (c1 >= c2) & (c2 >= c_up)
-        if not ordered.all():
-            one = m == 1
-            # a noisy cut: its count is outside its ends' counts, or the cuts swapped
-            out1, out2 = (c1 > c_lo) | (c1 < c_up), (c2 > c_lo) | (c2 < c_up)
-            swapped = ~out1 & ~out2 & (c1 < c2)
-            # a bracket with several roots and one good cut is cut there alone
-            good1, good2 = ~one & ~out1 & out2, ~one & out1 & ~out2
-            if good1.any() or good2.any():
-                stacked[np.ix_(_CUT2, good1)] = stacked[np.ix_(_CUT1, good1)]
-                stacked[np.ix_(_CUT1, good2)] = stacked[np.ix_(_CUT2, good2)]
-                ordered |= good1 | good2
-            n1, n2 = out1 | swapped, out2 | swapped
-            f_lo = np.where(one, np.where(n1, p1, p2), lo)
-            f_up = np.where(one, np.where(n2, p2, p1), up)
-            noisy = ~ordered
-            done.append(np.array([f_lo, f_up, c_lo, c_up])[:, noisy])
-            stacked = stacked[:, ordered]
-        state = stacked[_PIECES].reshape(7, -1)
+            corrected = (m == 1) & (lo < c) & (c < up)
+            spread = np.where(corrected, 0.25 * np.abs(c - g), 2.0 * np.abs(g_lo - g_up))
+            # g within [lo, up], as np.clip would put it; g is never -0.0
+            g = np.where(corrected, c, np.minimum(np.maximum(g, lo), up))
+            h = np.maximum(spread, _NEWTON_FLOOR * up)
+            a, b = np.maximum(g - h, lo), np.minimum(g + h, up)
+            # a window that reaches an end keeps its other cut and halves the rest
+            a_in, b_in = a > lo, b < up
+            q1 = np.where(a_in, a, 0.5 * (lo + b))
+            q2 = np.where(b_in, b, 0.5 * (a + up))
+            guided = newton & (a_in | b_in) & (lo < q1) & (q2 < up)
+            third = width / 3
+            p1 = np.where(guided, q1, lo + third)
+            p2 = np.where(guided, q2, up - third)
+            counts, steps = evaluate(np.concatenate([p1, p2]))
+            k = len(lo)
+            c1, c2 = counts[:k], counts[k:]
+            stacked = np.array([lo, p1, p2, up, c_lo, c1, c2, c_up,
+                                s_lo, steps[:k], steps[k:], s_up, width])
+            # each count at most the one before it, along lo, p1, p2, up
+            descending = stacked[4:7] >= stacked[5:8]
+            if not descending.all():
+                ordered = descending.all(axis=0)
+                one = m == 1
+                # a noisy cut: its count is outside its ends' counts, or the cuts swapped
+                out1, out2 = (c1 > c_lo) | (c1 < c_up), (c2 > c_lo) | (c2 < c_up)
+                swapped = ~out1 & ~out2 & (c1 < c2)
+                # a bracket with several roots and one good cut is cut there alone
+                good1, good2 = ~one & ~out1 & out2, ~one & out1 & ~out2
+                if good1.any() or good2.any():
+                    stacked[np.ix_(_CUT2, good1)] = stacked[np.ix_(_CUT1, good1)]
+                    stacked[np.ix_(_CUT1, good2)] = stacked[np.ix_(_CUT2, good2)]
+                    ordered |= good1 | good2
+                n1, n2 = out1 | swapped, out2 | swapped
+                f_lo = np.where(one, np.where(n1, p1, p2), lo)
+                f_up = np.where(one, np.where(n2, p2, p1), up)
+                noisy = ~ordered
+                done.append(np.array([f_lo, f_up, c_lo, c_up])[:, noisy])
+                stacked = stacked[:, ordered]
+            state = stacked[_PIECES].reshape(7, -1)
     lo, up, c_lo, c_up = np.concatenate(done, axis=1)
     order = np.argsort(lo)
     return lo[order], up[order], (c_lo - c_up)[order].astype(int)

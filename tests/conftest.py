@@ -3,8 +3,9 @@ the paper's lemmas that the tests check but no command runs.
 
 The ``plain_`` functions are the front end's loops as they were written
 before their bitmask walks were inlined (``bits`` generators,
-``closed_adj`` calls, one ``PauliTerm`` built anew for every term); the
-parity tests ask the inlined ones for the same output, bit for bit.
+``closed_adj`` calls, one ``PauliTerm`` built anew for every term), and
+the chain isolator and level assembly before their numpy calls were cut;
+the parity tests ask the current ones for the same output, bit for bit.
 
 The naive checkers deliberately use brute-force subset enumeration so they
 stay independent of the bitset search paths they are used to validate.
@@ -621,6 +622,110 @@ def midpoint_roots_by_count(evaluate, n, hi, first=None):
     lo, up, m = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(lo)
     return lo[order], up[order], m[order]
+
+
+# the rows of a cut bracket that make its three pieces, and the point, count
+# and step of each cut, as ``plain_roots_by_count`` lays them out
+_PLAIN_PIECES = np.array([0, 1, 2, 1, 2, 3, 4, 5, 6, 5, 6, 7, 8, 9, 10, 9, 10, 11, 12, 12, 12])
+_PLAIN_CUT1, _PLAIN_CUT2 = [1, 5, 9], [2, 6, 10]
+
+
+def plain_roots_by_count(evaluate, n: int, hi: float, first: np.ndarray):
+    """``indpoly.roots_by_count`` as it was written before its numpy calls
+    per sweep were cut: an ``errstate`` per sweep, ``np.clip``, and four
+    ``np.where`` for the near and far ends."""
+    hi = float(hi)
+    counts, steps = evaluate(first)
+    # a first cut whose count leaves the range of the counts around it is noise
+    kept = ((counts <= np.minimum.accumulate(np.concatenate(([n], counts[:-1]))))
+            & (counts >= np.maximum.accumulate(np.concatenate(([0], counts[:0:-1])))[::-1]))
+    ends = np.concatenate(([0.0], first[kept], [hi]))
+    c = np.concatenate(([n], counts[kept], [0]))
+    s = np.concatenate(([np.nan], steps[kept], [np.nan]))
+    state = np.array([ends[:-1], ends[1:], c[:-1], c[1:], s[:-1], s[1:], np.full(len(c) - 1, np.inf)])
+    done = []
+    while state.shape[1]:
+        lo, up, c_lo, c_up, s_lo, s_up, parent = state
+        width = up - lo
+        tight = (width <= indpoly.ROOT_REL_TOL * up) | (width >= parent)
+        held = c_lo > c_up
+        finished = held & tight
+        if finished.any():
+            done.append(state[:4, finished])
+        live = held & ~tight
+        if not live.all():
+            state, width = state[:, live], width[live]
+            lo, up, c_lo, c_up, s_lo, s_up, parent = state
+            if not len(lo):
+                break
+        newton = width <= 0.5 * parent
+        m = c_lo - c_up
+        g_lo, g_up = lo - m * s_lo, up - m * s_up
+        near_lo = np.abs(lo - g_lo) < np.abs(up - g_up)
+        g = np.where(near_lo, g_lo, g_up)
+        # one root r: 1/s = 1/(x - r) + S at either end, with S the pull of
+        # the other roots, read at the far end with g for r
+        x_n, s_n = np.where(near_lo, lo, up), np.where(near_lo, s_lo, s_up)
+        x_f, s_f = np.where(near_lo, up, lo), np.where(near_lo, s_up, s_lo)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pull = 1.0 / s_f - 1.0 / (x_f - g)
+            c = x_n - 1.0 / (1.0 / s_n - pull)
+        corrected = (m == 1) & (lo < c) & (c < up)
+        spread = np.where(corrected, 0.25 * np.abs(c - g), 2.0 * np.abs(g_lo - g_up))
+        g = np.where(corrected, c, np.clip(g, lo, up))
+        h = np.maximum(spread, indpoly._NEWTON_FLOOR * up)
+        a, b = np.maximum(g - h, lo), np.minimum(g + h, up)
+        # a window that reaches an end keeps its other cut and halves the rest
+        q1 = np.where(a > lo, a, 0.5 * (lo + b))
+        q2 = np.where(b < up, b, 0.5 * (a + up))
+        guided = newton & ((a > lo) | (b < up)) & (lo < q1) & (q2 < up)
+        p1 = np.where(guided, q1, lo + width / 3)
+        p2 = np.where(guided, q2, up - width / 3)
+        counts, steps = evaluate(np.concatenate([p1, p2]))
+        k = len(lo)
+        c1, c2 = counts[:k], counts[k:]
+        stacked = np.array([lo, p1, p2, up, c_lo, c1, c2, c_up,
+                            s_lo, steps[:k], steps[k:], s_up, width])
+        ordered = (c_lo >= c1) & (c1 >= c2) & (c2 >= c_up)
+        if not ordered.all():
+            one = m == 1
+            # a noisy cut: its count is outside its ends' counts, or the cuts swapped
+            out1, out2 = (c1 > c_lo) | (c1 < c_up), (c2 > c_lo) | (c2 < c_up)
+            swapped = ~out1 & ~out2 & (c1 < c2)
+            # a bracket with several roots and one good cut is cut there alone
+            good1, good2 = ~one & ~out1 & out2, ~one & out1 & ~out2
+            if good1.any() or good2.any():
+                stacked[np.ix_(_PLAIN_CUT2, good1)] = stacked[np.ix_(_PLAIN_CUT1, good1)]
+                stacked[np.ix_(_PLAIN_CUT1, good2)] = stacked[np.ix_(_PLAIN_CUT2, good2)]
+                ordered |= good1 | good2
+            n1, n2 = out1 | swapped, out2 | swapped
+            f_lo = np.where(one, np.where(n1, p1, p2), lo)
+            f_up = np.where(one, np.where(n2, p2, p1), up)
+            noisy = ~ordered
+            done.append(np.array([f_lo, f_up, c_lo, c_up])[:, noisy])
+            stacked = stacked[:, ordered]
+        state = stacked[_PLAIN_PIECES].reshape(7, -1)
+    lo, up, c_lo, c_up = np.concatenate(done, axis=1)
+    order = np.argsort(lo)
+    return lo[order], up[order], (c_lo - c_up)[order].astype(int)
+
+
+def plain_chain_energies(spec: ChainSpec, values=chains.chain_values):
+    """``chains.chain_energies`` with ``plain_roots_by_count`` and the
+    levels assembled one by one with ``math.sqrt`` and ``math.ldexp``, as
+    they were; ``values`` stands for ``chains.chain_values``."""
+    if not any(spec.b2):
+        return indpoly.SingleParticleEnergies(((0.0, spec.n_cells),), None)
+    j = (math.frexp(sum(spec.b2))[1] - 1) // 2
+    e = elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2])
+    n = spec.n_cells
+    hi = sum(e)
+    band = np.sin(np.arange(1, 2 * n + 1) * (0.5 * np.pi / (2 * n + 1))) ** 2
+    first = hi * np.sort(np.concatenate([band, np.exp2(-np.arange(2.0, 60.0))]))
+    lo, up, m = plain_roots_by_count(lambda ws: values(e, n, ws), n, hi, first)
+    energies = tuple((math.ldexp(math.sqrt(w), j), int(c))
+                     for w, c in zip(0.5 * (lo + up), m))
+    return indpoly.SingleParticleEnergies(energies, None)
 
 
 def use_midpoint_bisection(monkeypatch):

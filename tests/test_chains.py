@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     EPS,
@@ -17,6 +19,7 @@ from conftest import (
     chain_polynomial,
     chain_values_all_rows,
     chain_values_every_k,
+    plain_chain_energies,
     record_sweeps,
     use_midpoint_bisection,
 )
@@ -379,6 +382,69 @@ def test_chain_values_carry_a_sign_across_zero_rows(w, n_cells):
     assert np.count_nonzero(v_ref == 0) > n_cells // 2
     assert np.array_equal(counts, sign_changes(v_ref)) and counts[0] == 0
     assert np.array_equal(step, step_ref, equal_nan=True)
+
+
+# NaN, both zeros, the least subnormal, a negative w, and w so large that
+# the rows overflow, beside two ordinary points
+OFF_FAST_PATH = [0.5, math.nan, 0.0, -0.0, 5e-324, -0.7, 1e150, 1e300, 1.3]
+
+
+@pytest.mark.parametrize("b2", [(0.3, 0.5, 0.2), (0.9999, 0.0001), (0.05,) * 20])
+@pytest.mark.parametrize("n_cells", [1, 5, 16, 17, 40])
+def test_chain_values_match_all_rows_off_the_fast_path(b2, n_cells):
+    """Points whose blocks hold a 0, a NaN or an infinity, all in one array
+    and each alone, give the counts and steps of the recursion that keeps
+    every row, also with k above RESCALE_ROWS.  A NaN in a column persists
+    to the last row of its block."""
+    e = elementary_symmetric(b2)
+    for ws in [np.array(OFF_FAST_PATH)] + [np.array([w]) for w in OFF_FAST_PATH]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            counts, step = chain_values(e, n_cells, ws)
+            v_ref, step_ref = chain_values_all_rows(e, n_cells, ws)
+        assert np.array_equal(counts, sign_changes(v_ref))
+        assert np.array_equal(step, step_ref, equal_nan=True)
+
+
+@st.composite
+def simplex_chains(draw):
+    """k = 2..5 and N = 1..240, squared couplings summing to 1: some with
+    one of them at 0, 1e-4 or 1e-300, some dimerized in pairs."""
+    k = draw(st.integers(2, 5))
+    n_cells = draw(st.integers(1, 240))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["inside", "edge", "dimerized"]))
+    if kind == "edge":
+        raw[draw(st.integers(0, k - 1))] = draw(st.sampled_from([0.0, 1e-4, 1e-300]))
+    elif kind == "dimerized":
+        small = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+        raw = [1.0 if i % 2 == 0 else small for i in range(k)]
+    total = sum(raw)
+    return ChainSpec(n_cells, k, tuple(b / total for b in raw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplex_chains())
+def test_chain_sweeps_and_levels_match_the_plain_isolator(spec):
+    """Every sweep hands ``chain_values`` the points of the isolator and
+    level assembly as they were before their numpy calls were cut, in the
+    same order, and the levels are the same, bit for bit.  The arrays must
+    be identical, since a point's count and step depend on the whole of
+    ``ws`` (see ``chain_values``)."""
+    def recorded(log):
+        def values(e, n_cells, ws):
+            log.append(ws.copy())
+            return chain_values(e, n_cells, ws)
+        return values
+
+    plain, current = [], []
+    want = plain_chain_energies(spec, recorded(plain))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chains, "chain_values", recorded(current))
+        got = chain_energies(spec)
+    assert len(current) == len(plain)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(current, plain))
+    assert [(w.hex(), m) for w, m in got.energies] == [(w.hex(), m) for w, m in want.energies]
+    assert got.residual is None
 
 
 def test_chain_energies_memory():

@@ -359,12 +359,16 @@ def test_output_file_takes_the_mode_of_a_fresh_open(tmp_path, umask):
     ["solve", "--model", "h5", "-o", "/nonexistent/out.json"],
     ["solve", "--model", "chain", "--N", "4", "--k", "3", "--couplings", "1e60,1e60,1e60"],
     ["solve", "--model", "h5", "--couplings", "1e155,1,1,1,1"],
+    ["solve", "--model", "h5", "--couplings", ""],
+    ["solve", "--model", "junction", "--k", "3", "--seed", "1", "--arms", ""],
+    ["scan", "--k", "3", "--N", "4", "--Nprime", "8", "--values", ""],
 ])
 def test_input_errors_exit_1_with_a_message(capsys, argv):
-    """Malformed lists and squared couplings, a junction without arms, an
-    unreadable input or unwritable output, and couplings so large that a
-    coefficient of the polynomial overflows are input errors: exit 1 and
-    one line on stderr, not an exception, that names the file at fault."""
+    """Malformed or empty lists and squared couplings, a junction without
+    arms, an unreadable input or unwritable output, and couplings so large
+    that a coefficient of the polynomial overflows are input errors: exit 1
+    and one line on stderr, not an exception, that names the file at fault,
+    or the option that is empty."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
@@ -373,6 +377,9 @@ def test_input_errors_exit_1_with_a_message(capsys, argv):
     assert "Traceback" not in captured.err
     for path in (a for a in argv if a.startswith("/")):
         assert path in captured.err
+    for option, value in zip(argv, argv[1:]):
+        if value == "":
+            assert option in captured.err
 
 
 @pytest.mark.parametrize("text", ["p -1\n", "p 0\n", "p 1\nv 0 nan\n", "p 1\nv 0 inf\n"])
