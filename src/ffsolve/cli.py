@@ -64,7 +64,10 @@ def _atomic_write(path: str, data: str):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # as above: a directory at ``path``, say
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.unlink(tmp)
         raise
@@ -168,7 +171,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             raise ParseError("--modes needs a Hamiltonian input, not a graph")
         ks = report.simplicial_clique
         hext, chi = simplicial_extension(h, ks)
-        modes = all_modes(hext, chi, energies)
+        modes = all_modes(hext, chi, energies, poly)
         payload["mode_term_counts"] = [len(m.op) for m in modes]
         payload["mode_energy_gap"] = mode_energy_gap(modes)
         payload["simplicial_clique"] = ks

@@ -75,29 +75,6 @@ class WeightedGraph:
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={sum(row.bit_count() for row in self.adj) // 2})"
 
-    # -- induced subgraphs ----------------------------------------------
-
-    def induced_subgraph(self, vertices: Iterable[int]) -> tuple["WeightedGraph", list[int]]:
-        """Subgraph induced by a vertex set.
-
-        Returns the subgraph and the list of original indices, so that new
-        vertex i corresponds to old vertex ``mapping[i]``.  Weights are
-        carried through.
-        """
-        keep = sorted(set(vertices))
-        for v in keep:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} out of range")
-        pos = {v: i for i, v in enumerate(keep)}
-        edges = [(pos[i], pos[j]) for i in keep for j in bits(self.adj[i])
-                 if j > i and j in pos]
-        sub = WeightedGraph(len(keep), edges, weights=[self.weights[v] for v in keep])
-        return sub, keep
-
-    def remove_set(self, vertices: Iterable[int]) -> tuple["WeightedGraph", list[int]]:
-        drop = set(vertices)
-        return self.induced_subgraph(v for v in range(self.n) if v not in drop)
-
 
 def frustration_graph(hamiltonian) -> WeightedGraph:
     """Frustration graph: vertex per term, edge iff the Paulis anticommute.

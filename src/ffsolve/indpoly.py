@@ -113,13 +113,10 @@ def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolyno
     on its first visit when its children are known.  All terms are
     nonnegative, so no cancellation occurs.
 
-    A vertex of weight 0 adds no term, P(S) = P(S - v), so the list's
-    length is one more than alpha of the vertices of positive weight, and
-    a coefficient that underflows stays at its degree as 0.0.  S - N[v]
-    is still evaluated there: the last bits of a state's value depend on
-    the order its components are multiplied in, which the state it is
-    first reached from sets, so every state is reached as it would be
-    with v weighted.
+    A vertex of weight 0 is not in the graph: the elimination starts from
+    the vertices of positive weight, so its states and bits are those of
+    the subgraph they induce, and alpha is theirs.  A coefficient that
+    underflows stays at its degree as 0.0.
     """
     adj = graph.adj
     weights = graph.weights
@@ -138,7 +135,9 @@ def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolyno
     # entries (S, hint, v, a, b): every component of S meets ``hint``;
     # a < 0 on the first visit, then S = a + b split into components
     # (v None), or a = S - v and b = S - N[v]
-    full = graph.full_mask
+    full = graph.full_mask  # the vertices of positive weight
+    if not all(weights):
+        full = sum(1 << v for v, w in enumerate(weights) if w)
     stack: list[tuple] = [(full, full, None, -1, None)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -184,8 +183,6 @@ def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolyno
             for i, ca in enumerate(pa):
                 for j, cb in enumerate(pb, i):
                     out[j] += ca * cb
-        elif not weights[v]:  # a weight of 0 adds no term
-            out = pa
         else:
             # len(pb) <= len(pa), as S - N[v] lies in S - v
             w = weights[v]

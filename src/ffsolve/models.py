@@ -168,6 +168,8 @@ def parse_graph(text: str) -> WeightedGraph:
     if n is None:
         raise ParseError("missing 'p <n>' header")
     wlist = [weights.get(i, 1.0) for i in range(n)]
+    if 0.0 in wlist:  # a vertex of weight 0 is no term of H: it stays, isolated, to keep its label
+        edges = [(i, j) for i, j in edges if wlist[i] and wlist[j]]
     return WeightedGraph(n, edges, weights=wlist)
 
 

@@ -54,7 +54,11 @@ import numpy as np
 
 from .errors import ConditioningError, DegenerateModeError, FFSolveError, NotSimplicialError
 from .graphs import WeightedGraph, component_count, frustration_graph
-from .indpoly import SingleParticleEnergies, weighted_independence_polynomial
+from .indpoly import (
+    IndependencePolynomial,
+    SingleParticleEnergies,
+    weighted_independence_polynomial,
+)
 from .models import Hamiltonian
 from .paulis import (
     OperatorSum,
@@ -209,12 +213,14 @@ class IncognitoMode:
         return self.op.dagger()
 
 
-def all_modes(hext: Hamiltonian, chi: PauliTerm,
-              energies: SingleParticleEnergies) -> list[IncognitoMode]:
+def all_modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergies,
+              poly: IndependencePolynomial) -> list[IncognitoMode]:
     """Mode j of every energy e_j, as the Ritz vector at 2 e_j of Lanczos
-    on [H, .].  Every energy must be simple: a repeated energy has a plane
-    of modes, and N_j vanishes there.  The frustration graph must be
-    connected: chi's Krylov space holds the modes of its own component only.
+    on [H, .]; ``energies`` are the roots of ``poly``, the independence
+    polynomial P_G of the frustration graph.  Every energy must be simple:
+    a repeated energy has a plane of modes, and N_j vanishes there.  The
+    frustration graph must be connected: chi's Krylov space holds the
+    modes of its own component only.
     """
     for e, m in energies.energies:  # refused before any operator
         if m > 1:
@@ -225,11 +231,14 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm,
     if parts > 1:
         raise FFSolveError(f"the frustration graph has {parts} connected components; chi "
                            "reaches the modes of one only, so modes are refused")
-    poly = weighted_independence_polynomial(graph)
     ks = clique_from_mode(hext, chi)
     if not ks:
         raise NotSimplicialError("chi commutes with every Hamiltonian term")
-    poly_minus_ks = weighted_independence_polynomial(graph.remove_set(ks)[0])
+    # G - K is G with the weights of K set to 0
+    minus_ks = WeightedGraph(graph.n, weights=[0.0 if v in ks else w
+                                               for v, w in enumerate(graph.weights)])
+    minus_ks.adj = graph.adj
+    poly_minus_ks = weighted_independence_polynomial(minus_ks)
     index, basis, ritz, vectors = _lanczos(hext, chi, 2 * len(energies.flat()) + 1)
     modes = []
     for j, e in enumerate(energies.flat()):

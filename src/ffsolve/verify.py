@@ -362,7 +362,7 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> 
         energies = single_particle_energies(poly)
         report.energies = list(energies.energies)
         with _stage(report, "modes"):
-            modes = all_modes(hext, chi, energies)
+            modes = all_modes(hext, chi, energies, poly)
             report.mode_term_counts = [len(m.op) for m in modes]
             report.lemma_residuals["car"] = mode_car_residual(modes)
             report.lemma_residuals["ladder"] = ladder_residual(hext, modes)

@@ -63,6 +63,25 @@ def relabel(g: WeightedGraph, perm) -> WeightedGraph:
     return WeightedGraph(g.n, [(perm[i], perm[j]) for i, j in g.edges()], weights=weights)
 
 
+def without(g: WeightedGraph, vertices) -> WeightedGraph:
+    """``g`` less ``vertices``, as the subgraph networkx induces on the
+    rest, relabelled in order; the weights go with their vertices."""
+    drop = set(vertices)
+    keep = [v for v in range(g.n) if v not in drop]
+    ref = nx.Graph(g.edges())
+    ref.add_nodes_from(range(g.n))
+    sub = nx.convert_node_labels_to_integers(ref.subgraph(keep), ordering="sorted")
+    return WeightedGraph(len(keep), sub.edges(), weights=[g.weights[v] for v in keep])
+
+
+def zero_weights(g: WeightedGraph, vertices) -> WeightedGraph:
+    """``g`` with the weights of ``vertices`` set to 0: for the polynomial,
+    ``g`` less those vertices."""
+    drop = set(vertices)
+    return WeightedGraph(g.n, g.edges(), weights=[0.0 if v in drop else w
+                                                  for v, w in enumerate(g.weights)])
+
+
 def pairwise_frustration_graph(h: Hamiltonian) -> WeightedGraph:
     """The frustration graph by one ``commutes`` call per pair of terms,
     the reference for ``graphs.frustration_graph``."""
@@ -178,8 +197,8 @@ def naive_independence_polynomial(g: WeightedGraph) -> list[float]:
 def plain_independence_polynomial(graph: WeightedGraph) -> tuple[float, ...]:
     """The memoized vertex elimination with ``bits`` and ``closed_adj``:
     the same elimination order, search order and arithmetic as
-    ``weighted_independence_polynomial``, a term for every vertex whatever
-    its weight, and trailing zero coefficients trimmed."""
+    ``weighted_independence_polynomial``, started from the vertices of
+    positive weight, and trailing zero coefficients trimmed."""
     adj = graph.adj
     weights = graph.weights
     reach2 = []
@@ -190,7 +209,7 @@ def plain_independence_polynomial(graph: WeightedGraph) -> tuple[float, ...]:
         reach2.append(m)
 
     memo: dict[int, list[float]] = {0: [1.0]}
-    full = graph.full_mask
+    full = sum(1 << v for v in range(graph.n) if weights[v] > 0)
     stack: list[tuple[int, int, tuple | None]] = [(full, full, None)]
     while stack:
         s, hint, plan = stack.pop()
@@ -407,12 +426,11 @@ def verify_clique_recurrence(graph: WeightedGraph, clique) -> bool:
     if not graph.is_clique(kmask) or not kset:
         raise ValueError(f"{kset} is not a nonempty clique")
     lhs = weighted_independence_polynomial(graph)
-    minus_k, _ = graph.remove_set(kset)
     rhs = [0.0] * (lhs.alpha + 1)
-    for k, c in enumerate(weighted_independence_polynomial(minus_k).coeffs):
+    for k, c in enumerate(weighted_independence_polynomial(zero_weights(graph, kset)).coeffs):
         rhs[k] += c
     for v in kset:
-        reduced, _ = graph.remove_set(bits(graph.closed_adj(v)))
+        reduced = zero_weights(graph, bits(graph.closed_adj(v)))
         for k, c in enumerate(weighted_independence_polynomial(reduced).coeffs):
             if k + 1 <= lhs.alpha:
                 rhs[k + 1] += graph.weights[v] * c

@@ -23,6 +23,7 @@ from conftest import (
     transfer_at,
     verify_clique_recurrence,
     verify_nonexample_equal_couplings,
+    without,
 )
 from ffsolve.chains import ChainSpec, dispersion, gap_scan, unit_sum_fill
 from ffsolve.graphs import WeightedGraph, frustration_graph
@@ -176,8 +177,9 @@ def test_criterion_06_modes_solve_the_model():
         g = frustration_graph(h)
         ks = smallest_simplicial_clique(g)
         hext, chi = simplicial_extension(h, ks)
-        energies = single_particle_energies(weighted_independence_polynomial(g))
-        modes = all_modes(hext, chi, energies)
+        poly = weighted_independence_polynomial(g)
+        energies = single_particle_energies(poly)
+        modes = all_modes(hext, chi, energies, poly)
         hmat = to_dense(OperatorSum.from_terms(hext.n, hext.terms))
         dense = [to_dense(m.op) for m in modes]
         ident = np.eye(1 << hext.n)
@@ -337,7 +339,7 @@ def test_criterion_10_recognition_oracle_and_forbidden_nine():
     for g in _atlas_connected(4, 6):
         if _krausz_line_graph(g):
             continue
-        if all(_krausz_line_graph(g.remove_set([v])[0]) for v in range(g.n)):
+        if all(_krausz_line_graph(without(g, [v])) for v in range(g.n)):
             minimal.append(g)
     nine_ok = len(minimal) == 9
 

@@ -279,6 +279,29 @@ def test_graph_and_realization_give_same_energies(tmp_path, capsys):
         assert abs(e1 - e2) < 1e-9 and m1 == m2
 
 
+def test_weight_zero_vertices_shape_no_structure(tmp_path, capsys):
+    """A weight-0 vertex is no term of H: the star whose centre weighs 0 is
+    three isolated vertices, as its realization and the file without the
+    centre are, so all three give one verdict and one set of energies."""
+    star = tmp_path / "star.graph"
+    star.write_text("p 4\nv 0 0\nv 1 1.0\nv 2 0.5\nv 3 2.0\ne 0 1\ne 0 2\ne 0 3\n")
+    less = tmp_path / "less.graph"
+    less.write_text("p 3\nv 0 1.0\nv 1 0.5\nv 2 2.0\n")
+    from ffsolve.models import parse_graph, realize_graph, write_hamiltonian
+    ham = tmp_path / "star.ham"
+    ham.write_text(write_hamiltonian(realize_graph(parse_graph(star.read_text()))))
+    answers = []
+    for path in (star, less, ham):
+        code, doc = run_json(capsys, "solve", str(path))
+        res = doc["result"]
+        answers.append((code, res["structure"]["ecf"], res["alpha"], res["energies"]))
+    assert answers[0] == answers[1] == (0, True, 3, [[2 ** -0.5, 1], [1.0, 1], [2 ** 0.5, 1]])
+    (code, ecf, alpha, energies) = answers[2]
+    assert (code, ecf, alpha) == (0, True, 3)
+    assert all(math.isclose(e, w, rel_tol=1e-15) and m == n
+               for (e, m), (w, n) in zip(energies, answers[0][3]))
+
+
 def test_dispersion_csv(tmp_path, capsys):
     out = tmp_path / "disp.csv"
     code, _ = run(capsys, "dispersion", "--k", "4", "--N", "20",
@@ -362,15 +385,22 @@ def test_output_file_takes_the_mode_of_a_fresh_open(tmp_path, umask):
     ["solve", "--model", "h5", "--couplings", ""],
     ["solve", "--model", "junction", "--k", "3", "--seed", "1", "--arms", ""],
     ["scan", "--k", "3", "--N", "4", "--Nprime", "8", "--values", ""],
+    ["solve", "--model", "h5", "-o", "{tmp}/outdir"],
+    ["solve", "--model", "h5", "-o", "{tmp}/outdir/"],
 ])
-def test_input_errors_exit_1_with_a_message(capsys, argv):
+def test_input_errors_exit_1_with_a_message(capsys, tmp_path, argv):
     """Malformed or empty lists and squared couplings, a junction without
-    arms, an unreadable input or unwritable output, and couplings so large
-    that a coefficient of the polynomial overflows are input errors: exit 1
-    and one line on stderr, not an exception, that names the file at fault,
-    or the option that is empty."""
+    arms, an unreadable input, an unwritable output or one that names a
+    directory, and couplings so large that a coefficient of the polynomial
+    overflows are input errors: exit 1 and one line on stderr, not an
+    exception, that names the file at fault, not a temporary file, or the
+    option that is empty.  No temporary file is left behind."""
+    (tmp_path / "outdir").mkdir()
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code = main(argv)
+    assert [p.name for p in tmp_path.rglob("*")] == ["outdir"]
     captured = capsys.readouterr()
+    assert ".ffsolve-" not in captured.err
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,4 +1,4 @@
-"""Weighted graphs, frustration graph construction, induced subgraphs."""
+"""Weighted graphs and frustration graph construction."""
 
 import itertools
 import random
@@ -16,6 +16,8 @@ from conftest import (
     random_graph,
     stable_sets,
     to_dense,
+    without,
+    zero_weights,
 )
 from ffsolve.graphs import (
     WeightedGraph,
@@ -23,6 +25,7 @@ from ffsolve.graphs import (
     component_count,
     frustration_graph,
 )
+from ffsolve.indpoly import weighted_independence_polynomial
 from ffsolve.models import (
     Hamiltonian,
     back_to_back_model,
@@ -106,43 +109,12 @@ def test_frustration_graph_matches_pairwise_reference(n, count, density, seed):
     assert (got.n, got.adj, got.weights) == (want.n, want.adj, want.weights)
 
 
-def test_induced_subgraph_carries_weights_and_labels():
-    g = WeightedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], weights=[1, 2, 3, 4, 5])
-    sub, mapping = g.induced_subgraph([1, 3, 4])
-    assert mapping == [1, 3, 4]
-    assert sub.weights == (2.0, 4.0, 5.0)
-    assert sub.edges() == [(1, 2)]  # the old (3,4) edge
-
-
-def test_induced_subgraph_edge_cases():
-    g = cycle_graph(5)
-    empty, _ = g.induced_subgraph([])
-    assert empty.n == 0
-    full, _ = g.induced_subgraph(range(5))
-    assert full == g
-    with pytest.raises(ValueError):
-        g.induced_subgraph([7])
-
-
 def test_c5_minus_closed_neighborhood_is_path_on_two():
     g = cycle_graph(5)
-    sub, mapping = g.remove_set(bits(g.closed_adj(0)))
-    assert sub.n == 2
-    assert sub.edges() == [(0, 1)]
-    assert mapping == [2, 3]
-
-
-def test_induced_subgraph_composition():
-    rng = random.Random(17)
-    for _ in range(30):
-        g = random_graph(rng, 8, 0.5, weighted=True)
-        s1 = [v for v in range(8) if rng.random() < 0.7]
-        sub1, map1 = g.induced_subgraph(s1)
-        s2_new = [i for i in range(sub1.n) if rng.random() < 0.7]
-        sub12, map2 = sub1.induced_subgraph(s2_new)
-        direct, map_direct = g.induced_subgraph([map1[i] for i in s2_new])
-        assert sub12 == direct
-        assert [map1[i] for i in map2] == map_direct
+    sub = without(g, bits(g.closed_adj(0)))
+    assert (sub.n, sub.edges()) == (2, [(0, 1)])
+    zeroed = zero_weights(g, bits(g.closed_adj(0)))
+    assert weighted_independence_polynomial(zeroed) == weighted_independence_polynomial(sub)
 
 
 def test_maximal_cliques_c5_and_complete():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import plain_from_pairs, random_graph
+from conftest import plain_from_pairs, random_graph, without
 from ffsolve.errors import ModelError, ParseError
 from ffsolve.graphs import WeightedGraph, frustration_graph
 from ffsolve.indpoly import weighted_independence_polynomial
@@ -85,6 +85,15 @@ def test_graph_file_round_trip():
     text = "p 2\nv 0 1.0\nv 1 4.0\ne 0 1\n"
     g = parse_graph(text)
     assert g.n == 2 and g.edges() == [(0, 1)] and g.weights == (1.0, 4.0)
+
+
+def test_graph_file_isolates_its_weight_zero_vertices():
+    """A vertex of weight 0 keeps its label and loses its edges, still
+    checked for range and repeats."""
+    g = parse_graph("p 4\nv 1 0\ne 0 1\ne 1 2\ne 2 3\n")
+    assert (g.n, g.edges(), g.weights) == (4, [(2, 3)], (1.0, 0.0, 1.0, 1.0))
+    with pytest.raises(ParseError, match="^line 4: duplicate edge"):
+        parse_graph("p 2\nv 0 0\ne 0 1\ne 1 0")
 
 
 def test_graph_parse_edge_cases():
@@ -197,7 +206,7 @@ def assert_realizes_less_zero_weights(h, g):
     """The frustration graph of ``h`` is ``g`` less its vertices of weight
     0, and the two have one independence polynomial, to the rounding of
     squaring sqrt(weight) back."""
-    want, _ = g.remove_set(v for v in range(g.n) if g.weights[v] == 0)
+    want = without(g, [v for v in range(g.n) if g.weights[v] == 0])
     got = frustration_graph(h)
     assert (got.n, got.adj) == (want.n, want.adj)
     assert all(abs(a - b) <= 1e-15 * b for a, b in zip(got.weights, want.weights))

@@ -21,6 +21,7 @@ from conftest import (
     to_dense,
     transfer_at,
     unit_grid,
+    zero_weights,
 )
 from ffsolve import paulis, solver
 from ffsolve.errors import ConditioningError, DegenerateModeError, FFSolveError, NotSimplicialError
@@ -301,8 +302,9 @@ def build_solution(h):
     g = frustration_graph(h)
     ks = smallest_simplicial_clique(g)
     hext, chi = simplicial_extension(h, ks)
-    energies = single_particle_energies(weighted_independence_polynomial(g))
-    modes = all_modes(hext, chi, energies)
+    poly = weighted_independence_polynomial(g)
+    energies = single_particle_energies(poly)
+    modes = all_modes(hext, chi, energies, poly)
     return g, ks, hext, chi, energies, modes
 
 
@@ -332,8 +334,7 @@ def test_mode_algebra(model):
             assert exchange_algebra_residual(m, t, u) < 1e-10
 
     # anticommutator with the simplicial mode: (4/N_j) P_{G-Ks}(-u_j^2) I
-    reduced, _ = g.remove_set(ks)
-    p_red = weighted_independence_polynomial(reduced)
+    p_red = weighted_independence_polynomial(zero_weights(g, ks))
     chi_op = OperatorSum.from_term(chi)
     for m in modes:
         expected = (4.0 / m.norm) * p_red(-m.u * m.u)
@@ -411,7 +412,8 @@ def test_mode_construction_refuses_a_wrong_energy():
     g = frustration_graph(h)
     hext, chi = simplicial_extension(h, smallest_simplicial_clique(g))
     with pytest.raises(ConditioningError):
-        all_modes(hext, chi, SingleParticleEnergies(((0.5, 1),), 0.0))
+        all_modes(hext, chi, SingleParticleEnergies(((0.5, 1),), 0.0),
+                  weighted_independence_polynomial(g))
 
 
 def test_ladder_sign_pair():
@@ -443,12 +445,13 @@ def test_mode_construction_refuses_repeated_roots():
         (1.0, PauliTerm.from_ops(2, {1: "X"})),
     ], n=2)
     g = frustration_graph(h)
-    energies = single_particle_energies(weighted_independence_polynomial(g))
+    poly = weighted_independence_polynomial(g)
+    energies = single_particle_energies(poly)
     assert energies.energies == ((1.0, 2),)
     ks = smallest_simplicial_clique(g)
     hext, chi = simplicial_extension(h, ks)
     with pytest.raises(DegenerateModeError):
-        all_modes(hext, chi, energies)
+        all_modes(hext, chi, energies, poly)
     with pytest.raises(DegenerateModeError):
         higher_hamiltonian(h, 2, energies)
 
@@ -459,7 +462,8 @@ def test_mode_construction_refuses_a_disconnected_graph(monkeypatch):
     with a message that names the components."""
     h = parse_hamiltonian("1.0 X0 X1\n0.7 Y1 Y2\n1.3 X3 X4\n0.4 Y4 Y5\n")
     g = frustration_graph(h)
-    energies = single_particle_energies(weighted_independence_polynomial(g))
+    poly = weighted_independence_polynomial(g)
+    energies = single_particle_energies(poly)
     hext, chi = simplicial_extension(h, smallest_simplicial_clique(g))
 
     def refuse(*args):
@@ -467,7 +471,7 @@ def test_mode_construction_refuses_a_disconnected_graph(monkeypatch):
 
     monkeypatch.setattr(solver, "_lanczos", refuse)
     with pytest.raises(FFSolveError, match="has 2 connected components"):
-        all_modes(hext, chi, energies)
+        all_modes(hext, chi, energies, poly)
 
 
 def test_higher_hamiltonian_k1_is_h():
@@ -637,8 +641,7 @@ def test_mode_norm_formula():
     h = random_h5()
     g, ks, hext, chi, energies, modes = build_solution(h)
     poly = weighted_independence_polynomial(g)
-    reduced, _ = g.remove_set(ks)
-    p_red = weighted_independence_polynomial(reduced)
+    p_red = weighted_independence_polynomial(zero_weights(g, ks))
     for m in modes:
         x = -m.u * m.u
         expected_sq = 16.0 * m.u * m.u * p_red(x) * poly.deriv(x)

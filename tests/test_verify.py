@@ -516,9 +516,9 @@ def _energies_off_by_one_ppm(monkeypatch):
     """Make ``verify_all`` build its modes with every energy x (1 + 1e-6)."""
     build_modes = verify.all_modes
 
-    def off_by_one_ppm(hext, chi, energies):
+    def off_by_one_ppm(hext, chi, energies, poly):
         return [dataclasses.replace(mode, energy=mode.energy * (1 + 1e-6))
-                for mode in build_modes(hext, chi, energies)]
+                for mode in build_modes(hext, chi, energies, poly)]
 
     monkeypatch.setattr(verify, "all_modes", off_by_one_ppm)
 
