@@ -78,7 +78,7 @@ def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
     each row are built once per call.  After a block its value rows give
     their sign changes, counted from the last row of the block before, and
     a zero takes the last sign above it, in the block before too, so that
-    the counts are those of ``indpoly.sign_changes`` over all the rows.
+    the counts are the sign changes over all the rows, zeros skipped.
     Then the last k rows go to the head of the buffer, rescaled by a power
     of two, the same for a value row and its derivative, that puts the
     largest of their values in [1/2, 1).  That changes neither signs, nor
@@ -174,7 +174,7 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     count; levels that rounding cannot split, as in dimerized chains,
     share one bracket and come back as one energy with multiplicity.
     Each bracket gives one energy at its midpoint, and the counts certify
-    them all, so the residual is None.
+    them all; the width is that of the widest bracket, relative.
 
     The chain solved is the one with b2 / 4^j, where the power of four
     puts sum(b2) / 4^j in [1, 4), which keeps ``chain_values`` in float
@@ -186,7 +186,7 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     of multiplicity N, at once.
     """
     if not any(spec.b2):
-        return SingleParticleEnergies(((0.0, spec.n_cells),), None)
+        return SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
     j = (math.frexp(sum(spec.b2))[1] - 1) // 2
     e = elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2])
     n = spec.n_cells
@@ -198,7 +198,8 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     lo, up, m = roots_by_count(lambda ws: chain_values(e, n, ws), n, hi, first)
     # np.sqrt and np.ldexp round as math.sqrt and math.ldexp do
     levels = np.ldexp(np.sqrt(0.5 * (lo + up)), j).tolist()
-    return SingleParticleEnergies(tuple(zip(levels, m.tolist())), None)
+    width = float(np.max((up - lo) / up))
+    return SingleParticleEnergies(tuple(zip(levels, m.tolist())), width)
 
 
 def dispersion(spec: ChainSpec) -> list[tuple[float, float]]:

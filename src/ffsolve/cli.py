@@ -162,7 +162,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ComplexRootError as exc:  # past the refusal, the graph is claw-free
         raise exc.on_claw_free() from None
     payload["energies"] = energies.energies
-    payload["root_residual"] = energies.residual
+    payload["bracket_width"] = energies.width
     n = h.n if h else graph.n
     if energies.total <= n and energies.total <= FREE_SPECTRUM_ALPHA_CAP:
         payload["free_spectrum"] = free_spectrum(energies, n)

@@ -1,87 +1,93 @@
 """The vertex-weighted independence polynomial, its roots, and the
 synthesized free spectrum.
 
-The polynomial is P(x) = sum_k c_k x^k with c_k the sum over k-vertex
-independent sets of the product of vertex weights, so c_0 = 1 and all
-coefficients are nonnegative.  For claw-free graphs all roots are real
-(and then negative, since the coefficients are positive), and the
-single-particle energies e_j are defined by P(-1/e_j^2) = 0.
+P(x) = sum_k c_k x^k, with c_k the sum over the independent k-sets of
+the products of their vertex weights, so c_0 = 1 and every c_k >= 0.
+On claw-free graphs every root is real (Chudnovsky and Seymour, JCTB
+97, 2007), so negative, and the single-particle energies e_j are given
+by P(-1/e_j^2) = 0.  The weights are floats, so dyadic: with 2^D their
+largest denominator, W_v = w_v 2^D are integers, and the elimination in
+Python ints gives C_k = c_k 2^(D k) exactly.  The float ``coeffs`` of
+``IndependencePolynomial`` are their correctly rounded view.
 
-``single_particle_energies`` finds them as the roots w = e^2 of the
-reversed polynomial
+``single_particle_energies`` seeks the roots y = 2^D e^2 of the integer
+polynomial Q(y) = sum_k (-1)^k C_k y^(alpha-k) in s = y / 2^b, 2^b the
+power of two above C_1, so each lies in (0, 1).  Floats propose and
+integers certify: the companion eigenvalues of the float view seed
+Newton steps evaluated exactly, and alpha disjoint brackets across which
+Q changes sign hold all alpha roots.  Otherwise Descartes' rule of signs
+after an integer Taylor shift counts the roots above a point, exactly
+for a real-rooted Q, repeated roots included.
 
-    R(w) = w^alpha P(-1/w) = sum_m (-1)^(alpha-m) c_(alpha-m) w^m ,
-
-in one path.  The eigenvalues of R's companion matrix, clustered where
-they are complex or equal, seed Newton steps in extended precision: on R
-for a simple root, on R^(m-1) for a cluster of m.  One pass of counts
-then certifies them all: the Budan-Fourier sign changes of R and its
-derivatives, exact for real-rooted R, count the roots above each cut
-halfway between two roots, and each root is checked against the rounding
-noise of R.  A root that the noise could move by more than
-ROOT_CERT_REL_TOL, or one the counts do not place, raises
-ComplexRootError instead, as do complex roots.
-
-``roots_by_count`` isolates roots by counting, for
-``chains.chain_energies``.  It cuts (0, hi] on a function that counts the
-roots above a point; for a real-rooted function that count is exact, so
-every bracket it returns holds a known number of roots, repeated roots
-included, wherever its cuts came from.  Its first sweep cuts at points
-the caller gives.  Later sweeps place the two cuts of a bracket with one
-root around its Newton estimate, corrected for the pull of the other
-roots, which the step f/f' at the bracket's far end measures.  A bracket
-with m roots, or one at 0 or hi, or whose corrected estimate falls
-outside it, is cut around the plain Newton estimate m f/f', exact for an
-m-fold root, or into thirds.  So the caller returns the Newton step f/f'
-with each count: ``chains.chain_energies`` counts with the sign changes
-of the chain recursion, carries its w-derivative for the step, and starts
-from points spread like the levels of a gapless band.
+``roots_by_count`` isolates roots by such counts, for these and for
+``chains.chain_energies``, which counts with the sign changes of the
+chain recursion.  A count is exact on a real-rooted function, so every
+bracket it returns holds a known number of roots, repeated roots
+included, wherever its cuts came from; the Newton step f/f' that the
+caller returns with each count only guides the cuts.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ComplexRootError
+from .errors import ComplexRootError, ModelError
 from .graphs import WeightedGraph
 
 ROOT_REL_TOL = 1e-15
 # least half-width of a Newton window, relative: a window 0.8 ROOT_REL_TOL
 # wide that holds its root finishes its bracket in one sweep
 _NEWTON_FLOOR = 0.4 * ROOT_REL_TOL
-# a root is returned only if the rounding bound moves it by at most this
-# much, relative; the bound is a worst case, and on chain polynomials of up
-# to 20 cells the roots it admits were within 1e-9 of 60-digit ones
-ROOT_CERT_REL_TOL = 1e-6
-_NOISE_ULPS = 4       # c in the rounding bound c (alpha + 1) eps sum_m |r_m| s^m
-_CLUSTER_DISC = 4     # eigenvalues whose discs of this many |Im| meet form one cluster
-_POLISH_STEPS = 80    # enough to halve (0, 1] down to neighbouring long doubles
-_EPS = float(np.finfo(float).eps)
+
+
+def _ratio(n: int, d: int) -> float:
+    """n / d correctly rounded, +-inf beyond the float range, NaN at 0 / 0."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if (n < 0) == (d < 0) else -math.inf
+    except ZeroDivisionError:
+        return math.copysign(math.inf, n) if n else math.nan
 
 
 # -- polynomial -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IndependencePolynomial:
-    """Coefficients c_0..c_alpha of the vertex-weighted independence polynomial."""
+    """P exactly, as c_k = ints[k] / 2^(shift k); ``coeffs`` are the c_k
+    correctly rounded to floats, inf beyond the float range."""
 
+    ints: tuple[int, ...]
+    shift: int
     coeffs: tuple[float, ...]
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != 1.0:
+    def __init__(self, coeffs: Sequence[float] | Sequence[int], shift: int | None = None):
+        """From the floats ``coeffs``, taken exactly, or the C_k and D."""
+        ints = coeffs
+        if shift is None:
+            if not all(map(math.isfinite, coeffs)):
+                raise ValueError("independence polynomial coefficients must be finite")
+            ratios = [float(c).as_integer_ratio() for c in coeffs]
+            # the least shift with 2^(shift k) a multiple of the denominator of c_k
+            shift = max([(d.bit_length() - 2 + k) // k for k, (_, d) in enumerate(ratios) if k],
+                        default=0)
+            ints = [n << shift * k + 1 - d.bit_length() for k, (n, d) in enumerate(ratios)]
+        if not ints or ints[0] != 1:
             raise ValueError("independence polynomial must have constant term 1")
-        if any(c < 0 for c in self.coeffs):
+        if any(c < 0 for c in ints):
             raise ValueError("independence polynomial coefficients are nonnegative")
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "coeffs",
+                           tuple(_ratio(c, 1 << shift * k) for k, c in enumerate(ints)))
 
     @property
     def alpha(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def __call__(self, x: float) -> float:
         acc = 0.0
@@ -96,9 +102,8 @@ class IndependencePolynomial:
         return acc
 
 
-
 def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolynomial:
-    """c_0..c_alpha by memoized vertex elimination over remaining-vertex bitmasks.
+    """C_0..C_alpha by memoized vertex elimination over remaining-vertex bitmasks.
 
     With v the lowest vertex of the remaining set S,
 
@@ -110,16 +115,23 @@ def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolyno
     later ones takes at most about n 2^p.  The recursion runs on an
     explicit stack, so its depth is not bounded by Python's recursion
     limit; the loop walks the bitmask rows inline, and combines a state
-    on its first visit when its children are known.  All terms are
-    nonnegative, so no cancellation occurs.
+    on its first visit when its children are known.  It runs on the
+    integer weights W_v, so every coefficient is exact in any order.
 
     A vertex of weight 0 is not in the graph: the elimination starts from
-    the vertices of positive weight, so its states and bits are those of
-    the subgraph they induce, and alpha is theirs.  A coefficient that
-    underflows stays at its degree as 0.0.
+    the vertices of positive weight, and alpha is theirs.  A weight that
+    is not finite, a squared coupling that overflowed, raises ModelError.
     """
     adj = graph.adj
     weights = graph.weights
+    try:
+        ratios = [w.as_integer_ratio() for w in weights]
+    except (OverflowError, ValueError):
+        v, w = next((v, w) for v, w in enumerate(weights) if not math.isfinite(w))
+        raise ModelError(f"vertex {v} has weight {w}, which is not finite: "
+                         "a squared coupling above 1.34e154 overflows") from None
+    top = max([d.bit_length() for _, d in ratios], default=1)  # D + 1
+    weights = [n << top - d.bit_length() for n, d in ratios]
     closed = [row | 1 << v for v, row in enumerate(adj)]
     # vertices within distance two of v: the boundary left by removing N[v]
     reach2 = []
@@ -131,7 +143,7 @@ def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolyno
             rest ^= low
         reach2.append(m)
 
-    memo: dict[int, list[float]] = {0: [1.0]}
+    memo: dict[int, list[int]] = {0: [1]}
     # entries (S, hint, v, a, b): every component of S meets ``hint``;
     # a < 0 on the first visit, then S = a + b split into components
     # (v None), or a = S - v and b = S - N[v]
@@ -179,18 +191,18 @@ def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolyno
         else:
             pa, pb = memo[a], memo[b]
         if v is None:
-            out = [0.0] * (len(pa) + len(pb) - 1)
+            out = [0] * (len(pa) + len(pb) - 1)
             for i, ca in enumerate(pa):
                 for j, cb in enumerate(pb, i):
                     out[j] += ca * cb
         else:
             # len(pb) <= len(pa), as S - N[v] lies in S - v
             w = weights[v]
-            out = pa + [0.0] if len(pb) == len(pa) else pa[:]
+            out = pa + [0] if len(pb) == len(pa) else pa[:]
             for i, cb in enumerate(pb, 1):
                 out[i] += w * cb
         memo[s] = out
-    return IndependencePolynomial(tuple(memo[full]))
+    return IndependencePolynomial(memo[full], top - 1)
 
 
 # -- root isolation by counting ---------------------------------------------
@@ -203,15 +215,6 @@ def filled_signs(values: np.ndarray) -> np.ndarray:
     rows = np.arange(len(signs))[:, None]
     last = np.maximum.accumulate(np.where(signs != 0, rows, 0), axis=0)
     return np.take_along_axis(signs, last, axis=0)
-
-
-def sign_changes(values: np.ndarray) -> np.ndarray:
-    """Sign changes down each column of ``values``, zeros skipped."""
-    negative = values < 0
-    if (negative | (values > 0)).all():
-        return np.count_nonzero(negative[1:] != negative[:-1], axis=0)
-    filled = filled_signs(values)
-    return np.count_nonzero(filled[1:] != filled[:-1], axis=0)
 
 
 # A sweep keeps its brackets as the columns of one array with the rows lo,
@@ -355,12 +358,11 @@ def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True)
 class SingleParticleEnergies:
-    """Positive energies with multiplicities, ascending, plus the root
-    residual; None where the root counts alone certify the levels, as on
-    ``chains.chain_energies``."""
+    """Positive energies with multiplicities, ascending, and ``width``, the
+    largest relative width of the certified brackets of their squares."""
 
     energies: tuple[tuple[float, int], ...]
-    residual: float | None
+    width: float
 
     @property
     def total(self) -> int:
@@ -370,155 +372,111 @@ class SingleParticleEnergies:
         return [e for e, m in self.energies for _ in range(m)]
 
 
+def _point(x: float, b: int) -> tuple[int, int]:
+    """y = 2^b x as a / 2^t, with integers a and t >= 0."""
+    a, d = x.as_integer_ratio()
+    t = d.bit_length() - 1 - b
+    return (a, t) if t >= 0 else (a << -t, 0)
+
+
+def _value_and_step(q: list[int], b: int, x: float) -> tuple[int, float]:
+    """Q(y) at y = 2^b x times a positive power of two, and the Newton step
+    Q / Q' there in s, from one homogeneous Horner pass in integers."""
+    a, t = _point(x, b)
+    f, g = 1, 0  # Q and Q' times powers of 2^t
+    for j in range(1, len(q)):
+        g = g * a + f
+        f = f * a + (q[j] << t * j)
+    return f, _ratio(f, g << t + b)
+
+
+def _count_and_step(q: list[int], b: int, x: float) -> tuple[int, float]:
+    """The roots of Q above y = 2^b x by Descartes' rule of signs, exact for
+    a real-rooted Q, and the Newton step Q / Q' there in s: both from the
+    coefficients of 2^(t alpha) Q(y + z / 2^t), in integers."""
+    a, t = _point(x, b)
+    h = [c << t * j for j, c in enumerate(q)]
+    n = len(h) - 1
+    for i in range(n):  # the Taylor shift by a, one synthetic division at a time
+        for j in range(1, n + 1 - i):
+            h[j] += a * h[j - 1]
+    signs = [c > 0 for c in h if c]
+    return sum(u != v for u, v in zip(signs, signs[1:])), _ratio(h[-1], h[-2] << t + b)
+
+
+def _newton(q: list[int], b: int, x: float) -> float:
+    """At most 8 Newton steps on Q from s = x, while they move s and keep it
+    in (0, 1)."""
+    for _ in range(8):
+        f, step = _value_and_step(q, b, x)
+        if not f or not abs(step) < 1:  # at a root, or a step out of (0, 1)
+            break
+        nxt = x - step
+        if nxt == x or not 0 < nxt < 1:
+            break
+        x = nxt
+    return x
+
+
 def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEnergies:
     """Energies e_j > 0 with P(-1/e_j^2) = 0, with multiplicities.
 
-    The roots w = e^2 of R(w) = w^alpha P(-1/w) are positive and sum to
-    c_1.  They are sought in s = w / 2^p, with 2^p the power of two above
-    c_1, so that the rescaling is exact and the roots lie in (0, 1).  Row
-    j of ``taylor`` holds the coefficients of R^(j)(s) / j!, and the sign
-    changes down the rows count the roots above s (Budan-Fourier, exact
-    for real-rooted R).  The rounding noise of R^(j)(s) / j! is
-    c (alpha + 1) eps times the same row with |coefficients|.
+    The real parts of the companion eigenvalues of Q(2^b s) / 2^(b alpha),
+    whose coefficients (-1)^k C_k / 2^(b k) are at most C(alpha, k), seed
+    at most 8 Newton steps each.  When the brackets s -+ 2 ulp(s) around
+    the results, at most 8.9e-16 of s wide, are disjoint and Q changes
+    sign across each, the alpha roots are simple and certified, and each
+    energy is its Newton result.  Otherwise ``roots_by_count`` isolates
+    them by exact counts, cutting first at those brackets' ends; each
+    bracket gives one energy, at its midpoint, with the roots it holds as
+    its multiplicity.  The counts are exact on a real-rooted Q, as on
+    every claw-free graph; elsewhere a complex pair near the axis passes
+    for a double root, unless it breaks Newton's inequalities C_k^2 k
+    (alpha - k) >= C_(k-1) C_(k+1) (k + 1) (alpha - k + 1), checked first.
+    ``width`` is the largest (hi - lo) / hi of the brackets.
 
-    The eigenvalues of R's companion matrix, sorted by real part, form
-    clusters: neighbours whose discs of radius _CLUSTER_DISC |Im| meet.
-    A cluster of m eigenvalues is placed at the simple root of R^(m-1),
-    by Newton steps from its mean (see ``_polish``).  One pass of
-    ``taylor`` then evaluates the cuts halfway between consecutive roots,
-    the roots, and the floats next to them.  Where |R| at a cut is within
-    noise the two clusters around it are joined and placed again.  The
-    roots are certified when the count at every cut, outside the noise,
-    is alpha less the roots below it; and at each root s of multiplicity
-    m, R, ..., R^(m-2) vanish within noise, R^(m-1) changes sign between
-    the floats next to s or vanishes within noise, and the noise over the
-    slope of R^(m-1) is at most ROOT_CERT_REL_TOL s.  The residual is the
-    largest |R(s)| / sum_m |r_m| s^m at the roots.
-
-    Raises ComplexRootError, with the number of roots certified, unless
-    every root is: then the roots are complex, or rounding hides where
-    they are; and, before any root is sought, when a coefficient is not
-    finite, as one that overflowed, or when R's constant term
-    c_alpha / 2^(p alpha) is 0, as one that underflowed.  At alpha = 0
-    there are no energies, and the residual is 0.
+    Raises ComplexRootError, with the number of roots isolated, when
+    Newton's inequalities fail, when c_alpha is 0, as a float that
+    underflowed gives, and when a root lies below the least float in s.
+    At alpha = 0 there are no energies, and the width is 0.
     """
     alpha = poly.alpha
-    if alpha == 0:  # P = 1: every weight is 0, and R has no root
+    if alpha == 0:  # P = 1: every weight is 0, and Q has no root
         return SingleParticleEnergies((), 0.0)
-    coeffs = np.array(poly.coeffs)
-    if not np.isfinite(coeffs).all():  # a coefficient overflowed: no root can be placed
+    ints = poly.ints
+    q = [-c if k & 1 else c for k, c in enumerate(ints)]
+    if not q[-1]:  # Q has a root at 0, which no energy has
         raise ComplexRootError(0, alpha)
-    exponent = math.frexp(poly.coeffs[1])[1]
-    unit = math.ldexp(1.0, exponent)
-    degree = np.arange(alpha + 1)
-    # R(unit s) / unit^alpha, where s^m has the coefficient
-    # (-1)^(alpha-m) c_(alpha-m) / unit^(alpha-m): by ldexp, which is exact
-    # and underflows only where that coefficient does, not where unit^-m does
-    r = np.ldexp(coeffs * (-1.0) ** degree, -exponent * degree)[::-1]
-    if not r[0]:  # c_alpha underflowed: R would have a root at 0, which no energy has
-        raise ComplexRootError(0, alpha)
-    binomials = _binomials(alpha)
-    hankel = np.concatenate([r, np.zeros(alpha)])[degree[:, None] + degree]  # r_(j+d)
-    taylor = binomials * hankel
-    rounding = _NOISE_ULPS * (alpha + 1) * np.finfo(float).eps
-
+    b = q[1].bit_length()
     companion = np.eye(alpha, k=-1)
-    companion[0] = -r[-2::-1]  # the leading coefficient, c_0, is 1
-    eigenvalues = np.sort(np.linalg.eigvals(companion))
-    total, mult = eigenvalues.real, np.ones(alpha, dtype=int)
-    # neighbours whose discs of radius _CLUSTER_DISC |Im| meet form one
-    # cluster, so real ones only where they are equal
-    if np.iscomplexobj(eigenvalues) or not (total[1:] > total[:-1]).all():
-        radius = _CLUSTER_DISC * np.abs(eigenvalues.imag)
-        starts = np.flatnonzero(np.append(True, np.abs(np.diff(eigenvalues))
-                                          > radius[:-1] + radius[1:]))
-        total, mult = np.add.reduceat(total, starts), np.diff(np.append(starts, alpha))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
-            s = _polish(total / mult, mult, binomials, hankel)
-            order = np.argsort(s)
-            s, total, mult = s[order], total[order], mult[order]
-            k, top = len(s), int(mult.max())
-            # the cuts, the roots and the floats next to them, in one pass
-            table = np.ones((alpha + 1, 4 * k - 1))
-            table[1:] = np.concatenate([0.5 * (s[:-1] + s[1:]), s,
-                                        np.nextafter(s, 0), np.nextafter(s, 1)])
-            x = np.cumprod(table, axis=0)
-            t = taylor @ x
-            scale = np.abs(taylor[:top]) @ x
-            small = np.abs(t[:top]) <= rounding * scale  # within noise
-            if not small[0, :k - 1].any():
-                break
-            # R within noise between two clusters: join them, and place them again
-            starts = np.flatnonzero(np.append(True, ~small[0, :k - 1]))
-            total, mult = np.add.reduceat(total, starts), np.add.reduceat(mult, starts)
-        fits = sign_changes(t[:, :k - 1]) == alpha - np.cumsum(mult)[:-1]
-        # the row m - 1 of each root, and its columns at s and at the floats
-        # below and above s
-        if top == 1:  # every root simple: row 0, read by slices
-            rows, (at, down, up) = 0, (slice(j * k - 1, j * k + k - 1) for j in (1, 2, 3))
-        else:
-            rows, (at, down, up) = mult - 1, np.arange(k - 1, 4 * k - 1).reshape(3, k)
-        vanish = np.all(small[:, at] | (degree[:top, None] >= rows), axis=0)
-        # R^(m-1) changes sign between the floats next to s, or vanishes within noise
-        located = (t[rows, down] * t[rows, up] <= 0) | small[rows, at]
-        # noise over slope, where the slope of R^(m-1)(s) / (m-1)! is m R^(m)(s) / m!
-        pinned = (rounding * scale[rows, at]
-                  <= ROOT_CERT_REL_TOL * s * mult * np.abs(t[rows + 1, at]))
-    certified = vanish & located & pinned
-    if not (fits.all() and certified.all()):
-        certified &= np.append(True, fits) & np.append(fits, True)
-        raise ComplexRootError(int(mult[certified].sum()), alpha)
-    energies = tuple((math.sqrt(unit * x), m) for x, m in zip(s.tolist(), mult.tolist()))
-    return SingleParticleEnergies(energies, float(np.max(np.abs(t[0, at]) / scale[0, at])))
+    companion[0] = [-_ratio(c, 1 << b * k) for k, c in enumerate(q[1:], 1)]
+    points = sorted(_newton(q, b, x) for x in np.linalg.eigvals(companion).real.tolist())
+    mult = [1] * alpha
+    lo = [x - 2 * math.ulp(x) for x in points]
+    hi = [x + 2 * math.ulp(x) for x in points]
+    ends = [x for pair in zip(lo, hi) for x in pair]
+    if not (ends[0] > 0 and all(u < v for u, v in zip(ends, ends[1:]))
+            and all(_value_and_step(q, b, u)[0] * _value_and_step(q, b, v)[0] < 0
+                    for u, v in zip(lo, hi))):
+        if any(c * c * k * (alpha - k) < a * d * (k + 1) * (alpha - k + 1)
+               for k, (a, c, d) in enumerate(zip(ints, ints[1:], ints[2:]), 1)):
+            raise ComplexRootError(0, alpha)
 
+        def evaluate(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            pairs = [_count_and_step(q, b, x) for x in ws.tolist()]
+            return (np.array([c for c, _ in pairs], dtype=int),
+                    np.array([step for _, step in pairs], dtype=float))
 
-def _polish(seeds: np.ndarray, mult: np.ndarray, binomials: np.ndarray,
-            hankel: np.ndarray) -> np.ndarray:
-    """The simple root of R^(m-1) nearest each seed, m its multiplicity.
-
-    Newton steps run from every seed at once in extended precision where
-    the platform has it, with R^(m-1) / (m-1)!, its slope m R^(m) / m!
-    and the rounding bound of the value evaluated by one matrix product
-    over a table of powers, until every step is below the float
-    resolution or the noise over the slope.
-    """
-    alpha = len(hankel) - 1
-    top = int(mult.max())
-    wide = binomials[:top + 1].astype(np.longdouble) * hankel[:top + 1].astype(np.longdouble)
-    coeffs = np.concatenate([wide, _NOISE_ULPS * (alpha + 1) * np.finfo(np.longdouble).eps
-                             * np.abs(wide[:top])])
-    s = seeds.astype(np.longdouble)
-    table = np.ones((alpha + 1, len(s)), dtype=np.longdouble)
-    for _ in range(_POLISH_STEPS):
-        table[1:] = s
-        out = coeffs @ np.cumprod(table, axis=0)
-        if top == 1:
-            f, slope, bound = out
-        else:  # the rows of R^(m-1) / (m-1)!, its slope and its bound, column by column
-            f, slope, bound = out[[mult - 1, mult, top + mult], np.arange(len(s))]
-            slope = mult * slope
-        step = f / slope
-        s = s - step
-        # steps end below the float resolution, or within the rounding
-        # noise of the extended precision
-        if (np.abs(step) <= np.maximum(_EPS * s, bound / np.abs(slope))).all():
-            break
-    return s.astype(float)
-
-
-@functools.lru_cache(maxsize=16)
-def _binomials(alpha: int) -> np.ndarray:
-    """The read-only table of C(j + d, j) at row j and column d, for j and
-    d up to alpha: row j is the running sum of row j - 1, in integers."""
-    row = [1] * (alpha + 1)
-    rows = [row]
-    for _ in range(alpha):
-        row = list(itertools.accumulate(row))
-        rows.append(row)
-    table = np.array(rows, dtype=float)
-    table.flags.writeable = False
-    return table
+        lo, hi, mult = roots_by_count(evaluate, alpha, 1.0,
+                                      np.array(sorted({x for x in ends if 0 < x < 1})))
+        if not lo[0] > 0:  # the lowest roots lie below the least float in s
+            raise ComplexRootError(alpha - int(mult[0]), alpha)
+        lo, hi, mult = lo.tolist(), hi.tolist(), mult.tolist()
+        points = [0.5 * (u + v) for u, v in zip(lo, hi)]
+    power = b - poly.shift  # e^2 = s 2^power, applied after the root, so it cannot overflow
+    energies = tuple((math.ldexp(math.sqrt(math.ldexp(x, power & 1)), power >> 1), m)
+                     for x, m in zip(points, mult))
+    return SingleParticleEnergies(energies, max((v - u) / v for u, v in zip(lo, hi)))
 
 
 def sign_sums(energies: SingleParticleEnergies) -> np.ndarray:

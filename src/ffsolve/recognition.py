@@ -30,11 +30,13 @@ class StructureReport:
     ``claw_witness`` and ``even_hole_witness`` refute ECF; ``undecided``
     says the hole search ran out of budget, so ``even_hole_free`` is None,
     and ``ecf`` too unless a claw refutes it.  ``simplicial_clique`` is,
-    on an ECF graph, its smallest simplicial clique, lexicographically
-    first among its size; every ECF graph has one (Chudnovsky & Seymour,
-    JCTB 97, 2007).  It is None on every other graph, which the modes
-    never reach.  ``refusal`` says why a graph that is not ECF, or not
-    known to be, is refused.
+    on an ECF graph, its smallest simplicial clique of vertices of
+    positive weight, lexicographically first among its size.  Every ECF
+    graph has a simplicial clique (Chudnovsky & Seymour, JCTB 97, 2007),
+    so this one exists when a weight is positive and the weight-0
+    vertices are isolated, as a graph file leaves them.  It is None
+    otherwise, and the modes are refused.  ``refusal`` says why a graph
+    that is not ECF, or not known to be, is refused.
     """
 
     claw_witness: tuple[int, tuple[int, int, int]] | None
@@ -204,11 +206,13 @@ def is_simplicial_clique(graph: WeightedGraph, mask: int) -> bool:
 
 
 def smallest_simplicial_clique(graph: WeightedGraph) -> tuple[int, ...] | None:
-    """The first simplicial clique, as a sorted tuple, by size, then
-    lexicographically, or None.  The walk over the cliques grows each by
-    the common neighbours above its top vertex; it lists every clique only
-    on a graph that has no simplicial one."""
-    level = [(1 << v, graph.adj[v] & ~((2 << v) - 1)) for v in range(graph.n)]
+    """The first simplicial clique of vertices of positive weight, the terms
+    of H, as a sorted tuple, by size, then lexicographically, or None.  The
+    walk over the cliques starts from those vertices and grows each clique
+    by their common neighbours above its top vertex; it lists every clique
+    only on a graph that has no simplicial one."""
+    terms = sum(1 << v for v, w in enumerate(graph.weights) if w)
+    level = [(1 << v, graph.adj[v] & terms & ~((2 << v) - 1)) for v in bits(terms)]
     while level:
         for mask, _ in level:
             if is_simplicial_clique(graph, mask):

@@ -174,6 +174,8 @@ def simplicial_extension(h: Hamiltonian, ks: Sequence[int]) -> tuple[Hamiltonian
     fresh qubit; the mode chi is Z on that qubit, so it anticommutes with
     exactly the clique terms and the frustration graph is unchanged.
     """
+    if not ks:  # as when every weight is 0
+        raise NotSimplicialError("no simplicial clique of terms of positive weight")
     graph = frustration_graph(h)
     kmask = 0
     for v in ks:

@@ -357,8 +357,8 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> 
         report.lemma_residuals["fundamental_identity"] = float(np.max(
             check_fundamental_identity(hext, chi, ks, DEFAULT_U_GRID)))
 
-    poly = weighted_independence_polynomial(graph)
     try:
+        poly = weighted_independence_polynomial(graph)
         energies = single_particle_energies(poly)
         report.energies = list(energies.energies)
         with _stage(report, "modes"):

@@ -6,6 +6,7 @@ before their bitmask walks were inlined (``bits`` generators,
 ``closed_adj`` calls, one ``PauliTerm`` built anew for every term), and
 the chain isolator and level assembly before their numpy calls were cut;
 the parity tests ask the current ones for the same output, bit for bit.
+The polynomial is exact, so its reference is an enumeration in integers.
 
 The naive checkers deliberately use brute-force subset enumeration so they
 stay independent of the bitset search paths they are used to validate.
@@ -181,84 +182,19 @@ def reference_free_spectrum(energies, n: int) -> list[tuple[float, int]]:
     return levels
 
 
-def naive_independence_polynomial(g: WeightedGraph) -> list[float]:
-    """c_k = sum over the independent k-subsets of their weight products,
-    with trailing zero coefficients dropped."""
-    coeffs = [0.0] * (g.n + 1)
-    for size in range(g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            if not any(g.adj[a] >> b & 1 for a, b in itertools.combinations(subset, 2)):
-                coeffs[size] += math.prod(g.weights[v] for v in subset)
+def naive_independence_polynomial(g: WeightedGraph) -> tuple[list[int], int]:
+    """The integers C_k = c_k 2^(D k), with c_k the sum over the independent
+    k-subsets of their weight products and 2^D the largest denominator of
+    the weights, by enumeration, trailing zeros dropped; and D."""
+    ratios = [w.as_integer_ratio() for w in g.weights]
+    shift = max(d.bit_length() for _, d in ratios) - 1
+    ints = [n << shift - d.bit_length() + 1 for n, d in ratios]
+    coeffs = [0] * (g.n + 1)
+    for s in stable_sets(g.adj):
+        coeffs[s.bit_count()] += math.prod(ints[v] for v in bits(s))
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
-    return coeffs
-
-
-def plain_independence_polynomial(graph: WeightedGraph) -> tuple[float, ...]:
-    """The memoized vertex elimination with ``bits`` and ``closed_adj``:
-    the same elimination order, search order and arithmetic as
-    ``weighted_independence_polynomial``, started from the vertices of
-    positive weight, and trailing zero coefficients trimmed."""
-    adj = graph.adj
-    weights = graph.weights
-    reach2 = []
-    for v in range(graph.n):
-        m = graph.closed_adj(v)
-        for u in bits(adj[v]):
-            m |= adj[u]
-        reach2.append(m)
-
-    memo: dict[int, list[float]] = {0: [1.0]}
-    full = sum(1 << v for v in range(graph.n) if weights[v] > 0)
-    stack: list[tuple[int, int, tuple | None]] = [(full, full, None)]
-    while stack:
-        s, hint, plan = stack.pop()
-        if plan is None:
-            if s in memo:
-                continue
-            comp = _plain_split_component(adj, s, hint)
-            if comp:
-                v = None
-                children = ((comp, comp & -comp), (s & ~comp, hint & ~comp))
-            else:
-                low = s & -s
-                v = low.bit_length() - 1
-                minus_v, minus_nv = s ^ low, s & ~graph.closed_adj(v)
-                children = ((minus_v, adj[v] & minus_v), (minus_nv, reach2[v] & minus_nv))
-            stack.append((s, hint, (v, children[0][0], children[1][0])))
-            stack.extend((c, c_hint, None) for c, c_hint in children if c not in memo)
-            continue
-        v, a_mask, b_mask = plan
-        a, b = memo[a_mask], memo[b_mask]
-        if v is None:
-            out = [0.0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        else:
-            w = weights[v]
-            out = a + [0.0] * (len(b) + 1 - len(a))
-            for i, cb in enumerate(b):
-                out[i + 1] += w * cb
-        memo[s] = out
-
-    coeffs = memo[full]
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _plain_split_component(adj, s: int, hint: int) -> int:
-    if not hint & (hint - 1):
-        return 0
-    comp = frontier = hint & -hint
-    while frontier and hint & ~comp:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adj[low.bit_length() - 1] & s & ~comp
-        comp |= new
-        frontier |= new
-    return comp if hint & ~comp else 0
+    return coeffs, shift
 
 
 def plain_find_claw(graph: WeightedGraph):
@@ -460,12 +396,24 @@ def forest_energies(n_vertices: int, edges, b) -> list[float]:
     """Jordan-Wigner reference for the line graph of a forest: one Majorana
     mode per vertex and b_e i gamma_u gamma_v per edge, whose signs a
     forest gauges away, so the energies are the positive eigenvalues of the
-    weighted adjacency matrix, ascending."""
+    weighted adjacency matrix, ascending.  They are as many as the edges
+    of a maximum matching, which leaf-first greedy matching finds, since
+    each edge joins a vertex to one before it."""
     a = np.zeros((n_vertices, n_vertices))
-    for (u, v), w in zip(edges, b):
+    matched = set()
+    for (u, v), w in sorted(zip(edges, b), key=lambda edge: -edge[0][1]):
         a[u, v] = a[v, u] = w
-    ev = np.linalg.eigvalsh(a)
-    return ev[ev > 1e-9 * ev[-1]].tolist()
+        if u not in matched and v not in matched:
+            matched |= {u, v}
+    return np.linalg.eigvalsh(a)[n_vertices - len(matched) // 2:].tolist()
+
+
+def chain_graph(spec: ChainSpec) -> WeightedGraph:
+    """The chain's frustration graph with the squared couplings as they are:
+    vertex i, of weight b2[i % k], is adjacent to the k - 1 before it."""
+    n = spec.n_cells * spec.k
+    return WeightedGraph(n, [(j, i) for i in range(n) for j in range(max(0, i - spec.k + 1), i)],
+                         weights=[spec.b2[i % spec.k] for i in range(n)])
 
 
 def chain_polynomial(spec: ChainSpec) -> IndependencePolynomial:
@@ -488,6 +436,13 @@ def chain_polynomial(spec: ChainSpec) -> IndependencePolynomial:
                 new[pos + ell] += sign * e[ell] * c
         polys.append(new)
     return IndependencePolynomial(tuple(polys[spec.n_cells]))
+
+
+def sign_changes(values: np.ndarray) -> np.ndarray:
+    """Sign changes down each column of ``values``, zeros skipped: the
+    count that ``chains.chain_values`` takes a block at a time."""
+    filled = indpoly.filled_signs(values)
+    return np.count_nonzero(filled[1:] != filled[:-1], axis=0)
 
 
 def chain_values_all_rows(e, n_cells: int, ws: np.ndarray):
@@ -733,7 +688,7 @@ def plain_chain_energies(spec: ChainSpec, values=chains.chain_values):
     levels assembled one by one with ``math.sqrt`` and ``math.ldexp``, as
     they were; ``values`` stands for ``chains.chain_values``."""
     if not any(spec.b2):
-        return indpoly.SingleParticleEnergies(((0.0, spec.n_cells),), None)
+        return indpoly.SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
     j = (math.frexp(sum(spec.b2))[1] - 1) // 2
     e = elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2])
     n = spec.n_cells
@@ -743,7 +698,7 @@ def plain_chain_energies(spec: ChainSpec, values=chains.chain_values):
     lo, up, m = plain_roots_by_count(lambda ws: values(e, n, ws), n, hi, first)
     energies = tuple((math.ldexp(math.sqrt(w), j), int(c))
                      for w, c in zip(0.5 * (lo + up), m))
-    return indpoly.SingleParticleEnergies(energies, None)
+    return indpoly.SingleParticleEnergies(energies, max((up - lo) / up))
 
 
 def use_midpoint_bisection(monkeypatch):
@@ -751,33 +706,44 @@ def use_midpoint_bisection(monkeypatch):
     monkeypatch.setattr(chains, "roots_by_count", midpoint_roots_by_count)
 
 
-def bisection_energies(poly: IndependencePolynomial) -> indpoly.SingleParticleEnergies:
-    """Reference for ``indpoly.single_particle_energies``: the roots of
-    R(s), in the same exact scaling s = w / 2^p, bisected by
-    ``midpoint_roots_by_count`` on the Budan-Fourier sign changes of its
-    Taylor rows, down to ROOT_REL_TOL; a count where |R| is within the
-    rounding noise 4 (alpha + 1) eps sum_m |r_m| s^m is unknown.  Each
-    bracket gives the energy at its midpoint, with the number of roots it
-    holds by count as the multiplicity; brackets are not merged."""
+def exact_count_above(poly: IndependencePolynomial, w: float) -> int:
+    """Squared energies above w: the Budan-Fourier sign changes of P, P',
+    P'', ... at x = -1/w in exact arithmetic, which for a real-rooted P
+    count its roots in (x, 0) exactly.  With w = q / p, P^(j)(x) / j! times
+    the positive 2^(D alpha) q^(alpha - j) is the coefficient of u^j in
+    sum_k C_k 2^(D (alpha - k)) q^(alpha - k) (u - p)^k, which synthetic
+    division by u + p gives in integers."""
+    q, p = w.as_integer_ratio()
     alpha = poly.alpha
-    exponent = math.frexp(poly.coeffs[1])[1]
-    degree = np.arange(alpha + 1)
-    r = np.ldexp(np.array(poly.coeffs) * (-1.0) ** degree, -exponent * degree)[::-1]
-    taylor = np.array([[math.comb(j + d, j) * r[j + d] if j + d <= alpha else 0.0
-                        for d in degree] for j in degree])
-    rounding = 4 * (alpha + 1) * EPS
+    h = [c << poly.shift * (alpha - k) for k, c in enumerate(poly.ints)]
+    scale = 1
+    for k in range(alpha, -1, -1):
+        h[k] *= scale
+        scale *= q
+    h.reverse()  # descending powers of u
+    for i in range(alpha):
+        for j in range(1, alpha + 1 - i):
+            h[j] -= p * h[j - 1]
+    signs = [v > 0 for v in h if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def bisection_energies(poly: IndependencePolynomial) -> indpoly.SingleParticleEnergies:
+    """Reference for ``indpoly.single_particle_energies``: the squared
+    energies w, in s = w / 2^p with 2^p the power of two above c_1, so that
+    they lie in (0, 1), bisected by ``midpoint_roots_by_count`` on
+    ``exact_count_above`` down to ROOT_REL_TOL.  Each bracket gives the
+    energy at its midpoint, with the number of roots it holds by count as
+    the multiplicity; brackets are not merged."""
+    exponent = poly.ints[1].bit_length() - poly.shift
 
     def evaluate(s):
-        x = s ** degree[:, None]
-        t = taylor @ x
-        counts = indpoly.sign_changes(t)
-        counts[np.abs(t[0]) <= rounding * (np.abs(r) @ x)] = -1
-        return counts, None
+        return np.array([exact_count_above(poly, math.ldexp(x, exponent)) for x in s.tolist()]), None
 
-    lo, up, m = midpoint_roots_by_count(evaluate, alpha, 1.0)
+    lo, up, m = midpoint_roots_by_count(evaluate, poly.alpha, 1.0)
     return indpoly.SingleParticleEnergies(
         tuple((math.sqrt(math.ldexp(0.5 * (a + b), exponent)), int(k))
-              for a, b, k in zip(lo, up, m)), None)
+              for a, b, k in zip(lo, up, m)), float(np.max((up - lo) / up)))
 
 
 def record_sweeps(monkeypatch, module) -> list[int]:

@@ -21,6 +21,7 @@ from conftest import (
     chain_values_every_k,
     plain_chain_energies,
     record_sweeps,
+    sign_changes,
     use_midpoint_bisection,
 )
 from ffsolve import chains
@@ -36,8 +37,8 @@ from ffsolve.chains import (
 from ffsolve.errors import ModelError
 from ffsolve.graphs import frustration_graph
 from ffsolve.indpoly import (
+    ROOT_REL_TOL,
     SingleParticleEnergies,
-    sign_changes,
     single_particle_energies,
     weighted_independence_polynomial,
 )
@@ -312,8 +313,9 @@ def test_chain_corpus_sweep_total(monkeypatch):
     ChainSpec(50, 3, (0.0, 0.0, 1.0)),        # one root of multiplicity N
 ])
 def test_chain_residual_is_read_from_the_sweeps(spec, monkeypatch):
-    """No pass of the recursion runs beyond the sweeps, and no residual is
-    returned: the counts alone certify the levels."""
+    """No pass of the recursion runs beyond the sweeps: the counts alone
+    certify the levels, and the width is read off the brackets they leave,
+    each at most ROOT_REL_TOL of its upper end wide here."""
     sweeps = record_sweeps(monkeypatch, chains)
     passes = []
     values = chains.chain_values
@@ -325,7 +327,7 @@ def test_chain_residual_is_read_from_the_sweeps(spec, monkeypatch):
     monkeypatch.setattr(chains, "chain_values", counted)
     got = chain_energies(spec)
     assert passes == sweeps
-    assert got.residual is None
+    assert 0.0 < got.width <= ROOT_REL_TOL
 
 
 EDGE_CHAINS = [
@@ -444,7 +446,7 @@ def test_chain_sweeps_and_levels_match_the_plain_isolator(spec):
     assert len(current) == len(plain)
     assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(current, plain))
     assert [(w.hex(), m) for w, m in got.energies] == [(w.hex(), m) for w, m in want.energies]
-    assert got.residual is None
+    assert got.width == want.width
 
 
 def test_chain_energies_memory():
@@ -554,7 +556,7 @@ def test_all_zero_couplings_at_once(monkeypatch, spec):
     start = time.perf_counter()
     en = chain_energies(spec)
     assert time.perf_counter() - start < 0.05
-    assert en == SingleParticleEnergies(((0.0, spec.n_cells),), None)
+    assert en == SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
     assert sweeps == []
 
 

@@ -1,16 +1,24 @@
 """Command-line interface: outputs, exit codes, round trips."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import EPS, forest_energies, forest_line_graph, random_forest
 import ffsolve
 from ffsolve import paulis
+from ffsolve.chains import ChainSpec, chain_energies
 from ffsolve.cli import main
 from ffsolve.models import parse_hamiltonian
 
@@ -94,13 +102,16 @@ def test_solve_single_edge_345(tmp_path, capsys):
     assert abs(doc["result"]["energies"][0][0] - 5.0) < 1e-12
 
 
-def test_solve_root_residual_is_scaled(capsys):
-    """root_residual is |R(w)| / sum_m |r_m| w^m, so it reads near machine
-    precision on a right answer, whatever the size of the coefficients."""
-    for argv in (("--model", "chain", "--N", "10", "--k", "3"), ("--model", "h6")):
+def test_solve_bracket_width_is_certified(capsys):
+    """bracket_width is the largest relative width of the brackets that
+    certify the squared energies: at most 1e-15, whatever the size of the
+    coefficients, on chain 4x3 at couplings 1e60 too, whose float view
+    overflows."""
+    for argv in (("--model", "chain", "--N", "10", "--k", "3"), ("--model", "h6"),
+                 ("--model", "chain", "--N", "4", "--k", "3", "--couplings", "1e60,1e60,1e60")):
         code, doc = run_json(capsys, "solve", *argv)
         assert code == 0
-        assert 0.0 <= doc["result"]["root_residual"] <= 1e-12, argv
+        assert 0.0 < doc["result"]["bracket_width"] <= 1e-15, argv
 
 
 def test_solve_refuses_back_to_back(capsys):
@@ -138,27 +149,33 @@ def test_solve_modes_builds_no_dict_view(monkeypatch, tmp_path):
     assert paulis.OperatorSum.identity(2).terms and calls == [1]  # the count does count
 
 
-def test_claw_free_root_failure_is_reported_as_conditioning(capsys):
-    """Chain 15x3 needs more precision than the monomial coefficients hold,
-    and exits 1.  Its graph is claw-free, so every root is real (Chudnovsky
-    and Seymour), and the message says so rather than that the roots may be
-    complex."""
-    assert main(["solve", "--model", "chain", "--N", "15", "--k", "3"]) == 1
+def test_claw_free_root_failure_is_reported_as_conditioning(capsys, tmp_path):
+    """Two isolated vertices of weights 1e300 and 1e-300: in s, the lower
+    root lies 1e-600 below the upper one, under every float, and the
+    command exits 1.  The graph is claw-free, so every root is real
+    (Chudnovsky and Seymour), and the message says so rather than that the
+    roots may be complex."""
+    p = tmp_path / "apart.graph"
+    p.write_text("p 2\nv 0 1e300\nv 1 1e-300\n")
+    assert main(["solve", str(p)]) == 1
     err = capsys.readouterr().err
     assert "claw-free" in err and "could not resolve" in err and "complex" not in err
 
 
 @pytest.mark.parametrize("couplings", ["1.3346e-133,8.1609e-129,2.1212e-127", "1e-60,1e-60,1e-60"])
-def test_underflowing_chain_exits_1_naming_alpha(couplings, capsys):
+def test_underflowing_chain_is_solved(couplings, capsys):
     """Chain 4x3 has alpha = 4.  At these couplings its top coefficients
-    underflow: the first exited 0 with alpha = 1 and one energy, the
-    second exited 1 saying "expected 2".  Both exit 1 with one line that
-    names the graph's alpha, and print no result."""
-    code = main(["solve", "--model", "chain", "--N", "4", "--k", "3", "--couplings", couplings])
-    captured = capsys.readouterr()
-    assert code == 1 and not captured.out
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: isolated 0 real roots, expected 4, on a claw-free graph")
+    underflow as floats: the first exited 0 with alpha = 1 and one energy,
+    then both exited 1.  The exact coefficients give alpha = 4 and the
+    four energies of ``chain_energies``."""
+    code, doc = run_json(capsys, "solve", "--model", "chain", "--N", "4", "--k", "3",
+                         "--couplings", couplings)
+    assert code == 0 and doc["result"]["alpha"] == 4
+    b2 = tuple(float(c) ** 2 for c in couplings.split(","))
+    want = chain_energies(ChainSpec(4, 3, b2)).energies
+    got = doc["result"]["energies"]
+    assert [m for _, m in got] == [m for _, m in want] == [1, 1, 1, 1]
+    assert all(math.isclose(a, b, rel_tol=1e-12) for (a, _), (b, _) in zip(got, want))
 
 
 def test_solve_with_modes(capsys):
@@ -380,19 +397,21 @@ def test_output_file_takes_the_mode_of_a_fresh_open(tmp_path, umask):
     ["solve", "--model", "junction", "--k", "3", "--seed", "1"],
     ["analyze", "/nonexistent/x.ham"],
     ["solve", "--model", "h5", "-o", "/nonexistent/out.json"],
-    ["solve", "--model", "chain", "--N", "4", "--k", "3", "--couplings", "1e60,1e60,1e60"],
+    ["analyze", "--model", "h5", "--couplings", "1e155,1,1,1,1"],
     ["solve", "--model", "h5", "--couplings", "1e155,1,1,1,1"],
     ["solve", "--model", "h5", "--couplings", ""],
     ["solve", "--model", "junction", "--k", "3", "--seed", "1", "--arms", ""],
     ["scan", "--k", "3", "--N", "4", "--Nprime", "8", "--values", ""],
     ["solve", "--model", "h5", "-o", "{tmp}/outdir"],
     ["solve", "--model", "h5", "-o", "{tmp}/outdir/"],
+    ["solve", "--modes", "--model", "h5", "--couplings", "1e-170,1e-170,1e-170,1e-170,1e-170"],
 ])
 def test_input_errors_exit_1_with_a_message(capsys, tmp_path, argv):
     """Malformed or empty lists and squared couplings, a junction without
     arms, an unreadable input, an unwritable output or one that names a
-    directory, and couplings so large that a coefficient of the polynomial
-    overflows are input errors: exit 1 and one line on stderr, not an
+    directory, couplings so large that their squares, the weights,
+    overflow, and modes asked of couplings whose squares all underflow, so
+    that no term is left to form the simplicial mode, are input errors: exit 1 and one line on stderr, not an
     exception, that names the file at fault, not a temporary file, or the
     option that is empty.  No temporary file is left behind."""
     (tmp_path / "outdir").mkdir()
@@ -425,7 +444,7 @@ def test_graph_files_without_vertices_or_finite_weights_exit_1(capsys, tmp_path,
 
 
 def test_solve_a_graph_of_zero_weights(capsys, tmp_path):
-    """All weights 0: P = 1 and alpha = 0, so no energies, residual 0, and
+    """All weights 0: P = 1 and alpha = 0, so no energies, width 0, and
     one level 0 holding all 2^3 states."""
     p = tmp_path / "zero.graph"
     p.write_text("p 3\nv 0 0\nv 1 0\nv 2 0\n")
@@ -433,7 +452,7 @@ def test_solve_a_graph_of_zero_weights(capsys, tmp_path):
     assert code == 0
     res = doc["result"]
     assert res["alpha"] == 0 and res["independence_polynomial"] == [1.0]
-    assert res["energies"] == [] and res["root_residual"] == 0.0
+    assert res["energies"] == [] and res["bracket_width"] == 0.0
     assert res["free_spectrum"] == [[0.0, 8]]
 
 
@@ -474,3 +493,68 @@ def test_commands_back_to_back_match_separate_runs(capsys):
         fresh = subprocess.run([sys.executable, "-m", "ffsolve.cli", *argv],
                                capture_output=True, text=True, env=env, check=False)
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+def _solve_quietly(argv) -> tuple[int, str, str]:
+    """``main(argv)`` with its stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def spread_couplings(draw, count: int) -> list[float]:
+    """``count`` couplings 2^(s + u_i), u_i uniform in [-d, d], with d one of
+    0, 10, 40, 100 and 300, and s 0 or uniform in [-500, 500]; each
+    exponent is clamped to [-490, 490], so that the weights stay floats."""
+    s = draw(st.sampled_from((0.0, None)))
+    if s is None:
+        s = draw(st.floats(-500.0, 500.0))
+    d = draw(st.sampled_from((0.0, 10.0, 40.0, 100.0, 300.0)))
+    spread = draw(st.lists(st.floats(-1.0, 1.0), min_size=count, max_size=count))
+    return [2.0 ** min(max(s + d * u, -490.0), 490.0) for u in spread]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_spread_couplings_are_solved_or_refused_in_one_line(data):
+    """Chains N x k, N 2-9 and k 2-4, against ``chain_energies``, and line
+    graphs of trees of 3-25 edges, as graph files, against the Jordan-Wigner
+    energies, at couplings spread over up to 2^600.  A solve that exits 0
+    has the reference's alpha, and each energy within its bracket width
+    plus the reference's error: N eps of the largest squared energy for
+    the chain recursion, and 8 n eps of the largest energy for the
+    eigenvalues of the n x n adjacency.  Any other answer is exit 1 with
+    one line."""
+    if data.draw(st.booleans()):
+        n_cells, k = data.draw(st.integers(2, 9)), data.draw(st.integers(2, 4))
+        couplings = data.draw(spread_couplings(k))
+        code, out, err = _solve_quietly(
+            ["solve", "--model", "chain", "--N", str(n_cells), "--k", str(k),
+             "--couplings", ",".join(map(repr, couplings))])
+        want = chain_energies(ChainSpec(n_cells, k, tuple(c * c for c in couplings))).flat()
+        power, noise = 2, n_cells * EPS * want[-1] ** 2  # on squared energies
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        n, edges, _ = random_forest(rng, rng.randint(3, 25))
+        b = data.draw(spread_couplings(len(edges)))
+        graph = forest_line_graph(edges, b)
+        text = f"p {graph.n}\n" + "".join(f"v {v} {w!r}\n" for v, w in enumerate(graph.weights))
+        text += "".join(f"e {i} {j}\n" for i, j in graph.edges())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "tree.graph")
+            with open(path, "w") as fh:
+                fh.write(text)
+            code, out, err = _solve_quietly(["solve", path])
+        want = forest_energies(n, edges, b)
+        power, noise = 1, 8 * n * EPS * want[-1]
+    if code != 0:
+        assert code == 1 and not out and err.count("\n") == 1 and "Traceback" not in err
+        return
+    result = json.loads(out)["result"]
+    got = sorted(e ** power for e, m in result["energies"] for _ in range(m))
+    assert result["alpha"] == len(got) == len(want)
+    width = result["bracket_width"]
+    assert all(abs(a - b ** power) <= width * b ** power + noise for a, b in zip(got, want)), \
+        (got, want)

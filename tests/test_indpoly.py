@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 import warnings
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -14,11 +13,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     EPS,
-    assert_same_energies,
     bisection_energies,
     certify_groups,
+    chain_graph,
     chain_polynomial,
     cycle_graph,
+    exact_count_above,
     forest_energies,
     forest_line_graph,
     maximal_cliques,
@@ -26,6 +26,7 @@ from conftest import (
     naive_independence_polynomial,
     random_forest,
     random_graph,
+    record_sweeps,
     reference_free_spectrum,
     stable_sets,
     verify_clique_recurrence,
@@ -37,7 +38,6 @@ from ffsolve.chains import ChainSpec, chain_energies
 from ffsolve.errors import ComplexRootError, ConditioningError
 from ffsolve.graphs import WeightedGraph, bits, frustration_graph
 from ffsolve.indpoly import (
-    ROOT_CERT_REL_TOL,
     ROOT_REL_TOL,
     IndependencePolynomial,
     SingleParticleEnergies,
@@ -118,7 +118,8 @@ def test_single_vertex_polynomial():
 
 
 def test_polynomial_against_subset_oracle():
-    """Elimination DP against naive subset sums, relabelled at random too."""
+    """Elimination DP against naive subset sums in integers, exactly,
+    relabelled at random too."""
     rng = random.Random(107)
     for trial in range(150):
         n = rng.randint(1, 12)
@@ -132,10 +133,8 @@ def test_polynomial_against_subset_oracle():
         shuffled = WeightedGraph(n, [(perm[i], perm[j]) for i, j in g.edges()],
                                  weights=[weights[perm.index(v)] for v in range(n)])
         for graph in (g, shuffled):
-            got = weighted_independence_polynomial(graph).coeffs
-            assert len(got) == len(want), trial
-            for a, b in zip(got, want):
-                assert abs(a - b) <= 1e-12 * b, trial
+            got = weighted_independence_polynomial(graph)
+            assert (list(got.ints), got.shift) == want, trial
 
 
 def test_polynomial_on_long_path_matches_closed_form():
@@ -144,10 +143,8 @@ def test_polynomial_on_long_path_matches_closed_form():
     n = 1200
     poly = weighted_independence_polynomial(
         WeightedGraph(n, [(i, i + 1) for i in range(n - 1)]))
-    assert poly.alpha == n // 2
-    for k, c in enumerate(poly.coeffs):
-        exact = math.comb(n - k + 1, k)
-        assert abs(c - exact) <= 1e-12 * exact
+    assert poly.alpha == n // 2 and poly.shift == 0
+    assert poly.ints == tuple(math.comb(n - k + 1, k) for k in range(n // 2 + 1))
 
 
 def test_polynomial_basics():
@@ -158,6 +155,11 @@ def test_polynomial_basics():
         IndependencePolynomial((2.0, 1.0))
     with pytest.raises(ValueError):
         IndependencePolynomial((1.0, -3.0))
+    # floats are taken exactly: c_2 = 0.1 is 3602879701896397 / 2^55
+    exact = IndependencePolynomial((1.0, 0.5, 0.1))
+    assert exact.shift == 28 and exact.ints == (1, 1 << 27, 3602879701896397 << 1)
+    assert exact.coeffs == (1.0, 0.5, 0.1)
+    assert IndependencePolynomial((1, 1 << 27, 3602879701896397 << 1), 28) == exact
 
 
 def test_clique_recurrence_single_vertex_base():
@@ -206,7 +208,7 @@ def test_h5_unit_coupling_energies_quadratic_formula():
     exp_high = math.sqrt((5 + math.sqrt(5)) / 2)
     assert abs(en.energies[0][0] - exp_low) < 1e-12
     assert abs(en.energies[1][0] - exp_high) < 1e-12
-    assert en.residual < 1e-12
+    assert en.width <= 1e-15
 
 
 def test_repeated_root_multiplicity():
@@ -241,16 +243,16 @@ def test_repeated_root_multiplicity():
                                   ChainSpec(5, 4, (0.3, 2.0**-250, 2.0**-260, 2.0**-270)),
                                   ChainSpec(8, 2, (2.0**-200, 0.7))])
 def test_decoupled_chains_give_one_level_from_complex_seeds(spec, monkeypatch):
-    """Chains whose couplings but one are below 2^-200 have one level of
-    multiplicity N.  The companion matrix returns its N seeds as a disc of
-    complex eigenvalues, one cluster, which gives that level as
-    ``chains.chain_energies`` does.  Discs of radius 2 |Im| split a
-    seven-fold cluster of the same kind."""
+    """Chains whose couplings but one are below 2^-200 have N roots within
+    2^-100 of each other.  The companion matrix returns its N seeds as a
+    disc of complex eigenvalues; the exact counts place the N roots in one
+    bracket, which gives the level as ``chains.chain_energies`` does."""
     seeds = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: seeds.append(eigvals(a)) or seeds[-1])
-    ((energy, mult),) = single_particle_energies(chain_polynomial(spec)).energies
-    assert np.iscomplexobj(seeds[0]) and mult == spec.n_cells
+    got = single_particle_energies(weighted_independence_polynomial(chain_graph(spec)))
+    ((energy, mult),) = got.energies
+    assert np.iscomplexobj(seeds[0]) and mult == spec.n_cells and got.width <= ROOT_REL_TOL
     ((want, n),) = chain_energies(spec).energies
     assert n == mult and math.isclose(energy, want, rel_tol=2 * EPS)
 
@@ -275,29 +277,28 @@ def _exact_chain_energies(n_cells, b2):
                                         (22, (1.0, 0.49, 1.69)), (40, (1.0, 0.49, 1.69)),
                                         (17, (0.3, 0.9, 0.5))])
 def test_generic_path_is_right_or_refuses(n_cells, b2):
-    """Chain polynomials lose their roots to rounding as alpha grows: each
-    alpha either matches the exact energies to 1e-8 or raises."""
-    poly = chain_polynomial(ChainSpec(n_cells, len(b2), b2))
-    try:
-        got = single_particle_energies(poly).flat()
-    except ComplexRootError:
-        assert n_cells != 10  # well conditioned: must be solved
-        return
-    want = _exact_chain_energies(n_cells, b2)
-    assert len(got) == len(want)
-    assert max(abs(a - b) / b for a, b in zip(got, want)) <= 1e-8
+    """The monomial coefficients of chain polynomials in floats lost the
+    roots to rounding as alpha grew; the exact ones keep them.  Every
+    alpha here is solved: each group of energies, widened by 1e-14, holds
+    as many roots as it has members by an exact count, and up to alpha =
+    22, where polyroots takes about a second, the energies are within
+    1e-14 of the 80-digit ones."""
+    poly = weighted_independence_polynomial(chain_graph(ChainSpec(n_cells, len(b2), b2)))
+    got = single_particle_energies(poly)
+    certify_groups(lambda w: exact_count_above(poly, w), n_cells, got, 1e-14)
+    if n_cells <= 22:
+        want = _exact_chain_energies(n_cells, b2)
+        assert max(abs(a - b) / b for a, b in zip(got.flat(), want)) <= 1e-14
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="no extended precision")
 def test_roots_are_placed_below_the_float_noise():
     """Uniform chain 14x3 has integer coefficients, so its roots are those
-    of the exact polynomial.  Newton steps in extended precision place
-    them within 1e-12 of 80-digit ones; in float the evaluation noise
-    alone left them 2.7e-10 away."""
+    of the exact polynomial.  They are placed within 1e-15 of 80-digit
+    ones; the float evaluation noise alone left them 2.7e-10 away."""
     poly = chain_polynomial(ChainSpec(14, 3, (1.0, 1.0, 1.0)))
     got = single_particle_energies(poly).flat()
     want = _exact_chain_energies(14, (1.0, 1.0, 1.0))
-    assert max(abs(a - b) / b for a, b in zip(got, want)) <= 1e-12
+    assert max(abs(a - b) / b for a, b in zip(got, want)) <= 1e-15
 
 
 def test_forest_reference_against_exact_roots():
@@ -331,21 +332,15 @@ def forest_cases():
 
 
 def test_forest_line_graphs_are_right_or_refuse():
-    """Line graphs of weighted trees of 10-50 edges: each is solved to 1e-8
-    of the Jordan-Wigner energies or raises.  Here 279 of 360 are solved,
-    the worst to 2.9e-9; 1e-12 holds only up to alpha = 8, and the
-    refusals start at alpha = 13."""
-    solved = 0
+    """Line graphs of weighted trees of 10-50 edges: each is solved to
+    1e-12 of the Jordan-Wigner energies.  With float coefficients 279 of
+    the 360 were, the worst to 2.9e-9, and the refusals started at alpha
+    = 13."""
     for n, edges, b, poly in forest_cases():
-        try:
-            got = single_particle_energies(poly).flat()
-        except ComplexRootError:
-            continue
+        got = single_particle_energies(poly).flat()
         want = forest_energies(n, edges, b)
         assert len(got) == len(want) == poly.alpha
-        assert max(abs(a - w) / w for a, w in zip(got, want)) <= 1e-8
-        solved += 1
-    assert solved >= 250
+        assert max(abs(a - w) / w for a, w in zip(got, want)) <= 1e-12
 
 
 def test_claw_free_real_rootedness():
@@ -379,36 +374,6 @@ def test_root_residuals_small():
             x = -1.0 / (e * e)
             scale = sum(abs(c * x ** k) for k, c in enumerate(poly.coeffs))
             assert abs(poly(x)) <= 1e-11 * scale
-
-
-def exact_count_above(poly: IndependencePolynomial, w: float) -> int:
-    """Squared energies above w: the Budan-Fourier sign changes of P, P',
-    P'', ... at x = -1/w in exact arithmetic, which for a real-rooted P
-    count its roots in (x, 0) exactly.  With w = q / p and every c_k = a_k
-    / d, d a power of two, P^(j)(x) / j! times the positive d p^alpha is
-    the integer sum_k C(k, j) a_k (-p)^(k-j) q^(alpha-k+j)."""
-    q, p = Fraction(w).as_integer_ratio()
-    coeffs = [Fraction(c) for c in poly.coeffs]
-    d = max(c.denominator for c in coeffs)  # the c_k are dyadic
-    a = [int(c * d) for c in coeffs]
-    alpha = poly.alpha
-    minus_p, q_pow = [1], [1]
-    for _ in range(alpha):
-        minus_p.append(-p * minus_p[-1])
-        q_pow.append(q * q_pow[-1])
-    values = [sum(math.comb(k, j) * a[k] * minus_p[k - j] * q_pow[alpha - k + j]
-                  for k in range(j, alpha + 1)) for j in range(alpha + 1)]
-    signs = [v > 0 for v in values if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def rounding_width(poly: IndependencePolynomial, w: float) -> float:
-    """How far rounding can move the root of P at x = -1/w, in w: the
-    rounding bound 4 (alpha + 1) eps sum_k c_k |x|^k over |P'(x)|, times
-    dw/dx = w^2."""
-    x = -1.0 / w
-    noise = 4 * (poly.alpha + 1) * EPS * sum(c * abs(x) ** k for k, c in enumerate(poly.coeffs))
-    return noise / abs(poly.deriv(x)) * w * w
 
 
 def claw_free_polynomials(seed: int, count: int) -> list[IndependencePolynomial]:
@@ -455,37 +420,27 @@ def solve_or_refuse(poly: IndependencePolynomial):
         return None
 
 
-def assert_matches_bisection(poly, got, rel: float = 1e-9) -> None:
-    """The multiplicities of the bisection reference, simple roots w
-    within 1e-13 relative and twice the rounding width of P of its own,
+def assert_matches_bisection(poly, got, rel: float = 1e-12) -> None:
+    """The multiplicities of the bisection reference, squared energies
+    within 2 ROOT_REL_TOL of its own, which both isolate by exact counts,
     and every group of ``got``, widened by ``rel``, certified by an exact
-    count.  The reference counts only where |R| exceeds its rounding
-    bound, but the value it compares is itself off by up to that bound,
-    so its brackets can end twice the rounding width from the root."""
+    count."""
     want = bisection_energies(poly)
     assert [m for _, m in got.energies] == [m for _, m in want.energies]
-    simple = [pair for pair in zip(got.energies, want.energies) if pair[1][1] == 1]
-    assert_same_energies(SingleParticleEnergies(tuple(a for a, _ in simple), None),
-                         SingleParticleEnergies(tuple(b for _, b in simple), None),
-                         lambda w: 2 * rounding_width(poly, w))
+    for (a, _), (b, _) in zip(got.energies, want.energies):
+        assert math.isclose(a * a, b * b, rel_tol=2 * ROOT_REL_TOL), (a, b)
     certify_groups(lambda w: exact_count_above(poly, w), poly.alpha, got, rel)
 
 
 def test_isolation_and_polish_equal_full_refinement():
-    """On the forest line graphs, alpha up to 22, the roots that are
-    certified are those of the bisection down to ROOT_REL_TOL: the same
-    multiplicities, squared energies within the rounding width of P, and
-    every group certified by an exact count.  279 of the 360 are solved;
-    the other 81 are refused, from alpha = 13 up."""
-    solved = 0
+    """On the forest line graphs, alpha up to 22, every root is the exact
+    one: the groups of energies, each widened by 1e-13, hold as many roots
+    as they have members by an exact count, so the multiplicities and the
+    energies to 1e-13 are those of a full refinement.  With float
+    coefficients 81 of the 360 were refused, from alpha = 13 up."""
     for *_, poly in forest_cases():
-        got = solve_or_refuse(poly)
-        if got is None:
-            assert poly.alpha >= 13
-            continue
-        assert_matches_bisection(poly, got)
-        solved += 1
-    assert solved == 279
+        got = single_particle_energies(poly)
+        certify_groups(lambda w: exact_count_above(poly, w), poly.alpha, got, 1e-13)
 
 
 def test_certified_seeds_equal_isolation_and_polish():
@@ -499,52 +454,52 @@ def test_certified_seeds_equal_isolation_and_polish():
 
 FALLBACK_CASES = {
     # (1 + 3x)^2 (1 + 9x + 12x^2): two real eigenvalues 2e-8 apart at the
-    # double root, placed as two simple roots whose cut is within noise
-    "junction double energy": (1.0, 15.0, 75.0, 153.0, 108.0),
+    # double root
+    "junction double energy": ((1.0, 15.0, 75.0, 153.0, 108.0), [1, 2, 1]),
     # (1 + x/2)(1 + x)^2(1 + 2x): the double root comes back as a complex pair
-    "complex pair": (1.0, 4.5, 7.0, 4.5, 1.0),
-    # (1 + x)(1 + (1 + 1e-7) x): two real eigenvalues 1e-7 apart, and R
-    # within noise between them
-    "corpus": (1.0, 2.0000001, 1.0000001),
+    "complex pair": ((1.0, 4.5, 7.0, 4.5, 1.0), [1, 2, 1]),
+    # two simple roots 1e-7 apart, where the float coefficients hid R
+    # within noise between them and gave one double root
+    "corpus": ((1.0, 2.0000001, 1.0000001), [1, 1]),
 }
 
 
 @pytest.mark.parametrize("case", FALLBACK_CASES)
 def test_uncertified_seeds_take_the_sweeps(case):
-    """Seeds that are not simple roots apart, a pair of real eigenvalues
-    at a double root, a complex pair, or two simple roots that R cannot
-    tell apart, are placed as one cluster, joined at their cut or by their
-    discs, and come back with the bisection's multiplicities, each group
+    """Seeds that no sign change certifies, a pair of real eigenvalues at a
+    double root or a complex pair, are isolated by exact counts, and every
+    answer comes back with the bisection's multiplicities, each group
     certified by an exact count."""
-    poly = IndependencePolynomial(FALLBACK_CASES[case])
+    coeffs, mult = FALLBACK_CASES[case]
+    poly = IndependencePolynomial(coeffs)
     got = single_particle_energies(poly)
-    assert 2 in [m for _, m in got.energies]
-    assert_matches_bisection(poly, got, ROOT_CERT_REL_TOL)
+    assert [m for _, m in got.energies] == mult
+    assert_matches_bisection(poly, got)
 
 
-def test_seeds_off_their_roots_are_refused(monkeypatch):
-    """Seeds 1e-6 off the roots 1/8 and 1/2 of (1 + x)(1 + 4x), which a
-    single Newton step leaves 3e-13 and 1.3e-12 off: the count at the cut
-    between them is right and the noise pins them, but R keeps its sign
-    across the floats next to them, so they are refused."""
+def test_a_shifted_seed_still_gives_the_exact_roots(monkeypatch):
+    """The roots 1/8 and 1/2 (in s) of (1 + x)(1 + 4x), from seeds 1e-6
+    off them, are placed exactly by the Newton steps and certified by
+    signs; from two seeds at one point, whose brackets meet, by the
+    counts.  Both give the energies 1 and 2 exactly."""
     poly = IndependencePolynomial((1.0, 5.0, 4.0))
-    monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda companion: np.array([0.125 * (1 + 1e-6), 0.5 * (1 - 1e-6)]))
-    monkeypatch.setattr(indpoly, "_POLISH_STEPS", 1)
-    with pytest.raises(ComplexRootError):
-        single_particle_energies(poly)
+    for seeds in ([0.125 * (1 + 1e-6), 0.5 * (1 - 1e-6)], [0.3, 0.3]):
+        monkeypatch.setattr(np.linalg, "eigvals", lambda companion: np.array(seeds))
+        assert single_particle_energies(poly).energies == ((1.0, 1), (2.0, 1))
 
 
-def test_a_wrong_count_at_a_cut_is_refused(monkeypatch):
-    """The roots 1/8 and 1/2 of (1 + x)(1 + 4x) pass every check at
-    themselves, but a count at the cut between them that is not alpha
-    less the roots below it refuses both.  No polynomial of the corpora,
-    forests, tied graphs or fuzzed chains reaches this check alone, so the
-    count is made wrong here."""
-    counts = indpoly.sign_changes
-    monkeypatch.setattr(indpoly, "sign_changes", lambda values: counts(values) + 1)
-    with pytest.raises(ComplexRootError, match="isolated 0 real roots, expected 2"):
-        single_particle_energies(IndependencePolynomial((1.0, 5.0, 4.0)))
+def test_a_wrong_sign_at_a_bracket_end_takes_the_counts(monkeypatch):
+    """A sign that does not change across a seed's bracket certifies
+    nothing: made wrong here, the roots are isolated by the counts, and
+    come back the same."""
+    poly = IndependencePolynomial((1.0, 5.0, 4.0))
+    sweeps = record_sweeps(monkeypatch, indpoly)
+    want = single_particle_energies(poly)
+    assert not sweeps
+    value_and_step = indpoly._value_and_step
+    monkeypatch.setattr(indpoly, "_value_and_step",
+                        lambda q, b, x: (abs(value_and_step(q, b, x)[0]), 0.0))
+    assert single_particle_energies(poly) == want and sweeps
 
 
 def test_uniform_junction_double_energy():
@@ -593,9 +548,6 @@ def test_tied_weights_give_the_bisection_multiplicities(graph):
     assert_matches_bisection(poly, single_particle_energies(poly))
 
 
-@pytest.mark.xfail(strict=True, raises=ComplexRootError,
-                   reason="the seed certificate misses a triple root that the exact count "
-                          "places (ROADMAP item 3)")
 @pytest.mark.parametrize("graph, want", [
     # P = (1 + 2x)^6 (1 + 2.25x)^3: w = 2.25 is placed exactly, but its
     # noise bound reads 5.6e-6 of s
@@ -611,7 +563,8 @@ def test_tied_weights_give_the_bisection_multiplicities(graph):
 ])
 def test_tied_triple_roots_are_refused(graph, want):
     """Two inputs of the tied-weight generator whose coefficients and
-    roots are exact: refused today, solved once the count is exact."""
+    roots are exact: the float certificate refused them, and the exact
+    counts give their multiplicities."""
     got = single_particle_energies(weighted_independence_polynomial(graph)).energies
     assert [m for _, m in got] == [m for _, m in want]
     assert all(math.isclose(e, w, rel_tol=1e-13) for (e, _), (w, _) in zip(got, want))
@@ -718,19 +671,18 @@ def test_complex_roots_detected():
 
 def test_underflowed_top_coefficient_keeps_alpha():
     """Chain 4x3 at couplings (1.3346e-133, 8.1609e-129, 2.1212e-127):
-    c_2..c_4 underflow to 0.  They stay in the list at their degrees, so
-    alpha is 4, the graph's, and not 1, and the energies are refused
-    rather than one of 4.2e-127 returned.  The four energies, 2.06 to
-    2.19e-127, are what ``chain_energies`` finds."""
+    c_2..c_4 underflow to 0 as floats, but the exact coefficients keep
+    them, so alpha is 4, the graph's, and not 1, and the four energies,
+    2.06 to 2.19e-127, are those of ``chain_energies``, with no warning."""
     couplings = (1.3346e-133, 8.1609e-129, 2.1212e-127)
     poly = weighted_independence_polynomial(frustration_graph(chain_model(4, 3, couplings)))
-    assert poly.alpha == 4 and poly.coeffs[2:] == (0.0, 0.0, 0.0)
+    assert poly.alpha == 4 and poly.coeffs[2:] == (0.0, 0.0, 0.0) and all(poly.ints)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ComplexRootError, match="isolated 0 real roots, expected 4"):
-            single_particle_energies(poly)
+        got = single_particle_energies(poly).flat()
     reference = chain_energies(ChainSpec(4, 3, tuple(c * c for c in couplings))).flat()
     assert len(reference) == 4 and 2.0e-127 < reference[0] < reference[-1] < 2.2e-127
+    assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, reference))
 
 
 def test_weight_zero_vertices_add_no_degree():
@@ -760,32 +712,40 @@ def test_zero_weights_are_the_induced_subgraph(data):
                                  min_size=n, max_size=n))
     ks = data.draw(st.sets(st.integers(0, n - 1)))
     g = WeightedGraph(n, edges, weights=weights)
-    got = weighted_independence_polynomial(zero_weights(g, ks)).coeffs
-    want = weighted_independence_polynomial(without(g, ks)).coeffs
-    assert [c.hex() for c in got] == [c.hex() for c in want]
+    got = weighted_independence_polynomial(zero_weights(g, ks))
+    want = weighted_independence_polynomial(without(g, ks))
+    assert got.ints == want.ints and [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs]
 
 
-@pytest.mark.parametrize("poly", [
-    IndependencePolynomial((1.0, 1e200, 1e-120)),
-    chain_polynomial(ChainSpec(5, 2, (6.9e-226, 7.9e-184))),
+@pytest.mark.parametrize("poly, found", [
+    (IndependencePolynomial((1.0, 1e200, 1e-120)), 1),
+    (chain_polynomial(ChainSpec(5, 2, (6.9e-226, 7.9e-184))), 0),
 ], ids=["huge-c1", "chain-5x2"])
-def test_underflowed_constant_term_is_refused(poly):
-    """R's constant term c_alpha / 2^(p alpha) underflows to 0 on both: R
-    would have a root at 0, which no energy has.  They were answered with
-    an energy of 0.0 (four of them on the chain), a NaN residual and a
-    RuntimeWarning; now they are refused, naming alpha."""
+def test_underflowed_constant_term_is_refused(poly, found):
+    """Roots that no float in s reaches are refused, naming alpha.  The
+    float recursion of the chain underflows its c_5 to 0, so R has a root
+    at 0, which no energy has.  The other R has roots near 1 and 1e-520 in
+    s: the first is isolated, and the second is below the least float.
+    They were answered with an energy of 0.0 (four of them on the chain),
+    a NaN residual and a RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ComplexRootError, match=f"isolated 0 real roots, expected {poly.alpha}"):
+        with pytest.raises(ComplexRootError,
+                           match=f"isolated {found} real roots, expected {poly.alpha}"):
             single_particle_energies(poly)
 
 
 def test_overflowed_coefficient_is_refused():
-    """A coefficient that overflowed to inf, as c_3 of chain 4x3 at couplings
-    1e60 does, places no root: refused before the companion matrix, which
-    numpy would reject with a LinAlgError."""
-    with pytest.raises(ComplexRootError, match="isolated 0 real roots, expected 3"):
-        single_particle_energies(IndependencePolynomial((1.0, 3e120, 3e240, math.inf)))
+    """A float coefficient that overflowed to inf, as c_3 of chain 4x3 at
+    couplings 1e60 did, is no polynomial: the constructor refuses it.  The
+    exact coefficients of that chain do not overflow, and it is solved."""
+    with pytest.raises(ValueError, match="finite"):
+        IndependencePolynomial((1.0, 3e120, 3e240, math.inf))
+    poly = weighted_independence_polynomial(frustration_graph(chain_model(4, 3, (1e60,) * 3)))
+    assert poly.coeffs[3:] == (math.inf, math.inf)
+    got = single_particle_energies(poly).flat()
+    want = chain_energies(ChainSpec(4, 3, (1e120,) * 3)).flat()
+    assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, want))
 
 
 def test_coefficients_scale_without_underflow():

@@ -15,11 +15,11 @@ from conftest import (
     maximal_cliques,
     naive_has_claw,
     naive_has_even_hole,
+    naive_independence_polynomial,
     naive_is_simplicial_clique,
     naive_simplicial_cliques,
     plain_find_claw,
     plain_find_even_hole,
-    plain_independence_polynomial,
     plain_is_chordal,
     random_graph,
     relabel,
@@ -27,7 +27,7 @@ from conftest import (
 from ffsolve.errors import ComplexRootError, SearchBudgetError
 from ffsolve.graphs import WeightedGraph, frustration_graph
 from ffsolve.indpoly import single_particle_energies, weighted_independence_polynomial
-from ffsolve.models import chain_model, h6_model, junction_graph
+from ffsolve.models import chain_model, h6_model, junction_graph, parse_graph
 from ffsolve.recognition import (
     HOLE_SEARCH_BUDGET,
     classify,
@@ -144,6 +144,16 @@ def test_isolated_vertex_is_simplicial():
     g = WeightedGraph(1)
     assert list(naive_simplicial_cliques(g)) == [(0,)]
     assert smallest_simplicial_clique(g) == (0,)
+
+
+def test_a_weight_zero_vertex_is_no_simplicial_clique():
+    """A vertex of weight 0 is no term of H.  In the star file whose centre
+    0 has weight 0, the centre is left isolated, and simplicial, but the
+    clique reported is leaf 1; a graph of zero weights has none."""
+    star = parse_graph("p 4\nv 0 0\nv 1 1.0\nv 2 0.5\nv 3 2.0\ne 0 1\ne 0 2\ne 0 3\n")
+    assert smallest_simplicial_clique(star) == (1,)
+    assert classify(star).simplicial_clique == (1,)
+    assert smallest_simplicial_clique(WeightedGraph(3, weights=[0.0] * 3)) is None
 
 
 def test_h6_maximal_cliques_all_simplicial():
@@ -377,16 +387,13 @@ def _hole_or_budget(search, g: WeightedGraph, budget: int):
 def test_inlined_loops_match_the_plain_ones(g, budget):
     """The loops that walk the bitmask rows inline give what the ones
     written with ``bits`` and ``closed_adj`` give: the same claw and hole
-    witnesses, the same budget error, the same chordality, and the same
-    coefficients bit for bit.  The polynomial keeps its length at alpha of
-    the vertices of positive weight, with an underflowed coefficient as
-    0.0 where the plain one trimmed it."""
+    witnesses, the same budget error, the same chordality.  The DP's
+    integer coefficients are those of the enumeration, and their length
+    is alpha of the vertices of positive weight."""
     assert find_claw(g) == plain_find_claw(g)
     assert is_chordal(g) == plain_is_chordal(g)
     assert _hole_or_budget(find_even_hole, g, budget) == _hole_or_budget(plain_find_even_hole, g, budget)
-    coeffs = list(weighted_independence_polynomial(g).coeffs)
+    poly = weighted_independence_polynomial(g)
     positive = sum(1 << v for v, w in enumerate(g.weights) if w)
-    assert len(coeffs) - 1 == _alpha(g, positive)
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    assert [c.hex() for c in coeffs] == [c.hex() for c in plain_independence_polynomial(g)]
+    assert poly.alpha == _alpha(g, positive)
+    assert (list(poly.ints), poly.shift) == naive_independence_polynomial(g)

@@ -626,14 +626,15 @@ def test_verify_residuals_hold_at_couplings_near_overflow():
     ``fundamental_identity`` read NaN.  The charges and T(+-u) are built
     from the couplings divided by the power of two above the largest, so
     no product overflows: every lemma residual is within its tolerance
-    with no warning, and the refused energies are reported in ``failure``."""
+    with no warning.  The weight of the first term, 1e400, is not a
+    float, and the polynomial that refuses it reports so in ``failure``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = verify_all(h5_model(1e200, 1.0, 1.0, 1.0, 1.0))
     assert sorted(rep.lemma_residuals) == ["charges_commute", "fundamental_identity",
                                            "transfer_factorization"]
     assert all(value <= TOLERANCES[name] for name, value in rep.lemma_residuals.items())
-    assert rep.failure.startswith("mode construction: isolated 0 real roots, expected 2")
+    assert rep.failure.startswith("mode construction: vertex 0 has weight inf")
 
 
 def test_mode_norm_formula():

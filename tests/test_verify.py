@@ -96,11 +96,13 @@ def test_verify_free_above_dense_cap_keeps_energies():
 
 
 def test_verify_free_reports_a_refused_root_finder():
-    """Chain 15x3 has alpha = 15 and its roots cannot all be isolated:
-    the report fails with the root finder's reason, not a traceback."""
-    rep = verify_free(chain_model(15, 3, [1.0, 0.7, 1.3]))
+    """Two commuting terms of couplings 1e150 and 1e-150: the lower root
+    lies 1e-600 below the upper one, under every float of the root finder,
+    which isolates one root of two.  The report fails with its reason, not
+    a traceback."""
+    rep = verify_free(parse_hamiltonian("1e150 X0\n1e-150 X1\n"))
     assert rep.applicable and rep.spectrum_match is False
-    assert rep.failure.startswith("isolated 11 real roots, expected 15")
+    assert rep.failure.startswith("isolated 1 real roots, expected 2")
     assert rep.energies is None and list(rep.timings) == ["classify", "energies"]
     assert not rep.passed()
 
