@@ -14,6 +14,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -46,8 +47,13 @@ EXIT_UNDECIDED = 3
 
 FREE_SPECTRUM_ALPHA_CAP = 16
 
+# Every payload is a tree that its command has just built, so no cycle can
+# occur and the encoder's walk for one is skipped; a non-finite float is
+# written as null where it arises, and one that reaches the encoder raises
+_ENCODER = json.JSONEncoder(default=float, check_circular=False, allow_nan=False)
 
-def _atomic_write(path: str, data: str):
+
+def _atomic_write(path: str, data: bytes):
     """Write ``data`` to a new file beside ``path``, then rename it over
     ``path``.  The new file takes mode 0666 less the umask, as a file that
     ``open(path, "w")`` creates does; a name already taken is skipped."""
@@ -62,8 +68,12 @@ def _atomic_write(path: str, data: str):
         except OSError as exc:  # it names the temporary file, which the caller never chose
             raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+        try:
+            view = memoryview(data)
+            while view:  # os.write may write less than it is given
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         try:
             os.replace(tmp, path)
         except OSError as exc:  # as above: a directory at ``path``, say
@@ -76,16 +86,16 @@ def _atomic_write(path: str, data: str):
 def _write(args: argparse.Namespace, text: str):
     """Write ``text`` atomically to ``-o`` when it is given, else to stdout."""
     if args.output:
-        _atomic_write(args.output, text)
+        _atomic_write(args.output, text.encode())
     else:
         sys.stdout.write(text)
 
 
 def _emit(args: argparse.Namespace, payload: dict):
-    """The options of the command and the result as one line of JSON;
-    without ``indent`` the C encoder writes it."""
+    """The options of the command and the result as one line of strict
+    JSON; without ``indent`` the C encoder writes it."""
     config = {k: v for k, v in vars(args).items() if k != "fn"}
-    _write(args, json.dumps({"config": config, "result": payload}, default=float) + "\n")
+    _write(args, _ENCODER.encode({"config": config, "result": payload}) + "\n")
 
 
 def _emit_csv(args: argparse.Namespace, header: str, rows: list[str]):
@@ -136,7 +146,8 @@ def _structure_payload(graph: WeightedGraph, budget: int) -> tuple[dict, object]
         "vertices": graph.n,
         "edges": sum(row.bit_count() for row in graph.adj) // 2,
         "structure": report.to_dict(),
-        "independence_polynomial": poly.coeffs,
+        # a coefficient beyond the float range is null
+        "independence_polynomial": [c if math.isfinite(c) else None for c in poly.coeffs],
         "alpha": poly.alpha,
     }
     return payload, report
@@ -173,7 +184,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         hext, chi = simplicial_extension(h, ks)
         modes = all_modes(hext, chi, energies, poly)
         payload["mode_term_counts"] = [len(m.op) for m in modes]
-        payload["mode_energy_gap"] = mode_energy_gap(modes)
+        gap = mode_energy_gap(modes)
+        payload["mode_energy_gap"] = gap if math.isfinite(gap) else None
         payload["simplicial_clique"] = ks
     _emit(args, payload)
     return EXIT_OK

@@ -29,6 +29,7 @@ caller returns with each count only guides the cuts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -502,7 +503,10 @@ def free_spectrum(energies: SingleParticleEnergies, n: int) -> list[tuple[float,
     tol = 1e-9 * max(abs(sums[0]), abs(sums[-1]), 1e-300)
     # a gap above tol always opens a level; only a run of smaller gaps that
     # spans more than tol needs the sequential rule
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(sums) > tol) + 1, [len(sums)]))
+    gaps = np.diff(sums) > tol
+    if gaps.all():  # every sum is a level of its own, and its own mean
+        return list(zip(sums.tolist(), itertools.repeat(base_deg)))
+    bounds = np.concatenate(([0], np.flatnonzero(gaps) + 1, [len(sums)]))
     extra = []
     for run in np.flatnonzero(sums[bounds[1:] - 1] - sums[bounds[:-1]] > tol).tolist():
         opener = sums[bounds[run]]
@@ -517,4 +521,4 @@ def free_spectrum(energies: SingleParticleEnergies, n: int) -> list[tuple[float,
     # sums agree
     openers = sums[starts]
     means = openers + np.add.reduceat(sums - np.repeat(openers, counts), starts) / counts
-    return [(v, c * base_deg) for v, c in zip(means.tolist(), counts.tolist())]
+    return list(zip(means.tolist(), map(base_deg.__mul__, counts.tolist())))

@@ -2,11 +2,12 @@
 graph-derived solution with ground truth.
 
 The oracle uses Pauli algebra only, never the frustration graph: it splits
-the Hamiltonian into its Pauli-symmetry sectors and diagonalizes each
-sector's dense block (Bravyi, Gambetta, Mezzacapo and Temme, "Tapering off
-qubits to simulate fermionic Hamiltonians", arXiv:1701.08213, with the
-symplectic Gram-Schmidt of Aaronson and Gottesman, PRA 70, 2004).  Pauli
-strings are symplectic vectors x | z << n here, as Python ints.
+the Hamiltonian into its Pauli-symmetry sectors and diagonalizes the dense
+block of one sector for each sign pattern of the commutant's centre
+(Bravyi, Gambetta, Mezzacapo and Temme, "Tapering off qubits to simulate
+fermionic Hamiltonians", arXiv:1701.08213, with the symplectic
+Gram-Schmidt of Aaronson and Gottesman, PRA 70, 2004).  Pauli strings are
+symplectic vectors x | z << n here, as Python ints.
 """
 
 from __future__ import annotations
@@ -111,39 +112,54 @@ def symmetry_generators(h: Hamiltonian) -> list[int]:
 
 
 def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
-    """The 2^n eigenvalues, ascending, from exact diagonalization in every
-    Pauli-symmetry sector.
+    """The 2^n eigenvalues, ascending, from exact diagonalization in the
+    Pauli-symmetry sectors of the commutant's centre.
 
-    The s generators a_0..a_{s-1} of ``symmetry_generators(h)`` are
-    commuting symmetries.  Symplectic Gram-Schmidt extends
-    them to pairs (a_k, b_k), k < n, that a Clifford maps to (Z_k, X_k).
-    A term sigma(v) then becomes i^-e prod_k Z_k^<v,b_k> X_k^<v,a_k>, where
-    <u,v> is 1 for anticommuting strings and i^e sigma(v) is the product of
-    the a_k^<v,b_k> b_k^<v,a_k> (``paulis.multiply``).  On the first s
-    qubits a term carries Z only, which is the sign lambda_k in the sector
-    where a_k has eigenvalue lambda_k; so each of the 2^s sectors is a block
-    on the other m = n - s qubits, built from the terms' reduced strings
-    and diagonalized a batch at a time.
+    The commutant of the terms splits, by symplectic Gram-Schmidt, into p
+    pairs (u_i, w_i) and c central strings; the u_i and the central ones
+    are the s = p + c generators of ``symmetry_generators(h)``, commuting
+    symmetries a_0..a_{s-1} with the u_i first.  Symplectic Gram-Schmidt
+    extends them to pairs (a_k, b_k), k < n, that a Clifford maps to
+    (Z_k, X_k).  A term sigma(v) then becomes i^-e prod_k Z_k^<v,b_k>
+    X_k^<v,a_k>, where <u,v> is 1 for anticommuting strings and i^e sigma(v)
+    is the product of the a_k^<v,b_k> b_k^<v,a_k> (``paulis.multiply``).
+    On the first s qubits a term carries Z only, which is the sign lambda_k
+    in the sector where a_k has eigenvalue lambda_k; so each sector is a
+    block on the other m = n - s qubits, built from the terms' reduced
+    strings.  Each w_i commutes with every term and anticommutes with u_i
+    alone, so it maps the sector at lambda to the one at lambda with the
+    sign of u_i flipped, block spectrum included.  Only the 2^c sectors
+    with every u_i at +1 are diagonalized, a batch at a time, and each
+    block's eigenvalues are repeated 2^p times.
 
     Caps, all checked before any block is allocated: m <= DENSE_QUBIT_CAP;
-    the work 2^s 8^m <= 8^DENSE_QUBIT_CAP; and the 2^n eigenvalues are no
-    more than the 4^DENSE_QUBIT_CAP entries of one matrix at the cap.  Every
-    block self-checks the reduction: tr(H_lambda) is 2^m times its identity
-    coefficient, tr(H_lambda^2) is 2^m times the sum of its squared
-    coefficients, and every reduced coefficient is real.  The blocks are
-    built at unit largest coupling, so the self-check tolerance is scale-free.
+    the work 2^c 8^m <= 8^DENSE_QUBIT_CAP; and the 2^n eigenvalues are no
+    more than the 4^DENSE_QUBIT_CAP entries of one matrix at the cap.  The
+    pairs self-check their commutation, and every block the reduction:
+    tr(H_lambda) is 2^m times its identity coefficient, tr(H_lambda^2) is
+    2^m times the sum of its squared coefficients, and every reduced
+    coefficient is real.  The blocks are built at unit largest coupling, so
+    the self-check tolerance is scale-free.
     """
     n = h.n
-    generators = symmetry_generators(h)
-    s, m = len(generators), n - len(generators)
+    terms = [t.x | t.z << n for _, t in h.terms]
+    paired, central = _symplectic_pairs(n, _commutant(n, terms))
+    generators = [u for u, _ in paired] + central
+    p, c = len(paired), len(central)
+    s, m = p + c, n - p - c
     if m > DENSE_QUBIT_CAP:
         raise DenseCapError(f"{m}-qubit symmetry sectors exceed the oracle cap {DENSE_QUBIT_CAP}")
-    if s + 3 * m > 3 * DENSE_QUBIT_CAP:
-        raise DenseCapError(f"2^{s} symmetry sectors of {m} qubits exceed the oracle's "
+    if c + 3 * m > 3 * DENSE_QUBIT_CAP:
+        raise DenseCapError(f"2^{c} central symmetry sectors of {m} qubits exceed the oracle's "
                             f"work cap 8^{DENSE_QUBIT_CAP}")
     if n > 2 * DENSE_QUBIT_CAP:
         raise DenseCapError(f"the 2^{n} eigenvalues of {n} qubits exceed the oracle's "
                             f"eigenvalue cap 2^{2 * DENSE_QUBIT_CAP}")
+    for i, (_, w) in enumerate(paired):
+        if any(_omega(w, v, n) for v in terms) or [
+                j for j, g in enumerate(generators) if _omega(w, g, n)] != [i]:
+            raise FFSolveError("oracle self-check failed: a paired symmetry does not "
+                               "flip its generator alone")
     pairs, _ = _symplectic_pairs(n, generators + [1 << i for i in range(2 * n)])
     if len(pairs) != n:
         raise FFSolveError("oracle self-check failed: no symplectic basis")
@@ -153,7 +169,7 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
     scale = max(abs(c) for c in h.couplings())
     reduced: dict[tuple[int, int], int] = {}
     index, sector_bits, coefs = [], [], []
-    for x, z, c in ((t.x, t.z, c * t.phase) for c, t in h.terms):
+    for x, z, coef in ((t.x, t.z, c * t.phase) for c, t in h.terms):
         v = x | z << n
         word = PauliTerm.identity(n)  # the product of a_k^zk b_k^xk over k
         xs = zs = 0
@@ -168,12 +184,12 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
         if (word.x, word.z) != (x, z) or xs & ((1 << s) - 1):
             raise FFSolveError("oracle self-check failed: a term left the symmetry frame")
         # sigma(v) = i^-e word, and Z^z X^x = i^(x z) sigma(x, z) on each reduced qubit
-        c = c * _PHASES[((xr & zr).bit_count() - word.phase_pow) % 4]
-        if c.imag:
+        coef = coef * _PHASES[((xr & zr).bit_count() - word.phase_pow) % 4]
+        if coef.imag:
             raise FFSolveError("oracle self-check failed: a reduced term is not Hermitian")
         index.append(reduced.setdefault((xr, zr), len(reduced)))
         sector_bits.append(zs & ((1 << s) - 1))
-        coefs.append(c.real / scale)
+        coefs.append(coef.real / scale)
     strings, index = list(reduced), np.array(index)
     order = np.argsort(index, kind="stable")
     starts = np.flatnonzero(np.diff(index[order], prepend=-1))
@@ -185,8 +201,9 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
     # a batch holds 2^DENSE_QUBIT_CAP block rows: at most one matrix at the cap
     batch = max(1, (1 << DENSE_QUBIT_CAP) // dim)
     evals = []
-    for first in range(0, 1 << s, batch):
-        sectors = np.arange(first, min(first + batch, 1 << s), dtype=np.uint64)
+    for first in range(0, 1 << c, batch):
+        # the sectors of the batch, u_i at +1: their sign bits k < p are 0
+        sectors = np.arange(first, min(first + batch, 1 << c), dtype=np.uint64) << np.uint64(p)
         # the coefficient of each reduced string in each sector of the batch
         signs = 1.0 - 2.0 * (np.bitwise_count(sectors[:, None] & sector_bits) & 1)
         block_coefs = np.add.reduceat(signs * coefs, starts, axis=1)
@@ -198,7 +215,7 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
         if np.abs((np.abs(blocks) ** 2).sum(axis=(1, 2)) - square).max() > tol:
             raise FFSolveError("oracle self-check failed: tr(H^2) of a sector block")
         evals.append(np.linalg.eigvalsh(blocks).ravel())
-    return np.sort(np.concatenate(evals)) * scale
+    return np.repeat(np.sort(np.concatenate(evals)) * scale, 1 << p)
 
 
 @dataclass
@@ -238,7 +255,13 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
+        deviation = self.max_level_deviation
         d.update(structure=self.structure.to_dict() if self.structure else None,
+                 # strict JSON has no NaN or infinity: a residual that is not finite is null
+                 lemma_residuals={k: v if math.isfinite(v) else None
+                                  for k, v in self.lemma_residuals.items()},
+                 max_level_deviation=(deviation if deviation is None or math.isfinite(deviation)
+                                      else None),
                  applicable=self.applicable, skip_reason=self.skip_reason,
                  tolerances=dict(TOLERANCES),
                  timings={k: round(v, 6) for k, v in self.timings.items()},

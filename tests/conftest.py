@@ -40,7 +40,14 @@ from ffsolve.paulis import (
 )
 from ffsolve.recognition import classify
 from ffsolve.solver import TransferOperator, transfer
-from ffsolve.verify import SPECTRUM_CLUSTER_TOL, SPECTRUM_MATCH_TOL, brute_force_spectrum
+from ffsolve.verify import (
+    SPECTRUM_CLUSTER_TOL,
+    SPECTRUM_MATCH_TOL,
+    _omega,
+    _symplectic_pairs,
+    brute_force_spectrum,
+    symmetry_generators,
+)
 
 EPS = float(np.finfo(float).eps)
 
@@ -556,6 +563,46 @@ def full_matrix_spectrum(h) -> np.ndarray:
     the full 2^n matrix of ``h``, ascending, for at most 10 qubits."""
     assert h.n <= 10, "the full-matrix reference is for small systems"
     return np.linalg.eigvalsh(to_dense(OperatorSum.from_terms(h.n, h.terms)))
+
+
+def all_sector_spectrum(h) -> np.ndarray:
+    """Reference for ``verify.brute_force_spectrum``, which diagonalizes the
+    centre's sectors only: here every one of the 2^s sectors of
+    ``symmetry_generators(h)`` is a dense block on m = n - s qubits,
+    diagonalized on its own; no cap and no self-check."""
+    n = h.n
+    generators = symmetry_generators(h)
+    s, m = len(generators), n - len(generators)
+    pairs, _ = _symplectic_pairs(n, generators + [1 << i for i in range(2 * n)])
+    mask = (1 << n) - 1
+    frame = [(a, b, PauliTerm(n, a & mask, a >> n), PauliTerm(n, b & mask, b >> n))
+             for a, b in pairs]
+    reduced: dict[tuple[int, int], int] = {}
+    index, sector_bits, coefs = [], [], []
+    for c, t in h.terms:
+        v = t.x | t.z << n
+        word = PauliTerm.identity(n)
+        xs = zs = 0
+        for k, (a, b, a_term, b_term) in enumerate(frame):
+            if _omega(v, b, n):
+                zs |= 1 << k
+                word = multiply(word, a_term)
+            if _omega(v, a, n):
+                xs |= 1 << k
+                word = multiply(word, b_term)
+        xr, zr = xs >> s, zs >> s
+        c = c * t.phase * (1, 1j, -1, -1j)[((xr & zr).bit_count() - word.phase_pow) % 4]
+        index.append(reduced.setdefault((xr, zr), len(reduced)))
+        sector_bits.append(zs & ((1 << s) - 1))
+        coefs.append(c.real)
+    strings = list(reduced)
+    evals = []
+    for sector in range(1 << s):
+        block_coefs = [0.0] * len(strings)
+        for i, flips, c in zip(index, sector_bits, coefs):
+            block_coefs[i] += -c if (sector & flips).bit_count() & 1 else c
+        evals.extend(np.linalg.eigvalsh(dense_sums(m, strings, np.array([block_coefs])))[0])
+    return np.sort(evals)
 
 
 # -- root isolation ----------------------------------------------------------

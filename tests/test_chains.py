@@ -605,3 +605,19 @@ def test_spec_rejects_non_finite_couplings(b2):
     ``chain_energies`` would never return on a NaN or an infinity."""
     with pytest.raises(ModelError):
         ChainSpec(8, 3, b2)
+
+
+@pytest.mark.xfail(strict=True, reason="the lowest level lies 2.0e-11 below its reported bracket")
+def test_lowest_level_of_a_chain_200x4_lies_in_its_bracket():
+    """A ``dispersion --k 4 --N 200`` point of the benchmark's chain scans.
+    Its lowest level comes back as 0.0009250219906070058 with a width of
+    1.57e-13, but exact counts put the root at 0.00092502199058860: 200
+    roots lie above e0^2 (1 - 1e-10) and only 199 above e0^2 (1 - 1e-11)."""
+    spec = ChainSpec(200, 4, (0.26361112413460563, 0.2630936532328349,
+                              0.23419347640540283, 0.23910174622715674))
+    got = chain_energies(spec)
+    (e0, m), width = got.energies[0], got.width
+    assert m == 1
+    w = e0 * e0
+    assert exact_root_count(spec, w * (1 - width)) == 200
+    assert exact_root_count(spec, w * (1 + width)) == 199

@@ -178,6 +178,48 @@ def test_underflowing_chain_is_solved(couplings, capsys):
     assert all(math.isclose(a, b, rel_tol=1e-12) for (a, _), (b, _) in zip(got, want))
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and the infinities, which JSON lacks."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+def test_overflowing_coefficients_are_written_as_null(command, capsys):
+    """Chain 4x3 at couplings 1e60: c_3 and c_4 lie beyond the float range,
+    whose view of them is infinite; strict JSON has null in their place."""
+    code, out = run(capsys, command, "--model", "chain", "--N", "4", "--k", "3",
+                    "--couplings", "1e60,1e60,1e60")
+    assert code == 0
+    coeffs = strict_json(out)["result"]["independence_polynomial"]
+    assert coeffs[3:] == [None, None] and all(math.isfinite(c) for c in coeffs[:3])
+
+
+def test_a_nan_residual_of_verify_is_written_as_null(capsys, monkeypatch):
+    from ffsolve import verify
+
+    monkeypatch.setattr(verify, "transfer_factorization_residual",
+                        lambda h, us: [math.nan for _ in us])
+    code, out = run(capsys, "verify", "--model", "h5", "--couplings", "1,0.7,-1.3,0.4,2")
+    assert code == 1
+    res = strict_json(out)["result"]
+    assert res["lemma_residuals"]["transfer_factorization"] is None
+    assert res["passed"] is False
+
+
+def test_output_file_is_whole_after_short_writes(tmp_path, monkeypatch):
+    """``os.write`` may write fewer bytes than it is given: the rest follow."""
+    argv = ["solve", "--model", "chain", "--N", "3", "--k", "3", "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    want = (tmp_path / "out.json").read_bytes()
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:7])))
+    assert main(argv) == 0
+    assert (tmp_path / "out.json").read_bytes() == want
+
+
 def test_solve_with_modes(capsys):
     code, doc = run_json(capsys, "solve", "--model", "h5", "--seed", "3", "--modes")
     assert code == 0

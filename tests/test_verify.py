@@ -7,10 +7,17 @@ import random
 
 import numpy as np
 import pytest
-from conftest import full_matrix_spectrum, oracle_levels, verify_nonexample_equal_couplings
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import (
+    all_sector_spectrum,
+    full_matrix_spectrum,
+    oracle_levels,
+    verify_nonexample_equal_couplings,
+)
 
 from ffsolve import graphs, paulis, recognition, solver, verify
-from ffsolve.errors import DenseCapError
+from ffsolve.errors import DenseCapError, FFSolveError
 from ffsolve.indpoly import SingleParticleEnergies, sign_sums
 from ffsolve.models import (
     Hamiltonian,
@@ -80,14 +87,14 @@ def test_brute_force_h6_pairing():
 
 
 def test_brute_force_cap():
-    # 2^11 sectors of 10 qubits exceed the work cap; 14-qubit blocks the block cap
-    for h in (chain_model(7, 3), x_and_z_everywhere(14)):
+    # 2^1 central sectors of 13 qubits exceed the work cap; 14-qubit blocks the block cap
+    for h in (x_and_z_and_one_z(13), x_and_z_everywhere(14)):
         with pytest.raises(DenseCapError):
             brute_force_spectrum(h)
 
 
 def test_verify_free_above_dense_cap_keeps_energies():
-    rep = verify_free(chain_model(7, 3))  # 21 qubits, ECF, above the work cap
+    rep = verify_free(chain_model(9, 3))  # 27 qubits, ECF, 2^1 sectors of 13 qubits
     assert rep.energies
     assert "cap" in rep.failure
     assert rep.passed() is False
@@ -393,8 +400,15 @@ def test_oracle_does_not_use_the_frustration_graph(monkeypatch):
     _assert_matches_full_matrix(chain_model(3, 3, [1.0, 0.7, 1.3]))
 
 
+def x_and_z_and_one_z(n: int) -> Hamiltonian:
+    """``x_and_z_everywhere(n)`` and a Z on qubit n: one central string
+    (c = 1) beside an n-qubit block (m = n)."""
+    return Hamiltonian.from_pairs(list(x_and_z_everywhere(n).terms)
+                                  + [(0.5, PauliTerm.from_ops(n + 1, {n: "Z"}))], n=n + 1)
+
+
 @pytest.mark.parametrize("h, bound", [
-    (chain_model(7, 3), "work cap"),  # 2^11 sectors of 10 qubits
+    (x_and_z_and_one_z(13), "work cap"),  # 2^1 central sectors of 13 qubits
     (x_and_z_everywhere(14), "oracle cap"),  # one 14-qubit block
     (z_everywhere(27), "eigenvalue cap"),  # 2^27 sectors of 0 qubits
 ])
@@ -406,6 +420,53 @@ def test_oracle_caps_are_checked_before_allocating(monkeypatch, h, bound):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     with pytest.raises(DenseCapError, match=bound):
         brute_force_spectrum(h)
+
+
+def test_oracle_diagonalizes_only_the_central_sectors(monkeypatch):
+    """Chain 4x4 has p = 8 pairs and no central string: one block of 8
+    qubits, its eigenvalues repeated 2^8 times, equal to every sector's."""
+    h = chain_model(4, 4, [1.0, 0.7, 1.3, 0.9])
+    calls = []
+    monkeypatch.setattr(verify, "dense_sums", lambda m, strings, coefs: (
+        calls.append(coefs.shape), paulis.dense_sums(m, strings, coefs))[1])
+    got = brute_force_spectrum(h)
+    assert [rows for rows, _ in calls] == [1]
+    want = all_sector_spectrum(h)
+    assert np.abs(got - want).max() <= 1e-12 * 1.3
+
+
+def test_oracle_self_checks_the_pairs(monkeypatch):
+    """A partner w that anticommutes with a second generator would map a
+    sector onto one of another spectrum: the oracle refuses it."""
+    pairs = verify._symplectic_pairs
+
+    def skewed(n, vectors):
+        paired, central = pairs(n, vectors)
+        if len(paired) < 2:
+            return paired, central
+        (u0, w0), (u1, w1) = paired[:2]
+        return [(u0, w0 ^ w1)] + paired[1:], central
+
+    monkeypatch.setattr(verify, "_symplectic_pairs", skewed)
+    with pytest.raises(FFSolveError, match="paired symmetry"):
+        brute_force_spectrum(chain_model(2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+       st.sampled_from(("generic", "symmetric term", "merging terms", "commuting", "duplicates")))
+def test_oracle_matches_every_sector_on_random_hamiltonians(seed, n, kind):
+    h = _random_hamiltonian(random.Random(seed), n, kind)
+    scale = max(abs(c) for c in h.couplings())
+    assert np.abs(brute_force_spectrum(h) - all_sector_spectrum(h)).max() <= 1e-12 * scale
+
+
+def test_oracle_returns_on_chain_7x3_within_the_caps():
+    """21 qubits: p = 10 pairs and c = 1 central string leave 2 blocks of
+    10 qubits, where all 2^11 sectors were over the work cap."""
+    rep = verify_free(chain_model(7, 3, [1.0, 0.7, 1.3]))
+    assert (rep.symmetry_generators, rep.block_qubits) == (11, 10)
+    assert rep.passed()
 
 
 def test_verify_free_chain_7x2_under_the_sector_cap():
