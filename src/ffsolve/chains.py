@@ -5,19 +5,22 @@ k-term recursion whose coefficients are the elementary symmetric
 polynomials of the squared couplings, so everything here works from the
 coupling vector alone.  The energies come from the isolator by counting,
 ``indpoly.roots_by_count``, fed with the sign changes of this recursion
-rather than with the monomial coefficients, which lose the
-roots to rounding beyond a dozen or so cells, and with the Newton step
-of its last row, whose w-derivative runs alongside it.  The counts alone
-certify every level.  The couplings are first scaled by a power of four
-to a sum in [1, 4), which is exact and bounds the growth of a row, so the
-recursion is rescaled only every RESCALE_ROWS rows.  A sweep holds
-k + RESCALE_ROWS rows in one buffer, the k that the recursion reads and
-one block of new ones; it counts the sign changes of each block before
-the last k rows move to the head of the buffer, and returns the counts
-and the Newton step, never all N rows.  The first sweep cuts at 2N points
-spread like the levels of a gapless band and at powers of two toward 0.
-Dispersion relations and gap scans are finite-N: the spectrum is computed
-at two sizes and the trend decides gapless vs gapped.
+rather than with the monomial coefficients, which lose the roots to
+rounding beyond a dozen or so cells, and with the Newton step of its
+last row, whose w-derivative runs alongside it.  A float count is exact
+only where rounding flips the sign of no row, so near a root a bracket
+can close on noise, as on one chain 200x4, whose lowest level lies
+2.0e-11 below a bracket 1.6e-13 wide.  The couplings are first scaled by
+a power of four to a sum in [1, 4), which is exact and bounds the growth
+of a row, so the recursion is rescaled only every RESCALE_ROWS rows.  A
+sweep holds k + RESCALE_ROWS rows in one buffer, the k that the
+recursion reads and one block of new ones; it counts the sign changes of
+each block before the last k rows move to the head of the buffer, and
+returns the counts and the Newton step, never all N rows.  The first
+sweep cuts at 2N points spread like the levels of a gapless band and at
+powers of two toward 0.  Dispersion relations and gap scans are
+finite-N: the spectrum is computed at two sizes and the trend decides
+gapless vs gapped.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ModelError
-from .indpoly import SingleParticleEnergies, filled_signs, roots_by_count
+from .indpoly import SingleParticleEnergies, roots_by_count
 
 GAPLESS_RATIO_MARGIN = 0.1
 RESCALE_ROWS = 16  # rows between two rescalings in ``chain_values``
@@ -63,6 +66,16 @@ def elementary_symmetric(b2: Sequence[float]) -> tuple[float, ...]:
         for j in range(count, 0, -1):
             e[j] += e[j - 1] * w
     return tuple(e)
+
+
+def filled_signs(values: np.ndarray) -> np.ndarray:
+    """The signs of ``values`` down each column, where a zero takes the
+    last sign above it that is not zero, and a zero in the first row keeps
+    0.  The sign of NaN is NaN, which equals no sign, itself included."""
+    signs = np.sign(values)
+    rows = np.arange(len(signs))[:, None]
+    last = np.maximum.accumulate(np.where(signs != 0, rows, 0), axis=0)
+    return np.take_along_axis(signs, last, axis=0)
 
 
 def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
@@ -173,8 +186,8 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     w = eps^2 above w.  ``roots_by_count`` isolates the roots with that
     count; levels that rounding cannot split, as in dimerized chains,
     share one bracket and come back as one energy with multiplicity.
-    Each bracket gives one energy at its midpoint, and the counts certify
-    them all; the width is that of the widest bracket, relative.
+    Each bracket gives one energy at its midpoint; the width, that of the
+    widest bracket, relative, bounds a level only where its counts are exact.
 
     The chain solved is the one with b2 / 4^j, where the power of four
     puts sum(b2) / 4^j in [1, 4), which keeps ``chain_values`` in float

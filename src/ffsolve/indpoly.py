@@ -7,8 +7,9 @@ On claw-free graphs every root is real (Chudnovsky and Seymour, JCTB
 97, 2007), so negative, and the single-particle energies e_j are given
 by P(-1/e_j^2) = 0.  The weights are floats, so dyadic: with 2^D their
 largest denominator, W_v = w_v 2^D are integers, and the elimination in
-Python ints gives C_k = c_k 2^(D k) exactly.  The float ``coeffs`` of
-``IndependencePolynomial`` are their correctly rounded view.
+Python ints gives C_k = c_k 2^(D k) exactly.  ``IndependencePolynomial``
+is these integers and D; its values and slopes are taken by one integer
+Horner pass, the one that serves Q below, and rounded once.
 
 ``single_particle_energies`` seeks the roots y = 2^D e^2 of the integer
 polynomial Q(y) = sum_k (-1)^k C_k y^(alpha-k) in s = y / 2^b, 2^b the
@@ -57,50 +58,34 @@ def _ratio(n: int, d: int) -> float:
 
 # -- polynomial -------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class IndependencePolynomial:
-    """P exactly, as c_k = ints[k] / 2^(shift k); ``coeffs`` are the c_k
-    correctly rounded to floats, inf beyond the float range."""
+    """P exactly, as c_k = ints[k] / 2^(shift k)."""
 
     ints: tuple[int, ...]
     shift: int
-    coeffs: tuple[float, ...]
 
-    def __init__(self, coeffs: Sequence[float] | Sequence[int], shift: int | None = None):
-        """From the floats ``coeffs``, taken exactly, or the C_k and D."""
-        ints = coeffs
-        if shift is None:
-            if not all(map(math.isfinite, coeffs)):
-                raise ValueError("independence polynomial coefficients must be finite")
-            ratios = [float(c).as_integer_ratio() for c in coeffs]
-            # the least shift with 2^(shift k) a multiple of the denominator of c_k
-            shift = max([(d.bit_length() - 2 + k) // k for k, (_, d) in enumerate(ratios) if k],
-                        default=0)
-            ints = [n << shift * k + 1 - d.bit_length() for k, (n, d) in enumerate(ratios)]
-        if not ints or ints[0] != 1:
+    def __post_init__(self):
+        if not self.ints or self.ints[0] != 1:
             raise ValueError("independence polynomial must have constant term 1")
-        if any(c < 0 for c in ints):
+        if any(c < 0 for c in self.ints):
             raise ValueError("independence polynomial coefficients are nonnegative")
-        object.__setattr__(self, "ints", tuple(ints))
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "coeffs",
-                           tuple(_ratio(c, 1 << shift * k) for k, c in enumerate(ints)))
 
     @property
     def alpha(self) -> int:
         return len(self.ints) - 1
 
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    @property
+    def coeffs(self) -> tuple[float, ...]:
+        """The c_k correctly rounded to floats, inf beyond the float range."""
+        return tuple(_ratio(c, 1 << self.shift * k) for k, c in enumerate(self.ints))
 
-    def deriv(self, x: float) -> float:
-        acc = 0.0
-        for k in range(self.alpha, 0, -1):
-            acc = acc * x + k * self.coeffs[k]
-        return acc
+    def at(self, x: float, slope: bool = False) -> float:
+        """P(x), or P'(x) with ``slope``, exactly and then rounded once."""
+        a, t = _point(x, -self.shift)  # x / 2^shift = a / 2^t
+        f, g = _horner(self.ints[::-1], a, t)
+        scale = t * self.alpha
+        return _ratio(g << t, 1 << scale + self.shift) if slope else _ratio(f, 1 << scale)
 
 
 def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolynomial:
@@ -203,20 +188,10 @@ def weighted_independence_polynomial(graph: WeightedGraph) -> IndependencePolyno
             for i, cb in enumerate(pb, 1):
                 out[i] += w * cb
         memo[s] = out
-    return IndependencePolynomial(memo[full], top - 1)
+    return IndependencePolynomial(tuple(memo[full]), top - 1)
 
 
 # -- root isolation by counting ---------------------------------------------
-
-def filled_signs(values: np.ndarray) -> np.ndarray:
-    """The signs of ``values`` down each column, where a zero takes the
-    last sign above it that is not zero, and a zero in the first row keeps
-    0.  The sign of NaN is NaN, which equals no sign, itself included."""
-    signs = np.sign(values)
-    rows = np.arange(len(signs))[:, None]
-    last = np.maximum.accumulate(np.where(signs != 0, rows, 0), axis=0)
-    return np.take_along_axis(signs, last, axis=0)
-
 
 # A sweep keeps its brackets as the columns of one array with the rows lo,
 # up, c_lo, c_up (the counts at the ends), s_lo, s_up (the Newton steps
@@ -263,8 +238,7 @@ def roots_by_count(evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray
     left it more than half as wide.
 
     Counts that come back out of order are rounding noise, and the
-    bracket is as tight as the evaluator allows; an evaluator reports a
-    count that rounding hides from it as -1.  A one-root bracket ends as
+    bracket is as tight as the evaluator allows.  A one-root bracket ends as
     the span of its noisy cuts: a cut whose count falls outside its ends'
     counts, or both cuts when they come back swapped, since the root lies
     in the noise around them.  A bracket with several roots is cut at its
@@ -380,14 +354,21 @@ def _point(x: float, b: int) -> tuple[int, int]:
     return (a, t) if t >= 0 else (a << -t, 0)
 
 
+def _horner(coeffs: Sequence[int], a: int, t: int) -> tuple[int, int]:
+    """p(y) 2^(t n) and p'(y) 2^(t (n - 1)) at y = a / 2^t, for p of degree
+    n with the integer ``coeffs``, highest first: one pass in integers."""
+    f, g = coeffs[0], 0
+    for j in range(1, len(coeffs)):
+        g = g * a + f
+        f = f * a + (coeffs[j] << t * j)
+    return f, g
+
+
 def _value_and_step(q: list[int], b: int, x: float) -> tuple[int, float]:
     """Q(y) at y = 2^b x times a positive power of two, and the Newton step
-    Q / Q' there in s, from one homogeneous Horner pass in integers."""
+    Q / Q' there in s."""
     a, t = _point(x, b)
-    f, g = 1, 0  # Q and Q' times powers of 2^t
-    for j in range(1, len(q)):
-        g = g * a + f
-        f = f * a + (q[j] << t * j)
+    f, g = _horner(q, a, t)
     return f, _ratio(f, g << t + b)
 
 

@@ -107,10 +107,8 @@ def parse_hamiltonian(text: str) -> Hamiltonian:
         pairs.append((coupling, PauliTerm.from_ops(n_line, ops)))
     if not pairs:
         raise ParseError("no Hamiltonian terms found")
-    n = max(t.n for _, t in pairs)
-    pairs = [(c, PauliTerm(n, t.x, t.z, 0)) for c, t in pairs]
     try:
-        return Hamiltonian.from_pairs(pairs, n=n)
+        return Hamiltonian.from_pairs(pairs)
     except ModelError as exc:
         raise ParseError(str(exc)) from None
 

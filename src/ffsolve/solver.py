@@ -114,7 +114,7 @@ def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph) -> float:
     The charges are those of ``h`` scaled as in ``_scaled``, so that their
     products cannot overflow; the residual is the same at any scale.
     """
-    t = transfer(_scaled(h), graph)
+    t = transfer(_scaled(h)[0], graph)
     norms = [q.abs_sum() for q in t.charges]
     worst = 0.0
     for r in range(1, t.alpha + 1):
@@ -124,12 +124,13 @@ def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph) -> float:
     return worst
 
 
-def _scaled(h: Hamiltonian) -> Hamiltonian:
-    """``h`` divided by the power of two just above its largest |coupling|,
-    which is exact: a charge Q^(j) is then divided by that power to the j,
-    and no product of charges overflows."""
-    scale = math.ldexp(1.0, -math.frexp(max(abs(c) for c, _ in h.terms))[1])
-    return Hamiltonian(h.n, tuple((c * scale, term) for c, term in h.terms))
+def _scaled(h: Hamiltonian) -> tuple[Hamiltonian, int]:
+    """``h`` divided by 2^p, the power of two just above its largest
+    |coupling|, which is exact, and p: a charge Q^(j) is then divided by
+    2^(p j), so T(u) of ``h`` is T(2^p u) of the result, and no product of
+    charges overflows."""
+    p = math.frexp(max(abs(c) for c, _ in h.terms))[1]
+    return Hamiltonian(h.n, tuple((math.ldexp(c, -p), term) for c, term in h.terms)), p
 
 
 def _transfer_grid(h: Hamiltonian, us: Sequence[float]) -> tuple[
@@ -139,8 +140,8 @@ def _transfer_grid(h: Hamiltonian, us: Sequence[float]) -> tuple[
 
     The frustration graph and the transfer operator are still built at
     each u (``perfbench/selftest.py`` pins their counts, ROADMAP item 7);
-    P comes from one polynomial."""
-    h = _scaled(h)
+    P comes from one polynomial, evaluated exactly."""
+    h, _ = _scaled(h)
     if not us:
         return h, [], [], []
     pairs = []
@@ -150,7 +151,7 @@ def _transfer_grid(h: Hamiltonian, us: Sequence[float]) -> tuple[
         pairs += [t.terms(u), t.terms(-u)]
     both = OperatorSum.combinations(pairs)  # every T(+-u) in one pass
     poly = weighted_independence_polynomial(graph)
-    return h, both[::2], both[1::2], [poly(-u * u) for u in us]
+    return h, both[::2], both[1::2], [poly.at(-u * u) for u in us]
 
 
 def transfer_factorization_residual(h: Hamiltonian, us: Sequence[float]) -> list[float]:
@@ -245,8 +246,11 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergie
     modes = []
     for j, e in enumerate(energies.flat()):
         u = 1.0 / e
-        p_red = poly_minus_ks(-u * u)
-        nsq = 16.0 * u * u * p_red * poly.deriv(-u * u)
+        x = -u * u
+        if x == -math.inf:
+            raise ConditioningError(f"1 / e_{j}^2 overflows at mode {j}, with e_{j} = {e:.3e}")
+        p_red = poly_minus_ks.at(x)
+        nsq = 16.0 * u * u * p_red * poly.at(x, slope=True)
         if not nsq > 0:
             raise ConditioningError(
                 f"normalization squared is {nsq:.3e} at mode {j}; "
@@ -395,11 +399,15 @@ def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
             for diff, p, tu, tmu, plus, minus in zip(diffs, ps, tus, tmus, pluses, minuses)]
 
 
-def zero_eigenvector_residual(modes: Sequence[IncognitoMode], t: TransferOperator) -> float:
+def zero_eigenvector_residual(modes: Sequence[IncognitoMode], hext: Hamiltonian,
+                              graph: WeightedGraph) -> float:
     """max over the modes of the coefficients of T(u_j) psi_j and of
     psi_j^dag T(u_j), which both vanish; every T(u_j) in one pass, and one
-    pass for each side."""
-    tus = OperatorSum.combinations([t.terms(m.u) for m in modes])
+    pass for each side.  T(u_j) is T(2^p u_j) of ``hext`` scaled as in
+    ``_scaled``, which is exact, and ``graph`` is its frustration graph."""
+    scaled, p = _scaled(hext)
+    t = transfer(scaled, graph)
+    tus = OperatorSum.combinations([t.terms(math.ldexp(m.u, p)) for m in modes])
     right = opsum_mul_batch(tus, [m.op for m in modes])
     left = opsum_mul_batch([m.dag for m in modes], tus)
     return max(p.max_abs_coeff() for p in right + left)

@@ -39,7 +39,6 @@ from .solver import (
     mode_energy_gap,
     reconstruction_residual,
     simplicial_extension,
-    transfer,
     transfer_factorization_residual,
     zero_eigenvector_residual,
 )
@@ -394,8 +393,8 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> 
             report.lemma_residuals["lanczos_energy"] = mode_energy_gap(modes)
             # T(u_j) psi_j = 0 ties the Krylov modes to the transfer operator; the
             # ancilla leaves the frustration graph of h as it is
-            t = transfer(hext, graph)
-            report.lemma_residuals["zero_eigenvector"] = zero_eigenvector_residual(modes, t)
+            report.lemma_residuals["zero_eigenvector"] = zero_eigenvector_residual(
+                modes, hext, graph)
     except ComplexRootError as exc:  # an applicable graph is claw-free
         report.failure = f"mode construction: {exc.on_claw_free()}"
         return

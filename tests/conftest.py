@@ -442,13 +442,23 @@ def chain_polynomial(spec: ChainSpec) -> IndependencePolynomial:
             for pos, c in enumerate(polys[n - ell]):
                 new[pos + ell] += sign * e[ell] * c
         polys.append(new)
-    return IndependencePolynomial(tuple(polys[spec.n_cells]))
+    return exact_polynomial(polys[spec.n_cells])
+
+
+def exact_polynomial(coeffs) -> IndependencePolynomial:
+    """The polynomial whose c_k are the floats ``coeffs``, taken exactly:
+    C_k and the least shift D with 2^(D k) a multiple of each denominator."""
+    ratios = [float(c).as_integer_ratio() for c in coeffs]
+    shift = max([(d.bit_length() - 2 + k) // k for k, (_, d) in enumerate(ratios) if k],
+                default=0)
+    return IndependencePolynomial(
+        tuple(n << shift * k + 1 - d.bit_length() for k, (n, d) in enumerate(ratios)), shift)
 
 
 def sign_changes(values: np.ndarray) -> np.ndarray:
     """Sign changes down each column of ``values``, zeros skipped: the
     count that ``chains.chain_values`` takes a block at a time."""
-    filled = indpoly.filled_signs(values)
+    filled = chains.filled_signs(values)
     return np.count_nonzero(filled[1:] != filled[:-1], axis=0)
 
 
@@ -942,7 +952,7 @@ def _transfer_pair(h, u: float):
     """T(u), T(-u) and P(-u^2) of ``h``, from its frustration graph."""
     graph = frustration_graph(h)
     t = transfer(h, graph)
-    return transfer_at(t, u), transfer_at(t, -u), weighted_independence_polynomial(graph)(-u * u)
+    return transfer_at(t, u), transfer_at(t, -u), weighted_independence_polynomial(graph).at(-u * u)
 
 
 def per_u_transfer_factorization(h, u: float) -> float:

@@ -144,7 +144,7 @@ def test_criterion_04_transfer_factorization():
         poly = weighted_independence_polynomial(g)
         for u in U_GRID:
             prod = opsum_mul(transfer_at(t, u), transfer_at(t, -u))
-            resid = (prod - poly(-u * u) * OperatorSum.identity(h.n)).max_abs_coeff()
+            resid = (prod - poly.at(-u * u) * OperatorSum.identity(h.n)).max_abs_coeff()
             worst = max(worst, resid)
     report(4, worst < 1e-9, f"transfer factorization residual {worst:.2e} on 8-point u grid")
 

@@ -227,6 +227,35 @@ def test_solve_with_modes(capsys):
     assert 0.0 <= doc["result"]["mode_energy_gap"] <= 1e-12
 
 
+@pytest.mark.parametrize("n_cells, couplings", [
+    (6, "0.6529773505358478,0.00011091475746107679"),
+    (7, "0.007296017585737193,1.2220120800148258"),
+])
+def test_dimerized_chains_have_modes_and_verify(capsys, n_cells, couplings):
+    """Dimerized chains whose N_j^2, from float coefficients, cancelled to
+    -9.3e-30 and -6.1e-26 and refused the modes: taken exactly, every
+    N_j^2 is positive, the modes are built, and verify passes."""
+    argv = ["--model", "chain", "--N", str(n_cells), "--k", "2", "--couplings", couplings]
+    code, doc = run_json(capsys, "solve", "--modes", *argv)
+    assert code == 0 and len(doc["result"]["mode_term_counts"]) == n_cells
+    code, doc = run_json(capsys, "verify", *argv)
+    assert code == 0 and doc["result"]["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "chain", "--N", "8", "--k", "3", "--seed", "1"],
+    ["--model", "chain", "--N", "10", "--k", "3", "--seed", "1"],
+    ["--model", "junction", "--arms", "1,1,1", "--k", "3", "--seed", "3"],
+    ["--model", "junction", "--arms", "1,2,1", "--k", "3", "--seed", "2"],
+])
+def test_mode_energy_gap_is_rounding(capsys, argv):
+    """The Lanczos energies of the modes meet the certified energies to
+    1e-13 of the largest: 4.0e-16, 5.3e-16, 3.2e-16 and 3.3e-16 here, where
+    float energies put chain 10x3 at 2.8e-12."""
+    code, doc = run_json(capsys, "solve", "--modes", *argv)
+    assert code == 0 and 0.0 <= doc["result"]["mode_energy_gap"] <= 1e-13
+
+
 def test_generate_then_analyze_round_trip(tmp_path, capsys):
     out = tmp_path / "chain.ham"
     code, _ = run(capsys, "generate", "--model", "chain", "--N", "2", "--k", "3",
@@ -447,15 +476,19 @@ def test_output_file_takes_the_mode_of_a_fresh_open(tmp_path, umask):
     ["solve", "--model", "h5", "-o", "{tmp}/outdir"],
     ["solve", "--model", "h5", "-o", "{tmp}/outdir/"],
     ["solve", "--modes", "--model", "h5", "--couplings", "1e-170,1e-170,1e-170,1e-170,1e-170"],
+    ["solve", "--modes", "--model", "chain", "--N", "3", "--k", "3",
+     "--couplings", "1e-155,1e-155,1e-155"],
 ])
 def test_input_errors_exit_1_with_a_message(capsys, tmp_path, argv):
-    """Malformed or empty lists and squared couplings, a junction without
-    arms, an unreadable input, an unwritable output or one that names a
-    directory, couplings so large that their squares, the weights,
-    overflow, and modes asked of couplings whose squares all underflow, so
-    that no term is left to form the simplicial mode, are input errors: exit 1 and one line on stderr, not an
-    exception, that names the file at fault, not a temporary file, or the
-    option that is empty.  No temporary file is left behind."""
+    """Malformed or empty lists and squared couplings, a junction
+    without arms, an unreadable input, an unwritable output or one that
+    names a directory, couplings so large that their squares, the
+    weights, overflow, modes asked of couplings whose squares all
+    underflow, so that no term is left to form the simplicial mode, and
+    modes whose 1 / e_j^2 overflows, are input errors: exit 1 and one
+    line on stderr, not an exception, that names the file at fault, not
+    a temporary file, or the option that is empty.  No temporary file is
+    left behind."""
     (tmp_path / "outdir").mkdir()
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code = main(argv)

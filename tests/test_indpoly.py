@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from conftest import (
     chain_polynomial,
     cycle_graph,
     exact_count_above,
+    exact_polynomial,
     forest_energies,
     forest_line_graph,
     maximal_cliques,
@@ -149,17 +151,31 @@ def test_polynomial_on_long_path_matches_closed_form():
 
 def test_polynomial_basics():
     poly = weighted_independence_polynomial(cycle_graph(5))
-    assert poly(0.0) == 1.0
-    assert poly(1.0) < poly(2.0)  # monotone on x >= 0
+    assert poly.at(0.0) == 1.0 and poly.at(0.0, slope=True) == 5.0
+    assert poly.at(1.0) < poly.at(2.0)  # monotone on x >= 0
     with pytest.raises(ValueError):
-        IndependencePolynomial((2.0, 1.0))
+        IndependencePolynomial((2, 1), 0)
     with pytest.raises(ValueError):
-        IndependencePolynomial((1.0, -3.0))
-    # floats are taken exactly: c_2 = 0.1 is 3602879701896397 / 2^55
-    exact = IndependencePolynomial((1.0, 0.5, 0.1))
-    assert exact.shift == 28 and exact.ints == (1, 1 << 27, 3602879701896397 << 1)
+        IndependencePolynomial((1, -3), 0)
+    # c_2 = 0.1 is 3602879701896397 / 2^55, so C_2 = 3602879701896397 * 2 at D = 28
+    exact = IndependencePolynomial((1, 1 << 27, 3602879701896397 << 1), 28)
     assert exact.coeffs == (1.0, 0.5, 0.1)
-    assert IndependencePolynomial((1, 1 << 27, 3602879701896397 << 1), 28) == exact
+    assert exact_polynomial((1.0, 0.5, 0.1)) == exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.floats(-1e3, 1e3))
+def test_values_and_slopes_are_exact_then_rounded(seed, x):
+    """On random claw-free graphs, a tree's line graph and a G(n, p), P(x)
+    and P'(x) are their exact rational values rounded once, at x and at
+    -1/e^2 of each energy, where the terms of P cancel."""
+    for poly in claw_free_polynomials(seed, 2):
+        c = [Fraction(n, 1 << poly.shift * k) for k, n in enumerate(poly.ints)]
+        for w in [x] + [-1.0 / (e * e) for e in single_particle_energies(poly).flat()]:
+            q = Fraction(w)
+            assert poly.at(w) == float(sum(ck * q ** k for k, ck in enumerate(c)))
+            assert poly.at(w, slope=True) == float(sum(k * ck * q ** (k - 1)
+                                                       for k, ck in enumerate(c) if k))
 
 
 def test_clique_recurrence_single_vertex_base():
@@ -224,7 +240,7 @@ def test_repeated_root_multiplicity():
         en_copies = single_particle_energies(weighted_independence_polynomial(disjoint))
         assert en_copies.energies[0][1] == copies
     # mixed: (1+x)^2 (1+4x), roots x = -1 (double) and -1/4, so eps = 1, 1, 2
-    en_mixed = single_particle_energies(IndependencePolynomial((1.0, 6.0, 9.0, 4.0)))
+    en_mixed = single_particle_energies(IndependencePolynomial((1, 6, 9, 4), 0))
     assert [(round(e, 9), m) for e, m in en_mixed.energies] == [(1.0, 2), (2.0, 1)]
     # (1 + x/2)(1 + x)^2 (1 + 2x): the double root sits between two simple
     # ones, and the cuts between them lie outside its noise
@@ -373,7 +389,7 @@ def test_root_residuals_small():
         for e, _ in en.energies:
             x = -1.0 / (e * e)
             scale = sum(abs(c * x ** k) for k, c in enumerate(poly.coeffs))
-            assert abs(poly(x)) <= 1e-11 * scale
+            assert abs(poly.at(x)) <= 1e-11 * scale
 
 
 def claw_free_polynomials(seed: int, count: int) -> list[IndependencePolynomial]:
@@ -471,7 +487,7 @@ def test_uncertified_seeds_take_the_sweeps(case):
     answer comes back with the bisection's multiplicities, each group
     certified by an exact count."""
     coeffs, mult = FALLBACK_CASES[case]
-    poly = IndependencePolynomial(coeffs)
+    poly = exact_polynomial(coeffs)
     got = single_particle_energies(poly)
     assert [m for _, m in got.energies] == mult
     assert_matches_bisection(poly, got)
@@ -482,7 +498,7 @@ def test_a_shifted_seed_still_gives_the_exact_roots(monkeypatch):
     off them, are placed exactly by the Newton steps and certified by
     signs; from two seeds at one point, whose brackets meet, by the
     counts.  Both give the energies 1 and 2 exactly."""
-    poly = IndependencePolynomial((1.0, 5.0, 4.0))
+    poly = IndependencePolynomial((1, 5, 4), 0)
     for seeds in ([0.125 * (1 + 1e-6), 0.5 * (1 - 1e-6)], [0.3, 0.3]):
         monkeypatch.setattr(np.linalg, "eigvals", lambda companion: np.array(seeds))
         assert single_particle_energies(poly).energies == ((1.0, 1), (2.0, 1))
@@ -492,7 +508,7 @@ def test_a_wrong_sign_at_a_bracket_end_takes_the_counts(monkeypatch):
     """A sign that does not change across a seed's bracket certifies
     nothing: made wrong here, the roots are isolated by the counts, and
     come back the same."""
-    poly = IndependencePolynomial((1.0, 5.0, 4.0))
+    poly = IndependencePolynomial((1, 5, 4), 0)
     sweeps = record_sweeps(monkeypatch, indpoly)
     want = single_particle_energies(poly)
     assert not sweeps
@@ -666,7 +682,7 @@ def test_roots_by_count_stops_at_adjacent_subnormals():
 def test_complex_roots_detected():
     # 1 + x + x^2 has complex roots; degree says two energies, none real
     with pytest.raises(ComplexRootError):
-        single_particle_energies(IndependencePolynomial((1.0, 1.0, 1.0)))
+        single_particle_energies(IndependencePolynomial((1, 1, 1), 0))
 
 
 def test_underflowed_top_coefficient_keeps_alpha():
@@ -718,7 +734,7 @@ def test_zero_weights_are_the_induced_subgraph(data):
 
 
 @pytest.mark.parametrize("poly, found", [
-    (IndependencePolynomial((1.0, 1e200, 1e-120)), 1),
+    (exact_polynomial((1.0, 1e200, 1e-120)), 1),
     (chain_polynomial(ChainSpec(5, 2, (6.9e-226, 7.9e-184))), 0),
 ], ids=["huge-c1", "chain-5x2"])
 def test_underflowed_constant_term_is_refused(poly, found):
@@ -735,12 +751,10 @@ def test_underflowed_constant_term_is_refused(poly, found):
             single_particle_energies(poly)
 
 
-def test_overflowed_coefficient_is_refused():
-    """A float coefficient that overflowed to inf, as c_3 of chain 4x3 at
-    couplings 1e60 did, is no polynomial: the constructor refuses it.  The
-    exact coefficients of that chain do not overflow, and it is solved."""
-    with pytest.raises(ValueError, match="finite"):
-        IndependencePolynomial((1.0, 3e120, 3e240, math.inf))
+def test_overflowed_float_coefficient_is_only_a_view():
+    """c_3 of chain 4x3 at couplings 1e60 overflows as a float, which once
+    made the chain unsolvable.  Only the float view overflows: the exact
+    coefficients do not, and the chain is solved."""
     poly = weighted_independence_polynomial(frustration_graph(chain_model(4, 3, (1e60,) * 3)))
     assert poly.coeffs[3:] == (math.inf, math.inf)
     got = single_particle_energies(poly).flat()
@@ -752,7 +766,7 @@ def test_coefficients_scale_without_underflow():
     """h5 at couplings (1e90, 1e50, 1, 1, 1): c_2 / unit^2 is about 2^-597,
     but unit^-2 = 2^-1196 underflows to 0, which put a root at 0 and
     returned the energy 0 where sqrt(2) is right."""
-    got = single_particle_energies(IndependencePolynomial((1.0, 1e180, 2e180))).flat()
+    got = single_particle_energies(exact_polynomial((1.0, 1e180, 2e180))).flat()
     assert all(math.isclose(e, want, rel_tol=1e-15) for e, want in zip(got, (math.sqrt(2), 1e90)))
 
 
@@ -760,7 +774,7 @@ def test_root_failure_on_a_claw_free_graph_is_conditioning():
     """A claw-free graph's polynomial is real-rooted, so there the same
     failure is conditioning, and its message says nothing of complex roots."""
     with pytest.raises(ComplexRootError) as failure:
-        single_particle_energies(IndependencePolynomial((1.0, 1.0, 1.0)))
+        single_particle_energies(IndependencePolynomial((1, 1, 1), 0))
     conditioning = failure.value.on_claw_free()
     assert isinstance(conditioning, ConditioningError)
     assert "claw-free" in str(conditioning) and "complex" not in str(conditioning)
@@ -768,12 +782,12 @@ def test_root_failure_on_a_claw_free_graph_is_conditioning():
 
 def test_free_spectrum_examples():
     # single weight-4 vertex: P = 1 + 4x, eps = 2
-    one = single_particle_energies(IndependencePolynomial((1.0, 4.0)))
+    one = single_particle_energies(IndependencePolynomial((1, 4), 0))
     assert one.energies == ((2.0, 1),)
     assert free_spectrum(one, 1) == [(-2.0, 1), (2.0, 1)]
 
     # (1+x)(1+4x): eps = 1 and 2
-    two = single_particle_energies(IndependencePolynomial((1.0, 5.0, 4.0)))
+    two = single_particle_energies(IndependencePolynomial((1, 5, 4), 0))
     assert [round(e, 12) for e, _ in two.energies] == [1.0, 2.0]
     assert free_spectrum(two, 2) == [(-3.0, 1), (-1.0, 1), (1.0, 1), (3.0, 1)]
 
@@ -852,7 +866,7 @@ def test_no_energies_at_alpha_zero():
 
 
 def test_free_spectrum_alpha_exceeds_n():
-    en = single_particle_energies(IndependencePolynomial((1.0, 2.0, 1.0)))
+    en = single_particle_energies(IndependencePolynomial((1, 2, 1), 0))
     with pytest.raises(ValueError):
         free_spectrum(en, 1)
 
