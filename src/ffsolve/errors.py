@@ -43,9 +43,12 @@ class ComplexRootError(FFSolveError):
 
     def on_claw_free(self) -> "ConditioningError":
         """This failure on a claw-free graph, whose polynomial is real-rooted
-        (Chudnovsky and Seymour, JCTB 97, 2007): conditioning, not complex roots."""
-        return ConditioningError(f"isolated {self.found} real roots, expected {self.expected}, "
-                                 "on a claw-free graph: the coefficients could not resolve them")
+        (Chudnovsky and Seymour, JCTB 97, 2007) and exact: the roots not
+        isolated lie below every float of the scaled variable."""
+        return ConditioningError(
+            f"isolated {self.found} real roots, expected {self.expected}, on a claw-free graph: "
+            "the other squared energies lie more than about 2^1074 below the weight sum c_1, "
+            "under every float of the scaled variable")
 
 
 class DegenerateModeError(FFSolveError):
@@ -53,7 +56,8 @@ class DegenerateModeError(FFSolveError):
 
 
 class ConditioningError(FFSolveError):
-    """A normalization factor came out non-positive; numerical conditioning failure."""
+    """A result that exact inputs fix is no float: a root below every float of
+    the scaled variable, a mode's 1 / e^2 or normalization, or a Ritz value."""
 
 
 class NotSimplicialError(FFSolveError):

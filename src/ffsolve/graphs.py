@@ -53,9 +53,6 @@ class WeightedGraph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in bits(self.adj[i]) if j > i]
-
     def closed_adj(self, v: int) -> int:
         return self.adj[v] | (1 << v)
 

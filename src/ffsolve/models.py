@@ -283,14 +283,13 @@ def junction_graph(arm_cells: tuple[int, ...], k: int) -> WeightedGraph:
 
 
 def junction_model(arm_cells: tuple[int, ...], k: int, couplings=None) -> Hamiltonian:
-    """A Pauli realization of the junction graph (couplings per vertex)."""
+    """A Pauli realization of the junction graph, the couplings signed as given (1 if None)."""
     g = junction_graph(tuple(arm_cells), k)
-    if couplings is not None:
-        couplings = list(couplings)
-        if len(couplings) != g.n:
-            raise ModelError(f"expected {g.n} couplings, got {len(couplings)}")
-        g = WeightedGraph(g.n, g.edges(), weights=[c * c for c in couplings])
-    return realize_graph(g)
+    couplings = [1.0] * g.n if couplings is None else list(couplings)
+    if len(couplings) != g.n:
+        raise ModelError(f"expected {g.n} couplings, got {len(couplings)}")
+    strings = [t for _, t in realize_graph(g).terms]  # every weight of g is 1
+    return Hamiltonian.from_pairs(zip(couplings, strings), n=g.n)
 
 
 def back_to_back_model(*couplings: float) -> Hamiltonian:

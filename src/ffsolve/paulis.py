@@ -22,9 +22,10 @@ where the sum has no term.  Tables do not change, and sums built from one
 source share one: the charges of one walk over the independent sets
 (``subset_products``), the vectors over a ``StringBasis``, the rows of
 one product pass, and a sum's multiples and conjugate.  Sums on one
-table add, and stack into a kernel operand, row by row; another table
-costs one merge.  The dict {(x, z): coefficient of sigma(x, z)} is a
-view built on first use, for tests and printing.
+table stack into a kernel operand, row by row; another table costs one
+merge.  Every weighted sum of sums, ``+`` and ``-`` too, is a row of
+``OperatorSum.combinations``.  The dict {(x, z): coefficient of
+sigma(x, z)} is a view built on first use, for tests and printing.
 
 Products
 --------
@@ -167,10 +168,10 @@ class _Table:
     """Strings as word arrays, one column each: the key x | z << n, and the
     phases i^|x & z|, read off the key on first use."""
 
-    __slots__ = ("n", "key", "_phase", "_merge")
+    __slots__ = ("n", "key", "_phase")
 
     def __init__(self, n: int, key: np.ndarray, phase: np.ndarray | None = None):
-        self.n, self.key, self._phase, self._merge = n, key, phase, None
+        self.n, self.key, self._phase = n, key, phase
 
     def __len__(self) -> int:
         return self.key.shape[1]
@@ -186,13 +187,10 @@ class _Table:
         of ``other``'s in it, found through a dict of this table's key records."""
         if other is self or not len(other) or np.array_equal(self.key, other.key):
             return self, slice(len(other))
-        if self._merge and self._merge[0] is other:  # the last merge: a table does not change
-            return self._merge[1:]
         index = dict(zip(_records(self.key), range(len(self))))
         cols = np.array([index.setdefault(r, len(index)) for r in _records(other.key)])
-        union = _Table(self.n, np.concatenate([self.key, other.key[:, cols >= len(self)]], axis=1))
-        self._merge = other, union, cols
-        return union, cols
+        added = other.key[:, cols >= len(self)]
+        return _Table(self.n, np.concatenate([self.key, added], axis=1)), cols
 
     def strings(self) -> list[tuple[int, int]]:
         """(x, z) of every string, as ints."""
@@ -256,10 +254,6 @@ class OperatorSum:
         return cls(n, {(0, 0): 1.0 + 0.0j})
 
     @classmethod
-    def zero(cls, n: int) -> "OperatorSum":
-        return cls(n, {})
-
-    @classmethod
     def from_term(cls, term: PauliTerm) -> "OperatorSum":
         return cls(term.n, {(term.x, term.z): term.phase})
 
@@ -286,12 +280,10 @@ class OperatorSum:
 
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         """The sum on the union of both tables, pruned as from a dict."""
-        table, coef = _rows([self, other])
-        return OperatorSum._on(table, _pruned(coef[0] + coef[1]))
+        return OperatorSum.combinations([[(1.0, self), (1.0, other)]])[0]
 
     def __sub__(self, other: "OperatorSum") -> "OperatorSum":
-        table, coef = _rows([self, other])
-        return OperatorSum._on(table, _pruned(coef[0] - coef[1]))
+        return OperatorSum.combinations([[(1.0, self), (-1.0, other)]])[0]
 
     def __mul__(self, scalar: complex) -> "OperatorSum":
         return OperatorSum._on(self.table, self.row * scalar)
@@ -550,10 +542,6 @@ class StringBasis:
         out = np.zeros(len(index), dtype=complex)
         out[cols] = coef[keep] * t.phase[cols].conj()
         return out
-
-    def strings(self) -> list[tuple[int, int]]:
-        """(x, z) of every string, in order."""
-        return self.table.strings()
 
 
 def _records(key: np.ndarray) -> list:

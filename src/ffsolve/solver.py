@@ -272,7 +272,9 @@ def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
     """Lanczos on [H, .] from chi with full reorthogonalization, until the
     next vector is below 1e-10 of the first: the basis of the strings seen
     (chi first), the Lanczos vectors as rows over them, and the eigenpairs
-    of the tridiagonal matrix.
+    of the tridiagonal matrix, which ``eigh`` takes divided by the power of
+    two above its largest entry: LAPACK rescales a matrix outside about
+    [2^-407, 2^489] by a factor that is not a power of two.
 
     The modes and the part of chi that commutes with H span at most
     ``steps`` dimensions; a run that needs more was given the energies of
@@ -297,8 +299,10 @@ def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
             raise ConditioningError(f"the Krylov space of chi exceeds {steps} dimensions")
         off.append(beta)
         basis = np.concatenate([basis, coef[None] / beta])
-    ritz, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return index, basis, ritz, vectors
+    tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    p = math.frexp(np.abs(tri).max())[1]
+    ritz, vectors = np.linalg.eigh(np.ldexp(tri, -p))
+    return index, basis, np.ldexp(ritz, p), vectors
 
 
 def mode_energy_gap(modes: Sequence[IncognitoMode]) -> float:
@@ -312,15 +316,12 @@ def mode_energy_gap(modes: Sequence[IncognitoMode]) -> float:
 def reconstruct(modes: Sequence[IncognitoMode],
                 energies: SingleParticleEnergies) -> OperatorSum:
     """sum_k e_k [psi_k, psi_k^dagger]; equals the extended Hamiltonian.
-    The commutators are taken in one pass."""
+    The commutators are taken in one pass, and summed as one row."""
     flat = energies.flat()
     if len(modes) != len(flat):
         raise ValueError(f"need all {len(flat)} modes, got {len(modes)}")
-    acc = OperatorSum.zero(modes[0].op.n)
     comms = opsum_comm_batch([m.op for m in modes], [m.dag for m in modes])
-    for mode, comm in zip(modes, comms):
-        acc = acc + mode.energy * comm
-    return acc
+    return OperatorSum.combinations([[(m.energy, comm) for m, comm in zip(modes, comms)]])[0]
 
 
 def reconstruction_residual(hext: Hamiltonian, modes: Sequence[IncognitoMode],
@@ -344,11 +345,9 @@ def mode_car_residual(modes: Sequence[IncognitoMode]) -> float:
     pairs = opsum_anticomm_batch([ops[i] for i, _ in mixed + same],
                                  [dags[j] for _, j in mixed] + [ops[j] for _, j in same])
     ident = OperatorSum.identity(modes[0].op.n)
-    diagonal = iter(OperatorSum.combinations([[(1.0, pair), (-1.0, ident)]
-                                              for (i, j), pair in zip(mixed, pairs) if i == j]))
-    return max([(next(diagonal) if i == j else pair).max_abs_coeff()
-                for (i, j), pair in zip(mixed, pairs)]
-               + [pair.max_abs_coeff() for pair in pairs[len(mixed):]])
+    diffs = OperatorSum.combinations([[(1.0, pair), (-1.0 if i == j else 0.0, ident)]
+                                      for (i, j), pair in zip(mixed, pairs)])
+    return max(pair.max_abs_coeff() for pair in diffs + pairs[len(mixed):])
 
 
 def ladder_residual(hext: Hamiltonian, modes: Sequence[IncognitoMode]) -> float:

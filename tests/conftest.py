@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import networkx as nx
 import numpy as np
 
@@ -59,6 +61,11 @@ def random_graph(rng: random.Random, n: int, p: float = 0.4,
     return WeightedGraph(n, edges, weights=weights)
 
 
+def edge_list(g: WeightedGraph) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, of ``g``, ascending."""
+    return [(i, j) for i in range(g.n) for j in bits(g.adj[i]) if j > i]
+
+
 def cycle_graph(n: int, weights=None) -> WeightedGraph:
     return WeightedGraph(n, [(i, (i + 1) % n) for i in range(n)], weights=weights)
 
@@ -68,7 +75,7 @@ def relabel(g: WeightedGraph, perm) -> WeightedGraph:
     weights = [0.0] * g.n
     for v, w in zip(perm, g.weights):
         weights[v] = w
-    return WeightedGraph(g.n, [(perm[i], perm[j]) for i, j in g.edges()], weights=weights)
+    return WeightedGraph(g.n, [(perm[i], perm[j]) for i, j in edge_list(g)], weights=weights)
 
 
 def without(g: WeightedGraph, vertices) -> WeightedGraph:
@@ -76,7 +83,7 @@ def without(g: WeightedGraph, vertices) -> WeightedGraph:
     rest, relabelled in order; the weights go with their vertices."""
     drop = set(vertices)
     keep = [v for v in range(g.n) if v not in drop]
-    ref = nx.Graph(g.edges())
+    ref = nx.Graph(edge_list(g))
     ref.add_nodes_from(range(g.n))
     sub = nx.convert_node_labels_to_integers(ref.subgraph(keep), ordering="sorted")
     return WeightedGraph(len(keep), sub.edges(), weights=[g.weights[v] for v in keep])
@@ -86,7 +93,7 @@ def zero_weights(g: WeightedGraph, vertices) -> WeightedGraph:
     """``g`` with the weights of ``vertices`` set to 0: for the polynomial,
     ``g`` less those vertices."""
     drop = set(vertices)
-    return WeightedGraph(g.n, g.edges(), weights=[0.0 if v in drop else w
+    return WeightedGraph(g.n, edge_list(g), weights=[0.0 if v in drop else w
                                                   for v, w in enumerate(g.weights)])
 
 
@@ -101,7 +108,7 @@ def pairwise_frustration_graph(h: Hamiltonian) -> WeightedGraph:
 
 def maximal_cliques(g: WeightedGraph) -> list[list[int]]:
     """Every maximal clique of ``g``, as a sorted vertex list, from networkx."""
-    ref = nx.Graph(g.edges())
+    ref = nx.Graph(edge_list(g))
     ref.add_nodes_from(range(g.n))
     return [sorted(clique) for clique in nx.find_cliques(ref)]
 
@@ -114,6 +121,23 @@ def naive_has_claw(g: WeightedGraph) -> bool:
                     not any(g.adj[a] >> b & 1 for a, b in itertools.combinations(leaves, 2)):
                 return True
     return False
+
+
+def claw_free_graph(rng: random.Random, line: bool) -> WeightedGraph:
+    """A random weighted claw-free graph: with ``line``, the line graph of a
+    random tree on 3-25 nodes with up to 3 more edges, which is claw-free
+    and has the base's matching number as alpha; else a G(n, p) on 2-10
+    vertices, drawn again while it has a claw."""
+    while not line:
+        g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 0.8), weighted=True)
+        if not naive_has_claw(g):
+            return g
+    nodes = rng.randint(3, 25)
+    base = {(rng.randrange(v), v) for v in range(1, nodes)}
+    base |= {tuple(sorted(rng.sample(range(nodes), 2))) for _ in range(rng.randint(0, 3))}
+    base = sorted(base)
+    edges = [(i, j) for i in range(len(base)) for j in range(i) if set(base[i]) & set(base[j])]
+    return WeightedGraph(len(base), edges, weights=[rng.uniform(0.1, 2.0) for _ in base])
 
 
 def is_induced_cycle(g: WeightedGraph, subset) -> bool:
@@ -801,6 +825,38 @@ def bisection_energies(poly: IndependencePolynomial) -> indpoly.SingleParticleEn
     return indpoly.SingleParticleEnergies(
         tuple((math.sqrt(math.ldexp(0.5 * (a + b), exponent)), int(k))
               for a, b, k in zip(lo, up, m)), float(np.max((up - lo) / up)))
+
+
+def rational_bisection_energies(poly: IndependencePolynomial) -> indpoly.SingleParticleEnergies:
+    """Reference energies at any spread of the roots: each squared energy w
+    bracketed to 2^-64 of itself by bisection on ``exact_count_above`` at
+    rationals, cut at a power of two while a bracket spans more than a
+    factor 2, so no float range bounds it.  The roots lie in
+    (c_alpha / c_1^(alpha - 1) / 2, c_1]; each bracket gives the energy at
+    its midpoint, rounded once from 40 digits, with its count as the
+    multiplicity, and ``width`` is the largest (hi - lo) / hi."""
+    c = [Fraction(v, 1 << poly.shift * k) for k, v in enumerate(poly.ints)]
+    stack, found = [(c[-1] / c[1] ** (poly.alpha - 1) / 2, c[1], poly.alpha, 0)], []
+    while stack:
+        lo, hi, c_lo, c_hi = stack.pop()
+        if c_lo == c_hi:
+            continue
+        if hi - lo <= hi / 2**64:
+            found.append((lo, hi, c_lo - c_hi))
+            continue
+        log2 = [x.numerator.bit_length() - x.denominator.bit_length() for x in (lo, hi)]
+        mid = Fraction(2) ** (sum(log2) // 2) if hi > 2 * lo else (lo + hi) / 2
+        if not lo < mid < hi:  # log2 is off by up to 1 at either end
+            mid = (lo + hi) / 2
+        c_mid = exact_count_above(poly, mid)
+        stack += [(lo, mid, c_lo, c_mid), (mid, hi, c_mid, c_hi)]
+    energies = []
+    with mpmath.workdps(40):
+        for lo, hi, m in sorted(found):
+            w = (lo + hi) / 2
+            energies.append((float(mpmath.sqrt(mpmath.mpf(w.numerator) / w.denominator)), m))
+    return indpoly.SingleParticleEnergies(
+        tuple(energies), max(float((hi - lo) / hi) for lo, hi, _ in found))
 
 
 def record_sweeps(monkeypatch, module) -> list[int]:

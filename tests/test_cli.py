@@ -15,11 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EPS, forest_energies, forest_line_graph, random_forest
+from conftest import (
+    EPS,
+    claw_free_graph,
+    edge_list,
+    forest_energies,
+    forest_line_graph,
+    naive_has_even_hole,
+    naive_independence_polynomial,
+    random_forest,
+    rational_bisection_energies,
+)
 import ffsolve
 from ffsolve import paulis
 from ffsolve.chains import ChainSpec, chain_energies
 from ffsolve.cli import main
+from ffsolve.graphs import WeightedGraph
+from ffsolve.indpoly import IndependencePolynomial
 from ffsolve.models import parse_hamiltonian
 
 
@@ -153,13 +165,16 @@ def test_claw_free_root_failure_is_reported_as_conditioning(capsys, tmp_path):
     """Two isolated vertices of weights 1e300 and 1e-300: in s, the lower
     root lies 1e-600 below the upper one, under every float, and the
     command exits 1.  The graph is claw-free, so every root is real
-    (Chudnovsky and Seymour), and the message says so rather than that the
-    roots may be complex."""
+    (Chudnovsky and Seymour), and the coefficients are exact, so the one
+    line names the root below every float rather than complex roots or
+    coefficients that could not resolve them."""
     p = tmp_path / "apart.graph"
     p.write_text("p 2\nv 0 1e300\nv 1 1e-300\n")
     assert main(["solve", str(p)]) == 1
-    err = capsys.readouterr().err
-    assert "claw-free" in err and "could not resolve" in err and "complex" not in err
+    assert capsys.readouterr().err == (
+        "error: isolated 1 real roots, expected 2, on a claw-free graph: the other squared "
+        "energies lie more than about 2^1074 below the weight sum c_1, under every float of "
+        "the scaled variable\n")
 
 
 @pytest.mark.parametrize("couplings", ["1.3346e-133,8.1609e-129,2.1212e-127", "1e-60,1e-60,1e-60"])
@@ -591,18 +606,49 @@ def spread_couplings(draw, count: int) -> list[float]:
     return [2.0 ** min(max(s + d * u, -490.0), 490.0) for u in spread]
 
 
-@settings(max_examples=60, deadline=None)
+def _solve_graph_file(graph: WeightedGraph) -> tuple[int, str, str]:
+    """``solve`` on ``graph`` written as a graph file."""
+    text = f"p {graph.n}\n" + "".join(f"v {v} {w!r}\n" for v, w in enumerate(graph.weights))
+    text += "".join(f"e {i} {j}\n" for i, j in edge_list(graph))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.graph")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return _solve_quietly(["solve", path])
+
+
+def _resolved(levels, width: float) -> list[int]:
+    """The multiplicities of ``levels``, ascending (energy, multiplicity)
+    pairs, a level within ``width`` of the one before it counted with it:
+    roots closer than a bracket are one level or two as the cuts fall."""
+    out = []
+    for i, (e, m) in enumerate(levels):
+        if i and e - levels[i - 1][0] <= width * e:
+            out[-1] += m
+        else:
+            out.append(m)
+    return out
+
+
+@settings(max_examples=90, deadline=None)
 @given(st.data())
 def test_spread_couplings_are_solved_or_refused_in_one_line(data):
-    """Chains N x k, N 2-9 and k 2-4, against ``chain_energies``, and line
+    """Chains N x k, N 2-9 and k 2-4, against ``chain_energies``; line
     graphs of trees of 3-25 edges, as graph files, against the Jordan-Wigner
-    energies, at couplings spread over up to 2^600.  A solve that exits 0
-    has the reference's alpha, and each energy within its bracket width
-    plus the reference's error: N eps of the largest squared energy for
-    the chain recursion, and 8 n eps of the largest energy for the
-    eigenvalues of the n x n adjacency.  Any other answer is exit 1 with
-    one line."""
-    if data.draw(st.booleans()):
+    energies; and claw-free, even-hole-free graphs of at most 10 vertices
+    from ``claw_free_graph``, as graph files, against
+    ``rational_bisection_energies`` of their polynomial by enumeration; at
+    couplings spread over up to 2^600.  A solve that exits 0 has the
+    reference's alpha, and each energy within its bracket width plus the
+    reference's error: N eps of the largest squared energy for the chain
+    recursion, 8 n eps of the largest energy for the eigenvalues of the
+    n x n adjacency, and 4 eps of each energy, two roundings of a square
+    root, for the bisection, whose multiplicities it has too, levels within
+    the bracket width of each other counted as one.  Any other answer is
+    exit 1 with one line."""
+    family = data.draw(st.sampled_from(["chain", "tree", "claw-free"]))
+    rel, levels = 0.0, None
+    if family == "chain":
         n_cells, k = data.draw(st.integers(2, 9)), data.draw(st.integers(2, 4))
         couplings = data.draw(spread_couplings(k))
         code, out, err = _solve_quietly(
@@ -610,26 +656,32 @@ def test_spread_couplings_are_solved_or_refused_in_one_line(data):
              "--couplings", ",".join(map(repr, couplings))])
         want = chain_energies(ChainSpec(n_cells, k, tuple(c * c for c in couplings))).flat()
         power, noise = 2, n_cells * EPS * want[-1] ** 2  # on squared energies
-    else:
+    elif family == "tree":
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         n, edges, _ = random_forest(rng, rng.randint(3, 25))
         b = data.draw(spread_couplings(len(edges)))
-        graph = forest_line_graph(edges, b)
-        text = f"p {graph.n}\n" + "".join(f"v {v} {w!r}\n" for v, w in enumerate(graph.weights))
-        text += "".join(f"e {i} {j}\n" for i, j in graph.edges())
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "tree.graph")
-            with open(path, "w") as fh:
-                fh.write(text)
-            code, out, err = _solve_quietly(["solve", path])
+        code, out, err = _solve_graph_file(forest_line_graph(edges, b))
         want = forest_energies(n, edges, b)
         power, noise = 1, 8 * n * EPS * want[-1]
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        graph = claw_free_graph(rng, rng.random() < 0.5)
+        while graph.n > 10 or naive_has_even_hole(graph):
+            graph = claw_free_graph(rng, rng.random() < 0.5)
+        b = data.draw(spread_couplings(graph.n))
+        graph = WeightedGraph(graph.n, edge_list(graph), weights=[c * c for c in b])
+        code, out, err = _solve_graph_file(graph)
+        ints, shift = naive_independence_polynomial(graph)
+        ref = rational_bisection_energies(IndependencePolynomial(tuple(ints), shift))
+        want, levels = ref.flat(), ref.energies
+        power, noise, rel = 1, 0.0, 4 * EPS
     if code != 0:
         assert code == 1 and not out and err.count("\n") == 1 and "Traceback" not in err
         return
     result = json.loads(out)["result"]
     got = sorted(e ** power for e, m in result["energies"] for _ in range(m))
     assert result["alpha"] == len(got) == len(want)
-    width = result["bracket_width"]
+    width = result["bracket_width"] + rel
+    assert levels is None or _resolved(result["energies"], width) == _resolved(levels, width)
     assert all(abs(a - b ** power) <= width * b ** power + noise for a, b in zip(got, want)), \
         (got, want)

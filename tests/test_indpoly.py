@@ -18,7 +18,9 @@ from conftest import (
     certify_groups,
     chain_graph,
     chain_polynomial,
+    claw_free_graph,
     cycle_graph,
+    edge_list,
     exact_count_above,
     exact_polynomial,
     forest_energies,
@@ -128,11 +130,11 @@ def test_polynomial_against_subset_oracle():
         # sparse draws give disconnected graphs and isolated vertices
         g = random_graph(rng, n, rng.choice([0.0, 0.1, 0.25, 0.5, 0.8]), weighted=True)
         weights = [0.0 if rng.random() < 0.15 else w for w in g.weights]
-        g = WeightedGraph(n, g.edges(), weights=weights)
+        g = WeightedGraph(n, edge_list(g), weights=weights)
         want = naive_independence_polynomial(g)
         perm = list(range(n))
         rng.shuffle(perm)
-        shuffled = WeightedGraph(n, [(perm[i], perm[j]) for i, j in g.edges()],
+        shuffled = WeightedGraph(n, [(perm[i], perm[j]) for i, j in edge_list(g)],
                                  weights=[weights[perm.index(v)] for v in range(n)])
         for graph in (g, shuffled):
             got = weighted_independence_polynomial(graph)
@@ -394,26 +396,12 @@ def test_root_residuals_small():
 
 def claw_free_polynomials(seed: int, count: int) -> list[IndependencePolynomial]:
     """Polynomials with 1 <= alpha <= 12 of random weighted claw-free
-    graphs: in turn a small G(n, p) without a claw, and the line graph of
-    a random tree with a few more edges, which is claw-free and has the
-    base's matching number as alpha."""
+    graphs, ``conftest.claw_free_graph``: in turn the line graph of a
+    random tree with a few more edges, and a small G(n, p) without a claw."""
     rng = random.Random(seed)
     polys = []
     while len(polys) < count:
-        if len(polys) % 2:
-            g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 0.8), weighted=True)
-            if naive_has_claw(g):
-                continue
-        else:
-            nodes = rng.randint(3, 25)
-            base = {(rng.randrange(v), v) for v in range(1, nodes)}
-            base |= {tuple(sorted(rng.sample(range(nodes), 2))) for _ in range(rng.randint(0, 3))}
-            base = sorted(base)
-            edges = [(i, j) for i in range(len(base)) for j in range(i)
-                     if set(base[i]) & set(base[j])]
-            g = WeightedGraph(len(base), edges,
-                              weights=[rng.uniform(0.1, 2.0) for _ in base])
-        poly = weighted_independence_polynomial(g)
+        poly = weighted_independence_polynomial(claw_free_graph(rng, not len(polys) % 2))
         if 1 <= poly.alpha <= 12:
             polys.append(poly)
     return polys
@@ -661,6 +649,26 @@ def test_roots_by_count_survives_a_wrong_far_step(wrong):
         return counts, np.where((ws > 0.3) & (ws < 0.45), bad, step)
 
     lo, hi, m = roots_by_count(evaluate, 2, 1.0, _thirds(1.0))
+    assert m.tolist() == [1, 1]
+    assert np.all(lo < roots) and np.all(roots <= hi)
+    assert np.all(hi - lo <= ROOT_REL_TOL * hi)
+
+
+def test_a_bracket_of_two_roots_is_cut_at_its_one_good_cut():
+    """Roots at 0.499 and 0.501, with exact Newton steps, and a count of 3,
+    more than the 2 roots there are, for w in (0.49998, 0.49999).  The first
+    cuts leave (0.25, 0.75] with both roots, and the window around their
+    Newton estimates puts a cut in that noise; the bracket is cut at its
+    other cut alone, and each root ends in a bracket of its own.  Were it
+    kept as it is, the search would stop at one bracket holding both."""
+    roots = np.array([0.499, 0.501])
+    poly = np.polynomial.Polynomial.fromroots(roots)
+
+    def evaluate(ws):
+        counts = (ws[:, None] < roots).sum(axis=1)
+        return np.where((ws > 0.49998) & (ws < 0.49999), 3, counts), poly(ws) / poly.deriv()(ws)
+
+    lo, hi, m = roots_by_count(evaluate, 2, 1.0, np.array([0.25, 0.75]))
     assert m.tolist() == [1, 1]
     assert np.all(lo < roots) and np.all(roots <= hi)
     assert np.all(hi - lo <= ROOT_REL_TOL * hi)

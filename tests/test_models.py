@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import plain_from_pairs, random_graph, without
+from conftest import edge_list, plain_from_pairs, random_graph, without
 from ffsolve.errors import ModelError, ParseError
 from ffsolve.graphs import WeightedGraph, frustration_graph
 from ffsolve.indpoly import weighted_independence_polynomial
@@ -84,14 +84,14 @@ def test_identity_term_rejected():
 def test_graph_file_round_trip():
     text = "p 2\nv 0 1.0\nv 1 4.0\ne 0 1\n"
     g = parse_graph(text)
-    assert g.n == 2 and g.edges() == [(0, 1)] and g.weights == (1.0, 4.0)
+    assert g.n == 2 and edge_list(g) == [(0, 1)] and g.weights == (1.0, 4.0)
 
 
 def test_graph_file_isolates_its_weight_zero_vertices():
     """A vertex of weight 0 keeps its label and loses its edges, still
     checked for range and repeats."""
     g = parse_graph("p 4\nv 1 0\ne 0 1\ne 1 2\ne 2 3\n")
-    assert (g.n, g.edges(), g.weights) == (4, [(2, 3)], (1.0, 0.0, 1.0, 1.0))
+    assert (g.n, edge_list(g), g.weights) == (4, [(2, 3)], (1.0, 0.0, 1.0, 1.0))
     with pytest.raises(ParseError, match="^line 4: duplicate edge"):
         parse_graph("p 2\nv 0 0\ne 0 1\ne 1 0")
 
@@ -186,6 +186,23 @@ def test_junction_with_couplings():
     assert g.weights == tuple(c * c for c in couplings)
 
 
+def test_junction_couplings_keep_their_sign():
+    """The couplings are those given, signs included: they once went
+    through the graph's squared weights and came back as square roots, so
+    a seeded junction ran another Hamiltonian than the one its config
+    records, and one with a coupling of 0 drops that term."""
+    rng = random.Random(4)
+    couplings = [rng.choice([-1, 1]) * rng.uniform(0.5, 2.0) for _ in range(12)]
+    couplings[0] = -1.5
+    h = junction_model((1, 1, 1), 2, couplings)
+    assert h.couplings() == tuple(couplings)
+    assert write_hamiltonian(h).startswith("-1.5 X0\n")
+    assert frustration_graph(h) == WeightedGraph(12, edge_list(junction_graph((1, 1, 1), 2)),
+                                                 weights=[c * c for c in couplings])
+    dropped = junction_model((1, 1, 1), 2, [0.0] + couplings[1:])
+    assert dropped.couplings() == tuple(couplings[1:]) and dropped.n == 12
+
+
 def test_realize_graph_faithful():
     rng = random.Random(29)
     for _ in range(25):
@@ -194,7 +211,7 @@ def test_realize_graph_faithful():
         # term i: X on qubit i, Z on each lower-indexed neighbour of vertex i
         for i, (_, term) in enumerate(h.terms):
             ops = {i: "X"}
-            ops.update((j, "Z") for j, l in g.edges() if l == i)
+            ops.update((j, "Z") for j, l in edge_list(g) if l == i)
             assert term == PauliTerm.from_ops(g.n, ops)
         got = frustration_graph(h)
         assert got.adj == g.adj
@@ -221,7 +238,7 @@ def test_realize_graph_drops_weight_zero_vertices():
     for _ in range(25):
         g = random_graph(rng, rng.randint(2, 9), 0.45, weighted=True)
         zero = rng.sample(range(g.n), rng.randint(1, g.n - 1))
-        g = WeightedGraph(g.n, g.edges(), weights=[0.0 if v in zero else w
+        g = WeightedGraph(g.n, edge_list(g), weights=[0.0 if v in zero else w
                                                    for v, w in enumerate(g.weights)])
         h = realize_graph(g)
         assert len(h.terms) == g.n - len(zero) and h.n == g.n
@@ -237,7 +254,7 @@ def test_junction_with_a_zero_coupling():
     target = junction_graph((1, 1, 1), 3)
     for zero in (0, 7, target.n - 1):
         couplings = [0.0 if v == zero else 0.5 + 0.1 * v for v in range(target.n)]
-        g = WeightedGraph(target.n, target.edges(), weights=[c * c for c in couplings])
+        g = WeightedGraph(target.n, edge_list(target), weights=[c * c for c in couplings])
         h = junction_model((1, 1, 1), 3, couplings)
         assert len(h.terms) == target.n - 1
         assert_realizes_less_zero_weights(h, g)

@@ -235,7 +235,7 @@ def test_kernel_matches_pairwise_reference(n):
 def test_kernel_on_empty_sums():
     rng = random.Random(3)
     a = random_opsum(rng, 5, 7)
-    empty = OperatorSum.zero(5)
+    empty = OperatorSum(5, {})
     for product, _, _ in PRODUCTS:
         for x, y in ((a, empty), (empty, a), (empty, empty)):
             assert len(product(x, y)) == 0
@@ -282,7 +282,7 @@ def batch_operands(rng, draw, n):
     lefts[1] = OperatorSum(n, {key: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                for key in lefts[0].terms})
     rights = [draw(rng, n, rng.randint(1, 12)) for _ in range(2)]
-    rights += [shared, OperatorSum.zero(n), shared]
+    rights += [shared, OperatorSum(n, {}), shared]
     return lefts, rights
 
 
@@ -358,7 +358,7 @@ def test_string_basis_commutators_equal_opsum_comm(n):
     for _ in range(5):
         want = opsum_comm(h, OperatorSum(n, dict(zip(seen, vector.tolist()))))
         got = basis.comm(h, vector)
-        strings = basis.strings()
+        strings = basis.table.strings()
         assert len(got) == len(basis) == len(strings) and strings[:len(seen)] == seen
         assert {s: c for s, c in zip(strings, got.tolist()) if c} == want.terms
         seen = strings

@@ -83,7 +83,7 @@ def hamiltonian_opsum(h):
 
 def transfer_derivative(t: TransferOperator, u: float) -> OperatorSum:
     """d/du of transfer_at(t, u): sum_j -j (-u)^(j-1) Q^(j)."""
-    acc = OperatorSum.zero(t.n)
+    acc = OperatorSum(t.n, {})
     coef = 1.0  # (-u)^(j-1)
     for j, q in enumerate(t.charges):
         if j >= 1:
@@ -146,7 +146,7 @@ def higher_hamiltonian(h: Hamiltonian, k: int,
     graph = frustration_graph(h)
     t = transfer(h, graph)
     poly = weighted_independence_polynomial(graph)
-    acc = OperatorSum.zero(h.n)
+    acc = OperatorSum(h.n, {})
     sign = (-1.0) ** k
     for eps, _ in energies.energies:
         u = 1.0 / eps

@@ -519,6 +519,20 @@ def test_residuals_of_chain_3x3_are_the_same_at_any_power_of_two_scale():
         assert rep.lemma_residuals == want.lemma_residuals, power
 
 
+@pytest.mark.parametrize("power", [490, -440])
+def test_ritz_pairs_are_the_same_at_the_ends_of_the_lapack_range(power):
+    """Chain 3x3 at (1, 0.7, 1.3) x 2^490 and x 2^-440 passes with every
+    residual the float it reads at x 1.  LAPACK rescales a matrix outside
+    about [2^-407, 2^489] by a factor that is not a power of two, so the
+    Ritz pairs of the tridiagonal matrix taken at the couplings' scale
+    moved car, ladder and reconstruction in their last bits (car
+    8.88e-16 against 1.11e-15 at x 1)."""
+    want = verify_all(chain_model(3, 3, [1.0, 0.7, 1.3]))
+    rep = verify_all(chain_model(3, 3, [math.ldexp(c, power) for c in (1.0, 0.7, 1.3)]))
+    assert rep.passed(), rep.failure
+    assert rep.lemma_residuals == want.lemma_residuals
+
+
 def test_lemma_residuals_are_relative_to_their_products():
     """T(u) T(-u) = P(-u^2) I and the fundamental identity are measured
     against the Pauli 1-norms of the products that form them.  Absolute
