@@ -17,10 +17,14 @@ sweep holds k + RESCALE_ROWS rows in one buffer, the k that the
 recursion reads and one block of new ones; it counts the sign changes of
 each block before the last k rows move to the head of the buffer, and
 returns the counts and the Newton step, never all N rows.  The first
-sweep cuts at 2N points spread like the levels of a gapless band and at
-powers of two toward 0.  Dispersion relations and gap scans are
-finite-N: the spectrum is computed at two sizes and the trend decides
-gapless vs gapped.
+sweep cuts at three kinds of points: 2N spread like the levels of a
+gapless band, powers of two toward 0, and a pair 1e-13 either side of
+each level that the chain's dispersion predicts, Fendley's free-fermion
+dispersion sampled at quantized momenta (``_dispersion_levels``).  The
+prediction only places cuts: every bracket is still cut and closed by
+counts, so a missing or wrong prediction costs sweeps, never a level.
+Dispersion relations and gap scans are finite-N: the spectrum is
+computed at two sizes and the trend decides gapless vs gapped.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .indpoly import SingleParticleEnergies, roots_by_count
 
 GAPLESS_RATIO_MARGIN = 0.1
 RESCALE_ROWS = 16  # rows between two rescalings in ``chain_values``
+PREDICTED_HALF_WIDTH = 1e-13  # the first sweep cuts at w (1 -+ this) around a predicted level
+PAIR_STEPS, NEWTON_STEPS = 6, 2  # the steps of ``_dispersion_levels``
 
 
 @dataclass(frozen=True)
@@ -177,6 +183,84 @@ def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
     return counts, step
 
 
+def _dispersion_levels(e: Sequence[float], n_cells: int) -> np.ndarray:
+    """The levels w in (0, sum(e)) that the dominant pair of characteristic
+    roots of the recursion predicts, at most one per j = 0..N-1, unordered.
+
+    The recursion's characteristic polynomial is chi_w(lam) = lam^k -
+    (w - e_1) lam^(k-1) + e_2 lam^(k-2) + ... + e_k, and v_{N+1} =
+    w sum_i lam_i^(N+k-1) / chi_w'(lam_i).  The roots of chi_w are the lam
+    with w(lam) = w, where w(lam) = lam + e_1 + sum_{l>=2} e_l lam^(1-l).
+    A conjugate pair lam = r e^(i theta) of a real w lies on the curve
+    Im w(lam) = 0, that is r^k = sum_{l>=2} e_l U_(l-2)(cos theta) r^(k-l)
+    with U the Chebyshev polynomials of the second kind; the pair is taken
+    at its largest r.  Kept alone, it puts the zeros of v_{N+1} where
+    (N+k-1) theta - arg chi_w'(lam) = (j + 1/2) pi.  As chi_w'(lam) =
+    lam^(k-1) w'(lam), and dw = a (r'/r + i) d theta is real along the
+    curve, with a = lam w'(lam) = dw / d ln(lam), that is
+    (N+1) theta_j - arctan(r'/r) = (j + 1) pi, with r'/r = -Re a / Im a.
+    For k = 2, r = sqrt(e_2) and r' = 0: w_j = e_1 + 2 sqrt(e_2)
+    cos((j+1) pi / (N+1)), the exact levels.
+
+    From theta_j = (j+1) pi / (N+1) and r at a bound on every root, each
+    of PAIR_STEPS steps takes a Newton step in ln r on Im w = 0 and puts
+    theta where the rule above reads it at the current r; then
+    NEWTON_STEPS Newton steps solve both equations at once in (ln r,
+    theta), as the imaginary parts of the analytic w and (N+1) ln(lam) -
+    ln(a).  Where no pair exists, or the steps leave the curve, the level
+    is not finite or leaves (0, sum(e)), and is dropped.
+    """
+    # e_l = 0 beyond the number of nonzero couplings: those roots of chi_w
+    # are 0, and with one coupling every level is e_1
+    k, n = max(l for l, x in enumerate(e) if x), n_cells
+    if k == 1:
+        return np.array(e[1:2])
+    ls = np.arange(1.0, k)  # l - 1 for l = 2..k
+    el = np.array(e[2:k + 1])
+    # w - e_1, a and da / d ln(lam) are lam plus these rows times lam^(1-l)
+    weights = np.array([el, -ls * el, ls * ls * el], dtype=complex)
+    quantized = np.pi * np.arange(1, n + 1)
+    theta = quantized / (n + 1)
+    # Fujiwara's bound on the roots r, as |U_(l-2)| <= l - 1
+    r = np.full(n, 2 * max((m * x) ** (1 / (m + 1)) for m, x in enumerate(el, start=1)))
+    lam = np.empty(n, dtype=complex)
+    powers = np.empty((k - 1, n), dtype=complex)  # lam^(1-l) for l = 2..k
+    # a lam of 0 or beyond float range makes NaN or infinity, which is dropped
+    with np.errstate(all="ignore"):
+        for step in range(PAIR_STEPS + NEWTON_STEPS + 1):
+            np.multiply(r, np.cos(theta), lam.real)
+            np.multiply(r, np.sin(theta), lam.imag)
+            np.divide(1.0, lam, powers[0])
+            for row in range(1, k - 1):
+                np.multiply(powers[row - 1], powers[0], powers[row])
+            w, a, da = lam + weights @ powers
+            if step == PAIR_STEPS + NEWTON_STEPS:
+                break
+            phase = np.arctan(-a.real / a.imag)
+            if step < PAIR_STEPS:
+                r = r * np.exp(-w.imag / a.imag)
+                theta = (quantized + phase) / (n + 1)
+            else:
+                # Im(a dz) = -Im w and Im(b dz) = -f for dz = d ln(r) + i d theta
+                b = (n + 1) - da / a
+                f = (n + 1) * theta - phase - quantized
+                det = a.imag * b.real - a.real * b.imag
+                r = r * np.exp((f * a.real - w.imag * b.real) / det)
+                theta = theta + (w.imag * b.imag - f * a.imag) / det
+        w = e[1] + w.real
+        return w[(w > 0) & (w < sum(e))]
+
+
+def _first_cuts(e: Sequence[float], n_cells: int) -> np.ndarray:
+    """The points of the first sweep of ``chain_energies``, ascending."""
+    hi = sum(e)
+    band = np.sin(np.arange(1, 2 * n_cells + 1) * (0.5 * np.pi / (2 * n_cells + 1))) ** 2
+    levels = _dispersion_levels(e, n_cells)
+    return np.sort(np.concatenate([hi * band, hi * np.exp2(-np.arange(2.0, 60.0)),
+                                   levels * (1 - PREDICTED_HALF_WIDTH),
+                                   levels * (1 + PREDICTED_HALF_WIDTH)]))
+
+
 def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     """All N single-particle energies of the chain, with multiplicities.
 
@@ -193,10 +277,17 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     puts sum(b2) / 4^j in [1, 4), which keeps ``chain_values`` in float
     range; its energies are 2^-j times these, exactly.  The first sweep
     cuts at 2N points spaced like the arcsine density of a gapless band,
-    twice as dense as its N levels, and at 2^-2 .. 2^-59 of the largest
+    twice as dense as its N levels, at 2^-2 .. 2^-59 of the largest
     possible root, so that it separates most levels, the lowest of a
-    gapless chain included.  With every coupling 0 the one level is 0,
-    of multiplicity N, at once.
+    gapless chain included, and at w (1 -+ PREDICTED_HALF_WIDTH) around
+    each level w of ``_dispersion_levels``.  Where a prediction holds, as
+    it does for most levels to about 1e-15, its pair closes a bracket
+    around the level at once, and the Newton steps at both ends finish it
+    in a sweep or two.  The predictions are points like any other: the
+    counts decide what each bracket holds, and the band points and powers
+    of two stay, so every bracket lies within one that the sweep without
+    predictions would have made.  With every coupling 0 the one level is
+    0, of multiplicity N, at once.
     """
     if not any(spec.b2):
         return SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
@@ -206,9 +297,7 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
 
     # Gershgorin: no eigenvalue of the recursion matrix exceeds its row sum
     hi = sum(e)
-    band = np.sin(np.arange(1, 2 * n + 1) * (0.5 * np.pi / (2 * n + 1))) ** 2
-    first = hi * np.sort(np.concatenate([band, np.exp2(-np.arange(2.0, 60.0))]))
-    lo, up, m = roots_by_count(lambda ws: chain_values(e, n, ws), n, hi, first)
+    lo, up, m = roots_by_count(lambda ws: chain_values(e, n, ws), n, hi, _first_cuts(e, n))
     # np.sqrt and np.ldexp round as math.sqrt and math.ldexp do
     levels = np.ldexp(np.sqrt(0.5 * (lo + up)), j).tolist()
     width = float(np.max((up - lo) / up))

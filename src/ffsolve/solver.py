@@ -242,13 +242,20 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergie
                                                for v, w in enumerate(graph.weights)])
     minus_ks.adj = graph.adj
     poly_minus_ks = weighted_independence_polynomial(minus_ks)
-    index, basis, ritz, vectors = _lanczos(hext, chi, 2 * len(energies.flat()) + 1)
+    # u_j, N_j^2 and the Ritz gate are taken at the couplings / 2^p, as in
+    # ``_scaled``, which is exact: the weights are then / 4^p, and P and
+    # P_{G-K} the same integers with the shift 2p more
+    scaled, p = _scaled(hext)
+    poly = IndependencePolynomial(poly.ints, poly.shift + 2 * p)
+    poly_minus_ks = IndependencePolynomial(poly_minus_ks.ints, poly_minus_ks.shift + 2 * p)
+    index, basis, ritz, vectors = _lanczos(scaled, chi, 2 * len(energies.flat()) + 1)
     modes = []
     for j, e in enumerate(energies.flat()):
-        u = 1.0 / e
+        u = 1.0 / math.ldexp(e, -p)
         x = -u * u
         if x == -math.inf:
-            raise ConditioningError(f"1 / e_{j}^2 overflows at mode {j}, with e_{j} = {e:.3e}")
+            raise ConditioningError(f"1 / e_{j}^2 overflows at mode {j}, with e_{j} = {e:.3e}"
+                                    f" and the couplings divided by 2^{p}")
         p_red = poly_minus_ks.at(x)
         nsq = 16.0 * u * u * p_red * poly.at(x, slope=True)
         if not nsq > 0:
@@ -258,11 +265,11 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergie
         k = int(np.argmin(np.abs(ritz - 2.0 / u)))
         if not abs(ritz[k] * u - 2.0) <= 2e-8:
             raise ConditioningError(f"no eigenvalue of [H, .] near 2 e_{j} = {2.0 * e:.12g}"
-                                    f" (nearest {ritz[k]:.12g})")
+                                    f" (nearest {math.ldexp(ritz[k], p):.12g})")
         # sum |c|^2 = 1/2 for CAR, and chi's coefficient 2 P_{G-K}(-u^2) / N_j is real
         coef = vectors[:, k] @ basis
         coef *= math.copysign(math.sqrt(0.5), p_red) * abs(coef[0]) / coef[0]
-        modes.append(IncognitoMode(u, e, math.sqrt(nsq), ritz[k],
+        modes.append(IncognitoMode(math.ldexp(u, -p), e, math.sqrt(nsq), math.ldexp(ritz[k], p),
                                    OperatorSum.from_vector(index, coef)))
     return modes
 

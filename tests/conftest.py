@@ -646,7 +646,9 @@ def midpoint_roots_by_count(evaluate, n, hi, first=None):
 
     Every bracket is halved at its midpoint on the count alone until it is
     at most ROOT_REL_TOL of its upper end wide, and one whose midpoint
-    count falls outside its ends' counts is kept as it is.  A bracket with
+    count falls outside its ends' counts is kept as it is, as is one whose
+    midpoint rounds to one of its ends, as between adjacent subnormal
+    floats, where ROOT_REL_TOL of the upper end rounds to 0.  A bracket with
     several roots tries its lower third point instead: the midpoint may
     fall in the rounding noise of one of its roots, at an exact root for
     instance, where ``bisection_energies`` reports the count as unknown.
@@ -658,7 +660,7 @@ def midpoint_roots_by_count(evaluate, n, hi, first=None):
     done = []
     while len(lo):
         mid = 0.5 * (lo + up)
-        wide = up - lo > indpoly.ROOT_REL_TOL * up
+        wide = (up - lo > indpoly.ROOT_REL_TOL * up) & (lo < mid) & (mid < up)
         c_mid = np.full(len(lo), -1)
         c_mid[wide] = evaluate(mid[wide])[0]
         split = wide & (c_mid <= c_lo) & (c_mid >= c_up)
@@ -767,16 +769,16 @@ def plain_roots_by_count(evaluate, n: int, hi: float, first: np.ndarray):
 def plain_chain_energies(spec: ChainSpec, values=chains.chain_values):
     """``chains.chain_energies`` with ``plain_roots_by_count`` and the
     levels assembled one by one with ``math.sqrt`` and ``math.ldexp``, as
-    they were; ``values`` stands for ``chains.chain_values``."""
+    they were; ``values`` stands for ``chains.chain_values``.  The first
+    sweep cuts at the same points, ``chains._first_cuts``, the predicted
+    levels included, so that only the isolators differ."""
     if not any(spec.b2):
         return indpoly.SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
     j = (math.frexp(sum(spec.b2))[1] - 1) // 2
     e = elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2])
     n = spec.n_cells
-    hi = sum(e)
-    band = np.sin(np.arange(1, 2 * n + 1) * (0.5 * np.pi / (2 * n + 1))) ** 2
-    first = hi * np.sort(np.concatenate([band, np.exp2(-np.arange(2.0, 60.0))]))
-    lo, up, m = plain_roots_by_count(lambda ws: values(e, n, ws), n, hi, first)
+    lo, up, m = plain_roots_by_count(lambda ws: values(e, n, ws), n, sum(e),
+                                     chains._first_cuts(e, n))
     energies = tuple((math.ldexp(math.sqrt(w), j), int(c))
                      for w, c in zip(0.5 * (lo + up), m))
     return indpoly.SingleParticleEnergies(energies, max((up - lo) / up))

@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -275,12 +276,13 @@ def test_chain_energies_match_midpoint_bisection(spec, monkeypatch):
 @pytest.mark.parametrize("spec", [ChainSpec(240, 3, (1.0, 0.7, 1.3)),
                                   ChainSpec(240, 4, (1.29, 0.54, 0.50, 1.49))])
 def test_chain_root_sweep_budget(spec, monkeypatch):
-    """At most 12 evaluations of the recursion per solve, 12 on both
-    chains; Newton windows without the pull of the other roots took 13 and
+    """At most 8 evaluations of the recursion per solve, 6 and 8 with the
+    predicted levels cut in the first sweep, 12 on both chains without
+    them; Newton windows without the pull of the other roots took 13 and
     14, thirds for a first sweep 20-21, bisection about 60."""
     sweeps = record_sweeps(monkeypatch, chains)
     chain_energies(spec)
-    assert len(sweeps) <= 12
+    assert len(sweeps) <= 8
 
 
 @pytest.mark.parametrize("spec, before", [
@@ -299,12 +301,71 @@ def test_chain_sweeps_no_more_than_plain_newton(spec, before, monkeypatch):
 
 
 def test_chain_corpus_sweep_total(monkeypatch):
-    """1,118 evaluations over the corpus; plain Newton windows and an
+    """488 evaluations over the corpus, 4.1 a solve; without the predicted
+    levels in the first sweep 1,118, and plain Newton windows and an
     N-point first sweep took 1,440."""
     sweeps = record_sweeps(monkeypatch, chains)
     for spec in random_chains(23, 120):
         chain_energies(spec)
-    assert len(sweeps) <= 1118
+    assert len(sweeps) <= 488
+
+
+def scaled_e(spec: ChainSpec) -> tuple[tuple[float, ...], int]:
+    """The e_l of the chain that ``chain_energies`` solves, with b2 / 4^j
+    summing to [1, 4), and j."""
+    j = (math.frexp(sum(spec.b2))[1] - 1) // 2
+    return elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2]), j
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 40, 240, 2000])
+@pytest.mark.parametrize("b2", [(0.5, 0.5), (0.9999, 0.0001), (0.3, 1.7), (2e-9, 3e-9)])
+def test_predicted_levels_are_exact_at_k2(b2, n_cells):
+    """At k = 2 the dominant pair is the whole spectrum: the predicted
+    levels are e_1 + 2 sqrt(e_2) cos((j+1) pi / (N+1)), j = 0..N-1."""
+    e, _ = scaled_e(ChainSpec(n_cells, 2, b2))
+    got = np.sort(chains._dispersion_levels(e, n_cells))
+    theta = np.arange(1, n_cells + 1) * np.pi / (n_cells + 1)
+    want = np.sort(e[1] + 2 * math.sqrt(e[2]) * np.cos(theta))
+    assert len(got) == n_cells
+    assert np.max(np.abs(got - want)) <= 1e-14 * want[-1]
+
+
+def test_predicted_levels_are_the_levels():
+    """Over the corpus, 99.6% of the predicted levels lie within 1e-12 of
+    a level of ``chain_energies``, relative; the misses are levels that
+    the subdominant roots move, as near a gapless point."""
+    hits = predicted = 0
+    for spec in random_chains(23, 120):
+        e, j = scaled_e(spec)
+        w = chains._dispersion_levels(e, spec.n_cells)
+        levels = np.array([math.ldexp(x, -j) ** 2 for x, _ in chain_energies(spec).energies])
+        hits += int(np.sum(np.min(np.abs(w[:, None] - levels) / levels, axis=1) <= 1e-12))
+        predicted += len(w)
+    assert predicted >= 10_000 and hits >= 0.9 * predicted
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(40, 3, (0.5, 0.0, 0.5)),            # a zero coupling
+    ChainSpec(40, 3, (1.0, 0.0, 0.0)),            # one coupling: every level is e_1
+    ChainSpec(40, 3, (1e-300, 0.5, 0.5)),
+    ChainSpec(40, 3, (1.0, 1e-300, 1e-300)),
+    ChainSpec(40, 2, (1e-300, 1.0)),
+    ChainSpec(1, 2, (0.5, 0.5)),
+    ChainSpec(1, 4, (0.1, 0.2, 0.3, 0.4)),
+] + [ChainSpec(30, k, tuple(1.0 + 0.1 * i for i in range(k))) for k in range(2, 10)]
+  + [ChainSpec(30, 9, (1e-300,) * 4 + (1.0,) * 5)])
+def test_predicted_levels_of_degenerate_chains(spec):
+    """No warning and no crash where the pair degenerates: each predicted
+    level is finite and in (0, sum(e)), at most N of them, and the solve
+    gives N levels, certified by an exact count."""
+    e, _ = scaled_e(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = chains._dispersion_levels(e, spec.n_cells)
+        got = chain_energies(spec)
+    assert len(w) <= spec.n_cells and np.all((0 < w) & (w < sum(e)))
+    assert got.total == spec.n_cells
+    certify_by_count(spec, got)
 
 
 @pytest.mark.parametrize("spec", [
@@ -451,8 +512,9 @@ def test_chain_sweeps_and_levels_match_the_plain_isolator(spec):
 
 def test_chain_energies_memory():
     """A solve holds a window of k + RESCALE_ROWS rows per sweep, not all
-    N + k of them: 0.9 MB at its peak on 480 cells, 8.6 MB with every row
-    kept."""
+    N + k of them: 1.3 MB at its peak on 480 cells, in the first sweep,
+    which cuts at 4N + 58 points; 0.9 MB when it cut at 2N + 58, and 8.6 MB
+    with every row kept."""
     spec = ChainSpec(480, 4, (0.25,) * 4)
     chain_energies(spec)  # imports and first-call allocations
     tracemalloc.start()
@@ -467,14 +529,15 @@ def test_chain_energies_memory():
 @pytest.mark.parametrize("spec", [ChainSpec(50, 3, (0.0, 0.0, 1.0)), ChainSpec(50, 2, (0.0, 1.0)),
                                   ChainSpec(121, 2, (1.0, 0.0))])
 def test_coincident_roots_sweep_budget(spec, monkeypatch):
-    """All N roots at w = 1: the bracket that holds them is cut around
-    the estimate m f/f' of an m-fold root, within 12 evaluations; cut
-    into thirds it took 33.  On 121 cells a cut lands on 1 itself, where
-    the step 0 / 0 would leave that end without an estimate, and the
-    bracket to thirds for 22 evaluations."""
+    """All N roots at w = 1: the first sweep cuts at 1 -+ 1e-13 around the
+    one predicted level, e_1, and the bracket between is cut around the
+    estimate m f/f' of an m-fold root, 3 evaluations in all; without the
+    predicted level it took 9, 9 and 6, and cut into thirds 33.  On 121
+    cells a cut landed on 1 itself, where the step 0 / 0 would leave that
+    end without an estimate, and the bracket to thirds for 22 evaluations."""
     sweeps = record_sweeps(monkeypatch, chains)
     ((energy, mult),) = chain_energies(spec).energies
-    assert len(sweeps) <= 12
+    assert len(sweeps) <= 3
     assert mult == spec.n_cells and math.isclose(energy, 1.0, rel_tol=1e-15)
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,8 +32,15 @@ from ffsolve import paulis
 from ffsolve.chains import ChainSpec, chain_energies
 from ffsolve.cli import main
 from ffsolve.graphs import WeightedGraph
+from ffsolve.errors import ModelError, ParseError
 from ffsolve.indpoly import IndependencePolynomial
-from ffsolve.models import parse_hamiltonian
+from ffsolve.models import (
+    Hamiltonian,
+    junction_graph,
+    junction_model,
+    parse_graph,
+    parse_hamiltonian,
+)
 
 
 def run(capsys, *argv):
@@ -98,12 +106,21 @@ def test_verify_reports_the_term_cap(capsys, monkeypatch):
 
 
 def test_solve_modes_at_small_couplings(capsys):
-    """Couplings of order 1e-3 give the modes of couplings of order 1."""
+    """Couplings of order 1e-3 give the modes of couplings of order 1, and
+    so do couplings of 1e-155, where each 1 / e_j^2 lies beyond the float
+    range: the modes are formed at the couplings divided by 2^p."""
     for couplings in ("1,0.7,1.3", "0.001,0.0007,0.0013"):
         code, doc = run_json(capsys, "solve", "--modes", "--model", "chain", "--N", "5",
                              "--k", "3", "--couplings", couplings)
         assert code == 0
         assert doc["result"]["mode_term_counts"] == [150] * 5
+    counts = []
+    for couplings in ("1,1,1", "1e-155,1e-155,1e-155"):
+        code, doc = run_json(capsys, "solve", "--modes", "--model", "chain", "--N", "3",
+                             "--k", "3", "--couplings", couplings)
+        assert code == 0
+        counts.append(doc["result"]["mode_term_counts"])
+    assert counts[0] == counts[1] and len(counts[0]) == 3
 
 
 def test_solve_single_edge_345(tmp_path, capsys):
@@ -491,16 +508,14 @@ def test_output_file_takes_the_mode_of_a_fresh_open(tmp_path, umask):
     ["solve", "--model", "h5", "-o", "{tmp}/outdir"],
     ["solve", "--model", "h5", "-o", "{tmp}/outdir/"],
     ["solve", "--modes", "--model", "h5", "--couplings", "1e-170,1e-170,1e-170,1e-170,1e-170"],
-    ["solve", "--modes", "--model", "chain", "--N", "3", "--k", "3",
-     "--couplings", "1e-155,1e-155,1e-155"],
 ])
 def test_input_errors_exit_1_with_a_message(capsys, tmp_path, argv):
     """Malformed or empty lists and squared couplings, a junction
     without arms, an unreadable input, an unwritable output or one that
     names a directory, couplings so large that their squares, the
     weights, overflow, modes asked of couplings whose squares all
-    underflow, so that no term is left to form the simplicial mode, and
-    modes whose 1 / e_j^2 overflows, are input errors: exit 1 and one
+    underflow, so that no term is left to form the simplicial mode, are
+    input errors: exit 1 and one
     line on stderr, not an exception, that names the file at fault, not
     a temporary file, or the option that is empty.  No temporary file is
     left behind."""
@@ -519,6 +534,47 @@ def test_input_errors_exit_1_with_a_message(capsys, tmp_path, argv):
     for option, value in zip(argv, argv[1:]):
         if value == "":
             assert option in captured.err
+
+
+REFUSALS = [
+    # command lines: exit 1 with one line on stderr
+    (None, "provide an input file or --model", ["solve"]),
+    (None, "verify needs a Hamiltonian input", ["verify", "{graph}"]),
+    (None, "--vary must be in 1..3",
+     ["scan", "--k", "3", "--N", "4", "--Nprime", "8", "--values", "0.5", "--vary", "4"]),
+    # the library: raises
+    (ParseError, "unknown record", lambda: parse_graph("p 2\nx 0 1")),
+    (ParseError, "duplicate 'p' line", lambda: parse_graph("p 2\np 3")),
+    (ParseError, "missing 'p <n>' header", lambda: parse_graph("# no records\n")),
+    (ParseError, "vertex index 5 out of range", lambda: parse_graph("p 2\nv 5 1.0")),
+    (ParseError, "bad coupling", lambda: parse_hamiltonian("one X0")),
+    (ModelError, "non-finite coupling",
+     lambda: Hamiltonian.from_pairs([(math.nan, paulis.PauliTerm.from_ops(1, {0: "X"}))])),
+    (ModelError, "acts on qubit 2 but n=2",
+     lambda: Hamiltonian.from_pairs([(1.0, paulis.PauliTerm.from_ops(3, {2: "X"}))], n=2)),
+    (ModelError, "at least one arm", lambda: junction_graph((), 3)),
+    (ModelError, "k must be >= 2", lambda: junction_graph((1, 1), 1)),
+    (ModelError, "arm lengths must be >= 1", lambda: junction_graph((1, 0), 3)),
+    (ModelError, "expected 15 couplings, got 2", lambda: junction_model((1, 1, 1), 3, [1.0, 1.0])),
+]
+
+
+@pytest.mark.parametrize("error, message, case", REFUSALS,
+                         ids=[message for _, message, _ in REFUSALS])
+def test_refusals(error, message, case, capsys, tmp_path):
+    """Each refusal is reached: a command line exits 1 with one line that
+    names the fault and no traceback, a library call raises its error."""
+    if error is not None:
+        with pytest.raises(error, match=re.escape(message)):
+            case()
+        return
+    graph = tmp_path / "g.graph"
+    graph.write_text("p 2\ne 0 1\n")
+    code = main([a.replace("{graph}", str(graph)) for a in case])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("text", ["p -1\n", "p 0\n", "p 1\nv 0 nan\n", "p 1\nv 0 inf\n"])

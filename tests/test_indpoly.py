@@ -687,6 +687,20 @@ def test_roots_by_count_stops_at_adjacent_subnormals():
     assert lo[0] < root <= hi[0] and hi[0] - lo[0] <= 2 * math.ulp(root)
 
 
+def test_bisection_reference_stops_at_adjacent_subnormals():
+    """Two isolated vertices of weights 1 and 1.37 2^-1050: in s = w / 2 the
+    smaller root lies among the subnormal floats, where a midpoint rounds
+    to an end of its bracket long before the bracket is ROOT_REL_TOL wide.
+    The reference stops such a bracket as it is, and gives the energies of
+    ``solve`` to the width of either's brackets."""
+    poly = weighted_independence_polynomial(WeightedGraph(2, (), [1.0, 1.37 * 2.0 ** -1050]))
+    got, want = bisection_energies(poly), single_particle_energies(poly)
+    assert [m for _, m in got.energies] == [m for _, m in want.energies] == [1, 1]
+    rel = max(got.width, want.width)
+    assert all(math.isclose(a, b, rel_tol=rel)
+               for (a, _), (b, _) in zip(got.energies, want.energies))
+
+
 def test_complex_roots_detected():
     # 1 + x + x^2 has complex roots; degree says two energies, none real
     with pytest.raises(ComplexRootError):

@@ -373,25 +373,29 @@ def test_modes_equal_the_triple_product(name, scale):
         assert (m.op - want).max_abs_coeff() <= 1e-12 * want.max_abs_coeff()
 
 
-@pytest.mark.parametrize("name", ["chain5x3", "chain4x4", "junction111", "h6"])
+@pytest.mark.parametrize("name", ["chain5x3", "chain4x4", "junction111", "h6", "chain3x3"])
 def test_modes_do_not_depend_on_the_coupling_scale(name):
     """Scaling every coupling by 1e-3 or 1e3 scales the energies and leaves
     the modes as they are.  At 1e-3 the top charge of chain 5x3 lies below
-    the pruning size, and only a scale-free mode path keeps it."""
+    the pruning size, and only a scale-free mode path keeps it.  Chain 3x3
+    at (1, 0.5, 2) x 2^-520, whose squares are exact, has each 1 / e_j^2
+    beyond the float range; its modes are those at x 1, to the bit."""
     rng = random.Random(5)
     make, couplings = {
         "chain5x3": (lambda b: chain_model(5, 3, b), [1.0, 0.7, 1.3]),
         "chain4x4": (lambda b: chain_model(4, 4, b), [1.0, 0.7, 1.3, 0.9]),
         "junction111": (lambda b: junction_model((1, 1, 1), 3, b),
                         [rng.uniform(0.5, 1.5) for _ in range(15)]),
-        "h6": (lambda b: h6_model(*b), [1.1, 0.3, 0.9, -0.7, 1.4, 0.6])}[name]
+        "h6": (lambda b: h6_model(*b), [1.1, 0.3, 0.9, -0.7, 1.4, 0.6]),
+        "chain3x3": (lambda b: chain_model(3, 3, b), [1.0, 0.5, 2.0])}[name]
+    scales, tol = ((2.0 ** -520,), 0.0) if name == "chain3x3" else ((1e-3, 1e3), 1e-11)
     want = build_solution(make(couplings))[-1]
-    for scale in (1e-3, 1e3):
+    for scale in scales:
         got = build_solution(make([scale * b for b in couplings]))[-1]
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.op.terms.keys() == w.op.terms.keys()
-            assert (g.op - w.op).max_abs_coeff() <= 1e-11
+            assert (g.op - w.op).max_abs_coeff() <= tol
 
 
 def test_modes_on_chain_7x3():
