@@ -508,6 +508,8 @@ def test_output_file_takes_the_mode_of_a_fresh_open(tmp_path, umask):
     ["solve", "--model", "h5", "-o", "{tmp}/outdir"],
     ["solve", "--model", "h5", "-o", "{tmp}/outdir/"],
     ["solve", "--modes", "--model", "h5", "--couplings", "1e-170,1e-170,1e-170,1e-170,1e-170"],
+    ["solve", "--modes", "--model", "chain", "--N", "3", "--k", "3",
+     "--couplings", "1e-170,1e-170,1e-170"],
 ])
 def test_input_errors_exit_1_with_a_message(capsys, tmp_path, argv):
     """Malformed or empty lists and squared couplings, a junction
