@@ -1,30 +1,21 @@
 """Numerics for the staggered distance-k chain family.
 
-The independence polynomial of the chain graph on N unit cells obeys a
-k-term recursion whose coefficients are the elementary symmetric
-polynomials of the squared couplings, so everything here works from the
-coupling vector alone.  The energies come from the isolator by counting,
-``indpoly.roots_by_count``, fed with the sign changes of this recursion
-rather than with the monomial coefficients, which lose the roots to
-rounding beyond a dozen or so cells, and with the Newton step of its
-last row, whose w-derivative runs alongside it.  A float count is exact
-only where rounding flips the sign of no row, so near a root a bracket
-can close on noise, as on one chain 200x4, whose lowest level lies
-2.0e-11 below a bracket 1.6e-13 wide.  The couplings are first scaled by
-a power of four to a sum in [1, 4), which is exact and bounds the growth
-of a row, so the recursion is rescaled only every RESCALE_ROWS rows.  A
-sweep holds k + RESCALE_ROWS rows in one buffer, the k that the
-recursion reads and one block of new ones; it counts the sign changes of
-each block before the last k rows move to the head of the buffer, and
-returns the counts and the Newton step, never all N rows.  The first
-sweep cuts at three kinds of points: 2N spread like the levels of a
-gapless band, powers of two toward 0, and a pair 1e-13 either side of
-each level that the chain's dispersion predicts, Fendley's free-fermion
-dispersion sampled at quantized momenta (``_dispersion_levels``).  The
-prediction only places cuts: every bracket is still cut and closed by
-counts, so a missing or wrong prediction costs sweeps, never a level.
-Dispersion relations and gap scans are finite-N: the spectrum is
-computed at two sizes and the trend decides gapless vs gapped.
+The energies come from the isolator by counting,
+``indpoly.roots_by_count``, fed with the sign changes of the chain's
+independence polynomial built vertex by vertex on the squared couplings
+(``chain_values``) rather than with the monomial coefficients, which lose
+the roots to rounding beyond a dozen or so cells, and with the Newton
+step of its last row.  The elementary symmetric polynomials e_l of the
+squared couplings serve only the bound on the roots and the dispersion.
+The first sweep cuts at three kinds of points: 2N spread like the
+levels of a gapless band, powers of two toward 0, and a pair 1e-13
+either side of each level that the chain's dispersion predicts,
+Fendley's free-fermion dispersion sampled at quantized momenta
+(``_dispersion_levels``).  The prediction only places cuts: every
+bracket is still cut and closed by counts, so a missing or wrong
+prediction costs sweeps, never a level.  Dispersion relations and gap
+scans are finite-N: the spectrum is computed at two sizes and the trend
+decides gapless vs gapped.
 """
 
 from __future__ import annotations
@@ -39,7 +30,7 @@ from .errors import ModelError
 from .indpoly import SingleParticleEnergies, roots_by_count
 
 GAPLESS_RATIO_MARGIN = 0.1
-RESCALE_ROWS = 16  # rows between two rescalings in ``chain_values``
+RESCALE_ROWS = 16  # cells between two rescalings in ``chain_values``
 PREDICTED_HALF_WIDTH = 1e-13  # the first sweep cuts at w (1 -+ this) around a predicted level
 PAIR_STEPS, NEWTON_STEPS = 6, 2  # the steps of ``_dispersion_levels``
 
@@ -84,112 +75,119 @@ def filled_signs(values: np.ndarray) -> np.ndarray:
     return np.take_along_axis(signs, last, axis=0)
 
 
-def chain_values(e: Sequence[float], n_cells: int, ws: np.ndarray
+def chain_values(b2: Sequence[float], n_cells: int, ws: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The sign changes along the rows v_1..v_{N+1} of the chain recursion
-    at each w in ``ws``, and the Newton step v_{N+1} / v'_{N+1} in w, 0
-    where v_{N+1} is exactly 0.
+    """The sign changes along the cells of the chain's vertex recursion at
+    each w in ``ws``, and the Newton step Q / Q' in w of its last row, 0
+    where that row is exactly 0.
 
-    The w-derivative rows, v'_s = v_{s-1} + w v'_{s-1} - sum_l e_l v'_{s-l},
-    run in the same buffer as the value rows, k + RESCALE_ROWS rows of
-    values and derivatives side by side: the k rows the recursion reads,
-    then one block of new rows.  Every block reuses it, so the views of
-    each row are built once per call.  After a block its value rows give
-    their sign changes, counted from the last row of the block before, and
-    a zero takes the last sign above it, in the block before too, so that
-    the counts are the sign changes over all the rows, zeros skipped.
-    Then the last k rows go to the head of the buffer, rescaled by a power
-    of two, the same for a value row and its derivative, that puts the
-    largest of their values in [1/2, 1).  That changes neither signs, nor
-    rounding, nor the step while every row is a normal float.  With
-    sum(e) < 2^6 and 0 < w <= sum(e), as ``chain_energies`` arranges, a
-    row is at most 2^7 times the largest of the k before it, so no row
-    exceeds 2^112 before the next rescaling.  A row that is at most 2^53
-    times smaller than the one before, as one ulp from the root of a
-    decoupled chain, where each row is w - 1 times the last, stays above
-    2^-849, in the normal range.
+    With G_i the chain graph on vertices 0..i and x = -1/w, vertex i = ck + r
+    of cell c has Q_i = w^(c+1) P(G_i)(x) = w^[r = 0] Q_(i-1) - b2_r Q_(i-k),
+    with Q_(-k) .. Q_(-1) = 1, the empty graph: the recursion that the
+    tests count in integers, here in floats on the squared couplings
+    themselves, so that no input is rounded before it.  Removing the last
+    cell, a simplicial clique, interlaces, so the sign changes along 1,
+    Q_(k-1), Q_(2k-1), .., Q_(Nk-1), the last row of each cell, count the
+    roots above w.  The last row, w^N P(-1/w), is the polynomial of degree
+    N in w whose roots are the levels; its derivative, Q'_i = [r = 0]
+    Q_(i-1) + w^[r = 0] Q'_(i-1) - b2_r Q'_(i-k), runs alongside it.
 
-    A block ends in a few whole-block calls.  One |v| of the rows read
-    serves both the test for a 0 or NaN (its least value over the block,
-    NaN or 0), which alone sends the block to the filled signs, and the
-    rescaling.  The sign changes are a uint8 sum of the XORs of
-    ``np.signbit``.  The exponents stay ``np.intc``, as ``np.frexp``
-    returns them, because ``np.ldexp`` has a loop of its own for them:
-    with int64 exponents a rescaling took 22 us at k = 4 and 450 points,
-    against 4 us (2-core x86-64 VM).
+    Two cells of k rows alternate, values in columns :m and derivatives in
+    m:, the one the recursion reads and the one it writes, so the views of
+    each row are built once per call.  A cell is one multiply of the cell
+    before by -b2, repeated across the columns (a (k, 1) column broadcast
+    took 5.8 us against 2.5 us at k = 4 and 1,000 points, 2-core x86-64 VM),
+    the head w Q_(i-1) with its derivative Q_(i-1) + w Q'_(i-1), and k - 1
+    in-place row adds; its last value row is kept.  After RESCALE_ROWS cells
+    those rows give their sign changes, counted from the last row of the
+    block before, and a zero takes the last sign above it, in the block
+    before too, so that the counts are the sign changes over all the cells,
+    zeros skipped.  Then the cell is rescaled by a power of two, the same for
+    a value and its derivative, that puts the largest of its values in
+    [1/2, 1).  That changes neither signs, nor rounding, nor the step while
+    every row is a normal float.  With sum(b2) < 4 and 0 < w < 2^6, as
+    ``chain_energies`` arranges, a row is at most w + sum(b2) < 2^7 times
+    the largest of the cell before, so no row exceeds 2^112 before the next
+    rescaling.  A cell at most 2^53 times smaller than the one before, as one
+    ulp from the root of a decoupled chain, where each cell is w - 1 times
+    the last, stays above 2^-849, in the normal range.
 
-    A point's count and step depend on the whole of ``ws``, not on its w
-    alone.  ``np.dot`` runs the BLAS dgemv, whose vectorised body and
-    remainder round differently, so the dot of a column depends on where
-    it falls in the array: of 1,320 dots of k = 2..5 rows and 1 to 33
-    columns, 467 differed in their last bits from the same columns inside
-    a 1,000-column dot.  So a caller that needs the same bits must pass
-    the same array, and no change may reorder, split or pad ``ws``.
+    The least |Q| of a block's last rows, NaN or 0 where one is, alone
+    sends the block to the filled signs.  The sign changes are a uint8 sum
+    of the XORs of ``np.signbit``.  The exponents stay ``np.intc``, as
+    ``np.frexp`` returns them, because ``np.ldexp`` has a loop of its own
+    for them: with int64 exponents a rescaling took 22 us at k = 4 and 450
+    points, against 4 us (2-core x86-64 VM).  Every call is elementwise, so
+    a point's count and step depend on its own w alone.
     """
-    k = len(e) - 1
-    m = len(ws)
-    # -e_k .. -e_1, against rows s-k .. s-1; the method is np.dot without
-    # the dispatch that np.dot goes through on every call
-    dot = (-np.array(e[:0:-1])).dot
-    multiply, add = np.multiply, np.add
-    size = min(RESCALE_ROWS, n_cells)
-    buf = np.zeros((k + size, 2 * m))  # values in columns :m, derivatives in m:
-    buf[k - 1, :m] = ws
-    buf[k - 1, m:] = 1.0
-    values = buf[:, :m]
-    # row, value or derivative, point: one exponent per point scales both
-    pairs = buf.reshape(k + size, 2, m)
+    k, m = len(b2), len(ws)
+    minus_b2 = np.repeat(-np.array(b2, dtype=float)[:, None], 2 * m, axis=1)
+    cells = np.zeros((2, k, 2 * m))
+    cells[1, :, :m] = 1.0  # Q_(-k) .. Q_(-1), read by the first cell
+    # the last value row of the block before (1 at first), then one per cell of a block
+    lasts = np.ones((min(RESCALE_ROWS, n_cells) + 1, m))
     w2 = np.concatenate([ws, ws])
-    scratch = np.empty(2 * m)
-    # row k + i of a block: the row, the k rows it reads, the row before it,
-    # its derivative half and the value half of the row before
-    steps = [(buf[k + i], buf[i:k + i], buf[k + i - 1], buf[k + i, m:], buf[k + i - 1, :m])
-             for i in range(size)]
+    head = np.empty(2 * m)
+    head_derivative = head[m:]
+    multiply, add, copyto = np.multiply, np.add, np.copyto
+    # cell c of a block is cells[c % 2] and reads the other: the cell, the
+    # cell before, the last row of that and its value half, the first row,
+    # the (row, row before) of the adds, and the last value row
+    steps = [(cells[c], cells[1 - c], cells[1 - c, -1], cells[1 - c, -1, :m], cells[c, 0],
+              list(zip(cells[c, 1:], cells[c, :-1])), cells[c, -1, :m]) for c in (0, 1)]
+    kept = list(lasts[1:])
     counts = np.zeros(m, dtype=np.intp)
-    # the signs of row k - 1 with each zero filled from above, or None while
-    # no row has held a 0 or NaN and its own signs serve (a 0 or NaN in the
-    # first row, ws, makes every row 0 or NaN)
+    # the signs of lasts[0] with each zero filled from above, or None while
+    # no last row has held a 0 or NaN and its own signs serve
     carried = None
     # the rows stay in float range (see above): what divides by 0 is the
     # step at a multiple root
     with np.errstate(divide="ignore", invalid="ignore"):
         for done in range(0, n_cells, RESCALE_ROWS):
             rows = min(RESCALE_ROWS, n_cells - done)
-            for row, window, prev, derivative, prev_value in steps[:rows]:
-                dot(window, row)
-                multiply(w2, prev, scratch)
-                add(row, scratch, row)
-                add(derivative, prev_value, derivative)
-            # |v| of the block and of the last k rows, which set the rescaling
-            mag = np.abs(values[min(k, rows):k + rows])
+            for c in range(rows):
+                cell, before, before_last, before_value, first, adds, value = steps[c % 2]
+                multiply(before, minus_b2, cell)
+                multiply(w2, before_last, head)
+                add(head_derivative, before_value, head_derivative)
+                add(first, head, first)
+                for row, prev in adds:
+                    add(row, prev, row)
+                copyto(kept[c], value)
+            block = lasts[:rows + 1]
             # NaN if the block holds a NaN, 0 if it holds a 0
-            if carried is None and np.minimum.reduce(mag[-rows:], None, initial=np.inf) > 0:
-                negative = np.signbit(values[k - 1:k + rows])
+            if carried is None and np.minimum.reduce(np.abs(block[1:]), None, initial=np.inf) > 0:
+                negative = np.signbit(block)
                 # at most RESCALE_ROWS changes a block: a uint8 holds them
                 counts += add.reduce(np.bitwise_xor(negative[1:], negative[:-1]), 0, np.uint8)
             else:
-                head = values[k - 1:k + rows].copy()
+                signs = block.copy()
                 if carried is not None:
-                    head[0] = carried
-                filled = filled_signs(head)
+                    signs[0] = carried
+                filled = filled_signs(signs)
                 counts += (filled[1:] != filled[:-1]).sum(axis=0)
                 carried = filled[-1]
             if done + rows < n_cells:
-                _, shift = np.frexp(np.maximum.reduce(mag[-k:]))
-                np.ldexp(pairs[rows:], np.negative(shift, shift), pairs[:k])
-        last_row = values[k - 1 + rows]
+                lasts[0] = lasts[rows]
+                _, shift = np.frexp(np.maximum.reduce(np.abs(cell[:, :m])))
+                pairs = cell.reshape(k, 2, m)  # one exponent per point scales both halves
+                np.ldexp(pairs, np.negative(shift, shift), pairs)
+        last = cell[-1]
         # at a multiple root that is a float the step is 0 / 0; it is 0
-        step = np.where(last_row == 0, 0.0, last_row / buf[k - 1 + rows, m:])
+        step = np.where(last[:m] == 0, 0.0, last[:m] / last[m:])
     return counts, step
 
 
 def _dispersion_levels(e: Sequence[float], n_cells: int) -> np.ndarray:
     """The levels w in (0, sum(e)) that the dominant pair of characteristic
-    roots of the recursion predicts, at most one per j = 0..N-1, unordered.
+    roots of the cell recursion predicts, at most one per j = 0..N-1,
+    unordered.
 
-    The recursion's characteristic polynomial is chi_w(lam) = lam^k -
-    (w - e_1) lam^(k-1) + e_2 lam^(k-2) + ... + e_k, and v_{N+1} =
-    w sum_i lam_i^(N+k-1) / chi_w'(lam_i).  The roots of chi_w are the lam
+    With P_s the polynomial of the first s cells, v_{s+1} = w^(s+1)
+    P_s(-1/w) obeys v_{s+1} = w v_s - sum_l e_l v_{s-l+1}, whose
+    characteristic polynomial is chi_w(lam) = lam^k - (w - e_1) lam^(k-1)
+    + e_2 lam^(k-2) + ... + e_k, and v_{N+1} = w sum_i lam_i^(N+k-1) /
+    chi_w'(lam_i).  The roots of chi_w are the lam
     with w(lam) = w, where w(lam) = lam + e_1 + sum_{l>=2} e_l lam^(1-l).
     A conjugate pair lam = r e^(i theta) of a real w lies on the curve
     Im w(lam) = 0, that is r^k = sum_{l>=2} e_l U_(l-2)(cos theta) r^(k-l)
@@ -264,14 +262,12 @@ def _first_cuts(e: Sequence[float], n_cells: int) -> np.ndarray:
 def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     """All N single-particle energies of the chain, with multiplicities.
 
-    With P_s the polynomial of the first s cells, v_{s+1} = w^(s+1)
-    P_s(-1/w).  The last cell is a simplicial clique, so P_(s-1) and P_s
-    interlace, and the sign changes along v_1..v_{N+1} count the roots
-    w = eps^2 above w.  ``roots_by_count`` isolates the roots with that
-    count; levels that rounding cannot split, as in dimerized chains,
-    share one bracket and come back as one energy with multiplicity.
-    Each bracket gives one energy at its midpoint; the width, that of the
-    widest bracket, relative, bounds a level only where its counts are exact.
+    ``chain_values`` counts the roots w = eps^2 above w, and
+    ``roots_by_count`` isolates them with that count; levels that rounding
+    cannot split, as in dimerized chains, share one bracket and come back
+    as one energy with multiplicity.  Each bracket gives one energy at its
+    midpoint; the width, that of the widest bracket, relative, bounds a
+    level only where its counts are exact.
 
     The chain solved is the one with b2 / 4^j, where the power of four
     puts sum(b2) / 4^j in [1, 4), which keeps ``chain_values`` in float
@@ -292,12 +288,13 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     if not any(spec.b2):
         return SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
     j = (math.frexp(sum(spec.b2))[1] - 1) // 2
-    e = elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2])
+    b2 = [math.ldexp(b, -2 * j) for b in spec.b2]
+    e = elementary_symmetric(b2)
     n = spec.n_cells
 
     # Gershgorin: no eigenvalue of the recursion matrix exceeds its row sum
     hi = sum(e)
-    lo, up, m = roots_by_count(lambda ws: chain_values(e, n, ws), n, hi, _first_cuts(e, n))
+    lo, up, m = roots_by_count(lambda ws: chain_values(b2, n, ws), n, hi, _first_cuts(e, n))
     # np.sqrt and np.ldexp round as math.sqrt and math.ldexp do
     levels = np.ldexp(np.sqrt(0.5 * (lo + up)), j).tolist()
     width = float(np.max((up - lo) / up))

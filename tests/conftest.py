@@ -486,58 +486,32 @@ def sign_changes(values: np.ndarray) -> np.ndarray:
     return np.count_nonzero(filled[1:] != filled[:-1], axis=0)
 
 
-def chain_values_all_rows(e, n_cells: int, ws: np.ndarray):
-    """Reference for ``chains.chain_values``: the same recursion and
-    rescaling every RESCALE_ROWS rows over an array that keeps all N + k
-    rows.  Returns the value rows v_1..v_{N+1}, whose ``sign_changes`` are
-    the counts, and the Newton step, 0 where v_{N+1} is exactly 0."""
-    k = len(e) - 1
-    m = len(ws)
-    coef = -np.array(e[:0:-1])
-    v = np.zeros((n_cells + k, 2 * m))
-    v[k - 1] = np.concatenate([ws, np.ones(m)])
-    w2 = np.concatenate([ws, ws])
-    rows, values, derivatives = list(v), list(v[:, :m]), list(v[:, m:])
-    end = n_cells + k
-    for start in range(k, end, chains.RESCALE_ROWS):
-        stop = min(start + chains.RESCALE_ROWS, end)
-        for s in range(start, stop):
-            row = rows[s]
-            np.dot(coef, v[s - k:s], row)
-            row += w2 * rows[s - 1]
-            derivatives[s] += values[s - 1]
-        if stop < end:
-            window = v[stop - k:stop]
-            shift = -np.frexp(np.max(np.abs(window[:, :m]), axis=0))[1]
-            np.ldexp(window, np.concatenate([shift, shift]), out=window)
-    return v[k - 1:, :m], newton_step(v[-1], m)
-
-
-def newton_step(last: np.ndarray, m: int) -> np.ndarray:
-    """v_{N+1} / v'_{N+1} from the last row, values then derivatives, and 0
-    where v_{N+1} is exactly 0."""
+def chain_values_all_rows(b2, n_cells: int, ws: np.ndarray, every: int = chains.RESCALE_ROWS):
+    """Reference for ``chains.chain_values``: the same vertex recursion over
+    an array that keeps all Nk + k rows, rescaled every ``every`` cells but
+    after the last.  Returns the last value row of each cell after the
+    initial 1, whose ``sign_changes`` are the counts, and the Newton step,
+    0 where the last row is exactly 0."""
+    k, m = len(b2), len(ws)
+    q = np.zeros((k + n_cells * k, 2 * m))  # Q_(-k) .. Q_(Nk-1), values then derivatives
+    q[:k, :m] = 1.0
+    for i in range(n_cells * k):
+        row, before = q[k + i], q[k + i - 1]
+        row[:] = -b2[i % k] * q[i]
+        if i % k:
+            row += before
+        else:
+            row[:m] += ws * before[:m]
+            row[m:] += ws * before[m:] + before[:m]
+        cells = (i + 1) // k
+        if (i + 1) % k == 0 and cells % every == 0 and cells < n_cells:
+            cell = q[i + 1:k + i + 1]
+            shift = -np.frexp(np.max(np.abs(cell[:, :m]), axis=0))[1]
+            np.ldexp(cell, np.concatenate([shift, shift]), out=cell)
+    last = q[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(last[:m] == 0, 0.0, last[:m] / last[m:])
-
-
-def chain_values_every_k(e, n_cells: int, ws: np.ndarray):
-    """Reference for ``chains.chain_values``: the recursion rescaled every
-    k rows, at the last row as well, which stays in float range for any
-    couplings of order 1.  Returns the value rows and the Newton step."""
-    k = len(e) - 1
-    m = len(ws)
-    coef = -np.array(e[:0:-1])
-    v = np.zeros((n_cells + k, 2 * m))
-    v[k - 1] = np.concatenate([ws, np.ones(m)])
-    w2 = np.concatenate([ws, ws])
-    for s in range(k, n_cells + k):
-        v[s] = w2 * v[s - 1] + coef @ v[s - k:s]
-        v[s, m:] += v[s - 1, :m]
-        if (s + 1) % k == 0 or s == n_cells + k - 1:
-            window = v[s - k + 1:s + 1]
-            shift = -np.frexp(np.max(np.abs(window[:, :m]), axis=0))[1]
-            window[:] = np.ldexp(window, np.concatenate([shift, shift]))
-    return v[k - 1:, :m], newton_step(v[-1], m)
+        step = np.where(last[:m] == 0, 0.0, last[:m] / last[m:])
+    return q[k - 1::k, :m], step
 
 
 def free_spectrum_matches(h) -> bool:
@@ -775,9 +749,10 @@ def plain_chain_energies(spec: ChainSpec, values=chains.chain_values):
     if not any(spec.b2):
         return indpoly.SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
     j = (math.frexp(sum(spec.b2))[1] - 1) // 2
-    e = elementary_symmetric([math.ldexp(b, -2 * j) for b in spec.b2])
+    b2 = [math.ldexp(b, -2 * j) for b in spec.b2]
+    e = elementary_symmetric(b2)
     n = spec.n_cells
-    lo, up, m = plain_roots_by_count(lambda ws: values(e, n, ws), n, sum(e),
+    lo, up, m = plain_roots_by_count(lambda ws: values(b2, n, ws), n, sum(e),
                                      chains._first_cuts(e, n))
     energies = tuple((math.ldexp(math.sqrt(w), j), int(c))
                      for w, c in zip(0.5 * (lo + up), m))

@@ -19,7 +19,6 @@ from conftest import (
     certify_groups,
     chain_polynomial,
     chain_values_all_rows,
-    chain_values_every_k,
     plain_chain_energies,
     record_sweeps,
     sign_changes,
@@ -255,6 +254,45 @@ def random_chains(seed: int, count: int) -> list[ChainSpec]:
     return specs
 
 
+def levels_outside(spec: ChainSpec, got: SingleParticleEnergies, which) -> list[tuple]:
+    """(level, multiplicity, margin) of each level ``got.energies[i]``, i in
+    ``which``, that exact counts do not place inside w (1 -+ r), with r =
+    max(2 width, 1e-15): at w (1 - r) the roots above it are those of the
+    levels above it and its own, at w (1 + r) those of the levels above it
+    alone.  The margin is the least power of ten from 1e-14 to 1e-8 at
+    which the counts hold, inf beyond."""
+    above = np.cumsum([0] + [m for _, m in reversed(got.energies)])[::-1]
+    r = max(2 * got.width, 1e-15)
+    out = []
+    for i in which:
+        w = got.energies[i][0] ** 2
+
+        def inside(r):
+            return (exact_root_count(spec, w * (1 - r)) == above[i]
+                    and exact_root_count(spec, w * (1 + r)) == above[i + 1])
+
+        if not inside(r):
+            margin = next((10.0 ** -p for p in range(14, 7, -1) if inside(10.0 ** -p)), math.inf)
+            out.append((got.energies[i][0], got.energies[i][1], margin))
+    return out
+
+
+def test_lowest_and_top_levels_of_the_corpus_lie_in_their_brackets():
+    """The lowest three and the top two levels of every chain of the
+    corpus, 562 levels, lie inside their widths by exact counts at both
+    ends.  The per-cell recursion on the rounded e_l left 157 of them
+    outside, 5 even at w (1 -+ 1e-12); the lowest levels are the hardest.
+    Every level of the corpus is checked so in CI."""
+    levels = 0
+    for spec in random_chains(23, 120):
+        got = chain_energies(spec)
+        n = len(got.energies)
+        which = sorted({*range(min(3, n)), *range(max(0, n - 2), n)})
+        levels += len(which)
+        assert levels_outside(spec, got, which) == [], spec
+    assert levels == 562
+
+
 @pytest.mark.parametrize("spec", [
     ChainSpec(200, 3, (0.5, 0.49, 0.01)),
     ChainSpec(120, 2, (0.9999, 0.0001)),          # dimerized
@@ -274,15 +312,19 @@ def test_chain_energies_match_midpoint_bisection(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("spec", [ChainSpec(240, 3, (1.0, 0.7, 1.3)),
-                                  ChainSpec(240, 4, (1.29, 0.54, 0.50, 1.49))])
+                                  ChainSpec(240, 4, (1.29, 0.54, 0.50, 1.49)),
+                                  ChainSpec(240, 4, (0.25, 0.25, 0.25, 0.25))])
 def test_chain_root_sweep_budget(spec, monkeypatch):
-    """At most 8 evaluations of the recursion per solve, 6 and 8 with the
-    predicted levels cut in the first sweep, 12 on both chains without
-    them; Newton windows without the pull of the other roots took 13 and
-    14, thirds for a first sweep 20-21, bisection about 60."""
+    """At most 6 evaluations of the recursion per solve: 2, 2 and 6 with
+    the vertex recursion, where the per-cell recursion on the rounded e_l
+    took 6, 8 and 11, and 12 on the first two without the predicted
+    levels; Newton windows without the pull of the other roots took 13 and
+    14, thirds for a first sweep 20-21, bisection about 60.  At uniform
+    couplings the dominant pair alone does not place the lowest levels,
+    and their brackets close by Newton steps."""
     sweeps = record_sweeps(monkeypatch, chains)
     chain_energies(spec)
-    assert len(sweeps) <= 8
+    assert len(sweeps) <= 6
 
 
 @pytest.mark.parametrize("spec, before", [
@@ -301,13 +343,14 @@ def test_chain_sweeps_no_more_than_plain_newton(spec, before, monkeypatch):
 
 
 def test_chain_corpus_sweep_total(monkeypatch):
-    """488 evaluations over the corpus, 4.1 a solve; without the predicted
-    levels in the first sweep 1,118, and plain Newton windows and an
-    N-point first sweep took 1,440."""
+    """272 evaluations over the corpus, 2.3 a solve, and 1,008 without the
+    predicted levels in the first sweep.  The per-cell recursion on the
+    rounded e_l took 488 and 1,118, and plain Newton windows and an
+    N-point first sweep 1,440."""
     sweeps = record_sweeps(monkeypatch, chains)
     for spec in random_chains(23, 120):
         chain_energies(spec)
-    assert len(sweeps) <= 488
+    assert len(sweeps) <= 272
 
 
 def scaled_e(spec: ChainSpec) -> tuple[tuple[float, ...], int]:
@@ -381,9 +424,9 @@ def test_chain_residual_is_read_from_the_sweeps(spec, monkeypatch):
     passes = []
     values = chains.chain_values
 
-    def counted(e, n_cells, ws):
+    def counted(b2, n_cells, ws):
         passes.append(len(ws))
-        return values(e, n_cells, ws)
+        return values(b2, n_cells, ws)
 
     monkeypatch.setattr(chains, "chain_values", counted)
     got = chain_energies(spec)
@@ -409,42 +452,56 @@ def grid_and_roots(spec: ChainSpec) -> np.ndarray:
 
 @pytest.mark.parametrize("spec", EDGE_CHAINS + random_chains(41, 12))
 def test_chain_values_match_rescaling_every_k_rows(spec):
-    """Rescaling every RESCALE_ROWS rows instead of every k changes no
-    count and no Newton step, bit for bit."""
-    e = elementary_symmetric(spec.b2)
+    """Rescaling every RESCALE_ROWS cells instead of every cell of k rows
+    changes no count and no Newton step, bit for bit."""
     ws = grid_and_roots(spec)
-    counts, step = chain_values(e, spec.n_cells, ws)
-    v_ref, step_ref = chain_values_every_k(e, spec.n_cells, ws)
+    counts, step = chain_values(spec.b2, spec.n_cells, ws)
+    v_ref, step_ref = chain_values_all_rows(spec.b2, spec.n_cells, ws, every=1)
     assert np.array_equal(counts, sign_changes(v_ref))
     assert np.array_equal(step, step_ref, equal_nan=True)
 
 
 @pytest.mark.parametrize("spec", EDGE_CHAINS + random_chains(41, 12))
 def test_chain_values_match_all_rows(spec):
-    """The rolling window gives the counts and step of the recursion that
-    keeps every row, bit for bit.  At w = 1 every row of the (0, 0, 1)
-    chain after the first is 0, across block boundaries."""
-    e = elementary_symmetric(spec.b2)
+    """The two alternating cells give the counts and step of the recursion
+    that keeps every row, bit for bit."""
     ws = grid_and_roots(spec)
-    counts, step = chain_values(e, spec.n_cells, ws)
-    v_ref, step_ref = chain_values_all_rows(e, spec.n_cells, ws)
+    counts, step = chain_values(spec.b2, spec.n_cells, ws)
+    v_ref, step_ref = chain_values_all_rows(spec.b2, spec.n_cells, ws)
     assert np.array_equal(counts, sign_changes(v_ref))
     assert np.array_equal(step, step_ref, equal_nan=True)
 
 
 @pytest.mark.parametrize("w", [0.5, -0.5])
-@pytest.mark.parametrize("n_cells", [15, 16, 17, 18, 33, 40])
+@pytest.mark.parametrize("n_cells", range(15, 41))
 def test_chain_values_carry_a_sign_across_zero_rows(w, n_cells):
-    """With e = (1, w, 0, -1) at w the rows are w, 0, 0, w, 0, 0, w, ...:
-    no row changes sign, and the zero rows that end a block take the sign
-    of the last nonzero row, in the block before."""
-    e = (1.0, w, 0.0, -1.0)
-    ws = np.array([w])
-    counts, step = chain_values(e, n_cells, ws)
-    v_ref, step_ref = chain_values_all_rows(e, n_cells, ws)
-    assert np.count_nonzero(v_ref == 0) > n_cells // 2
+    """At w = 1 the last row of every cell of the (0, 0, 1) chain is an
+    exact 0: no row changes sign, and the zero rows that end a block take
+    the sign of the initial 1, carried across the blocks.  Those zeros send
+    every block to the filled signs, where the point w beside them, whose
+    rows alternate in sign, shrinking at 0.5 and growing at -0.5, is
+    counted as it is alone."""
+    b2 = (0.0, 0.0, 1.0)
+    ws = np.array([1.0, w])
+    counts, step = chain_values(b2, n_cells, ws)
+    v_ref, step_ref = chain_values_all_rows(b2, n_cells, ws)
+    assert np.count_nonzero(v_ref[:, 0] == 0) == n_cells
     assert np.array_equal(counts, sign_changes(v_ref)) and counts[0] == 0
+    assert counts[1] == n_cells and counts[1] == chain_values(b2, n_cells, ws[1:])[0][0]
     assert np.array_equal(step, step_ref, equal_nan=True)
+
+
+def test_chain_values_of_a_point_do_not_depend_on_the_others():
+    """A point's count and step are the same bits alone as among the 37
+    points of one sweep, on 30 chains of the corpus: every call of
+    ``chain_values`` is elementwise.  With the BLAS dot of the per-cell
+    recursion 899 of these 1,110 points changed."""
+    for spec in random_chains(23, 30):
+        ws = np.concatenate([np.linspace(0.0, 1.0, 31)[1:], grid_and_roots(spec)[49:56]])
+        counts, step = chain_values(spec.b2, spec.n_cells, ws)
+        for i, w in enumerate(ws):
+            alone = chain_values(spec.b2, spec.n_cells, ws[i:i + 1])
+            assert (alone[0][0], alone[1][0].hex()) == (counts[i], step[i].hex()), (spec, w)
 
 
 # NaN, both zeros, the least subnormal, a negative w, and w so large that
@@ -457,13 +514,12 @@ OFF_FAST_PATH = [0.5, math.nan, 0.0, -0.0, 5e-324, -0.7, 1e150, 1e300, 1.3]
 def test_chain_values_match_all_rows_off_the_fast_path(b2, n_cells):
     """Points whose blocks hold a 0, a NaN or an infinity, all in one array
     and each alone, give the counts and steps of the recursion that keeps
-    every row, also with k above RESCALE_ROWS.  A NaN in a column persists
-    to the last row of its block."""
-    e = elementary_symmetric(b2)
+    every row, also at k = 20.  A NaN in a column persists to the last row
+    of its block."""
     for ws in [np.array(OFF_FAST_PATH)] + [np.array([w]) for w in OFF_FAST_PATH]:
         with np.errstate(over="ignore", invalid="ignore"):
-            counts, step = chain_values(e, n_cells, ws)
-            v_ref, step_ref = chain_values_all_rows(e, n_cells, ws)
+            counts, step = chain_values(b2, n_cells, ws)
+            v_ref, step_ref = chain_values_all_rows(b2, n_cells, ws)
         assert np.array_equal(counts, sign_changes(v_ref))
         assert np.array_equal(step, step_ref, equal_nan=True)
 
@@ -490,13 +546,14 @@ def simplex_chains(draw):
 def test_chain_sweeps_and_levels_match_the_plain_isolator(spec):
     """Every sweep hands ``chain_values`` the points of the isolator and
     level assembly as they were before their numpy calls were cut, in the
-    same order, and the levels are the same, bit for bit.  The arrays must
-    be identical, since a point's count and step depend on the whole of
-    ``ws`` (see ``chain_values``)."""
+    same order, and the levels are the same, bit for bit.  The arrays are
+    compared whole, not only through the levels they lead to, so that a
+    change in where or in what order a sweep cuts shows even where the
+    levels come out the same."""
     def recorded(log):
-        def values(e, n_cells, ws):
+        def values(b2, n_cells, ws):
             log.append(ws.copy())
-            return chain_values(e, n_cells, ws)
+            return chain_values(b2, n_cells, ws)
         return values
 
     plain, current = [], []
@@ -511,10 +568,11 @@ def test_chain_sweeps_and_levels_match_the_plain_isolator(spec):
 
 
 def test_chain_energies_memory():
-    """A solve holds a window of k + RESCALE_ROWS rows per sweep, not all
-    N + k of them: 1.3 MB at its peak on 480 cells, in the first sweep,
-    which cuts at 4N + 58 points; 0.9 MB when it cut at 2N + 58, and 8.6 MB
-    with every row kept."""
+    """A solve holds two cells of k rows and the last row of each cell of
+    a block per sweep, not all Nk + k rows: 1.0 MB at its peak on 480
+    cells, in the first sweep, which cuts at 4N + 58 points.  The per-cell
+    recursion peaked at 1.3 MB with a window of k + RESCALE_ROWS rows, and
+    at 8.6 MB with every row kept."""
     spec = ChainSpec(480, 4, (0.25,) * 4)
     chain_energies(spec)  # imports and first-call allocations
     tracemalloc.start()
@@ -670,12 +728,12 @@ def test_spec_rejects_non_finite_couplings(b2):
         ChainSpec(8, 3, b2)
 
 
-@pytest.mark.xfail(strict=True, reason="the lowest level lies 2.0e-11 below its reported bracket")
 def test_lowest_level_of_a_chain_200x4_lies_in_its_bracket():
     """A ``dispersion --k 4 --N 200`` point of the benchmark's chain scans.
-    Its lowest level comes back as 0.0009250219906070058 with a width of
-    1.57e-13, but exact counts put the root at 0.00092502199058860: 200
-    roots lie above e0^2 (1 - 1e-10) and only 199 above e0^2 (1 - 1e-11)."""
+    Exact counts put its lowest root at 0.00092502199058860: 200 roots lie
+    above e0^2 (1 - 1e-10) and only 199 above e0^2 (1 - 1e-11).  The
+    per-cell recursion on the rounded e_l returned 0.0009250219906070058,
+    2.0e-11 off, with a width of 1.57e-13."""
     spec = ChainSpec(200, 4, (0.26361112413460563, 0.2630936532328349,
                               0.23419347640540283, 0.23910174622715674))
     got = chain_energies(spec)
