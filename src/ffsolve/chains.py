@@ -7,10 +7,9 @@ independence polynomial built vertex by vertex on the squared couplings
 the roots to rounding beyond a dozen or so cells, and with the Newton
 step of its last row.  The elementary symmetric polynomials e_l of the
 squared couplings serve only the bound on the roots and the dispersion.
-The first sweep cuts at three kinds of points: 2N spread like the
-levels of a gapless band, powers of two toward 0, and a pair 1e-13
-either side of each level that the chain's dispersion predicts,
-Fendley's free-fermion dispersion sampled at quantized momenta
+The first sweep cuts at two kinds of points: powers of two toward 0,
+and a pair 1e-13 either side of each level that the chain's dispersion
+predicts, Fendley's free-fermion dispersion sampled at quantized momenta
 (``_dispersion_levels``).  The prediction only places cuts: every
 bracket is still cut and closed by counts, so a missing or wrong
 prediction costs sweeps, never a level.  Dispersion relations and gap
@@ -32,7 +31,7 @@ from .indpoly import SingleParticleEnergies, roots_by_count
 GAPLESS_RATIO_MARGIN = 0.1
 RESCALE_ROWS = 16  # cells between two rescalings in ``chain_values``
 PREDICTED_HALF_WIDTH = 1e-13  # the first sweep cuts at w (1 -+ this) around a predicted level
-PAIR_STEPS, NEWTON_STEPS = 6, 2  # the steps of ``_dispersion_levels``
+NEWTON_STEPS = 9  # the steps of ``_dispersion_levels``
 
 
 @dataclass(frozen=True)
@@ -200,9 +199,7 @@ def _dispersion_levels(e: Sequence[float], n_cells: int) -> np.ndarray:
     For k = 2, r = sqrt(e_2) and r' = 0: w_j = e_1 + 2 sqrt(e_2)
     cos((j+1) pi / (N+1)), the exact levels.
 
-    From theta_j = (j+1) pi / (N+1) and r at a bound on every root, each
-    of PAIR_STEPS steps takes a Newton step in ln r on Im w = 0 and puts
-    theta where the rule above reads it at the current r; then
+    From theta_j = (j+1) pi / (N+1) and r at a bound on every root,
     NEWTON_STEPS Newton steps solve both equations at once in (ln r,
     theta), as the imaginary parts of the analytic w and (N+1) ln(lam) -
     ln(a).  Where no pair exists, or the steps leave the curve, the level
@@ -225,36 +222,31 @@ def _dispersion_levels(e: Sequence[float], n_cells: int) -> np.ndarray:
     powers = np.empty((k - 1, n), dtype=complex)  # lam^(1-l) for l = 2..k
     # a lam of 0 or beyond float range makes NaN or infinity, which is dropped
     with np.errstate(all="ignore"):
-        for step in range(PAIR_STEPS + NEWTON_STEPS + 1):
+        for step in range(NEWTON_STEPS + 1):
             np.multiply(r, np.cos(theta), lam.real)
             np.multiply(r, np.sin(theta), lam.imag)
             np.divide(1.0, lam, powers[0])
             for row in range(1, k - 1):
                 np.multiply(powers[row - 1], powers[0], powers[row])
             w, a, da = lam + weights @ powers
-            if step == PAIR_STEPS + NEWTON_STEPS:
+            if step == NEWTON_STEPS:
                 break
-            phase = np.arctan(-a.real / a.imag)
-            if step < PAIR_STEPS:
-                r = r * np.exp(-w.imag / a.imag)
-                theta = (quantized + phase) / (n + 1)
-            else:
-                # Im(a dz) = -Im w and Im(b dz) = -f for dz = d ln(r) + i d theta
-                b = (n + 1) - da / a
-                f = (n + 1) * theta - phase - quantized
-                det = a.imag * b.real - a.real * b.imag
-                r = r * np.exp((f * a.real - w.imag * b.real) / det)
-                theta = theta + (w.imag * b.imag - f * a.imag) / det
+            # Im(a dz) = -Im w and Im(b dz) = -f for dz = d ln(r) + i d theta
+            b = (n + 1) - da / a
+            f = (n + 1) * theta - np.arctan(-a.real / a.imag) - quantized
+            det = a.imag * b.real - a.real * b.imag
+            r = r * np.exp((f * a.real - w.imag * b.real) / det)
+            theta = theta + (w.imag * b.imag - f * a.imag) / det
         w = e[1] + w.real
         return w[(w > 0) & (w < sum(e))]
 
 
 def _first_cuts(e: Sequence[float], n_cells: int) -> np.ndarray:
-    """The points of the first sweep of ``chain_energies``, ascending."""
-    hi = sum(e)
-    band = np.sin(np.arange(1, 2 * n_cells + 1) * (0.5 * np.pi / (2 * n_cells + 1))) ** 2
+    """The points of the first sweep of ``chain_energies``, ascending: the
+    powers of two sum(e) 2^-2 .. 2^-59 and w (1 -+ PREDICTED_HALF_WIDTH)
+    around each level w of ``_dispersion_levels``."""
     levels = _dispersion_levels(e, n_cells)
-    return np.sort(np.concatenate([hi * band, hi * np.exp2(-np.arange(2.0, 60.0)),
+    return np.sort(np.concatenate([sum(e) * np.exp2(-np.arange(2.0, 60.0)),
                                    levels * (1 - PREDICTED_HALF_WIDTH),
                                    levels * (1 + PREDICTED_HALF_WIDTH)]))
 
@@ -271,19 +263,18 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
 
     The chain solved is the one with b2 / 4^j, where the power of four
     puts sum(b2) / 4^j in [1, 4), which keeps ``chain_values`` in float
-    range; its energies are 2^-j times these, exactly.  The first sweep
-    cuts at 2N points spaced like the arcsine density of a gapless band,
-    twice as dense as its N levels, at 2^-2 .. 2^-59 of the largest
-    possible root, so that it separates most levels, the lowest of a
-    gapless chain included, and at w (1 -+ PREDICTED_HALF_WIDTH) around
-    each level w of ``_dispersion_levels``.  Where a prediction holds, as
-    it does for most levels to about 1e-15, its pair closes a bracket
-    around the level at once, and the Newton steps at both ends finish it
-    in a sweep or two.  The predictions are points like any other: the
-    counts decide what each bracket holds, and the band points and powers
-    of two stay, so every bracket lies within one that the sweep without
-    predictions would have made.  With every coupling 0 the one level is
-    0, of multiplicity N, at once.
+    range; its energies are 2^-j times these, exactly.  The first sweep,
+    ``_first_cuts``, cuts at w (1 -+ PREDICTED_HALF_WIDTH) around each
+    level w of ``_dispersion_levels`` and at 2^-2 .. 2^-59 of the largest
+    possible root, toward the lowest levels of a gapless chain.  Where a
+    prediction holds, as it does for most levels to about 1e-15, its pair
+    closes a bracket around the level at once, and the Newton steps at
+    both ends finish it in a sweep or two.  The predictions are points
+    like any other: the counts decide what each bracket holds, and a
+    bracket that a missed prediction leaves with several levels is split
+    by Newton windows and thirds in the sweeps after, so a miss costs
+    sweeps, never a level.  With every coupling 0 the one level is 0, of
+    multiplicity N, at once.
     """
     if not any(spec.b2):
         return SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
@@ -292,7 +283,8 @@ def chain_energies(spec: ChainSpec) -> SingleParticleEnergies:
     e = elementary_symmetric(b2)
     n = spec.n_cells
 
-    # Gershgorin: no eigenvalue of the recursion matrix exceeds its row sum
+    # no root exceeds the largest row sum of the chain's recursion matrix
+    # (``test_chains.recursion_matrix``), sum(e) = prod(1 + b2_i)
     hi = sum(e)
     lo, up, m = roots_by_count(lambda ws: chain_values(b2, n, ws), n, hi, _first_cuts(e, n))
     # np.sqrt and np.ldexp round as math.sqrt and math.ldexp do

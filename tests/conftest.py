@@ -744,8 +744,9 @@ def plain_chain_energies(spec: ChainSpec, values=chains.chain_values):
     """``chains.chain_energies`` with ``plain_roots_by_count`` and the
     levels assembled one by one with ``math.sqrt`` and ``math.ldexp``, as
     they were; ``values`` stands for ``chains.chain_values``.  The first
-    sweep cuts at the same points, ``chains._first_cuts``, the predicted
-    levels included, so that only the isolators differ."""
+    sweep cuts at the same points, ``chains._first_cuts``, the powers of
+    two and the pairs around the predicted levels, so that only the
+    isolators differ."""
     if not any(spec.b2):
         return indpoly.SingleParticleEnergies(((0.0, spec.n_cells),), 0.0)
     j = (math.frexp(sum(spec.b2))[1] - 1) // 2

@@ -293,6 +293,30 @@ def test_lowest_and_top_levels_of_the_corpus_lie_in_their_brackets():
     assert levels == 562
 
 
+@pytest.mark.parametrize("off", [None, 1.01])
+def test_a_missed_prediction_costs_sweeps_never_a_level(off, monkeypatch):
+    """With no predicted level, or every one 1% off, no pair of the first
+    sweep closes a bracket around a level, and the counts still close
+    every bracket: the lowest three and top two levels of each solve, 202
+    in all, lie inside their widths by exact counts, in at most 19 and 16
+    sweeps a solve, where the predictions take 13 and 12 at most."""
+    predict = chains._dispersion_levels
+    monkeypatch.setattr(chains, "_dispersion_levels",
+                        lambda e, n: np.empty(0) if off is None else off * predict(e, n))
+    sweeps = record_sweeps(monkeypatch, chains)
+    levels = 0
+    for spec in random_chains(23, 40) + [ChainSpec(240, 4, (0.25,) * 4),
+                                         ChainSpec(240, 3, (1.0, 0.7, 1.3))]:
+        sweeps.clear()
+        got = chain_energies(spec)
+        n = len(got.energies)
+        which = sorted({*range(min(3, n)), *range(max(0, n - 2), n)})
+        levels += len(which)
+        assert levels_outside(spec, got, which) == [], spec
+        assert len(sweeps) <= 20, spec
+    assert levels == 202
+
+
 @pytest.mark.parametrize("spec", [
     ChainSpec(200, 3, (0.5, 0.49, 0.01)),
     ChainSpec(120, 2, (0.9999, 0.0001)),          # dimerized
@@ -315,13 +339,14 @@ def test_chain_energies_match_midpoint_bisection(spec, monkeypatch):
                                   ChainSpec(240, 4, (1.29, 0.54, 0.50, 1.49)),
                                   ChainSpec(240, 4, (0.25, 0.25, 0.25, 0.25))])
 def test_chain_root_sweep_budget(spec, monkeypatch):
-    """At most 6 evaluations of the recursion per solve: 2, 2 and 6 with
-    the vertex recursion, where the per-cell recursion on the rounded e_l
-    took 6, 8 and 11, and 12 on the first two without the predicted
-    levels; Newton windows without the pull of the other roots took 13 and
-    14, thirds for a first sweep 20-21, bisection about 60.  At uniform
-    couplings the dominant pair alone does not place the lowest levels,
-    and their brackets close by Newton steps."""
+    """At most 6 evaluations of the recursion per solve: 2, 3 and 6 with
+    the vertex recursion and a first sweep of predicted levels and powers
+    of two, and 15, 16 and 15 without the predicted levels.  The per-cell
+    recursion on the rounded e_l took 6, 8 and 11; Newton windows without
+    the pull of the other roots took 13 and 14, thirds for a first sweep
+    20-21, bisection about 60.  At uniform couplings the dominant pair
+    alone does not place the lowest levels, and their brackets close by
+    Newton steps."""
     sweeps = record_sweeps(monkeypatch, chains)
     chain_energies(spec)
     assert len(sweeps) <= 6
@@ -343,14 +368,17 @@ def test_chain_sweeps_no_more_than_plain_newton(spec, before, monkeypatch):
 
 
 def test_chain_corpus_sweep_total(monkeypatch):
-    """272 evaluations over the corpus, 2.3 a solve, and 1,008 without the
-    predicted levels in the first sweep.  The per-cell recursion on the
-    rounded e_l took 488 and 1,118, and plain Newton windows and an
-    N-point first sweep 1,440."""
+    """268 evaluations over the corpus, 2.2 a solve, with 63,000 points in
+    all, and 1,491 evaluations when the powers of two are the first
+    sweep's only points.  With 2N more points in the first sweep, spread
+    like the levels of a gapless band, it took 272 evaluations and 93,146
+    points, and 1,008 evaluations without the predicted levels; the
+    per-cell recursion on the rounded e_l took 488 and 1,118, and plain
+    Newton windows and an N-point first sweep 1,440."""
     sweeps = record_sweeps(monkeypatch, chains)
     for spec in random_chains(23, 120):
         chain_energies(spec)
-    assert len(sweeps) <= 272
+    assert len(sweeps) <= 268
 
 
 def scaled_e(spec: ChainSpec) -> tuple[tuple[float, ...], int]:
@@ -569,10 +597,11 @@ def test_chain_sweeps_and_levels_match_the_plain_isolator(spec):
 
 def test_chain_energies_memory():
     """A solve holds two cells of k rows and the last row of each cell of
-    a block per sweep, not all Nk + k rows: 1.0 MB at its peak on 480
-    cells, in the first sweep, which cuts at 4N + 58 points.  The per-cell
-    recursion peaked at 1.3 MB with a window of k + RESCALE_ROWS rows, and
-    at 8.6 MB with every row kept."""
+    a block per sweep, not all Nk + k rows: 0.65 MB at its peak on 480
+    cells, in the first sweep, which cuts at 2N + 58 points, and 1.0 MB
+    when that sweep also cut at 2N band points.  The per-cell recursion
+    peaked at 1.3 MB with a window of k + RESCALE_ROWS rows, and at
+    8.6 MB with every row kept."""
     spec = ChainSpec(480, 4, (0.25,) * 4)
     chain_energies(spec)  # imports and first-call allocations
     tracemalloc.start()
@@ -585,14 +614,18 @@ def test_chain_energies_memory():
 
 
 @pytest.mark.parametrize("spec", [ChainSpec(50, 3, (0.0, 0.0, 1.0)), ChainSpec(50, 2, (0.0, 1.0)),
-                                  ChainSpec(121, 2, (1.0, 0.0))])
+                                  ChainSpec(121, 2, (1.0, 0.0)), ChainSpec(67, 2, (0.0, 1.0)),
+                                  ChainSpec(205, 2, (1.0, 0.0))])
 def test_coincident_roots_sweep_budget(spec, monkeypatch):
     """All N roots at w = 1: the first sweep cuts at 1 -+ 1e-13 around the
     one predicted level, e_1, and the bracket between is cut around the
-    estimate m f/f' of an m-fold root, 3 evaluations in all; without the
-    predicted level it took 9, 9 and 6, and cut into thirds 33.  On 121
-    cells a cut landed on 1 itself, where the step 0 / 0 would leave that
-    end without an estimate, and the bracket to thirds for 22 evaluations."""
+    estimate m f/f' of an m-fold root, 2, 2, 2, 2 and 3 evaluations; with
+    the powers of two alone 3 each.  Cut into thirds it took 33.  With a
+    first sweep of 2N points spread like the levels of a gapless band and
+    no predicted level, the last two took 9 and 8, ending their brackets
+    by thirds, and on 121 cells a band point landed on 1 itself, where the
+    step 0 / 0 leaves that end without an estimate, and the bracket went
+    to thirds for 22 evaluations."""
     sweeps = record_sweeps(monkeypatch, chains)
     ((energy, mult),) = chain_energies(spec).energies
     assert len(sweeps) <= 3

@@ -420,6 +420,25 @@ def test_mode_construction_refuses_a_wrong_energy():
                   weighted_independence_polynomial(g))
 
 
+@pytest.mark.parametrize("h", [h5_model(1.0, 0.7, -1.3, 0.4, 2.0),
+                               chain_model(3, 3, [1.0, 0.7, 1.3])], ids=["h5", "chain3x3"])
+def test_mode_construction_refuses_an_energy_off_by_1e_7(h):
+    """The Ritz gate: any one energy moved by 1e-7 of itself, up or down,
+    keeps a positive normalization but has no eigenvalue of [H, .] within
+    1e-8 of 2 e_j, relative, and is refused.  A move of 1e-9 still passes
+    the gate."""
+    g = frustration_graph(h)
+    hext, chi = simplicial_extension(h, smallest_simplicial_clique(g))
+    poly = weighted_independence_polynomial(g)
+    energies = single_particle_energies(poly)
+    for j, (e, m) in enumerate(energies.energies):
+        for moved in (e * (1 + 1e-7), e * (1 - 1e-7)):
+            levels = list(energies.energies)
+            levels[j] = (moved, m)
+            with pytest.raises(ConditioningError, match=rf"no eigenvalue of \[H, \.\] near 2 e_{j} "):
+                all_modes(hext, chi, SingleParticleEnergies(tuple(levels), energies.width), poly)
+
+
 def test_ladder_sign_pair():
     """[H, psi] = +2 eps psi and [H, psi^dag] = -2 eps psi^dag, as a pair."""
     h = random_h5()

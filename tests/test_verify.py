@@ -17,7 +17,7 @@ from conftest import (
 )
 
 from ffsolve import graphs, paulis, recognition, solver, verify
-from ffsolve.errors import DenseCapError, FFSolveError
+from ffsolve.errors import ComplexRootError, DenseCapError, FFSolveError
 from ffsolve.indpoly import SingleParticleEnergies, sign_sums
 from ffsolve.models import (
     Hamiltonian,
@@ -643,3 +643,20 @@ def test_verify_all_solves_the_energies_once(monkeypatch):
     rep = verify_all(chain_model(3, 3, [1.0, 0.7, 1.3]))
     assert rep.passed() and rep.spectrum_match
     assert len(calls) == 1
+
+
+def test_verify_all_records_a_refused_mode_construction(monkeypatch):
+    """A root finder that isolates fewer roots than alpha ends the checks
+    at the modes with a report that keeps the three lemma residuals found
+    before them, names the failure as one on a claw-free graph, and does
+    not pass."""
+    def refuse(poly):
+        raise ComplexRootError(1, 2)
+
+    monkeypatch.setattr(verify, "single_particle_energies", refuse)
+    rep = verify_all(h5_model(1.0, 0.7, -1.3, 0.4, 2.0))
+    assert sorted(rep.lemma_residuals) == ["charges_commute", "fundamental_identity",
+                                           "transfer_factorization"]
+    assert all(v <= verify.TOLERANCES[k] for k, v in rep.lemma_residuals.items())
+    assert rep.failure == f"mode construction: {ComplexRootError(1, 2).on_claw_free()}"
+    assert not rep.passed()
