@@ -20,7 +20,7 @@ import random
 import sys
 
 from . import chains
-from .errors import ComplexRootError, FFSolveError, ParseError
+from .errors import FFSolveError, ParseError
 from .graphs import WeightedGraph, frustration_graph
 from .indpoly import (
     free_spectrum,
@@ -168,10 +168,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _emit(args, payload)
         return EXIT_UNDECIDED if report.ecf is None else EXIT_REFUSED
     poly = weighted_independence_polynomial(graph)
-    try:
-        energies = single_particle_energies(poly)
-    except ComplexRootError as exc:  # past the refusal, the graph is claw-free
-        raise exc.on_claw_free() from None
+    energies = single_particle_energies(poly)
     payload["energies"] = energies.energies
     payload["bracket_width"] = energies.width
     n = h.n if h else graph.n

@@ -26,29 +26,15 @@ class SearchBudgetError(FFSolveError):
 
 
 class ComplexRootError(FFSolveError):
-    """Fewer real roots than the polynomial degree were isolated.
+    """The polynomial is not real-rooted: Newton's inequalities fail, or
+    c_alpha is 0, as a float that underflowed gives, a root at 0, which no
+    energy has.  A claw-free graph's exact polynomial never raises it (its
+    roots are real; Chudnovsky and Seymour, JCTB 97, 2007), but complex
+    roots that pass the inequalities pass for a repeated root."""
 
-    For claw-free frustration graphs this signals a conditioning failure;
-    for general graphs it means the independence polynomial is not
-    real-rooted and no free spectrum can be synthesized from it.
-    """
-
-    def __init__(self, found, expected):
-        self.found = found
-        self.expected = expected
-        super().__init__(
-            f"isolated {found} real roots, expected {expected}; "
-            "polynomial may have complex roots or is ill-conditioned"
-        )
-
-    def on_claw_free(self) -> "ConditioningError":
-        """This failure on a claw-free graph, whose polynomial is real-rooted
-        (Chudnovsky and Seymour, JCTB 97, 2007) and exact: the roots not
-        isolated lie below every float of the scaled variable."""
-        return ConditioningError(
-            f"isolated {self.found} real roots, expected {self.expected}, on a claw-free graph: "
-            "the other squared energies lie more than about 2^1074 below the weight sum c_1, "
-            "under every float of the scaled variable")
+    def __init__(self, expected):
+        super().__init__(f"isolated 0 real roots, expected {expected}; "
+                         "polynomial may have complex roots or is ill-conditioned")
 
 
 class DegenerateModeError(FFSolveError):
@@ -56,8 +42,10 @@ class DegenerateModeError(FFSolveError):
 
 
 class ConditioningError(FFSolveError):
-    """A result that exact inputs fix is no float: a root below every float of
-    the scaled variable, a mode's 1 / e^2 or normalization, or a Ritz value."""
+    """A result that exact inputs fix is not found in floats: a root of the
+    independence polynomial below every float of the scaled variable (the
+    root finder's range limit), a mode's 1 / e^2 or normalization, or a
+    Ritz value within the Lanczos run's bound of 2 e_j."""
 
 
 class NotSimplicialError(FFSolveError):

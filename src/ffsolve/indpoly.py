@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ComplexRootError, ModelError
+from .errors import ComplexRootError, ConditioningError, ModelError
 from .graphs import WeightedGraph
 
 ROOT_REL_TOL = 1e-15
@@ -417,10 +417,11 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     (alpha - k) >= C_(k-1) C_(k+1) (k + 1) (alpha - k + 1), checked first.
     ``width`` is the largest (hi - lo) / hi of the brackets.
 
-    Raises ComplexRootError, with the number of roots isolated, when
-    Newton's inequalities fail, when c_alpha is 0, as a float that
-    underflowed gives, and when a root lies below the least float in s.
-    At alpha = 0 there are no energies, and the width is 0.
+    Raises ComplexRootError when Newton's inequalities fail, or when
+    c_alpha is 0, as a float that underflowed gives; and ConditioningError,
+    with the number of roots isolated, when the lowest roots lie below
+    every float of s, more than about 2^1074 below C_1.  At alpha = 0 there
+    are no energies, and the width is 0.
     """
     alpha = poly.alpha
     if alpha == 0:  # P = 1: every weight is 0, and Q has no root
@@ -428,7 +429,7 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     ints = poly.ints
     q = [-c if k & 1 else c for k, c in enumerate(ints)]
     if not q[-1]:  # Q has a root at 0, which no energy has
-        raise ComplexRootError(0, alpha)
+        raise ComplexRootError(alpha)
     b = q[1].bit_length()
     companion = np.eye(alpha, k=-1)
     companion[0] = [-_ratio(c, 1 << b * k) for k, c in enumerate(q[1:], 1)]
@@ -442,7 +443,7 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
                     for u, v in zip(lo, hi))):
         if any(c * c * k * (alpha - k) < a * d * (k + 1) * (alpha - k + 1)
                for k, (a, c, d) in enumerate(zip(ints, ints[1:], ints[2:]), 1)):
-            raise ComplexRootError(0, alpha)
+            raise ComplexRootError(alpha)
 
         def evaluate(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             pairs = [_count_and_step(q, b, x) for x in ws.tolist()]
@@ -452,7 +453,10 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
         lo, hi, mult = roots_by_count(evaluate, alpha, 1.0,
                                       np.array(sorted({x for x in ends if 0 < x < 1})))
         if not lo[0] > 0:  # the lowest roots lie below the least float in s
-            raise ComplexRootError(alpha - int(mult[0]), alpha)
+            raise ConditioningError(
+                f"isolated {alpha - int(mult[0])} real roots, expected {alpha}: the other "
+                "squared energies lie more than about 2^1074 below the weight sum c_1, "
+                "under every float of the scaled variable")
         lo, hi, mult = lo.tolist(), hi.tolist(), mult.tolist()
         points = [0.5 * (u + v) for u, v in zip(lo, hi)]
     power = b - poly.shift  # e^2 = s 2^power, applied after the root, so it cannot overflow

@@ -223,7 +223,10 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergie
     polynomial P_G of the frustration graph.  Every energy must be simple:
     a repeated energy has a plane of modes, and N_j vanishes there.  The
     frustration graph must be connected: chi's Krylov space holds the
-    modes of its own component only.
+    modes of its own component only.  Mode j is refused unless the Ritz
+    value nearest 2 e_j lies within its pair's Lanczos residual of 2 e_j,
+    plus 2 e_j ``energies.width`` and 16 eps max |ritz|, the rounding of
+    ``eigh``.
     """
     for e, m in energies.energies:  # refused before any operator
         if m > 1:
@@ -248,7 +251,8 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergie
     scaled, p = _scaled(hext)
     poly = IndependencePolynomial(poly.ints, poly.shift + 2 * p)
     poly_minus_ks = IndependencePolynomial(poly_minus_ks.ints, poly_minus_ks.shift + 2 * p)
-    index, basis, ritz, vectors = _lanczos(scaled, chi, 2 * len(energies.flat()) + 1)
+    index, basis, ritz, vectors, beta = _lanczos(scaled, chi, 2 * len(energies.flat()) + 1)
+    bounds = beta * np.abs(vectors[-1]) + 16 * math.ulp(1.0) * np.abs(ritz).max()
     modes = []
     for j, e in enumerate(energies.flat()):
         u = 1.0 / math.ldexp(e, -p)
@@ -263,7 +267,7 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergie
                 f"normalization squared is {nsq:.3e} at mode {j}; "
                 "expected positive (interlacing of the reduced polynomial)")
         k = int(np.argmin(np.abs(ritz - 2.0 / u)))
-        if not abs(ritz[k] * u - 2.0) <= 2e-8:
+        if not abs(ritz[k] - 2.0 / u) <= bounds[k] + 2.0 / u * energies.width:
             raise ConditioningError(f"no eigenvalue of [H, .] near 2 e_{j} = {2.0 * e:.12g}"
                                     f" (nearest {math.ldexp(ritz[k], p):.12g})")
         # sum |c|^2 = 1/2 for CAR, and chi's coefficient 2 P_{G-K}(-u^2) / N_j is real
@@ -275,13 +279,15 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergie
 
 
 def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
-        StringBasis, np.ndarray, np.ndarray, np.ndarray]:
+        StringBasis, np.ndarray, np.ndarray, np.ndarray, float]:
     """Lanczos on [H, .] from chi with full reorthogonalization, until the
-    next vector is below 1e-10 of the first: the basis of the strings seen
-    (chi first), the Lanczos vectors as rows over them, and the eigenpairs
-    of the tridiagonal matrix, which ``eigh`` takes divided by the power of
-    two above its largest entry: LAPACK rescales a matrix outside about
-    [2^-407, 2^489] by a factor that is not a power of two.
+    next vector, of norm beta, is below 1e-10 of the first: the basis of
+    the strings seen (chi first), the Lanczos vectors as rows over them,
+    the eigenpairs of the tridiagonal matrix, and beta, so that Ritz pair
+    k has residual beta |s_(m,k)|, s_(m,k) the last entry of eigenvector
+    k.  ``eigh`` takes the matrix divided by the power of two above its
+    largest entry: LAPACK rescales a matrix outside about [2^-407, 2^489]
+    by a factor that is not a power of two.
 
     The modes and the part of chi that commutes with H span at most
     ``steps`` dimensions; a run that needs more was given the energies of
@@ -309,7 +315,7 @@ def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
     tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     p = math.frexp(np.abs(tri).max())[1]
     ritz, vectors = np.linalg.eigh(np.ldexp(tri, -p))
-    return index, basis, np.ldexp(ritz, p), vectors
+    return index, basis, np.ldexp(ritz, p), vectors, beta
 
 
 def mode_energy_gap(modes: Sequence[IncognitoMode]) -> float:

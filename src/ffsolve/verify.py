@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ComplexRootError, DenseCapError, FFSolveError, TermBudgetError
+from .errors import DenseCapError, FFSolveError, TermBudgetError
 from .graphs import frustration_graph
 from .indpoly import (
     SingleParticleEnergies,
@@ -293,7 +293,8 @@ def verify_free(h: Hamiltonian,
     energies are solved for unless ``energies`` gives them.  The report
     records the oracle's symmetry generators s and block size n - s in
     qubits; above the oracle's caps it keeps the synthesized energies and
-    names the cap in ``failure``, as it names alpha > n.
+    names the cap in ``failure``, as it names alpha > n and the root
+    finder's refusal.
     """
     report = VerificationReport()
     with _stage(report, "classify"):
@@ -306,9 +307,9 @@ def verify_free(h: Hamiltonian,
         if energies is None:
             try:
                 energies = single_particle_energies(weighted_independence_polynomial(graph))
-            except ComplexRootError as exc:  # an applicable graph is claw-free
+            except FFSolveError as exc:
                 report.spectrum_match = False
-                report.failure = str(exc.on_claw_free())
+                report.failure = str(exc)
                 return report
         report.energies = list(energies.energies)
     if energies.total > h.n:
@@ -395,9 +396,6 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> 
             # ancilla leaves the frustration graph of h as it is
             report.lemma_residuals["zero_eigenvector"] = zero_eigenvector_residual(
                 modes, hext, graph)
-    except ComplexRootError as exc:  # an applicable graph is claw-free
-        report.failure = f"mode construction: {exc.on_claw_free()}"
-        return
     except FFSolveError as exc:
         report.failure = f"mode construction: {exc}"
         return

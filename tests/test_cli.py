@@ -181,17 +181,16 @@ def test_solve_modes_builds_no_dict_view(monkeypatch, tmp_path):
 def test_claw_free_root_failure_is_reported_as_conditioning(capsys, tmp_path):
     """Two isolated vertices of weights 1e300 and 1e-300: in s, the lower
     root lies 1e-600 below the upper one, under every float, and the
-    command exits 1.  The graph is claw-free, so every root is real
-    (Chudnovsky and Seymour), and the coefficients are exact, so the one
-    line names the root below every float rather than complex roots or
-    coefficients that could not resolve them."""
+    command exits 1.  The root finder, which sees the exact coefficients
+    but not the graph, names the root below every float in one line,
+    rather than complex roots or coefficients that could not resolve
+    them."""
     p = tmp_path / "apart.graph"
     p.write_text("p 2\nv 0 1e300\nv 1 1e-300\n")
     assert main(["solve", str(p)]) == 1
     assert capsys.readouterr().err == (
-        "error: isolated 1 real roots, expected 2, on a claw-free graph: the other squared "
-        "energies lie more than about 2^1074 below the weight sum c_1, under every float of "
-        "the scaled variable\n")
+        "error: isolated 1 real roots, expected 2: the other squared energies lie more than "
+        "about 2^1074 below the weight sum c_1, under every float of the scaled variable\n")
 
 
 @pytest.mark.parametrize("couplings", ["1.3346e-133,8.1609e-129,2.1212e-127", "1e-60,1e-60,1e-60"])

@@ -420,7 +420,7 @@ def solve_or_refuse(poly: IndependencePolynomial):
     """The energies of ``poly``, or None where they are refused."""
     try:
         return single_particle_energies(poly)
-    except ComplexRootError:
+    except (ComplexRootError, ConditioningError):
         return None
 
 
@@ -755,21 +755,21 @@ def test_zero_weights_are_the_induced_subgraph(data):
     assert got.ints == want.ints and [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs]
 
 
-@pytest.mark.parametrize("poly, found", [
-    (exact_polynomial((1.0, 1e200, 1e-120)), 1),
-    (chain_polynomial(ChainSpec(5, 2, (6.9e-226, 7.9e-184))), 0),
+@pytest.mark.parametrize("poly, found, error", [
+    (exact_polynomial((1.0, 1e200, 1e-120)), 1, ConditioningError),
+    (chain_polynomial(ChainSpec(5, 2, (6.9e-226, 7.9e-184))), 0, ComplexRootError),
 ], ids=["huge-c1", "chain-5x2"])
-def test_underflowed_constant_term_is_refused(poly, found):
+def test_underflowed_constant_term_is_refused(poly, found, error):
     """Roots that no float in s reaches are refused, naming alpha.  The
     float recursion of the chain underflows its c_5 to 0, so R has a root
-    at 0, which no energy has.  The other R has roots near 1 and 1e-520 in
-    s: the first is isolated, and the second is below the least float.
+    at 0, which no energy has, and no real-rooted R of degree 5 has.  The
+    other R has roots near 1 and 1e-520 in s: the first is isolated, and
+    the second is below the least float, a limit of the range of s.
     They were answered with an energy of 0.0 (four of them on the chain),
     a NaN residual and a RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ComplexRootError,
-                           match=f"isolated {found} real roots, expected {poly.alpha}"):
+        with pytest.raises(error, match=f"isolated {found} real roots, expected {poly.alpha}"):
             single_particle_energies(poly)
 
 
@@ -793,13 +793,17 @@ def test_coefficients_scale_without_underflow():
 
 
 def test_root_failure_on_a_claw_free_graph_is_conditioning():
-    """A claw-free graph's polynomial is real-rooted, so there the same
-    failure is conditioning, and its message says nothing of complex roots."""
-    with pytest.raises(ComplexRootError) as failure:
+    """The root finder tells its two failures apart itself: 1 + x + x^2,
+    which breaks Newton's inequalities, has complex roots, while two
+    isolated vertices of weights 1e300 and 1e-300, a claw-free graph, have
+    a root below every float of s, a conditioning failure whose message
+    says nothing of complex roots or of the graph."""
+    with pytest.raises(ComplexRootError):
         single_particle_energies(IndependencePolynomial((1, 1, 1), 0))
-    conditioning = failure.value.on_claw_free()
-    assert isinstance(conditioning, ConditioningError)
-    assert "claw-free" in str(conditioning) and "complex" not in str(conditioning)
+    apart = weighted_independence_polynomial(WeightedGraph(2, (), [1e300, 1e-300]))
+    with pytest.raises(ConditioningError) as failure:
+        single_particle_energies(apart)
+    assert "complex" not in str(failure.value) and "claw-free" not in str(failure.value)
 
 
 def test_free_spectrum_examples():

@@ -422,17 +422,17 @@ def test_mode_construction_refuses_a_wrong_energy():
 
 @pytest.mark.parametrize("h", [h5_model(1.0, 0.7, -1.3, 0.4, 2.0),
                                chain_model(3, 3, [1.0, 0.7, 1.3])], ids=["h5", "chain3x3"])
-def test_mode_construction_refuses_an_energy_off_by_1e_7(h):
-    """The Ritz gate: any one energy moved by 1e-7 of itself, up or down,
-    keeps a positive normalization but has no eigenvalue of [H, .] within
-    1e-8 of 2 e_j, relative, and is refused.  A move of 1e-9 still passes
-    the gate."""
+def test_mode_construction_refuses_an_energy_off_by_1e_10(h):
+    """The Ritz gate: any one energy moved by 1e-7 or 1e-10 of itself, up
+    or down, keeps a positive normalization but has no eigenvalue of
+    [H, .] within the bound of the Lanczos run, the width of its bracket
+    and the rounding of ``eigh`` of 2 e_j, and is refused."""
     g = frustration_graph(h)
     hext, chi = simplicial_extension(h, smallest_simplicial_clique(g))
     poly = weighted_independence_polynomial(g)
     energies = single_particle_energies(poly)
     for j, (e, m) in enumerate(energies.energies):
-        for moved in (e * (1 + 1e-7), e * (1 - 1e-7)):
+        for moved in (e * (1 + 1e-7), e * (1 - 1e-7), e * (1 + 1e-10), e * (1 - 1e-10)):
             levels = list(energies.energies)
             levels[j] = (moved, m)
             with pytest.raises(ConditioningError, match=rf"no eigenvalue of \[H, \.\] near 2 e_{j} "):
