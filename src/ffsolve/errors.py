@@ -42,10 +42,10 @@ class DegenerateModeError(FFSolveError):
 
 
 class ConditioningError(FFSolveError):
-    """A result that exact inputs fix is not found in floats: a root of the
-    independence polynomial below every float of the scaled variable (the
-    root finder's range limit), a mode's 1 / e^2 or normalization, or a
-    Ritz value within the Lanczos run's bound of 2 e_j."""
+    """A result that exact inputs fix is not found in floats: a root below
+    every float of the scaled variable (the root finder's range limit), a
+    mode's 1 / e^2 or normalization, or 2 e_j with no Ritz value within the
+    Lanczos run's bound, or with a bound above ``solver.MODE_TOL`` of it."""
 
 
 class NotSimplicialError(FFSolveError):

@@ -73,6 +73,8 @@ from .paulis import (
 )
 from .recognition import is_simplicial_clique
 
+MODE_TOL = 1e-8  # the largest Lanczos bound of mode j, relative to 2 e_j
+
 
 @dataclass(frozen=True)
 class TransferOperator:
@@ -223,11 +225,12 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergie
     polynomial P_G of the frustration graph.  Every energy must be simple:
     a repeated energy has a plane of modes, and N_j vanishes there.  The
     frustration graph must be connected: chi's Krylov space holds the
-    modes of its own component only.  Mode j is refused unless the Ritz
-    value nearest 2 e_j lies within its pair's Lanczos residual of 2 e_j,
-    plus 2 e_j ``energies.width`` and 16 eps max |ritz|, the rounding of
-    ``eigh``.
-    """
+    modes of its own component only.  Mode j is the Ritz pair k nearest
+    2 e_j, bounded by beta |s_(m,k)| (its Lanczos residual) + m eps max |ritz|
+    (the backward error of ``eigh`` on the m x m matrix) + 2 e_j ``energies.width``.
+    The Ritz value must be within the bound of 2 e_j, and the bound within
+    MODE_TOL of 2 e_j, the distance to the part of chi that commutes with H,
+    whose share of the Ritz vector it bounds (Davis and Kahan)."""
     for e, m in energies.energies:  # refused before any operator
         if m > 1:
             raise DegenerateModeError(
@@ -252,7 +255,7 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergie
     poly = IndependencePolynomial(poly.ints, poly.shift + 2 * p)
     poly_minus_ks = IndependencePolynomial(poly_minus_ks.ints, poly_minus_ks.shift + 2 * p)
     index, basis, ritz, vectors, beta = _lanczos(scaled, chi, 2 * len(energies.flat()) + 1)
-    bounds = beta * np.abs(vectors[-1]) + 16 * math.ulp(1.0) * np.abs(ritz).max()
+    bounds = beta * np.abs(vectors[-1]) + len(ritz) * math.ulp(1.0) * np.abs(ritz).max()
     modes = []
     for j, e in enumerate(energies.flat()):
         u = 1.0 / math.ldexp(e, -p)
@@ -267,9 +270,12 @@ def all_modes(hext: Hamiltonian, chi: PauliTerm, energies: SingleParticleEnergie
                 f"normalization squared is {nsq:.3e} at mode {j}; "
                 "expected positive (interlacing of the reduced polynomial)")
         k = int(np.argmin(np.abs(ritz - 2.0 / u)))
-        if not abs(ritz[k] - 2.0 / u) <= bounds[k] + 2.0 / u * energies.width:
+        if not abs(ritz[k] - 2.0 / u) <= (bound := bounds[k] + 2.0 / u * energies.width):
             raise ConditioningError(f"no eigenvalue of [H, .] near 2 e_{j} = {2.0 * e:.12g}"
                                     f" (nearest {math.ldexp(ritz[k], p):.12g})")
+        if not bound <= MODE_TOL * 2.0 / u:
+            raise ConditioningError(f"the Lanczos bound of mode {j} is {bound * u / 2.0:.1e} "
+                                    f"of 2 e_{j} = {2.0 * e:.12g}, above {MODE_TOL:g}")
         # sum |c|^2 = 1/2 for CAR, and chi's coefficient 2 P_{G-K}(-u^2) / N_j is real
         coef = vectors[:, k] @ basis
         coef *= math.copysign(math.sqrt(0.5), p_red) * abs(coef[0]) / coef[0]

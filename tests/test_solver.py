@@ -439,6 +439,27 @@ def test_mode_construction_refuses_an_energy_off_by_1e_10(h):
                 all_modes(hext, chi, SingleParticleEnergies(tuple(levels), energies.width), poly)
 
 
+@pytest.mark.parametrize("h", [
+    h5_model(-439.79, 844726.24, 0.031632, 4.5292e-4, 1.4761e-6),
+    h6_model(-35178.08, -1.1968e-6, -2.7708e-6, -4.2524e-5, -62252.69, 9.4550e-5),
+], ids=["h5", "h6"])
+def test_mode_construction_refuses_a_ritz_vector_the_run_does_not_pin(h):
+    """The Ritz gate bounds the vector too.  Here e_0 lies about 1e9 below
+    the top energy, and the run stops at 1e-10 of its first beta, before
+    the part of chi that commutes with H: the Ritz value nearest 2 e_0 is
+    within its bound, but the bound is 2.3e-3 (h5) and 1.7e-2 (h6) of
+    2 e_0, and the Ritz vector is off by as much.  Both modes are refused,
+    by ``all_modes`` and in the failure of ``verify_all``."""
+    g = frustration_graph(h)
+    hext, chi = simplicial_extension(h, smallest_simplicial_clique(g))
+    poly = weighted_independence_polynomial(g)
+    with pytest.raises(ConditioningError, match=r"^the Lanczos bound of mode 0 is "):
+        all_modes(hext, chi, single_particle_energies(poly), poly)
+    report = verify_all(h)
+    assert not report.passed()
+    assert report.failure.startswith("mode construction: the Lanczos bound of mode 0 ")
+
+
 def test_ladder_sign_pair():
     """[H, psi] = +2 eps psi and [H, psi^dag] = -2 eps psi^dag, as a pair."""
     h = random_h5()
