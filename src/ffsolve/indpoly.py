@@ -364,6 +364,16 @@ def _horner(coeffs: Sequence[int], a: int, t: int) -> tuple[int, int]:
     return f, g
 
 
+def _value(q: list[int], b: int, x: float) -> int:
+    """Q(y) at y = 2^b x times a positive power of two: the pass of
+    ``_horner`` without Q'."""
+    a, t = _point(x, b)
+    f = q[0]
+    for j in range(1, len(q)):
+        f = f * a + (q[j] << t * j)
+    return f
+
+
 def _value_and_step(q: list[int], b: int, x: float) -> tuple[int, float]:
     """Q(y) at y = 2^b x times a positive power of two, and the Newton step
     Q / Q' there in s."""
@@ -439,8 +449,7 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     hi = [x + 2 * math.ulp(x) for x in points]
     ends = [x for pair in zip(lo, hi) for x in pair]
     if not (ends[0] > 0 and all(u < v for u, v in zip(ends, ends[1:]))
-            and all(_value_and_step(q, b, u)[0] * _value_and_step(q, b, v)[0] < 0
-                    for u, v in zip(lo, hi))):
+            and all(_value(q, b, u) * _value(q, b, v) < 0 for u, v in zip(lo, hi))):
         if any(c * c * k * (alpha - k) < a * d * (k + 1) * (alpha - k + 1)
                for k, (a, c, d) in enumerate(zip(ints, ints[1:], ints[2:]), 1)):
             raise ComplexRootError(alpha)

@@ -13,19 +13,26 @@ which is the tensor product of single-qubit I, X, Y, Z with Y wherever
 both bits are set.  The fixed multiplication convention is XZ = -iY
 (equivalently XY = iZ); it is tested against the dense backend.
 
-An ``OperatorSum`` is a table of strings and one row of coefficients over
-it.  A table holds its strings as one uint64 word array, one column each:
-the key x | z << n in ceil(2n/64) words (up to 32 qubits take one), and,
-read off it on first use, the phases i^|x & z|.  The row holds the
-coefficients of X^x Z^z, c i^|x & z| for a term c sigma(x, z), and zeros
-where the sum has no term.  Tables do not change, and sums built from one
-source share one: the charges of one walk over the independent sets
-(``subset_products``), the vectors over a ``StringBasis``, the rows of
-one product pass, and a sum's multiples and conjugate.  Sums on one
-table stack into a kernel operand, row by row; another table costs one
-merge.  Every weighted sum of sums, ``+`` and ``-`` too, is a row of
-``OperatorSum.combinations``.  The dict {(x, z): coefficient of
-sigma(x, z)} is a view built on first use, for tests and printing.
+Every piece of Pauli data has one shape and one convention: a table of
+strings and rows of coefficients of X^x Z^z over it, c i^|x & z| for a
+term c sigma(x, z), with zeros where a row has no term.  A table holds
+its strings as one uint64 word array, one column each: the key x | z << n
+in ceil(2n/64) words (up to 32 qubits take one).  An ``OperatorSum`` is a
+table and one row, a kernel operand a table and a row per product, and a
+``StringBasis`` a growing table whose vectors are rows.  Tables do not
+change, and sums built from one source share one: the charges of one
+walk over the independent sets (``subset_products``), the vectors over a
+``StringBasis``, the rows of one product pass, and a sum's multiples and
+conjugate.  Sums on one table stack into a kernel operand, row by row;
+another table costs one merge, and every table grows through
+``_Table.grown``.  Every weighted sum of sums, ``+`` and ``-`` too, is a
+row of ``OperatorSum.combinations``.
+
+sigma coefficients appear only at the edges: the dict {(x, z):
+coefficient of sigma(x, z)} that ``OperatorSum`` takes, the same dict
+``terms`` builds on first use, for tests and printing, the factors of
+``subset_products``, and ``dense_sums``.  The phases i^|x & z| they need
+are read off a table's keys on first use.
 
 Products
 --------
@@ -65,7 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -166,12 +173,13 @@ def commutes(p: PauliTerm, q: PauliTerm) -> bool:
 
 class _Table:
     """Strings as word arrays, one column each: the key x | z << n, and the
-    phases i^|x & z|, read off the key on first use."""
+    phases i^|x & z|, read off the key on first use by the edges that take
+    sigma coefficients."""
 
     __slots__ = ("n", "key", "_phase")
 
-    def __init__(self, n: int, key: np.ndarray, phase: np.ndarray | None = None):
-        self.n, self.key, self._phase = n, key, phase
+    def __init__(self, n: int, key: np.ndarray):
+        self.n, self.key, self._phase = n, key, None
 
     def __len__(self) -> int:
         return self.key.shape[1]
@@ -179,18 +187,29 @@ class _Table:
     @property
     def phase(self) -> np.ndarray:
         if self._phase is None:
-            self._phase = _phases(self.n, self.key)
+            both = self.key & _shifted(self.key, -self.n)  # x & z in the low n bits, nothing above
+            count = np.bitwise_count(both[0])  # |x & z| mod 256
+            for w in range(1, len(both)):
+                count += np.bitwise_count(both[w])
+            self._phase = _PHASE_TABLE[count & 3]
         return self._phase
 
     def merged(self, other: "_Table") -> tuple["_Table", np.ndarray | slice]:
         """The union of both tables' strings, this one's first, and the columns
-        of ``other``'s in it, found through a dict of this table's key records."""
+        of ``other``'s in it."""
         if other is self or not len(other) or np.array_equal(self.key, other.key):
             return self, slice(len(other))
-        index = dict(zip(_records(self.key), range(len(self))))
-        cols = np.array([index.setdefault(r, len(index)) for r in _records(other.key)])
-        added = other.key[:, cols >= len(self)]
-        return _Table(self.n, np.concatenate([self.key, added], axis=1)), cols
+        return self.grown(other.key, dict(zip(_records(self.key), range(len(self)))))
+
+    def grown(self, key: np.ndarray, index: dict) -> tuple["_Table", np.ndarray]:
+        """This table with the strings of ``key``, distinct columns, that it
+        lacks appended in order of first appearance, and the column of each
+        of them in it.  ``index`` maps the records of this table's keys to
+        their columns, and gains those of the new ones."""
+        cols = np.array([index.setdefault(r, len(index)) for r in _records(key)], dtype=np.intp)
+        if len(index) == len(self):
+            return self, cols
+        return _Table(self.n, np.concatenate([self.key, key[:, cols >= len(self)]], axis=1)), cols
 
     def strings(self) -> list[tuple[int, int]]:
         """(x, z) of every string, as ints."""
@@ -221,8 +240,9 @@ class OperatorSum:
 
     @classmethod
     def from_vector(cls, basis: "StringBasis", coef: np.ndarray) -> "OperatorSum":
-        """sum_s coef[s] sigma(s) on the table of ``basis``, pruned as from a dict."""
-        return cls._on(basis.table, _pruned(coef) * basis.table.phase)
+        """The sum of the X^x Z^z coefficients ``coef`` on the table of
+        ``basis``, pruned as from a dict."""
+        return cls._on(basis.table, _pruned(coef))
 
     @classmethod
     def combinations(cls, rows: Sequence[Sequence[tuple[complex, "OperatorSum"]]]
@@ -299,15 +319,6 @@ class OperatorSum:
         return OperatorSum._on(self.table, self.row.conj() * (phase * phase))
 
 
-class _Packed(NamedTuple):
-    """A kernel operand: n, the key words of its strings, and rows of X^x Z^z
-    coefficients over them."""
-
-    n: int
-    key: np.ndarray
-    coef: np.ndarray
-
-
 def _words(values: list[int], bits: int) -> np.ndarray:
     """Ints below 2^bits as an array of shape (words, len(values)), word w
     holding bits 64w..64w+63."""
@@ -337,15 +348,6 @@ def _shifted(key: np.ndarray, bits: int) -> np.ndarray:
     return out
 
 
-def _phases(n: int, key: np.ndarray) -> np.ndarray:
-    """i^|x & z| of each key column x | z << n."""
-    both = key & _shifted(key, -n)  # x & z in the low n bits, nothing above
-    count = np.bitwise_count(both[0])  # |x & z| mod 256
-    for w in range(1, len(both)):
-        count += np.bitwise_count(both[w])
-    return _PHASE_TABLE[count & 3]
-
-
 def _and_pairs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u_i & v_j for every pair of columns, its words folded by XOR, which
     keeps the parity of the popcount."""
@@ -372,24 +374,25 @@ def _reduce(key: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key.take(first, axis=1), np.add.reduceat(coef.take(order, axis=1), first, axis=1)
 
 
-def _kernel(a: _Packed, b: _Packed, parity: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(ta: _Table, a: np.ndarray, tb: _Table, b: np.ndarray,
+            parity: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Key columns, and rows of X^x Z^z coefficients, of the products of the
-    terms of ``a`` and ``b`` summed per string: row r sums the products of
-    row r of ``a`` with row r of ``b`` (an operand of one row serves every
-    row) over every pair when ``parity`` is None, else over the pairs whose
-    symplectic product has that parity (1: anticommuting, 0: commuting).
+    terms of the rows ``a`` over table ``ta`` and ``b`` over ``tb`` summed
+    per string: row r sums the products of row r of ``a`` with row r of
+    ``b`` (an operand of one row serves every row) over every pair when
+    ``parity`` is None, else over the pairs whose symplectic product has
+    that parity (1: anticommuting, 0: commuting).
 
     The pair keys, signs and parity mask, and the sort, are formed once a
     block for all the rows; a block holds the coefficients of every row,
     so callers batch rows only while their pairs fit one block.  The sign
     and the parity are read off the key words of ``b``, against the key
     words of ``a`` shifted down and up by n."""
-    batch = max(len(a.coef), len(b.coef))
-    na, nb = a.key.shape[1], b.key.shape[1]
+    batch, na, nb = max(len(a), len(b)), len(ta), len(tb)
     if na * nb > TERM_CAP:  # the work of each row, as for a plain product
         raise TermBudgetError(f"product of {na} x {nb} term pairs exceeds cap {TERM_CAP}")
-    sign = _shifted(a.key, -a.n)  # z1 on the x bits of a key x2 | z2 << n
-    odd = sign | _shifted(a.key, a.n)  # and x1 on its z bits
+    sign = _shifted(ta.key, -ta.n)  # z1 on the x bits of a key x2 | z2 << n
+    odd = sign | _shifted(ta.key, ta.n)  # and x1 on its z bits
     cols = min(max(nb, 1), _CHUNK_PAIRS)
     rows = _CHUNK_PAIRS // cols
     sums = None
@@ -398,13 +401,13 @@ def _kernel(a: _Packed, b: _Packed, parity: int | None) -> tuple[np.ndarray, np.
         for j in range(0, nb, cols):
             jb = slice(j, j + cols)
             # X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2)
-            zx = _and_pairs(sign[:, ia], b.key[:, jb])
-            coef = a.coef[:, ia, None] * b.coef[:, None, jb]
-            np.negative(coef, out=coef, where=(np.bitwise_count(zx) & 1).view(bool))
+            zx = _and_pairs(sign[:, ia], tb.key[:, jb])
+            coef = a[:, ia, None] * b[:, None, jb]
+            coef *= 1.0 - 2.0 * (np.bitwise_count(zx) & 1)
             coef = coef.reshape(batch, -1)
-            key = (a.key[:, ia, None] ^ b.key[:, None, jb]).reshape(len(a.key), -1)
+            key = (ta.key[:, ia, None] ^ tb.key[:, None, jb]).reshape(len(ta.key), -1)
             if parity is not None:
-                zx = _and_pairs(odd[:, ia], b.key[:, jb])  # |z1 & x2| + |x1 & z2|
+                zx = _and_pairs(odd[:, ia], tb.key[:, jb])  # |z1 & x2| + |x1 & z2|
                 keep = ((np.bitwise_count(zx) & 1).ravel() == parity).nonzero()[0]
                 key, coef = key.take(keep, axis=1), coef.take(keep, axis=1)
             if sums:  # the running sums join the reduction as entries of their own
@@ -412,7 +415,7 @@ def _kernel(a: _Packed, b: _Packed, parity: int | None) -> tuple[np.ndarray, np.
                 coef = np.concatenate([sums[1], coef], axis=1)
             sums = _reduce(key, coef)
     if sums is None:  # the product of no pairs
-        sums = (np.zeros((len(a.key), 0), dtype=np.uint64), np.zeros((batch, 0), dtype=complex))
+        sums = (np.zeros((len(ta.key), 0), dtype=np.uint64), np.zeros((batch, 0), dtype=complex))
     return sums
 
 
@@ -433,14 +436,14 @@ def _rows(sums: Sequence[OperatorSum]) -> tuple[_Table, np.ndarray]:
     return table, coef
 
 
-def _pack_rows(sums: Sequence[OperatorSum]) -> _Packed:
-    """``sums`` as a kernel operand, a row each over the strings some row holds."""
+def _pack_rows(sums: Sequence[OperatorSum]) -> tuple[_Table, np.ndarray]:
+    """``sums`` as a kernel operand: the table of the strings some row
+    holds, and a row each over it."""
     table, coef = _rows(sums)
-    words = (table.key, coef)
     if np.count_nonzero(coef) < coef.size:
         used = coef.any(axis=0).nonzero()[0]
-        words = [v.take(used, axis=1) for v in words]
-    return _Packed(table.n, *words)
+        table, coef = _Table(table.n, table.key.take(used, axis=1)), coef.take(used, axis=1)
+    return table, coef
 
 
 def _products(lefts: Sequence[OperatorSum], rights: Sequence[OperatorSum],
@@ -459,14 +462,14 @@ def _products(lefts: Sequence[OperatorSum], rights: Sequence[OperatorSum],
         return []
     if lefts[0].n != rights[0].n:  # and ``_rows`` checks each side
         raise ValueError(f"qubit count mismatch: {lefts[0].n} != {rights[0].n}")
-    a, b = _pack_rows(lefts), _pack_rows(rights)
-    group = max(1, _CHUNK_PAIRS // max(1, a.key.shape[1] * b.key.shape[1]))
-    cut = (PRUNE_TOL * abs(factor) * np.abs(a.coef).max(axis=1, initial=0.0)
-           * np.abs(b.coef).max(axis=1, initial=0.0))  # max|a_r| max|b_r|, row by row
+    (ta, a), (tb, b) = _pack_rows(lefts), _pack_rows(rights)
+    group = max(1, _CHUNK_PAIRS // max(1, len(ta) * len(tb)))
+    cut = (PRUNE_TOL * abs(factor) * np.abs(a).max(axis=1, initial=0.0)
+           * np.abs(b).max(axis=1, initial=0.0))  # max|a_r| max|b_r|, row by row
     out = []
     for r in range(0, len(lefts), group):
         rows = slice(r, r + group)  # both operands hold a row per product
-        key, coef = _kernel(a._replace(coef=a.coef[rows]), b._replace(coef=b.coef[rows]), parity)
+        key, coef = _kernel(ta, a[rows], tb, b[rows], parity)
         coef = factor * coef
         keep = np.abs(coef) > cut[rows, None]
         used = keep.any(axis=0).nonzero()[0]
@@ -507,40 +510,35 @@ def opsum_anticomm_batch(lefts: Sequence[OperatorSum],
 
 class StringBasis:
     """Pauli strings numbered in order of first appearance, kept as a
-    growing table, and sums over them as coefficient vectors.
+    growing table, and sums over them as vectors of X^x Z^z coefficients.
 
-    ``comm`` packs its vector from the table and numbers the strings of
+    ``comm`` takes its operand off the table and numbers the strings of
     the product by their keys, so no dict of either sum is built."""
 
     def __init__(self, term: PauliTerm):
         self.table = _Table(term.n, _words([term.x | term.z << term.n], 2 * term.n))
         self._index = {rec: 0 for rec in _records(self.table.key)}
-        self._h: tuple[OperatorSum, _Packed, float] | None = None  # h as last packed
+        self._h: tuple[OperatorSum, _Table, np.ndarray, float] | None = None  # h as last packed
 
     def __len__(self) -> int:
         return len(self.table)
 
     def comm(self, h: OperatorSum, vector: np.ndarray) -> np.ndarray:
-        """The coefficients over the strings, the new ones of the product
-        appended, of [h, sum_s vector[s] sigma(s)], with the entries of
+        """The X^x Z^z coefficients over the strings, the new ones of the
+        product appended, of [h, the sum of ``vector``], with the entries of
         ``vector`` and of the product pruned as ``from_vector`` and
         ``opsum_comm`` prune them."""
         top = (size := np.abs(vector)).max(initial=0.0)
         used, t = (size > PRUNE_TOL * top).nonzero()[0], self.table
-        op = _Packed(t.n, t.key.take(used, axis=1), (vector[used] * t.phase[used])[None])
         if self._h is None or self._h[0] is not h:
-            self._h = h, _pack_rows([h]), h.max_abs_coeff()
-        key, coef = _kernel(self._h[1], op, 1)
+            self._h = h, *_pack_rows([h]), h.max_abs_coeff()
+        _, th, rh, hmax = self._h
+        key, coef = _kernel(th, rh, _Table(t.n, t.key.take(used, axis=1)), vector[used][None], 1)
         coef = 2.0 * coef[0]
-        keep = (np.abs(coef) > PRUNE_TOL * 2.0 * self._h[2] * top).nonzero()[0]
-        key, index = key.take(keep, axis=1), self._index
-        cols = np.array([index.setdefault(r, len(index)) for r in _records(key)], dtype=np.intp)
-        if len(index) > len(t):
-            added = key[:, cols >= len(t)]
-            self.table = t = _Table(t.n, np.concatenate([t.key, added], axis=1),
-                                    np.concatenate([t.phase, _phases(t.n, added)]))
-        out = np.zeros(len(index), dtype=complex)
-        out[cols] = coef[keep] * t.phase[cols].conj()
+        keep = (np.abs(coef) > PRUNE_TOL * 2.0 * hmax * top).nonzero()[0]
+        self.table, cols = t.grown(key.take(keep, axis=1), self._index)
+        out = np.zeros(len(self.table), dtype=complex)
+        out[cols] = coef[keep]
         return out
 
 

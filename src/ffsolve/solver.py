@@ -24,7 +24,10 @@ sum_s conj(a_s) b_s over strings, closes after at most 2 alpha + 1 steps,
 and mode j is the Ritz vector at +2 e_j, scaled to CAR and with its phase
 set by chi.  Every product is one commutator of H with a Lanczos
 vector, taken by ``paulis.StringBasis`` on the strings seen so far,
-numbered as they appear; T(u) is not needed, and
+numbered as they appear.  The vectors hold the coefficients of X^x Z^z,
+as every sum of ``paulis`` does: they differ from those of sigma(x, z)
+by a phase of modulus 1 per string, so the inner product, the run and
+its Ritz values are the same in either form.  T(u) is not needed, and
 ``zero_eigenvector_residual`` ties the modes back to it.
 
 The checks that ``verify`` repeats over strings they share are each one
@@ -288,12 +291,12 @@ def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
         StringBasis, np.ndarray, np.ndarray, np.ndarray, float]:
     """Lanczos on [H, .] from chi with full reorthogonalization, until the
     next vector, of norm beta, is below 1e-10 of the first: the basis of
-    the strings seen (chi first), the Lanczos vectors as rows over them,
-    the eigenpairs of the tridiagonal matrix, and beta, so that Ritz pair
-    k has residual beta |s_(m,k)|, s_(m,k) the last entry of eigenvector
-    k.  ``eigh`` takes the matrix divided by the power of two above its
-    largest entry: LAPACK rescales a matrix outside about [2^-407, 2^489]
-    by a factor that is not a power of two.
+    the strings seen (chi first), the Lanczos vectors as rows of X^x Z^z
+    coefficients over them, the eigenpairs of the tridiagonal matrix, and
+    beta, so that Ritz pair k has residual beta |s_(m,k)|, s_(m,k) the
+    last entry of eigenvector k.  ``eigh`` takes the matrix divided by the
+    power of two above its largest entry: LAPACK rescales a matrix outside
+    about [2^-407, 2^489] by a factor that is not a power of two.
 
     The modes and the part of chi that commutes with H span at most
     ``steps`` dimensions; a run that needs more was given the energies of
@@ -301,7 +304,7 @@ def _lanczos(h: Hamiltonian, chi: PauliTerm, steps: int) -> tuple[
     """
     hop = OperatorSum.from_terms(h.n, h.terms)
     index = StringBasis(chi)
-    basis = np.ones((1, 1), dtype=complex)  # chi, whose phase is 1
+    basis = np.ones((1, 1), dtype=complex)  # chi, a Z string: X^0 Z^z = sigma(0, z)
     diag: list[float] = []
     off: list[float] = []
     while True:

@@ -500,9 +500,8 @@ def test_a_wrong_sign_at_a_bracket_end_takes_the_counts(monkeypatch):
     sweeps = record_sweeps(monkeypatch, indpoly)
     want = single_particle_energies(poly)
     assert not sweeps
-    value_and_step = indpoly._value_and_step
-    monkeypatch.setattr(indpoly, "_value_and_step",
-                        lambda q, b, x: (abs(value_and_step(q, b, x)[0]), 0.0))
+    value = indpoly._value
+    monkeypatch.setattr(indpoly, "_value", lambda q, b, x: abs(value(q, b, x)))
     assert single_particle_energies(poly) == want and sweeps
 
 

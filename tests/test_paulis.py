@@ -344,11 +344,20 @@ def test_batched_pass_at_the_term_cap(monkeypatch):
             batch(lefts, rights)
 
 
+def sigma_terms(strings, vector):
+    """{(x, z): coefficient of sigma(x, z)} of the X^x Z^z coefficients
+    ``vector`` over ``strings``, turned by the exact phases i^-|x & z|."""
+    return {(x, z): c * (1, -1j, -1, 1j)[(x & z).bit_count() % 4]
+            for (x, z), c in zip(strings, vector.tolist())}
+
+
 @pytest.mark.parametrize("n", [3, 33, 65])
 def test_string_basis_commutators_equal_opsum_comm(n):
-    """Commutators of vectors over a growing list of strings, numbered by
-    their keys of one, two or three words, equal ``opsum_comm`` of the
-    sums the vectors stand for, bit for bit."""
+    """Commutators of vectors of X^x Z^z coefficients over a growing list
+    of strings, numbered by their keys of one, two or three words, equal
+    ``opsum_comm`` of the sums the vectors stand for, bit for bit: the
+    sigma coefficients of both sides are turned from the vectors' by exact
+    phases."""
     rng = random.Random(300 + n)
     h = edge_opsum(rng, n, 10)
     start = PauliTerm(n, 1, 1 << (n - 1))
@@ -356,15 +365,36 @@ def test_string_basis_commutators_equal_opsum_comm(n):
     vector = np.ones(1, dtype=complex)
     seen = [(start.x, start.z)]
     for _ in range(5):
-        want = opsum_comm(h, OperatorSum(n, dict(zip(seen, vector.tolist()))))
+        want = opsum_comm(h, OperatorSum(n, sigma_terms(seen, vector)))
         got = basis.comm(h, vector)
         strings = basis.table.strings()
         assert len(got) == len(basis) == len(strings) and strings[:len(seen)] == seen
-        assert {s: c for s, c in zip(strings, got.tolist()) if c} == want.terms
+        assert {s: c for s, c in sigma_terms(strings, got).items() if c} == want.terms
         seen = strings
         vector = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                            for _ in seen])
         vector[rng.randrange(len(seen))] = 1e-15  # at most PRUNE_TOL max|vector|: left out
+
+
+@pytest.mark.parametrize("n", [3, 33, 65])
+def test_merged_tables_and_a_string_basis_number_new_strings_alike(n):
+    """A ``StringBasis`` grown by a commutator and its earlier table merged
+    with the table of the same commutator, on keys of one, two or three
+    words, hold the same strings in the same order, and the product's
+    coefficients land in the same columns."""
+    rng = random.Random(400 + n)
+    basis = StringBasis(PauliTerm(n, rng.getrandbits(n) | 1, rng.getrandbits(n)))
+    h = random_opsum(rng, n, 12)
+    for _ in range(4):
+        before = basis.table
+        vector = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                           for _ in range(len(basis))])
+        got = basis.comm(h, vector)
+        product = opsum_comm(h, OperatorSum._on(before, vector))
+        table, cols = before.merged(product.table)
+        assert table.strings() == basis.table.strings()
+        assert len(table) > len(before)
+        assert got[cols].tolist() == product.row.tolist()
 
 
 def test_dense_cap():
