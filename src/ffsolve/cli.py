@@ -34,6 +34,7 @@ from .models import (
     junction_graph,
     parse_graph,
     parse_hamiltonian,
+    records,
     write_hamiltonian,
 )
 from .recognition import HOLE_SEARCH_BUDGET, classify
@@ -112,9 +113,7 @@ def _load_input(args: argparse.Namespace) -> tuple[Hamiltonian | None, WeightedG
     if args.input:
         with open(args.input) as fh:
             text = fh.read()
-        stripped = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-        stripped = [ln for ln in stripped if ln]
-        if stripped and stripped[0].startswith("p "):
+        if next(records(text), (0, ""))[1].startswith("p "):
             return None, parse_graph(text)
         h = parse_hamiltonian(text)
         return h, frustration_graph(h)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ModelError, ParseError
 from .graphs import WeightedGraph
@@ -77,14 +78,19 @@ class Hamiltonian:
         return len(self.terms)
 
 
+def records(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of a text format, its ``#`` comment
+    and surrounding blanks stripped, that holds anything else."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.split("#", 1)[0].strip():
+            yield lineno, line
+
+
 # -- Hamiltonian text format --------------------------------------------
 
 def parse_hamiltonian(text: str) -> Hamiltonian:
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in records(text):
         fields = line.split()
         if len(fields) < 2:
             raise ParseError(f"line {lineno}: expected '<coupling> <tok> ...'")
@@ -125,10 +131,7 @@ def parse_graph(text: str) -> WeightedGraph:
     weights: dict[int, float] = {}
     edges: list[tuple[int, int]] = []
     seen_edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in records(text):
         fields = line.split()
         kind = fields[0]
         size = {"p": 2, "v": 3, "e": 3}.get(kind)

@@ -109,6 +109,15 @@ def transfer(h: Hamiltonian, graph: WeightedGraph) -> TransferOperator:
 
 # -- structural identity residuals -------------------------------------------
 
+def _largest(parts, scales=1.0) -> float:
+    """The largest of the IEEE ratios ``parts`` / ``scales``: 0.0 when there
+    are none, and NaN when any one is, 0 / 0 included.  Every residual of
+    this module is reduced by this rule, except those over a u grid, which
+    return one value per u for ``verify`` to reduce alike."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.divide(parts, scales), initial=0.0))
+
+
 def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph) -> float:
     """max over r < s of the Pauli 1-norm of [Q^(r), Q^(s)], relative to
     2 ||Q^(r)||_1 ||Q^(s)||_1, the 1-norms of the products Q^(r) Q^(s) and
@@ -117,16 +126,14 @@ def charges_commute_residual(h: Hamiltonian, graph: WeightedGraph) -> float:
     Each commutator is a product of its own: the charges share few
     strings, so rows of one pass would each carry the pairs of the others.
     The charges are those of ``h`` scaled as in ``_scaled``, so that their
-    products cannot overflow; the residual is the same at any scale.
+    products cannot overflow; the residual is the same at any scale.  A
+    charge that underflows there to a 1-norm of 0 makes it NaN.
     """
     t = transfer(_scaled(h)[0], graph)
     norms = [q.abs_sum() for q in t.charges]
-    worst = 0.0
-    for r in range(1, t.alpha + 1):
-        for s in range(r + 1, t.alpha + 1):
-            comm = opsum_comm(t.charges[r], t.charges[s]).abs_sum()
-            worst = max(worst, comm / (2.0 * norms[r] * norms[s]))
-    return worst
+    pairs = [(r, s) for r in range(1, t.alpha + 1) for s in range(r + 1, t.alpha + 1)]
+    return _largest([opsum_comm(t.charges[r], t.charges[s]).abs_sum() for r, s in pairs],
+                    [2.0 * norms[r] * norms[s] for r, s in pairs])
 
 
 def _scaled(h: Hamiltonian) -> tuple[Hamiltonian, int]:
@@ -331,8 +338,8 @@ def mode_energy_gap(modes: Sequence[IncognitoMode]) -> float:
     """max_j |lambda_j - 2 e_j| / (2 e_max): the eigenvalues of [H, .] that
     the Lanczos run found against the root finder's energies, two sources
     that share no code."""
-    top = 2.0 * max(m.energy for m in modes)
-    return max(abs(m.ritz - 2.0 * m.energy) for m in modes) / top
+    return _largest([abs(m.ritz - 2.0 * m.energy) for m in modes],
+                    2.0 * max(m.energy for m in modes))
 
 
 def reconstruct(modes: Sequence[IncognitoMode],
@@ -354,7 +361,7 @@ def reconstruction_residual(hext: Hamiltonian, modes: Sequence[IncognitoMode],
     recon = reconstruct(modes, energies)
     target = OperatorSum.from_terms(hext.n, hext.terms)
     scale = target.abs_sum() + sum(2.0 * m.energy * m.op.abs_sum() ** 2 for m in modes)
-    return (recon - target).abs_sum() / scale
+    return _largest([(recon - target).abs_sum()], scale)
 
 
 def mode_car_residual(modes: Sequence[IncognitoMode]) -> float:
@@ -369,7 +376,7 @@ def mode_car_residual(modes: Sequence[IncognitoMode]) -> float:
     ident = OperatorSum.identity(modes[0].op.n)
     diffs = OperatorSum.combinations([[(1.0, pair), (-1.0 if i == j else 0.0, ident)]
                                       for (i, j), pair in zip(mixed, pairs)])
-    return max(pair.max_abs_coeff() for pair in diffs + pairs[len(mixed):])
+    return _largest([pair.max_abs_coeff() for pair in diffs + pairs[len(mixed):]])
 
 
 def ladder_residual(hext: Hamiltonian, modes: Sequence[IncognitoMode]) -> float:
@@ -386,8 +393,8 @@ def ladder_residual(hext: Hamiltonian, modes: Sequence[IncognitoMode]) -> float:
         [[(1.0, raised), (-2.0 * m.energy, op)] for m, op, raised in zip(modes, ops, comms)]
         + [[(1.0, lowered), (2.0 * m.energy, dag)]
            for m, dag, lowered in zip(modes, dags, comms[len(modes):])])
-    return max([0.0] + [max(up.abs_sum(), down.abs_sum()) / (2.0 * op.abs_sum() * (norm + m.energy))
-                        for m, op, up, down in zip(modes, ops, parts, parts[len(modes):])])
+    scales = [2.0 * op.abs_sum() * (norm + m.energy) for m, op in zip(modes, ops)]
+    return _largest([part.abs_sum() for part in parts], scales * 2)
 
 
 def check_fundamental_identity(hext: Hamiltonian, chi: PauliTerm,
@@ -431,5 +438,5 @@ def zero_eigenvector_residual(modes: Sequence[IncognitoMode], hext: Hamiltonian,
     tus = OperatorSum.combinations([t.terms(math.ldexp(m.u, p)) for m in modes])
     right = opsum_mul_batch(tus, [m.op for m in modes])
     left = opsum_mul_batch([m.dag for m in modes], tus)
-    return max(p.max_abs_coeff() for p in right + left)
+    return _largest([p.max_abs_coeff() for p in right + left])
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DenseCapError, FFSolveError, TermBudgetError
+from .errors import DenseCapError, FFSolveError
 from .graphs import frustration_graph
 from .indpoly import (
     SingleParticleEnergies,
@@ -346,20 +346,23 @@ def verify_all(h: Hamiltonian, hole_budget: int = HOLE_SEARCH_BUDGET) -> Verific
 
     Stops at the first structural disqualification, keeping partial
     results: a claw-free model with even holes still gets its commuting
-    charges checked.  A Pauli product above the term cap ends the checks
-    and is recorded in ``failure``, as the oracle's caps are.
+    charges checked.  Any refusal of a check, a Pauli product above the
+    term cap, the energies', the modes' or the oracle's self-check, ends
+    the checks and is recorded in ``failure`` with its own message, as the
+    oracle's caps are.
     """
     report = VerificationReport()
     try:
         _check_all(h, report, hole_budget)
-    except TermBudgetError as exc:
+    except FFSolveError as exc:
         report.failure = str(exc)
     return report
 
 
 def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> None:
     """The checks of ``verify_all``, recorded in ``report`` as they run.
-    A residual over the u grid is its largest, and NaN if any is NaN."""
+    A residual over the u grid is its largest, and NaN if any is NaN, as
+    every residual of ``solver`` is over its parts."""
     graph = frustration_graph(h)
     with _stage(report, "classify"):
         report.structure = classify(graph, hole_budget)
@@ -380,25 +383,20 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> 
         report.lemma_residuals["fundamental_identity"] = float(np.max(
             check_fundamental_identity(hext, chi, ks, DEFAULT_U_GRID)))
 
-    try:
-        poly = weighted_independence_polynomial(graph)
-        energies = single_particle_energies(poly)
-        report.energies = list(energies.energies)
-        with _stage(report, "modes"):
-            modes = all_modes(hext, chi, energies, poly)
-            report.mode_term_counts = [len(m.op) for m in modes]
-            report.lemma_residuals["car"] = mode_car_residual(modes)
-            report.lemma_residuals["ladder"] = ladder_residual(hext, modes)
-            report.lemma_residuals["reconstruction"] = reconstruction_residual(
-                hext, modes, energies)
-            report.lemma_residuals["lanczos_energy"] = mode_energy_gap(modes)
-            # T(u_j) psi_j = 0 ties the Krylov modes to the transfer operator; the
-            # ancilla leaves the frustration graph of h as it is
-            report.lemma_residuals["zero_eigenvector"] = zero_eigenvector_residual(
-                modes, hext, graph)
-    except FFSolveError as exc:
-        report.failure = f"mode construction: {exc}"
-        return
+    poly = weighted_independence_polynomial(graph)
+    energies = single_particle_energies(poly)
+    report.energies = list(energies.energies)
+    with _stage(report, "modes"):
+        modes = all_modes(hext, chi, energies, poly)
+        report.mode_term_counts = [len(m.op) for m in modes]
+        report.lemma_residuals["car"] = mode_car_residual(modes)
+        report.lemma_residuals["ladder"] = ladder_residual(hext, modes)
+        report.lemma_residuals["reconstruction"] = reconstruction_residual(hext, modes, energies)
+        report.lemma_residuals["lanczos_energy"] = mode_energy_gap(modes)
+        # T(u_j) psi_j = 0 ties the Krylov modes to the transfer operator; the
+        # ancilla leaves the frustration graph of h as it is
+        report.lemma_residuals["zero_eigenvector"] = zero_eigenvector_residual(
+            modes, hext, graph)
 
     free = verify_free(h, energies=energies)
     for name in ("spectrum_match", "max_level_deviation", "degeneracy_uniform",

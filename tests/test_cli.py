@@ -358,7 +358,43 @@ def test_modes_refused_on_a_disconnected_graph(tmp_path, capsys):
     assert err.startswith("error: the frustration graph has 2 connected components")
     code, doc = run_json(capsys, "verify", str(p))
     assert code == 1
-    assert doc["result"]["failure"] == "mode construction: " + err[len("error: "):].strip()
+    assert doc["result"]["failure"] == err[len("error: "):].strip()
+
+
+SPREAD_HAM = "1e-100 X0\n1e100 Z0 X1\n1e-100 Z1\n"
+JUNCTION_UNDERFLOW = (
+    "--model", "junction", "--arms", "1,1,1", "--k", "2",
+    "--couplings=-1.641576808820662e+16,-1.9382455519065074e+76,-1.3282073616570207e+84,"
+    "1.7250167191312335e-27,-1.264932702510486e+22,1.1993332942791661e+38,"
+    "4.5175505723156155e-39,1.7075566573110666e-80,4.7672823811518374e-61,"
+    "-2.5827409081232257e+62,-1.3641907948034363e-18,4.6554953935558224e-08")
+
+
+@pytest.mark.parametrize("name", ["spread", "junction"])
+def test_verify_reports_a_charge_norm_that_underflows(tmp_path, capsys, name):
+    """Couplings whose squares are all finite, but a charge of the couplings
+    / 2^p has a Pauli 1-norm of 0: ``charges_commute`` divided by it and
+    ``verify`` ended in a ZeroDivisionError traceback.  The residual now
+    reads NaN, written as null, and fails; the checks go on to the root
+    finder or the modes, whose refusal ends them with the line that
+    ``solve --modes`` prints for the same input."""
+    if name == "spread":
+        p = tmp_path / "spread.ham"
+        p.write_text(SPREAD_HAM)
+        args = (str(p),)
+    else:
+        args = JUNCTION_UNDERFLOW
+    assert main(["solve", "--modes", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code = main(["verify", *args])
+    out, verify_err = capsys.readouterr()
+    assert code == 1 and verify_err == ""
+    doc = json.loads(out)  # one document
+    result = doc["result"]
+    assert result["lemma_residuals"]["charges_commute"] is None
+    assert result["passed"] is False
+    assert result["failure"] == err[len("error: "):].strip()
 
 
 def test_verify_records_alpha_above_the_qubit_count(tmp_path, capsys):
