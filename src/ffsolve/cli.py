@@ -28,10 +28,8 @@ from .indpoly import (
     weighted_independence_polynomial,
 )
 from .models import (
-    SMALL_MODELS,
     Hamiltonian,
     generate_model,
-    junction_graph,
     parse_graph,
     parse_hamiltonian,
     records,
@@ -119,22 +117,17 @@ def _load_input(args: argparse.Namespace) -> tuple[Hamiltonian | None, WeightedG
         return h, frustration_graph(h)
     if not args.model:
         raise ParseError("provide an input file or --model")
-    couplings = args.couplings
-    if couplings is None and args.seed is not None:
-        if args.model in SMALL_MODELS:
-            count = len(SMALL_MODELS[args.model])
-        elif args.model == "chain":
-            count = args.k
-        elif args.model == "junction" and args.arms and args.k:
-            count = junction_graph(tuple(args.arms), args.k).n
-        else:
-            count = None
-        if count:
-            couplings = _draw_couplings(count, args.seed)
-            args.couplings = couplings
-    h = generate_model(args.model, couplings=couplings, n_cells=args.n_cells,
-                       k=args.k, periodic=args.periodic,
-                       arm_cells=tuple(args.arms) if args.arms else None)
+
+    def build(couplings):
+        return generate_model(args.model, couplings=couplings, n_cells=args.n_cells, k=args.k,
+                              periodic=args.periodic,
+                              arm_cells=tuple(args.arms) if args.arms else None)
+
+    h = build(args.couplings)
+    if args.couplings is None and args.seed is not None:
+        # a chain's k couplings repeat in every cell; every other family one for each term
+        args.couplings = _draw_couplings(args.k if args.model == "chain" else len(h), args.seed)
+        h = build(args.couplings)
     return h, frustration_graph(h)
 
 

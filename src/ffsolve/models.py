@@ -28,7 +28,7 @@ _TOKEN_RE = re.compile(r"^([XYZ])(\d+)$")
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Ordered list of (real coupling, phase-(+1) PauliTerm) pairs."""
+    """Ordered list of (real coupling, Hermitian PauliTerm) pairs."""
 
     n: int
     terms: tuple[tuple[float, PauliTerm], ...]
@@ -47,8 +47,6 @@ class Hamiltonian:
             coupling = float(coupling)
             if not math.isfinite(coupling):
                 raise ModelError(f"non-finite coupling {coupling!r}")
-            if term.phase_pow != 0:
-                raise ModelError("Hamiltonian terms must carry phase +1")
             if term.is_identity:
                 raise ModelError("identity term not allowed (Hamiltonian is traceless)")
             key = (term.x, term.z)
@@ -63,9 +61,8 @@ class Hamiltonian:
             n = max_q + 1
         elif max_q + 1 > n:
             raise ModelError(f"term acts on qubit {max_q} but n={n}")
-        # a term on n qubits is kept as it is given: the key and the phase
-        # +1 are all the rest of it
-        out = [(c, term if term.n == n else PauliTerm(n, term.x, term.z, 0))
+        # a term on n qubits is kept as it is given: its key is all the rest of it
+        out = [(c, term if term.n == n else PauliTerm(n, term.x, term.z))
                for c, term in merged.values() if c != 0.0]
         if not out:
             raise ModelError("no terms remain after merging/dropping")

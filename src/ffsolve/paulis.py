@@ -3,15 +3,16 @@
 Representation
 --------------
 A Pauli string is encoded symplectically by two n-bit integers ``x`` and
-``z`` (bit q set means an X / Z factor on qubit q) together with a phase
-from {1, i, -1, -i} stored as an exponent of i.  The phase is defined
-relative to the canonical Hermitian string
+``z`` (bit q set means an X / Z factor on qubit q).  It stands for the
+canonical Hermitian string
 
     sigma(x, z) = i^{|x & z|} X^x Z^z ,
 
 which is the tensor product of single-qubit I, X, Y, Z with Y wherever
-both bits are set.  The fixed multiplication convention is XZ = -iY
-(equivalently XY = iZ); it is tested against the dense backend.
+both bits are set, so a string holds no phase of its own.  A product of
+two strings is i^e times a third, and ``multiply`` reports e with it; the
+fixed multiplication convention is XZ = -iY (equivalently XY = iZ), and
+it is tested against the dense backend.
 
 Every piece of Pauli data has one shape and one convention: a table of
 strings and rows of coefficients of X^x Z^z over it, c i^|x & z| for a
@@ -92,16 +93,11 @@ _AXIS_NAME = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """A single n-qubit Pauli string with an exact phase.
-
-    ``phase_pow`` is the exponent e in i^e, e in {0,1,2,3}.  Terms with
-    e in {0,2} are Hermitian, e in {1,3} anti-Hermitian.
-    """
+    """The Hermitian n-qubit Pauli string sigma(x, z) = i^|x & z| X^x Z^z."""
 
     n: int
     x: int
     z: int
-    phase_pow: int = 0
 
     def __post_init__(self):
         if self.n < 0:
@@ -109,12 +105,6 @@ class PauliTerm:
         mask = (1 << self.n) - 1
         if self.x & ~mask or self.z & ~mask:
             raise ValueError("x/z bits outside the declared qubit range")
-        if not 0 <= self.phase_pow < 4:
-            object.__setattr__(self, "phase_pow", self.phase_pow % 4)
-
-    @property
-    def phase(self) -> complex:
-        return _PHASES[self.phase_pow]
 
     @property
     def is_identity(self) -> bool:
@@ -122,7 +112,7 @@ class PauliTerm:
 
     @classmethod
     def identity(cls, n: int) -> "PauliTerm":
-        return cls(n, 0, 0, 0)
+        return cls(n, 0, 0)
 
     @classmethod
     def from_ops(cls, n: int, ops: Mapping[int, str]) -> "PauliTerm":
@@ -146,22 +136,20 @@ class PauliTerm:
                 parts.append(f"{_AXIS_NAME[(xb, zb)]}{q}")
         return " ".join(parts) if parts else "I"
 
-    def __repr__(self):
-        pre = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.phase_pow]
-        return f"{pre}{self.label()}"
+    __repr__ = label
 
 
-def multiply(p: PauliTerm, q: PauliTerm) -> PauliTerm:
-    """Exact product pq in the Pauli group (XZ = -iY convention): the phase
-    of sigma(x1, z1) sigma(x2, z2) relative to sigma(x3, z3), with
-    x3 = x1 ^ x2 and z3 = z1 ^ z2, is
-    i^(|x1 & z1| + |x2 & z2| + 2|z1 & x2| - |x3 & z3|)."""
+def multiply(p: PauliTerm, q: PauliTerm) -> tuple[int, PauliTerm]:
+    """The product pq = i^e r of two strings, as (e, r) with e in 0..3, in
+    the XZ = -iY convention: ``multiply(X, Z) == (3, Y)``.  With
+    x3 = x1 ^ x2 and z3 = z1 ^ z2, sigma(x1, z1) sigma(x2, z2) is
+    i^(|x1 & z1| + |x2 & z2| + 2|z1 & x2| - |x3 & z3|) sigma(x3, z3)."""
     if p.n != q.n:
         raise ValueError(f"qubit count mismatch: {p.n} != {q.n}")
     x, z = p.x ^ q.x, p.z ^ q.z
     e = ((p.x & p.z).bit_count() + (q.x & q.z).bit_count() + 2 * (p.z & q.x).bit_count()
          - (x & z).bit_count())
-    return PauliTerm(p.n, x, z, (p.phase_pow + q.phase_pow + e) & 3)
+    return e & 3, PauliTerm(p.n, x, z)
 
 
 def commutes(p: PauliTerm, q: PauliTerm) -> bool:
@@ -275,13 +263,13 @@ class OperatorSum:
 
     @classmethod
     def from_term(cls, term: PauliTerm) -> "OperatorSum":
-        return cls(term.n, {(term.x, term.z): term.phase})
+        return cls(term.n, {(term.x, term.z): 1.0 + 0.0j})
 
     @classmethod
     def from_terms(cls, n: int, pairs: Iterable[tuple[complex, PauliTerm]]) -> "OperatorSum":
         acc: dict[tuple[int, int], complex] = {}
         for coeff, term in pairs:
-            acc[term.x, term.z] = acc.get((term.x, term.z), 0.0) + coeff * term.phase
+            acc[term.x, term.z] = acc.get((term.x, term.z), 0.0) + coeff
         return cls(n, acc)
 
     def __len__(self) -> int:
@@ -578,8 +566,7 @@ def subset_products(n: int, terms: Sequence[tuple[float, PauliTerm]],
     sum is that of the products multiplied out set by set, up to signed
     zeros.
     """
-    factors = [(c * _PHASES[(t.phase_pow + (t.x & t.z).bit_count()) & 3], t.x | t.z << n, t.x)
-               for c, t in terms]
+    factors = [(c * _PHASES[(t.x & t.z).bit_count() & 3], t.x | t.z << n, t.x) for c, t in terms]
     accs: list[dict[int, complex]] = []
     stack = [(1.0 + 0.0j, 0, 0, (1 << len(rows)) - 1)]
     while stack:

@@ -201,7 +201,7 @@ def simplicial_extension(h: Hamiltonian, ks: Sequence[int]) -> tuple[Hamiltonian
     new_terms = []
     for i, (c, t) in enumerate(h.terms):
         x = t.x | ((1 << h.n) if (kmask >> i) & 1 else 0)
-        new_terms.append((c, PauliTerm(n, x, t.z, 0)))
+        new_terms.append((c, PauliTerm(n, x, t.z)))
     chi = PauliTerm(n, 0, 1 << h.n)
     return Hamiltonian(n, tuple(new_terms)), chi
 

@@ -131,9 +131,10 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
     with every u_i at +1 are diagonalized, a batch at a time, and each
     block's eigenvalues are repeated 2^p times.
 
-    Caps, all checked before any block is allocated: m <= DENSE_QUBIT_CAP;
-    the work 2^c 8^m <= 8^DENSE_QUBIT_CAP; and the 2^n eigenvalues are no
-    more than the 4^DENSE_QUBIT_CAP entries of one matrix at the cap.  The
+    Caps, each checked before the work it bounds: the 2^n eigenvalues are
+    no more than the 4^DENSE_QUBIT_CAP entries of one matrix at the cap,
+    checked on n alone before anything else; and, before any block is
+    allocated, m <= DENSE_QUBIT_CAP and the work 2^c 8^m <= 8^DENSE_QUBIT_CAP.  The
     pairs self-check their commutation, and every block the reduction:
     tr(H_lambda) is 2^m times its identity coefficient, tr(H_lambda^2) is
     2^m times the sum of its squared coefficients, and every reduced
@@ -141,6 +142,9 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
     the self-check tolerance is scale-free.
     """
     n = h.n
+    if n > 2 * DENSE_QUBIT_CAP:
+        raise DenseCapError(f"the 2^{n} eigenvalues of {n} qubits exceed the oracle's "
+                            f"eigenvalue cap 2^{2 * DENSE_QUBIT_CAP}")
     terms = [t.x | t.z << n for _, t in h.terms]
     paired, central = _symplectic_pairs(n, _commutant(n, terms))
     generators = [u for u, _ in paired] + central
@@ -151,9 +155,6 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
     if c + 3 * m > 3 * DENSE_QUBIT_CAP:
         raise DenseCapError(f"2^{c} central symmetry sectors of {m} qubits exceed the oracle's "
                             f"work cap 8^{DENSE_QUBIT_CAP}")
-    if n > 2 * DENSE_QUBIT_CAP:
-        raise DenseCapError(f"the 2^{n} eigenvalues of {n} qubits exceed the oracle's "
-                            f"eigenvalue cap 2^{2 * DENSE_QUBIT_CAP}")
     for i, (_, w) in enumerate(paired):
         if any(_omega(w, v, n) for v in terms) or [
                 j for j, g in enumerate(generators) if _omega(w, g, n)] != [i]:
@@ -168,22 +169,25 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
     scale = max(abs(c) for c in h.couplings())
     reduced: dict[tuple[int, int], int] = {}
     index, sector_bits, coefs = [], [], []
-    for x, z, coef in ((t.x, t.z, c * t.phase) for c, t in h.terms):
-        v = x | z << n
-        word = PauliTerm.identity(n)  # the product of a_k^zk b_k^xk over k
+    for coef, t in h.terms:
+        v = t.x | t.z << n
+        e, word = 0, PauliTerm.identity(n)  # i^e word is the product of a_k^zk b_k^xk over k
         xs = zs = 0
         for k, (a, b, a_term, b_term) in enumerate(frame):
             if _omega(v, b, n):
                 zs |= 1 << k
-                word = multiply(word, a_term)
+                step, word = multiply(word, a_term)
+                e += step
             if _omega(v, a, n):
                 xs |= 1 << k
-                word = multiply(word, b_term)
+                step, word = multiply(word, b_term)
+                e += step
         xr, zr = xs >> s, zs >> s
-        if (word.x, word.z) != (x, z) or xs & ((1 << s) - 1):
+        if word != t or xs & ((1 << s) - 1):
             raise FFSolveError("oracle self-check failed: a term left the symmetry frame")
-        # sigma(v) = i^-e word, and Z^z X^x = i^(x z) sigma(x, z) on each reduced qubit
-        coef = coef * _PHASES[((xr & zr).bit_count() - word.phase_pow) % 4]
+        # sigma(v) is i^-e times that product, and Z^z X^x = i^(x z) sigma(x, z) on each
+        # reduced qubit
+        coef = coef * _PHASES[((xr & zr).bit_count() - e) % 4]
         if coef.imag:
             raise FFSolveError("oracle self-check failed: a reduced term is not Hermitian")
         index.append(reduced.setdefault((xr, zr), len(reduced)))
@@ -244,11 +248,12 @@ class VerificationReport:
         return self.skip_reason is None
 
     def passed(self) -> bool:
-        """Applicable, no failure, no spectrum verdict False, and every
-        residual within its tolerance: a NaN residual, or one that
-        ``TOLERANCES`` does not name, fails."""
+        """Applicable, no failure, both spectrum verdicts True (a report
+        whose oracle never ran has neither), and every residual within its
+        tolerance: a NaN residual, or one that ``TOLERANCES`` does not
+        name, fails."""
         return (self.applicable and not self.failure
-                and self.spectrum_match is not False and self.degeneracy_uniform is not False
+                and self.spectrum_match is True and self.degeneracy_uniform is True
                 and all(resid <= TOLERANCES.get(name, math.nan)
                         for name, resid in self.lemma_residuals.items()))
 
@@ -290,11 +295,11 @@ def verify_free(h: Hamiltonian,
 
     Refuses (reports not-applicable, with the structure report's
     ``refusal`` as its reason) unless the frustration graph is ECF.  The
-    energies are solved for unless ``energies`` gives them.  The report
-    records the oracle's symmetry generators s and block size n - s in
-    qubits; above the oracle's caps it keeps the synthesized energies and
-    names the cap in ``failure``, as it names alpha > n and the root
-    finder's refusal.
+    energies are solved for unless ``energies`` gives them.  Once the
+    oracle has returned, the report records its symmetry generators s and
+    block size n - s in qubits.  Any refusal of the oracle, a cap or a
+    self-check, keeps the synthesized energies and is named in
+    ``failure``, as alpha > n and the root finder's refusal are.
     """
     report = VerificationReport()
     with _stage(report, "classify"):
@@ -320,10 +325,10 @@ def verify_free(h: Hamiltonian,
 
     try:
         with _stage(report, "diagonalize"):
+            brute = brute_force_spectrum(h)
             report.symmetry_generators = len(symmetry_generators(h))
             report.block_qubits = h.n - report.symmetry_generators
-            brute = brute_force_spectrum(h)
-    except DenseCapError as exc:
+    except FFSolveError as exc:
         report.failure = str(exc)
         return report
 

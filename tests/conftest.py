@@ -307,8 +307,6 @@ def plain_from_pairs(pairs, n: int | None = None) -> Hamiltonian:
         coupling = float(coupling)
         if not math.isfinite(coupling):
             raise ModelError(f"non-finite coupling {coupling!r}")
-        if term.phase_pow != 0:
-            raise ModelError("Hamiltonian terms must carry phase +1")
         if term.is_identity:
             raise ModelError("identity term not allowed (Hamiltonian is traceless)")
         key = (term.x, term.z)
@@ -325,7 +323,7 @@ def plain_from_pairs(pairs, n: int | None = None) -> Hamiltonian:
     for key in order:
         c = merged[key]
         if c != 0.0:
-            out.append((c, PauliTerm(n, key[0], key[1], 0)))
+            out.append((c, PauliTerm(n, key[0], key[1])))
     if not out:
         raise ModelError("no terms remain after merging/dropping")
     return Hamiltonian(n, tuple(out))
@@ -367,13 +365,14 @@ def per_set_charges(h, graph: WeightedGraph) -> list[dict]:
         if k == len(accs):
             accs.append({})
         coeff = 1.0
-        prod = PauliTerm.identity(h.n)
+        e, prod = 0, PauliTerm.identity(h.n)
         for v in bits(mask):
             c, t = h.terms[v]
             coeff *= c
-            prod = multiply(prod, t)
+            step, prod = multiply(prod, t)
+            e += step
         key = (prod.x, prod.z)
-        accs[k][key] = accs[k].get(key, 0.0) + coeff * prod.phase
+        accs[k][key] = accs[k].get(key, 0.0) + coeff * (1, 1j, -1, -1j)[e % 4]
     cuts = [PRUNE_TOL * max(map(abs, acc.values())) for acc in accs]  # relative to Q^(k)
     return [{key: c for key, c in acc.items() if abs(c) > cut} for acc, cut in zip(accs, cuts)]
 
@@ -589,17 +588,19 @@ def all_sector_spectrum(h) -> np.ndarray:
     index, sector_bits, coefs = [], [], []
     for c, t in h.terms:
         v = t.x | t.z << n
-        word = PauliTerm.identity(n)
+        e, word = 0, PauliTerm.identity(n)
         xs = zs = 0
         for k, (a, b, a_term, b_term) in enumerate(frame):
             if _omega(v, b, n):
                 zs |= 1 << k
-                word = multiply(word, a_term)
+                step, word = multiply(word, a_term)
+                e += step
             if _omega(v, a, n):
                 xs |= 1 << k
-                word = multiply(word, b_term)
+                step, word = multiply(word, b_term)
+                e += step
         xr, zr = xs >> s, zs >> s
-        c = c * t.phase * (1, 1j, -1, -1j)[((xr & zr).bit_count() - word.phase_pow) % 4]
+        c = c * (1, 1j, -1, -1j)[((xr & zr).bit_count() - e) % 4]
         index.append(reduced.setdefault((xr, zr), len(reduced)))
         sector_bits.append(zs & ((1 << s) - 1))
         coefs.append(c.real)

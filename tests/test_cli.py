@@ -511,6 +511,22 @@ def test_config_holds_the_options_of_the_command(capsys, command):
     assert again["result"] == doc["result"]
 
 
+@pytest.mark.parametrize("model, count", [
+    (["--model", "h5"], 5),
+    (["--model", "h6"], 6),
+    (["--model", "back_to_back"], 6),
+    (["--model", "chain", "--N", "4", "--k", "3"], 3),
+    (["--model", "chain", "--N", "2", "--k", "5", "--periodic"], 5),
+    (["--model", "junction", "--arms", "1,2,1", "--k", "3"], junction_graph((1, 2, 1), 3).n),
+])
+def test_a_seeded_model_draws_the_couplings_it_takes(capsys, model, count):
+    """Under --seed without --couplings, a chain draws k couplings, which
+    repeat in every cell, and every other family one for each term."""
+    code, doc = run_json(capsys, "analyze", *model, "--seed", "4")
+    assert code == 0
+    assert len(doc["config"]["couplings"]) == count
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_output_file_takes_the_mode_of_a_fresh_open(tmp_path, umask):
     """An ``-o`` file gets the mode that ``open(path, "w")`` gives a new

@@ -36,7 +36,7 @@ def kron_oracle(term: PauliTerm) -> np.ndarray:
     """Independent dense realization: explicit Kronecker product, qubit 0
     least significant."""
     mats = [SINGLE[((term.x >> q) & 1, (term.z >> q) & 1)] for q in range(term.n)]
-    return term.phase * reduce(np.kron, reversed(mats), np.eye(1, dtype=complex))
+    return reduce(np.kron, reversed(mats), np.eye(1, dtype=complex))
 
 
 def P(n, ops):
@@ -45,18 +45,18 @@ def P(n, ops):
 
 def test_single_qubit_table():
     x, y, z = P(1, {0: "X"}), P(1, {0: "Y"}), P(1, {0: "Z"})
-    assert multiply(x, y) == PauliTerm(1, 0, 1, 1)      # XY = iZ
-    assert multiply(x, z) == PauliTerm(1, 1, 1, 3)      # XZ = -iY
-    assert multiply(z, x) == PauliTerm(1, 1, 1, 1)      # ZX = iY
-    assert multiply(y, z) == PauliTerm(1, 1, 0, 1)      # YZ = iX
-    assert multiply(x, x) == PauliTerm.identity(1)
+    assert multiply(x, y) == (1, z)      # XY = iZ
+    assert multiply(x, z) == (3, y)      # XZ = -iY
+    assert multiply(z, x) == (1, y)      # ZX = iY
+    assert multiply(y, z) == (1, x)      # YZ = iX
+    assert multiply(x, x) == (0, PauliTerm.identity(1))
 
 
 def test_two_qubit_product_example():
     # (X0 Y1)(Z0 Z1) = (-iY0)(iX1) = +Y0 X1
     a = P(2, {0: "X", 1: "Y"})
     b = P(2, {0: "Z", 1: "Z"})
-    assert multiply(a, b) == P(2, {0: "Y", 1: "X"})
+    assert multiply(a, b) == (0, P(2, {0: "Y", 1: "X"}))
 
 
 def test_commutes_examples():
@@ -73,14 +73,21 @@ def test_length_mismatch_errors():
         commutes(P(1, {0: "X"}), P(2, {0: "X"}))
 
 
+def times(a, b):
+    """The product of i^ea p and i^eb q, given as (ea, p) and (eb, q), in the
+    same form."""
+    e, r = multiply(a[1], b[1])
+    return (a[0] + b[0] + e) & 3, r
+
+
 def test_multiply_associative_bit_for_bit():
     rng = random.Random(42)
     for _ in range(300):
         n = rng.randint(1, 6)
-        terms = [PauliTerm(n, rng.getrandbits(n), rng.getrandbits(n), rng.randrange(4))
+        terms = [(rng.randrange(4), PauliTerm(n, rng.getrandbits(n), rng.getrandbits(n)))
                  for _ in range(3)]
         p, q, r = terms
-        assert multiply(multiply(p, q), r) == multiply(p, multiply(q, r))
+        assert times(times(p, q), r) == times(p, times(q, r))
 
 
 def test_commutes_matches_product_sign():
@@ -89,9 +96,9 @@ def test_commutes_matches_product_sign():
         n = rng.randint(1, 5)
         p = PauliTerm(n, rng.getrandbits(n), rng.getrandbits(n))
         q = PauliTerm(n, rng.getrandbits(n), rng.getrandbits(n))
-        pq, qp = multiply(p, q), multiply(q, p)
-        assert (pq.x, pq.z) == (qp.x, qp.z)
-        sign = (pq.phase_pow - qp.phase_pow) % 4
+        (epq, pq), (eqp, qp) = multiply(p, q), multiply(q, p)
+        assert pq == qp
+        sign = (epq - eqp) % 4
         assert sign in (0, 2)
         assert commutes(p, q) == (sign == 0)
 
@@ -106,7 +113,7 @@ def test_dense_matches_kron_oracle():
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randint(1, 4)
-        t = PauliTerm(n, rng.getrandbits(n), rng.getrandbits(n), rng.randrange(4))
+        t = PauliTerm(n, rng.getrandbits(n), rng.getrandbits(n))
         assert np.allclose(to_dense(t), kron_oracle(t), atol=1e-15)
 
 
@@ -159,7 +166,7 @@ def test_hermitian_sum_has_hermitian_dense():
     rng = random.Random(13)
     for _ in range(10):
         n = rng.randint(1, 4)
-        terms = [(rng.uniform(-2, 2), PauliTerm(n, rng.getrandbits(n), rng.getrandbits(n), 0))
+        terms = [(rng.uniform(-2, 2), PauliTerm(n, rng.getrandbits(n), rng.getrandbits(n)))
                  for _ in range(4)]
         mat = to_dense(OperatorSum.from_terms(n, terms))
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-14
@@ -195,8 +202,8 @@ def pairwise_reference(a, b, parity, factor):
             q = PauliTerm(b.n, x2, z2)
             if parity is not None and commutes(p, q) == (parity == 1):
                 continue
-            r = multiply(p, q)
-            acc[(r.x, r.z)] = acc.get((r.x, r.z), 0.0) + factor * c1 * c2 * r.phase
+            e, r = multiply(p, q)
+            acc[(r.x, r.z)] = acc.get((r.x, r.z), 0.0) + factor * c1 * c2 * (1, 1j, -1, -1j)[e]
     cut = PRUNE_TOL * abs(factor) * a.max_abs_coeff() * b.max_abs_coeff()
     return {key: c for key, c in acc.items() if abs(c) > cut}
 
@@ -413,9 +420,6 @@ def test_abs_sum_bounds_operator_norm():
 
 def test_dagger_and_hermiticity_flags():
     t = P(2, {0: "X", 1: "Y"})
-    assert t.phase_pow in (0, 2)
-    it = PauliTerm(2, t.x, t.z, 1)
-    assert it.phase_pow not in (0, 2)
     a = (1.0 + 2.0j) * OperatorSum.from_term(t)
     assert np.allclose(to_dense(a.dagger()), to_dense(a).conj().T)
 

@@ -287,7 +287,7 @@ def test_simplicial_extension_properties():
     assert frustration_graph(hext) == g
     # chi squares to the identity
     from ffsolve.paulis import multiply
-    assert multiply(chi, chi) == PauliTerm.identity(4)
+    assert multiply(chi, chi) == (0, PauliTerm.identity(4))
 
 
 def test_simplicial_extension_rejects_non_simplicial():

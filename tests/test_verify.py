@@ -94,9 +94,11 @@ def test_brute_force_cap():
 
 
 def test_verify_free_above_dense_cap_keeps_energies():
-    rep = verify_free(chain_model(9, 3))  # 27 qubits, ECF, 2^1 sectors of 13 qubits
+    # 27 qubits, ECF: over the eigenvalue cap, and the work cap (2^1 sectors of 13 qubits)
+    rep = verify_free(chain_model(9, 3))
     assert rep.energies
-    assert "cap" in rep.failure
+    assert "eigenvalue cap" in rep.failure
+    assert rep.symmetry_generators is None and rep.block_qubits is None
     assert rep.passed() is False
     # a stage that raises is not timed
     assert list(rep.timings) == ["classify", "energies"]
@@ -116,11 +118,33 @@ def test_verify_free_reports_a_refused_root_finder():
 
 def test_passed_needs_every_residual_within_its_tolerance():
     """Each residual faces its entry of TOLERANCES: NaN, or a name the
-    table lacks, fails."""
-    assert VerificationReport(lemma_residuals={"car": 1e-15, "ladder": 0.0}).passed()
-    assert not VerificationReport(lemma_residuals={"car": 1e-15, "ladder": math.nan}).passed()
-    assert not VerificationReport(lemma_residuals={"no_such_check": 0.0}).passed()
-    assert not VerificationReport(lemma_residuals={"car": 2e-8}).passed()
+    table lacks, fails; so does a report without both spectrum verdicts."""
+    def report(residuals, verdict=True):
+        return VerificationReport(spectrum_match=verdict, degeneracy_uniform=verdict,
+                                  lemma_residuals=residuals)
+
+    assert report({"car": 1e-15, "ladder": 0.0}).passed()
+    assert not report({"car": 1e-15, "ladder": math.nan}).passed()
+    assert not report({"no_such_check": 0.0}).passed()
+    assert not report({"car": 2e-8}).passed()
+    assert not report({"car": 1e-15, "ladder": 0.0}, verdict=None).passed()
+
+
+def test_verify_all_does_not_pass_without_its_oracle(monkeypatch):
+    """``verify_free`` classifies at the default hole budget.  Where that
+    search runs out but the caller's larger budget decides ECF, the oracle
+    never runs and the report holds no spectrum verdict: it fails."""
+    decide = verify.classify
+
+    def classify(graph, hole_budget=recognition.HOLE_SEARCH_BUDGET):
+        if hole_budget == recognition.HOLE_SEARCH_BUDGET:
+            return recognition.StructureReport(None, None, True, None)
+        return decide(graph, hole_budget)
+
+    monkeypatch.setattr(verify, "classify", classify)
+    rep = verify_all(h5_model(1.0, 0.7, -1.3, 0.4, 2.0), hole_budget=10**9)
+    assert rep.applicable and rep.spectrum_match is None and rep.failure is None
+    assert not rep.passed()
 
 
 def test_a_nan_residual_at_one_u_fails_verify_all(monkeypatch):
@@ -461,9 +485,9 @@ def test_oracle_diagonalizes_only_the_central_sectors(monkeypatch):
     assert np.abs(got - want).max() <= 1e-12 * 1.3
 
 
-def test_oracle_self_checks_the_pairs(monkeypatch):
-    """A partner w that anticommutes with a second generator would map a
-    sector onto one of another spectrum: the oracle refuses it."""
+def skew_the_pairs(monkeypatch):
+    """Give the first partner of the oracle's symplectic Gram-Schmidt the
+    second one's string too."""
     pairs = verify._symplectic_pairs
 
     def skewed(n, vectors):
@@ -474,8 +498,35 @@ def test_oracle_self_checks_the_pairs(monkeypatch):
         return [(u0, w0 ^ w1)] + paired[1:], central
 
     monkeypatch.setattr(verify, "_symplectic_pairs", skewed)
+
+
+def test_oracle_self_checks_the_pairs(monkeypatch):
+    """A partner w that anticommutes with a second generator would map a
+    sector onto one of another spectrum: the oracle refuses it."""
+    skew_the_pairs(monkeypatch)
     with pytest.raises(FFSolveError, match="paired symmetry"):
         brute_force_spectrum(chain_model(2, 3))
+
+
+def test_verify_free_records_an_oracle_self_check(monkeypatch):
+    """The standalone entry point records every refusal of its oracle,
+    as ``verify_all`` does, instead of raising it."""
+    skew_the_pairs(monkeypatch)
+    rep = verify_free(chain_model(2, 3))
+    assert rep.energies and rep.spectrum_match is None
+    assert "paired symmetry" in rep.failure
+    assert not rep.passed()
+
+
+def test_oracle_checks_the_eigenvalue_cap_before_any_work(monkeypatch):
+    """The eigenvalue cap depends on n alone: 27 qubits are refused before
+    the commutant is formed."""
+    def refuse(*args):
+        raise AssertionError("the oracle formed the commutant above its eigenvalue cap")
+
+    monkeypatch.setattr(verify, "_commutant", refuse)
+    with pytest.raises(DenseCapError, match="eigenvalue cap"):
+        brute_force_spectrum(chain_model(9, 3))
 
 
 @settings(max_examples=60, deadline=None)
