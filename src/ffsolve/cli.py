@@ -154,6 +154,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     h, graph = _load_input(args)
+    if args.modes and h is None:
+        raise ParseError("--modes needs a Hamiltonian input, not a graph")
     payload, report = _structure_payload(graph, args.budget)
     if report.refusal:
         payload["refusal"] = report.refusal
@@ -167,8 +169,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if energies.total <= n and energies.total <= FREE_SPECTRUM_ALPHA_CAP:
         payload["free_spectrum"] = free_spectrum(energies, n)
     if args.modes:
-        if h is None:
-            raise ParseError("--modes needs a Hamiltonian input, not a graph")
         ks = report.simplicial_clique
         hext, chi = simplicial_extension(h, ks)
         modes = all_modes(hext, chi, energies, poly)

@@ -32,10 +32,6 @@ class ComplexRootError(FFSolveError):
     roots are real; Chudnovsky and Seymour, JCTB 97, 2007), but complex
     roots that pass the inequalities pass for a repeated root."""
 
-    def __init__(self, expected):
-        super().__init__(f"isolated 0 real roots, expected {expected}; "
-                         "polynomial may have complex roots or is ill-conditioned")
-
 
 class DegenerateModeError(FFSolveError):
     """Mode construction refused: the requested single-particle energy is repeated."""

@@ -438,8 +438,9 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
         return SingleParticleEnergies((), 0.0)
     ints = poly.ints
     q = [-c if k & 1 else c for k, c in enumerate(ints)]
-    if not q[-1]:  # Q has a root at 0, which no energy has
-        raise ComplexRootError(alpha)
+    if not q[-1]:
+        raise ComplexRootError(f"alpha={alpha}, but c_{alpha} is 0: a root at 0, which no "
+                               "energy has")
     b = q[1].bit_length()
     companion = np.eye(alpha, k=-1)
     companion[0] = [-_ratio(c, 1 << b * k) for k, c in enumerate(q[1:], 1)]
@@ -450,9 +451,12 @@ def single_particle_energies(poly: IndependencePolynomial) -> SingleParticleEner
     ends = [x for pair in zip(lo, hi) for x in pair]
     if not (ends[0] > 0 and all(u < v for u, v in zip(ends, ends[1:]))
             and all(_value(q, b, u) * _value(q, b, v) < 0 for u, v in zip(lo, hi))):
-        if any(c * c * k * (alpha - k) < a * d * (k + 1) * (alpha - k + 1)
-               for k, (a, c, d) in enumerate(zip(ints, ints[1:], ints[2:]), 1)):
-            raise ComplexRootError(alpha)
+        k = next((k for k, (a, c, d) in enumerate(zip(ints, ints[1:], ints[2:]), 1)
+                  if c * c * k * (alpha - k) < a * d * (k + 1) * (alpha - k + 1)), None)
+        if k is not None:
+            raise ComplexRootError(
+                f"alpha={alpha}: Newton's inequality C_k^2 k (alpha - k) >= C_(k-1) C_(k+1) "
+                f"(k + 1) (alpha - k + 1) fails at k={k}, so the polynomial has complex roots")
 
         def evaluate(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             pairs = [_count_and_step(q, b, x) for x in ws.tolist()]

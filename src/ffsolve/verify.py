@@ -281,8 +281,8 @@ def _stage(report: VerificationReport, name: str):
     report.timings[name] = time.perf_counter() - t0
 
 
-def verify_free(h: Hamiltonian,
-                energies: SingleParticleEnergies | None = None) -> VerificationReport:
+def verify_free(h: Hamiltonian, energies: SingleParticleEnergies | None = None,
+                hole_budget: int = HOLE_SEARCH_BUDGET) -> VerificationReport:
     """Compare the brute-force spectrum against the synthesized free one.
 
     Each sign pattern of the alpha energies holds 2^(n - alpha) states, so
@@ -294,36 +294,30 @@ def verify_free(h: Hamiltonian,
     ``degeneracy_uniform``.
 
     Refuses (reports not-applicable, with the structure report's
-    ``refusal`` as its reason) unless the frustration graph is ECF.  The
-    energies are solved for unless ``energies`` gives them.  Once the
-    oracle has returned, the report records its symmetry generators s and
-    block size n - s in qubits.  Any refusal of the oracle, a cap or a
-    self-check, keeps the synthesized energies and is named in
-    ``failure``, as alpha > n and the root finder's refusal are.
+    ``refusal`` as its reason) unless the frustration graph is ECF, as
+    ``classify`` decides it within ``hole_budget``.  The energies are
+    solved for unless ``energies`` gives them.  Once the oracle has
+    returned, the report records its symmetry generators s and block size
+    n - s in qubits.  Every refusal after the classification, the root
+    finder's, alpha > n, and the oracle's caps and self-checks, is named in
+    ``failure`` and leaves both spectrum verdicts and the deviation None;
+    energies already solved are kept.
     """
     report = VerificationReport()
     with _stage(report, "classify"):
         graph = frustration_graph(h)
-        report.structure = classify(graph)
+        report.structure = classify(graph, hole_budget)
     if not report.applicable:
         return report
 
-    with _stage(report, "energies"):
-        if energies is None:
-            try:
-                energies = single_particle_energies(weighted_independence_polynomial(graph))
-            except FFSolveError as exc:
-                report.spectrum_match = False
-                report.failure = str(exc)
-                return report
-        report.energies = list(energies.energies)
-    if energies.total > h.n:
-        report.spectrum_match = False
-        report.failure = (f"alpha={energies.total} exceeds qubit count n={h.n}: "
-                          f"{1 << energies.total} sign patterns for {1 << h.n} states")
-        return report
-
     try:
+        with _stage(report, "energies"):
+            if energies is None:
+                energies = single_particle_energies(weighted_independence_polynomial(graph))
+            report.energies = list(energies.energies)
+        if energies.total > h.n:
+            raise FFSolveError(f"alpha={energies.total} exceeds qubit count n={h.n}: "
+                               f"{1 << energies.total} sign patterns for {1 << h.n} states")
         with _stage(report, "diagonalize"):
             brute = brute_force_spectrum(h)
             report.symmetry_generators = len(symmetry_generators(h))
@@ -403,7 +397,7 @@ def _check_all(h: Hamiltonian, report: VerificationReport, hole_budget: int) -> 
         report.lemma_residuals["zero_eigenvector"] = zero_eigenvector_residual(
             modes, hext, graph)
 
-    free = verify_free(h, energies=energies)
+    free = verify_free(h, energies, hole_budget)
     for name in ("spectrum_match", "max_level_deviation", "degeneracy_uniform",
                  "symmetry_generators", "block_qubits", "failure"):
         setattr(report, name, getattr(free, name))

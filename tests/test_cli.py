@@ -398,15 +398,35 @@ def test_verify_reports_a_charge_norm_that_underflows(tmp_path, capsys, name):
 
 
 def test_verify_records_alpha_above_the_qubit_count(tmp_path, capsys):
-    """An ECF graph, connected, with three commuting terms on two qubits:
-    the operator identities hold on the extended system, but 2^3 sign
-    patterns cannot share 4 states, and verify says so instead of raising."""
+    """ECF graphs, connected, with alpha = 3 on two qubits, one with three
+    commuting terms and a 5-path: the operator identities hold on the
+    extended system, but 2^3 sign patterns cannot share 4 states, and
+    verify says so instead of raising.  No comparison ran, so neither
+    spectrum verdict nor the deviation is set."""
     p = tmp_path / "dependent.ham"
-    p.write_text("1.0 Z0\n0.7 Z1\n0.5 Z0 Z1\n0.9 X0 X1\n0.6 Y0\n")
-    code, doc = run_json(capsys, "verify", str(p))
-    assert code == 1
-    assert doc["result"]["structure"]["ecf"] is True and len(doc["result"]["energies"]) == 3
-    assert doc["result"]["failure"].startswith("alpha=3 exceeds qubit count n=2")
+    for text in ("1.0 Z0\n0.7 Z1\n0.5 Z0 Z1\n0.9 X0 X1\n0.6 Y0\n",
+                 "1.0 Z1\n0.9 X0 X1\n0.8 Z0\n0.7 X0\n0.6 Z0 Z1\n"):
+        p.write_text(text)
+        code, doc = run_json(capsys, "verify", str(p))
+        result = doc["result"]
+        assert code == 1
+        assert result["structure"]["ecf"] is True and len(result["energies"]) == 3
+        assert result["failure"].startswith("alpha=3 exceeds qubit count n=2")
+        assert result["spectrum_match"] is None and result["max_level_deviation"] is None
+
+
+@pytest.mark.parametrize("text", ["p 4\ne 0 1\ne 0 2\ne 0 3\n", "p 3\ne 0 1\ne 1 2\n"],
+                         ids=["claw", "path"])
+def test_solve_modes_on_a_graph_file_is_an_input_error(tmp_path, capsys, text):
+    """Modes need the Pauli strings, which a graph file lacks: ``solve
+    --modes`` on one exits 1 with one line before any work, whether the
+    graph is a claw, which would be refused, or a path, which would solve."""
+    p = tmp_path / "g.graph"
+    p.write_text(text)
+    code = main(["solve", "--modes", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --modes needs a Hamiltonian input, not a graph\n"
 
 
 def test_analyze_reports_the_one_simplicial_clique(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -701,9 +702,18 @@ def test_bisection_reference_stops_at_adjacent_subnormals():
 
 
 def test_complex_roots_detected():
-    # 1 + x + x^2 has complex roots; degree says two energies, none real
-    with pytest.raises(ComplexRootError):
-        single_particle_energies(IndependencePolynomial((1, 1, 1), 0))
+    """1 + x + x^2 has complex roots: degree says two energies, none real.
+    So does 1 + 4x + 3x^2 + x^3 of the unit-weight claw K_{1,3}, where
+    Newton's inequality fails at k = 2: 3^2 2 1 = 18 < 4 1 3 2 = 24.  The
+    message names alpha and the k at which the inequality fails."""
+    newton = ("Newton's inequality C_k^2 k (alpha - k) >= C_(k-1) C_(k+1) (k + 1) "
+              "(alpha - k + 1)")
+    claw = weighted_independence_polynomial(WeightedGraph(4, [(0, 1), (0, 2), (0, 3)]))
+    for poly, alpha, k in ((IndependencePolynomial((1, 1, 1), 0), 2, 1), (claw, 3, 2)):
+        with pytest.raises(ComplexRootError) as refusal:
+            single_particle_energies(poly)
+        assert str(refusal.value) == (f"alpha={alpha}: {newton} fails at k={k}, "
+                                      "so the polynomial has complex roots")
 
 
 def test_underflowed_top_coefficient_keeps_alpha():
@@ -754,11 +764,12 @@ def test_zero_weights_are_the_induced_subgraph(data):
     assert got.ints == want.ints and [c.hex() for c in got.coeffs] == [c.hex() for c in want.coeffs]
 
 
-@pytest.mark.parametrize("poly, found, error", [
-    (exact_polynomial((1.0, 1e200, 1e-120)), 1, ConditioningError),
-    (chain_polynomial(ChainSpec(5, 2, (6.9e-226, 7.9e-184))), 0, ComplexRootError),
+@pytest.mark.parametrize("poly, message, error", [
+    (exact_polynomial((1.0, 1e200, 1e-120)), "isolated 1 real roots, expected 2", ConditioningError),
+    (chain_polynomial(ChainSpec(5, 2, (6.9e-226, 7.9e-184))),
+     "alpha=5, but c_5 is 0: a root at 0", ComplexRootError),
 ], ids=["huge-c1", "chain-5x2"])
-def test_underflowed_constant_term_is_refused(poly, found, error):
+def test_underflowed_constant_term_is_refused(poly, message, error):
     """Roots that no float in s reaches are refused, naming alpha.  The
     float recursion of the chain underflows its c_5 to 0, so R has a root
     at 0, which no energy has, and no real-rooted R of degree 5 has.  The
@@ -768,7 +779,7 @@ def test_underflowed_constant_term_is_refused(poly, found, error):
     a NaN residual and a RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(error, match=f"isolated {found} real roots, expected {poly.alpha}"):
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
             single_particle_energies(poly)
 
 

@@ -27,6 +27,7 @@ from ffsolve import paulis, solver
 from ffsolve.errors import ConditioningError, DegenerateModeError, FFSolveError, NotSimplicialError
 from ffsolve.graphs import frustration_graph
 from ffsolve.indpoly import (
+    IndependencePolynomial,
     SingleParticleEnergies,
     single_particle_energies,
     weighted_independence_polynomial,
@@ -458,6 +459,23 @@ def test_mode_construction_refuses_a_ritz_vector_the_run_does_not_pin(h):
     report = verify_all(h)
     assert not report.passed()
     assert report.failure.startswith("the Lanczos bound of mode 0 ")
+
+
+def test_mode_construction_refuses_what_floats_cannot_form():
+    """h5 with e_0 replaced by 1e-160, whose 1 / e_0^2 overflows, and h5
+    with P_G replaced by 1 + x, whose normalization squared is negative at
+    the true e_0: each mode is refused, naming the quantity and the mode."""
+    h = h5_model(1.0, 0.7, -1.3, 0.4, 2.0)
+    g = frustration_graph(h)
+    hext, chi = simplicial_extension(h, smallest_simplicial_clique(g))
+    poly = weighted_independence_polynomial(g)
+    energies = single_particle_energies(poly)
+    levels = ((1e-160, 1),) + energies.energies[1:]
+    with pytest.raises(ConditioningError, match=r"^1 / e_0\^2 overflows at mode 0"):
+        all_modes(hext, chi, SingleParticleEnergies(levels, energies.width), poly)
+    with pytest.raises(ConditioningError,
+                       match=r"^normalization squared is -1\.871e\+00 at mode 0"):
+        all_modes(hext, chi, energies, IndependencePolynomial((1, 1), 0))
 
 
 def test_ladder_sign_pair():

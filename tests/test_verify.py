@@ -1,7 +1,6 @@
 """Exact-diagonalization oracle and the top-level verification flows."""
 
 import dataclasses
-import functools
 import math
 import random
 
@@ -108,11 +107,12 @@ def test_verify_free_reports_a_refused_root_finder():
     """Two commuting terms of couplings 1e150 and 1e-150: the lower root
     lies 1e-600 below the upper one, under every float of the root finder,
     which isolates one root of two.  The report fails with its reason, not
-    a traceback."""
+    a traceback, and holds no spectrum verdict: no comparison ran, and the
+    refused stage is not timed."""
     rep = verify_free(parse_hamiltonian("1e150 X0\n1e-150 X1\n"))
-    assert rep.applicable and rep.spectrum_match is False
+    assert rep.applicable and rep.spectrum_match is None and rep.degeneracy_uniform is None
     assert rep.failure.startswith("isolated 1 real roots, expected 2")
-    assert rep.energies is None and list(rep.timings) == ["classify", "energies"]
+    assert rep.energies is None and list(rep.timings) == ["classify"]
     assert not rep.passed()
 
 
@@ -130,21 +130,20 @@ def test_passed_needs_every_residual_within_its_tolerance():
     assert not report({"car": 1e-15, "ladder": 0.0}, verdict=None).passed()
 
 
-def test_verify_all_does_not_pass_without_its_oracle(monkeypatch):
-    """``verify_free`` classifies at the default hole budget.  Where that
-    search runs out but the caller's larger budget decides ECF, the oracle
-    never runs and the report holds no spectrum verdict: it fails."""
-    decide = verify.classify
+def test_verify_all_classifies_at_its_budget_twice(monkeypatch):
+    """``verify_all`` hands its hole budget to ``verify_free``, so both
+    classifications search at the caller's budget, and the oracle's
+    comparison runs and passes."""
+    decide, budgets = verify.classify, []
 
     def classify(graph, hole_budget=recognition.HOLE_SEARCH_BUDGET):
-        if hole_budget == recognition.HOLE_SEARCH_BUDGET:
-            return recognition.StructureReport(None, None, True, None)
+        budgets.append(hole_budget)
         return decide(graph, hole_budget)
 
     monkeypatch.setattr(verify, "classify", classify)
     rep = verify_all(h5_model(1.0, 0.7, -1.3, 0.4, 2.0), hole_budget=10**9)
-    assert rep.applicable and rep.spectrum_match is None and rep.failure is None
-    assert not rep.passed()
+    assert budgets == [10**9, 10**9]
+    assert rep.spectrum_match is True and rep.passed()
 
 
 def test_a_nan_residual_at_one_u_fails_verify_all(monkeypatch):
@@ -280,9 +279,10 @@ def test_spectrum_match_fails_on_one_eigenvalue_off_by_1e_7(monkeypatch):
 
 def test_verify_free_records_alpha_above_the_qubit_count():
     """Three commuting terms on two qubits have alpha = 3: 2^3 sign
-    patterns cannot share 2^2 states, and the report says so."""
+    patterns cannot share 2^2 states, and the report says so, with no
+    spectrum verdict, since no comparison ran."""
     rep = verify_free(parse_hamiltonian("1.0 Z0\n0.7 Z1\n0.5 Z0 Z1\n"))
-    assert rep.applicable and rep.spectrum_match is False
+    assert rep.applicable and rep.spectrum_match is None and rep.max_level_deviation is None
     assert [e for e, _ in rep.energies] == pytest.approx([0.5, 0.7, 1.0])
     assert rep.failure.startswith("alpha=3 exceeds qubit count n=2")
     assert not rep.passed()
@@ -337,12 +337,10 @@ def test_verify_all_undecided_budget():
     assert rep.skip_reason and "undecided" in rep.skip_reason
 
 
-def test_verify_free_names_an_undecided_graph_undecided(monkeypatch):
+def test_verify_free_names_an_undecided_graph_undecided():
     """verify_free reads its reason from the structure report: an even-hole
     search out of budget is undecided, not a graph that is not ECF."""
-    monkeypatch.setattr(verify, "classify",
-                        functools.partial(recognition.classify, hole_budget=10))
-    rep = verify_free(chain_model(3, 3, periodic=True))
+    rep = verify_free(chain_model(3, 3, periodic=True), hole_budget=10)
     assert rep.structure.undecided and not rep.applicable
     assert rep.skip_reason == "even-hole search undecided (budget exhausted)"
 
