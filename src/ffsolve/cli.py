@@ -107,11 +107,16 @@ def _draw_couplings(count: int, seed: int) -> list[float]:
 
 
 def _load_input(args: argparse.Namespace) -> tuple[Hamiltonian | None, WeightedGraph]:
-    """Hamiltonian (when available) and its weighted graph."""
+    """Hamiltonian (when available) and its weighted graph.  A graph file
+    has no Pauli strings, so only ``analyze`` and ``solve`` without
+    ``--modes`` take one."""
     if args.input:
         with open(args.input) as fh:
             text = fh.read()
         if next(records(text), (0, ""))[1].startswith("p "):
+            needs = "--modes" if getattr(args, "modes", False) else args.command
+            if needs not in ("analyze", "solve"):
+                raise ParseError(f"{needs} needs a Hamiltonian input, not a graph")
             return None, parse_graph(text)
         h = parse_hamiltonian(text)
         return h, frustration_graph(h)
@@ -154,8 +159,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     h, graph = _load_input(args)
-    if args.modes and h is None:
-        raise ParseError("--modes needs a Hamiltonian input, not a graph")
     payload, report = _structure_payload(graph, args.budget)
     if report.refusal:
         payload["refusal"] = report.refusal
@@ -166,7 +169,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     payload["energies"] = energies.energies
     payload["bracket_width"] = energies.width
     n = h.n if h else graph.n
-    if energies.total <= n and energies.total <= FREE_SPECTRUM_ALPHA_CAP:
+    # a degeneracy 2^(n - alpha) that is a finite double is exact in every JSON reader
+    if (energies.total <= n and energies.total <= FREE_SPECTRUM_ALPHA_CAP
+            and n - energies.total < sys.float_info.max_exp):
         payload["free_spectrum"] = free_spectrum(energies, n)
     if args.modes:
         ks = report.simplicial_clique
@@ -182,8 +187,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     h, _ = _load_input(args)
-    if h is None:
-        raise ParseError("verify needs a Hamiltonian input, not a graph")
     report = verify_all(h, hole_budget=args.budget)
     _emit(args, report.to_dict())
     if report.structure and report.structure.ecf is None:

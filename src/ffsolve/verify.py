@@ -60,110 +60,86 @@ def _omega(u: int, v: int, n: int) -> int:
     return ((u & v >> n) ^ (u >> n & v)).bit_count() & 1
 
 
-def _commutant(n: int, vectors: list[int]) -> list[int]:
-    """A basis of the strings that commute with every vector: the null
-    space, over GF(2), of the rows z | x << n."""
-    rows: list[tuple[int, int]] = []  # (pivot bit, row), reduced: a pivot is set in its row only
-    for v in vectors:
-        r = v >> n | (v & ((1 << n) - 1)) << n
-        for bit, row in rows:
-            if r >> bit & 1:
-                r ^= row
-        if r:
-            bit = r.bit_length() - 1
-            rows = [(b, row ^ r if row >> bit & 1 else row) for b, row in rows]
-            rows.append((bit, r))
-    pivots = {bit for bit, _ in rows}
-    return [1 << f | sum(1 << bit for bit, row in rows if row >> f & 1)
-            for f in range(2 * n) if f not in pivots]
-
-
-def _symplectic_pairs(n: int, vectors: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+def _symplectic_pairs(n: int, vectors: list[int]) -> list[tuple[int, int]]:
     """Symplectic Gram-Schmidt over ``vectors``, taken in order: pairs (u, w)
-    with omega(u, w) = 1 and omega 0 between different pairs, and the
-    vectors left with no partner (zero when ``vectors`` span everything).
-    Every u, paired or not, is its input vector plus vectors taken before it."""
-    rest, pairs, unpaired = list(vectors), [], []
+    with omega(u, w) = 1 and omega 0 between different pairs.  Every u and w
+    is its input vector plus vectors taken before it, and w is the first
+    vector after u that anticommutes with it; a vector with none is dropped,
+    which leaves only zeros when ``vectors`` span everything."""
+    rest, pairs = list(vectors), []
     while rest:
         u = rest.pop(0)
         w = next((w for w in rest if _omega(u, w, n)), None)
         if w is None:
-            unpaired.append(u)
             continue
         rest.remove(w)
         rest = [r ^ (u if _omega(r, w, n) else 0) ^ (w if _omega(r, u, n) else 0)
                 for r in rest]
         pairs.append((u, w))
-    return pairs, unpaired
+    return pairs
 
 
-def symmetry_generators(h: Hamiltonian) -> list[int]:
-    """Independent generators x | z << n of a largest group of commuting
-    Pauli strings that commute with every term of ``h``.
-
-    Such a group has the same size whichever one is taken: one string of
-    each pair in the commutant's symplectic Gram-Schmidt, and every string
-    left without a partner.
-    """
-    pairs, unpaired = _symplectic_pairs(
-        h.n, _commutant(h.n, [t.x | t.z << h.n for _, t in h.terms]))
-    return [u for u, _ in pairs] + unpaired
-
-
-def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
+def brute_force_spectrum(h: Hamiltonian) -> tuple[np.ndarray, int]:
     """The 2^n eigenvalues, ascending, from exact diagonalization in the
-    Pauli-symmetry sectors of the commutant's centre.
+    Pauli-symmetry sectors of the commutant's centre, and the size m of
+    each sector's block in qubits.
 
-    The commutant of the terms splits, by symplectic Gram-Schmidt, into p
-    pairs (u_i, w_i) and c central strings; the u_i and the central ones
-    are the s = p + c generators of ``symmetry_generators(h)``, commuting
-    symmetries a_0..a_{s-1} with the u_i first.  Symplectic Gram-Schmidt
-    extends them to pairs (a_k, b_k), k < n, that a Clifford maps to
+    One symplectic Gram-Schmidt over the terms' strings, then over the 2n
+    single-qubit strings, gives n pairs (a_k, b_k) that a Clifford maps to
     (Z_k, X_k).  A term sigma(v) then becomes i^-e prod_k Z_k^<v,b_k>
     X_k^<v,a_k>, where <u,v> is 1 for anticommuting strings and i^e sigma(v)
     is the product of the a_k^<v,b_k> b_k^<v,a_k> (``paulis.multiply``).
-    On the first s qubits a term carries Z only, which is the sign lambda_k
-    in the sector where a_k has eigenvalue lambda_k; so each sector is a
-    block on the other m = n - s qubits, built from the terms' reduced
-    strings.  Each w_i commutes with every term and anticommutes with u_i
-    alone, so it maps the sector at lambda to the one at lambda with the
-    sign of u_i flipped, block spectrum included.  Only the 2^c sectors
-    with every u_i at +1 are diagonalized, a batch at a time, and each
-    block's eigenvalues are repeated 2^p times.
+    As the terms come first, each pair is one of three kinds, told apart by
+    which of its strings anticommutes with some term: both do for a block
+    qubit, whose pair lies in the terms' span T (m of them, half the rank
+    of the terms' symplectic form); b alone for a sector qubit, whose a
+    lies in the centre of T, the part of T that commutes with every term,
+    so that every term carries Z only there (c of them); and neither for a
+    qubit that no term touches (p = n - m - c of them).  Sorted sector
+    qubits first, then untouched ones, then block ones, the Z_k of a
+    sector qubit is the sign lambda_k in the sector where a_k has
+    eigenvalue lambda_k, so each of the 2^c sectors is a block on the last
+    m qubits, built from the terms' reduced strings.  The sectors are
+    diagonalized a batch at a time, and each block's eigenvalues are
+    repeated 2^p times, once for each state of the untouched qubits.
 
     Caps, each checked before the work it bounds: the 2^n eigenvalues are
     no more than the 4^DENSE_QUBIT_CAP entries of one matrix at the cap,
     checked on n alone before anything else; and, before any block is
-    allocated, m <= DENSE_QUBIT_CAP and the work 2^c 8^m <= 8^DENSE_QUBIT_CAP.  The
-    pairs self-check their commutation, and every block the reduction:
-    tr(H_lambda) is 2^m times its identity coefficient, tr(H_lambda^2) is
-    2^m times the sum of its squared coefficients, and every reduced
-    coefficient is real.  The blocks are built at unit largest coupling, so
-    the self-check tolerance is scale-free.
+    allocated, m <= DENSE_QUBIT_CAP and the work 2^c 8^m <= 8^DENSE_QUBIT_CAP.
+    Self-checks: any two of the 2n frame strings anticommute exactly when
+    they form a pair; the frame rebuilds every term, which carries no X on
+    a sector qubit and nothing on an untouched one; and every block checks
+    the reduction: tr(H_lambda) is 2^m times its identity coefficient,
+    tr(H_lambda^2) is 2^m times the sum of its squared coefficients, and
+    every reduced coefficient is real.  The blocks are built at unit
+    largest coupling, so the self-check tolerance is scale-free.
     """
     n = h.n
     if n > 2 * DENSE_QUBIT_CAP:
         raise DenseCapError(f"the 2^{n} eigenvalues of {n} qubits exceed the oracle's "
                             f"eigenvalue cap 2^{2 * DENSE_QUBIT_CAP}")
     terms = [t.x | t.z << n for _, t in h.terms]
-    paired, central = _symplectic_pairs(n, _commutant(n, terms))
-    generators = [u for u, _ in paired] + central
-    p, c = len(paired), len(central)
-    s, m = p + c, n - p - c
+    pairs = _symplectic_pairs(n, terms + [1 << i for i in range(2 * n)])
+    flat = [v for pair in pairs for v in pair]
+    if len(pairs) != n or any(_omega(flat[i], flat[j], n) != (i ^ 1 == j)
+                              for i in range(2 * n) for j in range(i)):
+        raise FFSolveError("oracle self-check failed: no symplectic basis")
+
+    def meets(v: int) -> bool:
+        return any(_omega(v, t, n) for t in terms)
+
+    # 0 a sector qubit (b alone meets a term), 1 an untouched one, 2 a block qubit
+    kinds = [2 * meets(a) + (not meets(b)) for a, b in pairs]
+    pairs = [pair for _, pair in sorted(zip(kinds, pairs), key=lambda kp: kp[0])]
+    c, p = kinds.count(0), kinds.count(1)
+    m = n - c - p
     if m > DENSE_QUBIT_CAP:
         raise DenseCapError(f"{m}-qubit symmetry sectors exceed the oracle cap {DENSE_QUBIT_CAP}")
     if c + 3 * m > 3 * DENSE_QUBIT_CAP:
         raise DenseCapError(f"2^{c} central symmetry sectors of {m} qubits exceed the oracle's "
                             f"work cap 8^{DENSE_QUBIT_CAP}")
-    for i, (_, w) in enumerate(paired):
-        if any(_omega(w, v, n) for v in terms) or [
-                j for j, g in enumerate(generators) if _omega(w, g, n)] != [i]:
-            raise FFSolveError("oracle self-check failed: a paired symmetry does not "
-                               "flip its generator alone")
-    pairs, _ = _symplectic_pairs(n, generators + [1 << i for i in range(2 * n)])
-    if len(pairs) != n:
-        raise FFSolveError("oracle self-check failed: no symplectic basis")
-    mask = (1 << n) - 1
+    mask, low = (1 << n) - 1, (1 << c + p) - 1
     frame = [(a, b, PauliTerm(n, a & mask, a >> n), PauliTerm(n, b & mask, b >> n))
              for a, b in pairs]
     scale = max(abs(c) for c in h.couplings())
@@ -182,8 +158,8 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
                 xs |= 1 << k
                 step, word = multiply(word, b_term)
                 e += step
-        xr, zr = xs >> s, zs >> s
-        if word != t or xs & ((1 << s) - 1):
+        xr, zr = xs >> c + p, zs >> c + p
+        if word != t or xs & low or (zs & low) >> c:
             raise FFSolveError("oracle self-check failed: a term left the symmetry frame")
         # sigma(v) is i^-e times that product, and Z^z X^x = i^(x z) sigma(x, z) on each
         # reduced qubit
@@ -191,7 +167,7 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
         if coef.imag:
             raise FFSolveError("oracle self-check failed: a reduced term is not Hermitian")
         index.append(reduced.setdefault((xr, zr), len(reduced)))
-        sector_bits.append(zs & ((1 << s) - 1))
+        sector_bits.append(zs & ((1 << c) - 1))
         coefs.append(coef.real / scale)
     strings, index = list(reduced), np.array(index)
     order = np.argsort(index, kind="stable")
@@ -205,8 +181,7 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
     batch = max(1, (1 << DENSE_QUBIT_CAP) // dim)
     evals = []
     for first in range(0, 1 << c, batch):
-        # the sectors of the batch, u_i at +1: their sign bits k < p are 0
-        sectors = np.arange(first, min(first + batch, 1 << c), dtype=np.uint64) << np.uint64(p)
+        sectors = np.arange(first, min(first + batch, 1 << c), dtype=np.uint64)
         # the coefficient of each reduced string in each sector of the batch
         signs = 1.0 - 2.0 * (np.bitwise_count(sectors[:, None] & sector_bits) & 1)
         block_coefs = np.add.reduceat(signs * coefs, starts, axis=1)
@@ -218,7 +193,7 @@ def brute_force_spectrum(h: Hamiltonian) -> np.ndarray:
         if np.abs((np.abs(blocks) ** 2).sum(axis=(1, 2)) - square).max() > tol:
             raise FFSolveError("oracle self-check failed: tr(H^2) of a sector block")
         evals.append(np.linalg.eigvalsh(blocks).ravel())
-    return np.repeat(np.sort(np.concatenate(evals)) * scale, 1 << p)
+    return np.repeat(np.sort(np.concatenate(evals)) * scale, 1 << p), m
 
 
 @dataclass
@@ -297,8 +272,9 @@ def verify_free(h: Hamiltonian, energies: SingleParticleEnergies | None = None,
     ``refusal`` as its reason) unless the frustration graph is ECF, as
     ``classify`` decides it within ``hole_budget``.  The energies are
     solved for unless ``energies`` gives them.  Once the oracle has
-    returned, the report records its symmetry generators s and block size
-    n - s in qubits.  Every refusal after the classification, the root
+    returned, the report records its block size m in qubits and its n - m
+    symmetry generators, one for each sector qubit and each qubit that no
+    term touches.  Every refusal after the classification, the root
     finder's, alpha > n, and the oracle's caps and self-checks, is named in
     ``failure`` and leaves both spectrum verdicts and the deviation None;
     energies already solved are kept.
@@ -319,9 +295,8 @@ def verify_free(h: Hamiltonian, energies: SingleParticleEnergies | None = None,
             raise FFSolveError(f"alpha={energies.total} exceeds qubit count n={h.n}: "
                                f"{1 << energies.total} sign patterns for {1 << h.n} states")
         with _stage(report, "diagonalize"):
-            brute = brute_force_spectrum(h)
-            report.symmetry_generators = len(symmetry_generators(h))
-            report.block_qubits = h.n - report.symmetry_generators
+            brute, m = brute_force_spectrum(h)
+            report.symmetry_generators, report.block_qubits = h.n - m, m
     except FFSolveError as exc:
         report.failure = str(exc)
         return report

@@ -48,7 +48,6 @@ from ffsolve.verify import (
     _omega,
     _symplectic_pairs,
     brute_force_spectrum,
-    symmetry_generators,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -520,7 +519,7 @@ def free_spectrum_matches(h) -> bool:
     energies = indpoly.single_particle_energies(
         weighted_independence_polynomial(frustration_graph(h)))
     sums = indpoly.sign_sums(energies)
-    brute = brute_force_spectrum(h)
+    brute, _ = brute_force_spectrum(h)
     if len(brute) % len(sums):
         return False
     scale = max(abs(c) for c in h.couplings())
@@ -557,7 +556,7 @@ def oracle_levels(h) -> list[tuple[float, int]]:
     """(mean, count) of each run of the eigenvalues of
     ``verify.brute_force_spectrum`` whose gaps are at most
     SPECTRUM_CLUSTER_TOL of the largest |coupling|."""
-    values = brute_force_spectrum(h)
+    values, _ = brute_force_spectrum(h)
     tol = SPECTRUM_CLUSTER_TOL * max(abs(c) for c in h.couplings())
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1, [len(values)]))
     counts = np.diff(bounds)
@@ -574,13 +573,18 @@ def full_matrix_spectrum(h) -> np.ndarray:
 
 def all_sector_spectrum(h) -> np.ndarray:
     """Reference for ``verify.brute_force_spectrum``, which diagonalizes the
-    centre's sectors only: here every one of the 2^s sectors of
-    ``symmetry_generators(h)`` is a dense block on m = n - s qubits,
-    diagonalized on its own; no cap and no self-check."""
+    centre's sectors only and repeats their eigenvalues for the qubits that
+    no term touches: here every frame pair whose a commutes with every term
+    is a sector qubit, and each of the 2^s sectors is a dense block on the
+    other m = n - s qubits, diagonalized on its own; no cap and no
+    self-check."""
     n = h.n
-    generators = symmetry_generators(h)
-    s, m = len(generators), n - len(generators)
-    pairs, _ = _symplectic_pairs(n, generators + [1 << i for i in range(2 * n)])
+    terms = [t.x | t.z << n for _, t in h.terms]
+    pairs = _symplectic_pairs(n, terms + [1 << i for i in range(2 * n)])
+    meets = [any(_omega(a, v, n) for v in terms) for a, _ in pairs]
+    pairs = [pair for pair, met in zip(pairs, meets) if not met] + [
+        pair for pair, met in zip(pairs, meets) if met]
+    s, m = meets.count(False), meets.count(True)
     mask = (1 << n) - 1
     frame = [(a, b, PauliTerm(n, a & mask, a >> n), PauliTerm(n, b & mask, b >> n))
              for a, b in pairs]

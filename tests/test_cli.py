@@ -613,6 +613,7 @@ REFUSALS = [
     # command lines: exit 1 with one line on stderr
     (None, "provide an input file or --model", ["solve"]),
     (None, "verify needs a Hamiltonian input", ["verify", "{graph}"]),
+    (None, "generate needs a Hamiltonian input", ["generate", "{graph}"]),
     (None, "--vary must be in 1..3",
      ["scan", "--k", "3", "--N", "4", "--Nprime", "8", "--values", "0.5", "--vary", "4"]),
     # the library: raises
@@ -660,6 +661,21 @@ def test_graph_files_without_vertices_or_finite_weights_exit_1(capsys, tmp_path,
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: line ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("top, listed", [(20000, False), (1023, True)], ids=["wide", "widest-listed"])
+def test_solve_lists_the_free_spectrum_while_its_degeneracy_is_a_finite_double(
+        capsys, tmp_path, top, listed):
+    """X on qubit ``top`` alone: alpha = 1 on n = top + 1 qubits, so each
+    level holds 2^top states.  At 2^20000, more digits than an int prints,
+    ``solve`` exits 0 without a free spectrum; at 2^1023, the largest
+    finite double, the count is listed exactly."""
+    p = tmp_path / "wide.ham"
+    p.write_text(f"1.0 X{top}\n")
+    code, doc = run_json(capsys, "solve", str(p))
+    res = doc["result"]
+    assert code == 0 and res["energies"] == [[1.0, 1]]
+    assert res.get("free_spectrum") == ([[-1.0, 1 << top], [1.0, 1 << top]] if listed else None)
 
 
 def test_solve_a_graph_of_zero_weights(capsys, tmp_path):

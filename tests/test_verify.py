@@ -39,7 +39,6 @@ from ffsolve.solver import (
 from ffsolve.verify import (
     VerificationReport,
     brute_force_spectrum,
-    symmetry_generators,
     verify_all,
     verify_free,
 )
@@ -60,7 +59,7 @@ def z_everywhere(n: int) -> Hamiltonian:
 
 def test_brute_force_single_z():
     h = Hamiltonian.from_pairs([(1.0, PauliTerm.from_ops(1, {0: "Z"}))])
-    assert brute_force_spectrum(h).tolist() == [-1.0, 1.0]
+    assert brute_force_spectrum(h)[0].tolist() == [-1.0, 1.0]
 
 
 def test_brute_force_two_level():
@@ -69,7 +68,8 @@ def test_brute_force_two_level():
         (a, PauliTerm.from_ops(1, {0: "X"})),
         (b, PauliTerm.from_ops(1, {0: "Z"})),
     ])
-    spec = brute_force_spectrum(h)
+    spec, m = brute_force_spectrum(h)
+    assert m == 1
     expect = np.sqrt(a * a + b * b)
     assert np.abs(spec - [-expect, expect]).max() < 1e-12
 
@@ -238,9 +238,10 @@ def _with_oracle(monkeypatch, h, change):
     """``verify_free(h)`` on the oracle's eigenvalues after ``change``
     (in place, in units of the largest |coupling|)."""
     scale = max(abs(c) for c in h.couplings())
-    eigs = brute_force_spectrum(h) / scale
+    eigs, m = brute_force_spectrum(h)
+    eigs /= scale
     change(eigs)
-    monkeypatch.setattr(verify, "brute_force_spectrum", lambda _: eigs * scale)
+    monkeypatch.setattr(verify, "brute_force_spectrum", lambda _: (eigs * scale, m))
     return verify_free(h)
 
 
@@ -394,12 +395,14 @@ def _random_hamiltonian(rng, n, kind):
     return Hamiltonian.from_pairs(terms, n=n)
 
 
-def _assert_matches_full_matrix(h):
+def _assert_matches_full_matrix(h) -> int:
+    """The oracle's block size m, once its eigenvalues match the full matrix's."""
     scale = max(abs(c) for c in h.couplings())
     want = full_matrix_spectrum(h)
-    got = brute_force_spectrum(h)
+    got, m = brute_force_spectrum(h)
     assert got.shape == (1 << h.n,)
     assert np.abs(got - want).max() <= 1e-12 * scale
+    return m
 
 
 def test_oracle_matches_full_matrix_on_random_hamiltonians():
@@ -409,9 +412,9 @@ def test_oracle_matches_full_matrix_on_random_hamiltonians():
         n = 10 if trial in (7, 131) else 1 + trial % 9
         kind = kinds[trial % len(kinds)]
         h = _random_hamiltonian(rng, n, kind)
+        m = _assert_matches_full_matrix(h)
         if kind == "commuting":
-            assert len(symmetry_generators(h)) == n
-        _assert_matches_full_matrix(h)
+            assert m == 0
 
 
 def test_oracle_matches_full_matrix_without_symmetries():
@@ -419,8 +422,29 @@ def test_oracle_matches_full_matrix_without_symmetries():
     for model in (h6_model, back_to_back_model):
         for _ in range(5):
             h = model(*[rng.choice([-1, 1]) * rng.uniform(0.5, 1.5) for _ in range(6)])
-            assert symmetry_generators(h) == []
-            _assert_matches_full_matrix(h)
+            assert _assert_matches_full_matrix(h) == h.n
+
+
+@pytest.mark.parametrize("text, m, want", [
+    # Y0 depends on X0 and Z0: the Gram-Schmidt leaves it a zero
+    ("0.3 X0\n0.4 Z0\n1.2 Y0\n", 1, [-1.3, 1.3]),
+    # commuting terms, Y0 Y1 = -X0 X1 Z0 Z1: two sector qubits and a phase
+    ("1.0 X0 X1\n0.7 Z0 Z1\n0.4 Y0 Y1\n", 0, [-2.1, 0.1, 0.7, 1.3]),
+    # no term touches qubit 1: each level twice
+    ("1.0 X0\n0.5 X2\n", 0, [-1.5, -1.5, -0.5, -0.5, 0.5, 0.5, 1.5, 1.5]),
+], ids=["dependent", "commuting", "untouched"])
+def test_oracle_on_dependent_terms_and_untouched_qubits(text, m, want):
+    h = parse_hamiltonian(text)
+    assert _assert_matches_full_matrix(h) == m
+    assert np.abs(brute_force_spectrum(h)[0] - want).max() <= 1e-12
+
+
+def test_verify_free_counts_an_untouched_qubit_as_a_symmetry():
+    """X0 and X2 on 3 qubits: two sector qubits and one that no term
+    touches, s = 3 symmetry generators and blocks of m = 0 qubits."""
+    rep = verify_free(parse_hamiltonian("1.0 X0\n0.5 X2\n"))
+    assert rep.passed(), rep.failure
+    assert (rep.symmetry_generators, rep.block_qubits) == (3, 0)
 
 
 @pytest.mark.parametrize("h, s", [
@@ -430,13 +454,17 @@ def test_oracle_matches_full_matrix_without_symmetries():
     (junction_model((1, 1, 1), 3), 9), (chain_model(7, 3), 11),
 ])
 def test_symmetry_generators_commute_with_the_terms_and_each_other(h, s):
-    gens = symmetry_generators(h)
-    assert len(gens) == s
+    """The s = n - m symmetry generators are the strings a of the oracle's
+    frame pairs that commute with every term, those of the sector qubits
+    and of the untouched ones; they commute with each other too."""
     n = h.n
-    strings = [(g & (1 << n) - 1, g >> n) for g in gens]
-    for g in strings:
-        assert not any(_anticommute(g, (t.x, t.z)) for _, t in h.terms)
-        assert not any(_anticommute(g, other) for other in strings)
+    terms = [t.x | t.z << n for _, t in h.terms]
+    pairs = verify._symplectic_pairs(n, terms + [1 << i for i in range(2 * n)])
+    gens = [a for a, _ in pairs if not any(verify._omega(a, v, n) for v in terms)]
+    assert len(gens) == s
+    assert not any(verify._omega(g, other, n) for g in gens for other in gens)
+    _, m = brute_force_spectrum(h)
+    assert m == n - s
 
 
 def test_oracle_does_not_use_the_frustration_graph(monkeypatch):
@@ -477,32 +505,44 @@ def test_oracle_diagonalizes_only_the_central_sectors(monkeypatch):
     calls = []
     monkeypatch.setattr(verify, "dense_sums", lambda m, strings, coefs: (
         calls.append(coefs.shape), paulis.dense_sums(m, strings, coefs))[1])
-    got = brute_force_spectrum(h)
-    assert [rows for rows, _ in calls] == [1]
+    got, m = brute_force_spectrum(h)
+    assert [rows for rows, _ in calls] == [1] and m == 8
     want = all_sector_spectrum(h)
     assert np.abs(got - want).max() <= 1e-12 * 1.3
 
 
-def skew_the_pairs(monkeypatch):
-    """Give the first partner of the oracle's symplectic Gram-Schmidt the
-    second one's string too."""
+def skew_the_pairs(monkeypatch, last=False):
+    """Give the partner of the first pair of the oracle's symplectic
+    Gram-Schmidt, or of the last, the string of its neighbour's too."""
     pairs = verify._symplectic_pairs
 
     def skewed(n, vectors):
-        paired, central = pairs(n, vectors)
-        if len(paired) < 2:
-            return paired, central
-        (u0, w0), (u1, w1) = paired[:2]
-        return [(u0, w0 ^ w1)] + paired[1:], central
+        paired = pairs(n, vectors)
+        i, j = (-1, -2) if last else (0, 1)
+        (u, w), (_, w_next) = paired[i], paired[j]
+        paired[i] = (u, w ^ w_next)
+        return paired
 
     monkeypatch.setattr(verify, "_symplectic_pairs", skewed)
 
 
 def test_oracle_self_checks_the_pairs(monkeypatch):
-    """A partner w that anticommutes with a second generator would map a
-    sector onto one of another spectrum: the oracle refuses it."""
+    """A partner w that anticommutes with the string of a second pair
+    would mix two qubits of the frame: the oracle refuses it."""
     skew_the_pairs(monkeypatch)
-    with pytest.raises(FFSolveError, match="paired symmetry"):
+    with pytest.raises(FFSolveError, match="no symplectic basis"):
+        brute_force_spectrum(chain_model(2, 3))
+
+
+def test_oracle_self_checks_the_last_pair(monkeypatch):
+    """The frame check covers every pair: a skew of the last pair, one of
+    single-qubit strings, is refused too, before any term is reduced."""
+    def refuse(*args):
+        raise AssertionError("the oracle reduced a term in a skewed frame")
+
+    skew_the_pairs(monkeypatch, last=True)
+    monkeypatch.setattr(verify, "multiply", refuse)
+    with pytest.raises(FFSolveError, match="no symplectic basis"):
         brute_force_spectrum(chain_model(2, 3))
 
 
@@ -512,17 +552,17 @@ def test_verify_free_records_an_oracle_self_check(monkeypatch):
     skew_the_pairs(monkeypatch)
     rep = verify_free(chain_model(2, 3))
     assert rep.energies and rep.spectrum_match is None
-    assert "paired symmetry" in rep.failure
+    assert "no symplectic basis" in rep.failure
     assert not rep.passed()
 
 
 def test_oracle_checks_the_eigenvalue_cap_before_any_work(monkeypatch):
     """The eigenvalue cap depends on n alone: 27 qubits are refused before
-    the commutant is formed."""
+    the Gram-Schmidt runs."""
     def refuse(*args):
-        raise AssertionError("the oracle formed the commutant above its eigenvalue cap")
+        raise AssertionError("the oracle ran the Gram-Schmidt above its eigenvalue cap")
 
-    monkeypatch.setattr(verify, "_commutant", refuse)
+    monkeypatch.setattr(verify, "_symplectic_pairs", refuse)
     with pytest.raises(DenseCapError, match="eigenvalue cap"):
         brute_force_spectrum(chain_model(9, 3))
 
@@ -533,7 +573,7 @@ def test_oracle_checks_the_eigenvalue_cap_before_any_work(monkeypatch):
 def test_oracle_matches_every_sector_on_random_hamiltonians(seed, n, kind):
     h = _random_hamiltonian(random.Random(seed), n, kind)
     scale = max(abs(c) for c in h.couplings())
-    assert np.abs(brute_force_spectrum(h) - all_sector_spectrum(h)).max() <= 1e-12 * scale
+    assert np.abs(brute_force_spectrum(h)[0] - all_sector_spectrum(h)).max() <= 1e-12 * scale
 
 
 def test_oracle_returns_on_chain_7x3_within_the_caps():
